@@ -10,11 +10,10 @@ reproduces the run when fed back through --config under the same seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import evaluation as ev
 from . import numerics as nm
@@ -97,11 +96,10 @@ def _coerce(key: str, raw: str):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError("%s: expected a boolean, got %r" % (key, raw))
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    try:
+        return type(default)(raw)
+    except ValueError:
+        raise ConfigError("%s: expected %s, got %r" % (key, type(default).__name__, raw)) from None
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -129,7 +127,7 @@ class RunConfig:
         self.provenance = {k: "default" for k in DEFAULTS}
         env_seed = os.environ.get(SEED_ENV_VAR)
         if env_seed is not None:
-            self.values["seed"] = int(env_seed)
+            self.values["seed"] = _coerce("seed", env_seed)
             self.provenance["seed"] = "env"
         if config_file is not None:
             with open(config_file, encoding="utf-8") as fh:
@@ -158,14 +156,20 @@ class RunConfig:
         plen = len(prefix) + 1
         return {k[plen:]: v for k, v in self.values.items() if k.startswith(prefix + ".")}
 
+    def _build(self, prefix: str, cls, **extra):
+        try:
+            return cls(**extra, **self.section(prefix))
+        except ValueError as e:
+            raise ConfigError("%s.%s" % (prefix, e)) from None
+
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(**self.section("encoder"))
+        return self._build("encoder", EncoderConfig)
 
     def pretrain_config(self) -> pt.PretrainConfig:
-        return pt.PretrainConfig(seed=self.values["seed"], **self.section("pretrain"))
+        return self._build("pretrain", pt.PretrainConfig, seed=self.values["seed"])
 
     def finetune_config(self) -> FinetuneConfig:
-        return FinetuneConfig(seed=self.values["seed"], **self.section("finetune"))
+        return self._build("finetune", FinetuneConfig, seed=self.values["seed"])
 
     @classmethod
     def from_checkpoint_text(cls, text: str) -> "RunConfig":
@@ -176,12 +180,11 @@ class RunConfig:
         return cfg
 
 
-def _write_effective_config(cfg: RunConfig, out_dir: str) -> str:
+def _write_effective_config(cfg: RunConfig, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "effective_config.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(cfg.to_text())
-    return path
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,9 +265,14 @@ def _run_config(args) -> RunConfig:
     return RunConfig(config_file=args.config, overrides=overrides, seed_flag=args.seed)
 
 
-def _load_checkpoint_bundle(path: str):
+def _load_checkpoint_bundle(path: str, flags: RunConfig):
+    """Checkpoint contents; its config is overridden by anything given on the CLI."""
     params, token_vocab, entities, relations, config_text = pt.load_checkpoint(path)
     cfg = RunConfig.from_checkpoint_text(config_text)
+    for key, prov in flags.provenance.items():
+        if prov in ("flag", "file", "env"):
+            cfg.values[key] = flags.values[key]
+            cfg.provenance[key] = prov
     return params, token_vocab, entities, relations, cfg
 
 
@@ -294,41 +302,34 @@ def _cmd_pretrain(args, cfg: RunConfig) -> int:
         token_vocab = build_vocab(args.corpus, min_freq=cfg["vocab.min_freq"])
     enc_cfg = cfg.encoder_config()
     segments = segment_corpus(args.corpus, enc_cfg.max_seq_len)
-    os.makedirs(args.out, exist_ok=True)
-    config_path = _write_effective_config(cfg, args.out)
-    with open(config_path, encoding="utf-8") as fh:
-        config_text = fh.read()
+    _write_effective_config(cfg, args.out)
     ckpt = os.path.join(args.out, "checkpoint.drgn")
     metrics = os.path.join(args.out, "metrics.jsonl")
     _, records = pt.train(segments, kg, entities, relations, token_vocab, enc_cfg,
                           cfg.pretrain_config(), metrics_path=metrics,
-                          checkpoint_path=ckpt, config_text=config_text)
+                          checkpoint_path=ckpt, config_text=cfg.to_text())
     print("pretrained %d steps; final loss %.4f; checkpoint %s"
           % (len(records), records[-1]["loss"], ckpt))
     return EXIT_OK
 
 
 def _cmd_finetune(args, cfg_flags: RunConfig) -> int:
-    params, token_vocab, entities, relations, cfg = _load_checkpoint_bundle(args.checkpoint)
-    _apply_flag_overrides(cfg, cfg_flags)
+    params, token_vocab, entities, relations, cfg = _load_checkpoint_bundle(args.checkpoint, cfg_flags)
     kg, _, _ = load_kg(args.kg)
     enc_cfg = cfg.encoder_config()
     train_set = load_mcqa(args.train)
     dev_set = load_mcqa(args.dev)
-    os.makedirs(args.out, exist_ok=True)
-    config_path = _write_effective_config(cfg, args.out)
-    with open(config_path, encoding="utf-8") as fh:
-        config_text = fh.read()
+    _write_effective_config(cfg, args.out)
     params, history = finetune_mcqa(train_set, dev_set, kg, entities, token_vocab,
                                     params, enc_cfg, cfg.finetune_config())
     ckpt = os.path.join(args.out, "finetuned.drgn")
-    pt.save_checkpoint(ckpt, params, token_vocab, entities, relations, config_text)
+    pt.save_checkpoint(ckpt, params, token_vocab, entities, relations, cfg.to_text())
     reports = {"dev": {"split": "dev", **evaluate_mcqa(dev_set, kg, entities, token_vocab,
-                                                       params, enc_cfg)}}
+                                                       params, enc_cfg, cfg["seed"])}}
     if args.test:
         test_set = load_mcqa(args.test)
-        reports["test"] = {"split": "test", **evaluate_mcqa(test_set, kg, entities,
-                                                            token_vocab, params, enc_cfg)}
+        reports["test"] = {"split": "test", **evaluate_mcqa(test_set, kg, entities, token_vocab,
+                                                            params, enc_cfg, cfg["seed"])}
     with open(os.path.join(args.out, "accuracy.json"), "w", encoding="utf-8") as fh:
         json.dump({"history": history, "reports": reports}, fh, indent=2)
     print("finetuned; dev accuracy %.4f%s"
@@ -338,13 +339,13 @@ def _cmd_finetune(args, cfg_flags: RunConfig) -> int:
 
 
 def _cmd_eval_qa(args, cfg_flags: RunConfig) -> int:
-    params, token_vocab, entities, relations, cfg = _load_checkpoint_bundle(args.checkpoint)
-    _apply_flag_overrides(cfg, cfg_flags)
+    params, token_vocab, entities, relations, cfg = _load_checkpoint_bundle(args.checkpoint, cfg_flags)
+    if "other.pool.wq" not in params:
+        raise DataError("%s: checkpoint has no QA head; run finetune first" % args.checkpoint)
     kg, _, _ = load_kg(args.kg)
     data = load_mcqa(args.data)
     report = {"split": os.path.basename(args.data),
               **evaluate_mcqa(data, kg, entities, token_vocab, params, cfg.encoder_config())}
-    os.makedirs(args.out, exist_ok=True)
     _write_effective_config(cfg, args.out)
     with open(os.path.join(args.out, "accuracy.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -369,8 +370,7 @@ def _load_lp_queries(path: str) -> list[dict]:
 
 
 def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
-    params, token_vocab, entities, relations, cfg = _load_checkpoint_bundle(args.checkpoint)
-    _apply_flag_overrides(cfg, cfg_flags)
+    params, token_vocab, entities, relations, cfg = _load_checkpoint_bundle(args.checkpoint, cfg_flags)
     kg, kg_entities, kg_relations = load_kg(args.kg)
     queries = _load_lp_queries(args.test)
     known_true = {(kg_entities.name(h), kg_relations.name(r), kg_entities.name(t))
@@ -386,10 +386,9 @@ def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
         scorer = ev.NonContextualScorer(ent_emb, rel_emb)
     report = ev.eval_link_prediction(scorer, queries, kg, entities, token_vocab,
                                      relations, enc_cfg, known_true, seed=cfg["seed"])
-    os.makedirs(args.out, exist_ok=True)
     _write_effective_config(cfg, args.out)
     with open(os.path.join(args.out, "ranking.json"), "w", encoding="utf-8") as fh:
-        json.dump({"mode": args.mode, **report.to_dict()}, fh, indent=2)
+        json.dump({"mode": args.mode, **dataclasses.asdict(report)}, fh, indent=2)
     print("%s: Hit@3 %.4f MRR %.4f over %d queries (%d skipped)"
           % (args.mode, report.hits3, report.mrr, report.n_queries, report.skipped))
     return EXIT_OK
@@ -403,7 +402,6 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
         kwargs = {"lp_query_limit": 20}
     rows = ev.run_ablation_suite(world, cfg.encoder_config(), cfg.pretrain_config(),
                                  cfg.finetune_config(), seeds=seeds, **kwargs)
-    os.makedirs(args.out, exist_ok=True)
     _write_effective_config(cfg, args.out)
     with open(os.path.join(args.out, "ablation.tsv"), "w", encoding="utf-8") as fh:
         fh.write(ev.ablation_tsv(rows))
@@ -414,28 +412,18 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
 
 
 def _cmd_dump_attention(args, cfg_flags: RunConfig) -> int:
-    params, token_vocab, entities, relations, cfg = _load_checkpoint_bundle(args.checkpoint)
-    _apply_flag_overrides(cfg, cfg_flags)
+    params, token_vocab, entities, relations, cfg = _load_checkpoint_bundle(args.checkpoint, cfg_flags)
     kg, _, _ = load_kg(args.kg)
     enc_cfg = cfg.encoder_config()
     seg, v_el = link_entities(args.text, entities, token_vocab)
     local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, nm.split_rng(cfg["seed"], "dump"))
     lines = ev.dump_attention(params, enc_cfg, seg, local)
-    os.makedirs(args.out, exist_ok=True)
     _write_effective_config(cfg, args.out)
     path = os.path.join(args.out, "attention.jsonl")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print("wrote %d attention lines to %s" % (len(lines), path))
     return EXIT_OK
-
-
-def _apply_flag_overrides(cfg: RunConfig, flags: RunConfig) -> None:
-    """Checkpoint-supplied config, overridden by anything given on the CLI."""
-    for key, prov in flags.provenance.items():
-        if prov in ("flag", "file", "env"):
-            cfg.values[key] = flags.values[key]
-            cfg.provenance[key] = prov
 
 
 _COMMANDS = {

@@ -10,11 +10,11 @@ model backs off to text plus the exchange perceptron's bias path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import numerics as nm
-from .kg_store import R_EL
 from .numerics import Tensor
 from .retrieval import LocalKG, TextSegment
 
@@ -39,20 +39,24 @@ class EncoderConfig:
 
     def __post_init__(self):
         if self.n_unimodal < 0 or self.n_fusion < 1:
-            raise ValueError("need n_unimodal >= 0 and n_fusion >= 1")
-        if self.d_text % self.heads_text or self.d_node % self.heads_gnn:
-            raise ValueError("hidden sizes must divide their head counts")
+            raise ValueError("n_unimodal must be >= 0 and n_fusion >= 1")
+        if self.d_text % self.heads_text:
+            raise ValueError("heads_text: %d does not divide d_text %d" % (self.heads_text, self.d_text))
+        if self.d_node % self.heads_gnn:
+            raise ValueError("heads_gnn: %d does not divide d_node %d" % (self.heads_gnn, self.d_node))
         if self.d_ffn == 0:
             self.d_ffn = 4 * self.d_text
         if self.fusion not in (BIDIRECTIONAL, CONCAT_AT_END):
-            raise ValueError("unknown fusion mode %r" % self.fusion)
+            raise ValueError("fusion: unknown mode %r" % self.fusion)
 
 
 @dataclass
 class EncoderOutput:
     tokens: Tensor                    # [L, d_text], row 0 = interaction token
     nodes: Tensor                     # [J+1, d_node], row 0 = interaction node
-    # one entry per fusion layer: list of {head, rel, tail, dir, weight}
+    # one entry per fusion layer: per-head [J+1, 2E] attention over messages,
+    # where message 2e is edge e of local.edges read head->tail and 2e+1 its
+    # reverse; empty for dummy graphs
     graph_attention: list = field(default_factory=list)
 
     @property
@@ -64,61 +68,64 @@ class EncoderOutput:
         return nm.gather_rows(self.nodes, [0])
 
 
+NORMAL = None  # init_param fill that draws Normal(0, 0.02) weights
+
+
+def init_param(params: dict[str, Tensor], seed: int, name: str, shape, fill: float | None) -> None:
+    """Add params[name]: Normal(0, 0.02) from the name-keyed stream "init/<name>"
+    when fill is NORMAL, else `fill` everywhere (biases, layer-norm gains).
+
+    Two configurations sharing a parameter name initialize it identically
+    under the same seed.
+    """
+    if fill is NORMAL:
+        values = nm.split_rng(seed, "init/" + name).normal(0.0, 0.02, size=shape)
+    else:
+        values = np.full(shape, fill)
+    params[name] = Tensor(values, requires_grad=True, name=name)
+
+
 def init_params(cfg: EncoderConfig, seed: int, vocab_size: int, n_entities: int,
                 n_relations: int) -> dict[str, Tensor]:
-    """Normal(0, 0.02) weights, zero biases, unit layer-norm gains.
-
-    Every tensor draws from its own name-keyed stream, so two configurations
-    sharing a parameter name initialize it identically under the same seed.
-    """
+    """Normal(0, 0.02) weights, zero biases, unit layer-norm gains."""
     params: dict[str, Tensor] = {}
-
-    def weight(name: str, shape):
-        rng = nm.split_rng(seed, "init/" + name)
-        params[name] = Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=True, name=name)
-
-    def zeros_p(name: str, shape):
-        params[name] = Tensor(np.zeros(shape), requires_grad=True, name=name)
-
-    def ones_p(name: str, shape):
-        params[name] = Tensor(np.ones(shape), requires_grad=True, name=name)
-
+    put = partial(init_param, params, seed)
     dt, dn = cfg.d_text, cfg.d_node
-    weight("lm.tok_emb", (vocab_size, dt))
-    weight("lm.pos_emb", (cfg.max_seq_len, dt))
-    ones_p("lm.emb_ln.g", (dt,))
-    zeros_p("lm.emb_ln.b", (dt,))
+    put("lm.tok_emb", (vocab_size, dt), NORMAL)
+    put("lm.pos_emb", (cfg.max_seq_len, dt), NORMAL)
+    put("lm.emb_ln.g", (dt,), 1.0)
+    put("lm.emb_ln.b", (dt,), 0.0)
     for i in range(cfg.n_unimodal + cfg.n_fusion):
         p = "lm.layer%d." % i
         for w in ("wq", "wk", "wv", "wo"):
-            weight(p + "attn." + w, (dt, dt))
-            zeros_p(p + "attn.b" + w[1], (dt,))
-        ones_p(p + "ln1.g", (dt,))
-        zeros_p(p + "ln1.b", (dt,))
-        weight(p + "ffn.w1", (dt, cfg.d_ffn))
-        zeros_p(p + "ffn.b1", (cfg.d_ffn,))
-        weight(p + "ffn.w2", (cfg.d_ffn, dt))
-        zeros_p(p + "ffn.b2", (dt,))
-        ones_p(p + "ln2.g", (dt,))
-        zeros_p(p + "ln2.b", (dt,))
+            put(p + "attn." + w, (dt, dt), NORMAL)
+            put(p + "attn.b" + w[1], (dt,), 0.0)
+        put(p + "ln1.g", (dt,), 1.0)
+        put(p + "ln1.b", (dt,), 0.0)
+        put(p + "ffn.w1", (dt, cfg.d_ffn), NORMAL)
+        put(p + "ffn.b1", (cfg.d_ffn,), 0.0)
+        put(p + "ffn.w2", (cfg.d_ffn, dt), NORMAL)
+        put(p + "ffn.b2", (dt,), 0.0)
+        put(p + "ln2.g", (dt,), 1.0)
+        put(p + "ln2.b", (dt,), 0.0)
 
-    weight("node_emb.table", (n_entities, dn))
-    weight("node_emb.v_int", (1, dn))
-    weight("gnn.rel_emb", (2 * n_relations, dn))
+    put("node_emb.table", (n_entities, dn), NORMAL)
+    put("node_emb.v_int", (1, dn), NORMAL)
+    put("gnn.rel_emb", (2 * n_relations, dn), NORMAL)
     for l in range(cfg.n_fusion):
         p = "gnn.layer%d." % l
-        weight(p + "w_msg", (2 * dn, dn))
-        zeros_p(p + "b_msg", (dn,))
+        put(p + "w_msg", (2 * dn, dn), NORMAL)
+        put(p + "b_msg", (dn,), 0.0)
         for w in ("wq", "wk", "wv", "wo"):
-            weight(p + w, (dn, dn))
-            zeros_p(p + "b" + w[1], (dn,))
-        ones_p(p + "ln.g", (dn,))
-        zeros_p(p + "ln.b", (dn,))
+            put(p + w, (dn, dn), NORMAL)
+            put(p + "b" + w[1], (dn,), 0.0)
+        put(p + "ln.g", (dn,), 1.0)
+        put(p + "ln.b", (dn,), 0.0)
         q = "mint.layer%d." % l
-        weight(q + "w1", (dt + dn, cfg.d_mint_hidden))
-        zeros_p(q + "b1", (cfg.d_mint_hidden,))
-        weight(q + "w2", (cfg.d_mint_hidden, dt + dn))
-        zeros_p(q + "b2", (dt + dn,))
+        put(q + "w1", (dt + dn, cfg.d_mint_hidden), NORMAL)
+        put(q + "b1", (cfg.d_mint_hidden,), 0.0)
+        put(q + "w2", (cfg.d_mint_hidden, dt + dn), NORMAL)
+        put(q + "b2", (dt + dn,), 0.0)
     return params
 
 
@@ -134,7 +141,6 @@ def _attn_linear(x: Tensor, params, layer: str, w: str) -> Tensor:
 
 def _transformer_layer(x: Tensor, params, cfg: EncoderConfig, idx: int, train: bool, seed: int) -> Tensor:
     p = "lm.layer%d." % idx
-    L = x.shape[0]
     dh = cfg.d_text // cfg.heads_text
     q = _attn_linear(x, params, p, "wq")
     k = _attn_linear(x, params, p, "wk")
@@ -158,21 +164,19 @@ def _transformer_layer(x: Tensor, params, cfg: EncoderConfig, idx: int, train: b
 
 
 def _gnn_layer(v: Tensor, local: LocalKG, params, cfg: EncoderConfig, layer: int,
-               train: bool, seed: int) -> tuple[Tensor, list[dict]]:
+               train: bool, seed: int) -> tuple[Tensor, list[np.ndarray]]:
     """Relation-aware attention over in-neighborhoods with directed messages.
 
     Every edge (h, r, t) contributes a forward message h->t and a reverse
     message t->h; the relation/direction pair selects the message embedding.
+    Returns the new node states and each head's [n, n_messages] attention.
     """
     p = "gnn.layer%d." % layer
     n = v.shape[0]
-    src, dst, reldir, edge_meta = [], [], [], []
+    src, dst, reldir = [], [], []
     for h, r, t in local.edges:
         src.append(h); dst.append(t); reldir.append(2 * r)
-        edge_meta.append({"head": h, "rel": r, "tail": t, "dir": 0})
         src.append(t); dst.append(h); reldir.append(2 * r + 1)
-        edge_meta.append({"head": h, "rel": r, "tail": t, "dir": 1})
-    n_m = len(src)
     dst_arr = np.array(dst, dtype=np.int64)
 
     s = nm.gather_rows(v, src)
@@ -188,7 +192,7 @@ def _gnn_layer(v: Tensor, local: LocalKG, params, cfg: EncoderConfig, layer: int
     ks = nm.split(k, [dh] * cfg.heads_gnn, axis=1)
     vals = nm.split(val, [dh] * cfg.heads_gnn, axis=1)
 
-    incidence = (dst_arr[None, :] == np.arange(n)[:, None])  # [n, n_m]
+    incidence = (dst_arr[None, :] == np.arange(n)[:, None])  # [n, n_messages]
     inc_const = nm.constant(incidence.astype(float))
     inv = 1.0 / np.sqrt(dh)
     heads, alpha_per_head = [], []
@@ -201,12 +205,7 @@ def _gnn_layer(v: Tensor, local: LocalKG, params, cfg: EncoderConfig, layer: int
     agg = nm.add(nm.matmul(nm.concat(heads, axis=1), params[p + "wo"]), params[p + "bo"])
     agg = _maybe_dropout(agg, cfg, train, seed, p + "agg")
     out = nm.layer_norm(nm.add(v, nm.gelu(agg)), params[p + "ln.g"], params[p + "ln.b"])
-
-    attn_dump = []
-    for m, meta in enumerate(edge_meta):
-        weights = [float(alpha_per_head[h][dst_arr[m], m]) for h in range(cfg.heads_gnn)]
-        attn_dump.append({**meta, "weight": weights})
-    return out, attn_dump
+    return out, alpha_per_head
 
 
 def _mint(x: Tensor, v: Tensor, params, cfg: EncoderConfig, layer: int,
@@ -259,15 +258,14 @@ def encode(segment: TextSegment, local: LocalKG, params: dict[str, Tensor],
         v = nm.concat([params["node_emb.v_int"], ent_rows], axis=0)
         v = _maybe_dropout(v, cfg, train, seed, "node_emb")
 
-    graph_attention: list[list[dict]] = []
+    graph_attention: list[list[np.ndarray]] = []
     for l in range(cfg.n_fusion):
         x = run("lm.layer%d" % (cfg.n_unimodal + l), _transformer_layer,
                 x, params, cfg, cfg.n_unimodal + l, train, seed)
+        attn = []
         if not local.is_dummy:
             v, attn = run("gnn.layer%d" % l, _gnn_layer, v, local, params, cfg, l, train, seed)
-            graph_attention.append(attn)
-        else:
-            graph_attention.append([])
+        graph_attention.append(attn)
         if cfg.fusion == BIDIRECTIONAL:
             if local.is_dummy:
                 # node side pinned to zero: the exchange sees a zero node
@@ -278,7 +276,3 @@ def encode(segment: TextSegment, local: LocalKG, params: dict[str, Tensor],
 
     return EncoderOutput(tokens=x, nodes=v, graph_attention=graph_attention)
 
-
-def lm_param_names(params: dict[str, Tensor]) -> list[str]:
-    """Parameters belonging to the language-model component (lr group 1)."""
-    return [n for n in params if n.startswith("lm.")]

@@ -9,19 +9,22 @@ a slice only in the KG (question-answering gold that needs graph structure).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import numerics as nm
 from .encoder import BIDIRECTIONAL, CONCAT_AT_END, EncoderConfig, encode
-from .finetune import FinetuneConfig, MCQAExample, evaluate_mcqa, finetune_mcqa
+from .finetune import FinetuneConfig, MCQAExample, evaluate_mcqa, finetune_mcqa, pool
 from .kg_store import EntityVocab, KnowledgeGraph, RelationVocab
 from .numerics import Tensor
 from .pretrain import (LinkPredHead, PretrainConfig, Optimizer, apply_masking,
-                       clip_gradients, linkpred_head, mlm_loss, prepare_examples,
-                       train, triplet_scores)
-from .retrieval import TokenVocab, _alias_index, link_entities, retrieve_local_kg, tokenize
+                       linkpred_head, mlm_loss, prepare_examples, train, train_step,
+                       triplet_scores)
+from .retrieval import (TokenVocab, build_alias_index, build_vocab_from_texts, link_entities,
+                        retrieve_local_kg, tokenize)
 
 
 @dataclass
@@ -40,12 +43,6 @@ class RankingReport:
         assert self.hits10 <= 1.0 + 1e-12
         if self.n_queries:
             assert 0.0 < self.mrr <= 1.0 + 1e-12
-
-    def to_dict(self) -> dict:
-        return {"hits1": self.hits1, "hits3": self.hits3, "hits10": self.hits10,
-                "mrr": self.mrr, "mean_rank": self.mean_rank,
-                "n_queries": self.n_queries, "filtered": self.filtered,
-                "skipped": self.skipped}
 
 
 def ranks_to_report(ranks: list[float], filtered: bool, skipped: int) -> RankingReport:
@@ -142,7 +139,6 @@ class SyntheticWorld:
         return g, entities, relations
 
     def build_token_vocab(self, min_freq: int = 2) -> TokenVocab:
-        from .retrieval import build_vocab_from_texts
         return build_vocab_from_texts(self.train_docs, min_freq=min_freq)
 
     def raw_segments(self, split: str = "train") -> list[str]:
@@ -213,7 +209,6 @@ class SyntheticWorld:
                 "test": examples[n_train + n_dev:]}
 
     def write_files(self, out_dir: str) -> dict[str, str]:
-        import os
         os.makedirs(out_dir, exist_ok=True)
         paths = {}
 
@@ -452,7 +447,7 @@ def eval_link_prediction(scorer, queries: list[dict], kg: KnowledgeGraph,
     triplets. Queries whose head or tail fall outside the retrieved graph are
     skipped and counted.
     """
-    alias_index = _alias_index(entities)
+    alias_index = build_alias_index(entities)
     ranks: list[float] = []
     skipped = 0
     for qi, q in enumerate(queries):
@@ -492,6 +487,17 @@ def train_distmult_baseline(kg: KnowledgeGraph, d: int = 32, steps: int = 600,
     opt = Optimizer(params, lr_lm=lr, lr_other=lr, total_steps=steps, warmup_ratio=0.05)
     triplets = np.array(kg.triplets, dtype=np.int64)
     head = LinkPredHead(scorer="distmult", margin=margin, relations=rel)
+
+    def batch_loss(pos: np.ndarray, neg: np.ndarray) -> tuple[Tensor]:
+        pos_s = triplet_scores(nm.gather_rows(ent, pos[:, 0]), pos[:, 1],
+                               nm.gather_rows(ent, pos[:, 2]), head)
+        neg_s = triplet_scores(nm.gather_rows(ent, neg[:, 0]), neg[:, 1],
+                               nm.gather_rows(ent, neg[:, 2]), head)
+        loss = nm.add(
+            nm.neg(nm.reduce_mean(nm.log_sigmoid(nm.add_scalar(pos_s, margin)))),
+            nm.reduce_mean(nm.log_sigmoid(nm.add_scalar(neg_s, margin))))
+        return (loss,)
+
     for step in range(steps):
         idx = rng.integers(0, len(triplets), size=batch_size)
         pos = triplets[idx]
@@ -501,18 +507,7 @@ def train_distmult_baseline(kg: KnowledgeGraph, d: int = 32, steps: int = 600,
         neg = neg_h.copy()
         neg[corrupt_tail, 2] = repl[corrupt_tail]
         neg[~corrupt_tail, 0] = repl[~corrupt_tail]
-        with nm.ComputationTape() as tape:
-            pos_s = triplet_scores(nm.gather_rows(ent, pos[:, 0]), pos[:, 1],
-                                   nm.gather_rows(ent, pos[:, 2]), head)
-            neg_s = triplet_scores(nm.gather_rows(ent, neg[:, 0]), neg[:, 1],
-                                   nm.gather_rows(ent, neg[:, 2]), head)
-            loss = nm.add(
-                nm.neg(nm.reduce_mean(nm.log_sigmoid(nm.add_scalar(pos_s, margin)))),
-                nm.reduce_mean(nm.log_sigmoid(nm.add_scalar(neg_s, margin))))
-            tape.backward(loss)
-        clip_gradients(params, 1.0)
-        opt.step(step)
-        opt.zero_grad()
+        train_step(opt, step, 1.0, partial(batch_loss, pos, neg))
     return ent.values.copy(), rel.values.copy()
 
 
@@ -547,7 +542,6 @@ def run_ablation_cell(world: SyntheticWorld, enc_cfg: EncoderConfig,
                       objective: str, scorer: str, fusion: str, kg_structure: str,
                       seed: int, lp_query_limit: int | None = None,
                       mcqa_data: dict | None = None) -> dict:
-    from dataclasses import replace
     kg, entities, relations = world.build_kg()
     token_vocab = world.build_token_vocab()
     e_cfg = replace(enc_cfg, fusion=fusion)
@@ -611,15 +605,23 @@ def ablation_tsv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_attention(params: dict[str, Tensor], enc_cfg: EncoderConfig, seg, local,
-                   include_pooling: bool = True) -> list[str]:
-    """JSON lines: one per fusion layer, optionally a final pooling line."""
+def dump_attention(params: dict[str, Tensor], enc_cfg: EncoderConfig, seg, local) -> list[str]:
+    """JSON lines: one per fusion layer, then a pooling line when the
+    parameters carry a QA pooling head.
+
+    Each layer lists every edge in both directions, dir 0 (head->tail) then
+    dir 1 (tail->head), with the per-head attention its message received.
+    """
     out = encode(seg, local, params, enc_cfg, mode="eval")
     lines = []
-    for layer, edges in enumerate(out.graph_attention):
+    for layer, alphas in enumerate(out.graph_attention):
+        edges = []
+        for e, (h, r, t) in enumerate(local.edges):
+            for direction, dst in ((0, t), (1, h)):
+                edges.append({"head": h, "rel": r, "tail": t, "dir": direction,
+                              "weight": [float(a[dst, 2 * e + direction]) for a in alphas]})
         lines.append(json.dumps({"layer": layer, "edges": edges}))
-    if include_pooling and "other.pool.wq" in params:
-        from .finetune import pool
+    if "other.pool.wq" in params:
         _, alpha = pool(out, params)
         lines.append(json.dumps({"pooling": [float(a) for a in alpha]}))
     return lines

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import numerics as nm
-from .encoder import EncoderConfig, EncoderOutput, encode
-from .kg_store import EntityVocab, KnowledgeGraph, RelationVocab
+from .encoder import NORMAL, EncoderConfig, EncoderOutput, encode, init_param
+from .kg_store import EntityVocab, KnowledgeGraph
 from .numerics import Tensor
-from .retrieval import (SEP, LocalKG, TextSegment, TokenVocab, _alias_index,
-                        dummy_local_kg, link_entities, retrieve_local_kg)
-from .pretrain import Optimizer, clip_gradients
+from .pretrain import Optimizer, train_step
+from .retrieval import (SEP, LocalKG, TextSegment, TokenVocab, build_alias_index,
+                        link_entities, retrieve_local_kg)
 
 
 class DataError(ValueError):
@@ -57,20 +58,12 @@ def load_mcqa(path: str) -> list[MCQAExample]:
 
 def add_pooling_head(params: dict[str, Tensor], enc_cfg: EncoderConfig, seed: int) -> None:
     dt, dn = enc_cfg.d_text, enc_cfg.d_node
-    specs = {
-        "other.pool.wq": (dt, dn),
-        "other.pool.wk": (dn, dn),
-        "other.pool.mlp.w1": (dt + 2 * dn, dt),
-        "other.pool.mlp.b1": (dt,),
-        "other.pool.mlp.w2": (dt, 1),
-        "other.pool.mlp.b2": (1,),
-    }
-    for name, shape in specs.items():
-        if name.endswith((".b1", ".b2")):
-            params[name] = Tensor(np.zeros(shape), requires_grad=True, name=name)
-        else:
-            rng = nm.split_rng(seed, "init/" + name)
-            params[name] = Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=True, name=name)
+    init_param(params, seed, "other.pool.wq", (dt, dn), NORMAL)
+    init_param(params, seed, "other.pool.wk", (dn, dn), NORMAL)
+    init_param(params, seed, "other.pool.mlp.w1", (dt + 2 * dn, dt), NORMAL)
+    init_param(params, seed, "other.pool.mlp.b1", (dt,), 0.0)
+    init_param(params, seed, "other.pool.mlp.w2", (dt, 1), NORMAL)
+    init_param(params, seed, "other.pool.mlp.b2", (1,), 0.0)
 
 
 def pool(out: EncoderOutput, params: dict[str, Tensor]) -> tuple[Tensor, np.ndarray]:
@@ -110,14 +103,12 @@ class FinetuneConfig:
 
 def prepare_choice_inputs(ex: MCQAExample, kg: KnowledgeGraph, entities: EntityVocab,
                           token_vocab: TokenVocab, enc_cfg: EncoderConfig, seed: int,
-                          example_idx: int, alias_index: dict | None = None
+                          example_idx: int, alias_index: dict
                           ) -> list[tuple[TextSegment, LocalKG]]:
     """One (segment, local KG) per choice, retrieved from question + choice."""
-    if alias_index is None:
-        alias_index = _alias_index(entities)
+    q_seg, q_el = link_entities(ex.question, entities, token_vocab, alias_index)
     out = []
     for c, choice in enumerate(ex.choices):
-        q_seg, q_el = link_entities(ex.question, entities, token_vocab, alias_index)
         c_seg, c_el = link_entities(choice, entities, token_vocab, alias_index)
         ids = q_seg.token_ids + [SEP] + c_seg.token_ids[1:]
         spans = q_seg.spans + [(-1, -1)] + c_seg.spans[1:]
@@ -127,8 +118,7 @@ def prepare_choice_inputs(ex: MCQAExample, kg: KnowledgeGraph, entities: EntityV
         seg = TextSegment(ids, spans, source=ex.question + " [SEP] " + choice)
         v_el = q_el | c_el
         local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes,
-                                  nm.split_rng(seed, "ft_retrieval", example_idx, c)) \
-            if v_el else dummy_local_kg()
+                                  nm.split_rng(seed, "ft_retrieval", example_idx, c))
         out.append((seg, local))
     return out
 
@@ -150,7 +140,7 @@ def evaluate_mcqa(examples: list[MCQAExample], kg: KnowledgeGraph, entities: Ent
                   token_vocab: TokenVocab, params: dict[str, Tensor],
                   enc_cfg: EncoderConfig, seed: int = 0) -> dict:
     """Accuracy report {split-agnostic}: n, accuracy, per_choice_count."""
-    alias_index = _alias_index(entities)
+    alias_index = build_alias_index(entities)
     correct = 0
     per_choice: dict[str, int] = {}
     for i, ex in enumerate(examples):
@@ -189,10 +179,21 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
     train_set = subsample(train_examples, cfg.train_fraction, cfg.seed)
     if not train_set:
         raise DataError("empty training set")
-    alias_index = _alias_index(entities)
+    alias_index = build_alias_index(entities)
     steps_per_epoch = int(np.ceil(len(train_set) / cfg.batch_size))
     total_steps = cfg.epochs * steps_per_epoch
     opt = Optimizer(params, cfg.lr_lm, cfg.lr_other, total_steps, cfg.warmup_ratio)
+
+    def batch_loss(batch_ids: np.ndarray, step: int) -> tuple[Tensor]:
+        losses = []
+        for bi, i in enumerate(batch_ids):
+            ex = train_set[int(i)]
+            inputs = prepare_choice_inputs(ex, kg, entities, token_vocab, enc_cfg,
+                                           cfg.seed, int(i), alias_index)
+            ft_seed = int(nm.split_rng(cfg.seed, "ft_step", step, bi).integers(2 ** 62))
+            logits, _ = choice_logits(inputs, params, enc_cfg, mode="train", seed=ft_seed)
+            losses.append(nm.reduce_mean(nm.cross_entropy_with_logits(logits, [ex.gold])))
+        return (nm.reduce_mean(nm.stack_scalars(losses)),)
 
     history: list[dict] = []
     best_acc, best_params = -1.0, None
@@ -202,20 +203,8 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
         order = nm.split_rng(cfg.seed, "ft_order", epoch).permutation(len(train_set))
         epoch_loss, n_batches = 0.0, 0
         for lo in range(0, len(train_set), cfg.batch_size):
-            batch = [train_set[int(i)] for i in order[lo:lo + cfg.batch_size]]
-            with nm.ComputationTape() as tape:
-                losses = []
-                for bi, ex in enumerate(batch):
-                    inputs = prepare_choice_inputs(ex, kg, entities, token_vocab, enc_cfg,
-                                                   cfg.seed, int(order[lo + bi]), alias_index)
-                    ft_seed = int(nm.split_rng(cfg.seed, "ft_step", step, bi).integers(2 ** 62))
-                    logits, _ = choice_logits(inputs, params, enc_cfg, mode="train", seed=ft_seed)
-                    losses.append(nm.reduce_mean(nm.cross_entropy_with_logits(logits, [ex.gold])))
-                loss = nm.reduce_mean(nm.stack_scalars(losses))
-                tape.backward(loss)
-            clip_gradients(params, cfg.grad_clip)
-            opt.step(step)
-            opt.zero_grad()
+            (loss,), _ = train_step(opt, step, cfg.grad_clip,
+                                    partial(batch_loss, order[lo:lo + cfg.batch_size], step))
             epoch_loss += loss.item()
             n_batches += 1
             step += 1

@@ -24,11 +24,29 @@ R_EL = 0
 R_EL_INV = 1
 R_EL_NAME = "[R_EL]"
 R_EL_INV_NAME = "[R_EL_INV]"
-N_RESERVED_RELATIONS = 2
 
 # Edge direction tags used by adjacency entries and GNN messages
 DIR_OUT = 0  # the queried node is the head
 DIR_IN = 1   # the queried node is the tail
+
+
+def read_vocab_tsv(text: str, source: str, vocab):
+    """Fill an empty vocabulary (token, entity or relation) from a
+    `name<TAB>id` table whose ids count 0, 1, 2, ... in line order; returns it.
+
+    Blank lines are skipped. A line without a tab, an id out of sequence or a
+    repeated name raises ValueError naming the source and the line.
+    """
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        expected = len(vocab)
+        name, tab, nid = line.partition("\t")
+        # add() returns the earlier id for a repeated name
+        if not tab or nid != str(expected) or vocab.add(name) != expected:
+            raise ValueError("%s:%d: expected a new name<TAB>%d, got %r"
+                             % (source, lineno, expected, line))
+    return vocab
 
 
 def default_surface(name: str) -> str:
@@ -81,13 +99,6 @@ class RelationVocab:
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class Triplet:
-    head: int
-    rel: int
-    tail: int
-
-
 class KnowledgeGraph:
     """Deduplicated triplet set with a bidirectional adjacency index."""
 
@@ -120,9 +131,7 @@ class KnowledgeGraph:
         if not 0 <= rid < self.n_relations:
             raise IndexError("relation id %d out of range [0, %d)" % (rid, self.n_relations))
 
-    def contains(self, t: Triplet | tuple[int, int, int]) -> bool:
-        if isinstance(t, Triplet):
-            t = (t.head, t.rel, t.tail)
+    def contains(self, t: tuple[int, int, int]) -> bool:
         self._check_entity(t[0])
         self._check_entity(t[2])
         self._check_relation(t[1])
@@ -146,12 +155,13 @@ class KnowledgeGraph:
         return sum(len(v) for v in self._adj.values())
 
 
-def load_kg(triplet_file: str, alias_file: str | None = None,
-            add_inverse_relations: bool = False) -> tuple[KnowledgeGraph, EntityVocab, RelationVocab]:
+def load_kg(triplet_file: str, alias_file: str | None = None
+            ) -> tuple[KnowledgeGraph, EntityVocab, RelationVocab]:
     """Load a triplet TSV, building vocabularies from file contents.
 
-    add_inverse_relations materializes `rel_inv` triplets (tail, rel_inv, head)
-    as separate relation types; off by default.
+    Entity and relation ids follow first appearance in file order, after the
+    reserved interaction-link relations. Triplets are kept directed as
+    written; the GNN reads every edge in both directions itself.
     """
     entities = EntityVocab()
     relations = RelationVocab()
@@ -173,14 +183,10 @@ def load_kg(triplet_file: str, alias_file: str | None = None,
         entities.add(h)
         relations.add(r)
         entities.add(t)
-        if add_inverse_relations:
-            relations.add(r + "_inv")
 
     g = KnowledgeGraph(len(entities), len(relations))
     for h, r, t in raw:
         g.add(entities.lookup(h), relations.ids[r], entities.lookup(t))
-        if add_inverse_relations:
-            g.add(entities.lookup(t), relations.ids[r + "_inv"], entities.lookup(h))
 
     if alias_file is not None:
         load_aliases(alias_file, entities)

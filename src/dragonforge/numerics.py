@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,17 +32,6 @@ _DEFAULT_DTYPE = np.float32
 
 # Masked-softmax fill; exp() of it underflows to exactly 0 in both float modes.
 NEG_FILL = -1e9
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("dtype must be float32 or float64")
-    _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 @contextmanager
@@ -98,9 +87,6 @@ class Tensor:
         if self.values.size != 1:
             raise ContractError("item() on non-scalar tensor of shape %s" % (self.shape,))
         return float(self.values.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def accumulate_grad(self, delta: np.ndarray) -> None:
         if self.grad is None:
@@ -200,69 +186,31 @@ def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
     raise ShapeError("%s: incompatible shapes %s and %s" % (op, sa, sb))
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
+def _binary(op: str, a: Tensor, b, vals: Callable, grad_a: Callable, grad_b: Callable) -> Tensor:
+    """Elementwise op with row broadcasting; grad_x(g, other) is x's gradient
+    before the broadcast rows are summed back to x's shape."""
+    b = b if isinstance(b, Tensor) else Tensor(b)
+    _binary_shapes(a, b, op)
+
+    def bk(g):
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast_rows(grad_a(g, b.values), a.values.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast_rows(grad_b(g, a.values), b.values.shape))
+
+    return _make(vals(a.values, b.values), (a, b), bk, op)
 
 
 def add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b)
-    _binary_shapes(a, b, "add")
-    vals = a.values + b.values
-
-    def bk(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast_rows(g, a.values.shape) if a.values.shape != g.shape else g)
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast_rows(g, b.values.shape) if b.values.shape != g.shape else g)
-
-    return _make(vals, (a, b), bk, "add")
+    return _binary("add", a, b, np.add, lambda g, _: g, lambda g, _: g)
 
 
 def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b)
-    _binary_shapes(a, b, "sub")
-    vals = a.values - b.values
-
-    def bk(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast_rows(g, a.values.shape) if a.values.shape != g.shape else g)
-        if b.requires_grad:
-            gb = -g
-            b.accumulate_grad(_unbroadcast_rows(gb, b.values.shape) if b.values.shape != gb.shape else gb)
-
-    return _make(vals, (a, b), bk, "sub")
+    return _binary("sub", a, b, np.subtract, lambda g, _: g, lambda g, _: -g)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b)
-    _binary_shapes(a, b, "mul")
-    vals = a.values * b.values
-
-    def bk(g):
-        if a.requires_grad:
-            ga = g * b.values
-            a.accumulate_grad(_unbroadcast_rows(ga, a.values.shape) if a.values.shape != ga.shape else ga)
-        if b.requires_grad:
-            gb = g * a.values
-            b.accumulate_grad(_unbroadcast_rows(gb, b.values.shape) if b.values.shape != gb.shape else gb)
-
-    return _make(vals, (a, b), bk, "mul")
-
-
-def div(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b)
-    _binary_shapes(a, b, "div")
-    vals = a.values / b.values
-
-    def bk(g):
-        if a.requires_grad:
-            ga = g / b.values
-            a.accumulate_grad(_unbroadcast_rows(ga, a.values.shape) if a.values.shape != ga.shape else ga)
-        if b.requires_grad:
-            gb = -g * a.values / (b.values * b.values)
-            b.accumulate_grad(_unbroadcast_rows(gb, b.values.shape) if b.values.shape != gb.shape else gb)
-
-    return _make(vals, (a, b), bk, "div")
+    return _binary("mul", a, b, np.multiply, lambda g, other: g * other, lambda g, other: g * other)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -418,26 +366,6 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     return _make(vals, (a,), bk, "reduce_mean")
 
 
-def reduce_max(a: Tensor, axis: int | None = None) -> Tensor:
-    vals = a.values.max(axis=axis)
-
-    def bk(g):
-        if a.requires_grad:
-            if axis is None:
-                mask = (a.values == vals)
-                # route to the first maximum only
-                flat = np.zeros_like(a.values)
-                flat.reshape(-1)[np.argmax(a.values)] = g
-                a.accumulate_grad(flat)
-            else:
-                idx = np.argmax(a.values, axis=axis)
-                out = np.zeros_like(a.values)
-                np.put_along_axis(out, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
-                a.accumulate_grad(out)
-
-    return _make(vals, (a,), bk, "reduce_max")
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.values.ndim <= axis < a.values.ndim:
         raise ShapeError("softmax: axis %d invalid for shape %s" % (axis, a.shape))
@@ -498,27 +426,6 @@ def gelu(a: Tensor) -> Tensor:
             a.accumulate_grad(g * da)
 
     return _make(vals, (a,), bk, "gelu")
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.values
-    vals = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def bk(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * vals * (1.0 - vals))
-
-    return _make(vals, (a,), bk, "sigmoid")
-
-
-def tanh(a: Tensor) -> Tensor:
-    vals = np.tanh(a.values)
-
-    def bk(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (1.0 - vals * vals))
-
-    return _make(vals, (a,), bk, "tanh")
 
 
 def log_sigmoid(a: Tensor) -> Tensor:

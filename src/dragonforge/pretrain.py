@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import numerics as nm
-from .encoder import EncoderConfig, encode, init_params
-from .kg_store import EntityVocab, KnowledgeGraph, R_EL, RelationVocab
+from .encoder import NORMAL, EncoderConfig, encode, init_param, init_params
+from .kg_store import EntityVocab, KnowledgeGraph, R_EL, RelationVocab, read_vocab_tsv
 from .numerics import Tensor
-from .retrieval import (INT, LocalKG, MASK, PAD, SEP, TextSegment, TokenVocab,
-                        link_entities, retrieve_local_kg, verbalize_kg, _alias_index)
+from .retrieval import (MASK, PAD, SEP, LocalKG, TextSegment, TokenVocab, build_alias_index,
+                        dummy_local_kg, link_entities, retrieve_local_kg, verbalize_kg)
 
 SCORERS = ("distmult", "transe", "rotate")
 OBJECTIVES = ("joint", "mlm_only", "linkpred_only")
@@ -163,12 +165,6 @@ def triplet_scores(h: Tensor, rel_ids, t: Tensor, head: LinkPredHead) -> Tensor:
     return nm.neg(nm.sqrt(nm.reduce_sum(nm.add(nm.mul(dr, dr), nm.mul(di, di)), axis=1)))
 
 
-def score_triplet(head_vec, rel_id: int, tail_vec, head: LinkPredHead) -> float:
-    h = head_vec if isinstance(head_vec, Tensor) else nm.constant(np.asarray(head_vec)[None, :])
-    t = tail_vec if isinstance(tail_vec, Tensor) else nm.constant(np.asarray(tail_vec)[None, :])
-    return triplet_scores(h, [rel_id], t, head).item()
-
-
 def linkpred_loss(holdout: EdgeHoldout, node_vecs: Tensor, head: LinkPredHead) -> Tensor:
     """Sum over positives of -log sig(phi + margin) + mean_neg log sig(phi' + margin)."""
     if not holdout.positives:
@@ -221,11 +217,11 @@ class PretrainConfig:
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
-            raise ValueError("unknown objective %r" % self.objective)
+            raise ValueError("objective: unknown value %r" % self.objective)
         if self.scorer not in SCORERS:
-            raise ValueError("unknown scorer %r" % self.scorer)
+            raise ValueError("scorer: unknown value %r" % self.scorer)
         if self.kg_mode not in KG_MODES:
-            raise ValueError("unknown kg mode %r" % self.kg_mode)
+            raise ValueError("kg_mode: unknown value %r" % self.kg_mode)
 
 
 class Optimizer:
@@ -311,18 +307,29 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     return norm
 
 
+def train_step(opt: Optimizer, step: int, grad_clip: float,
+               forward: Callable[[], tuple[Tensor, ...]]) -> tuple[tuple[Tensor, ...], float]:
+    """One update: run `forward` on a fresh tape, backpropagate its first
+    result (the loss), clip, apply the optimizer step, then clear gradients.
+
+    Returns forward's results and the gradient norm before clipping.
+    """
+    with nm.ComputationTape() as tape:
+        results = forward()
+        tape.backward(results[0])
+    grad_norm = clip_gradients(opt.params, grad_clip)
+    opt.step(step)
+    opt.zero_grad()
+    return results, grad_norm
+
+
 def add_pretrain_heads(params: dict[str, Tensor], enc_cfg: EncoderConfig,
                        cfg: PretrainConfig, vocab_size: int, n_relations: int,
                        seed: int) -> None:
-    for name, shape in (("lm.mlm_head.w", (enc_cfg.d_text, vocab_size)),
-                        ("lm.mlm_head.b", (vocab_size,)),
-                        ("other.linkpred.relations",
-                         (n_relations, relation_table_width(cfg.scorer, enc_cfg.d_node)))):
-        if name.endswith(".b"):
-            params[name] = Tensor(np.zeros(shape), requires_grad=True, name=name)
-        else:
-            rng = nm.split_rng(seed, "init/" + name)
-            params[name] = Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=True, name=name)
+    init_param(params, seed, "lm.mlm_head.w", (enc_cfg.d_text, vocab_size), NORMAL)
+    init_param(params, seed, "lm.mlm_head.b", (vocab_size,), 0.0)
+    init_param(params, seed, "other.linkpred.relations",
+               (n_relations, relation_table_width(cfg.scorer, enc_cfg.d_node)), NORMAL)
 
 
 def linkpred_head(params: dict[str, Tensor], cfg: PretrainConfig) -> LinkPredHead:
@@ -336,7 +343,7 @@ def prepare_examples(raw_segments: list[str], kg: KnowledgeGraph, entities: Enti
                      ) -> list[tuple[TextSegment, LocalKG]]:
     """Link + retrieve every raw segment; verbalized mode folds the local KG
     into the token sequence and replaces the graph with a dummy."""
-    alias_index = _alias_index(entities)
+    alias_index = build_alias_index(entities)
     out: list[tuple[TextSegment, LocalKG]] = []
     for idx, raw in enumerate(raw_segments):
         seg, v_el = link_entities(raw, entities, token_vocab, alias_index)
@@ -348,7 +355,6 @@ def prepare_examples(raw_segments: list[str], kg: KnowledgeGraph, entities: Enti
                 ids = seg.token_ids + [SEP] + suffix
                 spans = seg.spans + [(-1, -1)] * (len(suffix) + 1)
                 seg = TextSegment(ids, spans, seg.source)
-            from .retrieval import dummy_local_kg
             local = dummy_local_kg()
         out.append((seg, local))
     return out
@@ -382,49 +388,48 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
         raise ValueError("objective %r with kg_mode %r leaves no trainable objective"
                          % (cfg.objective, cfg.kg_mode))
 
+    def batch_loss(step: int) -> tuple[Tensor, Tensor | None, Tensor | None]:
+        batch_rng = nm.split_rng(cfg.seed, "batch", step)
+        idxs = batch_rng.integers(0, len(examples), size=cfg.batch_size)
+        mlm_terms: list[Tensor] = []
+        lp_terms: list[Tensor] = []
+        for slot, ex_i in enumerate(idxs):
+            seg, local = examples[int(ex_i)]
+            plan = None
+            if use_mlm:
+                seg, plan = apply_masking(
+                    seg, cfg.mask_rate, nm.split_rng(cfg.seed, "mask", step, slot))
+            holdout = None
+            if use_lp:
+                local, holdout = hold_out_edges(
+                    local, cfg.edge_drop_rate, cfg.n_negatives,
+                    nm.split_rng(cfg.seed, "holdout", step, slot))
+            drop_seed = int(nm.split_rng(cfg.seed, "dropout", step, slot).integers(2 ** 62))
+            out = encode(seg, local, params, enc_cfg, mode="train", seed=drop_seed)
+            if plan is not None and not plan.flagged_empty:
+                mlm_terms.append(mlm_loss(plan, out.tokens, params))
+            if holdout is not None and not holdout.flagged_empty:
+                lp_terms.append(linkpred_loss(holdout, out.nodes, head))
+
+        loss_mlm = nm.reduce_mean(nm.stack_scalars(mlm_terms)) if mlm_terms else None
+        loss_lp = nm.reduce_mean(nm.stack_scalars(lp_terms)) if lp_terms else None
+        if loss_mlm is not None and loss_lp is not None:
+            loss = nm.add(loss_mlm, loss_lp)
+        else:
+            loss = loss_mlm if loss_mlm is not None else loss_lp
+        if loss is None:
+            raise ValueError("batch produced no loss terms")
+        return loss, loss_mlm, loss_lp
+
     fh = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     try:
         for step in range(cfg.steps):
-            batch_rng = nm.split_rng(cfg.seed, "batch", step)
-            idxs = batch_rng.integers(0, len(examples), size=cfg.batch_size)
-            mlm_terms: list[Tensor] = []
-            lp_terms: list[Tensor] = []
+            lr_lm, lr_other = opt.learning_rates(step)
             try:
-                with nm.ComputationTape() as tape:
-                    for slot, ex_i in enumerate(idxs):
-                        seg, local = examples[int(ex_i)]
-                        plan = None
-                        if use_mlm:
-                            seg, plan = apply_masking(
-                                seg, cfg.mask_rate, nm.split_rng(cfg.seed, "mask", step, slot))
-                        holdout = None
-                        if use_lp:
-                            local, holdout = hold_out_edges(
-                                local, cfg.edge_drop_rate, cfg.n_negatives,
-                                nm.split_rng(cfg.seed, "holdout", step, slot))
-                        drop_seed = int(nm.split_rng(cfg.seed, "dropout", step, slot).integers(2 ** 62))
-                        out = encode(seg, local, params, enc_cfg, mode="train", seed=drop_seed)
-                        if plan is not None and not plan.flagged_empty:
-                            mlm_terms.append(mlm_loss(plan, out.tokens, params))
-                        if holdout is not None and not holdout.flagged_empty:
-                            lp_terms.append(linkpred_loss(holdout, out.nodes, head))
-
-                    loss_mlm = nm.reduce_mean(nm.stack_scalars(mlm_terms)) if mlm_terms else None
-                    loss_lp = nm.reduce_mean(nm.stack_scalars(lp_terms)) if lp_terms else None
-                    if loss_mlm is not None and loss_lp is not None:
-                        loss = nm.add(loss_mlm, loss_lp)
-                    else:
-                        loss = loss_mlm if loss_mlm is not None else loss_lp
-                    if loss is None:
-                        raise ValueError("batch produced no loss terms")
-                    tape.backward(loss)
+                (loss, loss_mlm, loss_lp), grad_norm = train_step(
+                    opt, step, cfg.grad_clip, partial(batch_loss, step))
             except nm.NumericError as e:
                 raise TrainingDiverged("step %d: %s" % (step, e)) from None
-
-            grad_norm = clip_gradients(params, cfg.grad_clip)
-            lr_lm, lr_other = opt.learning_rates(step)
-            opt.step(step)
-            opt.zero_grad()
 
             rec = {"step": step,
                    "loss": round(loss.item(), 6),
@@ -511,29 +516,21 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], TokenVocab, EntityVoc
             raise ValueError("%s: unsupported checkpoint version %d" % (path, version))
         config_text = _read_blob(fh).decode("utf-8")
         (n_tables,) = struct.unpack("<I", fh.read(4))
-        tables: dict[str, list[tuple[str, int]]] = {}
+        tables: dict[str, str] = {}
         for _ in range(n_tables):
             name = _read_blob(fh).decode("utf-8")
-            rows = []
-            for line in _read_blob(fh).decode("utf-8").splitlines():
-                k, v = line.split("\t")
-                rows.append((k, int(v)))
-            tables[name] = rows
+            tables[name] = _read_blob(fh).decode("utf-8")
 
-        token_vocab = TokenVocab(tokens=[], ids={})
-        for tok, tid in tables["tokens"]:
-            assert tid == len(token_vocab.tokens)
-            token_vocab.tokens.append(tok)
-            token_vocab.ids[tok] = tid
-        entities = EntityVocab()
-        for name, eid in tables["entities"]:
-            assert entities.add(name) == eid
-        entities.aliases = {k: v for k, v in tables["aliases"]}
-        relations = RelationVocab(names=[], ids={})
-        for name, rid in tables["relations"]:
-            assert rid == len(relations.names)
-            relations.names.append(name)
-            relations.ids[name] = rid
+        def vocab(table: str, empty):
+            return read_vocab_tsv(tables[table], "%s (%s table)" % (path, table), empty)
+
+        token_vocab = vocab("tokens", TokenVocab(tokens=[], ids={}))
+        entities = vocab("entities", EntityVocab())
+        entities.aliases = {}
+        for line in tables["aliases"].splitlines():
+            surface, eid = line.split("\t")
+            entities.aliases[surface] = int(eid)
+        relations = vocab("relations", RelationVocab(names=[], ids={}))
 
         (n_tensors,) = struct.unpack("<I", fh.read(4))
         params: dict[str, Tensor] = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kg_store import EntityVocab, KnowledgeGraph, RelationVocab, R_EL
+from .kg_store import EntityVocab, KnowledgeGraph, RelationVocab, R_EL, read_vocab_tsv
 
 # Reserved token ids; bracketed uppercase forms cannot be produced by the
 # lowercasing tokenizer, so corpus tokens never collide with them.
@@ -64,17 +64,8 @@ class TokenVocab:
 
     @classmethod
     def load_tsv(cls, path: str) -> "TokenVocab":
-        vocab = cls(tokens=[], ids={})
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                tok, tid = line.split("\t")
-                assert int(tid) == len(vocab.tokens), "vocab TSV ids must be dense"
-                vocab.tokens.append(tok)
-                vocab.ids[tok] = int(tid)
-        return vocab
+            return read_vocab_tsv(fh.read(), path, cls(tokens=[], ids={}))
 
 
 def build_vocab_from_texts(texts, min_freq: int = 2) -> TokenVocab:
@@ -130,9 +121,6 @@ class LocalKG:
     def entity_ids(self) -> list[int]:
         return self.nodes[1:]
 
-    def non_interaction_edges(self) -> list[tuple[int, int, int]]:
-        return [e for e in self.edges if e[1] != R_EL]
-
     def local_index(self, entity_id: int) -> int:
         return self.nodes.index(entity_id)
 
@@ -152,7 +140,7 @@ class LocalKG:
                 assert g.contains((self.nodes[h], r, self.nodes[t])), "edge not in global KG"
 
 
-def _alias_index(entities: EntityVocab) -> dict[str, list[tuple[tuple[str, ...], int]]]:
+def build_alias_index(entities: EntityVocab) -> dict[str, list[tuple[tuple[str, ...], int]]]:
     """first token -> [(token tuple, entity id)], longest aliases first."""
     index: dict[str, list[tuple[tuple[str, ...], int]]] = {}
     for surface in sorted(entities.aliases):
@@ -170,7 +158,7 @@ def link_entities(text: str, entities: EntityVocab, token_vocab: TokenVocab,
                   alias_index: dict | None = None) -> tuple[TextSegment, set[int]]:
     """Greedy leftmost-longest dictionary match over lowercased tokens."""
     if alias_index is None:
-        alias_index = _alias_index(entities)
+        alias_index = build_alias_index(entities)
     toks = tokenize(text)
     words = [t for t, _, _ in toks]
     linked: set[int] = set()

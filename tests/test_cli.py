@@ -220,3 +220,56 @@ def test_ablation_default_grid_row_count(tmp_path):
     assert len(degenerate) == 6
     assert all(r["status"].startswith("error") for r in degenerate)
     assert all(r["status"] == "ok" for r in rows if r not in degenerate)
+
+
+@pytest.mark.parametrize("setting", ["encoder.d_text=abc", "encoder.heads_text=5",
+                                     "pretrain.scorer=bogus"])
+def test_bad_config_value_exits_usage(world_dir, tmp_path, capsys, setting):
+    code = main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "o"),
+                 "--set", "pretrain.steps=1", "--set", setting])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and setting.split("=")[0] in err[0]
+
+
+def test_eval_qa_without_qa_head_exits_data_error(world_dir, pretrained, tmp_path, capsys):
+    ckpt = os.path.join(pretrained, "checkpoint.drgn")
+    code = main(["eval-qa", "--checkpoint", ckpt, "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--data", os.path.join(world_dir, "mcqa_easy_test.jsonl"),
+                 "--out", str(tmp_path / "qa")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: %s: checkpoint has no QA head; run finetune first" % ckpt]
+
+
+def test_finetune_reports_dev_accuracy_under_run_seed(world_dir, pretrained, tmp_path):
+    # max_nodes=1 makes retrieval sample, so the retrieval seed changes the inputs
+    out = str(tmp_path / "ft")
+    code = main(["finetune", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--train", os.path.join(world_dir, "mcqa_train.jsonl"),
+                 "--dev", os.path.join(world_dir, "mcqa_dev.jsonl"),
+                 "--out", out, "--seed", "3", "--set", "encoder.max_nodes=1",
+                 "--set", "finetune.epochs=3"])
+    assert code == EXIT_OK
+    report = json.load(open(os.path.join(out, "accuracy.json"), encoding="utf-8"))
+    best = max(h["dev_accuracy"] for h in report["history"])
+    assert report["reports"]["dev"]["accuracy"] == best
+
+
+@pytest.mark.parametrize("bad_line", ["zzz\t999", "zzz"], ids=["non_dense_id", "no_tab"])
+def test_pretrain_rejects_malformed_vocab(world_dir, tmp_path, capsys, bad_line):
+    vocab_dir = str(tmp_path / "v")
+    assert main(["build-vocab", "--corpus", os.path.join(world_dir, "corpus.txt"),
+                 "--out", vocab_dir]) == EXIT_OK
+    vocab = os.path.join(vocab_dir, "vocab.tsv")
+    n_lines = len(open(vocab, encoding="utf-8").read().splitlines())
+    with open(vocab, "a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    code = main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"), "--vocab", vocab,
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "%s:%d:" % (vocab, n_lines + 1) in err[0]

@@ -69,15 +69,16 @@ def test_output_shapes_and_attention_normalization():
     assert out.tokens.shape == (4, cfg.d_text)
     assert out.nodes.shape == (4, cfg.d_node)
     assert len(out.graph_attention) == cfg.n_fusion
-    # attention over each node's in-neighborhood sums to 1 per head
+    # attention over each node's in-neighborhood sums to 1 per head; message
+    # 2e runs head->tail along edge e, message 2e+1 tail->head
+    receivers = sorted({node for h, _, t in local.edges for node in (h, t)})
     for layer in out.graph_attention:
-        sums: dict[tuple[int, int], float] = {}
-        for entry in layer:
-            dst = entry["tail"] if entry["dir"] == 0 else entry["head"]
-            for h, w in enumerate(entry["weight"]):
-                sums[(dst, h)] = sums.get((dst, h), 0.0) + w
-        for key, total in sums.items():
-            assert abs(total - 1.0) < 1e-5, (key, total)
+        assert len(layer) == cfg.heads_gnn
+        for alpha in layer:
+            assert alpha.shape == (local.n_nodes, 2 * len(local.edges))
+            for e, (h, _, t) in enumerate(local.edges):
+                assert alpha[t, 2 * e] > 0 and alpha[h, 2 * e + 1] > 0
+            np.testing.assert_allclose(alpha.sum(axis=1)[receivers], 1.0, atol=1e-5)
 
 
 def test_oversize_inputs_raise_bounds_errors():

@@ -10,7 +10,7 @@ from dragonforge import finetune as ft
 from dragonforge.encoder import EncoderConfig, EncoderOutput, init_params
 from dragonforge.evaluation import generate_synthetic_world
 from dragonforge.kg_store import R_EL
-from dragonforge.retrieval import INT, LocalKG, TextSegment, V_INT
+from dragonforge.retrieval import INT, LocalKG, TextSegment, V_INT, build_alias_index
 
 
 def fake_output(h_int, node_rows):
@@ -172,13 +172,14 @@ def test_choice_order_invariance_of_argmax():
     world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
     data = world.mcqa_dataset(distractors="random")["dev"]
     rng = np.random.default_rng(7)
+    alias_index = build_alias_index(entities)
     for i, ex in enumerate(data[:6]):
-        inputs = ft.prepare_choice_inputs(ex, kg, entities, tv, enc_cfg, 0, i)
+        inputs = ft.prepare_choice_inputs(ex, kg, entities, tv, enc_cfg, 0, i, alias_index)
         logits, _ = ft.choice_logits(inputs, params, enc_cfg, mode="eval")
         perm = rng.permutation(len(ex.choices)).tolist()
         permuted = ft.MCQAExample(ex.question, [ex.choices[p] for p in perm],
                                   perm.index(ex.gold))
-        inputs2 = ft.prepare_choice_inputs(permuted, kg, entities, tv, enc_cfg, 0, i)
+        inputs2 = ft.prepare_choice_inputs(permuted, kg, entities, tv, enc_cfg, 0, i, alias_index)
         logits2, _ = ft.choice_logits(inputs2, params, enc_cfg, mode="eval")
         np.testing.assert_allclose(logits2.values[0], logits.values[0][perm], atol=1e-5)
 

@@ -134,13 +134,6 @@ def test_entity_vocab_roundtrip_and_default_alias():
     assert ev.aliases["round brush"] == eid
 
 
-def test_inverse_relation_flag(tmp_path):
-    path = write_kg(tmp_path, ["a\tlikes\tb"])
-    g, entities, relations = ks.load_kg(path, add_inverse_relations=True)
-    a, b = entities.lookup("a"), entities.lookup("b")
-    assert g.contains((b, relations.ids["likes_inv"], a))
-
-
 def test_alias_file_merges(tmp_path):
     kg_path = write_kg(tmp_path, ["round_brush\tat_location\thair"])
     alias_path = tmp_path / "alias.tsv"

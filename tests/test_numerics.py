@@ -1,6 +1,9 @@
 """Tensor-engine oracles: forward formulas, finite-difference gradients,
 tape determinism, and numeric-guard behavior."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -173,7 +176,6 @@ OPS = [
     ("add_row_broadcast", lambda ts: nm.reduce_sum(nm.add(ts[0], ts[1])), [(3, 4), (4,)]),
     ("sub", lambda ts: nm.reduce_sum(nm.sub(ts[0], ts[1])), [(3, 4), (3, 4)]),
     ("mul", lambda ts: nm.reduce_sum(nm.mul(ts[0], ts[1])), [(3, 4), (3, 4)]),
-    ("div", lambda ts: nm.reduce_sum(nm.div(ts[0], nm.add_scalar(nm.mul(ts[1], ts[1]), 1.0))), [(3, 4), (3, 4)]),
     ("neg", lambda ts: nm.reduce_sum(nm.neg(ts[0])), [(3, 4)]),
     ("scale", lambda ts: nm.reduce_sum(nm.scale(ts[0], 1.7)), [(5,)]),
     ("add_scalar", lambda ts: nm.reduce_sum(nm.add_scalar(ts[0], 0.3)), [(5,)]),
@@ -189,22 +191,19 @@ OPS = [
     ("reduce_mean", lambda ts: nm.reduce_mean(nm.mul(ts[0], ts[0])), [(3, 4)]),
     ("reduce_mean_axis", lambda ts: nm.reduce_sum(nm.mul(nm.reduce_mean(ts[0], axis=0),
                                                          nm.reduce_mean(ts[0], axis=0))), [(3, 4)]),
-    ("reduce_max", lambda ts: nm.reduce_max(nm.mul(ts[0], ts[0])), [(7,)]),
-    ("reduce_max_axis", lambda ts: nm.reduce_sum(nm.reduce_max(ts[0], axis=1)), [(3, 4)]),
     ("softmax", lambda ts: nm.reduce_sum(nm.mul(nm.softmax(ts[0], axis=-1), ts[0])), [(3, 5)]),
     ("layer_norm", lambda ts: nm.reduce_sum(nm.mul(nm.layer_norm(ts[0], ts[1], ts[2]), ts[0])), [(3, 4), (4,), (4,)]),
     ("gelu", lambda ts: nm.reduce_sum(nm.gelu(ts[0])), [(3, 4)]),
-    ("sigmoid", lambda ts: nm.reduce_sum(nm.sigmoid(ts[0])), [(3, 4)]),
-    ("tanh", lambda ts: nm.reduce_sum(nm.tanh(ts[0])), [(3, 4)]),
     ("log_sigmoid", lambda ts: nm.reduce_sum(nm.log_sigmoid(ts[0])), [(3, 4)]),
     ("sqrt", lambda ts: nm.reduce_sum(nm.sqrt(nm.add_scalar(nm.mul(ts[0], ts[0]), 0.5))), [(3, 4)]),
     ("cos", lambda ts: nm.reduce_sum(nm.cos(ts[0])), [(3, 4)]),
     ("sin", lambda ts: nm.reduce_sum(nm.sin(ts[0])), [(3, 4)]),
+    ("dropout", lambda ts: nm.reduce_sum(nm.mul(nm.dropout(ts[0], 0.3, rng(5)), ts[0])), [(3, 4)]),
     ("masked_fill", lambda ts: nm.reduce_sum(nm.mul(
         nm.masked_fill(ts[0], np.arange(12).reshape(3, 4) % 3 == 0, 0.5), ts[0])), [(3, 4)]),
     ("cross_entropy", lambda ts: nm.reduce_mean(nm.cross_entropy_with_logits(ts[0], [1, 0, 3])), [(3, 5)]),
     ("stack_scalars", lambda ts: nm.reduce_mean(nm.stack_scalars(
-        [nm.reduce_sum(ts[0]), nm.reduce_max(ts[0]), nm.reduce_mean(ts[0])])), [(3, 4)]),
+        [nm.reduce_sum(ts[0]), nm.reduce_sum(nm.mul(ts[0], ts[0])), nm.reduce_mean(ts[0])])), [(3, 4)]),
 ]
 
 
@@ -213,6 +212,45 @@ def test_finite_difference_gradients(name, fn, shapes):
     inputs = [rng(11 + i).normal(size=s) for i, s in enumerate(shapes)]
     err = nm.check_gradients(fn, inputs)
     assert err < 1e-4, "%s: fd mismatch %.3e" % (name, err)
+
+
+def _taped_op_names() -> set[str]:
+    """Op names that reach `_make` in numerics.py, following an op name that
+    a helper forwards from its own parameter back to the helper's callers."""
+    tree = ast.parse(inspect.getsource(nm))
+    sites = [(f, c) for f in tree.body if isinstance(f, ast.FunctionDef)
+             for c in ast.walk(f) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)]
+
+    def names_passed(callee: str, index: int) -> set[str]:
+        names = set()
+        for f, c in sites:
+            if c.func.id != callee:
+                continue
+            arg = c.args[index]
+            if isinstance(arg, ast.Constant):
+                names.add(arg.value)
+            else:
+                names |= names_passed(f.name, [a.arg for a in f.args.args].index(arg.id))
+        return names
+
+    return names_passed("_make", 3)
+
+
+def test_every_taped_op_has_a_finite_difference_case(monkeypatch):
+    exercised = set()
+    make = nm._make
+
+    def recording_make(values, inputs, backward_fn, op):
+        exercised.add(op)
+        return make(values, inputs, backward_fn, op)
+
+    monkeypatch.setattr(nm, "_make", recording_make)
+    with nm.float64_mode():
+        for _, fn, shapes in OPS:
+            fn([nm.Tensor(rng(i).normal(size=s), requires_grad=True) for i, s in enumerate(shapes)])
+    ops = _taped_op_names()
+    assert {"add", "sub", "mul", "matmul", "dropout"} <= ops
+    assert ops <= exercised, "ops without a gradient case: %s" % sorted(ops - exercised)
 
 
 def test_dropout_gradient_matches_mask():
@@ -261,7 +299,7 @@ def test_overflow_raises_numeric_error():
 def test_invariant_grad_shape_matches_values():
     x = nm.Tensor(rng(19).normal(size=(4, 3)), requires_grad=True)
     with nm.ComputationTape() as tape:
-        tape.backward(nm.reduce_sum(nm.tanh(x)))
+        tape.backward(nm.reduce_sum(nm.gelu(x)))
     assert x.grad.shape == x.values.shape
 
 

@@ -159,7 +159,7 @@ def test_retrieval_edges_are_all_global_edges_within_node_set():
     local = rt.retrieve_local_kg(v_el, g, max_nodes=50, rng=nm.split_rng(2, "t"))
     kept = set(local.entity_ids())
     expected = {(h, r, t) for h, r, t in g.triplets if h in kept and t in kept}
-    got = {(local.nodes[h], r, local.nodes[t]) for h, r, t in local.non_interaction_edges()}
+    got = {(local.nodes[h], r, local.nodes[t]) for h, r, t in local.edges if r != R_EL}
     assert got == expected
 
 
@@ -228,7 +228,7 @@ def test_verbalize_three_edges_sep_joined_in_edge_order():
     assert len(seps) == 2
     # string-assembly oracle: independently render each edge then join
     chunks = []
-    for h, r, t in local.non_interaction_edges():
+    for h, r, t in [e for e in local.edges if e[1] != R_EL]:
         words = " ".join([ev.name(local.nodes[h]), rv.name(r), ev.name(local.nodes[t])])
         chunks.append([tv.id_of(w) for w, _, _ in rt.tokenize(words.replace("_", " "))])
     expected = []
@@ -323,6 +323,16 @@ def test_vocab_tsv_round_trip(tmp_path):
     tv.save_tsv(path)
     tv2 = rt.TokenVocab.load_tsv(path)
     assert tv2.tokens == tv.tokens and tv2.ids == tv.ids
+
+
+@pytest.mark.parametrize("bad_line,lineno", [("alpha\t7", 6), ("alpha 5", 6), ("[PAD]\t5", 6)],
+                         ids=["non_dense_id", "no_tab", "repeated_name"])
+def test_vocab_tsv_rejects_malformed_line(tmp_path, bad_line, lineno):
+    path = tmp_path / "vocab.tsv"
+    rt.TokenVocab().save_tsv(str(path))
+    path.write_text(path.read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"vocab\.tsv:%d:" % lineno):
+        rt.TokenVocab.load_tsv(str(path))
 
 
 def test_min_freq_threshold(tmp_path):
