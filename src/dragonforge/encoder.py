@@ -2,21 +2,26 @@
 run one transformer layer on tokens, one relation-aware GNN layer on nodes,
 and exchange information through the interaction token/node perceptron.
 
+A minibatch is encoded in one pass: tokens in one padded matrix with a
+key-padding mask, the local graphs as one disjoint-union node table with an
+edge softmax per destination node, and the exchange on one row per example.
+
 Token outputs never depend on the graph when fusion is disabled
-(concat_at_end), and dummy graphs bypass message passing entirely so the
-model backs off to text plus the exchange perceptron's bias path.
+(concat_at_end), and dummy graphs keep zero node states with no message
+passing, so the model backs off to text plus the exchange perceptron's bias
+path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import numerics as nm
 from .numerics import Tensor
-from .retrieval import LocalKG, TextSegment
+from .retrieval import PAD, LocalKG, TextSegment
 
 BIDIRECTIONAL = "bidirectional"
 CONCAT_AT_END = "concat_at_end"
@@ -52,20 +57,38 @@ class EncoderConfig:
 
 @dataclass
 class EncoderOutput:
-    tokens: Tensor                    # [L, d_text], row 0 = interaction token
-    nodes: Tensor                     # [J+1, d_node], row 0 = interaction node
-    # one entry per fusion layer: per-head [J+1, 2E] attention over messages,
-    # where message 2e is edge e of local.edges read head->tail and 2e+1 its
-    # reverse; empty for dummy graphs
-    graph_attention: list = field(default_factory=list)
+    """Encoder states of a batch of B examples.
+
+    tokens: [B * max_len, d_text]; token i of example b is row b * max_len + i
+        (i = 0 its interaction token); rows past the example's length are
+        padding.
+    nodes: [N, d_node], the disjoint union of the local graphs; node j of
+        example b is row node_offsets[b] + j (j = 0 its interaction node).
+        A dummy graph keeps two zero rows.
+    graph_attention: one [M, heads_gnn] array per fusion layer, the attention
+        weight per head of every message. Messages run example by example;
+        within an example, message 2e is edge e of local.edges read
+        head->tail and 2e+1 its reverse. Dummy graphs send no messages.
+    """
+    tokens: Tensor
+    nodes: Tensor
+    graph_attention: list
+    max_len: int
+    node_offsets: np.ndarray       # [B + 1]
+
+    @property
+    def batch_size(self) -> int:
+        return len(self.node_offsets) - 1
 
     @property
     def h_int(self) -> Tensor:
-        return nm.gather_rows(self.tokens, [0])
+        """[B, d_text] interaction-token states."""
+        return nm.gather_rows(self.tokens, np.arange(self.batch_size) * self.max_len)
 
     @property
     def v_int(self) -> Tensor:
-        return nm.gather_rows(self.nodes, [0])
+        """[B, d_node] interaction-node states."""
+        return nm.gather_rows(self.nodes, self.node_offsets[:-1])
 
 
 NORMAL = None  # init_param fill that draws Normal(0, 0.02) weights
@@ -129,112 +152,159 @@ def init_params(cfg: EncoderConfig, seed: int, vocab_size: int, n_entities: int,
     return params
 
 
-def _maybe_dropout(x: Tensor, cfg: EncoderConfig, train: bool, seed: int, site: str) -> Tensor:
-    if not train or cfg.dropout == 0.0:
+@dataclass
+class Batch:
+    """Row layout of one padded minibatch (see EncoderOutput)."""
+    train: bool
+    seeds: list[int]
+    max_len: int
+    key_pad: np.ndarray            # [B, max_len], True at padding
+    node_offsets: np.ndarray       # [B + 1]
+    graph: np.ndarray              # [B] bool: the example has a real (non-dummy) graph
+    src: np.ndarray                # [M] message source node rows
+    dst: np.ndarray                # [M] message destination node rows
+    reldir: np.ndarray             # [M] relation/direction id 2r (head->tail) or 2r+1
+    token_blocks: list             # dropout blocks (example, first row, rows)
+    node_blocks: list
+
+    @property
+    def int_rows(self) -> np.ndarray:
+        return np.arange(len(self.seeds)) * self.max_len
+
+
+def make_batch(examples: list[tuple[TextSegment, LocalKG]], cfg: EncoderConfig,
+               train: bool, seeds: list[int]) -> Batch:
+    """Lay out a batch; IndexError names the first example over a size limit."""
+    if not examples or len(seeds) != len(examples):
+        raise ValueError("need one dropout seed per example and at least one example")
+    lengths = [seg.length for seg, _ in examples]
+    for seg, local in examples:
+        if seg.length > cfg.max_seq_len:
+            raise IndexError("segment length %d exceeds max_seq_len %d" % (seg.length, cfg.max_seq_len))
+        if local.n_nodes > cfg.max_nodes + 1:
+            raise IndexError("local KG has %d nodes, limit %d" % (local.n_nodes - 1, cfg.max_nodes))
+    max_len = max(lengths)
+    pad = np.arange(max_len)[None, :] >= np.array(lengths)[:, None]
+    node_offsets = np.cumsum([0] + [local.n_nodes for _, local in examples])
+    graph = np.array([not local.is_dummy for _, local in examples])
+    src, dst, reldir = [], [], []
+    for (_, local), offset in zip(examples, node_offsets):
+        if local.is_dummy or not local.edges:
+            continue
+        h, r, t = (np.array(local.edges, dtype=np.int64) + [offset, 0, offset]).T
+        src.append(np.stack([h, t], axis=1).reshape(-1))
+        dst.append(np.stack([t, h], axis=1).reshape(-1))
+        reldir.append(np.stack([2 * r, 2 * r + 1], axis=1).reshape(-1))
+
+    def cat(parts):
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+    return Batch(train=train, seeds=list(seeds), max_len=max_len,
+                 key_pad=pad, node_offsets=node_offsets, graph=graph,
+                 src=cat(src), dst=cat(dst), reldir=cat(reldir),
+                 token_blocks=[(b, b * max_len, n) for b, n in enumerate(lengths)],
+                 node_blocks=[(b, node_offsets[b], node_offsets[b + 1] - node_offsets[b])
+                              for b in np.flatnonzero(graph)])
+
+
+def _maybe_dropout(x: Tensor, cfg: EncoderConfig, batch: Batch, site: str, blocks) -> Tensor:
+    """Dropout whose mask rows for example b come from the example's own
+    stream "dropout/<site>" under its seed; rows outside `blocks` are kept."""
+    if not batch.train or cfg.dropout == 0.0:
         return x
-    return nm.dropout(x, cfg.dropout, nm.split_rng(seed, "dropout/" + site))
+    keep = np.ones(x.shape, dtype=bool)
+    for b, lo, n in blocks:
+        rng = nm.split_rng(batch.seeds[b], "dropout/" + site)
+        keep[lo:lo + n] = rng.random((n, x.shape[1])) >= cfg.dropout
+    return nm.dropout(x, cfg.dropout, keep)
 
 
 def _attn_linear(x: Tensor, params, layer: str, w: str) -> Tensor:
     return nm.add(nm.matmul(x, params[layer + "attn." + w]), params[layer + "attn.b" + w[1]])
 
 
-def _transformer_layer(x: Tensor, params, cfg: EncoderConfig, idx: int, train: bool, seed: int) -> Tensor:
+def _transformer_layer(x: Tensor, params, cfg: EncoderConfig, idx: int, batch: Batch) -> Tensor:
     p = "lm.layer%d." % idx
-    dh = cfg.d_text // cfg.heads_text
-    q = _attn_linear(x, params, p, "wq")
-    k = _attn_linear(x, params, p, "wk")
-    v = _attn_linear(x, params, p, "wv")
-    qs = nm.split(q, [dh] * cfg.heads_text, axis=1)
-    ks = nm.split(k, [dh] * cfg.heads_text, axis=1)
-    vs = nm.split(v, [dh] * cfg.heads_text, axis=1)
-    heads = []
-    inv = 1.0 / np.sqrt(dh)
-    for h in range(cfg.heads_text):
-        logits = nm.scale(nm.matmul(qs[h], nm.transpose(ks[h])), inv)
-        probs = nm.softmax(logits, axis=-1)
-        heads.append(nm.matmul(probs, vs[h]))
-    attn = nm.add(nm.matmul(nm.concat(heads, axis=1), params[p + "attn.wo"]), params[p + "attn.bo"])
-    attn = _maybe_dropout(attn, cfg, train, seed, p + "attn")
+    heads = nm.attention(_attn_linear(x, params, p, "wq"), _attn_linear(x, params, p, "wk"),
+                         _attn_linear(x, params, p, "wv"), batch.key_pad, cfg.heads_text)
+    attn = nm.add(nm.matmul(heads, params[p + "attn.wo"]), params[p + "attn.bo"])
+    attn = _maybe_dropout(attn, cfg, batch, p + "attn", batch.token_blocks)
     x = nm.layer_norm(nm.add(x, attn), params[p + "ln1.g"], params[p + "ln1.b"])
     f = nm.gelu(nm.add(nm.matmul(x, params[p + "ffn.w1"]), params[p + "ffn.b1"]))
     f = nm.add(nm.matmul(f, params[p + "ffn.w2"]), params[p + "ffn.b2"])
-    f = _maybe_dropout(f, cfg, train, seed, p + "ffn")
+    f = _maybe_dropout(f, cfg, batch, p + "ffn", batch.token_blocks)
     return nm.layer_norm(nm.add(x, f), params[p + "ln2.g"], params[p + "ln2.b"])
 
 
-def _gnn_layer(v: Tensor, local: LocalKG, params, cfg: EncoderConfig, layer: int,
-               train: bool, seed: int) -> tuple[Tensor, list[np.ndarray]]:
+def _gnn_layer(v: Tensor, params, cfg: EncoderConfig, layer: int,
+               batch: Batch) -> tuple[Tensor, np.ndarray]:
     """Relation-aware attention over in-neighborhoods with directed messages.
 
     Every edge (h, r, t) contributes a forward message h->t and a reverse
     message t->h; the relation/direction pair selects the message embedding.
-    Returns the new node states and each head's [n, n_messages] attention.
+    Each destination node normalizes its messages' scores (edge softmax).
+    Dummy graphs' rows stay zero. Returns the new node states and the [M,
+    heads] attention of every message.
     """
     p = "gnn.layer%d." % layer
-    n = v.shape[0]
-    src, dst, reldir = [], [], []
-    for h, r, t in local.edges:
-        src.append(h); dst.append(t); reldir.append(2 * r)
-        src.append(t); dst.append(h); reldir.append(2 * r + 1)
-    dst_arr = np.array(dst, dtype=np.int64)
-
-    s = nm.gather_rows(v, src)
-    re = nm.gather_rows(params["gnn.rel_emb"], reldir)
+    n, heads = v.shape[0], cfg.heads_gnn
+    dh = cfg.d_node // heads
+    s = nm.gather_rows(v, batch.src)
+    re = nm.gather_rows(params["gnn.rel_emb"], batch.reldir)
     msg = nm.add(nm.matmul(nm.concat([s, re], axis=1), params[p + "w_msg"]), params[p + "b_msg"])
 
     q = nm.add(nm.matmul(v, params[p + "wq"]), params[p + "bq"])
     k = nm.add(nm.matmul(msg, params[p + "wk"]), params[p + "bk"])
     val = nm.add(nm.matmul(msg, params[p + "wv"]), params[p + "bv"])
 
-    dh = cfg.d_node // cfg.heads_gnn
-    qs = nm.split(q, [dh] * cfg.heads_gnn, axis=1)
-    ks = nm.split(k, [dh] * cfg.heads_gnn, axis=1)
-    vals = nm.split(val, [dh] * cfg.heads_gnn, axis=1)
-
-    incidence = (dst_arr[None, :] == np.arange(n)[:, None])  # [n, n_messages]
-    inc_const = nm.constant(incidence.astype(float))
-    inv = 1.0 / np.sqrt(dh)
-    heads, alpha_per_head = [], []
-    for h in range(cfg.heads_gnn):
-        logits = nm.scale(nm.matmul(qs[h], nm.transpose(ks[h])), inv)
-        logits = nm.masked_fill(logits, ~incidence, nm.NEG_FILL)
-        alpha = nm.mul(nm.softmax(logits, axis=-1), inc_const)  # zero rows with no messages
-        alpha_per_head.append(alpha.values)
-        heads.append(nm.matmul(alpha, vals[h]))
-    agg = nm.add(nm.matmul(nm.concat(heads, axis=1), params[p + "wo"]), params[p + "bo"])
-    agg = _maybe_dropout(agg, cfg, train, seed, p + "agg")
+    # head_cols[c, h] = 1 where column c belongs to head h
+    head_cols = np.repeat(np.eye(heads), dh, axis=0)
+    logits = nm.matmul(nm.mul(nm.gather_rows(q, batch.dst), k), nm.constant(head_cols / np.sqrt(dh)))
+    alpha = nm.segment_softmax(logits, batch.dst, n)                     # [M, heads]
+    weighted = nm.mul(nm.matmul(alpha, nm.constant(head_cols.T)), val)   # [M, d_node]
+    agg = nm.add(nm.matmul(nm.scatter_rows(weighted, batch.dst, n), params[p + "wo"]), params[p + "bo"])
+    agg = _maybe_dropout(agg, cfg, batch, p + "agg", batch.node_blocks)
     out = nm.layer_norm(nm.add(v, nm.gelu(agg)), params[p + "ln.g"], params[p + "ln.b"])
-    return out, alpha_per_head
+    if not batch.graph.all():
+        counts = np.diff(batch.node_offsets)
+        live = np.repeat(batch.graph, counts).astype(float)[:, None]
+        out = nm.mul(out, nm.constant(np.broadcast_to(live, out.shape)))
+    return out, alpha.values
 
 
 def _mint(x: Tensor, v: Tensor, params, cfg: EncoderConfig, layer: int,
-          train: bool, seed: int) -> tuple[Tensor, Tensor]:
-    """Two-layer perceptron over [H_int; V_int]; residual update of both rows."""
+          batch: Batch) -> tuple[Tensor, Tensor]:
+    """Two-layer perceptron over each example's [H_int; V_int]; residual
+    update of both rows. Dummy graphs' interaction nodes stay zero."""
     p = "mint.layer%d." % layer
-    L, n = x.shape[0], v.shape[0]
-    x_int, x_rest = nm.split(x, [1, L - 1], axis=0)
-    v_int, v_rest = nm.split(v, [1, n - 1], axis=0)
-    z = nm.concat([x_int, v_int], axis=1)
+    int_rows, v_rows = batch.int_rows, batch.node_offsets[:-1]
+    z = nm.concat([nm.gather_rows(x, int_rows), nm.gather_rows(v, v_rows)], axis=1)
     hid = nm.gelu(nm.add(nm.matmul(z, params[p + "w1"]), params[p + "b1"]))
-    hid = _maybe_dropout(hid, cfg, train, seed, p + "hidden")
+    hid = _maybe_dropout(hid, cfg, batch, p + "hidden",
+                         [(b, b, 1) for b in range(len(batch.seeds))])
     upd = nm.add(nm.matmul(hid, params[p + "w2"]), params[p + "b2"])
     uh, uv = nm.split(upd, [cfg.d_text, cfg.d_node], axis=1)
-    return (nm.concat([nm.add(x_int, uh), x_rest], axis=0),
-            nm.concat([nm.add(v_int, uv), v_rest], axis=0))
+    x = nm.add(x, nm.scatter_rows(uh, int_rows, x.shape[0]))
+    if batch.graph.any():
+        live = np.flatnonzero(batch.graph)
+        if len(live) < len(batch.seeds):
+            uv = nm.gather_rows(uv, live)
+        v = nm.add(v, nm.scatter_rows(uv, v_rows[live], v.shape[0]))
+    return x, v
 
 
-def encode(segment: TextSegment, local: LocalKG, params: dict[str, Tensor],
-           cfg: EncoderConfig, mode: str = "train", seed: int = 0) -> EncoderOutput:
-    """Full cross-modal forward pass for one (text, local KG) example."""
+def encode_batch(examples: list[tuple[TextSegment, LocalKG]], params: dict[str, Tensor],
+                 cfg: EncoderConfig, mode: str = "train", seeds: list[int] | None = None
+                 ) -> EncoderOutput:
+    """Cross-modal forward pass over a batch of (text, local KG) examples.
+
+    seeds[b] keys example b's dropout masks (train mode); eval mode needs none.
+    Example b's rows match encode() of that example alone up to float rounding.
+    """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be train or eval")
-    train = mode == "train"
-    L = segment.length
-    if L > cfg.max_seq_len:
-        raise IndexError("segment length %d exceeds max_seq_len %d" % (L, cfg.max_seq_len))
-    if local.n_nodes > cfg.max_nodes + 1:
-        raise IndexError("local KG has %d nodes, limit %d" % (local.n_nodes - 1, cfg.max_nodes))
+    batch = make_batch(examples, cfg, mode == "train",
+                       list(seeds) if seeds is not None else [0] * len(examples))
 
     def run(stage, fn, *args):
         try:
@@ -242,37 +312,47 @@ def encode(segment: TextSegment, local: LocalKG, params: dict[str, Tensor],
         except nm.NumericError as e:
             raise nm.NumericError("%s: %s" % (stage, e)) from None
 
-    x = nm.add(nm.gather_rows(params["lm.tok_emb"], segment.token_ids),
-               nm.gather_rows(params["lm.pos_emb"], list(range(L))))
+    n_tokens = len(examples) * batch.max_len
+    tok_ids = np.full(n_tokens, PAD, dtype=np.int64)
+    for b, (seg, _) in enumerate(examples):
+        tok_ids[b * batch.max_len:b * batch.max_len + seg.length] = seg.token_ids
+    positions = np.tile(np.arange(batch.max_len), len(examples))
+    x = nm.add(nm.gather_rows(params["lm.tok_emb"], tok_ids),
+               nm.gather_rows(params["lm.pos_emb"], positions))
     x = nm.layer_norm(x, params["lm.emb_ln.g"], params["lm.emb_ln.b"])
-    x = _maybe_dropout(x, cfg, train, seed, "emb")
+    x = _maybe_dropout(x, cfg, batch, "emb", batch.token_blocks)
 
     for i in range(cfg.n_unimodal):
-        x = run("lm.layer%d" % i, _transformer_layer, x, params, cfg, i, train, seed)
+        x = run("lm.layer%d" % i, _transformer_layer, x, params, cfg, i, batch)
 
-    if local.is_dummy:
-        # zero node states, no message passing: the graph propagates nothing
-        v = nm.constant(np.zeros((2, cfg.d_node)))
+    if batch.graph.any():
+        # rows: interaction node, entity table, then one zero row for dummy graphs
+        table = nm.concat([params["node_emb.v_int"], params["node_emb.table"],
+                           nm.constant(np.zeros((1, cfg.d_node)))], axis=0)
+        zero_row = table.shape[0] - 1
+        rows = []
+        for _, local in examples:
+            rows += [zero_row] * 2 if local.is_dummy else [0] + [1 + e for e in local.entity_ids()]
+        v = _maybe_dropout(nm.gather_rows(table, rows), cfg, batch, "node_emb", batch.node_blocks)
     else:
-        ent_rows = nm.gather_rows(params["node_emb.table"], local.entity_ids())
-        v = nm.concat([params["node_emb.v_int"], ent_rows], axis=0)
-        v = _maybe_dropout(v, cfg, train, seed, "node_emb")
+        v = nm.constant(np.zeros((batch.node_offsets[-1], cfg.d_node)))
 
-    graph_attention: list[list[np.ndarray]] = []
+    graph_attention: list[np.ndarray] = []
     for l in range(cfg.n_fusion):
         x = run("lm.layer%d" % (cfg.n_unimodal + l), _transformer_layer,
-                x, params, cfg, cfg.n_unimodal + l, train, seed)
-        attn = []
-        if not local.is_dummy:
-            v, attn = run("gnn.layer%d" % l, _gnn_layer, v, local, params, cfg, l, train, seed)
+                x, params, cfg, cfg.n_unimodal + l, batch)
+        attn = np.zeros((0, cfg.heads_gnn))
+        if batch.graph.any():
+            v, attn = run("gnn.layer%d" % l, _gnn_layer, v, params, cfg, l, batch)
         graph_attention.append(attn)
         if cfg.fusion == BIDIRECTIONAL:
-            if local.is_dummy:
-                # node side pinned to zero: the exchange sees a zero node
-                # vector every layer and contributes only its bias path
-                x, _ = run("mint.layer%d" % l, _mint, x, v, params, cfg, l, train, seed)
-            else:
-                x, v = run("mint.layer%d" % l, _mint, x, v, params, cfg, l, train, seed)
+            x, v = run("mint.layer%d" % l, _mint, x, v, params, cfg, l, batch)
 
-    return EncoderOutput(tokens=x, nodes=v, graph_attention=graph_attention)
+    return EncoderOutput(tokens=x, nodes=v, graph_attention=graph_attention,
+                         max_len=batch.max_len, node_offsets=batch.node_offsets)
 
+
+def encode(segment: TextSegment, local: LocalKG, params: dict[str, Tensor],
+           cfg: EncoderConfig, mode: str = "train", seed: int = 0) -> EncoderOutput:
+    """Full cross-modal forward pass for one (text, local KG) example."""
+    return encode_batch([(segment, local)], params, cfg, mode, [seed])

@@ -525,7 +525,7 @@ def eval_mlm_loss(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityV
         if plan.flagged_empty:
             continue
         out = encode(seg_m, local, params, enc_cfg, mode="eval")
-        losses.append(mlm_loss(plan, out.tokens, params).item())
+        losses.append(mlm_loss([(plan, 0)], out.tokens, params).item())
     return float(np.mean(losses)) if losses else 0.0
 
 
@@ -614,12 +614,12 @@ def dump_attention(params: dict[str, Tensor], enc_cfg: EncoderConfig, seg, local
     """
     out = encode(seg, local, params, enc_cfg, mode="eval")
     lines = []
-    for layer, alphas in enumerate(out.graph_attention):
+    for layer, alpha in enumerate(out.graph_attention):
         edges = []
         for e, (h, r, t) in enumerate(local.edges):
-            for direction, dst in ((0, t), (1, h)):
+            for direction in (0, 1):
                 edges.append({"head": h, "rel": r, "tail": t, "dir": direction,
-                              "weight": [float(a[dst, 2 * e + direction]) for a in alphas]})
+                              "weight": [float(a) for a in alpha[2 * e + direction]]})
         lines.append(json.dumps({"layer": layer, "edges": edges}))
     if "other.pool.wq" in params:
         _, alpha = pool(out, params)

@@ -1,9 +1,10 @@
 """Downstream adaptation: attention pooling over node vectors and
 multiple-choice QA scoring over (question, answer-choice) inputs.
 
-Each choice is encoded independently from the text "question [SEP] choice"
-with its own retrieved local KG, pooled into a single vector, and scored by
-a one-hidden-layer perceptron; training is cross-entropy over choice logits.
+Each choice is encoded from the text "question [SEP] choice" with its own
+retrieved local KG (all choices of a question, or of a training step, in one
+encoder batch), pooled into a single vector, and scored by a one-hidden-layer
+perceptron; training is cross-entropy over choice logits.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import numerics as nm
-from .encoder import NORMAL, EncoderConfig, EncoderOutput, encode, init_param
+from .encoder import NORMAL, EncoderConfig, EncoderOutput, encode_batch, init_param
 from .kg_store import EntityVocab, KnowledgeGraph
 from .numerics import Tensor
 from .pretrain import Optimizer, train_step
@@ -67,20 +68,27 @@ def add_pooling_head(params: dict[str, Tensor], enc_cfg: EncoderConfig, seed: in
 
 
 def pool(out: EncoderOutput, params: dict[str, Tensor]) -> tuple[Tensor, np.ndarray]:
-    """Attention-pool node vectors with the interaction token as query.
+    """Attention-pool each example's node vectors with its interaction token
+    as query (a softmax over the example's non-interaction nodes).
 
-    Returns the pooled input vector (perceptron over [H_int; V_int; G]) and
-    the attention weights over non-interaction nodes for inspection.
+    Returns the [B, 1] pooled scores (perceptron over [H_int; V_int; G]) and
+    the attention weights over non-interaction nodes, example after example,
+    for inspection.
     """
-    h_int = out.h_int                        # [1, d_text]
-    v_int = out.v_int                        # [1, d_node]
-    n = out.nodes.shape[0]
-    v_rest = nm.gather_rows(out.nodes, list(range(1, n)))   # [J, d_node]
-    q = nm.matmul(h_int, params["other.pool.wq"])           # [1, d_node]
-    k = nm.matmul(v_rest, params["other.pool.wk"])          # [J, d_node]
-    logits = nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / np.sqrt(k.shape[1]))
-    alpha = nm.softmax(logits, axis=-1)                     # [1, J]
-    g = nm.matmul(alpha, v_rest)                            # [1, d_node]
+    offsets = out.node_offsets
+    b = out.batch_size
+    counts = np.diff(offsets) - 1
+    owner = np.repeat(np.arange(b), counts)                      # example of each pooled node
+    rest = np.delete(np.arange(offsets[-1]), offsets[:-1])     # non-interaction node rows
+    h_int, v_int = out.h_int, out.v_int                          # [B, d_text], [B, d_node]
+    v_rest = nm.gather_rows(out.nodes, rest)                     # [J, d_node]
+    q = nm.matmul(h_int, params["other.pool.wq"])                # [B, d_node]
+    k = nm.matmul(v_rest, params["other.pool.wk"])               # [J, d_node]
+    dn = k.shape[1]
+    logits = nm.matmul(nm.mul(nm.gather_rows(q, owner), k), nm.constant(np.full((dn, 1), 1.0 / np.sqrt(dn))))
+    alpha = nm.segment_softmax(logits, owner, b)                 # [J, 1]
+    weighted = nm.mul(nm.matmul(alpha, nm.constant(np.ones((1, dn)))), v_rest)
+    g = nm.scatter_rows(weighted, owner, b)                      # [B, d_node]
     z = nm.concat([h_int, v_int, g], axis=1)
     hid = nm.gelu(nm.add(nm.matmul(z, params["other.pool.mlp.w1"]), params["other.pool.mlp.b1"]))
     x = nm.add(nm.matmul(hid, params["other.pool.mlp.w2"]), params["other.pool.mlp.b2"])
@@ -123,17 +131,20 @@ def prepare_choice_inputs(ex: MCQAExample, kg: KnowledgeGraph, entities: EntityV
     return out
 
 
+def _choice_seeds(n_choices: int, mode: str, seed: int) -> list[int]:
+    if mode != "train":
+        return [0] * n_choices
+    return [int(nm.split_rng(seed, "ft_dropout", c).integers(2 ** 62)) for c in range(n_choices)]
+
+
 def choice_logits(inputs: list[tuple[TextSegment, LocalKG]], params: dict[str, Tensor],
                   enc_cfg: EncoderConfig, mode: str, seed: int = 0) -> tuple[Tensor, list[np.ndarray]]:
-    """Encode and pool each choice; returns [1, n_choices] logits."""
-    logits, alphas = [], []
-    for c, (seg, local) in enumerate(inputs):
-        drop_seed = int(nm.split_rng(seed, "ft_dropout", c).integers(2 ** 62)) if mode == "train" else 0
-        out = encode(seg, local, params, enc_cfg, mode=mode, seed=drop_seed)
-        x, alpha = pool(out, params)
-        logits.append(x)
-        alphas.append(alpha)
-    return nm.concat(logits, axis=1), alphas
+    """Encode and pool all choices in one batch; returns [1, n_choices]
+    logits and each choice's pooling attention."""
+    out = encode_batch(inputs, params, enc_cfg, mode, _choice_seeds(len(inputs), mode, seed))
+    x, alpha = pool(out, params)
+    alphas = np.split(alpha, np.cumsum(np.diff(out.node_offsets) - 1)[:-1])
+    return nm.reshape(x, (1, len(inputs))), alphas
 
 
 def evaluate_mcqa(examples: list[MCQAExample], kg: KnowledgeGraph, entities: EntityVocab,
@@ -185,15 +196,25 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
     opt = Optimizer(params, cfg.lr_lm, cfg.lr_other, total_steps, cfg.warmup_ratio)
 
     def batch_loss(batch_ids: np.ndarray, step: int) -> tuple[Tensor]:
-        losses = []
+        # every choice of every question in one encoder batch; question bi's
+        # logits fill row bi of a [Q, C_max] table padded with NEG_FILL
+        inputs, seeds, cells, golds = [], [], [], []
+        width = max(len(train_set[int(i)].choices) for i in batch_ids)
         for bi, i in enumerate(batch_ids):
             ex = train_set[int(i)]
-            inputs = prepare_choice_inputs(ex, kg, entities, token_vocab, enc_cfg,
-                                           cfg.seed, int(i), alias_index)
+            inputs += prepare_choice_inputs(ex, kg, entities, token_vocab, enc_cfg,
+                                            cfg.seed, int(i), alias_index)
             ft_seed = int(nm.split_rng(cfg.seed, "ft_step", step, bi).integers(2 ** 62))
-            logits, _ = choice_logits(inputs, params, enc_cfg, mode="train", seed=ft_seed)
-            losses.append(nm.reduce_mean(nm.cross_entropy_with_logits(logits, [ex.gold])))
-        return (nm.reduce_mean(nm.stack_scalars(losses)),)
+            seeds += _choice_seeds(len(ex.choices), "train", ft_seed)
+            cells += [bi * width + c for c in range(len(ex.choices))]
+            golds.append(ex.gold)
+        x, _ = pool(encode_batch(inputs, params, enc_cfg, "train", seeds), params)
+        n_cells = len(batch_ids) * width
+        fill = np.full((n_cells, 1), nm.NEG_FILL)
+        fill[cells] = 0.0
+        table = nm.add(nm.scatter_rows(x, cells, n_cells), fill)
+        logits = nm.reshape(table, (len(batch_ids), width))
+        return (nm.reduce_mean(nm.cross_entropy_with_logits(logits, golds)),)
 
     history: list[dict] = []
     best_acc, best_params = -1.0, None

@@ -10,6 +10,7 @@ op boundary instead of letting NaN/Inf propagate.
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -90,8 +91,9 @@ class Tensor:
 
     def accumulate_grad(self, delta: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += delta
+            self.grad = np.array(delta, dtype=self.values.dtype)
+        else:
+            self.grad += delta
 
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s%s)" % (
@@ -129,9 +131,17 @@ class ComputationTape:
             raise ContractError("backward() requires a scalar loss, got shape %s" % (loss.shape,))
         loss.accumulate_grad(np.ones_like(loss.values))
         for rec in reversed(self.records):
-            if rec.output.grad is None:
+            grad = rec.output.grad
+            if grad is None:
                 continue
-            rec.backward_fn(rec.output.grad)
+            # every consumer of this output came later on the tape, so its
+            # gradient is complete; release it and the op's saved arrays
+            # once they have been passed on
+            if rec.backward_fn is None:
+                raise ContractError("backward() already ran on this tape")
+            rec.output.grad = None
+            rec.backward_fn(grad)
+            rec.backward_fn = None
 
 
 _TAPE_STACK: list[ComputationTape] = []
@@ -257,17 +267,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(vals, (a, b), bk, "matmul")
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError("transpose expects a 2-D tensor, got %s" % (a.shape,))
-
-    def bk(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.T)
-
-    return _make(a.values.T.copy(), (a,), bk, "transpose")
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     old = a.values.shape
@@ -328,7 +327,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         raise ShapeError("gather_rows expects a 2-D table, got %s" % (table.shape,))
     if ids.size and (ids.min() < 0 or ids.max() >= table.values.shape[0]):
         raise ShapeError("gather_rows: index out of range for table with %d rows" % table.values.shape[0])
-    vals = table.values[ids].copy()
+    vals = table.values[ids]
 
     def bk(g):
         if table.requires_grad:
@@ -337,6 +336,24 @@ def gather_rows(table: Tensor, ids) -> Tensor:
             np.add.at(table.grad, ids, g)
 
     return _make(vals, (table,), bk, "gather_rows")
+
+
+def scatter_rows(a: Tensor, ids, n_rows: int) -> Tensor:
+    """Adjoint of gather_rows: out[ids[i]] += a[i] into n_rows zero rows."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if a.values.ndim != 2 or ids.shape != a.values.shape[:1]:
+        raise ShapeError("scatter_rows expects [m, d] rows and [m] indices, got %s and %s"
+                         % (a.shape, ids.shape))
+    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+        raise ShapeError("scatter_rows: index out of range for %d rows" % n_rows)
+    vals = np.zeros((n_rows, a.values.shape[1]), dtype=a.values.dtype)
+    np.add.at(vals, ids, a.values)
+
+    def bk(g):
+        if a.requires_grad:
+            a.accumulate_grad(g[ids])
+
+    return _make(vals, (a,), bk, "scatter_rows")
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
@@ -381,6 +398,82 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(vals, (a,), bk, "softmax")
 
 
+def segment_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
+    """Softmax of [m, h] scores over the rows that share a segment id, per
+    column (edge softmax: each destination node normalizes its messages)."""
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    if a.values.ndim != 2 or seg.shape != a.values.shape[:1]:
+        raise ShapeError("segment_softmax expects [m, h] scores and [m] segment ids, got %s and %s"
+                         % (a.shape, seg.shape))
+    if seg.size and (seg.min() < 0 or seg.max() >= n_segments):
+        raise ShapeError("segment_softmax: segment id out of range for %d segments" % n_segments)
+    x = a.values
+    top = np.full((n_segments, x.shape[1]), -np.inf, dtype=x.dtype)
+    np.maximum.at(top, seg, x)
+    e = np.exp(x - top[seg])
+    total = np.zeros_like(top)
+    np.add.at(total, seg, e)
+    vals = e / total[seg]
+
+    def bk(g):
+        if a.requires_grad:
+            dot = np.zeros_like(top)
+            np.add.at(dot, seg, g * vals)
+            a.accumulate_grad(vals * (g - dot[seg]))
+
+    return _make(vals, (a,), bk, "segment_softmax")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, key_pad_mask: np.ndarray, heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention over a padded batch.
+
+    q, k, v are [B * L, d]: sequence b owns rows b * L .. b * L + L - 1 and
+    head h owns columns h * d/heads .. (h + 1) * d/heads - 1. key_pad_mask is
+    [B, L] and True at padding positions, which no query attends to. Returns
+    [B * L, d]. Only the softmax probabilities are kept for backward.
+    """
+    n, d = q.values.shape
+    if k.values.shape != (n, d) or v.values.shape != (n, d):
+        raise ShapeError("attention: q, k, v shapes differ: %s %s %s" % (q.shape, k.shape, v.shape))
+    if d % heads:
+        raise ShapeError("attention: %d heads do not divide width %d" % (heads, d))
+    b, length = key_pad_mask.shape
+    if b * length != n:
+        raise ShapeError("attention: padding mask %s does not cover %d rows" % ((b, length), n))
+    dh = d // heads
+    inv = 1.0 / math.sqrt(dh)
+
+    def split_heads(x):  # [B * L, d] -> [B, heads, L, dh]
+        return x.reshape(b, length, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge_heads(x):  # [B, heads, L, dh] -> [B * L, d]
+        return x.transpose(0, 2, 1, 3).reshape(n, d)
+
+    qh, kh, vh = split_heads(q.values), split_heads(k.values), split_heads(v.values)
+    logits = (qh @ kh.transpose(0, 1, 3, 2)) * inv
+    if key_pad_mask.any():
+        logits += np.where(key_pad_mask, NEG_FILL, 0.0).astype(logits.dtype)[:, None, None, :]
+    logits -= logits.max(axis=-1, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    vals = merge_heads(probs @ vh)
+
+    def bk(g):
+        gh = split_heads(g)
+        if v.requires_grad:
+            v.accumulate_grad(merge_heads(probs.transpose(0, 1, 3, 2) @ gh))
+        if q.requires_grad or k.requires_grad:
+            dp = gh @ vh.transpose(0, 1, 3, 2)
+            ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+            ds *= inv
+            if q.requires_grad:
+                q.accumulate_grad(merge_heads(ds @ kh))
+            if k.requires_grad:
+                k.accumulate_grad(merge_heads(ds.transpose(0, 1, 3, 2) @ qh))
+
+    return _make(vals, (q, k, v), bk, "attention")
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply elementwise affine."""
     if eps <= 0:
@@ -409,19 +502,22 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(vals, (a, gain, bias), bk, "layer_norm")
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+# Python floats, not numpy scalars: under NumPy 2 promotion a float64 scalar
+# would turn every float32 gelu into float64 work
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_K = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation (BERT/GPT-2 form)."""
     x = a.values
-    inner = _GELU_C * (x + 0.044715 * x * x * x)
+    inner = _GELU_C * (x + _GELU_K * x * x * x)
     t = np.tanh(inner)
     vals = 0.5 * x * (1.0 + t)
 
     def bk(g):
         if a.requires_grad:
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
+            dinner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
             da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
             a.accumulate_grad(g * da)
 
@@ -475,13 +571,16 @@ def sin(a: Tensor) -> Tensor:
     return _make(vals, (a,), bk, "sin")
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Train-mode inverted dropout with a seeded mask. Callers skip it in eval."""
+def dropout(a: Tensor, rate: float, keep: np.ndarray) -> Tensor:
+    """Train-mode inverted dropout with a seeded boolean keep mask of a's
+    shape (callers draw it as uniform draws >= rate). Callers skip it in eval."""
     if not 0.0 <= rate < 1.0:
         raise ContractError("dropout rate must be in [0, 1)")
     if rate == 0.0:
         return a
-    keep = (rng.random(a.values.shape) >= rate).astype(a.values.dtype)
+    if keep.shape != a.values.shape:
+        raise ShapeError("dropout: mask shape %s != tensor shape %s" % (keep.shape, a.shape))
+    keep = keep.astype(a.values.dtype)
     factor = 1.0 / (1.0 - rate)
     vals = a.values * keep * factor
 
@@ -490,19 +589,6 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
             a.accumulate_grad(g * keep * factor)
 
     return _make(vals, (a,), bk, "dropout")
-
-
-def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.values.shape:
-        raise ShapeError("masked_fill: mask shape %s != tensor shape %s" % (mask.shape, a.shape))
-    vals = np.where(mask, value, a.values)
-
-    def bk(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.where(mask, 0.0, g))
-
-    return _make(vals, (a,), bk, "masked_fill")
 
 
 def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
@@ -526,19 +612,6 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
             logits.accumulate_grad(p * g[:, None])
 
     return _make(vals, (logits,), bk, "cross_entropy_with_logits")
-
-
-def stack_scalars(xs: Sequence[Tensor]) -> Tensor:
-    """Stack scalar tensors into a [n] vector (used for batch loss means)."""
-    xs = list(xs)
-    vals = np.array([x.values.reshape(()) for x in xs], dtype=_DEFAULT_DTYPE)
-
-    def bk(g):
-        for i, x in enumerate(xs):
-            if x.requires_grad:
-                x.accumulate_grad(np.asarray(g[i]).reshape(x.values.shape))
-
-    return _make(vals, xs, bk, "stack_scalars")
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:

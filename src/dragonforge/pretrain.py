@@ -10,6 +10,7 @@ up through -log sigma, negatives pushed down through +log sigma.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics as nm
-from .encoder import NORMAL, EncoderConfig, encode, init_param, init_params
+from .encoder import NORMAL, EncoderConfig, encode_batch, init_param, init_params
 from .kg_store import EntityVocab, KnowledgeGraph, R_EL, RelationVocab, read_vocab_tsv
 from .numerics import Tensor
 from .retrieval import (MASK, PAD, SEP, LocalKG, TextSegment, TokenVocab, build_alias_index,
@@ -165,35 +166,41 @@ def triplet_scores(h: Tensor, rel_ids, t: Tensor, head: LinkPredHead) -> Tensor:
     return nm.neg(nm.sqrt(nm.reduce_sum(nm.add(nm.mul(dr, dr), nm.mul(di, di)), axis=1)))
 
 
-def linkpred_loss(holdout: EdgeHoldout, node_vecs: Tensor, head: LinkPredHead) -> Tensor:
-    """Sum over positives of -log sig(phi + margin) + mean_neg log sig(phi' + margin)."""
-    if not holdout.positives:
-        raise ValueError("linkpred_loss requires a non-empty holdout")
-    p = len(holdout.positives)
-    n = len(holdout.negatives[0])
-    h_idx = [e[0] for e in holdout.positives]
-    r_ids = [e[1] for e in holdout.positives]
-    t_idx = [e[2] for e in holdout.positives]
-    pos = triplet_scores(nm.gather_rows(node_vecs, h_idx), r_ids,
-                         nm.gather_rows(node_vecs, t_idx), head)
-    neg_triples = [trip for negs in holdout.negatives for trip in negs]
-    nh = [e[0] for e in neg_triples]
-    nr = [e[1] for e in neg_triples]
-    nt = [e[2] for e in neg_triples]
-    neg = triplet_scores(nm.gather_rows(node_vecs, nh), nr,
-                         nm.gather_rows(node_vecs, nt), head)
-    pos_term = nm.neg(nm.reduce_sum(nm.log_sigmoid(nm.add_scalar(pos, head.margin))))
-    neg_means = nm.reduce_mean(nm.reshape(nm.log_sigmoid(nm.add_scalar(neg, head.margin)), (p, n)), axis=1)
-    return nm.add(pos_term, nm.reduce_sum(neg_means))
+def linkpred_loss(holdouts: list[tuple[EdgeHoldout, int]], node_vecs: Tensor,
+                  head: LinkPredHead) -> Tensor:
+    """Mean over holdouts of: sum over positives of -log sig(phi + margin)
+    + mean_neg log sig(phi' + margin).
+
+    Each holdout comes with the row of node_vecs that holds its local node 0.
+    """
+    if not holdouts or not all(h.positives for h, _ in holdouts):
+        raise ValueError("linkpred_loss requires non-empty holdouts")
+    triples, weights = [], []
+    for holdout, offset in holdouts:
+        for pos, negs in zip(holdout.positives, holdout.negatives):
+            triples += [(h + offset, r, t + offset) for h, r, t in [pos] + negs]
+            weights += [-1.0] + [1.0 / len(negs)] * len(negs)
+    h, r, t = np.array(triples, dtype=np.int64).T
+    phi = triplet_scores(nm.gather_rows(node_vecs, h), r, nm.gather_rows(node_vecs, t), head)
+    terms = nm.log_sigmoid(nm.add_scalar(phi, head.margin))
+    return nm.reduce_sum(nm.mul(terms, np.array(weights) / len(holdouts)))
 
 
-def mlm_loss(plan: MaskingPlan, token_vecs: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Mean cross-entropy of the linear vocabulary head over masked positions."""
-    if not plan.positions:
-        raise ValueError("mlm_loss requires a non-empty masking plan")
-    hm = nm.gather_rows(token_vecs, plan.positions)
+def mlm_loss(plans: list[tuple[MaskingPlan, int]], token_vecs: Tensor,
+             params: dict[str, Tensor]) -> Tensor:
+    """Mean over plans of each plan's mean cross-entropy of the linear
+    vocabulary head over its masked positions.
+
+    Each plan comes with the row of token_vecs that holds its position 0.
+    """
+    if not plans or not all(plan.positions for plan, _ in plans):
+        raise ValueError("mlm_loss requires non-empty masking plans")
+    rows = np.concatenate([np.asarray(plan.positions) + offset for plan, offset in plans])
+    targets = [t for plan, _ in plans for t in plan.original_ids]
+    weights = np.concatenate([np.full(len(plan), 1.0 / (len(plan) * len(plans))) for plan, _ in plans])
+    hm = nm.gather_rows(token_vecs, rows)
     logits = nm.add(nm.matmul(hm, params["lm.mlm_head.w"]), params["lm.mlm_head.b"])
-    return nm.reduce_mean(nm.cross_entropy_with_logits(logits, plan.original_ids))
+    return nm.reduce_sum(nm.mul(nm.cross_entropy_with_logits(logits, targets), weights))
 
 
 @dataclass
@@ -391,28 +398,27 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
     def batch_loss(step: int) -> tuple[Tensor, Tensor | None, Tensor | None]:
         batch_rng = nm.split_rng(cfg.seed, "batch", step)
         idxs = batch_rng.integers(0, len(examples), size=cfg.batch_size)
-        mlm_terms: list[Tensor] = []
-        lp_terms: list[Tensor] = []
+        batch, seeds, plans, holdouts = [], [], [], []
         for slot, ex_i in enumerate(idxs):
             seg, local = examples[int(ex_i)]
-            plan = None
             if use_mlm:
                 seg, plan = apply_masking(
                     seg, cfg.mask_rate, nm.split_rng(cfg.seed, "mask", step, slot))
-            holdout = None
+                plans.append((slot, plan))
             if use_lp:
                 local, holdout = hold_out_edges(
                     local, cfg.edge_drop_rate, cfg.n_negatives,
                     nm.split_rng(cfg.seed, "holdout", step, slot))
-            drop_seed = int(nm.split_rng(cfg.seed, "dropout", step, slot).integers(2 ** 62))
-            out = encode(seg, local, params, enc_cfg, mode="train", seed=drop_seed)
-            if plan is not None and not plan.flagged_empty:
-                mlm_terms.append(mlm_loss(plan, out.tokens, params))
-            if holdout is not None and not holdout.flagged_empty:
-                lp_terms.append(linkpred_loss(holdout, out.nodes, head))
+                holdouts.append((slot, holdout))
+            batch.append((seg, local))
+            seeds.append(int(nm.split_rng(cfg.seed, "dropout", step, slot).integers(2 ** 62)))
+        out = encode_batch(batch, params, enc_cfg, mode="train", seeds=seeds)
 
-        loss_mlm = nm.reduce_mean(nm.stack_scalars(mlm_terms)) if mlm_terms else None
-        loss_lp = nm.reduce_mean(nm.stack_scalars(lp_terms)) if lp_terms else None
+        mlm_terms = [(plan, slot * out.max_len) for slot, plan in plans if not plan.flagged_empty]
+        lp_terms = [(holdout, out.node_offsets[slot]) for slot, holdout in holdouts
+                    if not holdout.flagged_empty]
+        loss_mlm = mlm_loss(mlm_terms, out.tokens, params) if mlm_terms else None
+        loss_lp = linkpred_loss(lp_terms, out.nodes, head) if lp_terms else None
         if loss_mlm is not None and loss_lp is not None:
             loss = nm.add(loss_mlm, loss_lp)
         else:
@@ -486,23 +492,35 @@ def save_checkpoint(path: str, params: dict[str, Tensor], token_vocab: TokenVoca
         ("relations", _vocab_tsv((n, i) for i, n in enumerate(relations.names))),
         ("aliases", _vocab_tsv(sorted(entities.aliases.items()))),
     ]
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        _write_blob(fh, config_text.encode("utf-8"))
-        fh.write(struct.pack("<I", len(tables)))
-        for name, payload in tables:
-            _write_blob(fh, name.encode("utf-8"))
-            _write_blob(fh, payload)
-        fh.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name].values, dtype="<f4")
-            _write_blob(fh, name.encode("utf-8"))
-            fh.write(struct.pack("<B", 0))  # dtype tag: float32
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.tobytes(order="C"))
+    # write a temp file beside the target, then rename over it: a crash
+    # mid-write leaves the previous checkpoint whole
+    tmp = "%s.tmp%d" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            _write_checkpoint(fh, params, tables, config_text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_checkpoint(fh, params: dict[str, Tensor], tables: list, config_text: str) -> None:
+    fh.write(CHECKPOINT_MAGIC)
+    fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+    _write_blob(fh, config_text.encode("utf-8"))
+    fh.write(struct.pack("<I", len(tables)))
+    for name, payload in tables:
+        _write_blob(fh, name.encode("utf-8"))
+        _write_blob(fh, payload)
+    fh.write(struct.pack("<I", len(params)))
+    for name in sorted(params):
+        arr = np.ascontiguousarray(params[name].values, dtype="<f4")
+        _write_blob(fh, name.encode("utf-8"))
+        fh.write(struct.pack("<B", 0))  # dtype tag: float32
+        fh.write(struct.pack("<B", arr.ndim))
+        for dim in arr.shape:
+            fh.write(struct.pack("<I", dim))
+        fh.write(arr.tobytes(order="C"))
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, Tensor], TokenVocab, EntityVocab,

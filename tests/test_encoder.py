@@ -71,14 +71,12 @@ def test_output_shapes_and_attention_normalization():
     assert len(out.graph_attention) == cfg.n_fusion
     # attention over each node's in-neighborhood sums to 1 per head; message
     # 2e runs head->tail along edge e, message 2e+1 tail->head
-    receivers = sorted({node for h, _, t in local.edges for node in (h, t)})
-    for layer in out.graph_attention:
-        assert len(layer) == cfg.heads_gnn
-        for alpha in layer:
-            assert alpha.shape == (local.n_nodes, 2 * len(local.edges))
-            for e, (h, _, t) in enumerate(local.edges):
-                assert alpha[t, 2 * e] > 0 and alpha[h, 2 * e + 1] > 0
-            np.testing.assert_allclose(alpha.sum(axis=1)[receivers], 1.0, atol=1e-5)
+    dst = np.array([node for h, _, t in local.edges for node in (t, h)])
+    for alpha in out.graph_attention:
+        assert alpha.shape == (2 * len(local.edges), cfg.heads_gnn)
+        assert (alpha > 0).all()
+        for node in set(dst):
+            np.testing.assert_allclose(alpha[dst == node].sum(axis=0), 1.0, atol=1e-5)
 
 
 def test_oversize_inputs_raise_bounds_errors():
@@ -108,17 +106,18 @@ def test_numeric_error_names_the_layer():
 def text_only_with_zero_exchange(seg, params, cfg):
     """Oracle: plain transformer stack where the exchange perceptron always
     receives a zero node vector."""
-    from dragonforge.encoder import _mint, _transformer_layer
+    from dragonforge.encoder import _mint, _transformer_layer, make_batch
     L = seg.length
+    batch = make_batch([(seg, dummy_local_kg())], cfg, False, [0])
     x = nm.add(nm.gather_rows(params["lm.tok_emb"], seg.token_ids),
                nm.gather_rows(params["lm.pos_emb"], list(range(L))))
     x = nm.layer_norm(x, params["lm.emb_ln.g"], params["lm.emb_ln.b"])
     for i in range(cfg.n_unimodal):
-        x = _transformer_layer(x, params, cfg, i, False, 0)
+        x = _transformer_layer(x, params, cfg, i, batch)
     for l in range(cfg.n_fusion):
-        x = _transformer_layer(x, params, cfg, cfg.n_unimodal + l, False, 0)
+        x = _transformer_layer(x, params, cfg, cfg.n_unimodal + l, batch)
         v = nm.constant(np.zeros((2, cfg.d_node)))
-        x, _ = _mint(x, v, params, cfg, l, False, 0)
+        x, _ = _mint(x, v, params, cfg, l, batch)
     return x
 
 
@@ -134,16 +133,15 @@ def test_dummy_graph_equals_text_only_with_zero_node_vector():
 
 
 def text_only_stack(seg, params, cfg, mode, seed):
-    from dragonforge.encoder import _transformer_layer
+    from dragonforge.encoder import _maybe_dropout, _transformer_layer, make_batch
     L = seg.length
-    train = mode == "train"
+    batch = make_batch([(seg, dummy_local_kg())], cfg, mode == "train", [seed])
     x = nm.add(nm.gather_rows(params["lm.tok_emb"], seg.token_ids),
                nm.gather_rows(params["lm.pos_emb"], list(range(L))))
     x = nm.layer_norm(x, params["lm.emb_ln.g"], params["lm.emb_ln.b"])
-    from dragonforge.encoder import _maybe_dropout
-    x = _maybe_dropout(x, cfg, train, seed, "emb")
+    x = _maybe_dropout(x, cfg, batch, "emb", batch.token_blocks)
     for i in range(cfg.n_unimodal + cfg.n_fusion):
-        x = _transformer_layer(x, params, cfg, i, train, seed)
+        x = _transformer_layer(x, params, cfg, i, batch)
     return x
 
 

@@ -16,7 +16,8 @@ from dragonforge.retrieval import INT, LocalKG, TextSegment, V_INT, build_alias_
 def fake_output(h_int, node_rows):
     tokens = nm.constant(np.vstack([h_int, np.zeros_like(h_int)]))
     nodes = nm.constant(np.vstack(node_rows))
-    return EncoderOutput(tokens=tokens, nodes=nodes)
+    return EncoderOutput(tokens=tokens, nodes=nodes, graph_attention=[], max_len=2,
+                         node_offsets=np.array([0, len(node_rows)]))
 
 
 def pool_params(dt, dn, seed=0):
@@ -109,6 +110,24 @@ def test_pool_dummy_graph_single_zero_node():
     x, alpha = ft.pool(out, params)
     np.testing.assert_allclose(alpha, [1.0])
     assert np.isfinite(x.values).all()
+
+
+def test_pool_of_a_batch_matches_pool_of_each_example():
+    with nm.float64_mode():
+        rng = np.random.default_rng(15)
+        params = pool_params(4, 3, seed=2)
+        examples = [(rng.normal(size=(1, 4)), list(rng.normal(size=(n, 3)))) for n in (2, 5, 3)]
+        singles = [ft.pool(fake_output(h, rows), params) for h, rows in examples]
+        max_len = 3
+        tokens = np.zeros((max_len * len(examples), 4))
+        for b, (h, _) in enumerate(examples):
+            tokens[b * max_len] = h[0]
+        nodes = np.vstack([np.vstack(rows) for _, rows in examples])
+        out = EncoderOutput(tokens=nm.Tensor(tokens), nodes=nm.Tensor(nodes), graph_attention=[],
+                            max_len=max_len, node_offsets=np.array([0, 2, 7, 10]))
+        x, alpha = ft.pool(out, params)
+        np.testing.assert_allclose(x.values[:, 0], [s[0].values[0, 0] for s in singles], atol=1e-12)
+        np.testing.assert_allclose(alpha, np.concatenate([s[1] for s in singles]), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def test_linkpred_loss_hand_case_extreme():
                                       [4.0, 2.0], [5.0, 0.0],      # pos pair: 20
                                       [-4.0, 2.0], [5.0, 0.0]]))   # neg pair: -20
     holdout = pt.EdgeHoldout(positives=[(1, 0, 2)], negatives=[[(3, 0, 4)]])
-    loss = pt.linkpred_loss(holdout, node_vecs, head).item()
+    loss = pt.linkpred_loss([(holdout, 0)], node_vecs, head).item()
     assert loss == pytest.approx(-20.0, abs=1e-4)
     assert loss == pytest.approx(fixed_phi_loss(20.0, [-20.0], 1), abs=1e-6)
 
@@ -240,7 +240,7 @@ def test_linkpred_loss_symmetric_cancellation():
     head.relations.values[0] = 1.0
     node_vecs = nm.constant(np.zeros((4, 2)))
     holdout = pt.EdgeHoldout(positives=[(1, 0, 2)], negatives=[[(1, 0, 3), (2, 0, 3)]])
-    assert pt.linkpred_loss(holdout, node_vecs, head).item() == pytest.approx(0.0, abs=1e-7)
+    assert pt.linkpred_loss([(holdout, 0)], node_vecs, head).item() == pytest.approx(0.0, abs=1e-7)
 
 
 def test_linkpred_loss_gradient_wrt_node_vectors():
@@ -251,7 +251,7 @@ def test_linkpred_loss_gradient_wrt_node_vectors():
     def fn(ts):
         node_vecs, rel = ts
         head = pt.LinkPredHead(scorer="distmult", margin=0.0, relations=rel)
-        return pt.linkpred_loss(holdout, node_vecs, head)
+        return pt.linkpred_loss([(holdout, 0)], node_vecs, head)
 
     err = nm.check_gradients(fn, [rng.normal(size=(5, 6)), rng.normal(size=(2, 6))])
     assert err < 1e-4, err
@@ -262,10 +262,10 @@ def test_mlm_loss_uniform_and_onehot():
               "lm.mlm_head.b": nm.Tensor(np.zeros(100), requires_grad=True)}
     tokens = nm.constant(np.random.default_rng(19).normal(size=(6, 4)))
     plan = pt.MaskingPlan(positions=[1, 3], original_ids=[7, 42])
-    assert pt.mlm_loss(plan, tokens, params).item() == pytest.approx(np.log(100), abs=1e-4)
+    assert pt.mlm_loss([(plan, 0)], tokens, params).item() == pytest.approx(np.log(100), abs=1e-4)
     params["lm.mlm_head.b"].values[7] = 1e4  # force the head toward token 7
     plan7 = pt.MaskingPlan(positions=[2], original_ids=[7])
-    assert pt.mlm_loss(plan7, tokens, params).item() == pytest.approx(0.0, abs=1e-6)
+    assert pt.mlm_loss([(plan7, 0)], tokens, params).item() == pytest.approx(0.0, abs=1e-6)
 
 
 def test_mlm_loss_against_direct_oracle():
@@ -276,7 +276,7 @@ def test_mlm_loss_against_direct_oracle():
         hvecs = rng.normal(size=(7, 4))
         params = {"lm.mlm_head.w": nm.Tensor(w), "lm.mlm_head.b": nm.Tensor(b)}
         plan = pt.MaskingPlan(positions=[0, 4, 6], original_ids=[3, 12, 25])
-        got = pt.mlm_loss(plan, nm.Tensor(hvecs), params).item()
+        got = pt.mlm_loss([(plan, 0)], nm.Tensor(hvecs), params).item()
         losses = []
         for pos, tok in zip(plan.positions, plan.original_ids):
             logits = hvecs[pos] @ w + b
@@ -284,6 +284,28 @@ def test_mlm_loss_against_direct_oracle():
             p /= p.sum()
             losses.append(-np.log(p[tok]))
         assert abs(got - np.mean(losses)) < 1e-6
+
+
+def test_batched_losses_are_means_of_per_example_terms():
+    with nm.float64_mode():
+        rng = np.random.default_rng(37)
+        params = {"lm.mlm_head.w": nm.Tensor(rng.normal(size=(4, 30))),
+                  "lm.mlm_head.b": nm.Tensor(rng.normal(size=30))}
+        tokens = rng.normal(size=(10, 4))           # two examples: rows 0-4 and 5-9
+        plans = [pt.MaskingPlan([1, 3], [4, 9]), pt.MaskingPlan([2], [17])]
+        singles = [pt.mlm_loss([(plan, 0)], nm.Tensor(tokens[5 * i:5 * i + 5]), params).item()
+                   for i, plan in enumerate(plans)]
+        batched = pt.mlm_loss([(plans[0], 0), (plans[1], 5)], nm.Tensor(tokens), params).item()
+        assert batched == pytest.approx(np.mean(singles), abs=1e-12)
+
+        head = head_for("distmult", d=6, n_rel=2)
+        nodes = rng.normal(size=(9, 6))             # graphs of 4 and 5 nodes
+        holdouts = [pt.EdgeHoldout([(1, 0, 2), (3, 1, 1)], [[(1, 0, 3)], [(2, 1, 1)]]),
+                    pt.EdgeHoldout([(2, 1, 4)], [[(1, 1, 4), (2, 1, 3), (3, 1, 4)]])]
+        singles = [pt.linkpred_loss([(holdouts[0], 0)], nm.Tensor(nodes[:4]), head).item(),
+                   pt.linkpred_loss([(holdouts[1], 0)], nm.Tensor(nodes[4:]), head).item()]
+        batched = pt.linkpred_loss([(holdouts[0], 0), (holdouts[1], 4)], nm.Tensor(nodes), head).item()
+        assert batched == pytest.approx(np.mean(singles), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +330,7 @@ def test_one_step_raises_positive_phi_lowers_negative_phi(scorer):
     before_pos, before_neg = phis()
     opt = pt.Optimizer(params, lr_lm=1e-3, lr_other=1e-3, total_steps=1, warmup_ratio=0.0)
     with nm.ComputationTape() as tape:
-        tape.backward(pt.linkpred_loss(holdout, nodes, head))
+        tape.backward(pt.linkpred_loss([(holdout, 0)], nodes, head))
     opt.step(0)
     after_pos, after_neg = phis()
     assert after_pos > before_pos
@@ -325,7 +347,7 @@ def test_rotate_modulus_exactly_one_after_steps():
     opt = pt.Optimizer(params, 1e-2, 1e-2, total_steps=5, warmup_ratio=0.0)
     for step in range(5):
         with nm.ComputationTape() as tape:
-            tape.backward(pt.linkpred_loss(holdout, nodes, head))
+            tape.backward(pt.linkpred_loss([(holdout, 0)], nodes, head))
         opt.step(step)
         opt.zero_grad()
         # parameters are angles: the rotation modulus is 1 by construction,
@@ -472,6 +494,31 @@ def test_checkpoint_magic_and_version(tmp_path):
     from dragonforge.kg_store import EntityVocab, RelationVocab
     pt.save_checkpoint(str(good), params, TokenVocab(), EntityVocab(), RelationVocab())
     assert good.read_bytes()[:4] == b"DRGN"
+
+
+def test_checkpoint_write_failure_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    from dragonforge.retrieval import TokenVocab
+    from dragonforge.kg_store import EntityVocab, RelationVocab
+    path = tmp_path / "model.drgn"
+    vocabs = (TokenVocab(), EntityVocab(), RelationVocab())
+    pt.save_checkpoint(str(path), {"w": nm.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)},
+                       *vocabs)
+    before = path.read_bytes()
+
+    write_blob, calls = pt._write_blob, []
+
+    def failing_write_blob(fh, data):
+        calls.append(data)
+        if len(calls) == 4:   # after the config text and the first vocab table
+            raise OSError("disk full")
+        write_blob(fh, data)
+
+    monkeypatch.setattr(pt, "_write_blob", failing_write_blob)
+    with pytest.raises(OSError, match="disk full"):
+        pt.save_checkpoint(str(path), {"w": nm.Tensor(np.ones((2, 3)), requires_grad=True)}, *vocabs)
+    assert path.read_bytes() == before
+    assert pt.load_checkpoint(str(path))[0]["w"].values.tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.drgn"]
 
 
 def test_checkpoint_rejects_non_finite(tmp_path):
