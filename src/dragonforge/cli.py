@@ -14,13 +14,14 @@ import dataclasses
 import json
 import os
 import sys
+from itertools import zip_longest
 
 from . import evaluation as ev
 from . import numerics as nm
 from . import pretrain as pt
 from .encoder import EncoderConfig
 from .finetune import (DataError, FinetuneConfig, evaluate_mcqa, finetune_mcqa,
-                       load_mcqa)
+                       load_mcqa, read_jsonl)
 from .kg_store import EmptyGraphError, KGParseError, load_kg
 from .retrieval import (TokenVocab, build_vocab, link_entities, retrieve_local_kg,
                         segment_corpus)
@@ -265,15 +266,24 @@ def _run_config(args) -> RunConfig:
     return RunConfig(config_file=args.config, overrides=overrides, seed_flag=args.seed)
 
 
-def _load_checkpoint_bundle(path: str, flags: RunConfig):
-    """Checkpoint contents; its config is overridden by anything given on the CLI."""
-    params, token_vocab, entities, relations, config_text = pt.load_checkpoint(path)
+def _load_checkpoint_bundle(args, flags: RunConfig):
+    """--checkpoint contents, its config overridden by anything given on the
+    CLI, and the --kg graph, whose entity and relation vocabularies must be
+    the checkpoint's: the same names under the same ids."""
+    params, token_vocab, entities, relations, config_text = pt.load_checkpoint(args.checkpoint)
     cfg = RunConfig.from_checkpoint_text(config_text)
     for key, prov in flags.provenance.items():
         if prov in ("flag", "file", "env"):
             cfg.values[key] = flags.values[key]
             cfg.provenance[key] = prov
-    return params, token_vocab, entities, relations, cfg
+    kg, kg_entities, kg_relations = load_kg(args.kg)
+    for kind, ours, theirs in (("entity", kg_entities.names, entities.names),
+                               ("relation", kg_relations.names, relations.names)):
+        for i, (a, b) in enumerate(zip_longest(ours, theirs)):
+            if a != b:
+                raise DataError("%s: %s id %d is %r, but %r in checkpoint %s"
+                                % (args.kg, kind, i, a, b, args.checkpoint))
+    return params, token_vocab, entities, relations, cfg, kg
 
 
 def _cmd_build_vocab(args, cfg: RunConfig) -> int:
@@ -314,8 +324,7 @@ def _cmd_pretrain(args, cfg: RunConfig) -> int:
 
 
 def _cmd_finetune(args, cfg_flags: RunConfig) -> int:
-    params, token_vocab, entities, relations, cfg = _load_checkpoint_bundle(args.checkpoint, cfg_flags)
-    kg, _, _ = load_kg(args.kg)
+    params, token_vocab, entities, relations, cfg, kg = _load_checkpoint_bundle(args, cfg_flags)
     enc_cfg = cfg.encoder_config()
     train_set = load_mcqa(args.train)
     dev_set = load_mcqa(args.dev)
@@ -339,10 +348,9 @@ def _cmd_finetune(args, cfg_flags: RunConfig) -> int:
 
 
 def _cmd_eval_qa(args, cfg_flags: RunConfig) -> int:
-    params, token_vocab, entities, relations, cfg = _load_checkpoint_bundle(args.checkpoint, cfg_flags)
+    params, token_vocab, entities, _, cfg, kg = _load_checkpoint_bundle(args, cfg_flags)
     if "other.pool.wq" not in params:
         raise DataError("%s: checkpoint has no QA head; run finetune first" % args.checkpoint)
-    kg, _, _ = load_kg(args.kg)
     data = load_mcqa(args.data)
     report = {"split": os.path.basename(args.data),
               **evaluate_mcqa(data, kg, entities, token_vocab, params, cfg.encoder_config())}
@@ -353,27 +361,10 @@ def _cmd_eval_qa(args, cfg_flags: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_lp_queries(path: str) -> list[dict]:
-    queries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                queries.append({"head": rec["head"], "rel": rec["rel"],
-                                "tail": rec["tail"], "text": rec["text"]})
-            except (KeyError, ValueError) as e:
-                raise DataError("%s:%d: %s" % (path, lineno, e)) from None
-    return queries
-
-
 def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
-    params, token_vocab, entities, relations, cfg = _load_checkpoint_bundle(args.checkpoint, cfg_flags)
-    kg, kg_entities, kg_relations = load_kg(args.kg)
-    queries = _load_lp_queries(args.test)
-    known_true = {(kg_entities.name(h), kg_relations.name(r), kg_entities.name(t))
+    params, token_vocab, entities, relations, cfg, kg = _load_checkpoint_bundle(args, cfg_flags)
+    queries = read_jsonl(args.test, dict.fromkeys(("head", "rel", "tail", "text"), str), dict)
+    known_true = {(entities.name(h), relations.name(r), entities.name(t))
                   for h, r, t in kg.triplets}
     known_true |= {(q["head"], q["rel"], q["tail"]) for q in queries}
     enc_cfg = cfg.encoder_config()
@@ -412,8 +403,7 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
 
 
 def _cmd_dump_attention(args, cfg_flags: RunConfig) -> int:
-    params, token_vocab, entities, relations, cfg = _load_checkpoint_bundle(args.checkpoint, cfg_flags)
-    kg, _, _ = load_kg(args.kg)
+    params, token_vocab, entities, _, cfg, kg = _load_checkpoint_bundle(args, cfg_flags)
     enc_cfg = cfg.encoder_config()
     seg, v_el = link_entities(args.text, entities, token_vocab)
     local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, nm.split_rng(cfg["seed"], "dump"))

@@ -236,6 +236,23 @@ def _transformer_layer(x: Tensor, params, cfg: EncoderConfig, idx: int, batch: B
     return nm.layer_norm(nm.add(x, f), params[p + "ln2.g"], params[p + "ln2.b"])
 
 
+def segment_attention(q: Tensor, k: Tensor, v: Tensor, segment_ids, n_segments: int,
+                      heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head attention of query row s of q over the rows i of keys k and
+    values v with segment_ids[i] == s (head h owns the h-th column block).
+
+    Returns the [n_segments, d] weighted value sums (zero for a segment with
+    no rows) and the [m, heads] weights, which sum to 1 per segment and head.
+    """
+    dh = k.shape[1] // heads
+    # head_cols[c, h] = 1 where column c belongs to head h
+    head_cols = np.repeat(np.eye(heads), dh, axis=0)
+    logits = nm.matmul(nm.mul(nm.gather_rows(q, segment_ids), k), nm.constant(head_cols / np.sqrt(dh)))
+    alpha = nm.segment_softmax(logits, segment_ids, n_segments)
+    weighted = nm.mul(nm.matmul(alpha, nm.constant(head_cols.T)), v)
+    return nm.scatter_rows(weighted, segment_ids, n_segments), alpha.values
+
+
 def _gnn_layer(v: Tensor, params, cfg: EncoderConfig, layer: int,
                batch: Batch) -> tuple[Tensor, np.ndarray]:
     """Relation-aware attention over in-neighborhoods with directed messages.
@@ -247,8 +264,6 @@ def _gnn_layer(v: Tensor, params, cfg: EncoderConfig, layer: int,
     heads] attention of every message.
     """
     p = "gnn.layer%d." % layer
-    n, heads = v.shape[0], cfg.heads_gnn
-    dh = cfg.d_node // heads
     s = nm.gather_rows(v, batch.src)
     re = nm.gather_rows(params["gnn.rel_emb"], batch.reldir)
     msg = nm.add(nm.matmul(nm.concat([s, re], axis=1), params[p + "w_msg"]), params[p + "b_msg"])
@@ -257,19 +272,15 @@ def _gnn_layer(v: Tensor, params, cfg: EncoderConfig, layer: int,
     k = nm.add(nm.matmul(msg, params[p + "wk"]), params[p + "bk"])
     val = nm.add(nm.matmul(msg, params[p + "wv"]), params[p + "bv"])
 
-    # head_cols[c, h] = 1 where column c belongs to head h
-    head_cols = np.repeat(np.eye(heads), dh, axis=0)
-    logits = nm.matmul(nm.mul(nm.gather_rows(q, batch.dst), k), nm.constant(head_cols / np.sqrt(dh)))
-    alpha = nm.segment_softmax(logits, batch.dst, n)                     # [M, heads]
-    weighted = nm.mul(nm.matmul(alpha, nm.constant(head_cols.T)), val)   # [M, d_node]
-    agg = nm.add(nm.matmul(nm.scatter_rows(weighted, batch.dst, n), params[p + "wo"]), params[p + "bo"])
+    summed, alpha = segment_attention(q, k, val, batch.dst, v.shape[0], cfg.heads_gnn)
+    agg = nm.add(nm.matmul(summed, params[p + "wo"]), params[p + "bo"])
     agg = _maybe_dropout(agg, cfg, batch, p + "agg", batch.node_blocks)
     out = nm.layer_norm(nm.add(v, nm.gelu(agg)), params[p + "ln.g"], params[p + "ln.b"])
     if not batch.graph.all():
         counts = np.diff(batch.node_offsets)
         live = np.repeat(batch.graph, counts).astype(float)[:, None]
         out = nm.mul(out, nm.constant(np.broadcast_to(live, out.shape)))
-    return out, alpha.values
+    return out, alpha
 
 
 def _mint(x: Tensor, v: Tensor, params, cfg: EncoderConfig, layer: int,

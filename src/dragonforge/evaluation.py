@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -18,13 +18,12 @@ import numpy as np
 from . import numerics as nm
 from .encoder import BIDIRECTIONAL, CONCAT_AT_END, EncoderConfig, encode
 from .finetune import FinetuneConfig, MCQAExample, evaluate_mcqa, finetune_mcqa, pool
-from .kg_store import EntityVocab, KnowledgeGraph, RelationVocab
+from .kg_store import EntityVocab, KnowledgeGraph, RelationVocab, kg_from_triplets
 from .numerics import Tensor
-from .pretrain import (LinkPredHead, PretrainConfig, Optimizer, apply_masking,
-                       linkpred_head, mlm_loss, prepare_examples, train, train_step,
-                       triplet_scores)
+from .pretrain import (LinkPredHead, PretrainConfig, Optimizer, linkpred_head, train,
+                       train_step, triplet_scores)
 from .retrieval import (TokenVocab, build_alias_index, build_vocab_from_texts, link_entities,
-                        retrieve_local_kg, tokenize)
+                        retrieve_local_kg)
 
 
 @dataclass
@@ -87,21 +86,13 @@ def render_sentence(head: str, rel: str, tail: str) -> str:
     return "%s %s %s ." % (head, rel, tail)
 
 
-def parse_sentence(sentence: str) -> tuple[str, str, str]:
-    toks = [t for t, _, _ in tokenize(sentence)]
-    if len(toks) != 4 or toks[3] != ".":
-        raise ValueError("not a template sentence: %r" % sentence)
-    return toks[0], toks[1], toks[2]
-
-
 @dataclass
 class SyntheticWorld:
+    """A generated world: named facts, their split between corpus and KG, and
+    the corpus documents; seed and n_entities drive mcqa_dataset's draws."""
     n_entities: int
-    n_relations: int
-    leak_rate: float
     seed: int
     entity_names: list[str]
-    relation_names: list[str]
     facts: list[tuple[str, str, str]]          # (head, rel, tail) names
     overlap: list[int]                         # fact indices in both modalities
     text_only: list[int]                       # in corpus, withheld from KG
@@ -109,14 +100,9 @@ class SyntheticWorld:
     train_docs: list[str]                      # newline-joined sentences
     eval_docs: list[str]
     doc_of_fact: dict[int, tuple[str, int]]    # fact idx -> ("train"|"eval", doc idx)
-    structure: str = "chains"
-    derived: list[int] = field(default_factory=list)   # composition-rule facts
 
     def kg_fact_indices(self) -> list[int]:
         return sorted(self.overlap + self.kg_only)
-
-    def corpus_fact_indices(self) -> list[int]:
-        return sorted(self.overlap + self.text_only)
 
     def aligned_text(self, fact_idx: int) -> str:
         split, di = self.doc_of_fact[fact_idx]
@@ -124,19 +110,8 @@ class SyntheticWorld:
         return docs[di].replace("\n", " ")
 
     def build_kg(self) -> tuple[KnowledgeGraph, EntityVocab, RelationVocab]:
-        """Vocabulary ids follow first appearance in KG fact order, matching
-        what loading the written TSV would produce."""
-        entities = EntityVocab()
-        relations = RelationVocab()
-        kg_facts = [self.facts[i] for i in self.kg_fact_indices()]
-        for h, r, t in kg_facts:
-            entities.add(h)
-            relations.add(r)
-            entities.add(t)
-        g = KnowledgeGraph(len(entities), len(relations))
-        for h, r, t in kg_facts:
-            g.add(entities.lookup(h), relations.ids[r], entities.lookup(t))
-        return g, entities, relations
+        """The KG facts in the order write_files puts them in kg.tsv."""
+        return kg_from_triplets([self.facts[i] for i in self.kg_fact_indices()])
 
     def build_token_vocab(self, min_freq: int = 2) -> TokenVocab:
         return build_vocab_from_texts(self.train_docs, min_freq=min_freq)
@@ -393,11 +368,9 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
         target.append(text)
 
     return SyntheticWorld(
-        n_entities=n_entities, n_relations=n_relations, leak_rate=leak_rate, seed=seed,
-        entity_names=names, relation_names=relation_names, facts=facts,
+        n_entities=n_entities, seed=seed, entity_names=names, facts=facts,
         overlap=sorted(overlap), text_only=sorted(text_only), kg_only=sorted(kg_only),
-        train_docs=train_docs, eval_docs=eval_docs, doc_of_fact=doc_of_fact,
-        structure=structure, derived=sorted(derived))
+        train_docs=train_docs, eval_docs=eval_docs, doc_of_fact=doc_of_fact)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +467,8 @@ def train_distmult_baseline(kg: KnowledgeGraph, d: int = 32, steps: int = 600,
         neg_s = triplet_scores(nm.gather_rows(ent, neg[:, 0]), neg[:, 1],
                                nm.gather_rows(ent, neg[:, 2]), head)
         loss = nm.add(
-            nm.neg(nm.reduce_mean(nm.log_sigmoid(nm.add_scalar(pos_s, margin)))),
-            nm.reduce_mean(nm.log_sigmoid(nm.add_scalar(neg_s, margin))))
+            nm.neg(nm.reduce_mean(nm.log_sigmoid(nm.add(pos_s, margin)))),
+            nm.reduce_mean(nm.log_sigmoid(nm.add(neg_s, margin))))
         return (loss,)
 
     for step in range(steps):
@@ -509,24 +482,6 @@ def train_distmult_baseline(kg: KnowledgeGraph, d: int = 32, steps: int = 600,
         neg[~corrupt_tail, 0] = repl[~corrupt_tail]
         train_step(opt, step, 1.0, partial(batch_loss, pos, neg))
     return ent.values.copy(), rel.values.copy()
-
-
-def eval_mlm_loss(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
-                  relations: RelationVocab, token_vocab: TokenVocab,
-                  params: dict[str, Tensor], enc_cfg: EncoderConfig,
-                  mask_rate: float = 0.15, seed: int = 0,
-                  kg_mode: str = "graph") -> float:
-    """Mean masked-token loss over held-out segments, deterministic masking."""
-    examples = prepare_examples(raw_segments, kg, entities, relations, token_vocab,
-                                enc_cfg, seed, kg_mode)
-    losses = []
-    for i, (seg, local) in enumerate(examples):
-        seg_m, plan = apply_masking(seg, mask_rate, nm.split_rng(seed, "eval_mask", i))
-        if plan.flagged_empty:
-            continue
-        out = encode(seg_m, local, params, enc_cfg, mode="eval")
-        losses.append(mlm_loss([(plan, 0)], out.tokens, params).item())
-    return float(np.mean(losses)) if losses else 0.0
 
 
 # ---------------------------------------------------------------------------

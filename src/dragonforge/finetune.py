@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import numerics as nm
-from .encoder import NORMAL, EncoderConfig, EncoderOutput, encode_batch, init_param
+from .encoder import (NORMAL, EncoderConfig, EncoderOutput, encode_batch, init_param,
+                      segment_attention)
 from .kg_store import EntityVocab, KnowledgeGraph
 from .numerics import Tensor
 from .pretrain import Optimizer, train_step
@@ -25,7 +27,8 @@ from .retrieval import (SEP, LocalKG, TextSegment, TokenVocab, build_alias_index
 
 
 class DataError(ValueError):
-    """Malformed downstream dataset record."""
+    """Malformed downstream dataset record, or a KG file that disagrees
+    with a checkpoint's vocabularies."""
 
 
 @dataclass
@@ -41,8 +44,21 @@ class MCQAExample:
             raise DataError("gold index %d out of range for %d choices" % (self.gold, len(self.choices)))
 
 
-def load_mcqa(path: str) -> list[MCQAExample]:
-    """JSON lines {question, choices: [...], gold: int}."""
+# read_jsonl field kind -> (check, description)
+_KINDS = {
+    str: (lambda v: isinstance(v, str), "a string"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    list: (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of strings"),
+}
+
+
+def read_jsonl(path: str, fields: dict, make: Callable) -> list:
+    """make(**record) for each JSON-object line of a file, blank lines skipped.
+
+    fields maps each required key to str, int (not bool) or list (of
+    strings). A line that is not such an object, or that make() rejects
+    with a DataError, raises DataError("path:line: ...").
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -51,10 +67,23 @@ def load_mcqa(path: str) -> list[MCQAExample]:
                 continue
             try:
                 rec = json.loads(line)
-                out.append(MCQAExample(rec["question"], list(rec["choices"]), int(rec["gold"])))
-            except (KeyError, TypeError, ValueError) as e:
+                if not isinstance(rec, dict):
+                    raise DataError("expected a JSON object, got %s" % type(rec).__name__)
+                for key, kind in fields.items():
+                    check, description = _KINDS[kind]
+                    if key not in rec:
+                        raise DataError("missing field %r" % key)
+                    if not check(rec[key]):
+                        raise DataError("%r must be %s, got %r" % (key, description, rec[key]))
+                out.append(make(**{key: rec[key] for key in fields}))
+            except (json.JSONDecodeError, DataError) as e:
                 raise DataError("%s:%d: %s" % (path, lineno, e)) from None
     return out
+
+
+def load_mcqa(path: str) -> list[MCQAExample]:
+    """JSON lines {question: str, choices: [str, ...], gold: int}."""
+    return read_jsonl(path, {"question": str, "choices": list, "gold": int}, MCQAExample)
 
 
 def add_pooling_head(params: dict[str, Tensor], enc_cfg: EncoderConfig, seed: int) -> None:
@@ -77,22 +106,17 @@ def pool(out: EncoderOutput, params: dict[str, Tensor]) -> tuple[Tensor, np.ndar
     """
     offsets = out.node_offsets
     b = out.batch_size
-    counts = np.diff(offsets) - 1
-    owner = np.repeat(np.arange(b), counts)                      # example of each pooled node
+    owner = np.repeat(np.arange(b), np.diff(offsets) - 1)        # example of each pooled node
     rest = np.delete(np.arange(offsets[-1]), offsets[:-1])     # non-interaction node rows
     h_int, v_int = out.h_int, out.v_int                          # [B, d_text], [B, d_node]
     v_rest = nm.gather_rows(out.nodes, rest)                     # [J, d_node]
     q = nm.matmul(h_int, params["other.pool.wq"])                # [B, d_node]
     k = nm.matmul(v_rest, params["other.pool.wk"])               # [J, d_node]
-    dn = k.shape[1]
-    logits = nm.matmul(nm.mul(nm.gather_rows(q, owner), k), nm.constant(np.full((dn, 1), 1.0 / np.sqrt(dn))))
-    alpha = nm.segment_softmax(logits, owner, b)                 # [J, 1]
-    weighted = nm.mul(nm.matmul(alpha, nm.constant(np.ones((1, dn)))), v_rest)
-    g = nm.scatter_rows(weighted, owner, b)                      # [B, d_node]
+    g, alpha = segment_attention(q, k, v_rest, owner, b, 1)      # [B, d_node], [J, 1]
     z = nm.concat([h_int, v_int, g], axis=1)
     hid = nm.gelu(nm.add(nm.matmul(z, params["other.pool.mlp.w1"]), params["other.pool.mlp.b1"]))
     x = nm.add(nm.matmul(hid, params["other.pool.mlp.w2"]), params["other.pool.mlp.b2"])
-    return x, alpha.values.reshape(-1).copy()
+    return x, alpha.reshape(-1).copy()
 
 
 @dataclass
@@ -119,11 +143,7 @@ def prepare_choice_inputs(ex: MCQAExample, kg: KnowledgeGraph, entities: EntityV
     for c, choice in enumerate(ex.choices):
         c_seg, c_el = link_entities(choice, entities, token_vocab, alias_index)
         ids = q_seg.token_ids + [SEP] + c_seg.token_ids[1:]
-        spans = q_seg.spans + [(-1, -1)] + c_seg.spans[1:]
-        if len(ids) > enc_cfg.max_seq_len:
-            ids = ids[:enc_cfg.max_seq_len]
-            spans = spans[:enc_cfg.max_seq_len]
-        seg = TextSegment(ids, spans, source=ex.question + " [SEP] " + choice)
+        seg = TextSegment(ids[:enc_cfg.max_seq_len])
         v_el = q_el | c_el
         local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes,
                                   nm.split_rng(seed, "ft_retrieval", example_idx, c))
@@ -131,20 +151,12 @@ def prepare_choice_inputs(ex: MCQAExample, kg: KnowledgeGraph, entities: EntityV
     return out
 
 
-def _choice_seeds(n_choices: int, mode: str, seed: int) -> list[int]:
-    if mode != "train":
-        return [0] * n_choices
-    return [int(nm.split_rng(seed, "ft_dropout", c).integers(2 ** 62)) for c in range(n_choices)]
-
-
 def choice_logits(inputs: list[tuple[TextSegment, LocalKG]], params: dict[str, Tensor],
-                  enc_cfg: EncoderConfig, mode: str, seed: int = 0) -> tuple[Tensor, list[np.ndarray]]:
-    """Encode and pool all choices in one batch; returns [1, n_choices]
-    logits and each choice's pooling attention."""
-    out = encode_batch(inputs, params, enc_cfg, mode, _choice_seeds(len(inputs), mode, seed))
-    x, alpha = pool(out, params)
-    alphas = np.split(alpha, np.cumsum(np.diff(out.node_offsets) - 1)[:-1])
-    return nm.reshape(x, (1, len(inputs))), alphas
+                  enc_cfg: EncoderConfig) -> Tensor:
+    """Encode (eval mode, no dropout) and pool all choices of one question
+    in one batch; returns the [1, n_choices] logits."""
+    x, _ = pool(encode_batch(inputs, params, enc_cfg, "eval"), params)
+    return nm.reshape(x, (1, len(inputs)))
 
 
 def evaluate_mcqa(examples: list[MCQAExample], kg: KnowledgeGraph, entities: EntityVocab,
@@ -156,7 +168,7 @@ def evaluate_mcqa(examples: list[MCQAExample], kg: KnowledgeGraph, entities: Ent
     per_choice: dict[str, int] = {}
     for i, ex in enumerate(examples):
         inputs = prepare_choice_inputs(ex, kg, entities, token_vocab, enc_cfg, seed, i, alias_index)
-        logits, _ = choice_logits(inputs, params, enc_cfg, mode="eval")
+        logits = choice_logits(inputs, params, enc_cfg)
         pred = int(np.argmax(logits.values.reshape(-1)))
         correct += int(pred == ex.gold)
         key = str(len(ex.choices))
@@ -205,7 +217,8 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
             inputs += prepare_choice_inputs(ex, kg, entities, token_vocab, enc_cfg,
                                             cfg.seed, int(i), alias_index)
             ft_seed = int(nm.split_rng(cfg.seed, "ft_step", step, bi).integers(2 ** 62))
-            seeds += _choice_seeds(len(ex.choices), "train", ft_seed)
+            seeds += [int(nm.split_rng(ft_seed, "ft_dropout", c).integers(2 ** 62))
+                      for c in range(len(ex.choices))]
             cells += [bi * width + c for c in range(len(ex.choices))]
             golds.append(ex.gold)
         x, _ = pool(encode_batch(inputs, params, enc_cfg, "train", seeds), params)

@@ -146,48 +146,51 @@ class KnowledgeGraph:
         self._check_entity(v)
         return {nb for _, nb, _ in self._adj.get(v, [])}
 
-    @property
-    def n_triplets(self) -> int:
-        return len(self.triplets)
 
-    @property
-    def n_adjacency_entries(self) -> int:
-        return sum(len(v) for v in self._adj.values())
+def _read_tsv_rows(path: str, layout: str):
+    """Yield (line number, fields) for every non-blank line of a TSV file.
 
-
-def load_kg(triplet_file: str, alias_file: str | None = None
-            ) -> tuple[KnowledgeGraph, EntityVocab, RelationVocab]:
-    """Load a triplet TSV, building vocabularies from file contents.
-
-    Entity and relation ids follow first appearance in file order, after the
-    reserved interaction-link relations. Triplets are kept directed as
-    written; the GNN reads every edge in both directions itself.
+    `layout` names the fields, e.g. "surface<TAB>entity_name"; a line without
+    exactly that many non-empty fields raises KGParseError naming the line.
     """
-    entities = EntityVocab()
-    relations = RelationVocab()
-    raw: list[tuple[str, str, str]] = []
-    with open(triplet_file, encoding="utf-8") as fh:
+    n_fields = layout.count("<TAB>") + 1
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 3 or not all(parts):
-                raise KGParseError("%s:%d: expected head<TAB>relation<TAB>tail, got %r"
-                                   % (triplet_file, lineno, line))
-            raw.append((parts[0], parts[1], parts[2]))
-    if not raw:
-        raise EmptyGraphError("%s: no triplets" % triplet_file)
+            if len(parts) != n_fields or not all(parts):
+                raise KGParseError("%s:%d: expected %s, got %r" % (path, lineno, layout, line))
+            yield lineno, parts
 
-    for h, r, t in raw:
+
+def kg_from_triplets(triplets) -> tuple[KnowledgeGraph, EntityVocab, RelationVocab]:
+    """Graph and vocabularies of (head, relation, tail) name triplets.
+
+    Entity and relation ids follow first appearance in triplet order, after
+    the reserved interaction-link relations. Triplets are kept directed as
+    given; the GNN reads every edge in both directions itself.
+    """
+    entities = EntityVocab()
+    relations = RelationVocab()
+    for h, r, t in triplets:
         entities.add(h)
         relations.add(r)
         entities.add(t)
-
     g = KnowledgeGraph(len(entities), len(relations))
-    for h, r, t in raw:
-        g.add(entities.lookup(h), relations.ids[r], entities.lookup(t))
+    for h, r, t in triplets:
+        g.add(entities.ids[h], relations.ids[r], entities.ids[t])
+    return g, entities, relations
 
+
+def load_kg(triplet_file: str, alias_file: str | None = None
+            ) -> tuple[KnowledgeGraph, EntityVocab, RelationVocab]:
+    """Load a triplet TSV (see kg_from_triplets), then merge an optional alias TSV."""
+    triplets = [parts for _, parts in _read_tsv_rows(triplet_file, "head<TAB>relation<TAB>tail")]
+    if not triplets:
+        raise EmptyGraphError("%s: no triplets" % triplet_file)
+    g, entities, relations = kg_from_triplets(triplets)
     if alias_file is not None:
         load_aliases(alias_file, entities)
     return g, entities, relations
@@ -195,22 +198,7 @@ def load_kg(triplet_file: str, alias_file: str | None = None
 
 def load_aliases(alias_file: str, entities: EntityVocab) -> None:
     """Merge a `surface<TAB>entity_name` TSV into the vocab's alias table."""
-    with open(alias_file, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not all(parts):
-                raise KGParseError("%s:%d: expected surface<TAB>entity_name, got %r"
-                                   % (alias_file, lineno, line))
-            surface, name = parts
-            if name not in entities.ids:
-                raise KGParseError("%s:%d: unknown entity %r" % (alias_file, lineno, name))
-            entities.aliases[surface.lower()] = entities.ids[name]
-
-
-def save_kg(g: KnowledgeGraph, entities: EntityVocab, relations: RelationVocab, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for h, r, t in g.triplets:
-            fh.write("%s\t%s\t%s\n" % (entities.name(h), relations.name(r), entities.name(t)))
+    for lineno, (surface, name) in _read_tsv_rows(alias_file, "surface<TAB>entity_name"):
+        if name not in entities.ids:
+            raise KGParseError("%s:%d: unknown entity %r" % (alias_file, lineno, name))
+        entities.aliases[surface.lower()] = entities.ids[name]

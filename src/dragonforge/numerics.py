@@ -2,7 +2,7 @@
 
 Values live in numpy arrays (float32 for training, switchable to float64 for
 gradient checking). Every differentiable operation records itself on the
-active ComputationTape; backward() replays the tape in exact reverse order.
+active ComputationTape, whose backward() replays it in exact reverse order.
 Any forward op that produces a non-finite value raises NumericError at the
 op boundary instead of letting NaN/Inf propagate.
 """
@@ -80,10 +80,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.values.shape
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ContractError("item() on non-scalar tensor of shape %s" % (self.shape,))
@@ -101,10 +97,9 @@ class Tensor:
 
 
 class _OpRecord:
-    __slots__ = ("inputs", "output", "backward_fn")
+    __slots__ = ("output", "backward_fn")
 
-    def __init__(self, inputs, output, backward_fn):
-        self.inputs = inputs
+    def __init__(self, output, backward_fn):
         self.output = output
         self.backward_fn = backward_fn
 
@@ -123,8 +118,8 @@ class ComputationTape:
         popped = _TAPE_STACK.pop()
         assert popped is self
 
-    def record(self, inputs, output, backward_fn) -> None:
-        self.records.append(_OpRecord(inputs, output, backward_fn))
+    def record(self, output, backward_fn) -> None:
+        self.records.append(_OpRecord(output, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         if loss.values.size != 1:
@@ -151,13 +146,6 @@ def active_tape() -> ComputationTape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def backward(loss: Tensor) -> None:
-    tape = active_tape()
-    if tape is None:
-        raise ContractError("backward() called with no active tape")
-    tape.backward(loss)
-
-
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericError("non-finite values produced by op %r" % op)
@@ -169,7 +157,7 @@ def _make(values: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable, o
     needs = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(values, requires_grad=needs)
     if needs:
-        tape.record(tuple(inputs), out, backward_fn)
+        tape.record(out, backward_fn)
     return out
 
 
@@ -212,6 +200,7 @@ def _binary(op: str, a: Tensor, b, vals: Callable, grad_a: Callable, grad_b: Cal
 
 
 def add(a: Tensor, b) -> Tensor:
+    """a + b; b may be a Tensor, an array or a Python float."""
     return _binary("add", a, b, np.add, lambda g, _: g, lambda g, _: g)
 
 
@@ -229,26 +218,6 @@ def neg(a: Tensor) -> Tensor:
             a.accumulate_grad(-g)
 
     return _make(-a.values, (a,), bk, "neg")
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def bk(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * c)
-
-    return _make(a.values * c, (a,), bk, "scale")
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def bk(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-
-    return _make(a.values + c, (a,), bk, "add_scalar")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -381,21 +350,6 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
                 a.accumulate_grad(np.broadcast_to(np.expand_dims(g / n, axis), a.values.shape).copy())
 
     return _make(vals, (a,), bk, "reduce_mean")
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.values.ndim <= axis < a.values.ndim:
-        raise ShapeError("softmax: axis %d invalid for shape %s" % (axis, a.shape))
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    vals = e / e.sum(axis=axis, keepdims=True)
-
-    def bk(g):
-        if a.requires_grad:
-            dot = (g * vals).sum(axis=axis, keepdims=True)
-            a.accumulate_grad(vals * (g - dot))
-
-    return _make(vals, (a,), bk, "softmax")
 
 
 def segment_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
@@ -612,10 +566,6 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
             logits.accumulate_grad(p * g[:, None])
 
     return _make(vals, (logits,), bk, "cross_entropy_with_logits")
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
 def constant(values) -> Tensor:

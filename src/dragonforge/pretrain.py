@@ -59,7 +59,7 @@ def apply_masking(seg: TextSegment, rate: float, rng: np.random.Generator) -> tu
     new_ids = list(seg.token_ids)
     for p in positions:
         new_ids[p] = MASK
-    return TextSegment(new_ids, seg.spans, seg.source), MaskingPlan(positions, originals)
+    return TextSegment(new_ids), MaskingPlan(positions, originals)
 
 
 @dataclass
@@ -182,7 +182,7 @@ def linkpred_loss(holdouts: list[tuple[EdgeHoldout, int]], node_vecs: Tensor,
             weights += [-1.0] + [1.0 / len(negs)] * len(negs)
     h, r, t = np.array(triples, dtype=np.int64).T
     phi = triplet_scores(nm.gather_rows(node_vecs, h), r, nm.gather_rows(node_vecs, t), head)
-    terms = nm.log_sigmoid(nm.add_scalar(phi, head.margin))
+    terms = nm.log_sigmoid(nm.add(phi, head.margin))
     return nm.reduce_sum(nm.mul(terms, np.array(weights) / len(holdouts)))
 
 
@@ -359,9 +359,7 @@ def prepare_examples(raw_segments: list[str], kg: KnowledgeGraph, entities: Enti
             budget = enc_cfg.max_seq_len - seg.length - 1
             suffix = verbalize_kg(local, entities, relations, token_vocab, budget=max(0, budget))
             if suffix:
-                ids = seg.token_ids + [SEP] + suffix
-                spans = seg.spans + [(-1, -1)] * (len(suffix) + 1)
-                seg = TextSegment(ids, spans, seg.source)
+                seg = TextSegment(seg.token_ids + [SEP] + suffix)
             local = dummy_local_kg()
         out.append((seg, local))
     return out

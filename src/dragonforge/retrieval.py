@@ -51,9 +51,6 @@ class TokenVocab:
     def id_of(self, token: str) -> int:
         return self.ids.get(token, UNK)
 
-    def token_of(self, tid: int) -> str:
-        return self.tokens[tid]
-
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -88,10 +85,8 @@ def build_vocab(corpus_file: str, min_freq: int = 2) -> TokenVocab:
 
 @dataclass
 class TextSegment:
-    """Token-id sequence with position 0 = [INT], plus char spans into the source."""
+    """Token-id sequence whose position 0 is the interaction token [INT]."""
     token_ids: list[int]
-    spans: list[tuple[int, int]]
-    source: str = ""
 
     def __post_init__(self):
         assert self.token_ids[0] == INT, "segment must start with the interaction token"
@@ -159,8 +154,7 @@ def link_entities(text: str, entities: EntityVocab, token_vocab: TokenVocab,
     """Greedy leftmost-longest dictionary match over lowercased tokens."""
     if alias_index is None:
         alias_index = build_alias_index(entities)
-    toks = tokenize(text)
-    words = [t for t, _, _ in toks]
+    words = [t for t, _, _ in tokenize(text)]
     linked: set[int] = set()
     i = 0
     while i < len(words):
@@ -171,9 +165,7 @@ def link_entities(text: str, entities: EntityVocab, token_vocab: TokenVocab,
                 matched = len(cand)
                 break
         i += matched if matched else 1
-    token_ids = [INT] + [token_vocab.id_of(w) for w in words]
-    spans = [(-1, -1)] + [(s, e) for _, s, e in toks]
-    return TextSegment(token_ids, spans, source=text), linked
+    return TextSegment([INT] + [token_vocab.id_of(w) for w in words]), linked
 
 
 def dummy_local_kg() -> LocalKG:

@@ -10,6 +10,7 @@ from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
 from dragonforge.cli import (DEFAULTS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                              RunConfig, main, parse_config_text)
+from dragonforge.kg_store import load_kg
 
 MICRO_WORLD = ["--set", "world.n_entities=30", "--set", "world.n_relations=3",
                "--set", "world.n_facts=150", "--set", "world.leak_rate=0.2",
@@ -273,3 +274,53 @@ def test_pretrain_rejects_malformed_vocab(world_dir, tmp_path, capsys, bad_line)
     assert code == EXIT_DATA
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "%s:%d:" % (vocab, n_lines + 1) in err[0]
+
+
+@pytest.mark.parametrize("bad_line", [
+    "[1, 2]",
+    '{"head": "a", "rel": "b", "tail": "c", "text": 5}',
+    '{"head": 3, "rel": "b", "tail": "c", "text": "a b c"}',
+], ids=["not_an_object", "text_not_a_string", "head_not_a_string"])
+def test_eval_lp_rejects_malformed_query_line(world_dir, pretrained, tmp_path, capsys, bad_line):
+    queries = tmp_path / "queries.jsonl"
+    first = open(os.path.join(world_dir, "lp_test.jsonl"), encoding="utf-8").readline()
+    queries.write_text(first + bad_line + "\n", encoding="utf-8")
+    code = main(["eval-lp", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"), "--test", str(queries),
+                 "--out", str(tmp_path / "lp")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: %s:2: " % queries)
+
+
+@pytest.fixture(scope="module")
+def finetuned(world_dir, pretrained, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("ft"))
+    code = main(["finetune", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--train", os.path.join(world_dir, "mcqa_easy_train.jsonl"),
+                 "--dev", os.path.join(world_dir, "mcqa_easy_dev.jsonl"),
+                 "--out", out, "--set", "finetune.epochs=1"])
+    assert code == EXIT_OK
+    return os.path.join(out, "finetuned.drgn")
+
+
+@pytest.mark.parametrize("command", ["eval-qa", "eval-lp"])
+def test_kg_that_disagrees_with_checkpoint_vocab_exits_data_error(world_dir, finetuned, tmp_path,
+                                                                  capsys, command):
+    # the same triplets in another line order give the entities other ids
+    lines = open(os.path.join(world_dir, "kg.tsv"), encoding="utf-8").read().splitlines()
+    shuffled = tmp_path / "kg.tsv"
+    shuffled.write_text("".join(lines[i] + "\n" for i in np.random.default_rng(0).permutation(len(lines))),
+                        encoding="utf-8")
+    _, _, entities, _, _ = pt.load_checkpoint(finetuned)
+    _, shuffled_entities, _ = load_kg(str(shuffled))
+    i = next(i for i, (a, b) in enumerate(zip(shuffled_entities.names, entities.names)) if a != b)
+    data = ["--data", os.path.join(world_dir, "mcqa_easy_test.jsonl")] if command == "eval-qa" \
+        else ["--test", os.path.join(world_dir, "lp_test.jsonl")]
+    code = main([command, "--checkpoint", finetuned, "--kg", str(shuffled),
+                 "--out", str(tmp_path / "o")] + data)
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: %s: entity id %d is %r, but %r in checkpoint %s"
+        % (shuffled, i, shuffled_entities.names[i], entities.names[i], finetuned)]

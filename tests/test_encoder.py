@@ -20,7 +20,7 @@ def tiny_cfg(**kw):
 
 
 def make_segment(ids):
-    return TextSegment([INT] + list(ids), [(-1, -1)] * (len(ids) + 1))
+    return TextSegment([INT] + list(ids))
 
 
 def chain_local(n_entities=3):

@@ -158,6 +158,18 @@ def test_load_mcqa_and_errors(tmp_path):
     with pytest.raises(ft.DataError):
         ft.load_mcqa(str(single))
 
+    # no silent coercion: choices must be a list of strings, gold an integer
+    for i, rec in enumerate([{"question": "q", "choices": "ptvl", "gold": 1},
+                             {"question": "q", "choices": ["a", 2], "gold": 1},
+                             {"question": "q", "choices": ["a", "b"], "gold": 1.0},
+                             {"question": "q", "choices": ["a", "b"], "gold": 1.5},
+                             {"question": "q", "choices": ["a", "b"], "gold": True},
+                             {"question": 7, "choices": ["a", "b"], "gold": 1}]):
+        coerced = tmp_path / ("coerced%d.jsonl" % i)
+        coerced.write_text("\n" + json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(ft.DataError, match="coerced%d.jsonl:2:" % i):
+            ft.load_mcqa(str(coerced))
+
 
 def test_subsample_exact_count_and_seeded():
     examples = [ft.MCQAExample("q%d" % i, ["a", "b"], 0) for i in range(37)]
@@ -194,12 +206,12 @@ def test_choice_order_invariance_of_argmax():
     alias_index = build_alias_index(entities)
     for i, ex in enumerate(data[:6]):
         inputs = ft.prepare_choice_inputs(ex, kg, entities, tv, enc_cfg, 0, i, alias_index)
-        logits, _ = ft.choice_logits(inputs, params, enc_cfg, mode="eval")
+        logits = ft.choice_logits(inputs, params, enc_cfg)
         perm = rng.permutation(len(ex.choices)).tolist()
         permuted = ft.MCQAExample(ex.question, [ex.choices[p] for p in perm],
                                   perm.index(ex.gold))
         inputs2 = ft.prepare_choice_inputs(permuted, kg, entities, tv, enc_cfg, 0, i, alias_index)
-        logits2, _ = ft.choice_logits(inputs2, params, enc_cfg, mode="eval")
+        logits2 = ft.choice_logits(inputs2, params, enc_cfg)
         np.testing.assert_allclose(logits2.values[0], logits.values[0][perm], atol=1e-5)
 
 

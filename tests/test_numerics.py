@@ -2,7 +2,9 @@
 tape determinism, and numeric-guard behavior."""
 
 import ast
+import glob
 import inspect
+import os
 
 import numpy as np
 import pytest
@@ -54,23 +56,29 @@ def test_matmul_shape_error_names_both_shapes():
         nm.matmul(nm.constant(np.ones((2, 3))), nm.constant(np.ones((2, 3))))
 
 
+# the library's softmax is segment_softmax: a softmax over the rows that
+# share a segment id, column by column
+
+
 def test_softmax_symmetry_and_stability():
-    np.testing.assert_allclose(nm.softmax(nm.constant([0.0, 0.0])).values, [0.5, 0.5], atol=1e-7)
-    np.testing.assert_allclose(nm.softmax(nm.constant([1000.0, 1000.0])).values, [0.5, 0.5], atol=1e-7)
+    for score in (0.0, 1000.0):
+        out = nm.segment_softmax(nm.constant([[score], [score]]), [0, 0], 1)
+        np.testing.assert_allclose(out.values[:, 0], [0.5, 0.5], atol=1e-7)
 
 
 def test_softmax_against_direct_formula():
     with nm.float64_mode():
         x = rng(4).normal(size=7)
-        out = nm.softmax(nm.Tensor(x))
+        out = nm.segment_softmax(nm.Tensor(x[:, None]), np.zeros(7, dtype=int), 1)
         expected = np.exp(x) / np.exp(x).sum()
-        assert np.abs(out.values - expected).max() < 1e-7
+        assert np.abs(out.values[:, 0] - expected).max() < 1e-7
 
 
 def test_softmax_rows_sum_to_one():
+    # segment i holds the nine scores of row i of x
     x = rng(5).normal(size=(6, 9)) * 10
-    sums = nm.softmax(nm.constant(x), axis=-1).values.sum(axis=-1)
-    np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+    out = nm.segment_softmax(nm.constant(x.reshape(-1, 1)), np.repeat(np.arange(6), 9), 6)
+    np.testing.assert_allclose(out.values.reshape(6, 9).sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_layer_norm_constant_row_is_zero():
@@ -200,11 +208,6 @@ def test_backward_rejects_non_scalar():
             tape.backward(y)
 
 
-def test_backward_without_tape_raises():
-    with pytest.raises(nm.ContractError):
-        nm.backward(nm.constant([1.0]))
-
-
 def test_backward_twice_on_one_tape_raises():
     # backward releases each op's saved arrays once it has passed them on
     x = nm.Tensor([2.0], requires_grad=True)
@@ -226,8 +229,7 @@ OPS = [
     ("sub", lambda ts: nm.reduce_sum(nm.sub(ts[0], ts[1])), [(3, 4), (3, 4)]),
     ("mul", lambda ts: nm.reduce_sum(nm.mul(ts[0], ts[1])), [(3, 4), (3, 4)]),
     ("neg", lambda ts: nm.reduce_sum(nm.neg(ts[0])), [(3, 4)]),
-    ("scale", lambda ts: nm.reduce_sum(nm.scale(ts[0], 1.7)), [(5,)]),
-    ("add_scalar", lambda ts: nm.reduce_sum(nm.add_scalar(ts[0], 0.3)), [(5,)]),
+    ("add_scalar", lambda ts: nm.reduce_sum(nm.add(ts[0], 0.3)), [(5,)]),
     ("matmul", lambda ts: nm.reduce_sum(nm.matmul(ts[0], ts[1])), [(3, 4), (4, 2)]),
     ("reshape", lambda ts: nm.reduce_sum(nm.mul(nm.reshape(ts[0], (2, 6)), nm.reshape(ts[0], (2, 6)))), [(3, 4)]),
     ("concat", lambda ts: nm.reduce_sum(nm.mul(nm.concat(ts, axis=0), nm.concat(ts, axis=0))), [(2, 3), (4, 3)]),
@@ -239,11 +241,10 @@ OPS = [
     ("reduce_mean", lambda ts: nm.reduce_mean(nm.mul(ts[0], ts[0])), [(3, 4)]),
     ("reduce_mean_axis", lambda ts: nm.reduce_sum(nm.mul(nm.reduce_mean(ts[0], axis=0),
                                                          nm.reduce_mean(ts[0], axis=0))), [(3, 4)]),
-    ("softmax", lambda ts: nm.reduce_sum(nm.mul(nm.softmax(ts[0], axis=-1), ts[0])), [(3, 5)]),
     ("layer_norm", lambda ts: nm.reduce_sum(nm.mul(nm.layer_norm(ts[0], ts[1], ts[2]), ts[0])), [(3, 4), (4,), (4,)]),
     ("gelu", lambda ts: nm.reduce_sum(nm.gelu(ts[0])), [(3, 4)]),
     ("log_sigmoid", lambda ts: nm.reduce_sum(nm.log_sigmoid(ts[0])), [(3, 4)]),
-    ("sqrt", lambda ts: nm.reduce_sum(nm.sqrt(nm.add_scalar(nm.mul(ts[0], ts[0]), 0.5))), [(3, 4)]),
+    ("sqrt", lambda ts: nm.reduce_sum(nm.sqrt(nm.add(nm.mul(ts[0], ts[0]), 0.5))), [(3, 4)]),
     ("cos", lambda ts: nm.reduce_sum(nm.cos(ts[0])), [(3, 4)]),
     ("sin", lambda ts: nm.reduce_sum(nm.sin(ts[0])), [(3, 4)]),
     ("dropout", lambda ts: nm.reduce_sum(nm.mul(nm.dropout(ts[0], 0.3, keep_mask((3, 4), 0.3, 5)), ts[0])),
@@ -305,6 +306,42 @@ def test_every_taped_op_has_a_finite_difference_case(monkeypatch):
     ops = _taped_op_names()
     assert {"add", "sub", "mul", "matmul", "dropout"} <= ops
     assert ops <= exercised, "ops without a gradient case: %s" % sorted(ops - exercised)
+
+
+def _numerics_functions_called_by_library() -> set[str]:
+    """Names of numerics functions called from the other dragonforge modules,
+    through `from . import numerics as nm` or `from .numerics import name`."""
+    called = set()
+    for path in glob.glob(os.path.join(os.path.dirname(nm.__file__), "*.py")):
+        if os.path.basename(path) == "numerics.py":
+            continue
+        tree = ast.parse(open(path, encoding="utf-8").read())
+        aliases, imported = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None and a.name == "numerics":
+                        aliases.add(a.asname or a.name)
+                    elif node.module == "numerics":
+                        imported[a.asname or a.name] = a.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in aliases:
+                called.add(f.attr)
+            elif isinstance(f, ast.Name) and f.id in imported:
+                called.add(imported[f.id])
+    return called
+
+
+def test_every_taped_op_has_a_library_caller():
+    # an op that only the tests call is dead code that still needs its own
+    # gradient case; op names are the names of the functions that record them
+    ops = _taped_op_names()
+    called = _numerics_functions_called_by_library()
+    assert {"matmul", "segment_softmax", "attention"} <= called
+    assert ops <= called, "taped ops without a library caller: %s" % sorted(ops - called)
 
 
 @pytest.mark.parametrize("name,fn,shapes", OPS, ids=[o[0] for o in OPS])

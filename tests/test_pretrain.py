@@ -13,7 +13,7 @@ from dragonforge.retrieval import INT, MASK, PAD, SEP, LocalKG, TextSegment, V_I
 
 
 def make_segment(ids):
-    return TextSegment([INT] + list(ids), [(-1, -1)] * (len(ids) + 1))
+    return TextSegment([INT] + list(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +54,7 @@ def test_masking_never_touches_reserved_positions():
 
 
 def test_masking_empty_segment_flagged():
-    seg = TextSegment([INT, SEP, PAD], [(-1, -1)] * 3)
+    seg = TextSegment([INT, SEP, PAD])
     out, plan = pt.apply_masking(seg, 0.5, nm.split_rng(4, "m"))
     assert plan.flagged_empty and len(plan) == 0
     assert out.token_ids == seg.token_ids

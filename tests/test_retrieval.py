@@ -211,7 +211,7 @@ def test_verbalize_single_edge_template():
     local = rt.LocalKG(nodes=[rt.V_INT, 0, 1], edges=[(0, R_EL, 1), (1, rv.ids["at_location"], 2)],
                        linked={0})
     suffix = rt.verbalize_kg(local, ev, rv, tv)
-    words = [tv.token_of(t) for t in suffix]
+    words = [tv.tokens[t] for t in suffix]
     assert words == ["round", "brush", "at", "location", "hair"]
 
 
