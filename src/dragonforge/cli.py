@@ -22,8 +22,8 @@ from . import pretrain as pt
 from .encoder import EncoderConfig
 from .finetune import (DataError, FinetuneConfig, evaluate_mcqa, finetune_mcqa,
                        load_mcqa, read_jsonl)
-from .kg_store import EmptyGraphError, KGParseError, load_kg
-from .retrieval import (TokenVocab, build_vocab, link_entities, retrieve_local_kg,
+from .kg_store import EmptyGraphError, KGParseError, Vocab, load_kg
+from .retrieval import (RESERVED_TOKENS, build_vocab, link_entities, retrieve_local_kg,
                         segment_corpus)
 
 SEED_ENV_VAR = "DRAGONFORGE_SEED"
@@ -288,9 +288,9 @@ def _load_checkpoint_bundle(args, flags: RunConfig):
 
 def _cmd_build_vocab(args, cfg: RunConfig) -> int:
     vocab = build_vocab(args.corpus, min_freq=cfg["vocab.min_freq"])
-    os.makedirs(args.out, exist_ok=True)
-    vocab.save_tsv(os.path.join(args.out, "vocab.tsv"))
-    _write_effective_config(cfg, args.out)
+    _write_effective_config(cfg, args.out)   # makes the directory
+    with open(os.path.join(args.out, "vocab.tsv"), "w", encoding="utf-8") as fh:
+        fh.write(vocab.to_tsv())
     print("wrote %d tokens to %s" % (len(vocab), os.path.join(args.out, "vocab.tsv")))
     return EXIT_OK
 
@@ -307,7 +307,8 @@ def _cmd_gen_synthetic(args, cfg: RunConfig) -> int:
 def _cmd_pretrain(args, cfg: RunConfig) -> int:
     kg, entities, relations = load_kg(args.kg, alias_file=args.aliases)
     if args.vocab:
-        token_vocab = TokenVocab.load_tsv(args.vocab)
+        with open(args.vocab, encoding="utf-8") as fh:
+            token_vocab = Vocab.from_tsv(fh.read(), args.vocab, RESERVED_TOKENS)
     else:
         token_vocab = build_vocab(args.corpus, min_freq=cfg["vocab.min_freq"])
     enc_cfg = cfg.encoder_config()
@@ -364,7 +365,7 @@ def _cmd_eval_qa(args, cfg_flags: RunConfig) -> int:
 def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
     params, token_vocab, entities, relations, cfg, kg = _load_checkpoint_bundle(args, cfg_flags)
     queries = read_jsonl(args.test, dict.fromkeys(("head", "rel", "tail", "text"), str), dict)
-    known_true = {(entities.name(h), relations.name(r), entities.name(t))
+    known_true = {(entities.names[h], relations.names[r], entities.names[t])
                   for h, r, t in kg.triplets}
     known_true |= {(q["head"], q["rel"], q["tail"]) for q in queries}
     enc_cfg = cfg.encoder_config()

@@ -18,12 +18,11 @@ import numpy as np
 from . import numerics as nm
 from .encoder import BIDIRECTIONAL, CONCAT_AT_END, EncoderConfig, encode
 from .finetune import FinetuneConfig, MCQAExample, evaluate_mcqa, finetune_mcqa, pool
-from .kg_store import EntityVocab, KnowledgeGraph, RelationVocab, kg_from_triplets
+from .kg_store import EntityVocab, KnowledgeGraph, Vocab, kg_from_triplets
 from .numerics import Tensor
 from .pretrain import (LinkPredHead, PretrainConfig, Optimizer, linkpred_head, train,
                        train_step, triplet_scores)
-from .retrieval import (TokenVocab, build_alias_index, build_vocab_from_texts, link_entities,
-                        retrieve_local_kg)
+from .retrieval import build_alias_index, build_vocab_from_texts, link_entities, retrieve_local_kg
 
 
 @dataclass
@@ -109,12 +108,9 @@ class SyntheticWorld:
         docs = self.train_docs if split == "train" else self.eval_docs
         return docs[di].replace("\n", " ")
 
-    def build_kg(self) -> tuple[KnowledgeGraph, EntityVocab, RelationVocab]:
+    def build_kg(self) -> tuple[KnowledgeGraph, EntityVocab, Vocab]:
         """The KG facts in the order write_files puts them in kg.tsv."""
         return kg_from_triplets([self.facts[i] for i in self.kg_fact_indices()])
-
-    def build_token_vocab(self, min_freq: int = 2) -> TokenVocab:
-        return build_vocab_from_texts(self.train_docs, min_freq=min_freq)
 
     def raw_segments(self, split: str = "train") -> list[str]:
         docs = self.train_docs if split == "train" else self.eval_docs
@@ -130,14 +126,14 @@ class SyntheticWorld:
     def known_true_names(self) -> set[tuple[str, str, str]]:
         return set(self.facts)
 
-    def mcqa_dataset(self, n_choices: int = 4, distractors: str = "adversarial",
-                     splits: tuple[float, float] = (0.6, 0.15)) -> dict[str, list[MCQAExample]]:
+    def mcqa_dataset(self, distractors: str = "adversarial") -> dict[str, list[MCQAExample]]:
         """Questions `head rel ?` from KG-withheld-from-text facts.
 
         adversarial distractors are tails connected to the head through a
         different relation; random distractors are entities unconnected to
         the head. Train/dev/test splits are disjoint by fact.
         """
+        n_choices, splits = 4, (0.6, 0.15)   # splits: train and dev shares
         if distractors not in ("adversarial", "random"):
             raise ValueError("unknown distractor mode %r" % distractors)
         rng = nm.split_rng(self.seed, "mcqa/" + distractors)
@@ -409,8 +405,8 @@ class NonContextualScorer:
 
 
 def eval_link_prediction(scorer, queries: list[dict], kg: KnowledgeGraph,
-                         entities: EntityVocab, token_vocab: TokenVocab,
-                         relations: RelationVocab, enc_cfg: EncoderConfig,
+                         entities: EntityVocab, token_vocab: Vocab,
+                         relations: Vocab, enc_cfg: EncoderConfig,
                          known_true: set[tuple[str, str, str]], seed: int = 0,
                          filtered: bool = True) -> RankingReport:
     """Rank the gold tail against local-graph candidates for each query.
@@ -428,7 +424,7 @@ def eval_link_prediction(scorer, queries: list[dict], kg: KnowledgeGraph,
         if h_name not in entities.ids or t_name not in entities.ids or r_name not in relations.ids:
             skipped += 1
             continue
-        h, t, r = entities.lookup(h_name), entities.lookup(t_name), relations.ids[r_name]
+        h, t, r = entities.ids[h_name], entities.ids[t_name], relations.ids[r_name]
         seg, v_el = link_entities(q["text"], entities, token_vocab, alias_index)
         local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, nm.split_rng(seed, "lp_retrieval", qi))
         node_set = set(local.entity_ids())
@@ -438,7 +434,7 @@ def eval_link_prediction(scorer, queries: list[dict], kg: KnowledgeGraph,
         candidates = [c for c in local.entity_ids() if c != h]
         if filtered:
             candidates = [c for c in candidates
-                          if c == t or (h_name, r_name, entities.name(c)) not in known_true]
+                          if c == t or (h_name, r_name, entities.names[c]) not in known_true]
         if t not in candidates or len(candidates) < 2:
             skipped += 1
             continue
@@ -448,10 +444,9 @@ def eval_link_prediction(scorer, queries: list[dict], kg: KnowledgeGraph,
 
 
 def train_distmult_baseline(kg: KnowledgeGraph, d: int = 32, steps: int = 600,
-                            batch_size: int = 128, lr: float = 1e-2,
-                            n_negatives: int = 8, margin: float = 0.0,
                             seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Plain DistMult embeddings trained on the KG triplets alone."""
+    """Plain DistMult embeddings trained on the KG triplets alone (margin 0)."""
+    batch_size, lr, n_negatives = 128, 1e-2, 8
     rng = nm.split_rng(seed, "distmult_baseline")
     init = nm.split_rng(seed, "distmult_baseline_init")
     ent = Tensor(init.normal(0, 0.2, size=(kg.n_entities, d)), requires_grad=True, name="other.ent")
@@ -459,16 +454,15 @@ def train_distmult_baseline(kg: KnowledgeGraph, d: int = 32, steps: int = 600,
     params = {"other.ent": ent, "other.rel": rel}
     opt = Optimizer(params, lr_lm=lr, lr_other=lr, total_steps=steps, warmup_ratio=0.05)
     triplets = np.array(kg.triplets, dtype=np.int64)
-    head = LinkPredHead(scorer="distmult", margin=margin, relations=rel)
+    head = LinkPredHead(scorer="distmult", margin=0.0, relations=rel)
 
     def batch_loss(pos: np.ndarray, neg: np.ndarray) -> tuple[Tensor]:
         pos_s = triplet_scores(nm.gather_rows(ent, pos[:, 0]), pos[:, 1],
                                nm.gather_rows(ent, pos[:, 2]), head)
         neg_s = triplet_scores(nm.gather_rows(ent, neg[:, 0]), neg[:, 1],
                                nm.gather_rows(ent, neg[:, 2]), head)
-        loss = nm.add(
-            nm.neg(nm.reduce_mean(nm.log_sigmoid(nm.add(pos_s, margin)))),
-            nm.reduce_mean(nm.log_sigmoid(nm.add(neg_s, margin))))
+        loss = nm.add(nm.neg(nm.reduce_mean(nm.log_sigmoid(pos_s))),
+                      nm.reduce_mean(nm.log_sigmoid(neg_s)))
         return (loss,)
 
     for step in range(steps):
@@ -498,7 +492,7 @@ def run_ablation_cell(world: SyntheticWorld, enc_cfg: EncoderConfig,
                       seed: int, lp_query_limit: int | None = None,
                       mcqa_data: dict | None = None) -> dict:
     kg, entities, relations = world.build_kg()
-    token_vocab = world.build_token_vocab()
+    token_vocab = build_vocab_from_texts(world.train_docs)
     e_cfg = replace(enc_cfg, fusion=fusion)
     p_cfg = replace(pre_cfg, objective=objective, scorer=scorer, seed=seed,
                     kg_mode="graph" if kg_structure == "graph" else "verbalized")

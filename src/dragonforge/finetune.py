@@ -19,11 +19,11 @@ import numpy as np
 from . import numerics as nm
 from .encoder import (NORMAL, EncoderConfig, EncoderOutput, encode_batch, init_param,
                       segment_attention)
-from .kg_store import EntityVocab, KnowledgeGraph
+from .kg_store import EntityVocab, KnowledgeGraph, Vocab
 from .numerics import Tensor
 from .pretrain import Optimizer, train_step
-from .retrieval import (SEP, LocalKG, TextSegment, TokenVocab, build_alias_index,
-                        link_entities, retrieve_local_kg)
+from .retrieval import (SEP, LocalKG, TextSegment, build_alias_index, link_entities,
+                        retrieve_local_kg)
 
 
 class DataError(ValueError):
@@ -134,7 +134,7 @@ class FinetuneConfig:
 
 
 def prepare_choice_inputs(ex: MCQAExample, kg: KnowledgeGraph, entities: EntityVocab,
-                          token_vocab: TokenVocab, enc_cfg: EncoderConfig, seed: int,
+                          token_vocab: Vocab, enc_cfg: EncoderConfig, seed: int,
                           example_idx: int, alias_index: dict
                           ) -> list[tuple[TextSegment, LocalKG]]:
     """One (segment, local KG) per choice, retrieved from question + choice."""
@@ -160,7 +160,7 @@ def choice_logits(inputs: list[tuple[TextSegment, LocalKG]], params: dict[str, T
 
 
 def evaluate_mcqa(examples: list[MCQAExample], kg: KnowledgeGraph, entities: EntityVocab,
-                  token_vocab: TokenVocab, params: dict[str, Tensor],
+                  token_vocab: Vocab, params: dict[str, Tensor],
                   enc_cfg: EncoderConfig, seed: int = 0) -> dict:
     """Accuracy report {split-agnostic}: n, accuracy, per_choice_count."""
     alias_index = build_alias_index(entities)
@@ -190,7 +190,7 @@ def subsample(examples: list[MCQAExample], fraction: float, seed: int) -> list[M
 
 
 def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExample],
-                  kg: KnowledgeGraph, entities: EntityVocab, token_vocab: TokenVocab,
+                  kg: KnowledgeGraph, entities: EntityVocab, token_vocab: Vocab,
                   params: dict[str, Tensor], enc_cfg: EncoderConfig, cfg: FinetuneConfig
                   ) -> tuple[dict[str, Tensor], list[dict]]:
     """Train the pooling head (and encoder) on MCQA; dev-accuracy early stopping.

@@ -4,11 +4,13 @@ Triplet files are TSV lines `head<TAB>relation<TAB>tail`. Edges are stored
 directed as written; inverse traversal is an index property. The relation
 vocabulary reserves an interaction-link relation (and its inverse name) ahead
 of file-defined relations, so local graphs can wire the interaction node.
+
+Tokens, entities and relations are each a `Vocab`; `name_table` and
+`read_name_table` are the one `name<TAB>id` codec of vocab.tsv files and of
+a checkpoint's tokens, entities, relations and aliases tables.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 
 class KGParseError(ValueError):
@@ -24,79 +26,88 @@ R_EL = 0
 R_EL_INV = 1
 R_EL_NAME = "[R_EL]"
 R_EL_INV_NAME = "[R_EL_INV]"
+RESERVED_RELATIONS = (R_EL_NAME, R_EL_INV_NAME)
 
 # Edge direction tags used by adjacency entries and GNN messages
 DIR_OUT = 0  # the queried node is the head
 DIR_IN = 1   # the queried node is the tail
 
 
-def read_vocab_tsv(text: str, source: str, vocab):
-    """Fill an empty vocabulary (token, entity or relation) from a
-    `name<TAB>id` table whose ids count 0, 1, 2, ... in line order; returns it.
+def name_table(pairs) -> str:
+    """`name<TAB>id` lines of (name, id) pairs."""
+    return "".join("%s\t%d\n" % pair for pair in pairs)
 
-    Blank lines are skipped. A line without a tab, an id out of sequence or a
-    repeated name raises ValueError naming the source and the line.
-    """
+
+def read_name_table(text: str, source: str, n_ids: int | None = None):
+    """Yield (line number, name, id) per non-blank line; a line without a tab or
+    a plain decimal id below n_ids (if given) raises ValueError naming it."""
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
-        expected = len(vocab)
-        name, tab, nid = line.partition("\t")
-        # add() returns the earlier id for a repeated name
-        if not tab or nid != str(expected) or vocab.add(name) != expected:
-            raise ValueError("%s:%d: expected a new name<TAB>%d, got %r"
-                             % (source, lineno, expected, line))
-    return vocab
+        name, _, nid = line.partition("\t")
+        i = int(nid) if nid.isdecimal() else -1
+        if i < 0 or str(i) != nid or (n_ids is not None and i >= n_ids):
+            raise ValueError("%s:%d: expected name<TAB>id%s, got %r"
+                             % (source, lineno, "" if n_ids is None else " below %d" % n_ids, line))
+        yield lineno, name, i
+
+
+class Vocab:
+    """Names under dense ids 0, 1, 2, ...; the first ids hold `reserved`."""
+
+    def __init__(self, reserved: tuple[str, ...] = ()):
+        self.names: list[str] = []
+        self.ids: dict[str, int] = {}
+        for name in reserved:
+            self.add(name)
+
+    def add(self, name: str) -> int:
+        """The id of `name`, which a new name gets as the next dense id."""
+        if name not in self.ids:
+            self.ids[name] = len(self.names)
+            self.names.append(name)
+        return self.ids[name]
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def to_tsv(self) -> str:
+        return name_table((name, i) for i, name in enumerate(self.names))
+
+    @classmethod
+    def from_tsv(cls, text: str, source: str, reserved: tuple[str, ...] = ()) -> "Vocab":
+        """Read a to_tsv table back; ids out of line order, a repeated name or
+        reserved names not first in order raise ValueError naming the line."""
+        vocab = cls(reserved)
+        n = 0
+        for lineno, name, nid in read_name_table(text, source):
+            # add() returns a reserved or repeated name's earlier id
+            if nid != n or vocab.add(name) != n:
+                raise ValueError("%s:%d: expected %s<TAB>%d, got %r"
+                                 % (source, lineno, reserved[n] if n < len(reserved) else "a new name",
+                                    n, "%s\t%d" % (name, nid)))
+            n += 1
+        if n < len(reserved):
+            raise ValueError("%s:%d: expected %s<TAB>%d, got the end of the table"
+                             % (source, text.count("\n") + 1, reserved[n], n))
+        return vocab
 
 
 def default_surface(name: str) -> str:
     return name.lower().replace("_", " ")
 
 
-@dataclass
-class EntityVocab:
-    names: list[str] = field(default_factory=list)
-    ids: dict[str, int] = field(default_factory=dict)
-    # surface form -> entity id (defaults to the entity name itself)
-    aliases: dict[str, int] = field(default_factory=dict)
+class EntityVocab(Vocab):
+    """Entity names plus aliases: surface form -> id, defaulting to the name's."""
+
+    def __init__(self, reserved: tuple[str, ...] = ()):
+        self.aliases: dict[str, int] = {}
+        super().__init__(reserved)
 
     def add(self, name: str) -> int:
-        if name in self.ids:
-            return self.ids[name]
-        eid = len(self.names)
-        self.names.append(name)
-        self.ids[name] = eid
-        self.aliases.setdefault(default_surface(name), eid)
-        return eid
-
-    def name(self, eid: int) -> str:
-        return self.names[eid]
-
-    def lookup(self, name: str) -> int:
+        if name not in self.ids:
+            self.aliases.setdefault(default_surface(name), super().add(name))
         return self.ids[name]
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-
-@dataclass
-class RelationVocab:
-    names: list[str] = field(default_factory=lambda: [R_EL_NAME, R_EL_INV_NAME])
-    ids: dict[str, int] = field(default_factory=lambda: {R_EL_NAME: R_EL, R_EL_INV_NAME: R_EL_INV})
-
-    def add(self, name: str) -> int:
-        if name in self.ids:
-            return self.ids[name]
-        rid = len(self.names)
-        self.names.append(name)
-        self.ids[name] = rid
-        return rid
-
-    def name(self, rid: int) -> str:
-        return self.names[rid]
-
-    def __len__(self) -> int:
-        return len(self.names)
 
 
 class KnowledgeGraph:
@@ -165,7 +176,7 @@ def _read_tsv_rows(path: str, layout: str):
             yield lineno, parts
 
 
-def kg_from_triplets(triplets) -> tuple[KnowledgeGraph, EntityVocab, RelationVocab]:
+def kg_from_triplets(triplets) -> tuple[KnowledgeGraph, EntityVocab, Vocab]:
     """Graph and vocabularies of (head, relation, tail) name triplets.
 
     Entity and relation ids follow first appearance in triplet order, after
@@ -173,7 +184,7 @@ def kg_from_triplets(triplets) -> tuple[KnowledgeGraph, EntityVocab, RelationVoc
     given; the GNN reads every edge in both directions itself.
     """
     entities = EntityVocab()
-    relations = RelationVocab()
+    relations = Vocab(RESERVED_RELATIONS)
     for h, r, t in triplets:
         entities.add(h)
         relations.add(r)
@@ -185,7 +196,7 @@ def kg_from_triplets(triplets) -> tuple[KnowledgeGraph, EntityVocab, RelationVoc
 
 
 def load_kg(triplet_file: str, alias_file: str | None = None
-            ) -> tuple[KnowledgeGraph, EntityVocab, RelationVocab]:
+            ) -> tuple[KnowledgeGraph, EntityVocab, Vocab]:
     """Load a triplet TSV (see kg_from_triplets), then merge an optional alias TSV."""
     triplets = [parts for _, parts in _read_tsv_rows(triplet_file, "head<TAB>relation<TAB>tail")]
     if not triplets:

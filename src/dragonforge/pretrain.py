@@ -10,6 +10,7 @@ up through -log sigma, negatives pushed down through +log sigma.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -20,9 +21,10 @@ import numpy as np
 
 from . import numerics as nm
 from .encoder import NORMAL, EncoderConfig, encode_batch, init_param, init_params
-from .kg_store import EntityVocab, KnowledgeGraph, R_EL, RelationVocab, read_vocab_tsv
+from .kg_store import (RESERVED_RELATIONS, EntityVocab, KnowledgeGraph, R_EL, Vocab, name_table,
+                       read_name_table)
 from .numerics import Tensor
-from .retrieval import (MASK, PAD, SEP, LocalKG, TextSegment, TokenVocab, build_alias_index,
+from .retrieval import (MASK, PAD, RESERVED_TOKENS, SEP, LocalKG, TextSegment, build_alias_index,
                         dummy_local_kg, link_entities, retrieve_local_kg, verbalize_kg)
 
 SCORERS = ("distmult", "transe", "rotate")
@@ -32,6 +34,10 @@ KG_MODES = ("graph", "verbalized")
 
 class TrainingDiverged(ArithmeticError):
     """Loss went non-finite; the last periodic checkpoint remains on disk."""
+
+
+class CheckpointError(ValueError):
+    """Unreadable checkpoint file; the message names the path."""
 
 
 @dataclass
@@ -231,19 +237,19 @@ class PretrainConfig:
             raise ValueError("kg_mode: unknown value %r" % self.kg_mode)
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam moment decays and denominator floor
+
+
 class Optimizer:
     """Adam (optionally rectified) with two lr groups, warmup-then-decay."""
 
     def __init__(self, params: dict[str, Tensor], lr_lm: float, lr_other: float,
-                 total_steps: int, warmup_ratio: float = 0.1,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 rectified: bool = False):
+                 total_steps: int, warmup_ratio: float = 0.1, rectified: bool = False):
         self.params = params
         self.lr_lm = lr_lm
         self.lr_other = lr_other
         self.total_steps = total_steps
         self.warmup_steps = max(1, int(round(total_steps * warmup_ratio)))
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.rectified = rectified
         self.t = 0
         self._m = {k: np.zeros_like(p.values) for k, p in params.items()}
@@ -265,35 +271,27 @@ class Optimizer:
     def step(self, step: int) -> None:
         self.t += 1
         lr_lm, lr_other = self.learning_rates(step)
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
+        rect, adaptive = 1.0, True   # RAdam: momentum-only steps while rho_t <= 4
         if self.rectified:
-            rho_inf = 2.0 / (1.0 - b2) - 1.0
-            rho_t = rho_inf - 2.0 * self.t * (b2 ** self.t) / bc2
+            rho_inf = 2.0 / (1.0 - BETA2) - 1.0
+            rho_t = rho_inf - 2.0 * self.t * (BETA2 ** self.t) / bc2
+            adaptive = rho_t > 4.0
+            if adaptive:   # np.sqrt gives a float64, so the rectified step is float64
+                rect = np.sqrt(((rho_t - 4) * (rho_t - 2) * rho_inf)
+                               / ((rho_inf - 4) * (rho_inf - 2) * rho_t))
         for name, p in self.params.items():
             if p.grad is None or any(name.startswith(fp) for fp in self.frozen_prefixes):
                 continue
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / bc1
+            g, m, v = p.grad, self._m[name], self._v[name]
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * g * g
             lr = lr_lm if name.startswith("lm.") else lr_other
-            if self.rectified:
-                if rho_t > 4.0:
-                    vhat = np.sqrt(v / bc2)
-                    rect = np.sqrt(((rho_t - 4) * (rho_t - 2) * rho_inf)
-                                   / ((rho_inf - 4) * (rho_inf - 2) * rho_t))
-                    p.values -= (lr * rect * mhat / (vhat + self.eps)).astype(p.values.dtype)
-                else:
-                    p.values -= (lr * mhat).astype(p.values.dtype)
-            else:
-                vhat = np.sqrt(v / bc2)
-                p.values -= (lr * mhat / (vhat + self.eps)).astype(p.values.dtype)
+            denom = np.sqrt(v / bc2) + EPS if adaptive else 1.0
+            p.values -= (lr * rect * (m / bc1) / denom).astype(p.values.dtype)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -345,7 +343,7 @@ def linkpred_head(params: dict[str, Tensor], cfg: PretrainConfig) -> LinkPredHea
 
 
 def prepare_examples(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
-                     relations: RelationVocab, token_vocab: TokenVocab,
+                     relations: Vocab, token_vocab: Vocab,
                      enc_cfg: EncoderConfig, seed: int, kg_mode: str = "graph"
                      ) -> list[tuple[TextSegment, LocalKG]]:
     """Link + retrieve every raw segment; verbalized mode folds the local KG
@@ -366,7 +364,7 @@ def prepare_examples(raw_segments: list[str], kg: KnowledgeGraph, entities: Enti
 
 
 def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
-          relations: RelationVocab, token_vocab: TokenVocab,
+          relations: Vocab, token_vocab: Vocab,
           enc_cfg: EncoderConfig, cfg: PretrainConfig,
           metrics_path: str | None = None, checkpoint_path: str | None = None,
           config_text: str = "") -> tuple[dict[str, Tensor], list[dict]]:
@@ -469,27 +467,28 @@ def _write_blob(fh, data: bytes) -> None:
     fh.write(data)
 
 
+def _read(fh, fmt: str) -> tuple:
+    """struct.unpack the next bytes of fh; a short read raises CheckpointError."""
+    n = struct.calcsize(fmt)
+    data = fh.read(n)
+    if len(data) < n:
+        raise CheckpointError("%s: truncated at byte %d (%d more bytes expected)"
+                              % (fh.name, fh.tell(), n - len(data)))
+    return struct.unpack(fmt, data)
+
+
 def _read_blob(fh) -> bytes:
-    (n,) = struct.unpack("<I", fh.read(4))
-    return fh.read(n)
+    return _read(fh, "<%ds" % _read(fh, "<I")[0])[0]
 
 
-def _vocab_tsv(pairs) -> bytes:
-    return "".join("%s\t%d\n" % (k, v) for k, v in pairs).encode("utf-8")
-
-
-def save_checkpoint(path: str, params: dict[str, Tensor], token_vocab: TokenVocab,
-                    entities: EntityVocab, relations: RelationVocab,
-                    config_text: str = "") -> None:
+def save_checkpoint(path: str, params: dict[str, Tensor], token_vocab: Vocab,
+                    entities: EntityVocab, relations: Vocab, config_text: str = "") -> None:
     for name, p in params.items():
         if not np.all(np.isfinite(p.values)):
             raise nm.NumericError("refusing to checkpoint non-finite tensor %r" % name)
-    tables = [
-        ("tokens", _vocab_tsv((t, i) for i, t in enumerate(token_vocab.tokens))),
-        ("entities", _vocab_tsv((n, i) for i, n in enumerate(entities.names))),
-        ("relations", _vocab_tsv((n, i) for i, n in enumerate(relations.names))),
-        ("aliases", _vocab_tsv(sorted(entities.aliases.items()))),
-    ]
+    tables = [("tokens", token_vocab.to_tsv()), ("entities", entities.to_tsv()),
+              ("relations", relations.to_tsv()),
+              ("aliases", name_table(sorted(entities.aliases.items())))]
     # write a temp file beside the target, then rename over it: a crash
     # mid-write leaves the previous checkpoint whole
     tmp = "%s.tmp%d" % (path, os.getpid())
@@ -507,58 +506,56 @@ def _write_checkpoint(fh, params: dict[str, Tensor], tables: list, config_text: 
     fh.write(struct.pack("<I", CHECKPOINT_VERSION))
     _write_blob(fh, config_text.encode("utf-8"))
     fh.write(struct.pack("<I", len(tables)))
-    for name, payload in tables:
+    for name, text in tables:
         _write_blob(fh, name.encode("utf-8"))
-        _write_blob(fh, payload)
+        _write_blob(fh, text.encode("utf-8"))
     fh.write(struct.pack("<I", len(params)))
     for name in sorted(params):
         arr = np.ascontiguousarray(params[name].values, dtype="<f4")
         _write_blob(fh, name.encode("utf-8"))
-        fh.write(struct.pack("<B", 0))  # dtype tag: float32
-        fh.write(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            fh.write(struct.pack("<I", dim))
+        fh.write(struct.pack("<BB%dI" % arr.ndim, 0, arr.ndim, *arr.shape))  # dtype tag 0: float32
         fh.write(arr.tobytes(order="C"))
 
 
-def load_checkpoint(path: str) -> tuple[dict[str, Tensor], TokenVocab, EntityVocab,
-                                        RelationVocab, str]:
+def load_checkpoint(path: str) -> tuple[dict[str, Tensor], Vocab, EntityVocab, Vocab, str]:
+    """Parameters, token/entity/relation vocabularies and config text.
+
+    A file cut short or foreign, an unknown version or dtype, or a missing
+    table raises CheckpointError naming the path; a bad vocabulary or alias
+    table raises ValueError naming `<path> (<name> table):<line>`.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        (magic,) = _read(fh, "4s")
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError("%s: not a checkpoint (bad magic %r)" % (path, magic))
-        (version,) = struct.unpack("<I", fh.read(4))
+            raise CheckpointError("%s: not a checkpoint (bad magic %r)" % (path, magic))
+        (version,) = _read(fh, "<I")
         if version != CHECKPOINT_VERSION:
-            raise ValueError("%s: unsupported checkpoint version %d" % (path, version))
+            raise CheckpointError("%s: unsupported checkpoint version %d" % (path, version))
         config_text = _read_blob(fh).decode("utf-8")
-        (n_tables,) = struct.unpack("<I", fh.read(4))
         tables: dict[str, str] = {}
-        for _ in range(n_tables):
+        for _ in range(_read(fh, "<I")[0]):
             name = _read_blob(fh).decode("utf-8")
             tables[name] = _read_blob(fh).decode("utf-8")
 
-        def vocab(table: str, empty):
-            return read_vocab_tsv(tables[table], "%s (%s table)" % (path, table), empty)
+        def table(name: str) -> tuple[str, str]:
+            if name not in tables:
+                raise CheckpointError("%s: no %s table" % (path, name))
+            return tables[name], "%s (%s table)" % (path, name)
 
-        token_vocab = vocab("tokens", TokenVocab(tokens=[], ids={}))
-        entities = vocab("entities", EntityVocab())
-        entities.aliases = {}
-        for line in tables["aliases"].splitlines():
-            surface, eid = line.split("\t")
-            entities.aliases[surface] = int(eid)
-        relations = vocab("relations", RelationVocab(names=[], ids={}))
+        token_vocab = Vocab.from_tsv(*table("tokens"), RESERVED_TOKENS)
+        entities = EntityVocab.from_tsv(*table("entities"))
+        entities.aliases = {surface: eid for _, surface, eid
+                            in read_name_table(*table("aliases"), len(entities))}
+        relations = Vocab.from_tsv(*table("relations"), RESERVED_RELATIONS)
 
-        (n_tensors,) = struct.unpack("<I", fh.read(4))
         params: dict[str, Tensor] = {}
-        for _ in range(n_tensors):
+        for _ in range(_read(fh, "<I")[0]):
             name = _read_blob(fh).decode("utf-8")
-            (dtype_tag,) = struct.unpack("<B", fh.read(1))
+            dtype_tag, rank = _read(fh, "<BB")
             if dtype_tag != 0:
-                raise ValueError("unknown dtype tag %d for tensor %r" % (dtype_tag, name))
-            (rank,) = struct.unpack("<B", fh.read(1))
-            dims = [struct.unpack("<I", fh.read(4))[0] for _ in range(rank)]
-            count = int(np.prod(dims)) if dims else 1
-            arr = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(dims)
+                raise CheckpointError("%s: unknown dtype tag %d for tensor %r" % (path, dtype_tag, name))
+            dims = _read(fh, "<%dI" % rank)
+            arr = np.frombuffer(_read(fh, "%ds" % (4 * math.prod(dims)))[0], dtype="<f4").reshape(dims)
             t = Tensor(arr.astype(np.float32), requires_grad=True, name=name)
             if not np.all(np.isfinite(t.values)):
                 raise nm.NumericError("checkpoint tensor %r contains non-finite values" % name)

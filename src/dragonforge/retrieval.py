@@ -9,16 +9,16 @@ Segments with no linked entities fall back to a dummy single-node graph.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kg_store import EntityVocab, KnowledgeGraph, RelationVocab, R_EL, read_vocab_tsv
+from .kg_store import EntityVocab, KnowledgeGraph, R_EL, Vocab
 
 # Reserved token ids; bracketed uppercase forms cannot be produced by the
 # lowercasing tokenizer, so corpus tokens never collide with them.
 PAD, UNK, INT, MASK, SEP = 0, 1, 2, 3, 4
-RESERVED_TOKENS = ["[PAD]", "[UNK]", "[INT]", "[MASK]", "[SEP]"]
+RESERVED_TOKENS = ("[PAD]", "[UNK]", "[INT]", "[MASK]", "[SEP]")
 
 # Sentinel node ids inside LocalKG node lists
 V_INT = -1
@@ -35,50 +35,20 @@ def tokenize(text: str) -> list[tuple[str, int, int]]:
     return out
 
 
-@dataclass
-class TokenVocab:
-    tokens: list[str] = field(default_factory=lambda: list(RESERVED_TOKENS))
-    ids: dict[str, int] = field(default_factory=lambda: {t: i for i, t in enumerate(RESERVED_TOKENS)})
-
-    def add(self, token: str) -> int:
-        if token in self.ids:
-            return self.ids[token]
-        tid = len(self.tokens)
-        self.tokens.append(token)
-        self.ids[token] = tid
-        return tid
-
-    def id_of(self, token: str) -> int:
-        return self.ids.get(token, UNK)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def save_tsv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tid, tok in enumerate(self.tokens):
-                fh.write("%s\t%d\n" % (tok, tid))
-
-    @classmethod
-    def load_tsv(cls, path: str) -> "TokenVocab":
-        with open(path, encoding="utf-8") as fh:
-            return read_vocab_tsv(fh.read(), path, cls(tokens=[], ids={}))
-
-
-def build_vocab_from_texts(texts, min_freq: int = 2) -> TokenVocab:
+def build_vocab_from_texts(texts, min_freq: int = 2) -> Vocab:
     """Corpus-built vocabulary; tokens below min_freq map to [UNK]."""
     counts: dict[str, int] = {}
     for text in texts:
         for tok, _, _ in tokenize(text):
             counts[tok] = counts.get(tok, 0) + 1
-    vocab = TokenVocab()
+    vocab = Vocab(RESERVED_TOKENS)
     for tok in sorted(counts):
         if counts[tok] >= min_freq:
             vocab.add(tok)
     return vocab
 
 
-def build_vocab(corpus_file: str, min_freq: int = 2) -> TokenVocab:
+def build_vocab(corpus_file: str, min_freq: int = 2) -> Vocab:
     with open(corpus_file, encoding="utf-8") as fh:
         return build_vocab_from_texts(fh, min_freq=min_freq)
 
@@ -149,7 +119,7 @@ def build_alias_index(entities: EntityVocab) -> dict[str, list[tuple[tuple[str, 
     return index
 
 
-def link_entities(text: str, entities: EntityVocab, token_vocab: TokenVocab,
+def link_entities(text: str, entities: EntityVocab, token_vocab: Vocab,
                   alias_index: dict | None = None) -> tuple[TextSegment, set[int]]:
     """Greedy leftmost-longest dictionary match over lowercased tokens."""
     if alias_index is None:
@@ -165,7 +135,7 @@ def link_entities(text: str, entities: EntityVocab, token_vocab: TokenVocab,
                 matched = len(cand)
                 break
         i += matched if matched else 1
-    return TextSegment([INT] + [token_vocab.id_of(w) for w in words]), linked
+    return TextSegment([INT] + [token_vocab.ids.get(w, UNK) for w in words]), linked
 
 
 def dummy_local_kg() -> LocalKG:
@@ -227,8 +197,8 @@ def retrieve_local_kg(v_el: set[int], g: KnowledgeGraph, max_nodes: int,
     return LocalKG(nodes=nodes, edges=edges, linked=set(surviving_linked))
 
 
-def verbalize_kg(local: LocalKG, entities: EntityVocab, relations: RelationVocab,
-                 token_vocab: TokenVocab, budget: int | None = None) -> list[int]:
+def verbalize_kg(local: LocalKG, entities: EntityVocab, relations: Vocab,
+                 token_vocab: Vocab, budget: int | None = None) -> list[int]:
     """Render each non-interaction edge as `head rel tail` tokens, [SEP]-joined.
 
     Sentences are truncated whole when a budget (max token count for the
@@ -241,9 +211,9 @@ def verbalize_kg(local: LocalKG, entities: EntityVocab, relations: RelationVocab
         if r == R_EL:
             continue
         words = []
-        for name in (entities.name(local.nodes[h]), relations.name(r), entities.name(local.nodes[t])):
+        for name in (entities.names[local.nodes[h]], relations.names[r], entities.names[local.nodes[t]]):
             words.extend(tok for tok, _, _ in tokenize(name.lower().replace("_", " ")))
-        sent = [token_vocab.id_of(w) for w in words]
+        sent = [token_vocab.ids.get(w, UNK) for w in words]
         addition = ([SEP] if out else []) + sent
         if budget is not None and len(out) + len(addition) > budget:
             break

@@ -11,6 +11,7 @@ from dragonforge import pretrain as pt
 from dragonforge.cli import (DEFAULTS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                              RunConfig, main, parse_config_text)
 from dragonforge.kg_store import load_kg
+from dragonforge.retrieval import RESERVED_TOKENS
 
 MICRO_WORLD = ["--set", "world.n_entities=30", "--set", "world.n_relations=3",
                "--set", "world.n_facts=150", "--set", "world.leak_rate=0.2",
@@ -259,21 +260,49 @@ def test_finetune_reports_dev_accuracy_under_run_seed(world_dir, pretrained, tmp
     assert report["reports"]["dev"]["accuracy"] == best
 
 
-@pytest.mark.parametrize("bad_line", ["zzz\t999", "zzz"], ids=["non_dense_id", "no_tab"])
+@pytest.mark.parametrize("bad_line", ["zzz\t999", "zzz", None],
+                         ids=["non_dense_id", "no_tab", "missing_reserved"])
 def test_pretrain_rejects_malformed_vocab(world_dir, tmp_path, capsys, bad_line):
     vocab_dir = str(tmp_path / "v")
     assert main(["build-vocab", "--corpus", os.path.join(world_dir, "corpus.txt"),
                  "--out", vocab_dir]) == EXIT_OK
     vocab = os.path.join(vocab_dir, "vocab.tsv")
-    n_lines = len(open(vocab, encoding="utf-8").read().splitlines())
-    with open(vocab, "a", encoding="utf-8") as fh:
-        fh.write(bad_line + "\n")
+    lines = open(vocab, encoding="utf-8").read().splitlines()
+    if bad_line is None:   # the corpus words alone, numbered from 0
+        lines = ["%s\t%d" % (line.split("\t")[0], i)
+                 for i, line in enumerate(lines[len(RESERVED_TOKENS):])]
+        bad_lineno = 1
+    else:
+        lines, bad_lineno = lines + [bad_line], len(lines) + 1
+    with open(vocab, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
     code = main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
                  "--kg", os.path.join(world_dir, "kg.tsv"), "--vocab", vocab,
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_DATA
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "%s:%d:" % (vocab, n_lines + 1) in err[0]
+    assert len(err) == 1 and "%s:%d:" % (vocab, bad_lineno) in err[0]
+
+
+@pytest.mark.parametrize("corruption", ["truncated", "alias_out_of_range"])
+def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, capsys, corruption):
+    good = os.path.join(pretrained, "checkpoint.drgn")
+    bad = str(tmp_path / "bad.drgn")
+    if corruption == "truncated":
+        data = open(good, "rb").read()
+        with open(bad, "wb") as fh:
+            fh.write(data[:len(data) // 2])
+        expected = "%s: truncated" % bad
+    else:
+        params, token_vocab, entities, relations, config_text = pt.load_checkpoint(good)
+        entities.aliases["zzz"] = 999
+        pt.save_checkpoint(bad, params, token_vocab, entities, relations, config_text)
+        expected = "%s (aliases table):%d:" % (bad, sorted(entities.aliases).index("zzz") + 1)
+    code = main(["dump-attention", "--checkpoint", bad, "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--text", "zzz", "--out", str(tmp_path / "attn")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and expected in err[0]
 
 
 @pytest.mark.parametrize("bad_line", [

@@ -11,7 +11,7 @@ from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
 from dragonforge.encoder import EncoderConfig, init_params
 from dragonforge.finetune import FinetuneConfig, add_pooling_head
-from dragonforge.retrieval import link_entities, retrieve_local_kg
+from dragonforge.retrieval import build_vocab_from_texts, link_entities, retrieve_local_kg
 
 # chi-square critical value at alpha=0.01 for 499 degrees of freedom
 CHI2_99_DF499 = 575.419195
@@ -129,14 +129,14 @@ def test_mcqa_gold_is_kg_derivable_and_choices_unique():
         for ex in data["train"][:20]:
             h_name, r_name = ex.question.split()
             gold_name = ex.choices[ex.gold]
-            assert kg.contains((entities.lookup(h_name), relations.ids[r_name],
-                                entities.lookup(gold_name)))
+            assert kg.contains((entities.ids[h_name], relations.ids[r_name],
+                                entities.ids[gold_name]))
             assert len(set(ex.choices)) == len(ex.choices)
             if mode == "random":
                 for i, c in enumerate(ex.choices):
                     if i != ex.gold:
-                        assert entities.lookup(c) not in kg.undirected_neighbor_set(
-                            entities.lookup(h_name))
+                        assert entities.ids[c] not in kg.undirected_neighbor_set(
+                            entities.ids[h_name])
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def lp_fixture():
     world = ev.generate_synthetic_world(n_entities=50, n_relations=4, n_facts=350,
                                         leak_rate=0.2, seed=8, structure="flat")
     kg, entities, relations = world.build_kg()
-    tv = world.build_token_vocab()
+    tv = build_vocab_from_texts(world.train_docs)
     enc_cfg = EncoderConfig(n_unimodal=1, n_fusion=1, d_text=16, d_node=8,
                             heads_text=2, heads_gnn=2, d_mint_hidden=16,
                             max_seq_len=48, max_nodes=12)
@@ -173,8 +173,8 @@ def lp_fixture():
 def test_gold_boosted_scorer_gets_perfect_metrics():
     world, kg, entities, relations, tv, enc_cfg = lp_fixture()
     queries = world.lp_queries()[:30]
-    boost = {(entities.lookup(q["head"]), relations.ids[q["rel"]],
-              entities.lookup(q["tail"])) for q in queries}
+    boost = {(entities.ids[q["head"]], relations.ids[q["rel"]],
+              entities.ids[q["tail"]]) for q in queries}
     report = ev.eval_link_prediction(StubScorer(boost), queries, kg, entities, tv,
                                      relations, enc_cfg, world.known_true_names())
     assert report.n_queries > 0
@@ -191,7 +191,7 @@ def test_filtered_ranking_matches_exhaustive_scan_oracle():
     # independent oracle: replay retrieval, scan the full fact list to filter
     ranks = []
     for qi, q in enumerate(queries):
-        h, t = entities.lookup(q["head"]), entities.lookup(q["tail"])
+        h, t = entities.ids[q["head"]], entities.ids[q["tail"]]
         r = relations.ids[q["rel"]]
         seg, v_el = link_entities(q["text"], entities, tv)
         local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, nm.split_rng(0, "lp_retrieval", qi))
@@ -201,7 +201,7 @@ def test_filtered_ranking_matches_exhaustive_scan_oracle():
         for c in local.entity_ids():
             if c == h:
                 continue
-            is_true_other = any(f == (q["head"], q["rel"], entities.name(c)) for f in known) and c != t
+            is_true_other = any(f == (q["head"], q["rel"], entities.names[c]) for f in known) and c != t
             if not is_true_other:
                 cands.append(c)
         if t not in cands or len(cands) < 2:

@@ -10,7 +10,8 @@ from dragonforge import finetune as ft
 from dragonforge.encoder import EncoderConfig, EncoderOutput, init_params
 from dragonforge.evaluation import generate_synthetic_world
 from dragonforge.kg_store import R_EL
-from dragonforge.retrieval import INT, LocalKG, TextSegment, V_INT, build_alias_index
+from dragonforge.retrieval import (INT, LocalKG, TextSegment, V_INT, build_alias_index,
+                                  build_vocab_from_texts)
 
 
 def fake_output(h_int, node_rows):
@@ -190,7 +191,7 @@ def qa_setup(seed=6):
     world = generate_synthetic_world(n_entities=50, n_relations=4, n_facts=320,
                                      leak_rate=0.15, seed=seed, structure="flat")
     kg, entities, relations = world.build_kg()
-    tv = world.build_token_vocab()
+    tv = build_vocab_from_texts(world.train_docs)
     enc_cfg = EncoderConfig(n_unimodal=1, n_fusion=2, d_text=32, d_node=16,
                             heads_text=2, heads_gnn=2, d_mint_hidden=32, dropout=0.1,
                             max_seq_len=32, max_nodes=10)

@@ -31,11 +31,11 @@ def test_load_dedupes(tmp_path):
 def test_adjacency_lists_both_directions(tmp_path):
     path = write_kg(tmp_path, ["a\tlikes\tb", "b\tlikes\tc"])
     g, entities, relations = ks.load_kg(path)
-    b = entities.lookup("b")
+    b = entities.ids["b"]
     nbrs = g.neighbors(b)
     rid = relations.ids["likes"]
-    assert (rid, entities.lookup("c"), ks.DIR_OUT) in nbrs
-    assert (rid, entities.lookup("a"), ks.DIR_IN) in nbrs
+    assert (rid, entities.ids["c"], ks.DIR_OUT) in nbrs
+    assert (rid, entities.ids["a"], ks.DIR_IN) in nbrs
     assert len(nbrs) == 2
 
 
@@ -54,7 +54,7 @@ def test_empty_file_raises(tmp_path):
 def test_contains_trivial_cases(tmp_path):
     path = write_kg(tmp_path, ["a\tlikes\tb"])
     g, entities, relations = ks.load_kg(path)
-    a, b, rid = entities.lookup("a"), entities.lookup("b"), relations.ids["likes"]
+    a, b, rid = entities.ids["a"], entities.ids["b"], relations.ids["likes"]
     assert g.contains((a, rid, b))
     assert not g.contains((b, rid, a))
 
@@ -96,9 +96,9 @@ def test_isolated_node_and_star_graph(tmp_path):
     path = write_kg(tmp_path, ["hub\tr\ts1", "hub\tr\ts2", "hub\tr\ts3", "hub\tr\ts4",
                                "lone_a\tr\tlone_b"])
     g, entities, _ = ks.load_kg(path)
-    assert len(g.neighbors(entities.lookup("hub"))) == 4
+    assert len(g.neighbors(entities.ids["hub"])) == 4
     # s1 has exactly one incident edge
-    assert len(g.neighbors(entities.lookup("s1"))) == 1
+    assert len(g.neighbors(entities.ids["s1"])) == 1
 
 
 def test_adjacency_entry_count_is_twice_triplets(tmp_path):
@@ -112,16 +112,16 @@ def test_save_reload_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     path = write_kg(tmp_path, random_kg_lines(rng, n_lines=150))
     g, entities, relations = ks.load_kg(path)
-    out = write_kg(tmp_path, ["%s\t%s\t%s" % (entities.name(h), relations.name(r), entities.name(t))
+    out = write_kg(tmp_path, ["%s\t%s\t%s" % (entities.names[h], relations.names[r], entities.names[t])
                               for h, r, t in g.triplets], name="resaved.tsv")
     g2, entities2, relations2 = ks.load_kg(out)
-    orig = {(entities.name(h), relations.name(r), entities.name(t)) for h, r, t in g.triplets}
-    redo = {(entities2.name(h), relations2.name(r), entities2.name(t)) for h, r, t in g2.triplets}
+    orig = {(entities.names[h], relations.names[r], entities.names[t]) for h, r, t in g.triplets}
+    redo = {(entities2.names[h], relations2.names[r], entities2.names[t]) for h, r, t in g2.triplets}
     assert orig == redo
 
 
 def test_reserved_interaction_relation():
-    rv = ks.RelationVocab()
+    rv = ks.Vocab(ks.RESERVED_RELATIONS)
     assert rv.ids[ks.R_EL_NAME] == ks.R_EL
     assert rv.ids[ks.R_EL_INV_NAME] == ks.R_EL_INV
     assert rv.names.count(ks.R_EL_NAME) == 1
@@ -130,7 +130,7 @@ def test_reserved_interaction_relation():
 def test_entity_vocab_roundtrip_and_default_alias():
     ev = ks.EntityVocab()
     eid = ev.add("Round_Brush")
-    assert ev.lookup(ev.name(eid)) == eid
+    assert ev.ids[ev.names[eid]] == eid
     assert ev.aliases["round brush"] == eid
 
 
@@ -139,7 +139,7 @@ def test_alias_file_merges(tmp_path):
     alias_path = tmp_path / "alias.tsv"
     alias_path.write_text("brushes\tround_brush\n", encoding="utf-8")
     _, entities, _ = ks.load_kg(kg_path, alias_file=str(alias_path))
-    assert entities.aliases["brushes"] == entities.lookup("round_brush")
+    assert entities.aliases["brushes"] == entities.ids["round_brush"]
 
 
 def test_alias_file_unknown_entity(tmp_path):

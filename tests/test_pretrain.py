@@ -1,6 +1,8 @@
 """Corruption ops, scoring oracles, loss hand-cases, optimizer behavior,
 training-loop contracts, and checkpoint persistence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
 from dragonforge.encoder import EncoderConfig
 from dragonforge.evaluation import generate_synthetic_world
-from dragonforge.kg_store import R_EL
-from dragonforge.retrieval import INT, MASK, PAD, SEP, LocalKG, TextSegment, V_INT, dummy_local_kg
+from dragonforge.kg_store import RESERVED_RELATIONS, EntityVocab, R_EL, Vocab
+from dragonforge.retrieval import (INT, MASK, PAD, RESERVED_TOKENS, SEP, LocalKG, TextSegment, V_INT,
+                                  build_vocab_from_texts, dummy_local_kg)
 
 
 def make_segment(ids):
@@ -387,6 +390,37 @@ def test_frozen_prefix_skips_updates():
     assert not np.array_equal(b.values, np.ones(2))
 
 
+@pytest.mark.parametrize("rectified", [False, True], ids=["adam", "radam"])
+def test_optimizer_steps_match_direct_formula(rectified):
+    """Adam; RAdam (arXiv:1908.03265) takes momentum-only steps while
+    rho_t <= 4, then rectified Adam steps."""
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+    grads = np.random.default_rng(5).normal(size=(10, 3))
+    p = nm.Tensor(np.zeros(3), requires_grad=True)
+    opt = pt.Optimizer({"other.p": p}, lr, lr, total_steps=10, warmup_ratio=0.0, rectified=rectified)
+    want, m, v = np.zeros(3), np.zeros(3), np.zeros(3)
+    rho_inf = 2 / (1 - b2) - 1
+    rectified_steps = []
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mhat, vhat = m / (1 - b1 ** t), np.sqrt(v / (1 - b2 ** t))
+        rho = rho_inf - 2 * t * b2 ** t / (1 - b2 ** t)
+        lr_t = lr * opt.schedule(t - 1)
+        if not rectified:
+            want = want - lr_t * mhat / (vhat + eps)
+        elif rho <= 4:
+            want = want - lr_t * mhat
+        else:
+            r = np.sqrt((rho - 4) * (rho - 2) * rho_inf / ((rho_inf - 4) * (rho_inf - 2) * rho))
+            want = want - lr_t * r * mhat / (vhat + eps)
+        rectified_steps.append(rho > 4)
+        p.grad = g.copy()
+        opt.step(t - 1)
+        np.testing.assert_allclose(p.values, want, rtol=1e-5, atol=1e-8)   # float32 parameters
+    assert 0 < sum(rectified_steps) < len(grads)   # both RAdam branches ran
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -399,7 +433,7 @@ def small_world():
 def small_setup():
     world = small_world()
     kg, entities, relations = world.build_kg()
-    tv = world.build_token_vocab()
+    tv = build_vocab_from_texts(world.train_docs)
     enc_cfg = EncoderConfig(n_unimodal=1, n_fusion=2, d_text=32, d_node=16, heads_text=2,
                             heads_gnn=2, d_mint_hidden=32, dropout=0.1, max_seq_len=48,
                             max_nodes=10)
@@ -477,7 +511,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert sorted(loaded) == sorted(params)
     for k in params:
         assert loaded[k].values.tobytes() == params[k].values.tobytes(), k
-    assert tv2.tokens == tv.tokens
+    assert tv2.names == tv.names
     assert ents2.names == entities.names
     assert ents2.aliases == entities.aliases
     assert rels2.names == relations.names
@@ -490,17 +524,13 @@ def test_checkpoint_magic_and_version(tmp_path):
         pt.load_checkpoint(str(path))
     good = tmp_path / "model.drgn"
     params = {"w": nm.Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)}
-    from dragonforge.retrieval import TokenVocab
-    from dragonforge.kg_store import EntityVocab, RelationVocab
-    pt.save_checkpoint(str(good), params, TokenVocab(), EntityVocab(), RelationVocab())
+    pt.save_checkpoint(str(good), params, Vocab(RESERVED_TOKENS), EntityVocab(), Vocab(RESERVED_RELATIONS))
     assert good.read_bytes()[:4] == b"DRGN"
 
 
 def test_checkpoint_write_failure_keeps_previous_checkpoint(tmp_path, monkeypatch):
-    from dragonforge.retrieval import TokenVocab
-    from dragonforge.kg_store import EntityVocab, RelationVocab
     path = tmp_path / "model.drgn"
-    vocabs = (TokenVocab(), EntityVocab(), RelationVocab())
+    vocabs = (Vocab(RESERVED_TOKENS), EntityVocab(), Vocab(RESERVED_RELATIONS))
     pt.save_checkpoint(str(path), {"w": nm.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)},
                        *vocabs)
     before = path.read_bytes()
@@ -521,11 +551,50 @@ def test_checkpoint_write_failure_keeps_previous_checkpoint(tmp_path, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.drgn"]
 
 
+def tiny_checkpoint(path, tables: dict | None = None) -> None:
+    """A one-tensor checkpoint over entities a, b; `tables` replaces table texts."""
+    entities = EntityVocab()
+    entities.add("a")
+    entities.add("b")
+    texts = {"tokens": Vocab(RESERVED_TOKENS).to_tsv(), "entities": entities.to_tsv(),
+             "relations": Vocab(RESERVED_RELATIONS).to_tsv(), "aliases": "a\t0\nb\t1\n"}
+    texts.update(tables or {})
+    with open(path, "wb") as fh:
+        pt._write_checkpoint(fh, {"w": nm.Tensor(np.arange(6.0).reshape(2, 3))},
+                             list(texts.items()), "seed = 0\n")
+
+
+def test_truncated_checkpoint_raises_checkpoint_error_naming_path(tmp_path):
+    full = tmp_path / "full.drgn"
+    tiny_checkpoint(full)
+    data = full.read_bytes()
+    assert pt.load_checkpoint(str(full))[0]["w"].values.tolist() == [[0, 1, 2], [3, 4, 5]]
+    cut = tmp_path / "cut.drgn"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(pt.CheckpointError, match="^%s: " % re.escape(str(cut))):
+            pt.load_checkpoint(str(cut))
+
+
+@pytest.mark.parametrize("table,text,lineno", [
+    ("tokens", "zzz\t0\n", 1),
+    ("tokens", "[PAD]\t0\n[UNK]\t1\n", 3),
+    ("relations", "[R_EL_INV]\t0\n[R_EL]\t1\n", 1),
+    ("aliases", "a\t0\nzzz\t999\n", 2),
+    ("aliases", "a\t0\nzzz\t-1\n", 2),
+    ("aliases", "a\t0\nzzz 1\n", 2),
+], ids=["tokens_missing_reserved", "tokens_end_before_reserved", "relations_reserved_out_of_order",
+        "alias_id_out_of_range", "alias_id_negative", "alias_without_tab"])
+def test_checkpoint_rejects_bad_table(tmp_path, table, text, lineno):
+    path = tmp_path / "bad.drgn"
+    tiny_checkpoint(path, {table: text})
+    with pytest.raises(ValueError, match=re.escape("%s (%s table):%d: " % (path, table, lineno))):
+        pt.load_checkpoint(str(path))
+
+
 def test_checkpoint_rejects_non_finite(tmp_path):
-    from dragonforge.retrieval import TokenVocab
-    from dragonforge.kg_store import EntityVocab, RelationVocab
     params = {"w": nm.Tensor(np.zeros(3), requires_grad=True)}
     params["w"].values[0] = np.inf
     with pytest.raises(nm.NumericError):
-        pt.save_checkpoint(str(tmp_path / "x.drgn"), params, TokenVocab(),
-                           EntityVocab(), RelationVocab())
+        pt.save_checkpoint(str(tmp_path / "x.drgn"), params, Vocab(RESERVED_TOKENS),
+                           EntityVocab(), Vocab(RESERVED_RELATIONS))

@@ -6,11 +6,11 @@ import pytest
 
 from dragonforge import numerics as nm
 from dragonforge import retrieval as rt
-from dragonforge.kg_store import EntityVocab, KnowledgeGraph, RelationVocab, R_EL
+from dragonforge.kg_store import RESERVED_RELATIONS, EntityVocab, KnowledgeGraph, R_EL, Vocab
 
 
 def make_vocab(words):
-    tv = rt.TokenVocab()
+    tv = Vocab(rt.RESERVED_TOKENS)
     for w in sorted(words):
         tv.add(w)
     return tv
@@ -31,7 +31,7 @@ def test_longest_match_suppresses_substring():
     ev = make_entities(["round_brush", "art_supply", "brush"])
     tv = make_vocab(["round", "brush", "is", "an", "art", "supply"])
     seg, linked = rt.link_entities("round brush is an art supply", ev, tv)
-    assert linked == {ev.lookup("round_brush"), ev.lookup("art_supply")}
+    assert linked == {ev.ids["round_brush"], ev.ids["art_supply"]}
     assert seg.token_ids[0] == rt.INT
     assert len(seg.token_ids) == 7
 
@@ -195,7 +195,7 @@ def test_pruning_determinism():
 
 def verbal_fixture():
     ev = make_entities(["round_brush", "hair", "comb"])
-    rv = RelationVocab()
+    rv = Vocab(RESERVED_RELATIONS)
     rv.add("at_location")
     rv.add("similar_to")
     g = KnowledgeGraph(3, len(rv))
@@ -211,7 +211,7 @@ def test_verbalize_single_edge_template():
     local = rt.LocalKG(nodes=[rt.V_INT, 0, 1], edges=[(0, R_EL, 1), (1, rv.ids["at_location"], 2)],
                        linked={0})
     suffix = rt.verbalize_kg(local, ev, rv, tv)
-    words = [tv.tokens[t] for t in suffix]
+    words = [tv.names[t] for t in suffix]
     assert words == ["round", "brush", "at", "location", "hair"]
 
 
@@ -229,8 +229,8 @@ def test_verbalize_three_edges_sep_joined_in_edge_order():
     # string-assembly oracle: independently render each edge then join
     chunks = []
     for h, r, t in [e for e in local.edges if e[1] != R_EL]:
-        words = " ".join([ev.name(local.nodes[h]), rv.name(r), ev.name(local.nodes[t])])
-        chunks.append([tv.id_of(w) for w, _, _ in rt.tokenize(words.replace("_", " "))])
+        words = " ".join([ev.names[local.nodes[h]], rv.names[r], ev.names[local.nodes[t]]])
+        chunks.append([tv.ids.get(w, rt.UNK) for w, _, _ in rt.tokenize(words.replace("_", " "))])
     expected = []
     for i, chunk in enumerate(chunks):
         if i:
@@ -297,7 +297,7 @@ def test_local_kg_invariants_over_random_corpus_segments():
     world = generate_synthetic_world(n_entities=120, n_relations=6, n_facts=1400,
                                      leak_rate=0.15, seed=5, structure="flat")
     g, entities, relations = world.build_kg()
-    tv = world.build_token_vocab()
+    tv = rt.build_vocab_from_texts(world.train_docs)
     segments = world.raw_segments("train")
     assert len(segments) >= 200
     checked = 0
@@ -311,28 +311,25 @@ def test_local_kg_invariants_over_random_corpus_segments():
 
 
 def test_vocab_reserved_ids_distinct_and_never_tokenized():
-    tv = rt.TokenVocab()
+    tv = Vocab(rt.RESERVED_TOKENS)
     assert len({rt.PAD, rt.UNK, rt.INT, rt.MASK, rt.SEP}) == 5
+    assert [tv.ids[name] for name in rt.RESERVED_TOKENS] == [rt.PAD, rt.UNK, rt.INT, rt.MASK, rt.SEP]
     toks = [t for t, _, _ in rt.tokenize("[MASK] [INT] [SEP]")]
     assert "[MASK]" not in toks and "[mask]" not in toks
 
 
-def test_vocab_tsv_round_trip(tmp_path):
+def test_vocab_tsv_round_trip():
     tv = make_vocab(["alpha", "beta"])
-    path = str(tmp_path / "vocab.tsv")
-    tv.save_tsv(path)
-    tv2 = rt.TokenVocab.load_tsv(path)
-    assert tv2.tokens == tv.tokens and tv2.ids == tv.ids
+    tv2 = Vocab.from_tsv(tv.to_tsv(), "vocab.tsv", rt.RESERVED_TOKENS)
+    assert tv2.names == tv.names and tv2.ids == tv.ids
 
 
 @pytest.mark.parametrize("bad_line,lineno", [("alpha\t7", 6), ("alpha 5", 6), ("[PAD]\t5", 6)],
                          ids=["non_dense_id", "no_tab", "repeated_name"])
-def test_vocab_tsv_rejects_malformed_line(tmp_path, bad_line, lineno):
-    path = tmp_path / "vocab.tsv"
-    rt.TokenVocab().save_tsv(str(path))
-    path.write_text(path.read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8")
+def test_vocab_tsv_rejects_malformed_line(bad_line, lineno):
+    text = Vocab(rt.RESERVED_TOKENS).to_tsv() + bad_line + "\n"
     with pytest.raises(ValueError, match=r"vocab\.tsv:%d:" % lineno):
-        rt.TokenVocab.load_tsv(str(path))
+        Vocab.from_tsv(text, "vocab.tsv", rt.RESERVED_TOKENS)
 
 
 def test_min_freq_threshold(tmp_path):
@@ -341,4 +338,5 @@ def test_min_freq_threshold(tmp_path):
     tv = rt.build_vocab(str(p), min_freq=2)
     assert "common" in tv.ids
     assert "rare" not in tv.ids
-    assert tv.id_of("rare") == rt.UNK
+    seg, _ = rt.link_entities("common rare", EntityVocab(), tv)
+    assert seg.token_ids == [rt.INT, tv.ids["common"], rt.UNK]
