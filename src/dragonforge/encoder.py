@@ -154,9 +154,10 @@ def init_params(cfg: EncoderConfig, seed: int, vocab_size: int, n_entities: int,
 
 @dataclass
 class Batch:
-    """Row layout of one padded minibatch (see EncoderOutput)."""
-    train: bool
-    seeds: list[int]
+    """Row layout of one padded minibatch (see EncoderOutput) and its dropout
+    keep masks (None unless training with dropout; True on padding and dummy
+    graphs' rows) by site: token site 0 the embeddings, 1 + 2i / 2 + 2i layer
+    i's attention / FFN output; node site 0 the embeddings, 1 + l GNN layer l."""
     max_len: int
     key_pad: np.ndarray            # [B, max_len], True at padding
     node_offsets: np.ndarray       # [B + 1]
@@ -164,17 +165,19 @@ class Batch:
     src: np.ndarray                # [M] message source node rows
     dst: np.ndarray                # [M] message destination node rows
     reldir: np.ndarray             # [M] relation/direction id 2r (head->tail) or 2r+1
-    token_blocks: list             # dropout blocks (example, first row, rows)
-    node_blocks: list
-
-    @property
-    def int_rows(self) -> np.ndarray:
-        return np.arange(len(self.seeds)) * self.max_len
+    token_keep: np.ndarray | None  # [1 + 2 * (n_unimodal + n_fusion), B * max_len, d_text]
+    mint_keep: np.ndarray | None   # [n_fusion, B, d_mint_hidden]: exchange hidden layers
+    node_keep: np.ndarray | None   # [1 + n_fusion, N, d_node]
 
 
 def make_batch(examples: list[tuple[TextSegment, LocalKG]], cfg: EncoderConfig,
                train: bool, seeds: list[int]) -> Batch:
-    """Lay out a batch; IndexError names the first example over a size limit."""
+    """Lay out a batch; IndexError names the first example over a size limit.
+
+    Training with dropout, example b's masks come from its one stream
+    split_rng(seeds[b], "dropout"): one draw for all token sites, one for all
+    exchange hidden layers, then, for a real graph only, one for all node sites.
+    """
     if not examples or len(seeds) != len(examples):
         raise ValueError("need one dropout seed per example and at least one example")
     lengths = [seg.length for seg, _ in examples]
@@ -199,24 +202,31 @@ def make_batch(examples: list[tuple[TextSegment, LocalKG]], cfg: EncoderConfig,
     def cat(parts):
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
-    return Batch(train=train, seeds=list(seeds), max_len=max_len,
-                 key_pad=pad, node_offsets=node_offsets, graph=graph,
+    token_keep = mint_keep = node_keep = None
+    if train and (p := cfg.dropout) > 0.0:
+        token_keep = np.ones((1 + 2 * (cfg.n_unimodal + cfg.n_fusion), len(examples) * max_len,
+                              cfg.d_text), dtype=bool)
+        mint_keep = np.ones((cfg.n_fusion, len(examples), cfg.d_mint_hidden), dtype=bool)
+        node_keep = np.ones((1 + cfg.n_fusion, node_offsets[-1], cfg.d_node), dtype=bool)
+        for b, n in enumerate(lengths):
+            rng, lo = nm.split_rng(seeds[b], "dropout"), b * max_len
+            token_keep[:, lo:lo + n] = rng.random((len(token_keep), n, cfg.d_text)) >= p
+            mint_keep[:, b] = rng.random((cfg.n_fusion, cfg.d_mint_hidden)) >= p
+            if graph[b]:
+                lo, hi = node_offsets[b], node_offsets[b + 1]
+                node_keep[:, lo:hi] = rng.random((len(node_keep), hi - lo, cfg.d_node)) >= p
+
+    return Batch(max_len=max_len, key_pad=pad, node_offsets=node_offsets, graph=graph,
                  src=cat(src), dst=cat(dst), reldir=cat(reldir),
-                 token_blocks=[(b, b * max_len, n) for b, n in enumerate(lengths)],
-                 node_blocks=[(b, node_offsets[b], node_offsets[b + 1] - node_offsets[b])
-                              for b in np.flatnonzero(graph)])
+                 token_keep=token_keep, mint_keep=mint_keep, node_keep=node_keep)
 
 
-def _maybe_dropout(x: Tensor, cfg: EncoderConfig, batch: Batch, site: str, blocks) -> Tensor:
-    """Dropout whose mask rows for example b come from the example's own
-    stream "dropout/<site>" under its seed; rows outside `blocks` are kept."""
-    if not batch.train or cfg.dropout == 0.0:
+def _maybe_dropout(x: Tensor, cfg: EncoderConfig, keep: np.ndarray | None, site: int) -> Tensor:
+    """Dropout with the precomputed mask keep[site] of one of the batch's
+    mask groups (see Batch); the identity when keep is None."""
+    if keep is None:
         return x
-    keep = np.ones(x.shape, dtype=bool)
-    for b, lo, n in blocks:
-        rng = nm.split_rng(batch.seeds[b], "dropout/" + site)
-        keep[lo:lo + n] = rng.random((n, x.shape[1])) >= cfg.dropout
-    return nm.dropout(x, cfg.dropout, keep)
+    return nm.dropout(x, cfg.dropout, keep[site])
 
 
 def _attn_linear(x: Tensor, params, layer: str, w: str) -> Tensor:
@@ -228,11 +238,11 @@ def _transformer_layer(x: Tensor, params, cfg: EncoderConfig, idx: int, batch: B
     heads = nm.attention(_attn_linear(x, params, p, "wq"), _attn_linear(x, params, p, "wk"),
                          _attn_linear(x, params, p, "wv"), batch.key_pad, cfg.heads_text)
     attn = nm.add(nm.matmul(heads, params[p + "attn.wo"]), params[p + "attn.bo"])
-    attn = _maybe_dropout(attn, cfg, batch, p + "attn", batch.token_blocks)
+    attn = _maybe_dropout(attn, cfg, batch.token_keep, 1 + 2 * idx)
     x = nm.layer_norm(nm.add(x, attn), params[p + "ln1.g"], params[p + "ln1.b"])
     f = nm.gelu(nm.add(nm.matmul(x, params[p + "ffn.w1"]), params[p + "ffn.b1"]))
     f = nm.add(nm.matmul(f, params[p + "ffn.w2"]), params[p + "ffn.b2"])
-    f = _maybe_dropout(f, cfg, batch, p + "ffn", batch.token_blocks)
+    f = _maybe_dropout(f, cfg, batch.token_keep, 2 + 2 * idx)
     return nm.layer_norm(nm.add(x, f), params[p + "ln2.g"], params[p + "ln2.b"])
 
 
@@ -274,7 +284,7 @@ def _gnn_layer(v: Tensor, params, cfg: EncoderConfig, layer: int,
 
     summed, alpha = segment_attention(q, k, val, batch.dst, v.shape[0], cfg.heads_gnn)
     agg = nm.add(nm.matmul(summed, params[p + "wo"]), params[p + "bo"])
-    agg = _maybe_dropout(agg, cfg, batch, p + "agg", batch.node_blocks)
+    agg = _maybe_dropout(agg, cfg, batch.node_keep, 1 + layer)
     out = nm.layer_norm(nm.add(v, nm.gelu(agg)), params[p + "ln.g"], params[p + "ln.b"])
     if not batch.graph.all():
         counts = np.diff(batch.node_offsets)
@@ -288,17 +298,16 @@ def _mint(x: Tensor, v: Tensor, params, cfg: EncoderConfig, layer: int,
     """Two-layer perceptron over each example's [H_int; V_int]; residual
     update of both rows. Dummy graphs' interaction nodes stay zero."""
     p = "mint.layer%d." % layer
-    int_rows, v_rows = batch.int_rows, batch.node_offsets[:-1]
+    int_rows, v_rows = np.arange(len(batch.graph)) * batch.max_len, batch.node_offsets[:-1]
     z = nm.concat([nm.gather_rows(x, int_rows), nm.gather_rows(v, v_rows)], axis=1)
     hid = nm.gelu(nm.add(nm.matmul(z, params[p + "w1"]), params[p + "b1"]))
-    hid = _maybe_dropout(hid, cfg, batch, p + "hidden",
-                         [(b, b, 1) for b in range(len(batch.seeds))])
+    hid = _maybe_dropout(hid, cfg, batch.mint_keep, layer)
     upd = nm.add(nm.matmul(hid, params[p + "w2"]), params[p + "b2"])
     uh, uv = nm.split(upd, [cfg.d_text, cfg.d_node], axis=1)
     x = nm.add(x, nm.scatter_rows(uh, int_rows, x.shape[0]))
     if batch.graph.any():
         live = np.flatnonzero(batch.graph)
-        if len(live) < len(batch.seeds):
+        if len(live) < len(batch.graph):
             uv = nm.gather_rows(uv, live)
         v = nm.add(v, nm.scatter_rows(uv, v_rows[live], v.shape[0]))
     return x, v
@@ -331,7 +340,7 @@ def encode_batch(examples: list[tuple[TextSegment, LocalKG]], params: dict[str, 
     x = nm.add(nm.gather_rows(params["lm.tok_emb"], tok_ids),
                nm.gather_rows(params["lm.pos_emb"], positions))
     x = nm.layer_norm(x, params["lm.emb_ln.g"], params["lm.emb_ln.b"])
-    x = _maybe_dropout(x, cfg, batch, "emb", batch.token_blocks)
+    x = _maybe_dropout(x, cfg, batch.token_keep, 0)
 
     for i in range(cfg.n_unimodal):
         x = run("lm.layer%d" % i, _transformer_layer, x, params, cfg, i, batch)
@@ -344,7 +353,7 @@ def encode_batch(examples: list[tuple[TextSegment, LocalKG]], params: dict[str, 
         rows = []
         for _, local in examples:
             rows += [zero_row] * 2 if local.is_dummy else [0] + [1 + e for e in local.entity_ids()]
-        v = _maybe_dropout(nm.gather_rows(table, rows), cfg, batch, "node_emb", batch.node_blocks)
+        v = _maybe_dropout(nm.gather_rows(table, rows), cfg, batch.node_keep, 0)
     else:
         v = nm.constant(np.zeros((batch.node_offsets[-1], cfg.d_node)))
 

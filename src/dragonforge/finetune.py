@@ -216,9 +216,8 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
             ex = train_set[int(i)]
             inputs += prepare_choice_inputs(ex, kg, entities, token_vocab, enc_cfg,
                                             cfg.seed, int(i), alias_index)
-            ft_seed = int(nm.split_rng(cfg.seed, "ft_step", step, bi).integers(2 ** 62))
-            seeds += [int(nm.split_rng(ft_seed, "ft_dropout", c).integers(2 ** 62))
-                      for c in range(len(ex.choices))]
+            seeds += nm.split_rng(cfg.seed, "ft_step", step, bi).integers(
+                2 ** 62, size=len(ex.choices)).tolist()
             cells += [bi * width + c for c in range(len(ex.choices))]
             golds.append(ex.gold)
         x, _ = pool(encode_batch(inputs, params, enc_cfg, "train", seeds), params)

@@ -50,6 +50,12 @@ class MaskingPlan:
         return len(self.positions)
 
 
+def _pick(items: list[int], rate: float, rng: np.random.Generator) -> list[int]:
+    """Each item independently with probability rate; one uniform item if none is."""
+    picked = [x for x, hit in zip(items, rng.random(len(items)) < rate) if hit]
+    return picked or [items[int(rng.integers(len(items)))]]
+
+
 def apply_masking(seg: TextSegment, rate: float, rng: np.random.Generator) -> tuple[TextSegment, MaskingPlan]:
     """Independent per-token masking; forces one mask if sampling picks none."""
     if not 0.0 < rate <= 1.0:
@@ -57,15 +63,11 @@ def apply_masking(seg: TextSegment, rate: float, rng: np.random.Generator) -> tu
     eligible = [i for i in range(1, seg.length) if seg.token_ids[i] not in (PAD, SEP)]
     if not eligible:
         return seg, MaskingPlan([], [], flagged_empty=True)
-    draws = rng.random(len(eligible)) < rate
-    positions = [p for p, hit in zip(eligible, draws) if hit]
-    if not positions:
-        positions = [eligible[int(rng.integers(len(eligible)))]]
-    originals = [seg.token_ids[p] for p in positions]
+    positions = _pick(eligible, rate, rng)
     new_ids = list(seg.token_ids)
     for p in positions:
         new_ids[p] = MASK
-    return TextSegment(new_ids), MaskingPlan(positions, originals)
+    return TextSegment(new_ids), MaskingPlan(positions, [seg.token_ids[p] for p in positions])
 
 
 @dataclass
@@ -83,51 +85,38 @@ def hold_out_edges(local: LocalKG, rate: float, n: int, rng: np.random.Generator
                    ) -> tuple[LocalKG, EdgeHoldout]:
     """Hold out non interaction-link edges and attach corrupted negatives.
 
-    Each negative differs from its positive in exactly one endpoint, drawn
-    uniformly from the local non-interaction nodes.
+    Each negative replaces the head or the tail of its positive (1/2 each,
+    or the side that has candidates) with a node drawn uniformly from the
+    local non-interaction nodes other than that endpoint. After the edges,
+    rng draws all [P, n] sides at once, then all replacements.
     """
     if not 0.0 < rate <= 1.0:
         raise ValueError("edge drop rate must be in (0, 1]")
     if n < 1:
         raise ValueError("need at least one negative per positive")
-    if local.is_dummy:
-        return local, EdgeHoldout([], [], flagged_empty=True)
-    droppable = [i for i, e in enumerate(local.edges) if e[1] != R_EL]
+    droppable = [] if local.is_dummy else [i for i, e in enumerate(local.edges) if e[1] != R_EL]
     if not droppable:
         return local, EdgeHoldout([], [], flagged_empty=True)
-    draws = rng.random(len(droppable)) < rate
-    dropped = [i for i, hit in zip(droppable, draws) if hit]
-    if not dropped:
-        dropped = [droppable[int(rng.integers(len(droppable)))]]
+    dropped = _pick(droppable, rate, rng)
     dropped_set = set(dropped)
-
-    pool = list(range(1, local.n_nodes))  # local indices, interaction node excluded
-    positives: list[tuple[int, int, int]] = []
-    negatives: list[list[tuple[int, int, int]]] = []
-    for i in dropped:
-        h, r, t = local.edges[i]
-        head_pool = [c for c in pool if c != h]
-        tail_pool = [c for c in pool if c != t]
-        if not head_pool and not tail_pool:
-            continue  # single-node self-loop: no corruption possible
-        negs: list[tuple[int, int, int]] = []
-        for _ in range(n):
-            corrupt_head = rng.random() < 0.5
-            if corrupt_head and head_pool:
-                negs.append((int(rng.choice(head_pool)), r, t))
-            elif tail_pool:
-                negs.append((h, r, int(rng.choice(tail_pool))))
-            else:
-                negs.append((int(rng.choice(head_pool)), r, t))
-        positives.append((h, r, t))
-        negatives.append(negs)
-
     reduced = LocalKG(nodes=list(local.nodes),
                       edges=[e for i, e in enumerate(local.edges) if i not in dropped_set],
                       linked=set(local.linked))
-    if not positives:
-        return reduced, EdgeHoldout([], [], flagged_empty=True)
-    return reduced, EdgeHoldout(positives, negatives)
+
+    m = local.n_nodes - 1   # candidates: local nodes 1..m, less the replaced endpoint
+    h, r, t = np.array([local.edges[i] for i in dropped], dtype=np.int64).T[:, :, None]  # [P, 1]
+    head_size, tail_size = m - (h >= 1), m - (t >= 1)
+    ok = ((head_size > 0) | (tail_size > 0))[:, 0]   # a single-node self-loop has none
+    h, r, t, head_size, tail_size = (a[ok] for a in (h, r, t, head_size, tail_size))
+    corrupt_head = ((rng.random((len(h), n)) < 0.5) & (head_size > 0)) | (tail_size == 0)
+    endpoint = np.where(corrupt_head, h, t)
+    size = np.where(corrupt_head, head_size, tail_size)
+    c = 1 + (rng.random(size.shape) * size).astype(np.int64)   # uniform in 1..size
+    c += (endpoint >= 1) & (c >= endpoint)   # skip the replaced endpoint
+    heads, tails = np.where(corrupt_head, c, h).tolist(), np.where(corrupt_head, t, c).tolist()
+    positives = list(zip(h[:, 0].tolist(), r[:, 0].tolist(), t[:, 0].tolist()))
+    negatives = [list(zip(hs, [rel] * n, ts)) for hs, (_, rel, _), ts in zip(heads, positives, tails)]
+    return reduced, EdgeHoldout(positives, negatives, flagged_empty=not positives)
 
 
 @dataclass
@@ -392,22 +381,21 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
                          % (cfg.objective, cfg.kg_mode))
 
     def batch_loss(step: int) -> tuple[Tensor, Tensor | None, Tensor | None]:
-        batch_rng = nm.split_rng(cfg.seed, "batch", step)
-        idxs = batch_rng.integers(0, len(examples), size=cfg.batch_size)
+        """Slot k's masking, hold-out and dropout seed are drawn, in that
+        order, from its one stream split_rng(seed, "example", step, k)."""
+        idxs = nm.split_rng(cfg.seed, "batch", step).integers(0, len(examples), size=cfg.batch_size)
         batch, seeds, plans, holdouts = [], [], [], []
         for slot, ex_i in enumerate(idxs):
             seg, local = examples[int(ex_i)]
+            rng = nm.split_rng(cfg.seed, "example", step, slot)
             if use_mlm:
-                seg, plan = apply_masking(
-                    seg, cfg.mask_rate, nm.split_rng(cfg.seed, "mask", step, slot))
+                seg, plan = apply_masking(seg, cfg.mask_rate, rng)
                 plans.append((slot, plan))
             if use_lp:
-                local, holdout = hold_out_edges(
-                    local, cfg.edge_drop_rate, cfg.n_negatives,
-                    nm.split_rng(cfg.seed, "holdout", step, slot))
+                local, holdout = hold_out_edges(local, cfg.edge_drop_rate, cfg.n_negatives, rng)
                 holdouts.append((slot, holdout))
             batch.append((seg, local))
-            seeds.append(int(nm.split_rng(cfg.seed, "dropout", step, slot).integers(2 ** 62)))
+            seeds.append(int(rng.integers(2 ** 62)))
         out = encode_batch(batch, params, enc_cfg, mode="train", seeds=seeds)
 
         mlm_terms = [(plan, slot * out.max_len) for slot, plan in plans if not plan.flagged_empty]
@@ -415,12 +403,10 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
                     if not holdout.flagged_empty]
         loss_mlm = mlm_loss(mlm_terms, out.tokens, params) if mlm_terms else None
         loss_lp = linkpred_loss(lp_terms, out.nodes, head) if lp_terms else None
-        if loss_mlm is not None and loss_lp is not None:
-            loss = nm.add(loss_mlm, loss_lp)
-        else:
-            loss = loss_mlm if loss_mlm is not None else loss_lp
-        if loss is None:
+        terms = [term for term in (loss_mlm, loss_lp) if term is not None]
+        if not terms:
             raise ValueError("batch produced no loss terms")
+        loss = nm.add(*terms) if len(terms) == 2 else terms[0]
         return loss, loss_mlm, loss_lp
 
     fh = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
@@ -477,8 +463,12 @@ def _read(fh, fmt: str) -> tuple:
     return struct.unpack(fmt, data)
 
 
-def _read_blob(fh) -> bytes:
-    return _read(fh, "<%ds" % _read(fh, "<I")[0])[0]
+def _read_text(fh, what: str) -> str:
+    """The next length-prefixed blob of fh as UTF-8; CheckpointError names `what`."""
+    try:
+        return _read(fh, "<%ds" % _read(fh, "<I")[0])[0].decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError("%s: %s is not valid UTF-8" % (fh.name, what)) from None
 
 
 def save_checkpoint(path: str, params: dict[str, Tensor], token_vocab: Vocab,
@@ -520,9 +510,11 @@ def _write_checkpoint(fh, params: dict[str, Tensor], tables: list, config_text: 
 def load_checkpoint(path: str) -> tuple[dict[str, Tensor], Vocab, EntityVocab, Vocab, str]:
     """Parameters, token/entity/relation vocabularies and config text.
 
-    A file cut short or foreign, an unknown version or dtype, or a missing
-    table raises CheckpointError naming the path; a bad vocabulary or alias
-    table raises ValueError naming `<path> (<name> table):<line>`.
+    A file cut short or foreign, text that is not UTF-8, an unknown version
+    or dtype, or a missing table raises CheckpointError naming the path; a
+    bad vocabulary or alias table raises ValueError naming
+    `<path> (<name> table):<line>`; a non-finite tensor raises NumericError
+    naming the path.
     """
     with open(path, "rb") as fh:
         (magic,) = _read(fh, "4s")
@@ -531,11 +523,11 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], Vocab, EntityVocab, V
         (version,) = _read(fh, "<I")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError("%s: unsupported checkpoint version %d" % (path, version))
-        config_text = _read_blob(fh).decode("utf-8")
+        config_text = _read_text(fh, "config text")
         tables: dict[str, str] = {}
         for _ in range(_read(fh, "<I")[0]):
-            name = _read_blob(fh).decode("utf-8")
-            tables[name] = _read_blob(fh).decode("utf-8")
+            name = _read_text(fh, "table name")
+            tables[name] = _read_text(fh, name + " table")
 
         def table(name: str) -> tuple[str, str]:
             if name not in tables:
@@ -550,7 +542,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], Vocab, EntityVocab, V
 
         params: dict[str, Tensor] = {}
         for _ in range(_read(fh, "<I")[0]):
-            name = _read_blob(fh).decode("utf-8")
+            name = _read_text(fh, "tensor name")
             dtype_tag, rank = _read(fh, "<BB")
             if dtype_tag != 0:
                 raise CheckpointError("%s: unknown dtype tag %d for tensor %r" % (path, dtype_tag, name))
@@ -558,6 +550,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], Vocab, EntityVocab, V
             arr = np.frombuffer(_read(fh, "%ds" % (4 * math.prod(dims)))[0], dtype="<f4").reshape(dims)
             t = Tensor(arr.astype(np.float32), requires_grad=True, name=name)
             if not np.all(np.isfinite(t.values)):
-                raise nm.NumericError("checkpoint tensor %r contains non-finite values" % name)
+                raise nm.NumericError("%s: checkpoint tensor %r contains non-finite values"
+                                      % (path, name))
             params[name] = t
     return params, token_vocab, entities, relations, config_text

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kg_store import EntityVocab, KnowledgeGraph, R_EL, Vocab
+from .kg_store import EntityVocab, KnowledgeGraph, R_EL, Vocab, default_surface
 
 # Reserved token ids; bracketed uppercase forms cannot be produced by the
 # lowercasing tokenizer, so corpus tokens never collide with them.
@@ -210,10 +210,9 @@ def verbalize_kg(local: LocalKG, entities: EntityVocab, relations: Vocab,
     for h, r, t in local.edges:
         if r == R_EL:
             continue
-        words = []
-        for name in (entities.names[local.nodes[h]], relations.names[r], entities.names[local.nodes[t]]):
-            words.extend(tok for tok, _, _ in tokenize(name.lower().replace("_", " ")))
-        sent = [token_vocab.ids.get(w, UNK) for w in words]
+        names = (entities.names[local.nodes[h]], relations.names[r], entities.names[local.nodes[t]])
+        sent = [token_vocab.ids.get(tok, UNK)
+                for name in names for tok, _, _ in tokenize(default_surface(name))]
         addition = ([SEP] if out else []) + sent
         if budget is not None and len(out) + len(addition) > budget:
             break

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -284,15 +285,28 @@ def test_pretrain_rejects_malformed_vocab(world_dir, tmp_path, capsys, bad_line)
     assert len(err) == 1 and "%s:%d:" % (vocab, bad_lineno) in err[0]
 
 
-@pytest.mark.parametrize("corruption", ["truncated", "alias_out_of_range"])
+@pytest.mark.parametrize("corruption", ["truncated", "alias_out_of_range", "tokens_byte_flipped",
+                                        "last_float_inf"])
 def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, capsys, corruption):
+    """A corrupt checkpoint exits 2 (data), or 3 (numeric) for a non-finite
+    tensor, with one line naming the file."""
     good = os.path.join(pretrained, "checkpoint.drgn")
     bad = str(tmp_path / "bad.drgn")
+    data = bytearray(open(good, "rb").read())
     if corruption == "truncated":
-        data = open(good, "rb").read()
         with open(bad, "wb") as fh:
             fh.write(data[:len(data) // 2])
         expected = "%s: truncated" % bad
+    elif corruption == "tokens_byte_flipped":
+        data[data.index(b"[PAD]\t0\n")] ^= 0xFF   # the tokens table comes first
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        expected = "data error: %s: tokens table is not valid UTF-8" % bad
+    elif corruption == "last_float_inf":
+        data[-4:] = struct.pack("<f", np.inf)
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        expected = "numeric abort: %s: checkpoint tensor" % bad
     else:
         params, token_vocab, entities, relations, config_text = pt.load_checkpoint(good)
         entities.aliases["zzz"] = 999
@@ -300,7 +314,7 @@ def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, ca
         expected = "%s (aliases table):%d:" % (bad, sorted(entities.aliases).index("zzz") + 1)
     code = main(["dump-attention", "--checkpoint", bad, "--kg", os.path.join(world_dir, "kg.tsv"),
                  "--text", "zzz", "--out", str(tmp_path / "attn")])
-    assert code == EXIT_DATA
+    assert code == (EXIT_NUMERIC if corruption == "last_float_inf" else EXIT_DATA)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and expected in err[0]
 

@@ -139,7 +139,7 @@ def text_only_stack(seg, params, cfg, mode, seed):
     x = nm.add(nm.gather_rows(params["lm.tok_emb"], seg.token_ids),
                nm.gather_rows(params["lm.pos_emb"], list(range(L))))
     x = nm.layer_norm(x, params["lm.emb_ln.g"], params["lm.emb_ln.b"])
-    x = _maybe_dropout(x, cfg, batch, "emb", batch.token_blocks)
+    x = _maybe_dropout(x, cfg, batch.token_keep, 0)
     for i in range(cfg.n_unimodal + cfg.n_fusion):
         x = _transformer_layer(x, params, cfg, i, batch)
     return x

@@ -114,6 +114,30 @@ def test_train_mode_dropout_differs_from_eval():
     assert not np.array_equal(train.tokens.values, evaluated.tokens.values)
 
 
+def test_token_and_hidden_masks_do_not_depend_on_the_graph():
+    cfg = tiny_cfg()
+    examples = mixed_batch()
+    with_graphs = make_batch(examples, cfg, True, SEEDS)
+    text_only = make_batch([(seg, dummy_local_kg()) for seg, _ in examples], cfg, True, SEEDS)
+    assert with_graphs.token_keep.tobytes() == text_only.token_keep.tobytes()
+    assert with_graphs.mint_keep.tobytes() == text_only.mint_keep.tobytes()
+    assert not with_graphs.node_keep.all() and text_only.node_keep.all()
+
+
+def test_drawn_masks_zero_the_dropout_fraction():
+    cfg = tiny_cfg(d_text=64, d_node=32, d_mint_hidden=64, dropout=0.3)
+    batch = make_batch(mixed_batch(), cfg, True, SEEDS)
+    tokens = batch.token_keep[:, ~batch.key_pad.reshape(-1)]
+    real_nodes = np.repeat(batch.graph, np.diff(batch.node_offsets))
+    drawn = np.concatenate([tokens.ravel(), batch.mint_keep.ravel(),
+                            batch.node_keep[:, real_nodes].ravel()])
+    assert abs(1.0 - drawn.mean() - cfg.dropout) < 0.02
+    # padding rows and dummy graphs' rows are never dropped
+    assert batch.token_keep[:, batch.key_pad.reshape(-1)].all()
+    assert batch.node_keep[:, ~real_nodes].all()
+    assert make_batch(mixed_batch(), cfg, False, SEEDS).token_keep is None
+
+
 def test_single_example_output_layout():
     cfg = tiny_cfg()
     params = init_params(cfg, 3, VOCAB, ENTS, RELS)
@@ -172,7 +196,7 @@ def embed(examples, batch, params, cfg):
     x = nm.add(nm.gather_rows(params["lm.tok_emb"], ids),
                nm.gather_rows(params["lm.pos_emb"], np.tile(np.arange(batch.max_len), len(examples))))
     x = nm.layer_norm(x, params["lm.emb_ln.g"], params["lm.emb_ln.b"])
-    return _maybe_dropout(x, cfg, batch, "emb", batch.token_blocks)
+    return _maybe_dropout(x, cfg, batch.token_keep, 0)
 
 
 def test_dummy_graphs_equal_text_only_with_zero_node_vectors():

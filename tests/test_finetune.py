@@ -247,3 +247,25 @@ def test_finetune_reduces_loss_and_freezes_lm():
     # LM component stayed frozen throughout; the graph side trained
     np.testing.assert_array_equal(params["lm.tok_emb"].values, lm_before)
     assert not np.array_equal(params["node_emb.table"].values, node_before)
+
+
+def test_finetune_step_sets_up_one_stream_per_question_and_choice(monkeypatch):
+    world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
+    train = world.mcqa_dataset(distractors="random")["train"][:3]
+    train[1] = ft.MCQAExample(train[1].question, train[1].choices[:2], 0)
+    names = []
+    split_rng = nm.split_rng
+
+    def counting_split_rng(seed, name, *indices):
+        names.append(name)
+        return split_rng(seed, name, *indices)
+
+    monkeypatch.setattr(nm, "split_rng", counting_split_rng)
+    cfg = ft.FinetuneConfig(epochs=1, batch_size=3, seed=8)
+    ft.finetune_mcqa(train, [], kg, entities, tv, params, enc_cfg, cfg)
+    n_choices = sum(len(ex.choices) for ex in train)
+    # one step: the epoch's order, per question its retrievals and one seed
+    # stream for all its choices, then one dropout stream per choice
+    assert sorted(names) == sorted(["ft_order"] + ["ft_retrieval"] * n_choices
+                                   + ["ft_step"] * len(train) + ["dropout"] * n_choices)
+

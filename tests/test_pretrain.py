@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
@@ -112,6 +113,37 @@ def test_negatives_differ_in_exactly_one_endpoint():
             assert neg[1] == pos[1]
             assert (neg[0] == pos[0]) != (neg[2] == pos[2])
             assert neg[0] != 0 and neg[2] != 0  # interaction node never sampled
+
+
+def test_holdout_corruption_distribution():
+    # six non-interaction nodes; the edges touch both ends of the candidate
+    # range, and (3, 1, 3) is a self-loop
+    n = 6000
+    local = LocalKG(nodes=[V_INT, 10, 11, 12, 13, 14, 15],
+                    edges=[(0, R_EL, 1), (1, 2, 2), (3, 3, 3), (6, 4, 1), (4, 2, 6)], linked={10})
+    _, holdout = pt.hold_out_edges(local, 1.0, n, nm.split_rng(5, "h"))
+    assert holdout.positives == [(1, 2, 2), (3, 3, 3), (6, 4, 1), (4, 2, 6)]
+    for (h, r, t), negs in zip(holdout.positives, holdout.negatives):
+        heads = [nh for nh, _, nt in negs if nt == t and nh != h]
+        tails = [nt for nh, _, nt in negs if nh == h and nt != t]
+        assert len(heads) + len(tails) == n
+        assert abs(len(heads) / n - 0.5) < 5 * np.sqrt(0.25 / n)
+        for side, endpoint in ((heads, h), (tails, t)):
+            counts = np.bincount(side, minlength=7)
+            assert counts[0] == 0 and counts[endpoint] == 0
+            others = np.delete(counts[1:], endpoint - 1)
+            assert stats.chisquare(others).pvalue > 1e-4
+
+
+def test_holdout_falls_back_to_the_side_with_candidates():
+    # one candidate node: the head (node 1) has no replacement, so every
+    # negative replaces the tail (the interaction node is never a candidate)
+    local = LocalKG(nodes=[V_INT, 10], edges=[(1, 2, 0)], linked=set())
+    _, holdout = pt.hold_out_edges(local, 1.0, 50, nm.split_rng(6, "h"))
+    assert holdout.negatives == [[(1, 2, 1)] * 50]
+    _, holdout = pt.hold_out_edges(LocalKG(nodes=[V_INT, 10], edges=[(1, 2, 1)], linked=set()),
+                                   1.0, 5, nm.split_rng(7, "h"))
+    assert holdout.flagged_empty   # single-node self-loop
 
 
 def test_holdout_dummy_graph_flagged():
@@ -494,6 +526,25 @@ def test_divergence_aborts_and_keeps_last_checkpoint(tmp_path):
                      cfg, checkpoint_path=ckpt)
     params, *_ = pt.load_checkpoint(ckpt)
     assert all(np.isfinite(p.values).all() for p in params.values())
+
+
+def test_pretrain_step_sets_up_one_stream_per_example(monkeypatch):
+    world, kg, entities, relations, tv, enc_cfg = small_setup()
+    names = []
+    split_rng = nm.split_rng
+
+    def counting_split_rng(seed, name, *indices):
+        names.append(name)
+        return split_rng(seed, name, *indices)
+
+    monkeypatch.setattr(nm, "split_rng", counting_split_rng)
+    cfg = pt.PretrainConfig(steps=2, batch_size=3, seed=9)
+    pt.train(world.raw_segments("train"), kg, entities, relations, tv, enc_cfg, cfg)
+    per_step = [x for x in names if x != "retrieval" and not x.startswith("init/")]
+    # per step: the batch draw, then one stream per slot in pretrain and one in the encoder
+    assert len(per_step) == cfg.steps * (1 + 2 * cfg.batch_size)
+    assert per_step[:1 + 2 * cfg.batch_size] == (["batch"] + ["example"] * cfg.batch_size
+                                                 + ["dropout"] * cfg.batch_size)
 
 
 # ---------------------------------------------------------------------------

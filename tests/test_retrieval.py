@@ -239,6 +239,21 @@ def test_verbalize_three_edges_sep_joined_in_edge_order():
     assert suffix == expected
 
 
+def test_verbalize_suffix_is_pinned_for_a_fixed_local_kg():
+    # names in mixed case with underscores; "old" is out of vocabulary
+    ev = make_entities(["Round_Brush", "hair", "Old_comb"])
+    rv = Vocab(RESERVED_RELATIONS)
+    rv.add("At_Location")
+    rv.add("similar_to")
+    tv = Vocab(rt.RESERVED_TOKENS)
+    for w in ["round", "brush", "at", "location", "hair", "similar", "to", "comb"]:
+        tv.add(w)
+    local = rt.LocalKG(nodes=[rt.V_INT, 0, 1, 2],
+                       edges=[(0, R_EL, 1), (1, 2, 2), (1, 3, 3), (3, 2, 2)], linked={0})
+    assert rt.verbalize_kg(local, ev, rv, tv) == [5, 6, 7, 8, 9, rt.SEP, 5, 6, 10, 11, rt.UNK, 12,
+                                                  rt.SEP, rt.UNK, 12, 7, 8, 9]
+
+
 def test_verbalize_budget_truncates_whole_sentences():
     g, ev, rv, tv = verbal_fixture()
     local = rt.retrieve_local_kg({0, 1, 2}, g, max_nodes=8, rng=nm.split_rng(7, "t"))
