@@ -23,8 +23,7 @@ from .encoder import EncoderConfig
 from .finetune import (DataError, FinetuneConfig, evaluate_mcqa, finetune_mcqa,
                        load_mcqa, read_jsonl)
 from .kg_store import EmptyGraphError, KGParseError, Vocab, load_kg
-from .retrieval import (RESERVED_TOKENS, build_vocab, link_entities, retrieve_local_kg,
-                        segment_corpus)
+from .retrieval import RESERVED_TOKENS, Retriever, build_vocab, segment_corpus
 
 SEED_ENV_VAR = "DRAGONFORGE_SEED"
 
@@ -267,9 +266,9 @@ def _run_config(args) -> RunConfig:
 
 
 def _load_checkpoint_bundle(args, flags: RunConfig):
-    """--checkpoint contents, its config overridden by anything given on the
-    CLI, and the --kg graph, whose entity and relation vocabularies must be
-    the checkpoint's: the same names under the same ids."""
+    """--checkpoint parameters, its config overridden by anything given on the
+    CLI, and a Retriever over the --kg graph, whose entity and relation
+    vocabularies must be the checkpoint's: the same names under the same ids."""
     params, token_vocab, entities, relations, config_text = pt.load_checkpoint(args.checkpoint)
     cfg = RunConfig.from_checkpoint_text(config_text)
     for key, prov in flags.provenance.items():
@@ -283,7 +282,9 @@ def _load_checkpoint_bundle(args, flags: RunConfig):
             if a != b:
                 raise DataError("%s: %s id %d is %r, but %r in checkpoint %s"
                                 % (args.kg, kind, i, a, b, args.checkpoint))
-    return params, token_vocab, entities, relations, cfg, kg
+    enc_cfg = cfg.encoder_config()
+    return params, Retriever(kg, entities, relations, token_vocab, enc_cfg.max_seq_len,
+                             enc_cfg.max_nodes), cfg
 
 
 def _cmd_build_vocab(args, cfg: RunConfig) -> int:
@@ -325,21 +326,22 @@ def _cmd_pretrain(args, cfg: RunConfig) -> int:
 
 
 def _cmd_finetune(args, cfg_flags: RunConfig) -> int:
-    params, token_vocab, entities, relations, cfg, kg = _load_checkpoint_bundle(args, cfg_flags)
+    params, retriever, cfg = _load_checkpoint_bundle(args, cfg_flags)
     enc_cfg = cfg.encoder_config()
     train_set = load_mcqa(args.train)
     dev_set = load_mcqa(args.dev)
     _write_effective_config(cfg, args.out)
-    params, history = finetune_mcqa(train_set, dev_set, kg, entities, token_vocab,
-                                    params, enc_cfg, cfg.finetune_config())
+    params, history = finetune_mcqa(train_set, dev_set, retriever, params, enc_cfg,
+                                    cfg.finetune_config())
     ckpt = os.path.join(args.out, "finetuned.drgn")
-    pt.save_checkpoint(ckpt, params, token_vocab, entities, relations, cfg.to_text())
-    reports = {"dev": {"split": "dev", **evaluate_mcqa(dev_set, kg, entities, token_vocab,
-                                                       params, enc_cfg, cfg["seed"])}}
+    pt.save_checkpoint(ckpt, params, retriever.token_vocab, retriever.entities,
+                       retriever.relations, cfg.to_text())
+    reports = {"dev": {"split": "dev", **evaluate_mcqa(dev_set, retriever, params, enc_cfg,
+                                                       cfg["seed"])}}
     if args.test:
         test_set = load_mcqa(args.test)
-        reports["test"] = {"split": "test", **evaluate_mcqa(test_set, kg, entities, token_vocab,
-                                                            params, enc_cfg, cfg["seed"])}
+        reports["test"] = {"split": "test", **evaluate_mcqa(test_set, retriever, params, enc_cfg,
+                                                            cfg["seed"])}
     with open(os.path.join(args.out, "accuracy.json"), "w", encoding="utf-8") as fh:
         json.dump({"history": history, "reports": reports}, fh, indent=2)
     print("finetuned; dev accuracy %.4f%s"
@@ -349,12 +351,12 @@ def _cmd_finetune(args, cfg_flags: RunConfig) -> int:
 
 
 def _cmd_eval_qa(args, cfg_flags: RunConfig) -> int:
-    params, token_vocab, entities, _, cfg, kg = _load_checkpoint_bundle(args, cfg_flags)
+    params, retriever, cfg = _load_checkpoint_bundle(args, cfg_flags)
     if "other.pool.wq" not in params:
         raise DataError("%s: checkpoint has no QA head; run finetune first" % args.checkpoint)
     data = load_mcqa(args.data)
     report = {"split": os.path.basename(args.data),
-              **evaluate_mcqa(data, kg, entities, token_vocab, params, cfg.encoder_config())}
+              **evaluate_mcqa(data, retriever, params, cfg.encoder_config())}
     _write_effective_config(cfg, args.out)
     with open(os.path.join(args.out, "accuracy.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -363,21 +365,21 @@ def _cmd_eval_qa(args, cfg_flags: RunConfig) -> int:
 
 
 def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
-    params, token_vocab, entities, relations, cfg, kg = _load_checkpoint_bundle(args, cfg_flags)
+    params, retriever, cfg = _load_checkpoint_bundle(args, cfg_flags)
     queries = read_jsonl(args.test, dict.fromkeys(("head", "rel", "tail", "text"), str), dict)
+    entities, relations, kg = retriever.entities, retriever.relations, retriever.kg
     known_true = {(entities.names[h], relations.names[r], entities.names[t])
                   for h, r, t in kg.triplets}
     known_true |= {(q["head"], q["rel"], q["tail"]) for q in queries}
-    enc_cfg = cfg.encoder_config()
     if args.mode == "kg_plus_text":
-        scorer = ev.ContextualScorer(params, enc_cfg, pt.linkpred_head(params, cfg.pretrain_config()))
+        scorer = ev.ContextualScorer(params, cfg.encoder_config(),
+                                     pt.linkpred_head(params, cfg.pretrain_config()))
     else:
         ent_emb, rel_emb = ev.train_distmult_baseline(
             kg, d=cfg["eval.lp_baseline_dim"], steps=cfg["eval.lp_baseline_steps"],
             seed=cfg["seed"])
         scorer = ev.NonContextualScorer(ent_emb, rel_emb)
-    report = ev.eval_link_prediction(scorer, queries, kg, entities, token_vocab,
-                                     relations, enc_cfg, known_true, seed=cfg["seed"])
+    report = ev.eval_link_prediction(scorer, queries, retriever, known_true, seed=cfg["seed"])
     _write_effective_config(cfg, args.out)
     with open(os.path.join(args.out, "ranking.json"), "w", encoding="utf-8") as fh:
         json.dump({"mode": args.mode, **dataclasses.asdict(report)}, fh, indent=2)
@@ -404,11 +406,9 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
 
 
 def _cmd_dump_attention(args, cfg_flags: RunConfig) -> int:
-    params, token_vocab, entities, _, cfg, kg = _load_checkpoint_bundle(args, cfg_flags)
-    enc_cfg = cfg.encoder_config()
-    seg, v_el = link_entities(args.text, entities, token_vocab)
-    local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, nm.split_rng(cfg["seed"], "dump"))
-    lines = ev.dump_attention(params, enc_cfg, seg, local)
+    params, retriever, cfg = _load_checkpoint_bundle(args, cfg_flags)
+    seg, local = retriever.inputs([args.text], nm.split_rng(cfg["seed"], "dump"))
+    lines = ev.dump_attention(params, cfg.encoder_config(), seg, local)
     _write_effective_config(cfg, args.out)
     path = os.path.join(args.out, "attention.jsonl")
     with open(path, "w", encoding="utf-8") as fh:

@@ -22,7 +22,7 @@ from .kg_store import EntityVocab, KnowledgeGraph, Vocab, kg_from_triplets
 from .numerics import Tensor
 from .pretrain import (LinkPredHead, PretrainConfig, Optimizer, linkpred_head, train,
                        train_step, triplet_scores)
-from .retrieval import build_alias_index, build_vocab_from_texts, link_entities, retrieve_local_kg
+from .retrieval import Retriever, build_vocab_from_texts
 
 
 @dataclass
@@ -404,9 +404,7 @@ class NonContextualScorer:
         return (h * r * self.entity_emb[np.array(candidates)]).sum(axis=1)
 
 
-def eval_link_prediction(scorer, queries: list[dict], kg: KnowledgeGraph,
-                         entities: EntityVocab, token_vocab: Vocab,
-                         relations: Vocab, enc_cfg: EncoderConfig,
+def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
                          known_true: set[tuple[str, str, str]], seed: int = 0,
                          filtered: bool = True) -> RankingReport:
     """Rank the gold tail against local-graph candidates for each query.
@@ -416,7 +414,7 @@ def eval_link_prediction(scorer, queries: list[dict], kg: KnowledgeGraph,
     triplets. Queries whose head or tail fall outside the retrieved graph are
     skipped and counted.
     """
-    alias_index = build_alias_index(entities)
+    entities, relations = retriever.entities, retriever.relations
     ranks: list[float] = []
     skipped = 0
     for qi, q in enumerate(queries):
@@ -425,8 +423,7 @@ def eval_link_prediction(scorer, queries: list[dict], kg: KnowledgeGraph,
             skipped += 1
             continue
         h, t, r = entities.ids[h_name], entities.ids[t_name], relations.ids[r_name]
-        seg, v_el = link_entities(q["text"], entities, token_vocab, alias_index)
-        local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, nm.split_rng(seed, "lp_retrieval", qi))
+        seg, local = retriever.inputs([q["text"]], nm.split_rng(seed, "lp_retrieval", qi))
         node_set = set(local.entity_ids())
         if local.is_dummy or h not in node_set or t not in node_set:
             skipped += 1
@@ -500,17 +497,17 @@ def run_ablation_cell(world: SyntheticWorld, enc_cfg: EncoderConfig,
                       token_vocab, e_cfg, p_cfg)
     if mcqa_data is None:
         mcqa_data = world.mcqa_dataset(distractors="adversarial")
+    retriever = Retriever(kg, entities, relations, token_vocab, e_cfg.max_seq_len,
+                          e_cfg.max_nodes)
     f_cfg = replace(ft_cfg, seed=seed)
-    params, _ = finetune_mcqa(mcqa_data["train"], mcqa_data["dev"], kg, entities,
-                              token_vocab, params, e_cfg, f_cfg)
-    acc = evaluate_mcqa(mcqa_data["test"], kg, entities, token_vocab, params, e_cfg)["accuracy"]
+    params, _ = finetune_mcqa(mcqa_data["train"], mcqa_data["dev"], retriever, params, e_cfg, f_cfg)
+    acc = evaluate_mcqa(mcqa_data["test"], retriever, params, e_cfg)["accuracy"]
     if kg_structure == "graph":
         # contextualized scoring needs graph inputs; sentence-mode models
         # trained against dummy graphs have no in-regime link scores
         scorer_obj = ContextualScorer(params, e_cfg, linkpred_head(params, p_cfg))
-        lp = eval_link_prediction(scorer_obj, world.lp_queries(lp_query_limit), kg, entities,
-                                  token_vocab, relations, e_cfg, world.known_true_names(),
-                                  seed=seed)
+        lp = eval_link_prediction(scorer_obj, world.lp_queries(lp_query_limit), retriever,
+                                  world.known_true_names(), seed=seed)
         lp_mrr = round(lp.mrr, 4) if lp.n_queries else ""
         status = "ok" if lp.n_queries else "no-lp-queries"
     else:

@@ -19,11 +19,9 @@ import numpy as np
 from . import numerics as nm
 from .encoder import (NORMAL, EncoderConfig, EncoderOutput, encode_batch, init_param,
                       segment_attention)
-from .kg_store import EntityVocab, KnowledgeGraph, Vocab
 from .numerics import Tensor
 from .pretrain import Optimizer, train_step
-from .retrieval import (SEP, LocalKG, TextSegment, build_alias_index, link_entities,
-                        retrieve_local_kg)
+from .retrieval import LocalKG, Retriever, TextSegment
 
 
 class DataError(ValueError):
@@ -133,22 +131,11 @@ class FinetuneConfig:
     early_stop: bool = True
 
 
-def prepare_choice_inputs(ex: MCQAExample, kg: KnowledgeGraph, entities: EntityVocab,
-                          token_vocab: Vocab, enc_cfg: EncoderConfig, seed: int,
-                          example_idx: int, alias_index: dict
+def prepare_choice_inputs(ex: MCQAExample, retriever: Retriever, seed: int, example_idx: int
                           ) -> list[tuple[TextSegment, LocalKG]]:
     """One (segment, local KG) per choice, retrieved from question + choice."""
-    q_seg, q_el = link_entities(ex.question, entities, token_vocab, alias_index)
-    out = []
-    for c, choice in enumerate(ex.choices):
-        c_seg, c_el = link_entities(choice, entities, token_vocab, alias_index)
-        ids = q_seg.token_ids + [SEP] + c_seg.token_ids[1:]
-        seg = TextSegment(ids[:enc_cfg.max_seq_len])
-        v_el = q_el | c_el
-        local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes,
-                                  nm.split_rng(seed, "ft_retrieval", example_idx, c))
-        out.append((seg, local))
-    return out
+    return [retriever.inputs([ex.question, choice], nm.split_rng(seed, "ft_retrieval", example_idx, c))
+            for c, choice in enumerate(ex.choices)]
 
 
 def choice_logits(inputs: list[tuple[TextSegment, LocalKG]], params: dict[str, Tensor],
@@ -159,15 +146,13 @@ def choice_logits(inputs: list[tuple[TextSegment, LocalKG]], params: dict[str, T
     return nm.reshape(x, (1, len(inputs)))
 
 
-def evaluate_mcqa(examples: list[MCQAExample], kg: KnowledgeGraph, entities: EntityVocab,
-                  token_vocab: Vocab, params: dict[str, Tensor],
+def evaluate_mcqa(examples: list[MCQAExample], retriever: Retriever, params: dict[str, Tensor],
                   enc_cfg: EncoderConfig, seed: int = 0) -> dict:
     """Accuracy report {split-agnostic}: n, accuracy, per_choice_count."""
-    alias_index = build_alias_index(entities)
     correct = 0
     per_choice: dict[str, int] = {}
     for i, ex in enumerate(examples):
-        inputs = prepare_choice_inputs(ex, kg, entities, token_vocab, enc_cfg, seed, i, alias_index)
+        inputs = prepare_choice_inputs(ex, retriever, seed, i)
         logits = choice_logits(inputs, params, enc_cfg)
         pred = int(np.argmax(logits.values.reshape(-1)))
         correct += int(pred == ex.gold)
@@ -190,8 +175,8 @@ def subsample(examples: list[MCQAExample], fraction: float, seed: int) -> list[M
 
 
 def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExample],
-                  kg: KnowledgeGraph, entities: EntityVocab, token_vocab: Vocab,
-                  params: dict[str, Tensor], enc_cfg: EncoderConfig, cfg: FinetuneConfig
+                  retriever: Retriever, params: dict[str, Tensor], enc_cfg: EncoderConfig,
+                  cfg: FinetuneConfig
                   ) -> tuple[dict[str, Tensor], list[dict]]:
     """Train the pooling head (and encoder) on MCQA; dev-accuracy early stopping.
 
@@ -202,7 +187,6 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
     train_set = subsample(train_examples, cfg.train_fraction, cfg.seed)
     if not train_set:
         raise DataError("empty training set")
-    alias_index = build_alias_index(entities)
     steps_per_epoch = int(np.ceil(len(train_set) / cfg.batch_size))
     total_steps = cfg.epochs * steps_per_epoch
     opt = Optimizer(params, cfg.lr_lm, cfg.lr_other, total_steps, cfg.warmup_ratio)
@@ -214,8 +198,7 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
         width = max(len(train_set[int(i)].choices) for i in batch_ids)
         for bi, i in enumerate(batch_ids):
             ex = train_set[int(i)]
-            inputs += prepare_choice_inputs(ex, kg, entities, token_vocab, enc_cfg,
-                                            cfg.seed, int(i), alias_index)
+            inputs += prepare_choice_inputs(ex, retriever, cfg.seed, int(i))
             seeds += nm.split_rng(cfg.seed, "ft_step", step, bi).integers(
                 2 ** 62, size=len(ex.choices)).tolist()
             cells += [bi * width + c for c in range(len(ex.choices))]
@@ -241,7 +224,7 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
             epoch_loss += loss.item()
             n_batches += 1
             step += 1
-        dev = evaluate_mcqa(dev_examples, kg, entities, token_vocab, params, enc_cfg, cfg.seed)
+        dev = evaluate_mcqa(dev_examples, retriever, params, enc_cfg, cfg.seed)
         history.append({"epoch": epoch, "train_loss": epoch_loss / max(1, n_batches),
                         "dev_accuracy": dev["accuracy"]})
         if dev["accuracy"] > best_acc:

@@ -24,8 +24,7 @@ from .encoder import NORMAL, EncoderConfig, encode_batch, init_param, init_param
 from .kg_store import (RESERVED_RELATIONS, EntityVocab, KnowledgeGraph, R_EL, Vocab, name_table,
                        read_name_table)
 from .numerics import Tensor
-from .retrieval import (MASK, PAD, RESERVED_TOKENS, SEP, LocalKG, TextSegment, build_alias_index,
-                        dummy_local_kg, link_entities, retrieve_local_kg, verbalize_kg)
+from .retrieval import MASK, PAD, RESERVED_TOKENS, SEP, LocalKG, Retriever, TextSegment
 
 SCORERS = ("distmult", "transe", "rotate")
 OBJECTIVES = ("joint", "mlm_only", "linkpred_only")
@@ -331,25 +330,11 @@ def linkpred_head(params: dict[str, Tensor], cfg: PretrainConfig) -> LinkPredHea
                         relations=params["other.linkpred.relations"])
 
 
-def prepare_examples(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
-                     relations: Vocab, token_vocab: Vocab,
-                     enc_cfg: EncoderConfig, seed: int, kg_mode: str = "graph"
+def prepare_examples(raw_segments: list[str], retriever: Retriever, seed: int
                      ) -> list[tuple[TextSegment, LocalKG]]:
-    """Link + retrieve every raw segment; verbalized mode folds the local KG
-    into the token sequence and replaces the graph with a dummy."""
-    alias_index = build_alias_index(entities)
-    out: list[tuple[TextSegment, LocalKG]] = []
-    for idx, raw in enumerate(raw_segments):
-        seg, v_el = link_entities(raw, entities, token_vocab, alias_index)
-        local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, nm.split_rng(seed, "retrieval", idx))
-        if kg_mode == "verbalized":
-            budget = enc_cfg.max_seq_len - seg.length - 1
-            suffix = verbalize_kg(local, entities, relations, token_vocab, budget=max(0, budget))
-            if suffix:
-                seg = TextSegment(seg.token_ids + [SEP] + suffix)
-            local = dummy_local_kg()
-        out.append((seg, local))
-    return out
+    """Encoder inputs of every raw segment, each retrieved with its own stream."""
+    return [retriever.inputs([raw], nm.split_rng(seed, "retrieval", idx))
+            for idx, raw in enumerate(raw_segments)]
 
 
 def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
@@ -363,8 +348,9 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
     byte-identical under a fixed seed; wall-clock timing belongs to the
     console, not the reproducibility contract.
     """
-    examples = prepare_examples(raw_segments, kg, entities, relations, token_vocab,
-                                enc_cfg, cfg.seed, cfg.kg_mode)
+    retriever = Retriever(kg, entities, relations, token_vocab, enc_cfg.max_seq_len,
+                          enc_cfg.max_nodes, cfg.kg_mode)
+    examples = prepare_examples(raw_segments, retriever, cfg.seed)
     if not examples:
         raise ValueError("no training segments")
     params = init_params(enc_cfg, cfg.seed, len(token_vocab), len(entities), len(relations))

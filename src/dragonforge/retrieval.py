@@ -1,9 +1,12 @@
 """Text-side input preparation: tokenization, entity linking, local-KG retrieval.
 
-A raw segment becomes (TextSegment, LocalKG): dictionary longest-match linking
-produces the linked entity set, 2-hop bridge expansion plus pruning produces
-the node set, and the interaction node is wired to surviving linked entities.
-Segments with no linked entities fall back to a dummy single-node graph.
+`Retriever.inputs` is the one path from raw text to encoder inputs, for
+pretraining, finetuning, evaluation and attention dumps alike. Texts become
+(TextSegment, LocalKG): dictionary longest-match linking produces the linked
+entity set, 2-hop bridge expansion plus pruning produces the node set, and
+the interaction node is wired to surviving linked entities. Segments with no
+linked entities fall back to a dummy single-node graph. In verbalized mode
+the local KG is rendered into the token sequence behind a dummy graph.
 """
 
 from __future__ import annotations
@@ -119,11 +122,8 @@ def build_alias_index(entities: EntityVocab) -> dict[str, list[tuple[tuple[str, 
     return index
 
 
-def link_entities(text: str, entities: EntityVocab, token_vocab: Vocab,
-                  alias_index: dict | None = None) -> tuple[TextSegment, set[int]]:
-    """Greedy leftmost-longest dictionary match over lowercased tokens."""
-    if alias_index is None:
-        alias_index = build_alias_index(entities)
+def link_entities(text: str, alias_index: dict, token_vocab: Vocab) -> tuple[TextSegment, set[int]]:
+    """Greedy leftmost-longest match of build_alias_index's aliases over lowercased tokens."""
     words = [t for t, _, _ in tokenize(text)]
     linked: set[int] = set()
     i = 0
@@ -218,6 +218,37 @@ def verbalize_kg(local: LocalKG, entities: EntityVocab, relations: Vocab,
             break
         out.extend(addition)
     return out
+
+
+class Retriever:
+    """Raw text -> (TextSegment, LocalKG) encoder inputs, over one alias index.
+    kg_mode "verbalized" folds the local KG into the tokens behind a dummy graph."""
+
+    def __init__(self, kg: KnowledgeGraph, entities: EntityVocab, relations: Vocab,
+                 token_vocab: Vocab, max_seq_len: int, max_nodes: int, kg_mode: str = "graph"):
+        self.kg, self.entities, self.relations, self.token_vocab = kg, entities, relations, token_vocab
+        self.max_seq_len, self.max_nodes, self.kg_mode = max_seq_len, max_nodes, kg_mode
+        self.alias_index = build_alias_index(entities)
+
+    def inputs(self, texts: list[str], rng: np.random.Generator) -> tuple[TextSegment, LocalKG]:
+        """Link each text, join their token ids with [SEP] and cut them to
+        max_seq_len, then retrieve the local KG of all linked entities with
+        rng. Verbalized mode appends [SEP] and the whole KG sentences that
+        fit in max_seq_len, then replaces the graph with a dummy."""
+        ids, v_el = [INT], set()
+        for i, text in enumerate(texts):
+            seg, linked = link_entities(text, self.alias_index, self.token_vocab)
+            ids += ([SEP] if i else []) + seg.token_ids[1:]
+            v_el |= linked
+        seg = TextSegment(ids[:self.max_seq_len])
+        local = retrieve_local_kg(v_el, self.kg, self.max_nodes, rng)
+        if self.kg_mode == "verbalized":
+            suffix = verbalize_kg(local, self.entities, self.relations, self.token_vocab,
+                                  budget=max(0, self.max_seq_len - seg.length - 1))
+            if suffix:
+                seg = TextSegment(seg.token_ids + [SEP] + suffix)
+            local = dummy_local_kg()
+        return seg, local
 
 
 def segment_corpus(corpus_file: str, max_seq_len: int) -> list[str]:

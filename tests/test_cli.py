@@ -113,7 +113,7 @@ def test_config_echo_reproduces_run(world_dir, pretrained, tmp_path):
 def test_checkpoint_round_trip_forward_bitwise(world_dir, pretrained):
     from dragonforge.encoder import encode
     from dragonforge.kg_store import load_kg
-    from dragonforge.retrieval import link_entities, retrieve_local_kg
+    from dragonforge.retrieval import build_alias_index, link_entities, retrieve_local_kg
 
     ckpt = os.path.join(pretrained, "checkpoint.drgn")
     kg, _, _ = load_kg(os.path.join(world_dir, "kg.tsv"),
@@ -123,7 +123,7 @@ def test_checkpoint_round_trip_forward_bitwise(world_dir, pretrained):
         params, tv, entities, relations, text = pt.load_checkpoint(ckpt)
         cfg = RunConfig.from_checkpoint_text(text).encoder_config()
         raw = open(os.path.join(world_dir, "corpus.txt"), encoding="utf-8").read().split("\n\n")[0]
-        seg, v_el = link_entities(raw.replace("\n", " "), entities, tv)
+        seg, v_el = link_entities(raw.replace("\n", " "), build_alias_index(entities), tv)
         local = retrieve_local_kg(v_el, kg, cfg.max_nodes, nm.split_rng(0, "t"))
         out = encode(seg, local, params, cfg, mode="eval")
         return out.tokens.values.tobytes(), out.nodes.values.tobytes()

@@ -11,7 +11,8 @@ from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
 from dragonforge.encoder import EncoderConfig, init_params
 from dragonforge.finetune import FinetuneConfig, add_pooling_head
-from dragonforge.retrieval import build_vocab_from_texts, link_entities, retrieve_local_kg
+from dragonforge.retrieval import (Retriever, build_alias_index, build_vocab_from_texts,
+                                   link_entities, retrieve_local_kg)
 
 # chi-square critical value at alpha=0.01 for 499 degrees of freedom
 CHI2_99_DF499 = 575.419195
@@ -159,6 +160,10 @@ class StubScorer:
         return np.array(out)
 
 
+def retriever(kg, entities, relations, tv, enc_cfg):
+    return Retriever(kg, entities, relations, tv, enc_cfg.max_seq_len, enc_cfg.max_nodes)
+
+
 def lp_fixture():
     world = ev.generate_synthetic_world(n_entities=50, n_relations=4, n_facts=350,
                                         leak_rate=0.2, seed=8, structure="flat")
@@ -175,8 +180,9 @@ def test_gold_boosted_scorer_gets_perfect_metrics():
     queries = world.lp_queries()[:30]
     boost = {(entities.ids[q["head"]], relations.ids[q["rel"]],
               entities.ids[q["tail"]]) for q in queries}
-    report = ev.eval_link_prediction(StubScorer(boost), queries, kg, entities, tv,
-                                     relations, enc_cfg, world.known_true_names())
+    report = ev.eval_link_prediction(StubScorer(boost), queries, retriever(kg, entities, relations,
+                                                                           tv, enc_cfg),
+                                     world.known_true_names())
     assert report.n_queries > 0
     assert report.hits1 == 1.0 and report.mrr == 1.0
 
@@ -186,14 +192,14 @@ def test_filtered_ranking_matches_exhaustive_scan_oracle():
     known = world.known_true_names()
     queries = world.lp_queries()[:25]
     scorer = StubScorer()
-    filtered = ev.eval_link_prediction(scorer, queries, kg, entities, tv, relations,
-                                       enc_cfg, known, filtered=True)
+    filtered = ev.eval_link_prediction(scorer, queries, retriever(kg, entities, relations, tv, enc_cfg),
+                                       known, filtered=True)
     # independent oracle: replay retrieval, scan the full fact list to filter
     ranks = []
     for qi, q in enumerate(queries):
         h, t = entities.ids[q["head"]], entities.ids[q["tail"]]
         r = relations.ids[q["rel"]]
-        seg, v_el = link_entities(q["text"], entities, tv)
+        seg, v_el = link_entities(q["text"], build_alias_index(entities), tv)
         local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, nm.split_rng(0, "lp_retrieval", qi))
         if local.is_dummy or h not in local.entity_ids() or t not in local.entity_ids():
             continue
@@ -220,8 +226,9 @@ def test_contextual_scorer_runs_and_reports():
     p_cfg = pt.PretrainConfig(scorer="distmult")
     pt.add_pretrain_heads(params, enc_cfg, p_cfg, len(tv), len(relations), 0)
     scorer = ev.ContextualScorer(params, enc_cfg, pt.linkpred_head(params, p_cfg))
-    report = ev.eval_link_prediction(scorer, world.lp_queries()[:15], kg, entities, tv,
-                                     relations, enc_cfg, world.known_true_names())
+    report = ev.eval_link_prediction(scorer, world.lp_queries()[:15],
+                                     retriever(kg, entities, relations, tv, enc_cfg),
+                                     world.known_true_names())
     assert report.n_queries + report.skipped == 15
     assert report.hits1 <= report.hits3 <= report.hits10
 
@@ -288,7 +295,7 @@ def test_dump_attention_parses_and_round_trips():
     params = init_params(enc_cfg, 3, len(tv), len(entities), len(relations))
     add_pooling_head(params, enc_cfg, 3)
     raw = world.raw_segments("train")[0]
-    seg, v_el = link_entities(raw, entities, tv)
+    seg, v_el = link_entities(raw, build_alias_index(entities), tv)
     local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, nm.split_rng(4, "t"))
     lines = ev.dump_attention(params, enc_cfg, seg, local)
     assert len(lines) == enc_cfg.n_fusion + 1
@@ -308,7 +315,7 @@ def test_dump_attention_single_node_pooling():
     params = init_params(enc_cfg, 5, len(tv), len(entities), len(relations))
     add_pooling_head(params, enc_cfg, 5)
     name = world.entity_names[0]
-    seg, v_el = link_entities("%s alone" % name, entities, tv)
+    seg, v_el = link_entities("%s alone" % name, build_alias_index(entities), tv)
     local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, nm.split_rng(6, "t"))
     assert len(local.entity_ids()) == 1
     lines = ev.dump_attention(params, enc_cfg, seg, local)

@@ -10,7 +10,7 @@ from dragonforge import finetune as ft
 from dragonforge.encoder import EncoderConfig, EncoderOutput, init_params
 from dragonforge.evaluation import generate_synthetic_world
 from dragonforge.kg_store import R_EL
-from dragonforge.retrieval import (INT, LocalKG, TextSegment, V_INT, build_alias_index,
+from dragonforge.retrieval import (INT, LocalKG, Retriever, TextSegment, V_INT,
                                   build_vocab_from_texts)
 
 
@@ -187,6 +187,10 @@ def test_subsample_exact_count_and_seeded():
 # end-to-end scoring contracts
 # ---------------------------------------------------------------------------
 
+def retriever(kg, entities, relations, tv, enc_cfg):
+    return Retriever(kg, entities, relations, tv, enc_cfg.max_seq_len, enc_cfg.max_nodes)
+
+
 def qa_setup(seed=6):
     world = generate_synthetic_world(n_entities=50, n_relations=4, n_facts=320,
                                      leak_rate=0.15, seed=seed, structure="flat")
@@ -204,14 +208,14 @@ def test_choice_order_invariance_of_argmax():
     world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
     data = world.mcqa_dataset(distractors="random")["dev"]
     rng = np.random.default_rng(7)
-    alias_index = build_alias_index(entities)
+    rt = retriever(kg, entities, relations, tv, enc_cfg)
     for i, ex in enumerate(data[:6]):
-        inputs = ft.prepare_choice_inputs(ex, kg, entities, tv, enc_cfg, 0, i, alias_index)
+        inputs = ft.prepare_choice_inputs(ex, rt, 0, i)
         logits = ft.choice_logits(inputs, params, enc_cfg)
         perm = rng.permutation(len(ex.choices)).tolist()
         permuted = ft.MCQAExample(ex.question, [ex.choices[p] for p in perm],
                                   perm.index(ex.gold))
-        inputs2 = ft.prepare_choice_inputs(permuted, kg, entities, tv, enc_cfg, 0, i, alias_index)
+        inputs2 = ft.prepare_choice_inputs(permuted, rt, 0, i)
         logits2 = ft.choice_logits(inputs2, params, enc_cfg)
         np.testing.assert_allclose(logits2.values[0], logits.values[0][perm], atol=1e-5)
 
@@ -220,7 +224,8 @@ def test_untrained_model_scores_near_chance():
     world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
     data = world.mcqa_dataset(distractors="random")
     examples = data["train"] + data["dev"] + data["test"]
-    report = ft.evaluate_mcqa(examples, kg, entities, tv, params, enc_cfg)
+    report = ft.evaluate_mcqa(examples, retriever(kg, entities, relations, tv, enc_cfg), params,
+                              enc_cfg)
     assert report["n"] == len(examples)
     assert abs(report["accuracy"] - 0.25) < 0.1
 
@@ -229,7 +234,8 @@ def test_variable_choice_counts_allowed():
     world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
     a = ft.MCQAExample("beva likes", [world.entity_names[0], world.entity_names[1]], 0)
     b = ft.MCQAExample("beva likes", world.entity_names[:5], 2)
-    report = ft.evaluate_mcqa([a, b], kg, entities, tv, params, enc_cfg)
+    report = ft.evaluate_mcqa([a, b], retriever(kg, entities, relations, tv, enc_cfg), params,
+                              enc_cfg)
     assert report["per_choice_count"] == {"2": 1, "5": 1}
 
 
@@ -240,7 +246,8 @@ def test_finetune_reduces_loss_and_freezes_lm():
     node_before = params["node_emb.table"].values.copy()
     cfg = ft.FinetuneConfig(epochs=3, batch_size=4, freeze_lm_epochs=3, seed=8,
                             lr_other=3e-3, early_stop=False)
-    params2, history = ft.finetune_mcqa(data["train"], data["dev"], kg, entities, tv,
+    params2, history = ft.finetune_mcqa(data["train"], data["dev"],
+                                        retriever(kg, entities, relations, tv, enc_cfg),
                                         params, enc_cfg, cfg)
     assert len(history) == 3
     assert history[-1]["train_loss"] < history[0]["train_loss"]
@@ -262,7 +269,8 @@ def test_finetune_step_sets_up_one_stream_per_question_and_choice(monkeypatch):
 
     monkeypatch.setattr(nm, "split_rng", counting_split_rng)
     cfg = ft.FinetuneConfig(epochs=1, batch_size=3, seed=8)
-    ft.finetune_mcqa(train, [], kg, entities, tv, params, enc_cfg, cfg)
+    ft.finetune_mcqa(train, [], retriever(kg, entities, relations, tv, enc_cfg), params,
+                     enc_cfg, cfg)
     n_choices = sum(len(ex.choices) for ex in train)
     # one step: the epoch's order, per question its retrievals and one seed
     # stream for all its choices, then one dropout stream per choice

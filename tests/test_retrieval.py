@@ -30,7 +30,7 @@ def make_entities(names_with_aliases):
 def test_longest_match_suppresses_substring():
     ev = make_entities(["round_brush", "art_supply", "brush"])
     tv = make_vocab(["round", "brush", "is", "an", "art", "supply"])
-    seg, linked = rt.link_entities("round brush is an art supply", ev, tv)
+    seg, linked = rt.link_entities("round brush is an art supply", rt.build_alias_index(ev), tv)
     assert linked == {ev.ids["round_brush"], ev.ids["art_supply"]}
     assert seg.token_ids[0] == rt.INT
     assert len(seg.token_ids) == 7
@@ -39,7 +39,7 @@ def test_longest_match_suppresses_substring():
 def test_empty_string_links_nothing():
     ev = make_entities(["thing"])
     tv = make_vocab(["thing"])
-    seg, linked = rt.link_entities("", ev, tv)
+    seg, linked = rt.link_entities("", rt.build_alias_index(ev), tv)
     assert linked == set()
     assert seg.token_ids == [rt.INT]
 
@@ -47,7 +47,7 @@ def test_empty_string_links_nothing():
 def test_no_dictionary_hits():
     ev = make_entities(["zebra"])
     tv = make_vocab(["hello", "world"])
-    _, linked = rt.link_entities("hello world", ev, tv)
+    _, linked = rt.link_entities("hello world", rt.build_alias_index(ev), tv)
     assert linked == set()
 
 
@@ -79,7 +79,7 @@ def test_linking_matches_exhaustive_oracle():
     for _ in range(200):
         words = [base_words[i] for i in rng.integers(0, len(base_words), size=rng.integers(1, 12))]
         text = " ".join(words)
-        _, linked = rt.link_entities(text, ev, tv)
+        _, linked = rt.link_entities(text, rt.build_alias_index(ev), tv)
         assert linked == oracle_leftmost_longest(words, ev.aliases), text
 
 
@@ -317,7 +317,7 @@ def test_local_kg_invariants_over_random_corpus_segments():
     assert len(segments) >= 200
     checked = 0
     for idx, raw in enumerate(segments):
-        seg, v_el = rt.link_entities(raw, entities, tv)
+        seg, v_el = rt.link_entities(raw, rt.build_alias_index(entities), tv)
         local = rt.retrieve_local_kg(v_el, g, max_nodes=12, rng=nm.split_rng(6, "t", idx))
         local.validate(g, max_nodes=12)
         assert local.is_dummy == (len(v_el) == 0)
@@ -353,5 +353,5 @@ def test_min_freq_threshold(tmp_path):
     tv = rt.build_vocab(str(p), min_freq=2)
     assert "common" in tv.ids
     assert "rare" not in tv.ids
-    seg, _ = rt.link_entities("common rare", EntityVocab(), tv)
+    seg, _ = rt.link_entities("common rare", rt.build_alias_index(EntityVocab()), tv)
     assert seg.token_ids == [rt.INT, tv.ids["common"], rt.UNK]

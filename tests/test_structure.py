@@ -1,0 +1,40 @@
+"""Source-structure contracts: raw text reaches the encoder through one path."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dragonforge"
+
+
+def callers(name: str) -> set[str]:
+    """`module:Qualified.function` of every function in src whose body calls
+    `name`, as a plain name or as an attribute."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                if called == name:
+                    found.add("%s:%s" % (module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+    return found
+
+
+@pytest.mark.parametrize("name, caller", [
+    ("build_alias_index", "retrieval:Retriever.__init__"),
+    ("link_entities", "retrieval:Retriever.inputs"),
+    ("retrieve_local_kg", "retrieval:Retriever.inputs"),
+    ("verbalize_kg", "retrieval:Retriever.inputs"),
+])
+def test_input_preparation_has_one_caller(name, caller):
+    assert callers(name) == {caller}
