@@ -265,10 +265,11 @@ def _run_config(args) -> RunConfig:
     return RunConfig(config_file=args.config, overrides=overrides, seed_flag=args.seed)
 
 
-def _load_checkpoint_bundle(args, flags: RunConfig):
+def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
     """--checkpoint parameters, its config overridden by anything given on the
-    CLI, and a Retriever over the --kg graph, whose entity and relation
-    vocabularies must be the checkpoint's: the same names under the same ids."""
+    CLI, and a Retriever in kg_mode (by default the config's pretrain.kg_mode)
+    over the --kg graph, whose entity and relation vocabularies must be the
+    checkpoint's: the same names under the same ids."""
     params, token_vocab, entities, relations, config_text = pt.load_checkpoint(args.checkpoint)
     cfg = RunConfig.from_checkpoint_text(config_text)
     for key, prov in flags.provenance.items():
@@ -284,7 +285,7 @@ def _load_checkpoint_bundle(args, flags: RunConfig):
                                 % (args.kg, kind, i, a, b, args.checkpoint))
     enc_cfg = cfg.encoder_config()
     return params, Retriever(kg, entities, relations, token_vocab, enc_cfg.max_seq_len,
-                             enc_cfg.max_nodes), cfg
+                             enc_cfg.max_nodes, kg_mode or cfg.pretrain_config().kg_mode), cfg
 
 
 def _cmd_build_vocab(args, cfg: RunConfig) -> int:
@@ -365,15 +366,19 @@ def _cmd_eval_qa(args, cfg_flags: RunConfig) -> int:
 
 
 def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
-    params, retriever, cfg = _load_checkpoint_bundle(args, cfg_flags)
+    # candidates are local-graph nodes, so queries always get graph inputs
+    params, retriever, cfg = _load_checkpoint_bundle(args, cfg_flags, kg_mode="graph")
     queries = read_jsonl(args.test, dict.fromkeys(("head", "rel", "tail", "text"), str), dict)
     entities, relations, kg = retriever.entities, retriever.relations, retriever.kg
     known_true = {(entities.names[h], relations.names[r], entities.names[t])
                   for h, r, t in kg.triplets}
     known_true |= {(q["head"], q["rel"], q["tail"]) for q in queries}
     if args.mode == "kg_plus_text":
-        scorer = ev.ContextualScorer(params, cfg.encoder_config(),
-                                     pt.linkpred_head(params, cfg.pretrain_config()))
+        pre_cfg = cfg.pretrain_config()
+        if pre_cfg.kg_mode != "graph":
+            raise ConfigError("pretrain.kg_mode: --mode kg_plus_text scores graph inputs, which "
+                              "a %s checkpoint never saw; use --mode kg_only" % pre_cfg.kg_mode)
+        scorer = ev.ContextualScorer(params, cfg.encoder_config(), pt.linkpred_head(params, pre_cfg))
     else:
         ent_emb, rel_emb = ev.train_distmult_baseline(
             kg, d=cfg["eval.lp_baseline_dim"], steps=cfg["eval.lp_baseline_steps"],

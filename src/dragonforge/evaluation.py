@@ -498,13 +498,13 @@ def run_ablation_cell(world: SyntheticWorld, enc_cfg: EncoderConfig,
     if mcqa_data is None:
         mcqa_data = world.mcqa_dataset(distractors="adversarial")
     retriever = Retriever(kg, entities, relations, token_vocab, e_cfg.max_seq_len,
-                          e_cfg.max_nodes)
+                          e_cfg.max_nodes, p_cfg.kg_mode)
     f_cfg = replace(ft_cfg, seed=seed)
     params, _ = finetune_mcqa(mcqa_data["train"], mcqa_data["dev"], retriever, params, e_cfg, f_cfg)
     acc = evaluate_mcqa(mcqa_data["test"], retriever, params, e_cfg)["accuracy"]
     if kg_structure == "graph":
-        # contextualized scoring needs graph inputs; sentence-mode models
-        # trained against dummy graphs have no in-regime link scores
+        # sentence cells are verbalized throughout; link prediction ranks
+        # local-graph nodes, so it needs graph inputs and runs here only
         scorer_obj = ContextualScorer(params, e_cfg, linkpred_head(params, p_cfg))
         lp = eval_link_prediction(scorer_obj, world.lp_queries(lp_query_limit), retriever,
                                   world.known_true_names(), seed=seed)

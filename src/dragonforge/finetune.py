@@ -1,10 +1,10 @@
 """Downstream adaptation: attention pooling over node vectors and
 multiple-choice QA scoring over (question, answer-choice) inputs.
 
-Each choice is encoded from the text "question [SEP] choice" with its own
-retrieved local KG (all choices of a question, or of a training step, in one
-encoder batch), pooled into a single vector, and scored by a one-hidden-layer
-perceptron; training is cross-entropy over choice logits.
+The Retriever turns each (question, choice) into "question [SEP] choice"
+and a local KG, verbalized for verbalized checkpoints. All choices of a
+question or training step share one encoder batch, are pooled to vectors and
+scored by a one-hidden-layer perceptron, trained by cross-entropy over them.
 """
 
 from __future__ import annotations
@@ -176,8 +176,7 @@ def subsample(examples: list[MCQAExample], fraction: float, seed: int) -> list[M
 
 def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExample],
                   retriever: Retriever, params: dict[str, Tensor], enc_cfg: EncoderConfig,
-                  cfg: FinetuneConfig
-                  ) -> tuple[dict[str, Tensor], list[dict]]:
+                  cfg: FinetuneConfig) -> tuple[dict[str, Tensor], list[dict]]:
     """Train the pooling head (and encoder) on MCQA; dev-accuracy early stopping.
 
     Returns the best parameters by dev accuracy and a per-epoch history.

@@ -348,9 +348,8 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
     byte-identical under a fixed seed; wall-clock timing belongs to the
     console, not the reproducibility contract.
     """
-    retriever = Retriever(kg, entities, relations, token_vocab, enc_cfg.max_seq_len,
-                          enc_cfg.max_nodes, cfg.kg_mode)
-    examples = prepare_examples(raw_segments, retriever, cfg.seed)
+    examples = prepare_examples(raw_segments, Retriever(kg, entities, relations, token_vocab,
+                                enc_cfg.max_seq_len, enc_cfg.max_nodes, cfg.kg_mode), cfg.seed)
     if not examples:
         raise ValueError("no training segments")
     params = init_params(enc_cfg, cfg.seed, len(token_vocab), len(entities), len(relations))

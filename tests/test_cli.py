@@ -11,8 +11,8 @@ from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
 from dragonforge.cli import (DEFAULTS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                              RunConfig, main, parse_config_text)
-from dragonforge.kg_store import load_kg
-from dragonforge.retrieval import RESERVED_TOKENS
+from dragonforge.kg_store import R_EL, load_kg
+from dragonforge.retrieval import RESERVED_TOKENS, SEP, Retriever
 
 MICRO_WORLD = ["--set", "world.n_entities=30", "--set", "world.n_relations=3",
                "--set", "world.n_facts=150", "--set", "world.leak_rate=0.2",
@@ -180,6 +180,91 @@ def test_dump_attention_cli(world_dir, pretrained, tmp_path):
     assert code == EXIT_OK
     lines = open(os.path.join(out, "attention.jsonl"), encoding="utf-8").read().splitlines()
     assert all(json.loads(line) for line in lines)
+
+
+def test_overlong_lp_query_and_dump_text_are_cut_to_max_seq_len(world_dir, pretrained, tmp_path):
+    ckpt = os.path.join(pretrained, "checkpoint.drgn")
+    kg = os.path.join(world_dir, "kg.tsv")
+    query = json.loads(open(os.path.join(world_dir, "lp_test.jsonl"), encoding="utf-8").readline())
+    query["text"] = " ".join([query["text"]] * 20)   # far past max_seq_len = 32 tokens
+    queries = tmp_path / "long.jsonl"
+    queries.write_text(json.dumps(query) + "\n", encoding="utf-8")
+    out = str(tmp_path / "lp")
+    assert main(["eval-lp", "--checkpoint", ckpt, "--kg", kg, "--test", str(queries),
+                 "--out", out]) == EXIT_OK
+    rep = json.load(open(os.path.join(out, "ranking.json"), encoding="utf-8"))
+    assert rep["n_queries"] + rep["skipped"] == 1
+    assert main(["dump-attention", "--checkpoint", ckpt, "--kg", kg, "--text", query["text"],
+                 "--out", str(tmp_path / "attn")]) == EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def verbalized(world_dir, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("verb"))
+    code = main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--aliases", os.path.join(world_dir, "aliases.tsv"),
+                 "--out", out, "--seed", "11", "--set", "pretrain.kg_mode=verbalized",
+                 "--set", "pretrain.steps=2", "--set", "pretrain.batch_size=2"]
+                + MICRO_MODEL)
+    assert code == EXIT_OK
+    return os.path.join(out, "checkpoint.drgn")
+
+
+def test_verbalized_checkpoint_finetunes_and_evaluates_on_verbalized_inputs(
+        world_dir, verbalized, tmp_path, monkeypatch):
+    from dragonforge import finetune as ft
+    batches = []
+    encode_batch = ft.encode_batch
+
+    def recording_encode_batch(inputs, *args, **kwargs):
+        batches.append(list(inputs))
+        return encode_batch(inputs, *args, **kwargs)
+
+    monkeypatch.setattr(ft, "encode_batch", recording_encode_batch)
+    kg = os.path.join(world_dir, "kg.tsv")
+    ft_out = str(tmp_path / "ft")
+    assert main(["finetune", "--checkpoint", verbalized, "--kg", kg,
+                 "--train", os.path.join(world_dir, "mcqa_train.jsonl"),
+                 "--dev", os.path.join(world_dir, "mcqa_dev.jsonl"),
+                 "--out", ft_out, "--set", "finetune.epochs=1"]) == EXIT_OK
+    n_finetune = len(batches)
+    data = os.path.join(world_dir, "mcqa_test.jsonl")
+    assert main(["eval-qa", "--checkpoint", os.path.join(ft_out, "finetuned.drgn"), "--kg", kg,
+                 "--data", data, "--out", str(tmp_path / "qa")]) == EXIT_OK
+    assert all(local.is_dummy for batch in batches for _, local in batch)
+    assert any(seg.token_ids.count(SEP) > 1 for batch in batches[:n_finetune] for seg, _ in batch)
+
+    # eval-qa's inputs are the graph-mode ones plus [SEP] and the retrieved
+    # KG's sentences, whenever that KG has an edge besides interaction links
+    _, tv, entities, relations, text = pt.load_checkpoint(verbalized)
+    enc_cfg = RunConfig.from_checkpoint_text(text).encoder_config()
+    graph = Retriever(load_kg(kg)[0], entities, relations, tv, enc_cfg.max_seq_len,
+                      enc_cfg.max_nodes)
+    examples = ft.load_mcqa(data)
+    assert len(batches) == n_finetune + len(examples)
+    n_suffixed = 0
+    for i, (ex, batch) in enumerate(zip(examples, batches[n_finetune:])):
+        for c, (choice, (seg, _)) in enumerate(zip(ex.choices, batch)):
+            g_seg, g_local = graph.inputs([ex.question, choice], nm.split_rng(0, "ft_retrieval", i, c))
+            assert seg.token_ids[:g_seg.length] == g_seg.token_ids
+            suffixed = seg.length > g_seg.length
+            assert suffixed == any(r != R_EL for _, r, _ in g_local.edges)
+            assert not suffixed or seg.token_ids[g_seg.length] == SEP
+            n_suffixed += suffixed
+    assert n_suffixed > 0
+
+
+def test_eval_lp_on_verbalized_checkpoint(world_dir, verbalized, tmp_path, capsys):
+    args = ["eval-lp", "--checkpoint", verbalized, "--kg", os.path.join(world_dir, "kg.tsv"),
+            "--test", os.path.join(world_dir, "lp_test.jsonl")]
+    assert main(args + ["--out", str(tmp_path / "ctx")]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: pretrain.kg_mode: ")
+    out = str(tmp_path / "kg_only")
+    assert main(args + ["--mode", "kg_only", "--out", out,
+                        "--set", "eval.lp_baseline_steps=20"]) == EXIT_OK
+    assert json.load(open(os.path.join(out, "ranking.json"), encoding="utf-8"))["n_queries"] > 0
 
 
 def test_numeric_abort_exit_code(world_dir, tmp_path):
