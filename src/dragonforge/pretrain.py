@@ -71,10 +71,15 @@ def apply_masking(seg: TextSegment, rate: float, rng: np.random.Generator) -> tu
 
 @dataclass
 class EdgeHoldout:
-    # local-index triplets (head, rel, tail)
-    positives: list[tuple[int, int, int]]
-    negatives: list[list[tuple[int, int, int]]]
+    """Local-index (head, rel, tail) triplets: positives [P, 3] and, for each,
+    its negatives [P, n, 3], both int64 arrays (lists are converted)."""
+    positives: np.ndarray
+    negatives: np.ndarray
     flagged_empty: bool = False
+
+    def __post_init__(self):
+        self.positives = np.asarray(self.positives, dtype=np.int64)
+        self.negatives = np.asarray(self.negatives, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.positives)
@@ -95,7 +100,7 @@ def hold_out_edges(local: LocalKG, rate: float, n: int, rng: np.random.Generator
         raise ValueError("need at least one negative per positive")
     droppable = [] if local.is_dummy else [i for i, e in enumerate(local.edges) if e[1] != R_EL]
     if not droppable:
-        return local, EdgeHoldout([], [], flagged_empty=True)
+        return local, EdgeHoldout(np.zeros((0, 3)), np.zeros((0, n, 3)), flagged_empty=True)
     dropped = _pick(droppable, rate, rng)
     dropped_set = set(dropped)
     reduced = LocalKG(nodes=list(local.nodes),
@@ -112,10 +117,10 @@ def hold_out_edges(local: LocalKG, rate: float, n: int, rng: np.random.Generator
     size = np.where(corrupt_head, head_size, tail_size)
     c = 1 + (rng.random(size.shape) * size).astype(np.int64)   # uniform in 1..size
     c += (endpoint >= 1) & (c >= endpoint)   # skip the replaced endpoint
-    heads, tails = np.where(corrupt_head, c, h).tolist(), np.where(corrupt_head, t, c).tolist()
-    positives = list(zip(h[:, 0].tolist(), r[:, 0].tolist(), t[:, 0].tolist()))
-    negatives = [list(zip(hs, [rel] * n, ts)) for hs, (_, rel, _), ts in zip(heads, positives, tails)]
-    return reduced, EdgeHoldout(positives, negatives, flagged_empty=not positives)
+    negatives = np.empty(c.shape + (3,), dtype=np.int64)   # [P, n, 3]
+    negatives[..., 0], negatives[..., 1] = np.where(corrupt_head, c, h), r
+    negatives[..., 2] = np.where(corrupt_head, t, c)
+    return reduced, EdgeHoldout(np.concatenate([h, r, t], axis=1), negatives, flagged_empty=not len(h))
 
 
 @dataclass
@@ -167,17 +172,18 @@ def linkpred_loss(holdouts: list[tuple[EdgeHoldout, int]], node_vecs: Tensor,
 
     Each holdout comes with the row of node_vecs that holds its local node 0.
     """
-    if not holdouts or not all(h.positives for h, _ in holdouts):
+    if not holdouts or not all(len(h) for h, _ in holdouts):
         raise ValueError("linkpred_loss requires non-empty holdouts")
-    triples, weights = [], []
-    for holdout, offset in holdouts:
-        for pos, negs in zip(holdout.positives, holdout.negatives):
-            triples += [(h + offset, r, t + offset) for h, r, t in [pos] + negs]
-            weights += [-1.0] + [1.0 / len(negs)] * len(negs)
-    h, r, t = np.array(triples, dtype=np.int64).T
+    rows, weights = [], []
+    for holdout, offset in holdouts:   # per positive: its row, then its negatives' rows
+        n = holdout.negatives.shape[1]
+        rows.append(np.concatenate([holdout.positives[:, None], holdout.negatives], axis=1)
+                    .reshape(-1, 3) + (offset, 0, offset))
+        weights.append(np.tile(np.r_[-1.0, np.full(n, 1.0 / n)], len(holdout)))
+    h, r, t = np.concatenate(rows).T
     phi = triplet_scores(nm.gather_rows(node_vecs, h), r, nm.gather_rows(node_vecs, t), head)
     terms = nm.log_sigmoid(nm.add(phi, head.margin))
-    return nm.reduce_sum(nm.mul(terms, np.array(weights) / len(holdouts)))
+    return nm.reduce_sum(nm.mul(terms, np.concatenate(weights) / len(holdouts)))
 
 
 def mlm_loss(plans: list[tuple[MaskingPlan, int]], token_vecs: Tensor,

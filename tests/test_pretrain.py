@@ -81,7 +81,7 @@ def one_edge_local():
 
 def test_holdout_forces_single_edge():
     reduced, holdout = pt.hold_out_edges(one_edge_local(), 0.15, 2, nm.split_rng(0, "h"))
-    assert holdout.positives == [(1, 2, 2)]
+    assert holdout.positives.tolist() == [[1, 2, 2]]
     assert all(e[1] == R_EL for e in reduced.edges)
 
 
@@ -107,7 +107,7 @@ def test_negatives_differ_in_exactly_one_endpoint():
     local = LocalKG(nodes=[V_INT, 10, 11, 12, 13],
                     edges=[(0, R_EL, 1), (1, 2, 2), (2, 3, 3), (3, 2, 4)], linked={10})
     _, holdout = pt.hold_out_edges(local, 1.0, 8, nm.split_rng(3, "h"))
-    for pos, negs in zip(holdout.positives, holdout.negatives):
+    for pos, negs in zip(holdout.positives.tolist(), holdout.negatives.tolist()):
         for neg in negs:
             assert neg != pos
             assert neg[1] == pos[1]
@@ -122,8 +122,8 @@ def test_holdout_corruption_distribution():
     local = LocalKG(nodes=[V_INT, 10, 11, 12, 13, 14, 15],
                     edges=[(0, R_EL, 1), (1, 2, 2), (3, 3, 3), (6, 4, 1), (4, 2, 6)], linked={10})
     _, holdout = pt.hold_out_edges(local, 1.0, n, nm.split_rng(5, "h"))
-    assert holdout.positives == [(1, 2, 2), (3, 3, 3), (6, 4, 1), (4, 2, 6)]
-    for (h, r, t), negs in zip(holdout.positives, holdout.negatives):
+    assert holdout.positives.tolist() == [[1, 2, 2], [3, 3, 3], [6, 4, 1], [4, 2, 6]]
+    for (h, r, t), negs in zip(holdout.positives.tolist(), holdout.negatives.tolist()):
         heads = [nh for nh, _, nt in negs if nt == t and nh != h]
         tails = [nt for nh, _, nt in negs if nh == h and nt != t]
         assert len(heads) + len(tails) == n
@@ -140,7 +140,7 @@ def test_holdout_falls_back_to_the_side_with_candidates():
     # negative replaces the tail (the interaction node is never a candidate)
     local = LocalKG(nodes=[V_INT, 10], edges=[(1, 2, 0)], linked=set())
     _, holdout = pt.hold_out_edges(local, 1.0, 50, nm.split_rng(6, "h"))
-    assert holdout.negatives == [[(1, 2, 1)] * 50]
+    assert holdout.negatives.tolist() == [[[1, 2, 1]] * 50]
     _, holdout = pt.hold_out_edges(LocalKG(nodes=[V_INT, 10], edges=[(1, 2, 1)], linked=set()),
                                    1.0, 5, nm.split_rng(7, "h"))
     assert holdout.flagged_empty   # single-node self-loop
