@@ -444,22 +444,39 @@ def _write_blob(fh, data: bytes) -> None:
     fh.write(data)
 
 
-def _read(fh, fmt: str) -> tuple:
-    """struct.unpack the next bytes of fh; a short read raises CheckpointError."""
-    n = struct.calcsize(fmt)
-    data = fh.read(n)
-    if len(data) < n:
-        raise CheckpointError("%s: truncated at byte %d (%d more bytes expected)"
-                              % (fh.name, fh.tell(), n - len(data)))
-    return struct.unpack(fmt, data)
+class _Reader:
+    """A checkpoint file read front to back. Every length, count and tensor
+    size is checked against the bytes left before it is read; a value that
+    does not fit raises CheckpointError naming the path."""
 
+    def __init__(self, fh):
+        self.fh, self.path = fh, fh.name
+        self.left = os.fstat(fh.fileno()).st_size
 
-def _read_text(fh, what: str) -> str:
-    """The next length-prefixed blob of fh as UTF-8; CheckpointError names `what`."""
-    try:
-        return _read(fh, "<%ds" % _read(fh, "<I")[0])[0].decode("utf-8")
-    except UnicodeDecodeError:
-        raise CheckpointError("%s: %s is not valid UTF-8" % (fh.name, what)) from None
+    def take(self, n: int, what: str) -> bytes:
+        if n > self.left:
+            raise CheckpointError("%s: truncated or corrupt at byte %d (%s needs %d bytes, %d left)"
+                                  % (self.path, self.fh.tell(), what, n, self.left))
+        self.left -= n
+        return self.fh.read(n)
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def count(self, min_bytes: int, what: str) -> int:
+        """A u32 count of records that take at least min_bytes each."""
+        (n,) = self.unpack("<I", what + " count")
+        if n * min_bytes > self.left:
+            raise CheckpointError("%s: %d %s cannot fit in the %d bytes left"
+                                  % (self.path, n, what, self.left))
+        return n
+
+    def text(self, what: str) -> str:
+        """The next length-prefixed blob as UTF-8."""
+        try:
+            return self.take(self.unpack("<I", what)[0], what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("%s: %s is not valid UTF-8" % (self.path, what)) from None
 
 
 def save_checkpoint(path: str, params: dict[str, Tensor], token_vocab: Vocab,
@@ -501,24 +518,26 @@ def _write_checkpoint(fh, params: dict[str, Tensor], tables: list, config_text: 
 def load_checkpoint(path: str) -> tuple[dict[str, Tensor], Vocab, EntityVocab, Vocab, str]:
     """Parameters, token/entity/relation vocabularies and config text.
 
-    A file cut short or foreign, text that is not UTF-8, an unknown version
-    or dtype, or a missing table raises CheckpointError naming the path; a
-    bad vocabulary or alias table raises ValueError naming
-    `<path> (<name> table):<line>`; a non-finite tensor raises NumericError
-    naming the path.
+    A file cut short, foreign or with trailing bytes, a length, count or
+    shape that does not fit in the bytes left, text that is not UTF-8, an
+    unknown version or dtype, or a missing table raises CheckpointError
+    naming the path; a bad vocabulary or alias table raises ValueError
+    naming `<path> (<name> table):<line>`; a non-finite tensor raises
+    NumericError naming the path.
     """
     with open(path, "rb") as fh:
-        (magic,) = _read(fh, "4s")
+        rd = _Reader(fh)
+        (magic,) = rd.unpack("4s", "magic")
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError("%s: not a checkpoint (bad magic %r)" % (path, magic))
-        (version,) = _read(fh, "<I")
+        (version,) = rd.unpack("<I", "version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError("%s: unsupported checkpoint version %d" % (path, version))
-        config_text = _read_text(fh, "config text")
+        config_text = rd.text("config text")
         tables: dict[str, str] = {}
-        for _ in range(_read(fh, "<I")[0]):
-            name = _read_text(fh, "table name")
-            tables[name] = _read_text(fh, name + " table")
+        for _ in range(rd.count(8, "tables")):   # two length prefixes each
+            name = rd.text("table name")
+            tables[name] = rd.text(name + " table")
 
         def table(name: str) -> tuple[str, str]:
             if name not in tables:
@@ -532,16 +551,22 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], Vocab, EntityVocab, V
         relations = Vocab.from_tsv(*table("relations"), RESERVED_RELATIONS)
 
         params: dict[str, Tensor] = {}
-        for _ in range(_read(fh, "<I")[0]):
-            name = _read_text(fh, "tensor name")
-            dtype_tag, rank = _read(fh, "<BB")
+        for _ in range(rd.count(6, "tensors")):   # name length, dtype tag and rank each
+            name = rd.text("tensor name")
+            dtype_tag, rank = rd.unpack("<BB", "tensor %r header" % name)
             if dtype_tag != 0:
                 raise CheckpointError("%s: unknown dtype tag %d for tensor %r" % (path, dtype_tag, name))
-            dims = _read(fh, "<%dI" % rank)
-            arr = np.frombuffer(_read(fh, "%ds" % (4 * math.prod(dims)))[0], dtype="<f4").reshape(dims)
-            t = Tensor(arr.astype(np.float32), requires_grad=True, name=name)
+            dims = rd.unpack("<%dI" % rank, "tensor %r shape" % name)
+            data = rd.take(4 * math.prod(dims), "tensor %r data" % name)
+            if not data and math.prod(max(d, 1) for d in dims) > rd.left:   # numpy bounds these too
+                raise CheckpointError("%s: empty tensor %r of rank %d has a corrupt shape"
+                                      % (path, name, rank))
+            t = Tensor(np.frombuffer(data, dtype="<f4").reshape(dims).astype(np.float32),
+                       requires_grad=True, name=name)
             if not np.all(np.isfinite(t.values)):
                 raise nm.NumericError("%s: checkpoint tensor %r contains non-finite values"
                                       % (path, name))
             params[name] = t
+        if rd.left:
+            raise CheckpointError("%s: %d unread bytes after the last tensor" % (path, rd.left))
     return params, token_vocab, entities, relations, config_text

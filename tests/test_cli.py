@@ -321,6 +321,7 @@ def test_bad_config_value_exits_usage(world_dir, tmp_path, capsys, setting):
     assert len(err) == 1 and setting.split("=")[0] in err[0]
 
 
+
 def test_eval_qa_without_qa_head_exits_data_error(world_dir, pretrained, tmp_path, capsys):
     ckpt = os.path.join(pretrained, "checkpoint.drgn")
     code = main(["eval-qa", "--checkpoint", ckpt, "--kg", os.path.join(world_dir, "kg.tsv"),
@@ -370,15 +371,37 @@ def test_pretrain_rejects_malformed_vocab(world_dir, tmp_path, capsys, bad_line)
     assert len(err) == 1 and "%s:%d:" % (vocab, bad_lineno) in err[0]
 
 
+def first_tensor_header(data: bytes) -> int:
+    """Offset of the first tensor's dtype tag; its rank byte and dimensions follow."""
+    def skip_blob(pos):
+        return pos + 4 + struct.unpack_from("<I", data, pos)[0]
+
+    pos = skip_blob(8)                          # magic, version, config text
+    (n_tables,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    for _ in range(2 * n_tables):               # each table's name and text
+        pos = skip_blob(pos)
+    return skip_blob(pos + 4)                   # the tensor count, the first tensor's name
+
+
 @pytest.mark.parametrize("corruption", ["truncated", "alias_out_of_range", "tokens_byte_flipped",
-                                        "last_float_inf"])
+                                        "last_float_inf", "rank_200", "first_dim_max"])
 def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, capsys, corruption):
     """A corrupt checkpoint exits 2 (data), or 3 (numeric) for a non-finite
     tensor, with one line naming the file."""
     good = os.path.join(pretrained, "checkpoint.drgn")
     bad = str(tmp_path / "bad.drgn")
     data = bytearray(open(good, "rb").read())
-    if corruption == "truncated":
+    if corruption in ("rank_200", "first_dim_max"):
+        header = first_tensor_header(data)
+        if corruption == "rank_200":
+            data[header + 1] = 200
+        else:
+            data[header + 2:header + 6] = struct.pack("<I", 0xFFFFFFFF)
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        expected = "data error: %s: " % bad
+    elif corruption == "truncated":
         with open(bad, "wb") as fh:
             fh.write(data[:len(data) // 2])
         expected = "%s: truncated" % bad

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from dragonforge import numerics as nm
@@ -625,6 +626,32 @@ def test_truncated_checkpoint_raises_checkpoint_error_naming_path(tmp_path):
         cut.write_bytes(data[:n])
         with pytest.raises(pt.CheckpointError, match="^%s: " % re.escape(str(cut))):
             pt.load_checkpoint(str(cut))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    tiny_checkpoint(out / "good.drgn")
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_names_its_path(fuzz_dir, data):
+    """A truncation or a single-byte XOR flip anywhere either still loads or
+    raises CheckpointError, a table's ValueError or NumericError naming the file."""
+    raw = bytearray((fuzz_dir / "good.drgn").read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= data.draw(st.integers(1, 255),
+                                                                                label="mask")
+    bad = fuzz_dir / "bad.drgn"
+    bad.write_bytes(bytes(raw))
+    try:
+        pt.load_checkpoint(str(bad))
+    except (ValueError, nm.NumericError) as e:   # CheckpointError is a ValueError
+        assert str(e).startswith(str(bad)), e
 
 
 @pytest.mark.parametrize("table,text,lineno", [
