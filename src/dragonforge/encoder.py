@@ -27,6 +27,14 @@ BIDIRECTIONAL = "bidirectional"
 CONCAT_AT_END = "concat_at_end"
 
 
+def check_fields(cfg, ok, rule: str, *keys: str) -> None:
+    """ValueError "<key>: must be <rule>, got <value>" for the first of a
+    config's keys whose value fails ok."""
+    for key in keys:
+        if not ok(getattr(cfg, key)):
+            raise ValueError("%s: must be %s, got %r" % (key, rule, getattr(cfg, key)))
+
+
 @dataclass
 class EncoderConfig:
     n_unimodal: int = 2          # transformer layers before fusion starts
@@ -43,8 +51,11 @@ class EncoderConfig:
     fusion: str = BIDIRECTIONAL
 
     def __post_init__(self):
-        if self.n_unimodal < 0 or self.n_fusion < 1:
-            raise ValueError("n_unimodal must be >= 0 and n_fusion >= 1")
+        check_fields(self, lambda v: v >= 0, ">= 0", "n_unimodal", "d_ffn")
+        check_fields(self, lambda v: v >= 1, ">= 1", "n_fusion", "d_text", "d_node", "heads_text",
+                     "heads_gnn", "d_mint_hidden", "max_nodes")
+        check_fields(self, lambda v: v >= 2, ">= 2 ([INT] and a token)", "max_seq_len")
+        check_fields(self, lambda v: 0.0 <= v < 1.0, "in [0, 1)", "dropout")
         if self.d_text % self.heads_text:
             raise ValueError("heads_text: %d does not divide d_text %d" % (self.heads_text, self.d_text))
         if self.d_node % self.heads_gnn:

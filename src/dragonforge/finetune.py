@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import numerics as nm
-from .encoder import (NORMAL, EncoderConfig, EncoderOutput, encode_batch, init_param,
-                      segment_attention)
+from .encoder import (NORMAL, EncoderConfig, EncoderOutput, check_fields, encode_batch,
+                      init_param, segment_attention)
 from .numerics import Tensor
 from .pretrain import Optimizer, train_step
 from .retrieval import LocalKG, Retriever, TextSegment
@@ -129,6 +129,13 @@ class FinetuneConfig:
     train_fraction: float = 1.0  # low-resource subsampling
     seed: int = 0
     early_stop: bool = True
+
+    def __post_init__(self):
+        check_fields(self, lambda v: v >= 1, ">= 1", "epochs", "batch_size")
+        check_fields(self, lambda v: 0.0 < v <= 1.0, "in (0, 1]", "train_fraction")
+        check_fields(self, lambda v: 0.0 <= v <= 1.0, "in [0, 1]", "warmup_ratio")
+        check_fields(self, lambda v: v >= 0, ">= 0", "lr_lm", "lr_other", "grad_clip",
+                     "freeze_lm_epochs")
 
 
 def prepare_choice_inputs(ex: MCQAExample, retriever: Retriever, seed: int, example_idx: int

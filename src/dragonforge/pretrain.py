@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics as nm
-from .encoder import NORMAL, EncoderConfig, encode_batch, init_param, init_params
+from .encoder import NORMAL, EncoderConfig, check_fields, encode_batch, init_param, init_params
 from .kg_store import (RESERVED_RELATIONS, EntityVocab, KnowledgeGraph, R_EL, Vocab, name_table,
                        read_name_table)
 from .numerics import Tensor
@@ -29,6 +29,7 @@ from .retrieval import MASK, PAD, RESERVED_TOKENS, SEP, LocalKG, Retriever, Text
 SCORERS = ("distmult", "transe", "rotate")
 OBJECTIVES = ("joint", "mlm_only", "linkpred_only")
 KG_MODES = ("graph", "verbalized")
+OPTIMIZERS = ("adam", "radam")
 
 
 class TrainingDiverged(ArithmeticError):
@@ -229,6 +230,13 @@ class PretrainConfig:
             raise ValueError("scorer: unknown value %r" % self.scorer)
         if self.kg_mode not in KG_MODES:
             raise ValueError("kg_mode: unknown value %r" % self.kg_mode)
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError("optimizer: unknown value %r" % self.optimizer)
+        check_fields(self, lambda v: v >= 1, ">= 1", "batch_size", "steps", "n_negatives")
+        check_fields(self, lambda v: 0.0 < v <= 1.0, "in (0, 1]", "mask_rate", "edge_drop_rate")
+        check_fields(self, lambda v: 0.0 <= v <= 1.0, "in [0, 1]", "warmup_ratio")
+        check_fields(self, lambda v: v >= 0, ">= 0", "lr_lm", "lr_other", "grad_clip",
+                     "checkpoint_every")
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam moment decays and denominator floor

@@ -311,7 +311,10 @@ def test_ablation_default_grid_row_count(tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["encoder.d_text=abc", "encoder.heads_text=5",
-                                     "pretrain.scorer=bogus"])
+                                     "pretrain.scorer=bogus", "pretrain.steps=0",
+                                     "pretrain.optimizer=adamw", "pretrain.batch_size=0",
+                                     "pretrain.mask_rate=0", "pretrain.n_negatives=0",
+                                     "encoder.max_nodes=0"])
 def test_bad_config_value_exits_usage(world_dir, tmp_path, capsys, setting):
     code = main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
                  "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "o"),
@@ -320,6 +323,16 @@ def test_bad_config_value_exits_usage(world_dir, tmp_path, capsys, setting):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and setting.split("=")[0] in err[0]
 
+
+def test_bad_finetune_config_value_exits_usage(world_dir, pretrained, tmp_path, capsys):
+    code = main(["finetune", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--train", os.path.join(world_dir, "mcqa_easy_train.jsonl"),
+                 "--dev", os.path.join(world_dir, "mcqa_easy_dev.jsonl"),
+                 "--out", str(tmp_path / "ft"), "--set", "finetune.batch_size=0"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: finetune.batch_size: must be >= 1, got 0"]
 
 
 def test_eval_qa_without_qa_head_exits_data_error(world_dir, pretrained, tmp_path, capsys):
