@@ -409,10 +409,10 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
                          filtered: bool = True) -> RankingReport:
     """Rank the gold tail against local-graph candidates for each query.
 
-    Candidates are the query's local-KG nodes minus the interaction node and
-    the query head; filtering drops candidates that form other known-true
-    triplets. Queries whose head or tail fall outside the retrieved graph are
-    skipped and counted.
+    Candidates are the query's local-KG nodes (so the retriever runs in graph
+    mode) minus the interaction node and the query head; filtering drops
+    candidates that form other known-true triplets. Queries whose head or
+    tail fall outside the retrieved graph are skipped and counted.
     """
     entities, relations = retriever.entities, retriever.relations
     ranks: list[float] = []

@@ -566,7 +566,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], Vocab, EntityVocab, V
                 raise CheckpointError("%s: unknown dtype tag %d for tensor %r" % (path, dtype_tag, name))
             dims = rd.unpack("<%dI" % rank, "tensor %r shape" % name)
             data = rd.take(4 * math.prod(dims), "tensor %r data" % name)
-            if not data and math.prod(max(d, 1) for d in dims) > rd.left:   # numpy bounds these too
+            # an empty tensor's other dimensions can still overflow numpy's size limit
+            if not data and math.prod(max(d, 1) for d in dims) > rd.left:
                 raise CheckpointError("%s: empty tensor %r of rank %d has a corrupt shape"
                                       % (path, name, rank))
             t = Tensor(np.frombuffer(data, dtype="<f4").reshape(dims).astype(np.float32),
