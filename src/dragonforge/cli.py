@@ -1,8 +1,11 @@
 """Command-line pipeline: vocabulary building, synthetic data generation,
 pretraining, finetuning, evaluation, ablations, and attention dumps.
 
-Configuration is a flat `key = value` text format with `#` comments; flags
-take precedence over a config file, which takes precedence over defaults.
+Configuration is a flat `key = value` text format with `#` comments. Its
+sources are layered, each over the ones before: the defaults (declared by
+the library signatures that consume them) < DRAGONFORGE_SEED < --config <
+--set < --seed. A command that loads a checkpoint lays the checkpoint's
+config over the defaults and under every other source.
 The effective configuration is written next to every command's outputs and
 reproduces the run when fed back through --config under the same seed.
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -23,7 +27,8 @@ from .encoder import EncoderConfig
 from .finetune import (DataError, FinetuneConfig, evaluate_mcqa, finetune_mcqa,
                        load_mcqa, read_jsonl)
 from .kg_store import EmptyGraphError, KGParseError, Vocab, load_kg
-from .retrieval import RESERVED_TOKENS, Retriever, build_vocab, segment_corpus
+from .retrieval import (RESERVED_TOKENS, Retriever, build_vocab, build_vocab_from_texts,
+                        segment_corpus)
 
 SEED_ENV_VAR = "DRAGONFORGE_SEED"
 
@@ -32,53 +37,22 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# key -> default; value types drive parsing of file/flag overrides
+def _signature_defaults(section: str, fn) -> dict[str, object]:
+    """`section.name` -> default of every defaulted parameter of fn but seed."""
+    return {"%s.%s" % (section, name): p.default
+            for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty and name != "seed"}
+
+
+# key -> default; value types drive parsing of file/flag overrides. Each
+# default is declared once, by the signature that consumes it.
 DEFAULTS: dict[str, object] = {
     "seed": 0,
-    "vocab.min_freq": 2,
-    "encoder.n_unimodal": 2,
-    "encoder.n_fusion": 2,
-    "encoder.d_text": 64,
-    "encoder.d_node": 32,
-    "encoder.heads_text": 4,
-    "encoder.heads_gnn": 2,
-    "encoder.d_mint_hidden": 128,
-    "encoder.d_ffn": 0,
-    "encoder.dropout": 0.1,
-    "encoder.max_seq_len": 64,
-    "encoder.max_nodes": 24,
-    "encoder.fusion": "bidirectional",
-    "pretrain.mask_rate": 0.15,
-    "pretrain.edge_drop_rate": 0.15,
-    "pretrain.n_negatives": 16,
-    "pretrain.margin": 0.0,
-    "pretrain.scorer": "distmult",
-    "pretrain.objective": "joint",
-    "pretrain.kg_mode": "graph",
-    "pretrain.batch_size": 8,
-    "pretrain.steps": 300,
-    "pretrain.lr_lm": 3e-4,
-    "pretrain.lr_other": 1e-3,
-    "pretrain.warmup_ratio": 0.1,
-    "pretrain.grad_clip": 1.0,
-    "pretrain.checkpoint_every": 0,
-    "pretrain.optimizer": "adam",
-    "finetune.epochs": 6,
-    "finetune.batch_size": 8,
-    "finetune.lr_lm": 1e-4,
-    "finetune.lr_other": 1e-3,
-    "finetune.warmup_ratio": 0.1,
-    "finetune.grad_clip": 1.0,
-    "finetune.freeze_lm_epochs": 0,
-    "finetune.train_fraction": 1.0,
-    "finetune.early_stop": True,
-    "world.n_entities": 500,
-    "world.n_relations": 8,
-    "world.n_facts": 5000,
-    "world.leak_rate": 0.1,
-    "world.sentences_per_doc": 4,
-    "world.eval_doc_fraction": 0.1,
-    "world.structure": "chains",
+    **_signature_defaults("vocab", build_vocab_from_texts),
+    **_signature_defaults("encoder", EncoderConfig),
+    **_signature_defaults("pretrain", pt.PretrainConfig),
+    **_signature_defaults("finetune", FinetuneConfig),
+    **_signature_defaults("world", ev.generate_synthetic_world),
     "eval.lp_baseline_steps": 600,
     "eval.lp_baseline_dim": 32,
 }
@@ -118,43 +92,26 @@ def parse_config_text(text: str) -> dict[str, object]:
 
 
 class RunConfig:
-    """Merged configuration with per-key provenance (default | file | flag)."""
+    """DEFAULTS overlaid by (provenance, {key: value}) layers in order; each key
+    keeps its last layer's provenance. Keys are checked where they are parsed."""
 
-    def __init__(self, config_file: str | None = None,
-                 overrides: dict[str, object] | None = None,
-                 seed_flag: int | None = None):
+    def __init__(self, *layers: tuple[str, dict[str, object]]):
         self.values = dict(DEFAULTS)
-        self.provenance = {k: "default" for k in DEFAULTS}
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            self.values["seed"] = _coerce("seed", env_seed)
-            self.provenance["seed"] = "env"
-        if config_file is not None:
-            with open(config_file, encoding="utf-8") as fh:
-                for k, v in parse_config_text(fh.read()).items():
-                    self.values[k] = v
-                    self.provenance[k] = "file"
-        for k, v in (overrides or {}).items():
-            if k not in DEFAULTS:
-                raise ConfigError("unknown config key %r" % k)
-            self.values[k] = v
-            self.provenance[k] = "flag"
-        if seed_flag is not None:
-            self.values["seed"] = seed_flag
-            self.provenance["seed"] = "flag"
+        self.provenance = dict.fromkeys(DEFAULTS, "default")
+        for provenance, values in layers:
+            for k, v in values.items():
+                self.values[k] = v
+                self.provenance[k] = provenance
 
     def __getitem__(self, key: str):
         return self.values[key]
 
     def to_text(self) -> str:
-        lines = []
-        for key in sorted(self.values):
-            lines.append("%s = %s  # %s" % (key, self.values[key], self.provenance[key]))
-        return "\n".join(lines) + "\n"
+        return "".join("%s = %s  # %s\n" % (key, self.values[key], self.provenance[key])
+                       for key in sorted(self.values))
 
     def section(self, prefix: str) -> dict[str, object]:
-        plen = len(prefix) + 1
-        return {k[plen:]: v for k, v in self.values.items() if k.startswith(prefix + ".")}
+        return {k[len(prefix) + 1:]: v for k, v in self.values.items() if k.startswith(prefix + ".")}
 
     def _build(self, prefix: str, cls, **extra):
         try:
@@ -171,19 +128,10 @@ class RunConfig:
     def finetune_config(self) -> FinetuneConfig:
         return self._build("finetune", FinetuneConfig, seed=self.values["seed"])
 
-    @classmethod
-    def from_checkpoint_text(cls, text: str) -> "RunConfig":
-        cfg = cls()
-        for k, v in parse_config_text(text).items():
-            cfg.values[k] = v
-            cfg.provenance[k] = "file"
-        return cfg
-
 
 def _write_effective_config(cfg: RunConfig, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "effective_config.txt")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "effective_config.txt"), "w", encoding="utf-8") as fh:
         fh.write(cfg.to_text())
 
 
@@ -262,7 +210,13 @@ def _run_config(args) -> RunConfig:
         if key not in DEFAULTS:
             raise ConfigError("unknown config key %r" % key)
         overrides[key] = _coerce(key, raw)
-    return RunConfig(config_file=args.config, overrides=overrides, seed_flag=args.seed)
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    layers = [("env", {} if env_seed is None else {"seed": _coerce("seed", env_seed)})]
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            layers.append(("file", parse_config_text(fh.read())))
+    return RunConfig(*layers, ("flag", overrides),
+                     ("flag", {} if args.seed is None else {"seed": args.seed}))
 
 
 def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
@@ -271,11 +225,9 @@ def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
     over the --kg graph, whose entity and relation vocabularies must be the
     checkpoint's: the same names under the same ids."""
     params, token_vocab, entities, relations, config_text = pt.load_checkpoint(args.checkpoint)
-    cfg = RunConfig.from_checkpoint_text(config_text)
-    for key, prov in flags.provenance.items():
-        if prov in ("flag", "file", "env"):
-            cfg.values[key] = flags.values[key]
-            cfg.provenance[key] = prov
+    cfg = RunConfig(("file", parse_config_text(config_text)),
+                    *((prov, {k: flags[k]}) for k, prov in flags.provenance.items()
+                      if prov != "default"))
     kg, kg_entities, kg_relations = load_kg(args.kg)
     for kind, ours, theirs in (("entity", kg_entities.names, entities.names),
                                ("relation", kg_relations.names, relations.names)):
@@ -396,11 +348,9 @@ def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
 def _cmd_ablation(args, cfg: RunConfig) -> int:
     world = ev.generate_synthetic_world(seed=cfg["seed"], **cfg.section("world"))
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    kwargs = {}
-    if args.grid == "smoke":
-        kwargs = {"lp_query_limit": 20}
     rows = ev.run_ablation_suite(world, cfg.encoder_config(), cfg.pretrain_config(),
-                                 cfg.finetune_config(), seeds=seeds, **kwargs)
+                                 cfg.finetune_config(), seeds=seeds,
+                                 lp_query_limit=20 if args.grid == "smoke" else None)
     _write_effective_config(cfg, args.out)
     with open(os.path.join(args.out, "ablation.tsv"), "w", encoding="utf-8") as fh:
         fh.write(ev.ablation_tsv(rows))

@@ -38,16 +38,16 @@ def check_fields(cfg, ok, rule: str, *keys: str) -> None:
 @dataclass
 class EncoderConfig:
     n_unimodal: int = 2          # transformer layers before fusion starts
-    n_fusion: int = 3            # fusion layers (transformer + GNN + exchange)
-    d_text: int = 128
-    d_node: int = 64
+    n_fusion: int = 2            # fusion layers (transformer + GNN + exchange)
+    d_text: int = 64
+    d_node: int = 32
     heads_text: int = 4
     heads_gnn: int = 2
-    d_mint_hidden: int = 256
+    d_mint_hidden: int = 128
     d_ffn: int = 0               # 0 -> 4 * d_text
-    dropout: float = 0.2
-    max_seq_len: int = 128
-    max_nodes: int = 32
+    dropout: float = 0.1
+    max_seq_len: int = 64
+    max_nodes: int = 24
     fusion: str = BIDIRECTIONAL
 
     def __post_init__(self):

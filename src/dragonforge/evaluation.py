@@ -204,7 +204,7 @@ class SyntheticWorld:
 
 
 def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
-                             n_facts: int = 5000, leak_rate: float = 0.15,
+                             n_facts: int = 5000, leak_rate: float = 0.1,
                              seed: int = 0, sentences_per_doc: int = 4,
                              eval_doc_fraction: float = 0.1,
                              structure: str = "chains") -> SyntheticWorld:
@@ -440,7 +440,7 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
     return ranks_to_report(ranks, filtered, skipped)
 
 
-def train_distmult_baseline(kg: KnowledgeGraph, d: int = 32, steps: int = 600,
+def train_distmult_baseline(kg: KnowledgeGraph, d: int, steps: int,
                             seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Plain DistMult embeddings trained on the KG triplets alone (margin 0)."""
     batch_size, lr, n_negatives = 128, 1e-2, 8

@@ -51,7 +51,7 @@ def build_vocab_from_texts(texts, min_freq: int = 2) -> Vocab:
     return vocab
 
 
-def build_vocab(corpus_file: str, min_freq: int = 2) -> Vocab:
+def build_vocab(corpus_file: str, min_freq: int) -> Vocab:
     with open(corpus_file, encoding="utf-8") as fh:
         return build_vocab_from_texts(fh, min_freq=min_freq)
 

@@ -45,7 +45,7 @@ def pretrained(world_dir, tmp_path_factory):
 
 
 def test_config_text_round_trip():
-    cfg = RunConfig(overrides={"pretrain.steps": 7})
+    cfg = RunConfig(("flag", {"pretrain.steps": 7}))
     parsed = parse_config_text(cfg.to_text())
     assert parsed["pretrain.steps"] == 7
     assert parsed["encoder.d_text"] == DEFAULTS["encoder.d_text"]
@@ -121,7 +121,7 @@ def test_checkpoint_round_trip_forward_bitwise(world_dir, pretrained):
 
     def forward():
         params, tv, entities, relations, text = pt.load_checkpoint(ckpt)
-        cfg = RunConfig.from_checkpoint_text(text).encoder_config()
+        cfg = RunConfig(("file", parse_config_text(text))).encoder_config()
         raw = open(os.path.join(world_dir, "corpus.txt"), encoding="utf-8").read().split("\n\n")[0]
         seg, v_el = link_entities(raw.replace("\n", " "), build_alias_index(entities), tv)
         local = retrieve_local_kg(v_el, kg, cfg.max_nodes, nm.split_rng(0, "t"))
@@ -238,7 +238,7 @@ def test_verbalized_checkpoint_finetunes_and_evaluates_on_verbalized_inputs(
     # eval-qa's inputs are the graph-mode ones plus [SEP] and the retrieved
     # KG's sentences, whenever that KG has an edge besides interaction links
     _, tv, entities, relations, text = pt.load_checkpoint(verbalized)
-    enc_cfg = RunConfig.from_checkpoint_text(text).encoder_config()
+    enc_cfg = RunConfig(("file", parse_config_text(text))).encoder_config()
     graph = Retriever(load_kg(kg)[0], entities, relations, tv, enc_cfg.max_seq_len,
                       enc_cfg.max_nodes)
     examples = ft.load_mcqa(data)
