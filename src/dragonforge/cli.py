@@ -128,6 +128,9 @@ class RunConfig:
     def finetune_config(self) -> FinetuneConfig:
         return self._build("finetune", FinetuneConfig, seed=self.values["seed"])
 
+    def world(self) -> ev.SyntheticWorld:
+        return self._build("world", ev.generate_synthetic_world, seed=self.values["seed"])
+
 
 def _write_effective_config(cfg: RunConfig, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
@@ -250,7 +253,7 @@ def _cmd_build_vocab(args, cfg: RunConfig) -> int:
 
 
 def _cmd_gen_synthetic(args, cfg: RunConfig) -> int:
-    world = ev.generate_synthetic_world(seed=cfg["seed"], **cfg.section("world"))
+    world = cfg.world()
     paths = world.write_files(args.out)
     _write_effective_config(cfg, args.out)
     print("wrote %d files to %s (%d facts, %d train docs)"
@@ -346,7 +349,7 @@ def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
 
 
 def _cmd_ablation(args, cfg: RunConfig) -> int:
-    world = ev.generate_synthetic_world(seed=cfg["seed"], **cfg.section("world"))
+    world = cfg.world()
     seeds = tuple(int(s) for s in args.seeds.split(","))
     rows = ev.run_ablation_suite(world, cfg.encoder_config(), cfg.pretrain_config(),
                                  cfg.finetune_config(), seeds=seeds,

@@ -12,11 +12,12 @@ import json
 import os
 from dataclasses import dataclass, replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import numerics as nm
-from .encoder import BIDIRECTIONAL, CONCAT_AT_END, EncoderConfig, encode
+from .encoder import BIDIRECTIONAL, CONCAT_AT_END, EncoderConfig, check_fields, encode
 from .finetune import FinetuneConfig, MCQAExample, evaluate_mcqa, finetune_mcqa, pool
 from .kg_store import EntityVocab, KnowledgeGraph, Vocab, kg_from_triplets
 from .numerics import Tensor
@@ -218,15 +219,31 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
     triplets (withheld from the KG, present in text) come from derived facts
     in chains mode, so their base paths stay visible to the encoder.
     """
-    if min(n_entities, n_relations, n_facts) <= 0:
-        raise ValueError("world sizes must be positive")
-    if n_relations > len(RELATION_POOL):
-        raise ValueError("at most %d relations supported" % len(RELATION_POOL))
-    if structure not in ("chains", "flat"):
-        raise ValueError("unknown structure %r" % structure)
-    if structure == "chains" and n_relations < 5:
-        raise ValueError("chains structure needs at least 5 relations")
+    settings = SimpleNamespace(**locals())   # ValueErrors name the setting
+    check_fields(settings, lambda v: v in ("chains", "flat"), "chains or flat", "structure")
+    chains = structure == "chains"
+    # a chain story needs three distinct entities and two base + one derived relation
+    check_fields(settings, lambda v: v >= 2 + chains, ">= %d for %s" % (2 + chains, structure),
+                 "n_entities")
+    check_fields(settings, lambda v: 1 + 4 * chains <= v <= len(RELATION_POOL),
+                 "in [%d, %d] for %s" % (1 + 4 * chains, len(RELATION_POOL), structure),
+                 "n_relations")
+    check_fields(settings, lambda v: v >= 1, ">= 1", "n_facts", "sentences_per_doc")
+    check_fields(settings, lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]", "leak_rate")
+    check_fields(settings, lambda v: 0.0 <= v < 1.0, "in [0, 1)", "eval_doc_fraction")
+    n_leak = int(round(leak_rate * n_facts))
+    if chains and n_leak > n_facts // 5:   # one derived fact per five-fact chain story
+        raise ValueError("leak_rate: %.3f needs %d derived facts, world has %d"
+                         % (leak_rate, n_leak, n_facts // 5))
     rng = nm.split_rng(seed, "world")
+    draws = 0
+
+    def count_draw() -> None:   # too many facts for the world's entities never finish
+        nonlocal draws
+        draws += 1
+        if draws > 20 * n_facts + 1000:
+            raise ValueError("n_facts: %d distinct facts do not fit %d entities and %d relations"
+                             % (n_facts, n_entities, n_relations))
 
     relation_names = RELATION_POOL[:n_relations]
     reserved = set(relation_names) | {"."}
@@ -253,7 +270,7 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
         facts.append(f)
         return len(facts) - 1
 
-    if structure == "chains":
+    if chains:
         n_families = (n_relations - 2) // 3
         families = [relation_names[3 * i:3 * i + 3] for i in range(n_families)]
         noise_rels = relation_names[3 * n_families:]
@@ -261,6 +278,7 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
         n_chains = n_facts // 5
         c = 0
         while c < n_chains:
+            count_draw()
             base1, base2, comp = families[c % n_families]
             x, m, f = (names[int(i)] for i in rng.choice(n_entities, size=3, replace=False))
             g1, g2 = (names[int(i)] for i in rng.choice(n_entities, size=2, replace=False))
@@ -277,6 +295,7 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
             stories.append(ids)
             c += 1
         while len(facts) < n_facts:  # top up with unattached distractor facts
+            count_draw()
             h = int(rng.integers(n_entities))
             t = int(rng.integers(n_entities))
             if h == t:
@@ -286,6 +305,7 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
                 noise.append(idx)
     else:
         while len(facts) < n_facts:
+            count_draw()
             h = int(rng.integers(n_entities))
             t = int(rng.integers(n_entities))
             if h == t:
@@ -293,11 +313,7 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
             r = relation_names[int(rng.integers(n_relations))]
             add_fact(names[h], r, names[t])
 
-    n_leak = int(round(leak_rate * n_facts))
-    if structure == "chains":
-        if n_leak > len(derived):
-            raise ValueError("leak_rate %.3f needs %d derived facts, world has %d"
-                             % (leak_rate, n_leak, len(derived)))
+    if chains:
         derived_perm = [derived[int(i)] for i in rng.permutation(len(derived))]
         text_only = derived_perm[:n_leak]
         noise_perm = [noise[int(i)] for i in rng.permutation(len(noise))]
@@ -331,7 +347,7 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
 
     corpus_set = set(overlap) | set(text_only)
     docs: list[list[int]] = []
-    if structure == "chains":
+    if chains:
         placed: set[int] = set()
         for story in stories:
             doc = [i for i in story if i in corpus_set]
@@ -351,6 +367,9 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
                 for i in range(0, len(corpus_order), sentences_per_doc)]
 
     n_eval = int(round(eval_doc_fraction * len(docs)))
+    if n_eval == len(docs):
+        raise ValueError("eval_doc_fraction: %s leaves none of %d documents for training"
+                         % (eval_doc_fraction, len(docs)))
     doc_split = ["eval"] * n_eval + ["train"] * (len(docs) - n_eval)
     doc_split = [doc_split[int(i)] for i in rng.permutation(len(doc_split))]
 

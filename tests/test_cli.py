@@ -314,14 +314,18 @@ def test_ablation_default_grid_row_count(tmp_path):
                                      "pretrain.scorer=bogus", "pretrain.steps=0",
                                      "pretrain.optimizer=adamw", "pretrain.batch_size=0",
                                      "pretrain.mask_rate=0", "pretrain.n_negatives=0",
-                                     "encoder.max_nodes=0"])
+                                     "encoder.max_nodes=0", "world.structure=foo",
+                                     "world.n_relations=20", "world.n_facts=0",
+                                     "world.leak_rate=0.9", "world.sentences_per_doc=0",
+                                     "world.leak_rate=-1", "world.eval_doc_fraction=2"])
 def test_bad_config_value_exits_usage(world_dir, tmp_path, capsys, setting):
-    code = main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
-                 "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "o"),
-                 "--set", "pretrain.steps=1", "--set", setting])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and setting.split("=")[0] in err[0]
+    pretrain = ["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
+                "--kg", os.path.join(world_dir, "kg.tsv"), "--set", "pretrain.steps=1"]
+    for command in [["gen-synthetic"], ["ablation"]] if setting.startswith("world.") else [pretrain]:
+        code = main(command + ["--out", str(tmp_path / "o"), "--set", setting])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + setting.split("=")[0] + ": ")
 
 
 def test_bad_finetune_config_value_exits_usage(world_dir, pretrained, tmp_path, capsys):

@@ -66,6 +66,14 @@ def test_leak_zero_puts_every_fact_in_both_modalities():
     assert len(world.overlap) == 200
 
 
+@pytest.mark.parametrize("structure, n_entities", [("flat", 2), ("chains", 3)])
+def test_world_too_small_for_its_facts_fails_naming_n_facts(structure, n_entities):
+    """Drawing distinct facts from too few entities used to loop forever."""
+    with pytest.raises(ValueError, match="^n_facts: 60 distinct facts do not fit"):
+        ev.generate_synthetic_world(n_entities=n_entities, n_relations=5, n_facts=60,
+                                    leak_rate=0.0, structure=structure)
+
+
 def test_template_round_trip():
     world = ev.generate_synthetic_world(n_entities=30, n_relations=3, n_facts=100,
                                         leak_rate=0.1, seed=2, structure="flat")
