@@ -123,7 +123,11 @@ class RunConfig:
         return self._build("encoder", EncoderConfig)
 
     def pretrain_config(self) -> pt.PretrainConfig:
-        return self._build("pretrain", pt.PretrainConfig, seed=self.values["seed"])
+        cfg = self._build("pretrain", pt.PretrainConfig, seed=self.values["seed"])
+        if cfg.scorer == "rotate" and self.values["encoder.d_node"] % 2:
+            raise ConfigError("pretrain.scorer: rotate needs an even encoder.d_node, got %d"
+                              % self.values["encoder.d_node"])
+        return cfg
 
     def finetune_config(self) -> FinetuneConfig:
         return self._build("finetune", FinetuneConfig, seed=self.values["seed"])
@@ -228,7 +232,11 @@ def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
     over the --kg graph, whose entity and relation vocabularies must be the
     checkpoint's: the same names under the same ids."""
     params, token_vocab, entities, relations, config_text = pt.load_checkpoint(args.checkpoint)
-    cfg = RunConfig(("file", parse_config_text(config_text)),
+    try:
+        ckpt_values = parse_config_text(config_text)
+    except ConfigError as e:
+        raise pt.CheckpointError("%s: config text: %s" % (args.checkpoint, e)) from None
+    cfg = RunConfig(("file", ckpt_values),
                     *((prov, {k: flags[k]}) for k, prov in flags.provenance.items()
                       if prov != "default"))
     kg, kg_entities, kg_relations = load_kg(args.kg)
@@ -262,20 +270,19 @@ def _cmd_gen_synthetic(args, cfg: RunConfig) -> int:
 
 
 def _cmd_pretrain(args, cfg: RunConfig) -> int:
+    enc_cfg, pre_cfg = cfg.encoder_config(), cfg.pretrain_config()
     kg, entities, relations = load_kg(args.kg, alias_file=args.aliases)
     if args.vocab:
         with open(args.vocab, encoding="utf-8") as fh:
             token_vocab = Vocab.from_tsv(fh.read(), args.vocab, RESERVED_TOKENS)
     else:
         token_vocab = build_vocab(args.corpus, min_freq=cfg["vocab.min_freq"])
-    enc_cfg = cfg.encoder_config()
     segments = segment_corpus(args.corpus, enc_cfg.max_seq_len)
     _write_effective_config(cfg, args.out)
     ckpt = os.path.join(args.out, "checkpoint.drgn")
     metrics = os.path.join(args.out, "metrics.jsonl")
-    _, records = pt.train(segments, kg, entities, relations, token_vocab, enc_cfg,
-                          cfg.pretrain_config(), metrics_path=metrics,
-                          checkpoint_path=ckpt, config_text=cfg.to_text())
+    _, records = pt.train(segments, kg, entities, relations, token_vocab, enc_cfg, pre_cfg,
+                          metrics_path=metrics, checkpoint_path=ckpt, config_text=cfg.to_text())
     print("pretrained %d steps; final loss %.4f; checkpoint %s"
           % (len(records), records[-1]["loss"], ckpt))
     return EXIT_OK

@@ -328,6 +328,16 @@ def test_bad_config_value_exits_usage(world_dir, tmp_path, capsys, setting):
         assert len(err) == 1 and err[0].startswith("error: " + setting.split("=")[0] + ": ")
 
 
+def test_rotate_with_odd_node_width_exits_usage_before_reading_data(tmp_path, capsys):
+    code = main(["pretrain", "--corpus", str(tmp_path / "missing.txt"),
+                 "--kg", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "o"),
+                 "--set", "pretrain.scorer=rotate", "--set", "encoder.heads_gnn=1",
+                 "--set", "encoder.d_node=33"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: pretrain.scorer: rotate needs an even encoder.d_node, got 33"]
+
+
 def test_bad_finetune_config_value_exits_usage(world_dir, pretrained, tmp_path, capsys):
     code = main(["finetune", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
                  "--kg", os.path.join(world_dir, "kg.tsv"),
@@ -402,7 +412,8 @@ def first_tensor_header(data: bytes) -> int:
 
 
 @pytest.mark.parametrize("corruption", ["truncated", "alias_out_of_range", "tokens_byte_flipped",
-                                        "last_float_inf", "rank_200", "first_dim_max"])
+                                        "last_float_inf", "rank_200", "first_dim_max",
+                                        "config_key_flipped"])
 def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, capsys, corruption):
     """A corrupt checkpoint exits 2 (data), or 3 (numeric) for a non-finite
     tensor, with one line naming the file."""
@@ -427,6 +438,12 @@ def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, ca
         with open(bad, "wb") as fh:
             fh.write(data)
         expected = "data error: %s: tokens table is not valid UTF-8" % bad
+    elif corruption == "config_key_flipped":
+        data[data.index(b"eval.lp_baseline_dim") + len("eval.lp_baseline_")] ^= 0x20   # d -> D
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        expected = ("data error: %s: config text: line 13: unknown key 'eval.lp_baseline_Dim'"
+                    % bad)
     elif corruption == "last_float_inf":
         data[-4:] = struct.pack("<f", np.inf)
         with open(bad, "wb") as fh:
