@@ -359,7 +359,7 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
     world = cfg.world()
     seeds = tuple(int(s) for s in args.seeds.split(","))
     rows = ev.run_ablation_suite(world, cfg.encoder_config(), cfg.pretrain_config(),
-                                 cfg.finetune_config(), seeds=seeds,
+                                 cfg.finetune_config(), cfg["vocab.min_freq"], seeds=seeds,
                                  lp_query_limit=20 if args.grid == "smoke" else None)
     _write_effective_config(cfg, args.out)
     with open(os.path.join(args.out, "ablation.tsv"), "w", encoding="utf-8") as fh:

@@ -21,8 +21,8 @@ from .encoder import BIDIRECTIONAL, CONCAT_AT_END, EncoderConfig, check_fields, 
 from .finetune import FinetuneConfig, MCQAExample, evaluate_mcqa, finetune_mcqa, pool
 from .kg_store import EntityVocab, KnowledgeGraph, Vocab, kg_from_triplets
 from .numerics import Tensor
-from .pretrain import (LinkPredHead, PretrainConfig, Optimizer, linkpred_head, train,
-                       train_step, triplet_scores)
+from .pretrain import (OBJECTIVES, SCORERS, LinkPredHead, PretrainConfig, Optimizer,
+                       linkpred_head, train, train_step, triplet_scores)
 from .retrieval import Retriever, build_vocab_from_texts
 
 
@@ -503,12 +503,14 @@ ABLATION_COLUMNS = ["objective", "scorer", "fusion", "kg_structure", "seed",
 
 
 def run_ablation_cell(world: SyntheticWorld, enc_cfg: EncoderConfig,
-                      pre_cfg: PretrainConfig, ft_cfg: FinetuneConfig,
+                      pre_cfg: PretrainConfig, ft_cfg: FinetuneConfig, min_freq: int,
                       objective: str, scorer: str, fusion: str, kg_structure: str,
                       seed: int, lp_query_limit: int | None = None,
                       mcqa_data: dict | None = None) -> dict:
+    """Pretrain, finetune and test one grid cell on the world; its token
+    vocabulary holds the train documents' tokens seen at least min_freq times."""
     kg, entities, relations = world.build_kg()
-    token_vocab = build_vocab_from_texts(world.train_docs)
+    token_vocab = build_vocab_from_texts(world.train_docs, min_freq)
     e_cfg = replace(enc_cfg, fusion=fusion)
     p_cfg = replace(pre_cfg, objective=objective, scorer=scorer, seed=seed,
                     kg_mode="graph" if kg_structure == "graph" else "verbalized")
@@ -537,9 +539,8 @@ def run_ablation_cell(world: SyntheticWorld, enc_cfg: EncoderConfig,
 
 
 def run_ablation_suite(world: SyntheticWorld, enc_cfg: EncoderConfig,
-                       pre_cfg: PretrainConfig, ft_cfg: FinetuneConfig,
-                       objectives=("joint", "mlm_only", "linkpred_only"),
-                       scorers=("distmult", "transe", "rotate"),
+                       pre_cfg: PretrainConfig, ft_cfg: FinetuneConfig, min_freq: int,
+                       objectives=OBJECTIVES, scorers=SCORERS,
                        fusions=(BIDIRECTIONAL, CONCAT_AT_END),
                        kg_structures=("graph", "sentences"),
                        seeds=(0,), lp_query_limit: int | None = None) -> list[dict]:
@@ -553,7 +554,7 @@ def run_ablation_suite(world: SyntheticWorld, enc_cfg: EncoderConfig,
                     for seed in seeds:
                         try:
                             rows.append(run_ablation_cell(
-                                world, enc_cfg, pre_cfg, ft_cfg, objective, scorer,
+                                world, enc_cfg, pre_cfg, ft_cfg, min_freq, objective, scorer,
                                 fusion, kg_structure, seed, lp_query_limit, mcqa_data))
                         except Exception as e:  # cell failure must not stop the suite
                             rows.append({"objective": objective, "scorer": scorer,

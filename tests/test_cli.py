@@ -1,5 +1,6 @@
 """CLI contracts: determinism, exit codes, config echo, persistence."""
 
+import inspect
 import json
 import os
 import struct
@@ -7,12 +8,15 @@ import struct
 import numpy as np
 import pytest
 
+from dragonforge import evaluation as ev
 from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
 from dragonforge.cli import (DEFAULTS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                              RunConfig, main, parse_config_text)
+from dragonforge.encoder import EncoderConfig
+from dragonforge.finetune import FinetuneConfig
 from dragonforge.kg_store import R_EL, load_kg
-from dragonforge.retrieval import RESERVED_TOKENS, SEP, Retriever
+from dragonforge.retrieval import RESERVED_TOKENS, SEP, Retriever, build_vocab_from_texts
 
 MICRO_WORLD = ["--set", "world.n_entities=30", "--set", "world.n_relations=3",
                "--set", "world.n_facts=150", "--set", "world.leak_rate=0.2",
@@ -49,6 +53,17 @@ def test_config_text_round_trip():
     parsed = parse_config_text(cfg.to_text())
     assert parsed["pretrain.steps"] == 7
     assert parsed["encoder.d_text"] == DEFAULTS["encoder.d_text"]
+
+
+def test_library_defaults_are_the_cli_defaults():
+    cfg = RunConfig()
+    assert EncoderConfig() == cfg.encoder_config()
+    assert pt.PretrainConfig() == cfg.pretrain_config()
+    assert FinetuneConfig() == cfg.finetune_config()
+    world_defaults = {name: p.default for name, p in
+                      inspect.signature(ev.generate_synthetic_world).parameters.items()
+                      if name != "seed"}
+    assert world_defaults == cfg.section("world")
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -308,6 +323,23 @@ def test_ablation_default_grid_row_count(tmp_path):
     assert len(degenerate) == 6
     assert all(r["status"].startswith("error") for r in degenerate)
     assert all(r["status"] == "ok" for r in rows if r not in degenerate)
+
+
+def test_ablation_builds_vocab_with_configured_min_freq(tmp_path, monkeypatch):
+    seen = []
+
+    def build_vocab_spy(texts, min_freq):
+        seen.append(min_freq)
+        return build_vocab_from_texts(texts, min_freq)
+
+    def no_training(*args, **kwargs):
+        raise RuntimeError("not trained")
+
+    monkeypatch.setattr(ev, "build_vocab_from_texts", build_vocab_spy)
+    monkeypatch.setattr(ev, "train", no_training)
+    assert main(["ablation", "--out", str(tmp_path / "abl"), "--set", "vocab.min_freq=1"]
+                + MICRO_WORLD) == EXIT_OK
+    assert seen == [1] * (3 * 3 * 2 * 2)
 
 
 @pytest.mark.parametrize("setting", ["encoder.d_text=abc", "encoder.heads_text=5",

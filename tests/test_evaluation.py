@@ -279,8 +279,8 @@ def test_ablation_subgrid_rows_and_determinism():
     kwargs = dict(objectives=("joint",), scorers=("distmult", "rotate"),
                   fusions=("bidirectional",), kg_structures=("graph", "sentences"),
                   seeds=(0,), lp_query_limit=5)
-    rows1 = ev.run_ablation_suite(world, enc_cfg, pre_cfg, ft_cfg, **kwargs)
-    rows2 = ev.run_ablation_suite(world, enc_cfg, pre_cfg, ft_cfg, **kwargs)
+    rows1 = ev.run_ablation_suite(world, enc_cfg, pre_cfg, ft_cfg, 2, **kwargs)
+    rows2 = ev.run_ablation_suite(world, enc_cfg, pre_cfg, ft_cfg, 2, **kwargs)
     assert len(rows1) == 2 * 2
     assert rows1 == rows2
     for row in rows1:
@@ -293,7 +293,7 @@ def test_ablation_subgrid_rows_and_determinism():
 def test_verbalized_cells_report_empty_lp():
     world = micro_world()
     enc_cfg, pre_cfg, ft_cfg = micro_cfgs()
-    row = ev.run_ablation_cell(world, enc_cfg, pre_cfg, ft_cfg, "joint", "distmult",
+    row = ev.run_ablation_cell(world, enc_cfg, pre_cfg, ft_cfg, 2, "joint", "distmult",
                                "bidirectional", "sentences", 0, lp_query_limit=4)
     assert row["lp_mrr"] == ""
 
