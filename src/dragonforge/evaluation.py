@@ -222,11 +222,13 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
     settings = SimpleNamespace(**locals())   # ValueErrors name the setting
     check_fields(settings, lambda v: v in ("chains", "flat"), "chains or flat", "structure")
     chains = structure == "chains"
-    # a chain story needs three distinct entities and two base + one derived relation
-    check_fields(settings, lambda v: v >= 2 + chains, ">= %d for %s" % (2 + chains, structure),
+    # a chain story draws three distinct entities, a relation family (two base
+    # relations and a derived one) and two distractor relations
+    min_entities, min_relations = (3, 5) if chains else (2, 1)
+    check_fields(settings, lambda v: v >= min_entities, ">= %d for %s" % (min_entities, structure),
                  "n_entities")
-    check_fields(settings, lambda v: 1 + 4 * chains <= v <= len(RELATION_POOL),
-                 "in [%d, %d] for %s" % (1 + 4 * chains, len(RELATION_POOL), structure),
+    check_fields(settings, lambda v: min_relations <= v <= len(RELATION_POOL),
+                 "in [%d, %d] for %s" % (min_relations, len(RELATION_POOL), structure),
                  "n_relations")
     check_fields(settings, lambda v: v >= 1, ">= 1", "n_facts", "sentences_per_doc")
     check_fields(settings, lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]", "leak_rate")
