@@ -294,17 +294,16 @@ def _cmd_finetune(args, cfg_flags: RunConfig) -> int:
     train_set = load_mcqa(args.train)
     dev_set = load_mcqa(args.dev)
     _write_effective_config(cfg, args.out)
-    params, history = finetune_mcqa(train_set, dev_set, retriever, params, enc_cfg,
-                                    cfg.finetune_config())
+    ft_cfg = cfg.finetune_config()
+    params, history, dev = finetune_mcqa(train_set, dev_set, retriever, params, enc_cfg, ft_cfg)
     ckpt = os.path.join(args.out, "finetuned.drgn")
     pt.save_checkpoint(ckpt, params, retriever.token_vocab, retriever.entities,
                        retriever.relations, cfg.to_text())
-    reports = {"dev": {"split": "dev", **evaluate_mcqa(dev_set, retriever, params, enc_cfg,
-                                                       cfg["seed"])}}
+    reports = {"dev": {"split": "dev", **dev}}
     if args.test:
         test_set = load_mcqa(args.test)
         reports["test"] = {"split": "test", **evaluate_mcqa(test_set, retriever, params, enc_cfg,
-                                                            cfg["seed"])}
+                                                            ft_cfg)}
     with open(os.path.join(args.out, "accuracy.json"), "w", encoding="utf-8") as fh:
         json.dump({"history": history, "reports": reports}, fh, indent=2)
     print("finetuned; dev accuracy %.4f%s"
@@ -318,8 +317,8 @@ def _cmd_eval_qa(args, cfg_flags: RunConfig) -> int:
     if "other.pool.wq" not in params:
         raise DataError("%s: checkpoint has no QA head; run finetune first" % args.checkpoint)
     data = load_mcqa(args.data)
-    report = {"split": os.path.basename(args.data),
-              **evaluate_mcqa(data, retriever, params, cfg.encoder_config())}
+    report = {"split": os.path.basename(args.data), **evaluate_mcqa(
+        data, retriever, params, cfg.encoder_config(), cfg.finetune_config())}
     _write_effective_config(cfg, args.out)
     with open(os.path.join(args.out, "accuracy.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)

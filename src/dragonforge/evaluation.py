@@ -523,8 +523,8 @@ def run_ablation_cell(world: SyntheticWorld, enc_cfg: EncoderConfig,
     retriever = Retriever(kg, entities, relations, token_vocab, e_cfg.max_seq_len,
                           e_cfg.max_nodes, p_cfg.kg_mode)
     f_cfg = replace(ft_cfg, seed=seed)
-    params, _ = finetune_mcqa(mcqa_data["train"], mcqa_data["dev"], retriever, params, e_cfg, f_cfg)
-    acc = evaluate_mcqa(mcqa_data["test"], retriever, params, e_cfg)["accuracy"]
+    params, _, _ = finetune_mcqa(mcqa_data["train"], mcqa_data["dev"], retriever, params, e_cfg, f_cfg)
+    acc = evaluate_mcqa(mcqa_data["test"], retriever, params, e_cfg, f_cfg)["accuracy"]
     if kg_structure == "graph":
         # sentence cells are verbalized throughout; link prediction ranks
         # local-graph nodes, so it needs graph inputs and runs here only

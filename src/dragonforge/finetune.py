@@ -2,14 +2,16 @@
 multiple-choice QA scoring over (question, answer-choice) inputs.
 
 The Retriever turns each (question, choice) into "question [SEP] choice"
-and a local KG, verbalized for verbalized checkpoints. All choices of a
-question or training step share one encoder batch, are pooled to vectors and
-scored by a one-hidden-layer perceptron, trained by cross-entropy over them.
+and a local KG, verbalized for verbalized checkpoints. Training and
+evaluation score a batch of questions the same way (choice_logits): all their
+choices share one encoder batch, are pooled to vectors and scored by a
+one-hidden-layer perceptron, trained by cross-entropy over each question's.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -145,28 +147,34 @@ def prepare_choice_inputs(ex: MCQAExample, retriever: Retriever, seed: int, exam
             for c, choice in enumerate(ex.choices)]
 
 
-def choice_logits(inputs: list[tuple[TextSegment, LocalKG]], params: dict[str, Tensor],
-                  enc_cfg: EncoderConfig) -> Tensor:
-    """Encode (eval mode, no dropout) and pool all choices of one question
-    in one batch; returns the [1, n_choices] logits."""
-    x, _ = pool(encode_batch(inputs, params, enc_cfg, "eval"), params)
-    return nm.reshape(x, (1, len(inputs)))
+def choice_logits(questions: list[list[tuple[TextSegment, LocalKG]]], params: dict[str, Tensor],
+                  enc_cfg: EncoderConfig, seeds: list[int] | None = None) -> Tensor:
+    """Encode and pool every choice of the questions in one batch: the [Q, C_max]
+    logits, question q's in row q, padded with NEG_FILL. Train mode (dropout)
+    with one dropout seed per choice, question after question; eval mode without."""
+    width = max(len(q) for q in questions)
+    cells = [qi * width + c for qi, q in enumerate(questions) for c in range(len(q))]
+    x, _ = pool(encode_batch([choice for q in questions for choice in q], params, enc_cfg,
+                             "eval" if seeds is None else "train", seeds), params)
+    fill = np.full((len(questions) * width, 1), nm.NEG_FILL)
+    fill[cells] = 0.0
+    table = nm.add(nm.scatter_rows(x, cells, len(fill)), fill)
+    return nm.reshape(table, (len(questions), width))
 
 
 def evaluate_mcqa(examples: list[MCQAExample], retriever: Retriever, params: dict[str, Tensor],
-                  enc_cfg: EncoderConfig, seed: int = 0) -> dict:
-    """Accuracy report {split-agnostic}: n, accuracy, per_choice_count."""
+                  enc_cfg: EncoderConfig, cfg: FinetuneConfig) -> dict:
+    """Accuracy report: n, accuracy, per_choice_count. Questions are retrieved
+    with the run seed cfg.seed and scored cfg.batch_size at a time."""
     correct = 0
-    per_choice: dict[str, int] = {}
-    for i, ex in enumerate(examples):
-        inputs = prepare_choice_inputs(ex, retriever, seed, i)
-        logits = choice_logits(inputs, params, enc_cfg)
-        pred = int(np.argmax(logits.values.reshape(-1)))
-        correct += int(pred == ex.gold)
-        key = str(len(ex.choices))
-        per_choice[key] = per_choice.get(key, 0) + 1
+    for lo in range(0, len(examples), cfg.batch_size):
+        batch = examples[lo:lo + cfg.batch_size]
+        inputs = [prepare_choice_inputs(ex, retriever, cfg.seed, lo + i) for i, ex in enumerate(batch)]
+        preds = np.argmax(choice_logits(inputs, params, enc_cfg).values, axis=1)
+        correct += sum(int(pred == ex.gold) for pred, ex in zip(preds, batch))
     n = len(examples)
-    return {"n": n, "accuracy": correct / n if n else 0.0, "per_choice_count": per_choice}
+    return {"n": n, "accuracy": correct / n if n else 0.0,
+            "per_choice_count": dict(Counter(str(len(ex.choices)) for ex in examples))}
 
 
 def subsample(examples: list[MCQAExample], fraction: float, seed: int) -> list[MCQAExample]:
@@ -183,10 +191,11 @@ def subsample(examples: list[MCQAExample], fraction: float, seed: int) -> list[M
 
 def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExample],
                   retriever: Retriever, params: dict[str, Tensor], enc_cfg: EncoderConfig,
-                  cfg: FinetuneConfig) -> tuple[dict[str, Tensor], list[dict]]:
+                  cfg: FinetuneConfig) -> tuple[dict[str, Tensor], list[dict], dict]:
     """Train the pooling head (and encoder) on MCQA; dev-accuracy early stopping.
 
-    Returns the best parameters by dev accuracy and a per-epoch history.
+    Returns the best epoch's parameters by dev accuracy (the last epoch's without
+    early stopping), a per-epoch history and the returned parameters' dev report.
     """
     if "other.pool.wq" not in params:
         add_pooling_head(params, enc_cfg, cfg.seed)
@@ -198,27 +207,18 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
     opt = Optimizer(params, cfg.lr_lm, cfg.lr_other, total_steps, cfg.warmup_ratio)
 
     def batch_loss(batch_ids: np.ndarray, step: int) -> tuple[Tensor]:
-        # every choice of every question in one encoder batch; question bi's
-        # logits fill row bi of a [Q, C_max] table padded with NEG_FILL
-        inputs, seeds, cells, golds = [], [], [], []
-        width = max(len(train_set[int(i)].choices) for i in batch_ids)
+        questions, seeds, golds = [], [], []
         for bi, i in enumerate(batch_ids):
             ex = train_set[int(i)]
-            inputs += prepare_choice_inputs(ex, retriever, cfg.seed, int(i))
+            questions.append(prepare_choice_inputs(ex, retriever, cfg.seed, int(i)))
             seeds += nm.split_rng(cfg.seed, "ft_step", step, bi).integers(
                 2 ** 62, size=len(ex.choices)).tolist()
-            cells += [bi * width + c for c in range(len(ex.choices))]
             golds.append(ex.gold)
-        x, _ = pool(encode_batch(inputs, params, enc_cfg, "train", seeds), params)
-        n_cells = len(batch_ids) * width
-        fill = np.full((n_cells, 1), nm.NEG_FILL)
-        fill[cells] = 0.0
-        table = nm.add(nm.scatter_rows(x, cells, n_cells), fill)
-        logits = nm.reshape(table, (len(batch_ids), width))
+        logits = choice_logits(questions, params, enc_cfg, seeds)
         return (nm.reduce_mean(nm.cross_entropy_with_logits(logits, golds)),)
 
     history: list[dict] = []
-    best_acc, best_params = -1.0, None
+    best = None   # (dev report, parameter copy) of the best epoch under early stopping
     step = 0
     for epoch in range(cfg.epochs):
         opt.frozen_prefixes = ("lm.",) if epoch < cfg.freeze_lm_epochs else ()
@@ -230,13 +230,12 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
             epoch_loss += loss.item()
             n_batches += 1
             step += 1
-        dev = evaluate_mcqa(dev_examples, retriever, params, enc_cfg, cfg.seed)
+        dev = evaluate_mcqa(dev_examples, retriever, params, enc_cfg, cfg)
         history.append({"epoch": epoch, "train_loss": epoch_loss / max(1, n_batches),
                         "dev_accuracy": dev["accuracy"]})
-        if dev["accuracy"] > best_acc:
-            best_acc = dev["accuracy"]
-            best_params = {k: Tensor(p.values.copy(), requires_grad=True, name=k)
-                           for k, p in params.items()}
-    if cfg.early_stop and best_params is not None:
-        params = best_params
-    return params, history
+        if cfg.early_stop and (best is None or dev["accuracy"] > best[0]["accuracy"]):
+            best = (dev, {k: Tensor(p.values.copy(), requires_grad=True, name=k)
+                          for k, p in params.items()})
+    if best is not None:
+        dev, params = best
+    return params, history, dev

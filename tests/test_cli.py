@@ -257,11 +257,14 @@ def test_verbalized_checkpoint_finetunes_and_evaluates_on_verbalized_inputs(
     graph = Retriever(load_kg(kg)[0], entities, relations, tv, enc_cfg.max_seq_len,
                       enc_cfg.max_nodes)
     examples = ft.load_mcqa(data)
-    assert len(batches) == n_finetune + len(examples)
+    evaluated = [example for batch in batches[n_finetune:] for example in batch]
+    assert len(evaluated) == sum(len(ex.choices) for ex in examples)
+    evaluated = iter(evaluated)
     n_suffixed = 0
-    for i, (ex, batch) in enumerate(zip(examples, batches[n_finetune:])):
-        for c, (choice, (seg, _)) in enumerate(zip(ex.choices, batch)):
-            g_seg, g_local = graph.inputs([ex.question, choice], nm.split_rng(0, "ft_retrieval", i, c))
+    for i, ex in enumerate(examples):
+        for c, choice in enumerate(ex.choices):
+            seg, _ = next(evaluated)
+            g_seg, g_local = graph.inputs([ex.question, choice], nm.split_rng(11, "ft_retrieval", i, c))
             assert seg.token_ids[:g_seg.length] == g_seg.token_ids
             suffixed = seg.length > g_seg.length
             assert suffixed == any(r != R_EL for _, r, _ in g_local.edges)
@@ -404,6 +407,43 @@ def test_finetune_reports_dev_accuracy_under_run_seed(world_dir, pretrained, tmp
     report = json.load(open(os.path.join(out, "accuracy.json"), encoding="utf-8"))
     best = max(h["dev_accuracy"] for h in report["history"])
     assert report["reports"]["dev"]["accuracy"] == best
+
+
+def test_finetune_test_report_equals_eval_qa_under_run_seed(world_dir, pretrained, tmp_path,
+                                                           monkeypatch):
+    # max_nodes=1 makes retrieval sample; eval-qa reads the run seed and
+    # max_nodes from the finetuned checkpoint's config
+    from dragonforge import finetune as ft
+    tables = []
+    choice_logits = ft.choice_logits
+
+    def recording_choice_logits(*args):
+        logits = choice_logits(*args)
+        if len(args) == 3:   # eval mode: no dropout seeds
+            tables.append(logits.values.copy())
+        return logits
+
+    monkeypatch.setattr(ft, "choice_logits", recording_choice_logits)
+    test = os.path.join(world_dir, "mcqa_test.jsonl")
+    ft_out, qa_out = str(tmp_path / "ft"), str(tmp_path / "qa")
+    assert main(["finetune", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--train", os.path.join(world_dir, "mcqa_train.jsonl"),
+                 "--dev", os.path.join(world_dir, "mcqa_dev.jsonl"), "--test", test,
+                 "--out", ft_out, "--seed", "7", "--set", "encoder.max_nodes=1",
+                 "--set", "finetune.epochs=1"]) == EXIT_OK
+    n_finetune = len(tables)
+    assert main(["eval-qa", "--checkpoint", os.path.join(ft_out, "finetuned.drgn"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"), "--data", test,
+                 "--out", qa_out]) == EXIT_OK
+    finetune_report = json.load(open(os.path.join(ft_out, "accuracy.json"),
+                                     encoding="utf-8"))["reports"]["test"]
+    qa_report = json.load(open(os.path.join(qa_out, "accuracy.json"), encoding="utf-8"))
+    assert {**finetune_report, "split": None} == {**qa_report, "split": None}
+    evaluated = tables[n_finetune:]
+    assert evaluated and len(tables) >= 2 * len(evaluated)
+    for ours, theirs in zip(tables[n_finetune - len(evaluated):n_finetune], evaluated):
+        np.testing.assert_array_equal(ours, theirs)
 
 
 @pytest.mark.parametrize("bad_line", ["zzz\t999", "zzz", None],

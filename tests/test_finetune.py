@@ -211,13 +211,35 @@ def test_choice_order_invariance_of_argmax():
     rt = retriever(kg, entities, relations, tv, enc_cfg)
     for i, ex in enumerate(data[:6]):
         inputs = ft.prepare_choice_inputs(ex, rt, 0, i)
-        logits = ft.choice_logits(inputs, params, enc_cfg)
+        logits = ft.choice_logits([inputs], params, enc_cfg)
         perm = rng.permutation(len(ex.choices)).tolist()
         permuted = ft.MCQAExample(ex.question, [ex.choices[p] for p in perm],
                                   perm.index(ex.gold))
         inputs2 = ft.prepare_choice_inputs(permuted, rt, 0, i)
-        logits2 = ft.choice_logits(inputs2, params, enc_cfg)
+        logits2 = ft.choice_logits([inputs2], params, enc_cfg)
         np.testing.assert_allclose(logits2.values[0], logits.values[0][perm], atol=1e-5)
+
+
+def test_mixed_choice_counts_in_one_batch_score_as_alone():
+    world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
+    rt = retriever(kg, entities, relations, tv, enc_cfg)
+    questions = [ft.MCQAExample("beva likes", world.entity_names[:2], 0),
+                 ft.MCQAExample("beva likes", world.entity_names[2:7], 3),
+                 ft.MCQAExample(world.entity_names[7] + " likes", world.entity_names[8:10], 1)]
+    inputs = [ft.prepare_choice_inputs(ex, rt, 3, i) for i, ex in enumerate(questions)]
+    table = ft.choice_logits(inputs, params, enc_cfg).values
+    assert table.shape == (3, 5)
+    for q, alone_inputs in enumerate(inputs):
+        n = len(alone_inputs)
+        alone = ft.choice_logits([alone_inputs], params, enc_cfg).values
+        assert alone.shape == (1, n)
+        np.testing.assert_allclose(table[q, :n], alone[0], rtol=0, atol=1e-6)
+        assert np.argmax(table[q]) == np.argmax(alone[0])
+        np.testing.assert_array_equal(table[q, n:], nm.NEG_FILL)
+    # a padded cell never wins, even when every real logit is far below zero
+    params["other.pool.mlp.b2"].values[:] = -1e8
+    table = ft.choice_logits(inputs, params, enc_cfg).values
+    assert all(np.argmax(row) < len(q) for row, q in zip(table, inputs))
 
 
 def test_untrained_model_scores_near_chance():
@@ -225,7 +247,7 @@ def test_untrained_model_scores_near_chance():
     data = world.mcqa_dataset(distractors="random")
     examples = data["train"] + data["dev"] + data["test"]
     report = ft.evaluate_mcqa(examples, retriever(kg, entities, relations, tv, enc_cfg), params,
-                              enc_cfg)
+                              enc_cfg, ft.FinetuneConfig())
     assert report["n"] == len(examples)
     assert abs(report["accuracy"] - 0.25) < 0.1
 
@@ -235,7 +257,7 @@ def test_variable_choice_counts_allowed():
     a = ft.MCQAExample("beva likes", [world.entity_names[0], world.entity_names[1]], 0)
     b = ft.MCQAExample("beva likes", world.entity_names[:5], 2)
     report = ft.evaluate_mcqa([a, b], retriever(kg, entities, relations, tv, enc_cfg), params,
-                              enc_cfg)
+                              enc_cfg, ft.FinetuneConfig())
     assert report["per_choice_count"] == {"2": 1, "5": 1}
 
 
@@ -246,7 +268,7 @@ def test_finetune_reduces_loss_and_freezes_lm():
     node_before = params["node_emb.table"].values.copy()
     cfg = ft.FinetuneConfig(epochs=3, batch_size=4, freeze_lm_epochs=3, seed=8,
                             lr_other=3e-3, early_stop=False)
-    params2, history = ft.finetune_mcqa(data["train"], data["dev"],
+    params2, history, _ = ft.finetune_mcqa(data["train"], data["dev"],
                                         retriever(kg, entities, relations, tv, enc_cfg),
                                         params, enc_cfg, cfg)
     assert len(history) == 3

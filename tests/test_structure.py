@@ -1,4 +1,5 @@
-"""Source-structure contracts: raw text reaches the encoder through one path."""
+"""Source-structure contracts: raw text reaches the encoder through one path,
+and multiple-choice questions are scored through one function."""
 
 import ast
 import pathlib
@@ -38,3 +39,9 @@ def callers(name: str) -> set[str]:
 ])
 def test_input_preparation_has_one_caller(name, caller):
     assert callers(name) == {caller}
+
+
+@pytest.mark.parametrize("name", ["encode_batch", "pool"])
+def test_multiple_choice_scoring_has_one_path(name):
+    # training and evaluation both encode and pool choices in choice_logits
+    assert {c for c in callers(name) if c.startswith("finetune:")} == {"finetune:choice_logits"}
