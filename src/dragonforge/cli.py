@@ -23,7 +23,7 @@ from itertools import zip_longest
 from . import evaluation as ev
 from . import numerics as nm
 from . import pretrain as pt
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, param_shapes
 from .finetune import (DataError, FinetuneConfig, evaluate_mcqa, finetune_mcqa,
                        load_mcqa, read_jsonl)
 from .kg_store import EmptyGraphError, KGParseError, Vocab, load_kg
@@ -230,15 +230,30 @@ def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
     """--checkpoint parameters, its config overridden by anything given on the
     CLI, and a Retriever in kg_mode (by default the config's pretrain.kg_mode)
     over the --kg graph, whose entity and relation vocabularies must be the
-    checkpoint's: the same names under the same ids."""
+    checkpoint's: the same names under the same ids.
+
+    The checkpoint's own config must be valid, and every encoder tensor the
+    run's config declares must be present with its declared shape; otherwise
+    CheckpointError names the file."""
     params, token_vocab, entities, relations, config_text = pt.load_checkpoint(args.checkpoint)
     try:
         ckpt_values = parse_config_text(config_text)
+        ckpt_cfg = RunConfig(("file", ckpt_values))
+        for build in (ckpt_cfg.encoder_config, ckpt_cfg.pretrain_config, ckpt_cfg.finetune_config):
+            build()
     except ConfigError as e:
         raise pt.CheckpointError("%s: config text: %s" % (args.checkpoint, e)) from None
     cfg = RunConfig(("file", ckpt_values),
                     *((prov, {k: flags[k]}) for k, prov in flags.provenance.items()
                       if prov != "default"))
+    enc_cfg = cfg.encoder_config()
+    for name, (shape, _) in param_shapes(enc_cfg, len(token_vocab), len(entities),
+                                         len(relations)).items():
+        if name not in params:
+            raise pt.CheckpointError("%s: no tensor %r" % (args.checkpoint, name))
+        if params[name].shape != shape:
+            raise pt.CheckpointError("%s: tensor %r has shape %s, the encoder config declares %s"
+                                     % (args.checkpoint, name, params[name].shape, shape))
     kg, kg_entities, kg_relations = load_kg(args.kg)
     for kind, ours, theirs in (("entity", kg_entities.names, entities.names),
                                ("relation", kg_relations.names, relations.names)):
@@ -246,7 +261,6 @@ def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
             if a != b:
                 raise DataError("%s: %s id %d is %r, but %r in checkpoint %s"
                                 % (args.kg, kind, i, a, b, args.checkpoint))
-    enc_cfg = cfg.encoder_config()
     return params, Retriever(kg, entities, relations, token_vocab, enc_cfg.max_seq_len,
                              enc_cfg.max_nodes, kg_mode or cfg.pretrain_config().kg_mode), cfg
 
@@ -339,6 +353,9 @@ def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
         if pre_cfg.kg_mode != "graph":
             raise ConfigError("pretrain.kg_mode: --mode kg_plus_text scores graph inputs, which "
                               "a %s checkpoint never saw; use --mode kg_only" % pre_cfg.kg_mode)
+        if "other.linkpred.relations" not in params:
+            raise DataError("%s: checkpoint has no link-prediction head; use --mode kg_only"
+                            % args.checkpoint)
         scorer = ev.ContextualScorer(params, cfg.encoder_config(), pt.linkpred_head(params, pre_cfg))
     else:
         ent_emb, rel_emb = ev.train_distmult_baseline(

@@ -15,7 +15,6 @@ path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -119,11 +118,15 @@ def init_param(params: dict[str, Tensor], seed: int, name: str, shape, fill: flo
     params[name] = Tensor(values, requires_grad=True, name=name)
 
 
-def init_params(cfg: EncoderConfig, seed: int, vocab_size: int, n_entities: int,
-                n_relations: int) -> dict[str, Tensor]:
-    """Normal(0, 0.02) weights, zero biases, unit layer-norm gains."""
-    params: dict[str, Tensor] = {}
-    put = partial(init_param, params, seed)
+def param_shapes(cfg: EncoderConfig, vocab_size: int, n_entities: int, n_relations: int
+                 ) -> dict[str, tuple[tuple[int, ...], float | None]]:
+    """Name -> (shape, init_param fill) of every encoder tensor: Normal(0, 0.02)
+    weights, zero biases, unit layer-norm gains."""
+    shapes: dict[str, tuple[tuple[int, ...], float | None]] = {}
+
+    def put(name: str, shape: tuple[int, ...], fill: float | None) -> None:
+        shapes[name] = (shape, fill)
+
     dt, dn = cfg.d_text, cfg.d_node
     put("lm.tok_emb", (vocab_size, dt), NORMAL)
     put("lm.pos_emb", (cfg.max_seq_len, dt), NORMAL)
@@ -160,6 +163,15 @@ def init_params(cfg: EncoderConfig, seed: int, vocab_size: int, n_entities: int,
         put(q + "b1", (cfg.d_mint_hidden,), 0.0)
         put(q + "w2", (cfg.d_mint_hidden, dt + dn), NORMAL)
         put(q + "b2", (dt + dn,), 0.0)
+    return shapes
+
+
+def init_params(cfg: EncoderConfig, seed: int, vocab_size: int, n_entities: int,
+                n_relations: int) -> dict[str, Tensor]:
+    """The tensors of param_shapes, each drawn from its name-keyed stream."""
+    params: dict[str, Tensor] = {}
+    for name, (shape, fill) in param_shapes(cfg, vocab_size, n_entities, n_relations).items():
+        init_param(params, seed, name, shape, fill)
     return params
 
 

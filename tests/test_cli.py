@@ -394,6 +394,20 @@ def test_eval_qa_without_qa_head_exits_data_error(world_dir, pretrained, tmp_pat
         "data error: %s: checkpoint has no QA head; run finetune first" % ckpt]
 
 
+def test_eval_lp_without_linkpred_head_exits_data_error(world_dir, pretrained, tmp_path, capsys):
+    params, token_vocab, entities, relations, config_text = pt.load_checkpoint(
+        os.path.join(pretrained, "checkpoint.drgn"))
+    del params["other.linkpred.relations"]
+    ckpt = str(tmp_path / "no_lp_head.drgn")
+    pt.save_checkpoint(ckpt, params, token_vocab, entities, relations, config_text)
+    code = main(["eval-lp", "--checkpoint", ckpt, "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--test", os.path.join(world_dir, "lp_test.jsonl"), "--mode", "kg_plus_text",
+                 "--out", str(tmp_path / "lp")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: %s: checkpoint has no link-prediction head; use --mode kg_only" % ckpt]
+
+
 def test_finetune_reports_dev_accuracy_under_run_seed(world_dir, pretrained, tmp_path):
     # max_nodes=1 makes retrieval sample, so the retrieval seed changes the inputs
     out = str(tmp_path / "ft")
@@ -485,7 +499,8 @@ def first_tensor_header(data: bytes) -> int:
 
 @pytest.mark.parametrize("corruption", ["truncated", "alias_out_of_range", "tokens_byte_flipped",
                                         "last_float_inf", "rank_200", "first_dim_max",
-                                        "config_key_flipped"])
+                                        "config_key_flipped", "tensor_name_flipped",
+                                        "config_d_text_17", "config_d_text_18"])
 def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, capsys, corruption):
     """A corrupt checkpoint exits 2 (data), or 3 (numeric) for a non-finite
     tensor, with one line naming the file."""
@@ -516,6 +531,20 @@ def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, ca
             fh.write(data)
         expected = ("data error: %s: config text: line 13: unknown key 'eval.lp_baseline_Dim'"
                     % bad)
+    elif corruption == "tensor_name_flipped":
+        data[data.index(b"lm.layer0.ffn.w1") + len("lm.layer0.ffn.w")] ^= 0x01   # w1 -> w0
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        expected = "data error: %s: no tensor 'lm.layer0.ffn.w1'" % bad
+    elif corruption.startswith("config_d_text_"):
+        # 17: heads_text 2 no longer divides it; 18: valid, but not the tensors' width
+        d_text = corruption[-2:]
+        pos = data.index(b"encoder.d_text = 16") + len("encoder.d_text = ")
+        data[pos:pos + 2] = d_text.encode()
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        expected = ("data error: %s: config text: encoder.heads_text: 2 does not divide d_text 17"
+                    % bad if d_text == "17" else "data error: %s: tensor 'lm.tok_emb' has shape" % bad)
     elif corruption == "last_float_inf":
         data[-4:] = struct.pack("<f", np.inf)
         with open(bad, "wb") as fh:
