@@ -455,7 +455,8 @@ def test_finetune_test_report_equals_eval_qa_under_run_seed(world_dir, pretraine
     qa_report = json.load(open(os.path.join(qa_out, "accuracy.json"), encoding="utf-8"))
     assert {**finetune_report, "split": None} == {**qa_report, "split": None}
     evaluated = tables[n_finetune:]
-    assert evaluated and len(tables) >= 2 * len(evaluated)
+    assert evaluated
+    # finetune's last eval-mode batches are its --test evaluation
     for ours, theirs in zip(tables[n_finetune - len(evaluated):n_finetune], evaluated):
         np.testing.assert_array_equal(ours, theirs)
 
