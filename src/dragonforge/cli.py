@@ -8,24 +8,34 @@ the library signatures that consume them) < DRAGONFORGE_SEED < --config <
 config over the defaults and under every other source.
 The effective configuration is written next to every command's outputs and
 reproduces the run when fed back through --config under the same seed.
+
+`ablation` writes a world and its own effective configuration. Each cell of
+its grid (pretrain.objective x pretrain.scorer x encoder.fusion x
+pretrain.kg_mode) and each seed then runs through main() as the commands a
+user would type, pretrain, finetune --test and (graph cells) eval-lp, with
+outputs in <out>/cells/<cell>-seed<seed>/<command>/. A row is read from
+those outputs; a failing command becomes its status.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import os
 import sys
-from itertools import zip_longest
+import traceback
+from itertools import product, zip_longest
 
 from . import evaluation as ev
 from . import numerics as nm
 from . import pretrain as pt
-from .encoder import EncoderConfig, param_shapes
+from .encoder import BIDIRECTIONAL, CONCAT_AT_END, EncoderConfig, param_shapes
 from .finetune import (DataError, FinetuneConfig, evaluate_mcqa, finetune_mcqa,
-                       load_mcqa, read_jsonl)
+                       load_mcqa, pooling_head_shapes, read_jsonl)
 from .kg_store import EmptyGraphError, KGParseError, Vocab, load_kg
 from .retrieval import (RESERVED_TOKENS, Retriever, build_vocab, build_vocab_from_texts,
                         segment_corpus)
@@ -196,7 +206,6 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("ablation", help="train/evaluate the full ablation grid")
-    p.add_argument("--grid", default="default", choices=["default", "smoke"])
     p.add_argument("--seeds", default="0", help="comma-separated seed list")
     common(p)
 
@@ -232,9 +241,10 @@ def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
     over the --kg graph, whose entity and relation vocabularies must be the
     checkpoint's: the same names under the same ids.
 
-    The checkpoint's own config must be valid, and every encoder tensor the
-    run's config declares must be present with its declared shape; otherwise
-    CheckpointError names the file."""
+    The checkpoint's own config must be valid; the run's config must declare
+    every tensor, the encoder's must all be present and each head's all or
+    none, each with its declared shape; otherwise CheckpointError names the
+    file."""
     params, token_vocab, entities, relations, config_text = pt.load_checkpoint(args.checkpoint)
     try:
         ckpt_values = parse_config_text(config_text)
@@ -247,13 +257,21 @@ def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
                     *((prov, {k: flags[k]}) for k, prov in flags.provenance.items()
                       if prov != "default"))
     enc_cfg = cfg.encoder_config()
-    for name, (shape, _) in param_shapes(enc_cfg, len(token_vocab), len(entities),
-                                         len(relations)).items():
+    declared = param_shapes(enc_cfg, len(token_vocab), len(entities), len(relations))
+    for shapes in [*pt.pretrain_head_shapes(enc_cfg, cfg.pretrain_config().scorer,
+                                            len(token_vocab), len(relations)),
+                   pooling_head_shapes(enc_cfg)]:
+        if shapes.keys() & params.keys():   # a head is whole or absent
+            declared.update(shapes)
+    for name, (shape, _) in declared.items():
         if name not in params:
             raise pt.CheckpointError("%s: no tensor %r" % (args.checkpoint, name))
         if params[name].shape != shape:
-            raise pt.CheckpointError("%s: tensor %r has shape %s, the encoder config declares %s"
+            raise pt.CheckpointError("%s: tensor %r has shape %s, the config declares %s"
                                      % (args.checkpoint, name, params[name].shape, shape))
+    unknown = sorted(params.keys() - declared.keys())
+    if unknown:
+        raise pt.CheckpointError("%s: no config declares tensor %r" % (args.checkpoint, unknown[0]))
     kg, kg_entities, kg_relations = load_kg(args.kg)
     for kind, ours, theirs in (("entity", kg_entities.names, entities.names),
                                ("relation", kg_relations.names, relations.names)):
@@ -307,8 +325,11 @@ def _cmd_finetune(args, cfg_flags: RunConfig) -> int:
     enc_cfg = cfg.encoder_config()
     train_set = load_mcqa(args.train)
     dev_set = load_mcqa(args.dev)
-    _write_effective_config(cfg, args.out)
     ft_cfg = cfg.finetune_config()
+    if ft_cfg.early_stop and not dev_set:
+        raise DataError("%s: no questions; early stopping picks an epoch by dev accuracy"
+                        % args.dev)
+    _write_effective_config(cfg, args.out)
     params, history, dev = finetune_mcqa(train_set, dev_set, retriever, params, enc_cfg, ft_cfg)
     ckpt = os.path.join(args.out, "finetuned.drgn")
     pt.save_checkpoint(ckpt, params, retriever.token_vocab, retriever.entities,
@@ -371,15 +392,66 @@ def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
     return EXIT_OK
 
 
+def _run_command(argv: list[str]) -> str | None:
+    """main(argv): None when it succeeds, else "error: <command>: " and its
+    last stderr line or the exception that escaped it."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            if main(argv) == EXIT_OK:
+                return None
+    except Exception as e:   # a cell's failure must not stop the grid
+        traceback.print_exc()
+        err.write("%s: %s\n" % (type(e).__name__, e))
+    return "error: %s: %s" % (argv[0], err.getvalue().splitlines()[-1])
+
+
 def _cmd_ablation(args, cfg: RunConfig) -> int:
-    world = cfg.world()
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    rows = ev.run_ablation_suite(world, cfg.encoder_config(), cfg.pretrain_config(),
-                                 cfg.finetune_config(), cfg["vocab.min_freq"], seeds=seeds,
-                                 lp_query_limit=20 if args.grid == "smoke" else None)
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ConfigError("--seeds: expected comma-separated integers, got %r"
+                          % args.seeds) from None
+    for build in (cfg.encoder_config, cfg.pretrain_config, cfg.finetune_config):
+        build()
+    files = cfg.world().write_files(os.path.join(args.out, "world"))
     _write_effective_config(cfg, args.out)
+    axes = {"pretrain.objective": pt.OBJECTIVES, "pretrain.scorer": pt.SCORERS,
+            "encoder.fusion": (BIDIRECTIONAL, CONCAT_AT_END), "pretrain.kg_mode": pt.KG_MODES}
+    columns = [*axes, "seed", "mcqa_accuracy", "lp_mrr", "status"]
+    rows = []
+    for cell, seed in product(product(*axes.values()), seeds):
+        row = dict(zip(columns, cell + (seed, "", "", "ok")))
+        rows.append(row)
+        out = os.path.join(args.out, "cells", "%s-seed%d" % ("-".join(cell), seed))
+        flags = ["--kg", files["kg.tsv"], "--seed", str(seed),
+                 "--config", os.path.join(args.out, "effective_config.txt")]
+        flags += [arg for setting in zip(axes, cell) for arg in ("--set", "%s=%s" % setting)]
+        commands = [["pretrain", "--corpus", files["corpus.txt"],
+                     "--aliases", files["aliases.tsv"]],
+                    ["finetune", "--train", files["mcqa_train.jsonl"],
+                     "--dev", files["mcqa_dev.jsonl"], "--test", files["mcqa_test.jsonl"],
+                     "--checkpoint", os.path.join(out, "pretrain", "checkpoint.drgn")]]
+        graph = row["pretrain.kg_mode"] == "graph"
+        if graph:   # eval-lp ranks graph inputs only
+            commands.append(["eval-lp", "--test", files["lp_test.jsonl"],
+                             "--checkpoint", os.path.join(out, "finetune", "finetuned.drgn")])
+        for command in commands:
+            status = _run_command(command + flags + ["--out", os.path.join(out, command[0])])
+            if status:
+                row["status"] = status
+                break
+        else:   # every command succeeded
+            with open(os.path.join(out, "finetune", "accuracy.json"), encoding="utf-8") as fh:
+                row["mcqa_accuracy"] = round(json.load(fh)["reports"]["test"]["accuracy"], 4)
+            if graph:
+                with open(os.path.join(out, "eval-lp", "ranking.json"), encoding="utf-8") as fh:
+                    lp = json.load(fh)
+                row["lp_mrr"] = round(lp["mrr"], 4) if lp["n_queries"] else ""
+                row["status"] = "ok" if lp["n_queries"] else "no-lp-queries"
     with open(os.path.join(args.out, "ablation.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(ev.ablation_tsv(rows))
+        fh.write("".join("\t".join(map(str, values)) + "\n"
+                         for values in [columns] + [list(row.values()) for row in rows]))
     with open(os.path.join(args.out, "ablation.json"), "w", encoding="utf-8") as fh:
         json.dump(rows, fh, indent=2)
     print("wrote %d ablation rows to %s" % (len(rows), args.out))
@@ -429,7 +501,9 @@ def main(argv: list[str] | None = None) -> int:
         print("data error: %s" % e, file=sys.stderr)
         return EXIT_DATA
     except (nm.NumericError, pt.TrainingDiverged) as e:
-        print("numeric abort: %s" % e, file=sys.stderr)
+        ckpt = getattr(args, "checkpoint", None)   # named once, also when loading it failed
+        where = "" if ckpt is None or str(e).startswith(ckpt + ": ") else ckpt + ": "
+        print("numeric abort: %s%s" % (where, e), file=sys.stderr)
         return EXIT_NUMERIC
 
 

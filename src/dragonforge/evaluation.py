@@ -1,4 +1,6 @@
-"""Metrics, synthetic-data generation, and the ablation harness.
+"""Metrics, synthetic-data generation, link-prediction ranking and attention
+export. The ablation grid lives in the CLI, which runs each cell as the
+pretrain, finetune and eval-lp commands.
 
 The synthetic world renders random relational facts to text through
 per-relation templates, with complementary withholding: a slice of facts
@@ -10,20 +12,19 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import numerics as nm
-from .encoder import BIDIRECTIONAL, CONCAT_AT_END, EncoderConfig, check_fields, encode
-from .finetune import FinetuneConfig, MCQAExample, evaluate_mcqa, finetune_mcqa, pool
+from .encoder import EncoderConfig, check_fields, encode
+from .finetune import MCQAExample, pool
 from .kg_store import EntityVocab, KnowledgeGraph, Vocab, kg_from_triplets
 from .numerics import Tensor
-from .pretrain import (OBJECTIVES, SCORERS, LinkPredHead, PretrainConfig, Optimizer,
-                       linkpred_head, train, train_step, triplet_scores)
-from .retrieval import Retriever, build_vocab_from_texts
+from .pretrain import LinkPredHead, Optimizer, train_step, triplet_scores
+from .retrieval import Retriever
 
 
 @dataclass
@@ -117,15 +118,11 @@ class SyntheticWorld:
         docs = self.train_docs if split == "train" else self.eval_docs
         return [d.replace("\n", " ") for d in docs]
 
-    def lp_queries(self, limit: int | None = None) -> list[dict]:
+    def lp_queries(self) -> list[dict]:
         """Test triplets (absent from the KG) with their aligned text."""
-        idxs = self.text_only if limit is None else self.text_only[:limit]
         return [{"head": self.facts[i][0], "rel": self.facts[i][1],
                  "tail": self.facts[i][2], "text": self.aligned_text(i)}
-                for i in idxs]
-
-    def known_true_names(self) -> set[tuple[str, str, str]]:
-        return set(self.facts)
+                for i in self.text_only]
 
     def mcqa_dataset(self, distractors: str = "adversarial") -> dict[str, list[MCQAExample]]:
         """Questions `head rel ?` from KG-withheld-from-text facts.
@@ -497,81 +494,8 @@ def train_distmult_baseline(kg: KnowledgeGraph, d: int, steps: int,
 
 
 # ---------------------------------------------------------------------------
-# Ablation harness and attention export
+# Attention export
 # ---------------------------------------------------------------------------
-
-ABLATION_COLUMNS = ["objective", "scorer", "fusion", "kg_structure", "seed",
-                    "mcqa_accuracy", "lp_mrr", "status"]
-
-
-def run_ablation_cell(world: SyntheticWorld, enc_cfg: EncoderConfig,
-                      pre_cfg: PretrainConfig, ft_cfg: FinetuneConfig, min_freq: int,
-                      objective: str, scorer: str, fusion: str, kg_structure: str,
-                      seed: int, lp_query_limit: int | None = None,
-                      mcqa_data: dict | None = None) -> dict:
-    """Pretrain, finetune and test one grid cell on the world; its token
-    vocabulary holds the train documents' tokens seen at least min_freq times."""
-    kg, entities, relations = world.build_kg()
-    token_vocab = build_vocab_from_texts(world.train_docs, min_freq)
-    e_cfg = replace(enc_cfg, fusion=fusion)
-    p_cfg = replace(pre_cfg, objective=objective, scorer=scorer, seed=seed,
-                    kg_mode="graph" if kg_structure == "graph" else "verbalized")
-    params, _ = train(world.raw_segments("train"), kg, entities, relations,
-                      token_vocab, e_cfg, p_cfg)
-    if mcqa_data is None:
-        mcqa_data = world.mcqa_dataset(distractors="adversarial")
-    retriever = Retriever(kg, entities, relations, token_vocab, e_cfg.max_seq_len,
-                          e_cfg.max_nodes, p_cfg.kg_mode)
-    f_cfg = replace(ft_cfg, seed=seed)
-    params, _, _ = finetune_mcqa(mcqa_data["train"], mcqa_data["dev"], retriever, params, e_cfg, f_cfg)
-    acc = evaluate_mcqa(mcqa_data["test"], retriever, params, e_cfg, f_cfg)["accuracy"]
-    if kg_structure == "graph":
-        # sentence cells are verbalized throughout; link prediction ranks
-        # local-graph nodes, so it needs graph inputs and runs here only
-        scorer_obj = ContextualScorer(params, e_cfg, linkpred_head(params, p_cfg))
-        lp = eval_link_prediction(scorer_obj, world.lp_queries(lp_query_limit), retriever,
-                                  world.known_true_names(), seed=seed)
-        lp_mrr = round(lp.mrr, 4) if lp.n_queries else ""
-        status = "ok" if lp.n_queries else "no-lp-queries"
-    else:
-        lp_mrr, status = "", "ok"
-    return {"objective": objective, "scorer": scorer, "fusion": fusion,
-            "kg_structure": kg_structure, "seed": seed,
-            "mcqa_accuracy": round(acc, 4), "lp_mrr": lp_mrr, "status": status}
-
-
-def run_ablation_suite(world: SyntheticWorld, enc_cfg: EncoderConfig,
-                       pre_cfg: PretrainConfig, ft_cfg: FinetuneConfig, min_freq: int,
-                       objectives=OBJECTIVES, scorers=SCORERS,
-                       fusions=(BIDIRECTIONAL, CONCAT_AT_END),
-                       kg_structures=("graph", "sentences"),
-                       seeds=(0,), lp_query_limit: int | None = None) -> list[dict]:
-    """Train and evaluate every grid cell; failures are recorded, not raised."""
-    mcqa_data = world.mcqa_dataset(distractors="adversarial")
-    rows = []
-    for objective in objectives:
-        for scorer in scorers:
-            for fusion in fusions:
-                for kg_structure in kg_structures:
-                    for seed in seeds:
-                        try:
-                            rows.append(run_ablation_cell(
-                                world, enc_cfg, pre_cfg, ft_cfg, min_freq, objective, scorer,
-                                fusion, kg_structure, seed, lp_query_limit, mcqa_data))
-                        except Exception as e:  # cell failure must not stop the suite
-                            rows.append({"objective": objective, "scorer": scorer,
-                                         "fusion": fusion, "kg_structure": kg_structure,
-                                         "seed": seed, "mcqa_accuracy": "", "lp_mrr": "",
-                                         "status": "error: %s" % e})
-    return rows
-
-
-def ablation_tsv(rows: list[dict]) -> str:
-    lines = ["\t".join(ABLATION_COLUMNS)]
-    for row in rows:
-        lines.append("\t".join(str(row[c]) for c in ABLATION_COLUMNS))
-    return "\n".join(lines) + "\n"
-
 
 def dump_attention(params: dict[str, Tensor], enc_cfg: EncoderConfig, seg, local) -> list[str]:
     """JSON lines: one per fusion layer, then a pooling line when the

@@ -86,14 +86,17 @@ def load_mcqa(path: str) -> list[MCQAExample]:
     return read_jsonl(path, {"question": str, "choices": list, "gold": int}, MCQAExample)
 
 
-def add_pooling_head(params: dict[str, Tensor], enc_cfg: EncoderConfig, seed: int) -> None:
+def pooling_head_shapes(enc_cfg: EncoderConfig) -> dict[str, tuple[tuple[int, ...], float | None]]:
+    """Name -> (shape, init_param fill) of the QA pooling head's tensors."""
     dt, dn = enc_cfg.d_text, enc_cfg.d_node
-    init_param(params, seed, "other.pool.wq", (dt, dn), NORMAL)
-    init_param(params, seed, "other.pool.wk", (dn, dn), NORMAL)
-    init_param(params, seed, "other.pool.mlp.w1", (dt + 2 * dn, dt), NORMAL)
-    init_param(params, seed, "other.pool.mlp.b1", (dt,), 0.0)
-    init_param(params, seed, "other.pool.mlp.w2", (dt, 1), NORMAL)
-    init_param(params, seed, "other.pool.mlp.b2", (1,), 0.0)
+    return {"other.pool.wq": ((dt, dn), NORMAL), "other.pool.wk": ((dn, dn), NORMAL),
+            "other.pool.mlp.w1": ((dt + 2 * dn, dt), NORMAL), "other.pool.mlp.b1": ((dt,), 0.0),
+            "other.pool.mlp.w2": ((dt, 1), NORMAL), "other.pool.mlp.b2": ((1,), 0.0)}
+
+
+def add_pooling_head(params: dict[str, Tensor], enc_cfg: EncoderConfig, seed: int) -> None:
+    for name, (shape, fill) in pooling_head_shapes(enc_cfg).items():
+        init_param(params, seed, name, shape, fill)
 
 
 def pool(out: EncoderOutput, params: dict[str, Tensor]) -> tuple[Tensor, np.ndarray]:

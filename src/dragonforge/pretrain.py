@@ -330,13 +330,22 @@ def train_step(opt: Optimizer, step: int, grad_clip: float,
     return results, grad_norm
 
 
+def pretrain_head_shapes(enc_cfg: EncoderConfig, scorer: str, vocab_size: int, n_relations: int
+                         ) -> list[dict[str, tuple[tuple[int, ...], float | None]]]:
+    """Name -> (shape, init_param fill) of the tensors of the masked-token
+    head, then of the link-prediction head."""
+    return [{"lm.mlm_head.w": ((enc_cfg.d_text, vocab_size), NORMAL),
+             "lm.mlm_head.b": ((vocab_size,), 0.0)},
+            {"other.linkpred.relations":
+             ((n_relations, relation_table_width(scorer, enc_cfg.d_node)), NORMAL)}]
+
+
 def add_pretrain_heads(params: dict[str, Tensor], enc_cfg: EncoderConfig,
                        cfg: PretrainConfig, vocab_size: int, n_relations: int,
                        seed: int) -> None:
-    init_param(params, seed, "lm.mlm_head.w", (enc_cfg.d_text, vocab_size), NORMAL)
-    init_param(params, seed, "lm.mlm_head.b", (vocab_size,), 0.0)
-    init_param(params, seed, "other.linkpred.relations",
-               (n_relations, relation_table_width(cfg.scorer, enc_cfg.d_node)), NORMAL)
+    for shapes in pretrain_head_shapes(enc_cfg, cfg.scorer, vocab_size, n_relations):
+        for name, (shape, fill) in shapes.items():
+            init_param(params, seed, name, shape, fill)
 
 
 def linkpred_head(params: dict[str, Tensor], cfg: PretrainConfig) -> LinkPredHead:

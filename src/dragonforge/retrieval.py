@@ -92,21 +92,6 @@ class LocalKG:
     def local_index(self, entity_id: int) -> int:
         return self.nodes.index(entity_id)
 
-    def validate(self, g: KnowledgeGraph, max_nodes: int) -> None:
-        assert self.nodes[0] == V_INT
-        assert len(self.nodes) <= max_nodes + 1
-        assert len(set(self.nodes)) == len(self.nodes), "duplicate nodes"
-        if self.is_dummy:
-            assert self.nodes == [V_INT, DUMMY_NODE] and not self.edges
-            return
-        linked_locals = {self.nodes.index(e) for e in self.linked}
-        for h, r, t in self.edges:
-            if r == R_EL:
-                assert h == 0 and t in linked_locals, "interaction edges must target linked nodes"
-            else:
-                assert h != 0 and t != 0
-                assert g.contains((self.nodes[h], r, self.nodes[t])), "edge not in global KG"
-
 
 def build_alias_index(entities: EntityVocab) -> dict[str, list[tuple[tuple[str, ...], int]]]:
     """first token -> [(token tuple, entity id)], longest aliases first."""

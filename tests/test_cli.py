@@ -16,7 +16,7 @@ from dragonforge.cli import (DEFAULTS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_US
 from dragonforge.encoder import EncoderConfig
 from dragonforge.finetune import FinetuneConfig
 from dragonforge.kg_store import R_EL, load_kg
-from dragonforge.retrieval import RESERVED_TOKENS, SEP, Retriever, build_vocab_from_texts
+from dragonforge.retrieval import RESERVED_TOKENS, SEP, Retriever, build_vocab
 
 MICRO_WORLD = ["--set", "world.n_entities=30", "--set", "world.n_relations=3",
                "--set", "world.n_facts=150", "--set", "world.leak_rate=0.2",
@@ -309,40 +309,108 @@ def test_env_var_seed(world_dir, tmp_path, monkeypatch):
     assert "seed = 55  # flag" in text2
 
 
-def test_ablation_default_grid_row_count(tmp_path):
-    out = str(tmp_path / "abl")
-    code = main(["ablation", "--grid", "default", "--out", out, "--seed", "5"]
-                + MICRO_WORLD + MICRO_MODEL
-                + ["--set", "pretrain.steps=2", "--set", "pretrain.batch_size=2",
-                   "--set", "pretrain.n_negatives=2", "--set", "finetune.epochs=1"])
-    assert code == EXIT_OK
-    lines = open(os.path.join(out, "ablation.tsv"), encoding="utf-8").read().splitlines()
+ABLATION_RUN = ["--set", "pretrain.steps=2", "--set", "pretrain.batch_size=2",
+                "--set", "pretrain.n_negatives=2", "--set", "finetune.epochs=1"]
+
+
+@pytest.fixture(scope="module")
+def ablation(tmp_path_factory):
+    # min_freq 5 gives the micro world a smaller vocabulary than the default 2
+    out = str(tmp_path_factory.mktemp("abl"))
+    assert main(["ablation", "--out", out, "--seed", "5"] + MICRO_WORLD + MICRO_MODEL
+                + ABLATION_RUN + ["--set", "vocab.min_freq=5"]) == EXIT_OK
+    return out
+
+
+def test_ablation_default_grid_row_count(ablation):
+    lines = open(os.path.join(ablation, "ablation.tsv"), encoding="utf-8").read().splitlines()
+    assert lines[0].split("\t") == ["pretrain.objective", "pretrain.scorer", "encoder.fusion",
+                                     "pretrain.kg_mode", "seed", "mcqa_accuracy", "lp_mrr",
+                                     "status"]
     assert len(lines) == 1 + 3 * 3 * 2 * 2
-    rows = json.load(open(os.path.join(out, "ablation.json"), encoding="utf-8"))
+    rows = json.load(open(os.path.join(ablation, "ablation.json"), encoding="utf-8"))
+    assert [r["pretrain.objective"] for r in rows] == [o for o in pt.OBJECTIVES for _ in range(12)]
     # link prediction with a verbalized KG has no trainable objective: those
     # six cells are recorded as failures without stopping the suite
-    degenerate = [r for r in rows
-                  if r["objective"] == "linkpred_only" and r["kg_structure"] == "sentences"]
+    degenerate = [r for r in rows if r["pretrain.objective"] == "linkpred_only"
+                  and r["pretrain.kg_mode"] == "verbalized"]
     assert len(degenerate) == 6
-    assert all(r["status"].startswith("error") for r in degenerate)
+    assert all(r["status"] == "error: pretrain: data error: objective 'linkpred_only' with "
+               "kg_mode 'verbalized' leaves no trainable objective" for r in degenerate)
     assert all(r["status"] == "ok" for r in rows if r not in degenerate)
+    # eval-lp ranks graph inputs, so it runs for graph cells only
+    for r in rows:
+        assert (r["lp_mrr"] == "") == (r["pretrain.kg_mode"] == "verbalized"), r
 
 
-def test_ablation_builds_vocab_with_configured_min_freq(tmp_path, monkeypatch):
-    seen = []
+def test_ablation_builds_vocab_with_configured_min_freq(ablation):
+    # the ablation's own settings reach every command of every cell
+    corpus = os.path.join(ablation, "world", "corpus.txt")
+    assert len(build_vocab(corpus, 5)) < len(build_vocab(corpus, 2))
+    cells = sorted(os.listdir(os.path.join(ablation, "cells")))
+    assert len(cells) == 36
+    n_commands = 0
+    for cell in cells:
+        for command in os.listdir(os.path.join(ablation, "cells", cell)):
+            path = os.path.join(ablation, "cells", cell, command, "effective_config.txt")
+            values = parse_config_text(open(path, encoding="utf-8").read())
+            assert values["vocab.min_freq"] == 5 and values["pretrain.steps"] == 2, path
+            n_commands += 1
+        ckpt = os.path.join(ablation, "cells", cell, "pretrain", "checkpoint.drgn")
+        if os.path.exists(ckpt):
+            assert pt.load_checkpoint(ckpt)[1].names == build_vocab(corpus, 5).names
+    assert n_commands == 18 * 3 + 12 * 2 + 6   # graph cells, verbalized cells, failed pretrains
 
-    def build_vocab_spy(texts, min_freq):
-        seen.append(min_freq)
-        return build_vocab_from_texts(texts, min_freq)
 
+def test_ablation_cell_rerun_by_hand_reproduces_row(ablation, tmp_path):
+    rows = json.load(open(os.path.join(ablation, "ablation.json"), encoding="utf-8"))
+    row = next(r for r in rows if r["pretrain.objective"] == "joint"
+               and r["pretrain.scorer"] == "rotate" and r["pretrain.kg_mode"] == "graph")
+    cell = os.path.join(ablation, "cells", "joint-rotate-bidirectional-graph-seed0")
+    world = os.path.join(ablation, "world")
+    out = str(tmp_path)
+
+    def run(command, *args):
+        config = os.path.join(cell, command, "effective_config.txt")
+        assert main([command, *args, "--kg", os.path.join(world, "kg.tsv"), "--config", config,
+                     "--out", os.path.join(out, command)]) == EXIT_OK
+
+    run("pretrain", "--corpus", os.path.join(world, "corpus.txt"),
+        "--aliases", os.path.join(world, "aliases.tsv"))
+    run("finetune", "--checkpoint", os.path.join(out, "pretrain", "checkpoint.drgn"),
+        "--train", os.path.join(world, "mcqa_train.jsonl"),
+        "--dev", os.path.join(world, "mcqa_dev.jsonl"),
+        "--test", os.path.join(world, "mcqa_test.jsonl"))
+    run("eval-lp", "--checkpoint", os.path.join(out, "finetune", "finetuned.drgn"),
+        "--test", os.path.join(world, "lp_test.jsonl"))
+    for command, name in (("pretrain", "metrics.jsonl"), ("finetune", "accuracy.json"),
+                          ("eval-lp", "ranking.json")):
+        assert open(os.path.join(out, command, name), "rb").read() == \
+            open(os.path.join(cell, command, name), "rb").read(), name
+    accuracy = json.load(open(os.path.join(out, "finetune", "accuracy.json"), encoding="utf-8"))
+    ranking = json.load(open(os.path.join(out, "eval-lp", "ranking.json"), encoding="utf-8"))
+    assert row["mcqa_accuracy"] == round(accuracy["reports"]["test"]["accuracy"], 4)
+    assert row["lp_mrr"] == round(ranking["mrr"], 4)
+
+
+def test_ablation_records_an_unexpected_exception_as_the_cell_status(tmp_path, monkeypatch):
     def no_training(*args, **kwargs):
         raise RuntimeError("not trained")
 
-    monkeypatch.setattr(ev, "build_vocab_from_texts", build_vocab_spy)
-    monkeypatch.setattr(ev, "train", no_training)
-    assert main(["ablation", "--out", str(tmp_path / "abl"), "--set", "vocab.min_freq=1"]
-                + MICRO_WORLD) == EXIT_OK
-    assert seen == [1] * (3 * 3 * 2 * 2)
+    monkeypatch.setattr(pt, "train", no_training)
+    out = str(tmp_path / "abl")
+    assert main(["ablation", "--out", out, "--seeds", "0,1"] + MICRO_WORLD) == EXIT_OK
+    rows = json.load(open(os.path.join(out, "ablation.json"), encoding="utf-8"))
+    assert [r["seed"] for r in rows] == [0, 1] * 36
+    assert {r["status"] for r in rows} == {"error: pretrain: RuntimeError: not trained"}
+
+
+def test_ablation_bad_seeds_exit_usage_before_the_world_is_written(tmp_path, capsys):
+    out = tmp_path / "abl"
+    assert main(["ablation", "--out", str(out), "--seeds", "1,x"]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --seeds: expected comma-separated integers, got '1,x'"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", ["encoder.d_text=abc", "encoder.heads_text=5",
@@ -498,13 +566,19 @@ def first_tensor_header(data: bytes) -> int:
     return skip_blob(pos + 4)                   # the tensor count, the first tensor's name
 
 
+def tensor_data(data: bytes, name: str) -> int:
+    """Offset of a checkpoint tensor's first float."""
+    pos = data.index(name.encode()) + len(name)   # its dtype tag and rank follow the name
+    return pos + 2 + 4 * data[pos + 1]
+
+
 @pytest.mark.parametrize("corruption", ["truncated", "alias_out_of_range", "tokens_byte_flipped",
                                         "last_float_inf", "rank_200", "first_dim_max",
                                         "config_key_flipped", "tensor_name_flipped",
-                                        "config_d_text_17", "config_d_text_18"])
+                                        "config_d_text_17", "config_d_text_18", "huge_gain"])
 def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, capsys, corruption):
     """A corrupt checkpoint exits 2 (data), or 3 (numeric) for a non-finite
-    tensor, with one line naming the file."""
+    tensor or one that overflows the forward pass, with one line naming the file."""
     good = os.path.join(pretrained, "checkpoint.drgn")
     bad = str(tmp_path / "bad.drgn")
     data = bytearray(open(good, "rb").read())
@@ -551,16 +625,67 @@ def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, ca
         with open(bad, "wb") as fh:
             fh.write(data)
         expected = "numeric abort: %s: checkpoint tensor" % bad
+    elif corruption == "huge_gain":   # finite, so it loads; a layer norm overflows
+        pos = tensor_data(data, "lm.emb_ln.g")
+        data[pos:pos + 4] = struct.pack("<f", 3e38)
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        expected = "numeric abort: %s: " % bad
     else:
         params, token_vocab, entities, relations, config_text = pt.load_checkpoint(good)
         entities.aliases["zzz"] = 999
         pt.save_checkpoint(bad, params, token_vocab, entities, relations, config_text)
         expected = "%s (aliases table):%d:" % (bad, sorted(entities.aliases).index("zzz") + 1)
-    code = main(["dump-attention", "--checkpoint", bad, "--kg", os.path.join(world_dir, "kg.tsv"),
-                 "--text", "zzz", "--out", str(tmp_path / "attn")])
-    assert code == (EXIT_NUMERIC if corruption == "last_float_inf" else EXIT_DATA)
+    with np.errstate(all="ignore"):
+        code = main(["dump-attention", "--checkpoint", bad, "--text", "zzz",
+                     "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "attn")])
+    assert code == (EXIT_NUMERIC if corruption in ("last_float_inf", "huge_gain") else EXIT_DATA)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and expected in err[0]
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("other.pool.mlp.w1", "no tensor 'other.pool.mlp.w1'"),
+    ("lm.mlm_head.w", "no tensor 'lm.mlm_head.w'"),
+    ("other.linkpred.relations", "no config declares tensor 'other.linkpred.relationr'"),
+], ids=["pooling_head_in_part", "mlm_head_in_part", "undeclared_name"])
+def test_flipped_head_tensor_name_exits_data_error(world_dir, finetuned, tmp_path, capsys,
+                                                   name, expected):
+    data = bytearray(open(finetuned, "rb").read())
+    data[data.index(name.encode()) + len(name) - 1] ^= 0x01
+    bad = str(tmp_path / "bad.drgn")
+    with open(bad, "wb") as fh:
+        fh.write(data)
+    code = main(["dump-attention", "--checkpoint", bad, "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--text", "zzz", "--out", str(tmp_path / "attn")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == ["data error: %s: %s" % (bad, expected)]
+
+
+def test_head_shape_that_differs_from_its_declaration_exits_data_error(world_dir, pretrained,
+                                                                      tmp_path, capsys):
+    # a distmult relation table is d_node wide; rotate declares d_node / 2
+    ckpt = os.path.join(pretrained, "checkpoint.drgn")
+    code = main(["eval-lp", "--checkpoint", ckpt, "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--test", os.path.join(world_dir, "lp_test.jsonl"), "--out", str(tmp_path / "lp"),
+                 "--set", "pretrain.scorer=rotate"])
+    assert code == EXIT_DATA
+    n_relations = len(pt.load_checkpoint(ckpt)[3])
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: %s: tensor 'other.linkpred.relations' has shape (%d, 8), the config "
+        "declares (%d, 4)" % (ckpt, n_relations, n_relations)]
+
+
+def test_finetune_with_empty_dev_file_exits_data_error(world_dir, pretrained, tmp_path, capsys):
+    dev = tmp_path / "dev.jsonl"
+    dev.write_text("", encoding="utf-8")
+    code = main(["finetune", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--train", os.path.join(world_dir, "mcqa_train.jsonl"), "--dev", str(dev),
+                 "--out", str(tmp_path / "ft"), "--set", "finetune.epochs=2"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: %s: " % dev)
 
 
 @pytest.mark.parametrize("bad_line", [

@@ -1,5 +1,5 @@
 """Ranking metrics, synthetic-world properties, filtered-ranking oracle,
-baseline training, ablation plumbing, and attention export."""
+baseline training, and attention export."""
 
 import json
 
@@ -10,7 +10,7 @@ from dragonforge import evaluation as ev
 from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
 from dragonforge.encoder import EncoderConfig, init_params
-from dragonforge.finetune import FinetuneConfig, add_pooling_head
+from dragonforge.finetune import add_pooling_head
 from dragonforge.retrieval import (Retriever, build_alias_index, build_vocab_from_texts,
                                    link_entities, retrieve_local_kg)
 
@@ -190,14 +190,14 @@ def test_gold_boosted_scorer_gets_perfect_metrics():
               entities.ids[q["tail"]]) for q in queries}
     report = ev.eval_link_prediction(StubScorer(boost), queries, retriever(kg, entities, relations,
                                                                            tv, enc_cfg),
-                                     world.known_true_names())
+                                     set(world.facts))
     assert report.n_queries > 0
     assert report.hits1 == 1.0 and report.mrr == 1.0
 
 
 def test_filtered_ranking_matches_exhaustive_scan_oracle():
     world, kg, entities, relations, tv, enc_cfg = lp_fixture()
-    known = world.known_true_names()
+    known = set(world.facts)
     queries = world.lp_queries()[:25]
     scorer = StubScorer()
     filtered = ev.eval_link_prediction(scorer, queries, retriever(kg, entities, relations, tv, enc_cfg),
@@ -236,7 +236,7 @@ def test_contextual_scorer_runs_and_reports():
     scorer = ev.ContextualScorer(params, enc_cfg, pt.linkpred_head(params, p_cfg))
     report = ev.eval_link_prediction(scorer, world.lp_queries()[:15],
                                      retriever(kg, entities, relations, tv, enc_cfg),
-                                     world.known_true_names())
+                                     set(world.facts))
     assert report.n_queries + report.skipped == 15
     assert report.hits1 <= report.hits3 <= report.hits10
 
@@ -256,47 +256,8 @@ def test_distmult_baseline_learns_training_edges():
 
 
 # ---------------------------------------------------------------------------
-# ablation plumbing and attention export
+# attention export
 # ---------------------------------------------------------------------------
-
-def micro_world():
-    return ev.generate_synthetic_world(n_entities=30, n_relations=3, n_facts=150,
-                                       leak_rate=0.2, seed=11, structure="flat")
-
-
-def micro_cfgs():
-    enc_cfg = EncoderConfig(n_unimodal=0, n_fusion=1, d_text=16, d_node=8,
-                            heads_text=2, heads_gnn=2, d_mint_hidden=16, dropout=0.1,
-                            max_seq_len=32, max_nodes=8)
-    pre_cfg = pt.PretrainConfig(steps=2, batch_size=2, n_negatives=2)
-    ft_cfg = FinetuneConfig(epochs=1, batch_size=4)
-    return enc_cfg, pre_cfg, ft_cfg
-
-
-def test_ablation_subgrid_rows_and_determinism():
-    world = micro_world()
-    enc_cfg, pre_cfg, ft_cfg = micro_cfgs()
-    kwargs = dict(objectives=("joint",), scorers=("distmult", "rotate"),
-                  fusions=("bidirectional",), kg_structures=("graph", "sentences"),
-                  seeds=(0,), lp_query_limit=5)
-    rows1 = ev.run_ablation_suite(world, enc_cfg, pre_cfg, ft_cfg, 2, **kwargs)
-    rows2 = ev.run_ablation_suite(world, enc_cfg, pre_cfg, ft_cfg, 2, **kwargs)
-    assert len(rows1) == 2 * 2
-    assert rows1 == rows2
-    for row in rows1:
-        assert row["status"] == "ok", row
-    tsv = ev.ablation_tsv(rows1)
-    assert tsv.splitlines()[0].split("\t") == ev.ABLATION_COLUMNS
-    assert len(tsv.splitlines()) == 5
-
-
-def test_verbalized_cells_report_empty_lp():
-    world = micro_world()
-    enc_cfg, pre_cfg, ft_cfg = micro_cfgs()
-    row = ev.run_ablation_cell(world, enc_cfg, pre_cfg, ft_cfg, 2, "joint", "distmult",
-                               "bidirectional", "sentences", 0, lp_query_limit=4)
-    assert row["lp_mrr"] == ""
-
 
 def test_dump_attention_parses_and_round_trips():
     world, kg, entities, relations, tv, enc_cfg = lp_fixture()

@@ -1,5 +1,6 @@
 """Source-structure contracts: raw text reaches the encoder through one path,
-and multiple-choice questions are scored through one function."""
+multiple-choice questions are scored through one function, and each pipeline
+stage runs from its CLI command alone."""
 
 import ast
 import pathlib
@@ -45,3 +46,13 @@ def test_input_preparation_has_one_caller(name, caller):
 def test_multiple_choice_scoring_has_one_path(name):
     # training and evaluation both encode and pool choices in choice_logits
     assert {c for c in callers(name) if c.startswith("finetune:")} == {"finetune:choice_logits"}
+
+
+@pytest.mark.parametrize("name, caller", [
+    ("train", "cli:_cmd_pretrain"),
+    ("finetune_mcqa", "cli:_cmd_finetune"),
+    ("eval_link_prediction", "cli:_cmd_eval_lp"),
+])
+def test_each_pipeline_stage_runs_from_its_command_only(name, caller):
+    # the ablation runs these stages through the commands, not beside them
+    assert callers(name) == {caller}
