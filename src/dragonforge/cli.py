@@ -383,7 +383,8 @@ def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
             kg, d=cfg["eval.lp_baseline_dim"], steps=cfg["eval.lp_baseline_steps"],
             seed=cfg["seed"])
         scorer = ev.NonContextualScorer(ent_emb, rel_emb)
-    report = ev.eval_link_prediction(scorer, queries, retriever, known_true, seed=cfg["seed"])
+    report = ev.eval_link_prediction(scorer, queries, retriever, known_true, seed=cfg["seed"],
+                                     batch_size=cfg.finetune_config().batch_size)
     _write_effective_config(cfg, args.out)
     with open(os.path.join(args.out, "ranking.json"), "w", encoding="utf-8") as fh:
         json.dump({"mode": args.mode, **dataclasses.asdict(report)}, fh, indent=2)

@@ -15,16 +15,17 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics as nm
-from .encoder import EncoderConfig, check_fields, encode
+from .encoder import EncoderConfig, check_fields, encode, encode_batch
 from .finetune import MCQAExample, pool
 from .kg_store import EntityVocab, KnowledgeGraph, Vocab, kg_from_triplets
 from .numerics import Tensor
 from .pretrain import LinkPredHead, Optimizer, train_step, triplet_scores
-from .retrieval import Retriever
+from .retrieval import LocalKG, Retriever, TextSegment
 
 
 @dataclass
@@ -392,21 +393,40 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
 # ---------------------------------------------------------------------------
 
 
+class LPQuery(NamedTuple):
+    """One retrieved link-prediction query: rank `candidates` (global entity
+    ids, all nodes of `local`) as tails of (head, rel)."""
+    seg: TextSegment
+    local: LocalKG
+    head: int
+    rel: int
+    candidates: list[int]
+
+
 class ContextualScorer:
-    """Scores candidates with contextualized node vectors (KG + text mode)."""
+    """Scores candidates with contextualized node vectors (KG + text mode).
+
+    `score` encodes a whole batch of queries in one `encode_batch` call (eval
+    mode, no dropout) and scores every candidate of every query with one
+    `triplet_scores`; query b's local node j is row node_offsets[b] + j of the
+    batch's node vectors."""
 
     def __init__(self, params: dict[str, Tensor], enc_cfg: EncoderConfig, head: LinkPredHead):
         self.params = params
         self.enc_cfg = enc_cfg
         self.head = head
 
-    def score(self, seg, local, head_global: int, rel: int, candidates: list[int]) -> np.ndarray:
-        out = encode(seg, local, self.params, self.enc_cfg, mode="eval")
-        h_local = local.local_index(head_global)
-        cand_locals = [local.local_index(c) for c in candidates]
-        h = nm.gather_rows(out.nodes, [h_local] * len(cand_locals))
-        t = nm.gather_rows(out.nodes, cand_locals)
-        return triplet_scores(h, [rel] * len(cand_locals), t, self.head).values.copy()
+    def score(self, queries: list[LPQuery]) -> list[np.ndarray]:
+        out = encode_batch([(q.seg, q.local) for q in queries], self.params, self.enc_cfg,
+                           mode="eval")
+        heads, rels, tails = [], [], []
+        for q, offset in zip(queries, out.node_offsets):
+            heads += [offset + q.local.local_index(q.head)] * len(q.candidates)
+            rels += [q.rel] * len(q.candidates)
+            tails += [offset + q.local.local_index(c) for c in q.candidates]
+        scores = triplet_scores(nm.gather_rows(out.nodes, heads), rels,
+                                nm.gather_rows(out.nodes, tails), self.head).values
+        return _split_by_query(scores, queries)
 
 
 class NonContextualScorer:
@@ -416,25 +436,45 @@ class NonContextualScorer:
         self.entity_emb = entity_emb
         self.rel_emb = rel_emb
 
-    def score(self, seg, local, head_global: int, rel: int, candidates: list[int]) -> np.ndarray:
-        h = self.entity_emb[head_global]
-        r = self.rel_emb[rel]
-        return (h * r * self.entity_emb[np.array(candidates)]).sum(axis=1)
+    def score(self, queries: list[LPQuery]) -> list[np.ndarray]:
+        heads = [q.head for q in queries for _ in q.candidates]
+        rels = [q.rel for q in queries for _ in q.candidates]
+        tails = [c for q in queries for c in q.candidates]
+        scores = (self.entity_emb[heads] * self.rel_emb[rels] * self.entity_emb[tails]).sum(axis=1)
+        return _split_by_query(scores, queries)
+
+
+def _split_by_query(scores: np.ndarray, queries: list[LPQuery]) -> list[np.ndarray]:
+    """Cut the batch's flat candidate scores into one array per query."""
+    return np.split(scores, np.cumsum([len(q.candidates) for q in queries])[:-1])
 
 
 def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
                          known_true: set[tuple[str, str, str]], seed: int = 0,
-                         filtered: bool = True) -> RankingReport:
+                         filtered: bool = True, batch_size: int = 1) -> RankingReport:
     """Rank the gold tail against local-graph candidates for each query.
 
     Candidates are the query's local-KG nodes (so the retriever runs in graph
     mode) minus the interaction node and the query head; filtering drops
     candidates that form other known-true triplets. Queries whose head or
     tail fall outside the retrieved graph are skipped and counted.
+
+    Query qi is retrieved with its own stream split_rng(seed, "lp_retrieval",
+    qi), so skips and candidates do not depend on batching. Scorable queries
+    go to `scorer.score` batch_size at a time, after the batch's last
+    retrieval, plus a final partial batch.
     """
     entities, relations = retriever.entities, retriever.relations
     ranks: list[float] = []
+    pending: list[tuple[LPQuery, int]] = []   # (query, index of its gold candidate)
     skipped = 0
+
+    def flush() -> None:
+        batch = [q for q, _ in pending]
+        for scores, (_, gold) in zip(scorer.score(batch), pending):
+            ranks.append(average_rank(np.asarray(scores), gold))
+        pending.clear()
+
     for qi, q in enumerate(queries):
         h_name, r_name, t_name = q["head"], q["rel"], q["tail"]
         if h_name not in entities.ids or t_name not in entities.ids or r_name not in relations.ids:
@@ -453,8 +493,11 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
         if t not in candidates or len(candidates) < 2:
             skipped += 1
             continue
-        scores = scorer.score(seg, local, h, r, candidates)
-        ranks.append(average_rank(np.asarray(scores), candidates.index(t)))
+        pending.append((LPQuery(seg, local, h, r, candidates), candidates.index(t)))
+        if len(pending) == batch_size:
+            flush()
+    if pending:
+        flush()
     return ranks_to_report(ranks, filtered, skipped)
 
 

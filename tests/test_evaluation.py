@@ -159,14 +159,10 @@ class StubScorer:
     def __init__(self, gold_boost=None):
         self.gold_boost = gold_boost or set()
 
-    def score(self, seg, local, head, rel, candidates):
-        out = []
-        for c in candidates:
-            if (head, rel, c) in self.gold_boost:
-                out.append(1e6)
-            else:
-                out.append(float(nm.split_rng(0, "stub", head, rel, c).random()))
-        return np.array(out)
+    def score(self, queries):
+        return [np.array([1e6 if (q.head, q.rel, c) in self.gold_boost
+                          else float(nm.split_rng(0, "stub", q.head, q.rel, c).random())
+                          for c in q.candidates]) for q in queries]
 
 
 def retriever(kg, entities, relations, tv, enc_cfg):
@@ -221,7 +217,7 @@ def test_filtered_ranking_matches_exhaustive_scan_oracle():
                 cands.append(c)
         if t not in cands or len(cands) < 2:
             continue
-        scores = scorer.score(seg, local, h, r, cands)
+        [scores] = scorer.score([ev.LPQuery(seg, local, h, r, cands)])
         ranks.append(ev.average_rank(scores, cands.index(t)))
     oracle = ev.ranks_to_report(ranks, True, filtered.skipped)
     assert filtered.n_queries == oracle.n_queries
@@ -231,15 +227,67 @@ def test_filtered_ranking_matches_exhaustive_scan_oracle():
 
 def test_contextual_scorer_runs_and_reports():
     world, kg, entities, relations, tv, enc_cfg = lp_fixture()
-    params = init_params(enc_cfg, 0, len(tv), len(entities), len(relations))
-    p_cfg = pt.PretrainConfig(scorer="distmult")
-    pt.add_pretrain_heads(params, enc_cfg, p_cfg, len(tv), len(relations), 0)
-    scorer = ev.ContextualScorer(params, enc_cfg, pt.linkpred_head(params, p_cfg))
+    scorer = contextual_scorer(enc_cfg, tv, entities, relations)
     report = ev.eval_link_prediction(scorer, world.lp_queries()[:15],
                                      retriever(kg, entities, relations, tv, enc_cfg),
                                      set(world.facts))
     assert report.n_queries + report.skipped == 15
     assert report.hits1 <= report.hits3 <= report.hits10
+
+
+def contextual_scorer(enc_cfg, tv, entities, relations, seed=0):
+    params = init_params(enc_cfg, seed, len(tv), len(entities), len(relations))
+    p_cfg = pt.PretrainConfig(scorer="distmult")
+    pt.add_pretrain_heads(params, enc_cfg, p_cfg, len(tv), len(relations), seed)
+    return ev.ContextualScorer(params, enc_cfg, pt.linkpred_head(params, p_cfg))
+
+
+def test_contextual_scorer_batch_matches_each_query_alone():
+    world, kg, entities, relations, tv, enc_cfg = lp_fixture()
+    scorer = contextual_scorer(enc_cfg, tv, entities, relations)
+    ret = retriever(kg, entities, relations, tv, enc_cfg)
+    texts = [q["text"] for q in world.lp_queries()]
+    names = world.entity_names
+    # joined query texts (long, full graphs) and bare entity-name pairs (short,
+    # smaller graphs): mixed text lengths and graph sizes
+    inputs = [texts[:1], [" ".join(names[:2])], texts[1:4], [" ".join(names[5:7])],
+              texts[4:6], [" ".join(names[10:13])]]
+    batch = []
+    for i, group in enumerate(inputs):
+        seg, local = ret.inputs(group, nm.split_rng(1, "mixed", i))
+        ids = local.entity_ids()
+        batch.append(ev.LPQuery(seg, local, ids[0], i % len(relations), ids[1:]))
+    assert len({q.seg.length for q in batch}) > 1
+    assert len({q.local.n_nodes for q in batch}) > 1
+    assert max(len(q.local.entity_ids()) for q in batch) == enc_cfg.max_nodes
+    batched = scorer.score(batch)
+    assert len(batched) == len(batch)
+    for q, scores in zip(batch, batched):
+        [alone] = scorer.score([q])
+        assert scores.shape == (len(q.candidates),)
+        np.testing.assert_allclose(scores, alone, rtol=0, atol=1e-6)
+        assert list(np.argsort(-scores, kind="stable")) == list(np.argsort(-alone, kind="stable"))
+
+
+def test_batched_link_prediction_report_equals_per_query_report():
+    world, kg, entities, relations, tv, enc_cfg = lp_fixture()
+    scorer = contextual_scorer(enc_cfg, tv, entities, relations, seed=2)
+    unknown = {"head": "nobody", "rel": "likes", "tail": "nobody", "text": "nobody"}
+    queries = world.lp_queries()[:21]
+    queries = [x for i, q in enumerate(queries) for x in ([q, unknown] if i % 5 == 2 else [q])]
+    sizes = []
+
+    class Recording:
+        def score(self, batch):
+            sizes.append(len(batch))
+            return scorer.score(batch)
+
+    ret = retriever(kg, entities, relations, tv, enc_cfg)
+    per_query = ev.eval_link_prediction(scorer, queries, ret, set(world.facts), batch_size=1)
+    batched = ev.eval_link_prediction(Recording(), queries, ret, set(world.facts), batch_size=8)
+    assert batched == per_query
+    assert per_query.skipped >= 4 and per_query.n_queries % 8   # skips, then a partial batch
+    assert sizes == [8] * (per_query.n_queries // 8) + [per_query.n_queries % 8]
 
 
 def test_distmult_baseline_learns_training_edges():

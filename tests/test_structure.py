@@ -1,6 +1,6 @@
 """Source-structure contracts: raw text reaches the encoder through one path,
-multiple-choice questions are scored through one function, and each pipeline
-stage runs from its CLI command alone."""
+multiple-choice questions and link-prediction queries are each scored through
+one function, and each pipeline stage runs from its CLI command alone."""
 
 import ast
 import pathlib
@@ -46,6 +46,16 @@ def test_input_preparation_has_one_caller(name, caller):
 def test_multiple_choice_scoring_has_one_path(name):
     # training and evaluation both encode and pool choices in choice_logits
     assert {c for c in callers(name) if c.startswith("finetune:")} == {"finetune:choice_logits"}
+
+
+@pytest.mark.parametrize("name, caller", [
+    ("encode_batch", "evaluation:ContextualScorer.score"),
+    ("encode", "evaluation:dump_attention"),
+])
+def test_link_prediction_has_one_encode_path(name, caller):
+    # link-prediction queries are encoded in batches; only the attention
+    # export encodes a single example
+    assert {c for c in callers(name) if c.startswith("evaluation:")} == {caller}
 
 
 @pytest.mark.parametrize("name, caller", [
