@@ -37,7 +37,9 @@ class RankingReport:
     mean_rank: float
     n_queries: int
     filtered: bool
-    skipped: int = 0
+    skipped: int
+    chance_mrr: float     # expected MRR and Hit@3 of a uniformly random order
+    chance_hits3: float   # of each ranked query's candidates
 
     def __post_init__(self):
         assert self.hits1 <= self.hits3 + 1e-12 and self.hits3 <= self.hits10 + 1e-12
@@ -46,15 +48,26 @@ class RankingReport:
             assert 0.0 < self.mrr <= 1.0 + 1e-12
 
 
-def ranks_to_report(ranks: list[float], filtered: bool, skipped: int) -> RankingReport:
+def ranks_to_report(ranks: list[float], n_candidates: list[int], filtered: bool,
+                    skipped: int) -> RankingReport:
+    """Metrics of the gold ranks; n_candidates[i] is query i's candidate count.
+
+    The chance floor comes from the counts alone: a uniformly random order of
+    n candidates puts the gold at each rank with probability 1/n, so its
+    expected reciprocal rank is H_n / n and its Hit@3 is min(3, n) / n.
+    """
     if not ranks:
-        return RankingReport(0.0, 0.0, 0.0, 1e-9, 0.0, 0, filtered, skipped)
+        return RankingReport(0.0, 0.0, 0.0, 1e-9, 0.0, 0, filtered, skipped, 0.0, 0.0)
     arr = np.array(ranks, dtype=np.float64)
+    n = np.array(n_candidates, dtype=np.int64)
+    harmonic = np.cumsum(1.0 / np.arange(1, n.max() + 1))   # harmonic[k - 1] = H_k
     return RankingReport(
         hits1=float((arr <= 1.0).mean()), hits3=float((arr <= 3.0).mean()),
         hits10=float((arr <= 10.0).mean()), mrr=float((1.0 / arr).mean()),
         mean_rank=float(arr.mean()), n_queries=len(ranks),
-        filtered=filtered, skipped=skipped)
+        filtered=filtered, skipped=skipped,
+        chance_mrr=float((harmonic[n - 1] / n).mean()),
+        chance_hits3=float((np.minimum(3, n) / n).mean()))
 
 
 def average_rank(scores: np.ndarray, gold_index: int) -> float:
@@ -466,13 +479,15 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
     """
     entities, relations = retriever.entities, retriever.relations
     ranks: list[float] = []
+    n_candidates: list[int] = []
     pending: list[tuple[LPQuery, int]] = []   # (query, index of its gold candidate)
     skipped = 0
 
     def flush() -> None:
         batch = [q for q, _ in pending]
-        for scores, (_, gold) in zip(scorer.score(batch), pending):
+        for scores, (q, gold) in zip(scorer.score(batch), pending):
             ranks.append(average_rank(np.asarray(scores), gold))
+            n_candidates.append(len(q.candidates))
         pending.clear()
 
     for qi, q in enumerate(queries):
@@ -498,7 +513,7 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
             flush()
     if pending:
         flush()
-    return ranks_to_report(ranks, filtered, skipped)
+    return ranks_to_report(ranks, n_candidates, filtered, skipped)
 
 
 def train_distmult_baseline(kg: KnowledgeGraph, d: int, steps: int,

@@ -183,6 +183,8 @@ def test_eval_lp_both_modes(world_dir, pretrained, tmp_path):
         rep = json.load(open(os.path.join(out, "ranking.json"), encoding="utf-8"))
         assert rep["mode"] == mode
         assert rep["hits1"] <= rep["hits3"] <= rep["hits10"]
+        assert list(rep)[-2:] == ["chance_mrr", "chance_hits3"]
+        assert 0.0 < rep["chance_mrr"] <= 1.0 and 0.0 < rep["chance_hits3"] <= 1.0
 
 
 def test_dump_attention_cli(world_dir, pretrained, tmp_path):

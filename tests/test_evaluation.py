@@ -1,6 +1,7 @@
 """Ranking metrics, synthetic-world properties, filtered-ranking oracle,
 baseline training, and attention export."""
 
+import itertools
 import json
 
 import numpy as np
@@ -28,7 +29,7 @@ def test_average_rank_tie_breaking():
 
 def test_report_monotonicity_enforced():
     ranks = [1.0, 2.0, 4.0, 11.0, 3.0]
-    report = ev.ranks_to_report(ranks, filtered=True, skipped=0)
+    report = ev.ranks_to_report(ranks, [12] * 5, filtered=True, skipped=0)
     assert report.hits1 <= report.hits3 <= report.hits10 <= 1.0
     assert report.hits1 == pytest.approx(1 / 5)
     assert report.hits3 == pytest.approx(3 / 5)
@@ -38,8 +39,26 @@ def test_report_monotonicity_enforced():
 
 def test_perfect_scorer_yields_unit_metrics():
     ranks = [1.0] * 20
-    report = ev.ranks_to_report(ranks, filtered=True, skipped=0)
+    report = ev.ranks_to_report(ranks, [4] * 20, filtered=True, skipped=0)
     assert report.hits1 == 1.0 and report.mrr == 1.0
+
+
+def test_chance_floor_matches_every_permutation_of_small_candidate_sets():
+    # a uniformly random order of n candidates: each of the n! orders of n
+    # distinct scores is equally likely; the gold's rank uses average ties
+    counts = [2, 3, 4, 5, 6, 6, 2]
+    rr, hit3 = [], []
+    for n in counts:
+        ranks = [ev.average_rank(np.array(order, dtype=np.float64), 0)
+                 for order in itertools.permutations(range(n))]
+        rr.append(np.mean([1.0 / r for r in ranks]))
+        hit3.append(np.mean([r <= 3.0 for r in ranks]))
+    # the floor depends on the candidate counts, not on the ranks reached
+    report = ev.ranks_to_report([1.0, 3.0, 2.5, 5.0, 6.0, 1.0, 2.0], counts, True, 0)
+    assert report.chance_mrr == pytest.approx(np.mean(rr), rel=1e-12)
+    assert report.chance_hits3 == pytest.approx(np.mean(hit3), rel=1e-12)
+    empty = ev.ranks_to_report([], [], True, 3)
+    assert (empty.chance_mrr, empty.chance_hits3) == (0.0, 0.0)
 
 
 def test_random_scorer_mrr_matches_harmonic_expectation():
@@ -200,7 +219,7 @@ def test_filtered_ranking_matches_exhaustive_scan_oracle():
     filtered = ev.eval_link_prediction(scorer, queries, retriever(kg, entities, relations, tv, enc_cfg),
                                        known, filtered=True)
     # independent oracle: replay retrieval, scan the full fact list to filter
-    ranks = []
+    ranks, counts = [], []
     for qi, q in enumerate(queries):
         h, t = entities.ids[q["head"]], entities.ids[q["tail"]]
         r = relations.ids[q["rel"]]
@@ -219,10 +238,12 @@ def test_filtered_ranking_matches_exhaustive_scan_oracle():
             continue
         [scores] = scorer.score([ev.LPQuery(seg, local, h, r, cands)])
         ranks.append(ev.average_rank(scores, cands.index(t)))
-    oracle = ev.ranks_to_report(ranks, True, filtered.skipped)
+        counts.append(len(cands))
+    oracle = ev.ranks_to_report(ranks, counts, True, filtered.skipped)
     assert filtered.n_queries == oracle.n_queries
     assert filtered.mrr == pytest.approx(oracle.mrr)
     assert filtered.hits3 == pytest.approx(oracle.hits3)
+    assert filtered.chance_mrr == pytest.approx(oracle.chance_mrr)
 
 
 def test_contextual_scorer_runs_and_reports():
