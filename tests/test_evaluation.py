@@ -10,11 +10,12 @@ import pytest
 from dragonforge import evaluation as ev
 from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
-from dragonforge.cli import EXIT_OK, main
+from dragonforge.cli import DEFAULTS, EXIT_OK, main
 from dragonforge.encoder import EncoderConfig, init_params
 from dragonforge.finetune import add_pooling_head
-from dragonforge.retrieval import (Retriever, build_alias_index, build_vocab_from_texts,
-                                   link_entities, retrieve_local_kg)
+from dragonforge.kg_store import load_kg
+from dragonforge.retrieval import (Retriever, build_alias_index, build_vocab,
+                                   build_vocab_from_texts, link_entities, retrieve_local_kg)
 
 # chi-square critical value at alpha=0.01 for 499 degrees of freedom
 CHI2_99_DF499 = 575.419195
@@ -244,6 +245,45 @@ def test_filtered_ranking_matches_exhaustive_scan_oracle():
     assert filtered.mrr == pytest.approx(oracle.mrr)
     assert filtered.hits3 == pytest.approx(oracle.hits3)
     assert filtered.chance_mrr == pytest.approx(oracle.chance_mrr)
+
+
+class RuleScorer:
+    """Chains-world oracle: a candidate scores 1 when the query's retrieved
+    graph reaches it from the head by the derived relation's base1 edge, then
+    its base2 edge; every other candidate scores 0. Relation family i of the
+    world is RELATION_POOL[3i:3i + 3] = (base1, base2, derived)."""
+
+    def __init__(self, relations):
+        self.relations = relations
+
+    def score(self, queries):
+        out = []
+        for q in queries:
+            family = ev.RELATION_POOL.index(self.relations.names[q.rel]) // 3 * 3
+            base1, base2 = (self.relations.ids[ev.RELATION_POOL[family + k]] for k in (0, 1))
+            head = q.local.local_index(q.head)
+            mids = {t for h, r, t in q.local.edges if h == head and r == base1}
+            reached = {q.local.nodes[t] for h, r, t in q.local.edges if h in mids and r == base2}
+            out.append(np.array([float(c in reached) for c in q.candidates]))
+        return out
+
+
+def test_chains_world_link_prediction_is_solvable_from_the_retrieved_graph(tmp_path):
+    # the CLI-default world at seed 1: the rule path to each test tail is in
+    # the model's input, so a rule scorer ranks the gold first; a generator
+    # change that breaks the paths fails here instead of flattening LP numbers
+    files = ev.generate_synthetic_world(seed=1).write_files(str(tmp_path))
+    kg, entities, relations = load_kg(files["kg.tsv"])
+    tv = build_vocab(files["corpus.txt"], min_freq=DEFAULTS["vocab.min_freq"])
+    queries = [json.loads(line) for line in open(files["lp_test.jsonl"], encoding="utf-8")]
+    known_true = {(entities.names[h], relations.names[r], entities.names[t])
+                  for h, r, t in kg.triplets}
+    known_true |= {(q["head"], q["rel"], q["tail"]) for q in queries}
+    report = ev.eval_link_prediction(RuleScorer(relations), queries,
+                                     retriever(kg, entities, relations, tv, EncoderConfig()),
+                                     known_true, seed=1, batch_size=8)
+    assert report.n_queries >= 0.9 * len(queries)
+    assert report.mrr >= 0.9
 
 
 def test_contextual_scorer_runs_and_reports():
