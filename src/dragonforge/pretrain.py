@@ -232,6 +232,9 @@ class PretrainConfig:
             raise ValueError("kg_mode: unknown value %r" % self.kg_mode)
         if self.optimizer not in OPTIMIZERS:
             raise ValueError("optimizer: unknown value %r" % self.optimizer)
+        if self.objective == "linkpred_only" and self.kg_mode == "verbalized":
+            raise ValueError("objective: linkpred_only trains on graph inputs, which kg_mode "
+                             "verbalized replaces with a dummy graph; nothing would train")
         check_fields(self, lambda v: v >= 1, ">= 1", "batch_size", "steps", "n_negatives")
         check_fields(self, lambda v: 0.0 < v <= 1.0, "in (0, 1]", "mask_rate", "edge_drop_rate")
         check_fields(self, lambda v: 0.0 <= v <= 1.0, "in [0, 1]", "warmup_ratio")
@@ -384,9 +387,6 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
     metrics: list[dict] = []
     use_mlm = cfg.objective in ("joint", "mlm_only")
     use_lp = cfg.objective in ("joint", "linkpred_only") and cfg.kg_mode == "graph"
-    if not use_mlm and not use_lp:
-        raise ValueError("objective %r with kg_mode %r leaves no trainable objective"
-                         % (cfg.objective, cfg.kg_mode))
 
     def batch_loss(step: int) -> tuple[Tensor, Tensor | None, Tensor | None]:
         """Slot k's masking, hold-out and dropout seed are drawn, in that

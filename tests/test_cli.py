@@ -337,8 +337,9 @@ def test_ablation_default_grid_row_count(ablation):
     degenerate = [r for r in rows if r["pretrain.objective"] == "linkpred_only"
                   and r["pretrain.kg_mode"] == "verbalized"]
     assert len(degenerate) == 6
-    assert all(r["status"] == "error: pretrain: data error: objective 'linkpred_only' with "
-               "kg_mode 'verbalized' leaves no trainable objective" for r in degenerate)
+    assert all(r["status"] == "error: pretrain: error: pretrain.objective: linkpred_only trains "
+               "on graph inputs, which kg_mode verbalized replaces with a dummy graph; nothing "
+               "would train" for r in degenerate)
     assert all(r["status"] == "ok" for r in rows if r not in degenerate)
     # eval-lp ranks graph inputs, so it runs for graph cells only
     for r in rows:
@@ -349,8 +350,10 @@ def test_ablation_builds_vocab_with_configured_min_freq(ablation):
     # the ablation's own settings reach every command of every cell
     corpus = os.path.join(ablation, "world", "corpus.txt")
     assert len(build_vocab(corpus, 5)) < len(build_vocab(corpus, 2))
+    # the six linkpred_only/verbalized cells stop at their config, before
+    # pretrain writes anything
     cells = sorted(os.listdir(os.path.join(ablation, "cells")))
-    assert len(cells) == 36
+    assert len(cells) == 30
     n_commands = 0
     for cell in cells:
         for command in os.listdir(os.path.join(ablation, "cells", cell)):
@@ -361,7 +364,7 @@ def test_ablation_builds_vocab_with_configured_min_freq(ablation):
         ckpt = os.path.join(ablation, "cells", cell, "pretrain", "checkpoint.drgn")
         if os.path.exists(ckpt):
             assert pt.load_checkpoint(ckpt)[1].names == build_vocab(corpus, 5).names
-    assert n_commands == 18 * 3 + 12 * 2 + 6   # graph cells, verbalized cells, failed pretrains
+    assert n_commands == 18 * 3 + 12 * 2   # graph cells, verbalized cells
 
 
 def test_ablation_cell_rerun_by_hand_reproduces_row(ablation, tmp_path):
@@ -404,7 +407,14 @@ def test_ablation_records_an_unexpected_exception_as_the_cell_status(tmp_path, m
     assert main(["ablation", "--out", out, "--seeds", "0,1"] + MICRO_WORLD) == EXIT_OK
     rows = json.load(open(os.path.join(out, "ablation.json"), encoding="utf-8"))
     assert [r["seed"] for r in rows] == [0, 1] * 36
-    assert {r["status"] for r in rows} == {"error: pretrain: RuntimeError: not trained"}
+    # linkpred_only/verbalized cells stop at their config, before training
+    rejected = [r["pretrain.objective"] == "linkpred_only" and r["pretrain.kg_mode"] == "verbalized"
+                for r in rows]
+    assert sum(rejected) == 12
+    assert {r["status"] for r, no in zip(rows, rejected) if not no} == {
+        "error: pretrain: RuntimeError: not trained"}
+    assert all(r["status"].startswith("error: pretrain: error: pretrain.objective: ")
+               for r, no in zip(rows, rejected) if no)
 
 
 def test_ablation_bad_seeds_exit_usage_before_the_world_is_written(tmp_path, capsys):
@@ -441,6 +451,18 @@ def test_rotate_with_odd_node_width_exits_usage_before_reading_data(tmp_path, ca
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [
         "error: pretrain.scorer: rotate needs an even encoder.d_node, got 33"]
+
+
+def test_linkpred_only_with_verbalized_kg_exits_usage_before_reading_data(tmp_path, capsys):
+    # verbalized inputs carry a dummy graph, so link prediction has nothing to train
+    code = main(["pretrain", "--corpus", str(tmp_path / "missing.txt"),
+                 "--kg", str(tmp_path / "missing.tsv"), "--vocab", str(tmp_path / "missing.tsv"),
+                 "--out", str(tmp_path / "o"), "--set", "pretrain.objective=linkpred_only",
+                 "--set", "pretrain.kg_mode=verbalized"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: pretrain.objective: linkpred_only ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_finetune_config_value_exits_usage(world_dir, pretrained, tmp_path, capsys):
