@@ -484,10 +484,9 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
     skipped = 0
 
     def flush() -> None:
-        batch = [q for q, _ in pending]
-        for scores, (q, gold) in zip(scorer.score(batch), pending):
+        for (_, gold), scores in zip(pending, scorer.score([q for q, _ in pending])):
             ranks.append(average_rank(np.asarray(scores), gold))
-            n_candidates.append(len(q.candidates))
+            n_candidates.append(len(scores))
         pending.clear()
 
     for qi, q in enumerate(queries):
