@@ -46,7 +46,8 @@ def test_perfect_scorer_yields_unit_metrics():
 
 def test_chance_floor_matches_every_permutation_of_small_candidate_sets():
     # a uniformly random order of n candidates: each of the n! orders of n
-    # distinct scores is equally likely; the gold's rank uses average ties
+    # distinct scores is equally likely, and average_rank (the evaluation's
+    # tie-breaking rule) places the gold
     counts = [2, 3, 4, 5, 6, 6, 2]
     rr, hit3 = [], []
     for n in counts:
