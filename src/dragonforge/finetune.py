@@ -165,14 +165,29 @@ def choice_logits(questions: list[list[tuple[TextSegment, LocalKG]]], params: di
     return nm.reshape(table, (len(questions), width))
 
 
+def memoized_choice_inputs(memo: dict[int, list[tuple[TextSegment, LocalKG]]], ex: MCQAExample,
+                           retriever: Retriever, seed: int, example_idx: int
+                           ) -> list[tuple[TextSegment, LocalKG]]:
+    """prepare_choice_inputs of question example_idx, retrieved on its first
+    request only and kept in memo, which is keyed by question index."""
+    if example_idx not in memo:
+        memo[example_idx] = prepare_choice_inputs(ex, retriever, seed, example_idx)
+    return memo[example_idx]
+
+
 def evaluate_mcqa(examples: list[MCQAExample], retriever: Retriever, params: dict[str, Tensor],
-                  enc_cfg: EncoderConfig, cfg: FinetuneConfig) -> dict:
+                  enc_cfg: EncoderConfig, cfg: FinetuneConfig,
+                  memo: dict[int, list[tuple[TextSegment, LocalKG]]] | None = None) -> dict:
     """Accuracy report: n, accuracy, per_choice_count. Questions are retrieved
-    with the run seed cfg.seed and scored cfg.batch_size at a time."""
+    with the run seed cfg.seed and scored cfg.batch_size at a time. A memo
+    from an earlier call on the same examples supplies the questions it
+    holds, and keeps the ones retrieved now."""
+    memo = {} if memo is None else memo
     correct = 0
     for lo in range(0, len(examples), cfg.batch_size):
         batch = examples[lo:lo + cfg.batch_size]
-        inputs = [prepare_choice_inputs(ex, retriever, cfg.seed, lo + i) for i, ex in enumerate(batch)]
+        inputs = [memoized_choice_inputs(memo, ex, retriever, cfg.seed, lo + i)
+                  for i, ex in enumerate(batch)]
         preds = np.argmax(choice_logits(inputs, params, enc_cfg).values, axis=1)
         correct += sum(int(pred == ex.gold) for pred, ex in zip(preds, batch))
     n = len(examples)
@@ -197,6 +212,10 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
                   cfg: FinetuneConfig) -> tuple[dict[str, Tensor], list[dict], dict]:
     """Train the pooling head (and encoder) on MCQA; dev-accuracy early stopping.
 
+    Each training and dev question is retrieved once, when an epoch first
+    uses it, and its inputs are kept for the run's later epochs (one memo per
+    set, keyed by question index); nothing is retrieved before the first step.
+
     Returns the best epoch's parameters by dev accuracy (the last epoch's without
     early stopping), a per-epoch history and the returned parameters' dev report.
     """
@@ -208,12 +227,13 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
     steps_per_epoch = int(np.ceil(len(train_set) / cfg.batch_size))
     total_steps = cfg.epochs * steps_per_epoch
     opt = Optimizer(params, cfg.lr_lm, cfg.lr_other, total_steps, cfg.warmup_ratio)
+    train_inputs, dev_inputs = {}, {}   # question index -> its choices' inputs
 
     def batch_loss(batch_ids: np.ndarray, step: int) -> tuple[Tensor]:
         questions, seeds, golds = [], [], []
-        for bi, i in enumerate(batch_ids):
-            ex = train_set[int(i)]
-            questions.append(prepare_choice_inputs(ex, retriever, cfg.seed, int(i)))
+        for bi, i in enumerate(batch_ids.tolist()):
+            ex = train_set[i]
+            questions.append(memoized_choice_inputs(train_inputs, ex, retriever, cfg.seed, i))
             seeds += nm.split_rng(cfg.seed, "ft_step", step, bi).integers(
                 2 ** 62, size=len(ex.choices)).tolist()
             golds.append(ex.gold)
@@ -233,7 +253,7 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
             epoch_loss += loss.item()
             n_batches += 1
             step += 1
-        dev = evaluate_mcqa(dev_examples, retriever, params, enc_cfg, cfg)
+        dev = evaluate_mcqa(dev_examples, retriever, params, enc_cfg, cfg, dev_inputs)
         history.append({"epoch": epoch, "train_loss": epoch_loss / max(1, n_batches),
                         "dev_accuracy": dev["accuracy"]})
         if cfg.early_stop and (best is None or dev["accuracy"] > best[0]["accuracy"]):

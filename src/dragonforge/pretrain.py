@@ -356,11 +356,13 @@ def linkpred_head(params: dict[str, Tensor], cfg: PretrainConfig) -> LinkPredHea
                         relations=params["other.linkpred.relations"])
 
 
-def prepare_examples(raw_segments: list[str], retriever: Retriever, seed: int
-                     ) -> list[tuple[TextSegment, LocalKG]]:
-    """Encoder inputs of every raw segment, each retrieved with its own stream."""
-    return [retriever.inputs([raw], nm.split_rng(seed, "retrieval", idx))
-            for idx, raw in enumerate(raw_segments)]
+def prepare_examples(raw_segments: list[str], retriever: Retriever, seed: int, indices: np.ndarray
+                     ) -> dict[int, tuple[TextSegment, LocalKG]]:
+    """Encoder inputs of the raw segments that `indices` names, by index:
+    each distinct segment is retrieved once, with its own stream
+    split_rng(seed, "retrieval", idx), and the others not at all."""
+    return {idx: retriever.inputs([raw_segments[idx]], nm.split_rng(seed, "retrieval", idx))
+            for idx in sorted(set(indices.ravel().tolist()))}
 
 
 def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
@@ -370,14 +372,22 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
           config_text: str = "") -> tuple[dict[str, Tensor], list[dict]]:
     """Joint pretraining loop; returns final parameters and the metrics stream.
 
+    Before step 0 it draws the [steps, batch_size] batch schedule, step s's
+    row from its own stream split_rng(seed, "batch", s), and retrieves each
+    segment the schedule names once (prepare_examples); a segment that no
+    step draws is never retrieved.
+
     The `seconds` metric field is written as 0.0 so that metrics files are
     byte-identical under a fixed seed; wall-clock timing belongs to the
     console, not the reproducibility contract.
     """
-    examples = prepare_examples(raw_segments, Retriever(kg, entities, relations, token_vocab,
-                                enc_cfg.max_seq_len, enc_cfg.max_nodes, cfg.kg_mode), cfg.seed)
-    if not examples:
+    if not raw_segments:
         raise ValueError("no training segments")
+    schedule = np.stack([nm.split_rng(cfg.seed, "batch", step).integers(
+        0, len(raw_segments), size=cfg.batch_size) for step in range(cfg.steps)])
+    examples = prepare_examples(raw_segments, Retriever(kg, entities, relations, token_vocab,
+                                enc_cfg.max_seq_len, enc_cfg.max_nodes, cfg.kg_mode), cfg.seed,
+                                schedule)
     params = init_params(enc_cfg, cfg.seed, len(token_vocab), len(entities), len(relations))
     add_pretrain_heads(params, enc_cfg, cfg, len(token_vocab), len(relations), cfg.seed)
     head = linkpred_head(params, cfg)
@@ -391,10 +401,9 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
     def batch_loss(step: int) -> tuple[Tensor, Tensor | None, Tensor | None]:
         """Slot k's masking, hold-out and dropout seed are drawn, in that
         order, from its one stream split_rng(seed, "example", step, k)."""
-        idxs = nm.split_rng(cfg.seed, "batch", step).integers(0, len(examples), size=cfg.batch_size)
         batch, seeds, plans, holdouts = [], [], [], []
-        for slot, ex_i in enumerate(idxs):
-            seg, local = examples[int(ex_i)]
+        for slot, ex_i in enumerate(schedule[step].tolist()):
+            seg, local = examples[ex_i]
             rng = nm.split_rng(cfg.seed, "example", step, slot)
             if use_mlm:
                 seg, plan = apply_masking(seg, cfg.mask_rate, rng)

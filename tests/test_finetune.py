@@ -278,6 +278,39 @@ def test_finetune_reduces_loss_and_freezes_lm():
     assert not np.array_equal(params["node_emb.table"].values, node_before)
 
 
+def test_finetune_retrieves_each_question_once_over_its_epochs(monkeypatch):
+    world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
+    data = world.mcqa_dataset(distractors="random")
+    train, dev = data["train"][:5], data["dev"][:3]
+    retrieved = []
+    prepare = ft.prepare_choice_inputs
+
+    def spy_prepare(ex, rt, seed, example_idx):
+        retrieved.append((ex.question, example_idx))
+        return prepare(ex, rt, seed, example_idx)
+
+    monkeypatch.setattr(ft, "prepare_choice_inputs", spy_prepare)
+    cfg = ft.FinetuneConfig(epochs=2, batch_size=2, seed=8)
+    ft.finetune_mcqa(train, dev, retriever(kg, entities, relations, tv, enc_cfg), params,
+                     enc_cfg, cfg)
+    assert len(retrieved) == len(train) + len(dev)
+    assert len(set(retrieved)) == len(retrieved)
+
+
+def test_evaluate_mcqa_memo_reuses_inputs_and_keeps_the_report():
+    world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
+    dev = world.mcqa_dataset(distractors="random")["dev"][:5]
+    rt = retriever(kg, entities, relations, tv, enc_cfg)
+    cfg = ft.FinetuneConfig(batch_size=2, seed=4)
+    memo = {}
+    report = ft.evaluate_mcqa(dev, rt, params, enc_cfg, cfg, memo)
+    assert memo == {i: ft.prepare_choice_inputs(ex, rt, cfg.seed, i) for i, ex in enumerate(dev)}
+    kept = dict(memo)
+    assert ft.evaluate_mcqa(dev, rt, params, enc_cfg, cfg, memo) == report
+    assert ft.evaluate_mcqa(dev, rt, params, enc_cfg, cfg) == report
+    assert all(memo[i] is kept[i] for i in kept)
+
+
 def test_finetune_step_sets_up_one_stream_per_question_and_choice(monkeypatch):
     world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
     train = world.mcqa_dataset(distractors="random")["train"][:3]

@@ -13,8 +13,8 @@ from dragonforge import pretrain as pt
 from dragonforge.encoder import EncoderConfig
 from dragonforge.evaluation import generate_synthetic_world
 from dragonforge.kg_store import RESERVED_RELATIONS, EntityVocab, R_EL, Vocab
-from dragonforge.retrieval import (INT, MASK, PAD, RESERVED_TOKENS, SEP, LocalKG, TextSegment, V_INT,
-                                  build_vocab_from_texts, dummy_local_kg)
+from dragonforge.retrieval import (INT, MASK, PAD, RESERVED_TOKENS, SEP, LocalKG, Retriever,
+                                  TextSegment, V_INT, build_vocab_from_texts, dummy_local_kg)
 
 
 def make_segment(ids):
@@ -542,10 +542,39 @@ def test_pretrain_step_sets_up_one_stream_per_example(monkeypatch):
     cfg = pt.PretrainConfig(steps=2, batch_size=3, seed=9)
     pt.train(world.raw_segments("train"), kg, entities, relations, tv, enc_cfg, cfg)
     per_step = [x for x in names if x != "retrieval" and not x.startswith("init/")]
-    # per step: the batch draw, then one stream per slot in pretrain and one in the encoder
-    assert len(per_step) == cfg.steps * (1 + 2 * cfg.batch_size)
-    assert per_step[:1 + 2 * cfg.batch_size] == (["batch"] + ["example"] * cfg.batch_size
-                                                 + ["dropout"] * cfg.batch_size)
+    # before step 0 every step's batch draw; then per step one stream per
+    # slot in pretrain and one in the encoder
+    assert per_step == ["batch"] * cfg.steps + (["example"] * cfg.batch_size
+                                                + ["dropout"] * cfg.batch_size) * cfg.steps
+
+
+@pytest.mark.parametrize("kg_mode", pt.KG_MODES)
+def test_train_retrieves_each_scheduled_segment_once(monkeypatch, kg_mode):
+    world, kg, entities, relations, tv, enc_cfg = small_setup()
+    segments = world.raw_segments("train")
+    cfg = pt.PretrainConfig(steps=3, batch_size=4, seed=12, kg_mode=kg_mode)
+    retrieved, prepared = [], {}
+    inputs, prepare = Retriever.inputs, pt.prepare_examples
+
+    def spy_inputs(self, texts, rng):
+        retrieved.append(texts)
+        return inputs(self, texts, rng)
+
+    def spy_prepare(*args):
+        prepared.update(prepare(*args))
+        return prepared
+
+    monkeypatch.setattr(Retriever, "inputs", spy_inputs)
+    monkeypatch.setattr(pt, "prepare_examples", spy_prepare)
+    pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
+    scheduled = {i for step in range(cfg.steps) for i in nm.split_rng(cfg.seed, "batch", step)
+                 .integers(0, len(segments), size=cfg.batch_size).tolist()}
+    assert len(retrieved) == len(scheduled) < len(segments)
+    assert set(prepared) == scheduled
+    monkeypatch.undo()
+    rt = Retriever(kg, entities, relations, tv, enc_cfg.max_seq_len, enc_cfg.max_nodes, kg_mode)
+    for idx, example in prepared.items():
+        assert example == rt.inputs([segments[idx]], nm.split_rng(cfg.seed, "retrieval", idx))
 
 
 # ---------------------------------------------------------------------------

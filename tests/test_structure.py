@@ -37,6 +37,8 @@ def callers(name: str) -> set[str]:
     ("link_entities", "retrieval:Retriever.inputs"),
     ("retrieve_local_kg", "retrieval:Retriever.inputs"),
     ("verbalize_kg", "retrieval:Retriever.inputs"),
+    ("prepare_examples", "pretrain:train"),
+    ("prepare_choice_inputs", "finetune:memoized_choice_inputs"),
 ])
 def test_input_preparation_has_one_caller(name, caller):
     assert callers(name) == {caller}
