@@ -296,7 +296,7 @@ class Optimizer:
             v += (1 - BETA2) * g * g
             lr = lr_lm if name.startswith("lm.") else lr_other
             denom = np.sqrt(v / bc2) + EPS if adaptive else 1.0
-            p.values -= (lr * rect * (m / bc1) / denom).astype(p.values.dtype)
+            p.values -= (lr * rect * (m / bc1) / denom).astype(p.values.dtype, copy=False)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
