@@ -120,6 +120,10 @@ class KnowledgeGraph:
         self._members: set[tuple[int, int, int]] = set()
         # entity id -> list of (rel, neighbor, direction)
         self._adj: dict[int, list[tuple[int, int, int]]] = {}
+        # entity id -> (sorted adjacency, distinct neighbors), built on first
+        # query and dropped when an edge of the entity is added; tuples, which
+        # take a fraction of a set's memory and which no caller can change
+        self._index: dict[int, tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]] = {}
 
     def add(self, head: int, rel: int, tail: int) -> bool:
         self._check_entity(head)
@@ -132,6 +136,9 @@ class KnowledgeGraph:
         self.triplets.append(t)
         self._adj.setdefault(head, []).append((rel, tail, DIR_OUT))
         self._adj.setdefault(tail, []).append((rel, head, DIR_IN))
+        if self._index:
+            self._index.pop(head, None)
+            self._index.pop(tail, None)
         return True
 
     def _check_entity(self, eid: int) -> None:
@@ -148,14 +155,20 @@ class KnowledgeGraph:
         self._check_relation(t[1])
         return t in self._members
 
+    def _indexed(self, v: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+        self._check_entity(v)
+        if v not in self._index:
+            adj = self._adj.get(v, [])
+            self._index[v] = (tuple(sorted(adj)), tuple({nb for _, nb, _ in adj}))
+        return self._index[v]
+
     def neighbors(self, v: int) -> list[tuple[int, int, int]]:
         """Incident edges of v, both directions, sorted by (rel, neighbor, direction)."""
-        self._check_entity(v)
-        return sorted(self._adj.get(v, []))
+        return list(self._indexed(v)[0])
 
     def undirected_neighbor_set(self, v: int) -> set[int]:
-        self._check_entity(v)
-        return {nb for _, nb, _ in self._adj.get(v, [])}
+        """Entities that share an edge with v, either way."""
+        return set(self._indexed(v)[1])
 
 
 def _read_tsv_rows(path: str, layout: str):

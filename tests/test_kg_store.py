@@ -101,6 +101,23 @@ def test_isolated_node_and_star_graph(tmp_path):
     assert len(g.neighbors(entities.ids["s1"])) == 1
 
 
+def test_neighbor_queries_see_later_edges_and_hand_out_copies():
+    g = ks.KnowledgeGraph(n_entities=4, n_relations=2)
+    g.add(0, 1, 1)
+    assert g.neighbors(0) == [(1, 1, ks.DIR_OUT)]
+    assert g.undirected_neighbor_set(1) == {0}
+    g.neighbors(0).append((9, 9, 9))
+    g.undirected_neighbor_set(1).add(9)
+    assert g.neighbors(0) == [(1, 1, ks.DIR_OUT)]
+    assert g.undirected_neighbor_set(1) == {0}
+    g.add(2, 0, 0)
+    g.add(1, 0, 3)
+    assert g.neighbors(0) == [(0, 2, ks.DIR_IN), (1, 1, ks.DIR_OUT)]
+    assert g.undirected_neighbor_set(1) == {0, 3}
+    assert type(g.neighbors(3)) is list and type(g.undirected_neighbor_set(3)) is set
+    assert g.neighbors(3) == [(0, 1, ks.DIR_IN)]
+
+
 def test_adjacency_entry_count_is_twice_triplets(tmp_path):
     rng = np.random.default_rng(1)
     path = write_kg(tmp_path, random_kg_lines(rng, n_lines=300))
