@@ -310,6 +310,8 @@ def _cmd_pretrain(args, cfg: RunConfig) -> int:
     else:
         token_vocab = build_vocab(args.corpus, min_freq=cfg["vocab.min_freq"])
     segments = segment_corpus(args.corpus, enc_cfg.max_seq_len)
+    if not segments:
+        raise DataError("%s: no training segments" % args.corpus)
     _write_effective_config(cfg, args.out)
     ckpt = os.path.join(args.out, "checkpoint.drgn")
     metrics = os.path.join(args.out, "metrics.jsonl")

@@ -83,6 +83,16 @@ def test_missing_corpus_exits_data_error(tmp_path, capsys, world_dir):
     assert "/no/such/corpus.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\n\t\n"], ids=["empty", "blank_lines"])
+def test_corpus_without_segments_exits_data_error_naming_it(world_dir, tmp_path, capsys, text):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(text, encoding="utf-8")
+    code = main(["pretrain", "--corpus", str(corpus), "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == ["data error: %s: no training segments" % corpus]
+
+
 def test_build_vocab_emits_tsv(world_dir, tmp_path):
     out = str(tmp_path / "v")
     assert main(["build-vocab", "--corpus", os.path.join(world_dir, "corpus.txt"),
