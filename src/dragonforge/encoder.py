@@ -252,19 +252,15 @@ def _maybe_dropout(x: Tensor, cfg: EncoderConfig, keep: np.ndarray | None, site:
     return nm.dropout(x, cfg.dropout, keep[site])
 
 
-def _attn_linear(x: Tensor, params, layer: str, w: str) -> Tensor:
-    return nm.add(nm.matmul(x, params[layer + "attn." + w]), params[layer + "attn.b" + w[1]])
-
-
 def _transformer_layer(x: Tensor, params, cfg: EncoderConfig, idx: int, batch: Batch) -> Tensor:
     p = "lm.layer%d." % idx
-    heads = nm.attention(_attn_linear(x, params, p, "wq"), _attn_linear(x, params, p, "wk"),
-                         _attn_linear(x, params, p, "wv"), batch.key_pad, cfg.heads_text)
-    attn = nm.add(nm.matmul(heads, params[p + "attn.wo"]), params[p + "attn.bo"])
+    q, k, v = (nm.linear(x, params[p + "attn.w" + c], params[p + "attn.b" + c]) for c in "qkv")
+    heads = nm.attention(q, k, v, batch.key_pad, cfg.heads_text)
+    attn = nm.linear(heads, params[p + "attn.wo"], params[p + "attn.bo"])
     attn = _maybe_dropout(attn, cfg, batch.token_keep, 1 + 2 * idx)
     x = nm.layer_norm(nm.add(x, attn), params[p + "ln1.g"], params[p + "ln1.b"])
-    f = nm.gelu(nm.add(nm.matmul(x, params[p + "ffn.w1"]), params[p + "ffn.b1"]))
-    f = nm.add(nm.matmul(f, params[p + "ffn.w2"]), params[p + "ffn.b2"])
+    f = nm.gelu(nm.linear(x, params[p + "ffn.w1"], params[p + "ffn.b1"]))
+    f = nm.linear(f, params[p + "ffn.w2"], params[p + "ffn.b2"])
     f = _maybe_dropout(f, cfg, batch.token_keep, 2 + 2 * idx)
     return nm.layer_norm(nm.add(x, f), params[p + "ln2.g"], params[p + "ln2.b"])
 
@@ -299,14 +295,14 @@ def _gnn_layer(v: Tensor, params, cfg: EncoderConfig, layer: int,
     p = "gnn.layer%d." % layer
     s = nm.gather_rows(v, batch.src)
     re = nm.gather_rows(params["gnn.rel_emb"], batch.reldir)
-    msg = nm.add(nm.matmul(nm.concat([s, re], axis=1), params[p + "w_msg"]), params[p + "b_msg"])
+    msg = nm.linear(nm.concat([s, re], axis=1), params[p + "w_msg"], params[p + "b_msg"])
 
-    q = nm.add(nm.matmul(v, params[p + "wq"]), params[p + "bq"])
-    k = nm.add(nm.matmul(msg, params[p + "wk"]), params[p + "bk"])
-    val = nm.add(nm.matmul(msg, params[p + "wv"]), params[p + "bv"])
+    q = nm.linear(v, params[p + "wq"], params[p + "bq"])
+    k = nm.linear(msg, params[p + "wk"], params[p + "bk"])
+    val = nm.linear(msg, params[p + "wv"], params[p + "bv"])
 
     summed, alpha = segment_attention(q, k, val, batch.dst, v.shape[0], cfg.heads_gnn)
-    agg = nm.add(nm.matmul(summed, params[p + "wo"]), params[p + "bo"])
+    agg = nm.linear(summed, params[p + "wo"], params[p + "bo"])
     agg = _maybe_dropout(agg, cfg, batch.node_keep, 1 + layer)
     out = nm.layer_norm(nm.add(v, nm.gelu(agg)), params[p + "ln.g"], params[p + "ln.b"])
     if not batch.graph.all():
@@ -323,9 +319,9 @@ def _mint(x: Tensor, v: Tensor, params, cfg: EncoderConfig, layer: int,
     p = "mint.layer%d." % layer
     int_rows, v_rows = np.arange(len(batch.graph)) * batch.max_len, batch.node_offsets[:-1]
     z = nm.concat([nm.gather_rows(x, int_rows), nm.gather_rows(v, v_rows)], axis=1)
-    hid = nm.gelu(nm.add(nm.matmul(z, params[p + "w1"]), params[p + "b1"]))
+    hid = nm.gelu(nm.linear(z, params[p + "w1"], params[p + "b1"]))
     hid = _maybe_dropout(hid, cfg, batch.mint_keep, layer)
-    upd = nm.add(nm.matmul(hid, params[p + "w2"]), params[p + "b2"])
+    upd = nm.linear(hid, params[p + "w2"], params[p + "b2"])
     uh, uv = nm.split(upd, [cfg.d_text, cfg.d_node], axis=1)
     x = nm.add(x, nm.scatter_rows(uh, int_rows, x.shape[0]))
     if batch.graph.any():

@@ -117,8 +117,8 @@ def pool(out: EncoderOutput, params: dict[str, Tensor]) -> tuple[Tensor, np.ndar
     k = nm.matmul(v_rest, params["other.pool.wk"])               # [J, d_node]
     g, alpha = segment_attention(q, k, v_rest, owner, b, 1)      # [B, d_node], [J, 1]
     z = nm.concat([h_int, v_int, g], axis=1)
-    hid = nm.gelu(nm.add(nm.matmul(z, params["other.pool.mlp.w1"]), params["other.pool.mlp.b1"]))
-    x = nm.add(nm.matmul(hid, params["other.pool.mlp.w2"]), params["other.pool.mlp.b2"])
+    hid = nm.gelu(nm.linear(z, params["other.pool.mlp.w1"], params["other.pool.mlp.b1"]))
+    x = nm.linear(hid, params["other.pool.mlp.w2"], params["other.pool.mlp.b2"])
     return x, alpha.reshape(-1).copy()
 
 

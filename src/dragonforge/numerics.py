@@ -5,6 +5,15 @@ gradient checking). Every differentiable operation records itself on the
 active ComputationTape, whose backward() replays it in exact reverse order.
 Any forward op that produces a non-finite value raises NumericError at the
 op boundary instead of letting NaN/Inf propagate.
+
+Gradient ownership: the tape clears an output's gradient before it calls the
+op's backward function with it, so that function owns its incoming `g` and
+every array it has just computed, and may overwrite them in place. It may
+pass `owned=True` to `Tensor.accumulate_grad` for such an array, and a
+tensor whose gradient is still None then adopts the array instead of copying
+it. An array may be handed off once: `g` to at most one input, and never an
+array that the op keeps (its saved forward values) or that anything else can
+still read.
 """
 
 from __future__ import annotations
@@ -85,9 +94,15 @@ class Tensor:
             raise ContractError("item() on non-scalar tensor of shape %s" % (self.shape,))
         return float(self.values.reshape(()))
 
-    def accumulate_grad(self, delta: np.ndarray) -> None:
+    def accumulate_grad(self, delta: np.ndarray, owned: bool = False) -> None:
+        """Add delta to grad. With owned=True the caller hands delta over
+        (see the module docstring), and a first gradient of matching dtype
+        and shape is adopted instead of copied."""
         if self.grad is None:
-            self.grad = np.array(delta, dtype=self.values.dtype)
+            if owned and delta.dtype == self.values.dtype and delta.shape == self.values.shape:
+                self.grad = delta
+            else:
+                self.grad = np.array(delta, dtype=self.values.dtype)
         else:
             self.grad += delta
 
@@ -186,15 +201,18 @@ def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
 
 def _binary(op: str, a: Tensor, b, vals: Callable, grad_a: Callable, grad_b: Callable) -> Tensor:
     """Elementwise op with row broadcasting; grad_x(g, other) is x's gradient
-    before the broadcast rows are summed back to x's shape."""
+    before the broadcast rows are summed back to x's shape (g itself, or a
+    new array)."""
     b = b if isinstance(b, Tensor) else Tensor(b)
     _binary_shapes(a, b, op)
 
     def bk(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast_rows(grad_a(g, b.values), a.values.shape))
+            a.accumulate_grad(_unbroadcast_rows(grad_a(g, b.values), a.values.shape), owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast_rows(grad_b(g, a.values), b.values.shape))
+            gb = _unbroadcast_rows(grad_b(g, a.values), b.values.shape)
+            # g may have gone to a already
+            b.accumulate_grad(gb, owned=gb is not g or not a.requires_grad)
 
     return _make(vals(a.values, b.values), (a, b), bk, op)
 
@@ -229,11 +247,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bk(g):
         if a.requires_grad:
-            a.accumulate_grad(g @ b.values.T)
+            a.accumulate_grad(g @ b.values.T, owned=True)
         if b.requires_grad:
-            b.accumulate_grad(a.values.T @ g)
+            b.accumulate_grad(a.values.T @ g, owned=True)
 
     return _make(vals, (a, b), bk, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for [n, d_in] rows x, [d_in, d_out] weights w and a [d_out]
+    (or [1, d_out]) bias b, as one taped op."""
+    if x.values.ndim != 2 or w.values.ndim != 2:
+        raise ShapeError("linear requires 2-D x and w, got %s and %s" % (x.shape, w.shape))
+    if x.values.shape[1] != w.values.shape[0]:
+        raise ShapeError("linear: inner dimensions disagree, %s vs %s" % (x.shape, w.shape))
+    if b.values.shape not in ((w.values.shape[1],), (1, w.values.shape[1])):
+        raise ShapeError("linear: bias %s does not match weights %s" % (b.shape, w.shape))
+    vals = x.values @ w.values
+    vals += b.values
+
+    def bk(g):
+        # the order of the matmul-then-add pair this op replaces
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast_rows(g, b.values.shape), owned=True)
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.values.T, owned=True)
+        if w.requires_grad:
+            w.accumulate_grad(x.values.T @ g, owned=True)
+
+    return _make(vals, (x, w, b), bk, "linear")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -415,15 +457,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_pad_mask: np.ndarray, heads: 
     def bk(g):
         gh = split_heads(g)
         if v.requires_grad:
-            v.accumulate_grad(merge_heads(probs.transpose(0, 1, 3, 2) @ gh))
+            v.accumulate_grad(merge_heads(probs.transpose(0, 1, 3, 2) @ gh), owned=True)
         if q.requires_grad or k.requires_grad:
             dp = gh @ vh.transpose(0, 1, 3, 2)
             ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
             ds *= inv
             if q.requires_grad:
-                q.accumulate_grad(merge_heads(ds @ kh))
+                q.accumulate_grad(merge_heads(ds @ kh), owned=True)
             if k.requires_grad:
-                k.accumulate_grad(merge_heads(ds.transpose(0, 1, 3, 2) @ qh))
+                k.accumulate_grad(merge_heads(ds.transpose(0, 1, 3, 2) @ qh), owned=True)
 
     return _make(vals, (q, k, v), bk, "attention")
 
@@ -434,24 +476,36 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ContractError("layer_norm: eps must be positive")
     x = a.values
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    vals = np.multiply(xhat, xhat)
+    var = vals.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    vals = xhat * gain.values + bias.values
+    xhat *= inv
+    np.multiply(xhat, gain.values, out=vals)
+    vals += bias.values
     d = x.shape[-1]
 
     def bk(g):
-        gx = g * gain.values
-        if a.requires_grad:
-            # d/dx of (x - mu) * inv with mu, inv functions of x
-            s1 = gx.sum(axis=-1, keepdims=True)
-            s2 = (gx * xhat).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(inv * (gx - s1 / d - xhat * s2 / d))
-        if gain.requires_grad:
-            gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0).reshape(gain.values.shape))
+        # the parameter gradients read g before it becomes a's gradient
         if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0).reshape(bias.values.shape))
+            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0).reshape(bias.values.shape), owned=True)
+        buf = np.multiply(g, xhat)
+        if gain.requires_grad:
+            gain.accumulate_grad(buf.reshape(-1, d).sum(axis=0).reshape(gain.values.shape), owned=True)
+        if a.requires_grad:
+            # d/dx of (x - mu) * inv with mu, inv functions of x:
+            # inv * (gx - s1 / d - xhat * s2 / d) with gx = g * gain
+            gx = g
+            gx *= gain.values
+            s1 = gx.sum(axis=-1, keepdims=True)
+            np.multiply(gx, xhat, out=buf)
+            s2 = buf.sum(axis=-1, keepdims=True)
+            gx -= s1 / d
+            np.multiply(xhat, s2, out=buf)
+            buf /= d
+            gx -= buf
+            gx *= inv
+            a.accumulate_grad(gx, owned=True)
 
     return _make(vals, (a, gain, bias), bk, "layer_norm")
 
@@ -465,15 +519,34 @@ _GELU_K = 0.044715
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation (BERT/GPT-2 form)."""
     x = a.values
-    inner = _GELU_C * (x + _GELU_K * x * x * x)
-    t = np.tanh(inner)
-    vals = 0.5 * x * (1.0 + t)
+    # t = tanh(_GELU_C * (x + _GELU_K * x * x * x)); vals = 0.5 * x * (1.0 + t)
+    t = np.multiply(x, _GELU_K)
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    vals = np.multiply(x, 0.5)
+    vals *= 1.0 + t
 
     def bk(g):
         if a.requires_grad:
-            dinner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
-            da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-            a.accumulate_grad(g * da)
+            # g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner), where
+            # dinner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x); t is not needed after
+            da = np.multiply(x, 0.5)
+            buf = np.multiply(t, t)
+            np.subtract(1.0, buf, out=buf)
+            da *= buf
+            np.multiply(x, 3.0 * _GELU_K, out=buf)
+            buf *= x
+            buf += 1.0
+            buf *= _GELU_C
+            da *= buf
+            np.add(t, 1.0, out=t)
+            np.multiply(t, 0.5, out=t)
+            da += t
+            g *= da
+            a.accumulate_grad(g, owned=True)
 
     return _make(vals, (a,), bk, "gelu")
 
@@ -534,13 +607,15 @@ def dropout(a: Tensor, rate: float, keep: np.ndarray) -> Tensor:
         return a
     if keep.shape != a.values.shape:
         raise ShapeError("dropout: mask shape %s != tensor shape %s" % (keep.shape, a.shape))
-    keep = keep.astype(a.values.dtype)
     factor = 1.0 / (1.0 - rate)
-    vals = a.values * keep * factor
+    vals = np.multiply(a.values, keep)
+    vals *= factor
 
     def bk(g):
         if a.requires_grad:
-            a.accumulate_grad(g * keep * factor)
+            g *= keep
+            g *= factor
+            a.accumulate_grad(g, owned=True)
 
     return _make(vals, (a,), bk, "dropout")
 

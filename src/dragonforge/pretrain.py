@@ -200,7 +200,7 @@ def mlm_loss(plans: list[tuple[MaskingPlan, int]], token_vecs: Tensor,
     targets = [t for plan, _ in plans for t in plan.original_ids]
     weights = np.concatenate([np.full(len(plan), 1.0 / (len(plan) * len(plans))) for plan, _ in plans])
     hm = nm.gather_rows(token_vecs, rows)
-    logits = nm.add(nm.matmul(hm, params["lm.mlm_head.w"]), params["lm.mlm_head.b"])
+    logits = nm.linear(hm, params["lm.mlm_head.w"], params["lm.mlm_head.b"])
     return nm.reduce_sum(nm.mul(nm.cross_entropy_with_logits(logits, targets), weights))
 
 

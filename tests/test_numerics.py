@@ -231,6 +231,10 @@ OPS = [
     ("neg", lambda ts: nm.reduce_sum(nm.neg(ts[0])), [(3, 4)]),
     ("add_scalar", lambda ts: nm.reduce_sum(nm.add(ts[0], 0.3)), [(5,)]),
     ("matmul", lambda ts: nm.reduce_sum(nm.matmul(ts[0], ts[1])), [(3, 4), (4, 2)]),
+    ("linear", lambda ts: nm.reduce_sum(nm.mul(nm.linear(ts[0], ts[1], ts[2]), ts[3])),
+     [(3, 4), (4, 2), (2,), (3, 2)]),
+    ("linear_row_bias", lambda ts: nm.reduce_sum(nm.mul(nm.linear(ts[0], ts[1], ts[2]), ts[3])),
+     [(3, 4), (4, 2), (1, 2), (3, 2)]),
     ("reshape", lambda ts: nm.reduce_sum(nm.mul(nm.reshape(ts[0], (2, 6)), nm.reshape(ts[0], (2, 6)))), [(3, 4)]),
     ("concat", lambda ts: nm.reduce_sum(nm.mul(nm.concat(ts, axis=0), nm.concat(ts, axis=0))), [(2, 3), (4, 3)]),
     ("split", lambda ts: nm.reduce_sum(nm.mul(*nm.split(ts[0], [2, 2], axis=1))), [(3, 4)]),
@@ -355,9 +359,9 @@ def test_float32_mode_computes_in_float32(name, fn, shapes, monkeypatch):
         seen.append((op, values.dtype))
         return make(values, inputs, backward_fn, op)
 
-    def recording_accumulate(self, delta):
+    def recording_accumulate(self, delta, owned=False):
         seen.append(("gradient", np.asarray(delta).dtype))
-        accumulate(self, delta)
+        accumulate(self, delta, owned)
 
     monkeypatch.setattr(nm, "_make", recording_make)
     monkeypatch.setattr(nm.Tensor, "accumulate_grad", recording_accumulate)
@@ -377,6 +381,65 @@ def test_dropout_gradient_matches_mask():
     kept = y.values != 0
     np.testing.assert_allclose(x.grad[kept], 1.0 / 0.6, rtol=1e-5)
     np.testing.assert_allclose(x.grad[~kept], 0.0)
+
+
+def _forward_and_grads(op, arrays, weight):
+    """op's output and every input's gradient of sum(op(inputs) * weight)."""
+    tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
+    with nm.ComputationTape() as tape:
+        out = op(*tensors)
+        tape.backward(nm.reduce_sum(nm.mul(out, nm.constant(weight))))
+    return [out.values] + [t.grad for t in tensors]
+
+
+def _gelu_reference(x, g):
+    # the allocating formulas the in-place kernel replaced, operation for operation
+    c, k = nm._GELU_C, nm._GELU_K
+    t = np.tanh(c * (x + k * x * x * x))
+    dinner = c * (1.0 + 3.0 * k * x * x)
+    return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+
+
+def _layer_norm_reference(x, gain, bias, g, eps=1e-5):
+    d = x.shape[-1]
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    gx = g * gain
+    s1 = gx.sum(axis=-1, keepdims=True)
+    s2 = (gx * xhat).sum(axis=-1, keepdims=True)
+    return (xhat * gain + bias, inv * (gx - s1 / d - xhat * s2 / d),
+            (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
+
+
+def test_linear_is_bitwise_the_matmul_add_pair():
+    arrays = [rng(30).normal(size=(5, 4)).astype(np.float32), rng(31).normal(size=(4, 3)).astype(np.float32),
+              rng(32).normal(size=3).astype(np.float32)]
+    weight = rng(33).normal(size=(5, 3)).astype(np.float32)
+    pair = _forward_and_grads(lambda x, w, b: nm.add(nm.matmul(x, w), b), arrays, weight)
+    for got, want in zip(_forward_and_grads(nm.linear, arrays, weight), pair):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(nm.ShapeError, match="bias"):
+        nm.linear(nm.constant(np.ones((2, 4))), nm.constant(np.ones((4, 3))), nm.constant(np.ones(4)))
+
+
+def test_in_place_kernels_are_bitwise_the_allocating_formulas():
+    x = (rng(34).normal(size=(6, 8)) * 3).astype(np.float32)
+    gain, bias = rng(35).normal(size=8).astype(np.float32), rng(36).normal(size=8).astype(np.float32)
+    g = rng(37).normal(size=(6, 8)).astype(np.float32)
+    keep = keep_mask((6, 8), 0.3, 38)
+
+    got = _forward_and_grads(nm.gelu, [x], g)
+    for a, b in zip(got, _gelu_reference(x, g)):
+        assert a.tobytes() == b.tobytes()
+    got = _forward_and_grads(nm.layer_norm, [x, gain, bias], g)
+    for a, b in zip(got, _layer_norm_reference(x, gain, bias, g)):
+        assert a.tobytes() == b.tobytes()
+    factor = 1.0 / (1.0 - 0.3)
+    got = _forward_and_grads(lambda a: nm.dropout(a, 0.3, keep), [x], g)
+    mask = keep.astype(np.float32)
+    for a, b in zip(got, (x * mask * factor, g * mask * factor)):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
