@@ -1,6 +1,7 @@
 """Corruption ops, scoring oracles, loss hand-cases, optimizer behavior,
 training-loop contracts, and checkpoint persistence."""
 
+import os
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import stats
 
 from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
+from dragonforge.cli import main
 from dragonforge.encoder import EncoderConfig
 from dragonforge.evaluation import generate_synthetic_world
 from dragonforge.kg_store import RESERVED_RELATIONS, EntityVocab, R_EL, Vocab
@@ -580,6 +582,50 @@ def test_train_retrieves_each_scheduled_segment_once(monkeypatch, kg_mode):
 # ---------------------------------------------------------------------------
 # checkpoint format
 # ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def default_world(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("default_world"))
+    assert main(["gen-synthetic", "--out", out, "--seed", "1"]) == 0
+    return out
+
+
+def first_step_gradients(world: str, out: str, kg_mode: str, monkeypatch) -> dict[str, np.ndarray]:
+    """Copies of the parameter gradients of a CLI-default pretrain's first
+    step, read after backward and before clipping; fails if two of them share
+    memory."""
+    grads = {}
+    clip = pt.clip_gradients
+
+    def capture(params, max_norm):
+        held = [(name, p.grad) for name, p in params.items() if p.grad is not None]
+        for i, (name, g) in enumerate(held):
+            for other, h in held[i + 1:]:
+                assert not np.shares_memory(g, h), (name, other)
+        grads.update((name, g.copy()) for name, g in held)
+        return clip(params, max_norm)
+
+    monkeypatch.setattr(pt, "clip_gradients", capture)
+    assert main(["pretrain", "--corpus", os.path.join(world, "corpus.txt"),
+                 "--kg", os.path.join(world, "kg.tsv"), "--out", out, "--seed", "1",
+                 "--set", "pretrain.steps=1", "--set", "pretrain.kg_mode=" + kg_mode]) == 0
+    monkeypatch.setattr(pt, "clip_gradients", clip)
+    return grads
+
+
+@pytest.mark.parametrize("kg_mode", ["graph", "verbalized"])
+def test_gradient_hand_off_equals_copying_and_shares_no_memory(default_world, tmp_path, monkeypatch,
+                                                               kg_mode):
+    handed = first_step_gradients(default_world, str(tmp_path / "a"), kg_mode, monkeypatch)
+    accumulate = nm.Tensor.accumulate_grad
+    monkeypatch.setattr(nm.Tensor, "accumulate_grad",
+                        lambda self, delta, owned=False: accumulate(self, delta))
+    copied = first_step_gradients(default_world, str(tmp_path / "b"), kg_mode, monkeypatch)
+    assert "lm.layer0.attn.wq" in handed and ("gnn.layer0.wq" in handed) == (kg_mode == "graph")
+    assert handed.keys() == copied.keys()
+    for name in copied:
+        assert handed[name].tobytes() == copied[name].tobytes(), name
+
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
     world, kg, entities, relations, tv, enc_cfg = small_setup()
