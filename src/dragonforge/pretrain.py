@@ -261,6 +261,10 @@ class Optimizer:
         self._v = {k: np.zeros_like(p.values) for k, p in params.items()}
         self.frozen_prefixes: tuple[str, ...] = ()
 
+    def trainable(self) -> dict[str, Tensor]:
+        """The parameters that step() updates: those outside frozen_prefixes."""
+        return {name: p for name, p in self.params.items() if not name.startswith(self.frozen_prefixes)}
+
     def schedule(self, step: int) -> float:
         if step < self.warmup_steps:
             return (step + 1) / self.warmup_steps
@@ -286,8 +290,8 @@ class Optimizer:
             if adaptive:   # np.sqrt gives a float64, so the rectified step is float64
                 rect = np.sqrt(((rho_t - 4) * (rho_t - 2) * rho_inf)
                                / ((rho_inf - 4) * (rho_inf - 2) * rho_t))
-        for name, p in self.params.items():
-            if p.grad is None or any(name.startswith(fp) for fp in self.frozen_prefixes):
+        for name, p in self.trainable().items():
+            if p.grad is None:
                 continue
             g, m, v = p.grad, self._m[name], self._v[name]
             m *= BETA1
@@ -321,13 +325,15 @@ def train_step(opt: Optimizer, step: int, grad_clip: float,
                forward: Callable[[], tuple[Tensor, ...]]) -> tuple[tuple[Tensor, ...], float]:
     """One update: run `forward` on a fresh tape, backpropagate its first
     result (the loss), clip, apply the optimizer step, then clear gradients.
+    The norm and the clipping cover only the gradients that the step applies;
+    frozen parameters' gradients are left out.
 
-    Returns forward's results and the gradient norm before clipping.
+    Returns forward's results and that gradient norm before clipping.
     """
     with nm.ComputationTape() as tape:
         results = forward()
         tape.backward(results[0])
-    grad_norm = clip_gradients(opt.params, grad_clip)
+    grad_norm = clip_gradients(opt.trainable(), grad_clip)
     opt.step(step)
     opt.zero_grad()
     return results, grad_norm

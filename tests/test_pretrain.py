@@ -425,6 +425,34 @@ def test_frozen_prefix_skips_updates():
     assert not np.array_equal(b.values, np.ones(2))
 
 
+def test_frozen_gradients_do_not_enter_the_clip_norm():
+    # the applied gradient is 3 per coordinate, norm 3 * sqrt(2), clipped to 1;
+    # a frozen parameter's gradient of 100 must change neither
+    def clipped_step(with_frozen):
+        params = {"other.b": nm.Tensor(np.ones(2), requires_grad=True)}
+        if with_frozen:
+            params["lm.a"] = nm.Tensor(np.ones(2), requires_grad=True)
+        opt = pt.Optimizer(params, 0.1, 0.1, total_steps=1, warmup_ratio=0.0)
+        opt.frozen_prefixes = ("lm.",)
+        applied = []
+        opt.step = lambda step: applied.append(params["other.b"].grad.copy())
+
+        def forward():
+            loss = nm.reduce_sum(nm.mul(params["other.b"], 3.0))
+            if with_frozen:
+                loss = nm.add(loss, nm.reduce_sum(nm.mul(params["lm.a"], 100.0)))
+            return (loss,)
+
+        _, norm = pt.train_step(opt, 0, 1.0, forward)
+        return norm, applied[0]
+
+    norm, grad = clipped_step(with_frozen=True)
+    alone_norm, alone_grad = clipped_step(with_frozen=False)
+    assert norm == alone_norm == pytest.approx(3.0 * np.sqrt(2.0))
+    assert grad.tobytes() == alone_grad.tobytes()
+    assert np.linalg.norm(grad) == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize("rectified", [False, True], ids=["adam", "radam"])
 def test_optimizer_steps_match_direct_formula(rectified):
     """Adam; RAdam (arXiv:1908.03265) takes momentum-only steps while
