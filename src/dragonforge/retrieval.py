@@ -12,6 +12,7 @@ the local KG is rendered into the token sequence behind a dummy graph.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,9 @@ def tokenize(text: str) -> list[tuple[str, int, int]]:
 
 def build_vocab_from_texts(texts, min_freq: int = 2) -> Vocab:
     """Corpus-built vocabulary; tokens below min_freq map to [UNK]."""
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for text in texts:
-        for tok, _, _ in tokenize(text):
-            counts[tok] = counts.get(tok, 0) + 1
+        counts.update(_TOKEN_RE.findall(text.lower()))   # tokenize's tokens, without spans
     vocab = Vocab(RESERVED_TOKENS)
     for tok in sorted(counts):
         if counts[tok] >= min_freq:
@@ -254,7 +254,7 @@ def segment_corpus(corpus_file: str, max_seq_len: int) -> list[str]:
         cur: list[str] = []
         cur_len = 0
         for sent in sentences:
-            n = len(tokenize(sent))
+            n = len(_TOKEN_RE.findall(sent.lower()))
             if n > budget:
                 if cur:
                     segments.append(" ".join(cur))

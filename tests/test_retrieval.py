@@ -3,6 +3,7 @@ and corpus segmentation, each checked against an independent oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dragonforge import numerics as nm
 from dragonforge import retrieval as rt
@@ -305,6 +306,69 @@ def test_concatenation_reproduces_document_stream(tmp_path):
     seg_tokens = [t for s in segments for t, _, _ in rt.tokenize(s)]
     doc_tokens = [t for d in docs for t, _, _ in rt.tokenize(d.replace("\n", " "))]
     assert seg_tokens == doc_tokens
+
+
+def span_build_vocab(corpus_file, min_freq):
+    # reference: the token counts read from tokenize's (token, start, end) spans
+    counts = {}
+    with open(corpus_file, encoding="utf-8") as fh:
+        for text in fh:
+            for tok, _, _ in rt.tokenize(text):
+                counts[tok] = counts.get(tok, 0) + 1
+    vocab = Vocab(rt.RESERVED_TOKENS)
+    for tok in sorted(counts):
+        if counts[tok] >= min_freq:
+            vocab.add(tok)
+    return vocab
+
+
+def span_segment_corpus(corpus_file, max_seq_len):
+    # reference: segment_corpus with every sentence measured by len(tokenize(...))
+    budget = max_seq_len - 1
+    segments = []
+    with open(corpus_file, encoding="utf-8") as fh:
+        text = fh.read()
+    for doc in text.split("\n\n"):
+        cur, cur_len = [], 0
+        for sent in (s for s in doc.split("\n") if s.strip()):
+            toks = rt.tokenize(sent)
+            if len(toks) > budget:
+                if cur:
+                    segments.append(" ".join(cur))
+                    cur, cur_len = [], 0
+                for lo in range(0, len(toks), budget):
+                    chunk = toks[lo:lo + budget]
+                    segments.append(sent[chunk[0][1]:chunk[-1][2]])
+                continue
+            if cur_len + len(toks) > budget:
+                segments.append(" ".join(cur))
+                cur, cur_len = [], 0
+            cur.append(sent)
+            cur_len += len(toks)
+        if cur:
+            segments.append(" ".join(cur))
+    return segments
+
+
+WORDS = ["the", "Cat", "SAT", "on", "mat", "don't", "a_b", "42", "x9", "Über", "straße", "İstanbul",
+         "ﬁne", "naïve", "東京", "e\u0301", ",", ".", "!?", "(", ")", "-", "'"]
+LINE = st.one_of(
+    st.just(""),                                                         # blank: ends a document
+    st.sampled_from([" ", "\t", "  \t "]),                               # whitespace only
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join),
+    st.lists(st.sampled_from(WORDS), min_size=12, max_size=30).map(" ".join),   # over-long
+    st.text(min_size=1, max_size=20))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(LINE, max_size=25), max_seq_len=st.integers(2, 12), min_freq=st.integers(1, 3))
+@example(lines=["The CAT SAT on the mat.", "", "", " \t ", "Über naïve STRASSE", "",
+                "İstanbul and 東京, e\u0301 ﬁne " * 4, "the Cat"], max_seq_len=5, min_freq=2)
+def test_token_counts_without_spans_equal_span_counts(tmp_path, lines, max_seq_len, min_freq):
+    p = tmp_path / "c.txt"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert rt.build_vocab(str(p), min_freq).to_tsv() == span_build_vocab(str(p), min_freq).to_tsv()
+    assert rt.segment_corpus(str(p), max_seq_len) == span_segment_corpus(str(p), max_seq_len)
 
 
 def check_local_kg(local: rt.LocalKG, g: KnowledgeGraph, max_nodes: int) -> None:
