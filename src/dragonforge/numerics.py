@@ -446,7 +446,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_pad_mask: np.ndarray, heads: 
         return x.transpose(0, 2, 1, 3).reshape(n, d)
 
     qh, kh, vh = split_heads(q.values), split_heads(k.values), split_heads(v.values)
-    logits = (qh @ kh.transpose(0, 1, 3, 2)) * inv
+    logits = qh @ kh.transpose(0, 1, 3, 2)
+    logits *= inv
     if key_pad_mask.any():
         logits += np.where(key_pad_mask, NEG_FILL, 0.0).astype(logits.dtype)[:, None, None, :]
     logits -= logits.max(axis=-1, keepdims=True)
@@ -459,8 +460,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_pad_mask: np.ndarray, heads: 
         if v.requires_grad:
             v.accumulate_grad(merge_heads(probs.transpose(0, 1, 3, 2) @ gh), owned=True)
         if q.requires_grad or k.requires_grad:
-            dp = gh @ vh.transpose(0, 1, 3, 2)
-            ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+            # with dp = gh @ vh^T: ds = probs * (dp - (dp * probs).sum(axis=-1)) * inv
+            ds = gh @ vh.transpose(0, 1, 3, 2)
+            ds -= (ds * probs).sum(axis=-1, keepdims=True)
+            ds *= probs
             ds *= inv
             if q.requires_grad:
                 q.accumulate_grad(merge_heads(ds @ kh), owned=True)

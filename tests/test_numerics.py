@@ -4,6 +4,7 @@ tape determinism, and numeric-guard behavior."""
 import ast
 import glob
 import inspect
+import math
 import os
 
 import numpy as np
@@ -412,6 +413,26 @@ def _layer_norm_reference(x, gain, bias, g, eps=1e-5):
             (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
 
 
+def _attention_reference(q, k, v, pad, heads, g):
+    n, d = q.shape
+    b, length = pad.shape
+    dh = d // heads
+    inv = 1.0 / math.sqrt(dh)   # a Python float, as in nm.attention
+    split = lambda x: x.reshape(b, length, heads, dh).transpose(0, 2, 1, 3)
+    merge = lambda x: x.transpose(0, 2, 1, 3).reshape(n, d)
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    logits = (qh @ kh.transpose(0, 1, 3, 2)) * inv
+    logits += np.where(pad, nm.NEG_FILL, 0.0).astype(logits.dtype)[:, None, None, :]
+    logits -= logits.max(axis=-1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    dp = gh @ vh.transpose(0, 1, 3, 2)
+    ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+    ds *= inv
+    return (merge(probs @ vh), merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh),
+            merge(probs.transpose(0, 1, 3, 2) @ gh))
+
+
 def test_linear_is_bitwise_the_matmul_add_pair():
     arrays = [rng(30).normal(size=(5, 4)).astype(np.float32), rng(31).normal(size=(4, 3)).astype(np.float32),
               rng(32).normal(size=3).astype(np.float32)]
@@ -434,6 +455,11 @@ def test_in_place_kernels_are_bitwise_the_allocating_formulas():
         assert a.tobytes() == b.tobytes()
     got = _forward_and_grads(nm.layer_norm, [x, gain, bias], g)
     for a, b in zip(got, _layer_norm_reference(x, gain, bias, g)):
+        assert a.tobytes() == b.tobytes()
+    pad = np.array([[False, False, True], [False, False, False]])
+    qkv = [rng(39 + i).normal(size=(6, 8)).astype(np.float32) for i in range(3)]
+    got = _forward_and_grads(lambda q, k, v: nm.attention(q, k, v, pad, 2), qkv, g)
+    for a, b in zip(got, _attention_reference(*qkv, pad, 2, g)):
         assert a.tobytes() == b.tobytes()
     factor = 1.0 / (1.0 - 0.3)
     got = _forward_and_grads(lambda a: nm.dropout(a, 0.3, keep), [x], g)
