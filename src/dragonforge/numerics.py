@@ -256,12 +256,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for [n, d_in] rows x, [d_in, d_out] weights w and a [d_out]
-    (or [1, d_out]) bias b, as one taped op."""
+    bias b, as one taped op."""
     if x.values.ndim != 2 or w.values.ndim != 2:
         raise ShapeError("linear requires 2-D x and w, got %s and %s" % (x.shape, w.shape))
     if x.values.shape[1] != w.values.shape[0]:
         raise ShapeError("linear: inner dimensions disagree, %s vs %s" % (x.shape, w.shape))
-    if b.values.shape not in ((w.values.shape[1],), (1, w.values.shape[1])):
+    if b.values.shape != (w.values.shape[1],):
         raise ShapeError("linear: bias %s does not match weights %s" % (b.shape, w.shape))
     vals = x.values @ w.values
     vals += b.values

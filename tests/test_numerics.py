@@ -234,8 +234,6 @@ OPS = [
     ("matmul", lambda ts: nm.reduce_sum(nm.matmul(ts[0], ts[1])), [(3, 4), (4, 2)]),
     ("linear", lambda ts: nm.reduce_sum(nm.mul(nm.linear(ts[0], ts[1], ts[2]), ts[3])),
      [(3, 4), (4, 2), (2,), (3, 2)]),
-    ("linear_row_bias", lambda ts: nm.reduce_sum(nm.mul(nm.linear(ts[0], ts[1], ts[2]), ts[3])),
-     [(3, 4), (4, 2), (1, 2), (3, 2)]),
     ("reshape", lambda ts: nm.reduce_sum(nm.mul(nm.reshape(ts[0], (2, 6)), nm.reshape(ts[0], (2, 6)))), [(3, 4)]),
     ("concat", lambda ts: nm.reduce_sum(nm.mul(nm.concat(ts, axis=0), nm.concat(ts, axis=0))), [(2, 3), (4, 3)]),
     ("split", lambda ts: nm.reduce_sum(nm.mul(*nm.split(ts[0], [2, 2], axis=1))), [(3, 4)]),

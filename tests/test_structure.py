@@ -68,3 +68,16 @@ def test_link_prediction_has_one_encode_path(name, caller):
 def test_each_pipeline_stage_runs_from_its_command_only(name, caller):
     # the ablation runs these stages through the commands, not beside them
     assert callers(name) == {caller}
+
+
+def test_affine_layers_use_the_linear_op():
+    # x @ w + b is one taped op, nm.linear; a matmul-then-add pair records two
+    # ops and copies the product's gradient
+    pairs = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add" and node.args
+                    and isinstance(node.args[0], ast.Call)
+                    and getattr(node.args[0].func, "attr", None) == "matmul"):
+                pairs.append("%s:%d" % (path.stem, node.lineno))
+    assert pairs == []
