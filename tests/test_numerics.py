@@ -392,7 +392,7 @@ def _forward_and_grads(op, arrays, weight):
 
 
 def _gelu_reference(x, g):
-    # the allocating formulas the in-place kernel replaced, operation for operation
+    # reference: the kernels' formulas as allocating expressions, operation for operation
     c, k = nm._GELU_C, nm._GELU_K
     t = np.tanh(c * (x + k * x * x * x))
     dinner = c * (1.0 + 3.0 * k * x * x)
