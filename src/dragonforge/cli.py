@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import traceback
+from functools import partial
 from itertools import product, zip_longest
 
 from . import evaluation as ev
@@ -463,7 +464,7 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
 
 def _cmd_dump_attention(args, cfg_flags: RunConfig) -> int:
     params, retriever, cfg = _load_checkpoint_bundle(args, cfg_flags)
-    seg, local = retriever.inputs([args.text], nm.split_rng(cfg["seed"], "dump"))
+    seg, local = retriever.inputs([args.text], partial(nm.split_rng, cfg["seed"], "dump"))
     lines = ev.dump_attention(params, cfg.encoder_config(), seg, local)
     _write_effective_config(cfg, args.out)
     path = os.path.join(args.out, "attention.jsonl")

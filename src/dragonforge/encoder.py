@@ -15,6 +15,7 @@ path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -213,17 +214,14 @@ def make_batch(examples: list[tuple[TextSegment, LocalKG]], cfg: EncoderConfig,
     pad = np.arange(max_len)[None, :] >= np.array(lengths)[:, None]
     node_offsets = np.cumsum([0] + [local.n_nodes for _, local in examples])
     graph = np.array([not local.is_dummy for _, local in examples])
-    src, dst, reldir = [], [], []
-    for (_, local), offset in zip(examples, node_offsets):
-        if local.is_dummy or not local.edges:
-            continue
-        h, r, t = (np.array(local.edges, dtype=np.int64) + [offset, 0, offset]).T
-        src.append(np.stack([h, t], axis=1).reshape(-1))
-        dst.append(np.stack([t, h], axis=1).reshape(-1))
-        reldir.append(np.stack([2 * r, 2 * r + 1], axis=1).reshape(-1))
-
-    def cat(parts):
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    # every real graph's edges in one [E, 3] array; message 2e reads edge e
+    # head->tail and 2e + 1 tail->head, with node ids shifted to batch rows
+    real = [[] if local.is_dummy else local.edges for _, local in examples]
+    edges = np.fromiter(chain.from_iterable(chain.from_iterable(real)), dtype=np.int64).reshape(-1, 3)
+    shift = np.repeat(node_offsets[:-1], [len(es) for es in real])[:, None]
+    src = (edges[:, [0, 2]] + shift).reshape(-1)
+    dst = (edges[:, [2, 0]] + shift).reshape(-1)
+    reldir = (2 * edges[:, [1, 1]] + [0, 1]).reshape(-1)
 
     token_keep = mint_keep = node_keep = None
     if train and (p := cfg.dropout) > 0.0:
@@ -240,7 +238,7 @@ def make_batch(examples: list[tuple[TextSegment, LocalKG]], cfg: EncoderConfig,
                 node_keep[:, lo:hi] = rng.random((len(node_keep), hi - lo, cfg.d_node)) >= p
 
     return Batch(max_len=max_len, key_pad=pad, node_offsets=node_offsets, graph=graph,
-                 src=cat(src), dst=cat(dst), reldir=cat(reldir),
+                 src=src, dst=dst, reldir=reldir,
                  token_keep=token_keep, mint_keep=mint_keep, node_keep=node_keep)
 
 

@@ -472,10 +472,10 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
     candidates that form other known-true triplets. Queries whose head or
     tail fall outside the retrieved graph are skipped and counted.
 
-    Query qi is retrieved with its own stream split_rng(seed, "lp_retrieval",
-    qi), so skips and candidates do not depend on batching. Scorable queries
-    go to `scorer.score` batch_size at a time, after the batch's last
-    retrieval, plus a final partial batch.
+    Query qi is retrieved with its own stream factory partial(split_rng, seed,
+    "lp_retrieval", qi), so skips and candidates do not depend on batching.
+    Scorable queries go to `scorer.score` batch_size at a time, after the
+    batch's last retrieval, plus a final partial batch.
     """
     entities, relations = retriever.entities, retriever.relations
     ranks: list[float] = []
@@ -495,7 +495,7 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
             skipped += 1
             continue
         h, t, r = entities.ids[h_name], entities.ids[t_name], relations.ids[r_name]
-        seg, local = retriever.inputs([q["text"]], nm.split_rng(seed, "lp_retrieval", qi))
+        seg, local = retriever.inputs([q["text"]], partial(nm.split_rng, seed, "lp_retrieval", qi))
         node_set = set(local.entity_ids())
         if local.is_dummy or h not in node_set or t not in node_set:
             skipped += 1

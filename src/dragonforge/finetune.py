@@ -146,7 +146,8 @@ class FinetuneConfig:
 def prepare_choice_inputs(ex: MCQAExample, retriever: Retriever, seed: int, example_idx: int
                           ) -> list[tuple[TextSegment, LocalKG]]:
     """One (segment, local KG) per choice, retrieved from question + choice."""
-    return [retriever.inputs([ex.question, choice], nm.split_rng(seed, "ft_retrieval", example_idx, c))
+    return [retriever.inputs([ex.question, choice],
+                             partial(nm.split_rng, seed, "ft_retrieval", example_idx, c))
             for c, choice in enumerate(ex.choices)]
 
 

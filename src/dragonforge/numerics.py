@@ -162,7 +162,7 @@ def active_tape() -> ComputationTape | None:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError("non-finite values produced by op %r" % op)
 
 

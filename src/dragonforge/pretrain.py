@@ -365,9 +365,9 @@ def linkpred_head(params: dict[str, Tensor], cfg: PretrainConfig) -> LinkPredHea
 def prepare_examples(raw_segments: list[str], retriever: Retriever, seed: int, indices: np.ndarray
                      ) -> dict[int, tuple[TextSegment, LocalKG]]:
     """Encoder inputs of the raw segments that `indices` names, by index:
-    each distinct segment is retrieved once, with its own stream
-    split_rng(seed, "retrieval", idx), and the others not at all."""
-    return {idx: retriever.inputs([raw_segments[idx]], nm.split_rng(seed, "retrieval", idx))
+    each distinct segment is retrieved once, with its own stream factory
+    partial(split_rng, seed, "retrieval", idx), and the others not at all."""
+    return {idx: retriever.inputs([raw_segments[idx]], partial(nm.split_rng, seed, "retrieval", idx))
             for idx in sorted(set(indices.ravel().tolist()))}
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +129,17 @@ def dummy_local_kg() -> LocalKG:
 
 
 def retrieve_local_kg(v_el: set[int], g: KnowledgeGraph, max_nodes: int,
-                      rng: np.random.Generator) -> LocalKG:
+                      make_rng: Callable[[], np.random.Generator]) -> LocalKG:
     """Linked entities plus 2-hop bridge nodes, pruned to max_nodes.
 
     Bridges are nodes on an (undirected) length-2 path between two distinct
     linked entities; direct 1-hop pairs contribute no bridge. Linked entities
     are always retained ahead of bridge sampling.
+
+    make_rng is a zero-argument stream factory, called at most once and only
+    when pruning samples: more linked entities than max_nodes, or more
+    bridges than a nonzero remaining budget. Building a seeded stream costs
+    more than most retrievals, and most retrievals prune nothing.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
@@ -149,16 +155,18 @@ def retrieve_local_kg(v_el: set[int], g: KnowledgeGraph, max_nodes: int,
     bridges -= v_el
 
     if len(linked) > max_nodes:
-        keep_linked = sorted(rng.choice(linked, size=max_nodes, replace=False).tolist())
+        keep_linked = sorted(make_rng().choice(linked, size=max_nodes, replace=False).tolist())
         keep_bridges: list[int] = []
     else:
         keep_linked = linked
         budget = max_nodes - len(linked)
         pool = sorted(bridges)
-        if len(pool) > budget:
-            keep_bridges = sorted(rng.choice(pool, size=budget, replace=False).tolist()) if budget else []
-        else:
+        if len(pool) <= budget:
             keep_bridges = pool
+        elif budget:
+            keep_bridges = sorted(make_rng().choice(pool, size=budget, replace=False).tolist())
+        else:
+            keep_bridges = []
 
     kept = keep_linked + keep_bridges
     kept_set = set(kept)
@@ -215,18 +223,23 @@ class Retriever:
         self.max_seq_len, self.max_nodes, self.kg_mode = max_seq_len, max_nodes, kg_mode
         self.alias_index = build_alias_index(entities)
 
-    def inputs(self, texts: list[str], rng: np.random.Generator) -> tuple[TextSegment, LocalKG]:
+    def inputs(self, texts: list[str], make_rng: Callable[[], np.random.Generator]
+               ) -> tuple[TextSegment, LocalKG]:
         """Link each text, join their token ids with [SEP] and cut them to
-        max_seq_len, then retrieve the local KG of all linked entities with
-        rng. Verbalized mode appends [SEP] and the whole KG sentences that
-        fit in max_seq_len, then replaces the graph with a dummy."""
+        max_seq_len, then retrieve the local KG of all linked entities.
+        Verbalized mode appends [SEP] and the whole KG sentences that fit in
+        max_seq_len, then replaces the graph with a dummy.
+
+        make_rng is the retrieval's zero-argument stream factory, e.g.
+        partial(split_rng, seed, name, index): retrieve_local_kg calls it at
+        most once, and only when pruning samples."""
         ids, v_el = [INT], set()
         for i, text in enumerate(texts):
             seg, linked = link_entities(text, self.alias_index, self.token_vocab)
             ids += ([SEP] if i else []) + seg.token_ids[1:]
             v_el |= linked
         seg = TextSegment(ids[:self.max_seq_len])
-        local = retrieve_local_kg(v_el, self.kg, self.max_nodes, rng)
+        local = retrieve_local_kg(v_el, self.kg, self.max_nodes, make_rng)
         if self.kg_mode == "verbalized":
             suffix = verbalize_kg(local, self.entities, self.relations, self.token_vocab,
                                   budget=max(0, self.max_seq_len - seg.length - 1))
@@ -241,7 +254,11 @@ def segment_corpus(corpus_file: str, max_seq_len: int) -> list[str]:
 
     Documents are blank-line separated; sentences are lines. Segments hold at
     most max_seq_len - 1 tokens (one slot reserved for [INT]) and never cross
-    document boundaries. Over-long single sentences are hard-split.
+    document boundaries. Over-long single sentences are hard-split on the
+    token boundaries of their lowercased text, and the pieces are that
+    lowercased text: lowercasing can change a string's length ('İ' becomes
+    two characters), so cutting the original would shift the cuts. Every
+    consumer lowercases anyway.
     """
     budget = max_seq_len - 1
     segments: list[str] = []
@@ -254,16 +271,17 @@ def segment_corpus(corpus_file: str, max_seq_len: int) -> list[str]:
         cur: list[str] = []
         cur_len = 0
         for sent in sentences:
-            n = len(_TOKEN_RE.findall(sent.lower()))
+            low = sent.lower()
+            n = len(_TOKEN_RE.findall(low))
             if n > budget:
                 if cur:
                     segments.append(" ".join(cur))
                     cur, cur_len = [], 0
                 # hard-split an over-long sentence on token boundaries
-                toks = tokenize(sent)
-                for lo in range(0, len(toks), budget):
-                    chunk = toks[lo:lo + budget]
-                    segments.append(sent[chunk[0][1]:chunk[-1][2]])
+                spans = [m.span() for m in _TOKEN_RE.finditer(low)]
+                for lo in range(0, len(spans), budget):
+                    chunk = spans[lo:lo + budget]
+                    segments.append(low[chunk[0][0]:chunk[-1][1]])
                 continue
             if cur_len + n > budget:
                 segments.append(" ".join(cur))

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ def test_checkpoint_round_trip_forward_bitwise(world_dir, pretrained):
         cfg = RunConfig(("file", parse_config_text(text))).encoder_config()
         raw = open(os.path.join(world_dir, "corpus.txt"), encoding="utf-8").read().split("\n\n")[0]
         seg, v_el = link_entities(raw.replace("\n", " "), build_alias_index(entities), tv)
-        local = retrieve_local_kg(v_el, kg, cfg.max_nodes, nm.split_rng(0, "t"))
+        local = retrieve_local_kg(v_el, kg, cfg.max_nodes, partial(nm.split_rng, 0, "t"))
         out = encode(seg, local, params, cfg, mode="eval")
         return out.tokens.values.tobytes(), out.nodes.values.tobytes()
 
@@ -276,7 +277,8 @@ def test_verbalized_checkpoint_finetunes_and_evaluates_on_verbalized_inputs(
     for i, ex in enumerate(examples):
         for c, choice in enumerate(ex.choices):
             seg, _ = next(evaluated)
-            g_seg, g_local = graph.inputs([ex.question, choice], nm.split_rng(11, "ft_retrieval", i, c))
+            g_seg, g_local = graph.inputs([ex.question, choice],
+                                          partial(nm.split_rng, 11, "ft_retrieval", i, c))
             assert seg.token_ids[:g_seg.length] == g_seg.token_ids
             suffixed = seg.length > g_seg.length
             assert suffixed == any(r != R_EL for _, r, _ in g_local.edges)

@@ -2,11 +2,14 @@
 that example alone, gradients pass a finite-difference check, and the
 encoder oracles hold on the batched stage functions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dragonforge import numerics as nm
-from dragonforge.encoder import (BIDIRECTIONAL, CONCAT_AT_END, EncoderConfig, _maybe_dropout,
+from dragonforge.encoder import (BIDIRECTIONAL, CONCAT_AT_END, Batch, EncoderConfig, _maybe_dropout,
                                  _mint, _transformer_layer, encode, encode_batch, init_params,
                                  make_batch)
 from dragonforge.kg_store import R_EL
@@ -159,6 +162,79 @@ def test_oversize_example_anywhere_in_batch_raises():
     wide = LocalKG(nodes=[V_INT] + list(range(0, 6)), edges=[], linked=set())
     with pytest.raises(IndexError, match="limit 5"):
         encode_batch([mixed_batch()[0], (make_segment([5]), wide)], params, cfg, "eval")
+
+
+def per_example_make_batch(examples, cfg, train, seeds):
+    """Reference for make_batch: each example's edges laid out on their own,
+    then concatenated."""
+    lengths = [seg.length for seg, _ in examples]
+    max_len = max(lengths)
+    pad = np.arange(max_len)[None, :] >= np.array(lengths)[:, None]
+    node_offsets = np.cumsum([0] + [local.n_nodes for _, local in examples])
+    graph = np.array([not local.is_dummy for _, local in examples])
+    src, dst, reldir = [], [], []
+    for (_, local), offset in zip(examples, node_offsets):
+        if local.is_dummy or not local.edges:
+            continue
+        h, r, t = (np.array(local.edges, dtype=np.int64) + [offset, 0, offset]).T
+        src.append(np.stack([h, t], axis=1).reshape(-1))
+        dst.append(np.stack([t, h], axis=1).reshape(-1))
+        reldir.append(np.stack([2 * r, 2 * r + 1], axis=1).reshape(-1))
+
+    def cat(parts):
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+    token_keep = mint_keep = node_keep = None
+    if train and (p := cfg.dropout) > 0.0:
+        token_keep = np.ones((1 + 2 * (cfg.n_unimodal + cfg.n_fusion), len(examples) * max_len,
+                              cfg.d_text), dtype=bool)
+        mint_keep = np.ones((cfg.n_fusion, len(examples), cfg.d_mint_hidden), dtype=bool)
+        node_keep = np.ones((1 + cfg.n_fusion, node_offsets[-1], cfg.d_node), dtype=bool)
+        for b, n in enumerate(lengths):
+            rng, lo = nm.split_rng(seeds[b], "dropout"), b * max_len
+            token_keep[:, lo:lo + n] = rng.random((len(token_keep), n, cfg.d_text)) >= p
+            mint_keep[:, b] = rng.random((cfg.n_fusion, cfg.d_mint_hidden)) >= p
+            if graph[b]:
+                lo, hi = node_offsets[b], node_offsets[b + 1]
+                node_keep[:, lo:hi] = rng.random((len(node_keep), hi - lo, cfg.d_node)) >= p
+    return Batch(max_len=max_len, key_pad=pad, node_offsets=node_offsets, graph=graph,
+                 src=cat(src), dst=cat(dst), reldir=cat(reldir),
+                 token_keep=token_keep, mint_keep=mint_keep, node_keep=node_keep)
+
+
+def random_local(n_nodes):
+    """A real local KG of n_nodes entities (plus the interaction node) with
+    up to 8 edges, possibly none, among them."""
+    pair = st.integers(0, n_nodes)
+    return st.lists(st.tuples(pair, st.integers(0, RELS - 1), pair), max_size=8).map(
+        lambda edges: LocalKG(nodes=[V_INT] + list(range(n_nodes)), edges=edges, linked=set()))
+
+
+EXAMPLES = st.tuples(st.lists(st.integers(5, VOCAB - 1), max_size=15).map(make_segment),
+                     st.one_of(st.builds(dummy_local_kg), st.integers(1, 5).flatmap(random_local)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(examples=st.lists(EXAMPLES, min_size=1, max_size=6), train=st.booleans(),
+       seed=st.integers(0, 2 ** 32))
+@example(examples=[(make_segment([5, 6]), chain_local())], train=True, seed=0)        # one example
+@example(examples=[(make_segment([5]), dummy_local_kg()), (make_segment([]), dummy_local_kg())],
+         train=True, seed=1)                                                         # all dummy
+@example(examples=[(make_segment([5]), LocalKG([V_INT, 1, 2], [], set())),
+                   (make_segment([]), LocalKG([V_INT, 3], [], set()))], train=True, seed=2)  # no edges
+@example(examples=mixed_batch(), train=True, seed=3)
+def test_make_batch_lays_out_every_array_as_the_per_example_loop(examples, train, seed):
+    cfg = tiny_cfg()
+    seeds = [seed + b for b in range(len(examples))]
+    got = make_batch(examples, cfg, train, seeds)
+    want = per_example_make_batch(examples, cfg, train, seeds)
+    for field in dataclasses.fields(Batch):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "max_len" or b is None:
+            assert a == b, field.name
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, field.name
+        assert a.tobytes() == b.tobytes(), field.name
 
 
 def test_check_gradients_on_mixed_batch():

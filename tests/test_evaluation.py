@@ -3,6 +3,7 @@ baseline training, and attention export."""
 
 import itertools
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -226,7 +227,7 @@ def test_filtered_ranking_matches_exhaustive_scan_oracle():
         h, t = entities.ids[q["head"]], entities.ids[q["tail"]]
         r = relations.ids[q["rel"]]
         seg, v_el = link_entities(q["text"], build_alias_index(entities), tv)
-        local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, nm.split_rng(0, "lp_retrieval", qi))
+        local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, partial(nm.split_rng, 0, "lp_retrieval", qi))
         if local.is_dummy or h not in local.entity_ids() or t not in local.entity_ids():
             continue
         cands = []
@@ -316,7 +317,7 @@ def test_contextual_scorer_batch_matches_each_query_alone():
               texts[4:6], [" ".join(names[10:13])]]
     batch = []
     for i, group in enumerate(inputs):
-        seg, local = ret.inputs(group, nm.split_rng(1, "mixed", i))
+        seg, local = ret.inputs(group, partial(nm.split_rng, 1, "mixed", i))
         ids = local.entity_ids()
         batch.append(ev.LPQuery(seg, local, ids[0], i % len(relations), ids[1:]))
     assert len({q.seg.length for q in batch}) > 1
@@ -399,7 +400,7 @@ def test_dump_attention_parses_and_round_trips():
     add_pooling_head(params, enc_cfg, 3)
     raw = world.raw_segments("train")[0]
     seg, v_el = link_entities(raw, build_alias_index(entities), tv)
-    local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, nm.split_rng(4, "t"))
+    local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, partial(nm.split_rng, 4, "t"))
     lines = ev.dump_attention(params, enc_cfg, seg, local)
     assert len(lines) == enc_cfg.n_fusion + 1
     edge_set = set(local.edges)
@@ -419,7 +420,7 @@ def test_dump_attention_single_node_pooling():
     add_pooling_head(params, enc_cfg, 5)
     name = world.entity_names[0]
     seg, v_el = link_entities("%s alone" % name, build_alias_index(entities), tv)
-    local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, nm.split_rng(6, "t"))
+    local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, partial(nm.split_rng, 6, "t"))
     assert len(local.entity_ids()) == 1
     lines = ev.dump_attention(params, enc_cfg, seg, local)
     pooling = json.loads(lines[-1])

@@ -7,6 +7,7 @@ import pytest
 
 from dragonforge import numerics as nm
 from dragonforge import finetune as ft
+from dragonforge import retrieval
 from dragonforge.encoder import EncoderConfig, EncoderOutput, init_params
 from dragonforge.evaluation import generate_synthetic_world
 from dragonforge.kg_store import R_EL
@@ -322,13 +323,33 @@ def test_finetune_step_sets_up_one_stream_per_question_and_choice(monkeypatch):
         names.append(name)
         return split_rng(seed, name, *indices)
 
+    factory_calls = []   # per retrieval, how often it built its stream
+    retrieve = retrieval.retrieve_local_kg
+
+    def spy_retrieve(v_el, g, max_nodes, make_rng):
+        calls = [0]
+
+        def counted():
+            calls[0] += 1
+            return make_rng()
+
+        local = retrieve(v_el, g, max_nodes, counted)
+        factory_calls.append(calls[0])
+        return local
+
     monkeypatch.setattr(nm, "split_rng", counting_split_rng)
+    monkeypatch.setattr(retrieval, "retrieve_local_kg", spy_retrieve)
     cfg = ft.FinetuneConfig(epochs=1, batch_size=3, seed=8)
-    ft.finetune_mcqa(train, [], retriever(kg, entities, relations, tv, enc_cfg), params,
-                     enc_cfg, cfg)
+    # 3 nodes: some choices' retrievals sample, the others keep every node
+    ft.finetune_mcqa(train, [], Retriever(kg, entities, relations, tv, enc_cfg.max_seq_len, 3),
+                     params, enc_cfg, cfg)
     n_choices = sum(len(ex.choices) for ex in train)
-    # one step: the epoch's order, per question its retrievals and one seed
-    # stream for all its choices, then one dropout stream per choice
-    assert sorted(names) == sorted(["ft_order"] + ["ft_retrieval"] * n_choices
+    n_sampling = sum(factory_calls)
+    assert len(factory_calls) == n_choices and max(factory_calls) == 1
+    assert 0 < n_sampling < n_choices
+    # one step: the epoch's order, per question one seed stream for all its
+    # choices and one retrieval stream per choice whose retrieval samples,
+    # then one dropout stream per choice
+    assert sorted(names) == sorted(["ft_order"] + ["ft_retrieval"] * n_sampling
                                    + ["ft_step"] * len(train) + ["dropout"] * n_choices)
 

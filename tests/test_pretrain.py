@@ -3,6 +3,7 @@ training-loop contracts, and checkpoint persistence."""
 
 import os
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -586,9 +587,9 @@ def test_train_retrieves_each_scheduled_segment_once(monkeypatch, kg_mode):
     retrieved, prepared = [], {}
     inputs, prepare = Retriever.inputs, pt.prepare_examples
 
-    def spy_inputs(self, texts, rng):
+    def spy_inputs(self, texts, make_rng):
         retrieved.append(texts)
-        return inputs(self, texts, rng)
+        return inputs(self, texts, make_rng)
 
     def spy_prepare(*args):
         prepared.update(prepare(*args))
@@ -604,7 +605,7 @@ def test_train_retrieves_each_scheduled_segment_once(monkeypatch, kg_mode):
     monkeypatch.undo()
     rt = Retriever(kg, entities, relations, tv, enc_cfg.max_seq_len, enc_cfg.max_nodes, kg_mode)
     for idx, example in prepared.items():
-        assert example == rt.inputs([segments[idx]], nm.split_rng(cfg.seed, "retrieval", idx))
+        assert example == rt.inputs([segments[idx]], partial(nm.split_rng, cfg.seed, "retrieval", idx))
 
 
 # ---------------------------------------------------------------------------

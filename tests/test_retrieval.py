@@ -1,6 +1,8 @@
 """Entity linking, local-KG retrieval with bridge expansion, verbalization,
 and corpus segmentation, each checked against an independent oracle."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -98,14 +100,14 @@ def star_path_graph():
 
 def test_bridge_on_two_hop_path():
     g, ev = star_path_graph()
-    local = rt.retrieve_local_kg({0, 2}, g, max_nodes=8, rng=nm.split_rng(0, "t"))
+    local = rt.retrieve_local_kg({0, 2}, g, max_nodes=8, make_rng=partial(nm.split_rng, 0, "t"))
     assert set(local.entity_ids()) == {0, 1, 2}
     assert local.linked == {0, 2}
 
 
 def test_dummy_fallback_on_empty_link_set():
     g, _ = star_path_graph()
-    local = rt.retrieve_local_kg(set(), g, max_nodes=8, rng=nm.split_rng(0, "t"))
+    local = rt.retrieve_local_kg(set(), g, max_nodes=8, make_rng=partial(nm.split_rng, 0, "t"))
     assert local.is_dummy
     assert local.nodes == [rt.V_INT, rt.DUMMY_NODE]
     assert local.edges == []
@@ -113,7 +115,7 @@ def test_dummy_fallback_on_empty_link_set():
 
 def test_interaction_edges_target_linked_nodes_only():
     g, _ = star_path_graph()
-    local = rt.retrieve_local_kg({0, 2}, g, max_nodes=8, rng=nm.split_rng(0, "t"))
+    local = rt.retrieve_local_kg({0, 2}, g, max_nodes=8, make_rng=partial(nm.split_rng, 0, "t"))
     int_edges = [e for e in local.edges if e[1] == R_EL]
     targets = {local.nodes[t] for _, _, t in int_edges}
     assert targets == {0, 2}
@@ -149,7 +151,7 @@ def test_retrieval_node_set_matches_bfs_oracle():
     for trial in range(100):
         g = random_graph(rng)
         v_el = set(int(v) for v in rng.choice(50, size=3, replace=False))
-        local = rt.retrieve_local_kg(v_el, g, max_nodes=50, rng=nm.split_rng(1, "t", trial))
+        local = rt.retrieve_local_kg(v_el, g, max_nodes=50, make_rng=partial(nm.split_rng, 1, "t", trial))
         assert set(local.entity_ids()) == bfs_bridge_oracle(g, v_el), trial
 
 
@@ -157,7 +159,7 @@ def test_retrieval_edges_are_all_global_edges_within_node_set():
     rng = np.random.default_rng(8)
     g = random_graph(rng)
     v_el = {0, 1, 2}
-    local = rt.retrieve_local_kg(v_el, g, max_nodes=50, rng=nm.split_rng(2, "t"))
+    local = rt.retrieve_local_kg(v_el, g, max_nodes=50, make_rng=partial(nm.split_rng, 2, "t"))
     kept = set(local.entity_ids())
     expected = {(h, r, t) for h, r, t in g.triplets if h in kept and t in kept}
     got = {(local.nodes[h], r, local.nodes[t]) for h, r, t in local.edges if r != R_EL}
@@ -168,7 +170,7 @@ def test_pruning_respects_max_nodes_and_keeps_linked():
     rng = np.random.default_rng(9)
     g = random_graph(rng, n_nodes=40, n_edges=300)
     v_el = {0, 1, 2, 3}
-    local = rt.retrieve_local_kg(v_el, g, max_nodes=6, rng=nm.split_rng(3, "t"))
+    local = rt.retrieve_local_kg(v_el, g, max_nodes=6, make_rng=partial(nm.split_rng, 3, "t"))
     assert local.n_nodes <= 7
     assert v_el <= set(local.entity_ids())
 
@@ -176,7 +178,7 @@ def test_pruning_respects_max_nodes_and_keeps_linked():
 def test_pruning_samples_within_linked_when_oversized():
     g = KnowledgeGraph(10, 2)
     v_el = set(range(10))
-    local = rt.retrieve_local_kg(v_el, g, max_nodes=4, rng=nm.split_rng(4, "t"))
+    local = rt.retrieve_local_kg(v_el, g, max_nodes=4, make_rng=partial(nm.split_rng, 4, "t"))
     assert local.n_nodes == 5
     assert set(local.entity_ids()) <= v_el
     assert local.linked == set(local.entity_ids())
@@ -185,9 +187,42 @@ def test_pruning_samples_within_linked_when_oversized():
 def test_pruning_determinism():
     rng = np.random.default_rng(10)
     g = random_graph(rng, n_nodes=40, n_edges=300)
-    a = rt.retrieve_local_kg({0, 1, 2, 3}, g, max_nodes=6, rng=nm.split_rng(5, "t"))
-    b = rt.retrieve_local_kg({0, 1, 2, 3}, g, max_nodes=6, rng=nm.split_rng(5, "t"))
+    a = rt.retrieve_local_kg({0, 1, 2, 3}, g, max_nodes=6, make_rng=partial(nm.split_rng, 5, "t"))
+    b = rt.retrieve_local_kg({0, 1, 2, 3}, g, max_nodes=6, make_rng=partial(nm.split_rng, 5, "t"))
     assert a.nodes == b.nodes and a.edges == b.edges and a.linked == b.linked
+
+
+BRIDGED = [(0, 2, 5), (5, 2, 1), (0, 2, 6), (6, 3, 1), (7, 2, 0), (1, 4, 7)]   # 0 and 1 share 5, 6, 7
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges=st.lists(st.tuples(st.integers(0, 11), st.integers(2, 4), st.integers(0, 11)), max_size=40),
+       v_el=st.sets(st.integers(0, 11), max_size=8), max_nodes=st.integers(1, 10),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(edges=[], v_el={0, 1, 2, 3}, max_nodes=2, seed=0)     # linked entities over max_nodes
+@example(edges=BRIDGED, v_el={0, 1}, max_nodes=3, seed=0)      # bridges over the remaining budget
+@example(edges=BRIDGED, v_el={0, 1}, max_nodes=2, seed=0)      # no budget: every bridge dropped, no draw
+@example(edges=BRIDGED, v_el={0, 1}, max_nodes=8, seed=0)      # nothing pruned
+def test_retrieval_builds_its_stream_once_and_only_when_it_samples(edges, v_el, max_nodes, seed):
+    g = KnowledgeGraph(12, 5)
+    for h, r, t in edges:
+        if h != t:
+            g.add(h, r, t)
+    budget = max_nodes - len(v_el)
+    samples = bool(v_el) and (budget < 0 or 0 < budget < len(bfs_bridge_oracle(g, v_el) - v_el))
+    eager = nm.split_rng(seed, "t")
+    calls = [0]
+
+    def make_rng():
+        calls[0] += 1
+        return eager
+
+    local = rt.retrieve_local_kg(v_el, g, max_nodes, make_rng)
+    assert calls[0] == samples
+    # a stream built before the call and the factory callers pass give the
+    # same local KG
+    assert local == rt.retrieve_local_kg(v_el, g, max_nodes, partial(nm.split_rng, seed, "t"))
+    check_local_kg(local, g, max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +258,7 @@ def test_verbalize_dummy_is_empty():
 
 def test_verbalize_three_edges_sep_joined_in_edge_order():
     g, ev, rv, tv = verbal_fixture()
-    local = rt.retrieve_local_kg({0, 1, 2}, g, max_nodes=8, rng=nm.split_rng(6, "t"))
+    local = rt.retrieve_local_kg({0, 1, 2}, g, max_nodes=8, make_rng=partial(nm.split_rng, 6, "t"))
     suffix = rt.verbalize_kg(local, ev, rv, tv)
     seps = [i for i, t in enumerate(suffix) if t == rt.SEP]
     assert len(seps) == 2
@@ -257,7 +292,7 @@ def test_verbalize_suffix_is_pinned_for_a_fixed_local_kg():
 
 def test_verbalize_budget_truncates_whole_sentences():
     g, ev, rv, tv = verbal_fixture()
-    local = rt.retrieve_local_kg({0, 1, 2}, g, max_nodes=8, rng=nm.split_rng(7, "t"))
+    local = rt.retrieve_local_kg({0, 1, 2}, g, max_nodes=8, make_rng=partial(nm.split_rng, 7, "t"))
     full = rt.verbalize_kg(local, ev, rv, tv)
     first = rt.verbalize_kg(local, ev, rv, tv, budget=len(full) - 1)
     assert rt.SEP not in first or len(first) < len(full)
@@ -323,7 +358,8 @@ def span_build_vocab(corpus_file, min_freq):
 
 
 def span_segment_corpus(corpus_file, max_seq_len):
-    # reference: segment_corpus with every sentence measured by len(tokenize(...))
+    # reference: segment_corpus with every sentence measured by len(tokenize(...)),
+    # hard-split pieces cut from the lowercased text the spans index
     budget = max_seq_len - 1
     segments = []
     with open(corpus_file, encoding="utf-8") as fh:
@@ -338,7 +374,7 @@ def span_segment_corpus(corpus_file, max_seq_len):
                     cur, cur_len = [], 0
                 for lo in range(0, len(toks), budget):
                     chunk = toks[lo:lo + budget]
-                    segments.append(sent[chunk[0][1]:chunk[-1][2]])
+                    segments.append(sent.lower()[chunk[0][1]:chunk[-1][2]])
                 continue
             if cur_len + len(toks) > budget:
                 segments.append(" ".join(cur))
@@ -371,6 +407,17 @@ def test_token_counts_without_spans_equal_span_counts(tmp_path, lines, max_seq_l
     assert rt.segment_corpus(str(p), max_seq_len) == span_segment_corpus(str(p), max_seq_len)
 
 
+def test_hard_split_pieces_hold_at_most_the_budget_and_every_token(tmp_path):
+    # 'İ'.lower() is two characters, so lowercasing shifts every later span
+    line = "İİİİİİ alpha beta gamma delta epsilon zeta eta theta"
+    p = tmp_path / "c.txt"
+    p.write_text(line + "\n", encoding="utf-8")
+    pieces = rt.segment_corpus(str(p), max_seq_len=5)
+    assert all(len(rt.tokenize(piece)) <= 4 for piece in pieces)
+    assert [t for piece in pieces for t, _, _ in rt.tokenize(piece)] == [t for t, _, _ in rt.tokenize(line)]
+    assert pieces[-2:] == ["alpha beta gamma delta", "epsilon zeta eta theta"]
+
+
 def check_local_kg(local: rt.LocalKG, g: KnowledgeGraph, max_nodes: int) -> None:
     assert local.nodes[0] == rt.V_INT
     assert len(local.nodes) <= max_nodes + 1
@@ -398,7 +445,7 @@ def test_local_kg_invariants_over_random_corpus_segments():
     checked = 0
     for idx, raw in enumerate(segments):
         seg, v_el = rt.link_entities(raw, rt.build_alias_index(entities), tv)
-        local = rt.retrieve_local_kg(v_el, g, max_nodes=12, rng=nm.split_rng(6, "t", idx))
+        local = rt.retrieve_local_kg(v_el, g, max_nodes=12, make_rng=partial(nm.split_rng, 6, "t", idx))
         check_local_kg(local, g, max_nodes=12)
         assert local.is_dummy == (len(v_el) == 0)
         checked += 1

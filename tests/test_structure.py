@@ -10,6 +10,11 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dragonforge"
 
 
+def called_name(call: ast.Call) -> str | None:
+    """The name a call calls, plain (`f(...)`) or as an attribute (`m.f(...)`)."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
 def callers(name: str) -> set[str]:
     """`module:Qualified.function` of every function in src whose body calls
     `name`, as a plain name or as an attribute."""
@@ -20,11 +25,8 @@ def callers(name: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, module, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                called = getattr(func, "id", None) or getattr(func, "attr", None)
-                if called == name:
-                    found.add("%s:%s" % (module, ".".join(scope)))
+            if isinstance(child, ast.Call) and called_name(child) == name:
+                found.add("%s:%s" % (module, ".".join(scope)))
             visit(child, module, scope)
 
     for path in sorted(SRC.glob("*.py")):
@@ -81,3 +83,17 @@ def test_affine_layers_use_the_linear_op():
                     and getattr(node.args[0].func, "attr", None) == "matmul"):
                 pairs.append("%s:%d" % (path.stem, node.lineno))
     assert pairs == []
+
+
+def test_retrieval_streams_are_built_lazily():
+    # inputs and retrieve_local_kg take a stream factory and build the stream
+    # only when pruning samples; a split_rng(...) argument would build it on
+    # every retrieval
+    eager = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and called_name(node) in ("inputs", "retrieve_local_kg")
+                    and any(isinstance(arg, ast.Call) and called_name(arg) == "split_rng"
+                            for arg in node.args + [kw.value for kw in node.keywords])):
+                eager.append("%s:%d" % (path.stem, node.lineno))
+    assert eager == []
