@@ -8,6 +8,7 @@ build may round a reduction differently and so write other bytes.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -38,6 +39,16 @@ DIGESTS = {
         "dbd771933fdce5957a95a1136e327bb6d66e3814eca191340db89f1428ed102c",
     ("finetune", "finetuned.drgn"):
         "3969452501af5495b55f2a79f8e8fcae004c58f5e62e2ab9748004cb1f2b1372",
+    ("pretrain-rotate", "metrics.jsonl"):
+        "cbb96b998d31d05fd4c872fe7a38f6da7fb7e6144c75ba1c7e495ca56a532015",
+    ("eval-qa", "accuracy.json"):
+        "38b50331a4923b15d51fc0f5f4d4c6abc3a06ea94f218c03b3d20159c8e13dec",
+    ("eval-lp-kg_plus_text", "ranking.json"):
+        "28f8b9c87f486ac44dbaef1809d3d5cda9a206df6bbb121bea5bc3595a6c9bb6",
+    ("eval-lp-kg_only", "ranking.json"):
+        "11c5aa8c4a6a984fb667df374c21a8e927a4429a03f1aecb669019ea3111d78d",
+    ("dump-attention", "attention.jsonl"):
+        "0892c59a911cfd25afa43c9d51d95d6d2ce0a487add4c39ef6a90914094004b4",
 }
 
 
@@ -48,23 +59,39 @@ def sha256(path: str) -> str:
 
 def run_micro_pipeline(root: str) -> dict[tuple[str, str], str]:
     """Write the micro world under root, pretrain 5 steps on it in graph and
-    in verbalized mode, finetune the graph checkpoint for one epoch with a
-    test split, and return the sha256 of each pinned output."""
+    in verbalized mode and with the rotate scorer, finetune the graph
+    checkpoint for one epoch with a test split, evaluate the finetuned
+    checkpoint on QA, on link prediction in both modes and with an attention
+    dump, and return the sha256 of each pinned output."""
     world = os.path.join(root, "world")
     assert main(["gen-synthetic", "--out", world, "--seed", "11"] + MICRO_WORLD) == EXIT_OK
     data = {name: os.path.join(world, name) for name in
             ("corpus.txt", "kg.tsv", "aliases.tsv", "mcqa_train.jsonl", "mcqa_dev.jsonl",
-             "mcqa_test.jsonl")}
-    for mode in ("graph", "verbalized"):
+             "mcqa_test.jsonl", "lp_test.jsonl")}
+    for run, setting in (("graph", "pretrain.kg_mode=graph"),
+                         ("verbalized", "pretrain.kg_mode=verbalized"),
+                         ("rotate", "pretrain.scorer=rotate")):
         assert main(["pretrain", "--corpus", data["corpus.txt"], "--kg", data["kg.tsv"],
-                     "--aliases", data["aliases.tsv"], "--out", os.path.join(root, "pretrain-" + mode),
+                     "--aliases", data["aliases.tsv"], "--out", os.path.join(root, "pretrain-" + run),
                      "--seed", "11", "--set", "pretrain.steps=5", "--set", "pretrain.batch_size=4",
-                     "--set", "pretrain.kg_mode=" + mode] + MICRO_MODEL) == EXIT_OK
+                     "--set", setting] + MICRO_MODEL) == EXIT_OK
     assert main(["finetune", "--checkpoint", os.path.join(root, "pretrain-graph", "checkpoint.drgn"),
                  "--kg", data["kg.tsv"], "--train", data["mcqa_train.jsonl"],
                  "--dev", data["mcqa_dev.jsonl"], "--test", data["mcqa_test.jsonl"],
                  "--out", os.path.join(root, "finetune"), "--seed", "11",
                  "--set", "finetune.epochs=1"]) == EXIT_OK
+    finetuned = ["--checkpoint", os.path.join(root, "finetune", "finetuned.drgn"),
+                 "--kg", data["kg.tsv"], "--seed", "11"]
+    assert main(["eval-qa", "--data", data["mcqa_test.jsonl"],
+                 "--out", os.path.join(root, "eval-qa")] + finetuned) == EXIT_OK
+    for mode in ("kg_plus_text", "kg_only"):
+        assert main(["eval-lp", "--test", data["lp_test.jsonl"], "--mode", mode,
+                     "--set", "eval.lp_baseline_steps=50",
+                     "--out", os.path.join(root, "eval-lp-" + mode)] + finetuned) == EXIT_OK
+    with open(data["lp_test.jsonl"], encoding="utf-8") as fh:
+        text = json.loads(fh.readline())["text"]
+    assert main(["dump-attention", "--text", text,
+                 "--out", os.path.join(root, "dump-attention")] + finetuned) == EXIT_OK
     return {(run, name): sha256(os.path.join(root, run, name)) for run, name in DIGESTS}
 
 
