@@ -22,7 +22,7 @@ import numpy as np
 from . import numerics as nm
 from .encoder import EncoderConfig, check_fields, encode, encode_batch
 from .finetune import MCQAExample, pool
-from .kg_store import EntityVocab, KnowledgeGraph, Vocab, kg_from_triplets
+from .kg_store import KnowledgeGraph
 from .numerics import Tensor
 from .pretrain import LinkPredHead, Optimizer, train_step, triplet_scores
 from .retrieval import LocalKG, Retriever, TextSegment
@@ -123,14 +123,6 @@ class SyntheticWorld:
         split, di = self.doc_of_fact[fact_idx]
         docs = self.train_docs if split == "train" else self.eval_docs
         return docs[di].replace("\n", " ")
-
-    def build_kg(self) -> tuple[KnowledgeGraph, EntityVocab, Vocab]:
-        """The KG facts in the order write_files puts them in kg.tsv."""
-        return kg_from_triplets([self.facts[i] for i in self.kg_fact_indices()])
-
-    def raw_segments(self, split: str = "train") -> list[str]:
-        docs = self.train_docs if split == "train" else self.eval_docs
-        return [d.replace("\n", " ") for d in docs]
 
     def lp_queries(self) -> list[dict]:
         """Test triplets (absent from the KG) with their aligned text."""
@@ -416,13 +408,21 @@ class LPQuery(NamedTuple):
     candidates: list[int]
 
 
+def _score_rows(vectors: Tensor, heads: list[int], rels: list[int], tails: list[int],
+                head: LinkPredHead, queries: list[LPQuery]) -> list[np.ndarray]:
+    """Score every candidate of every query with one `triplet_scores` over
+    rows of vectors, then cut the flat scores into one array per query."""
+    scores = triplet_scores(nm.gather_rows(vectors, heads), rels, nm.gather_rows(vectors, tails),
+                            head).values
+    return np.split(scores, np.cumsum([len(q.candidates) for q in queries])[:-1])
+
+
 class ContextualScorer:
     """Scores candidates with contextualized node vectors (KG + text mode).
 
     `score` encodes a whole batch of queries in one `encode_batch` call (eval
-    mode, no dropout) and scores every candidate of every query with one
-    `triplet_scores`; query b's local node j is row node_offsets[b] + j of the
-    batch's node vectors."""
+    mode, no dropout) and scores them with `_score_rows`; query b's local
+    node j is row node_offsets[b] + j of the batch's node vectors."""
 
     def __init__(self, params: dict[str, Tensor], enc_cfg: EncoderConfig, head: LinkPredHead):
         self.params = params
@@ -437,29 +437,22 @@ class ContextualScorer:
             heads += [offset + q.local.local_index(q.head)] * len(q.candidates)
             rels += [q.rel] * len(q.candidates)
             tails += [offset + q.local.local_index(c) for c in q.candidates]
-        scores = triplet_scores(nm.gather_rows(out.nodes, heads), rels,
-                                nm.gather_rows(out.nodes, tails), self.head).values
-        return _split_by_query(scores, queries)
+        return _score_rows(out.nodes, heads, rels, tails, self.head, queries)
 
 
 class NonContextualScorer:
-    """DistMult over plain embedding tables (KG-only baseline)."""
+    """Scores candidates with a plain entity table, row = global entity id
+    (the KG-only baseline of train_distmult_baseline)."""
 
-    def __init__(self, entity_emb: np.ndarray, rel_emb: np.ndarray):
-        self.entity_emb = entity_emb
-        self.rel_emb = rel_emb
+    def __init__(self, entities: Tensor, head: LinkPredHead):
+        self.entities = entities
+        self.head = head
 
     def score(self, queries: list[LPQuery]) -> list[np.ndarray]:
         heads = [q.head for q in queries for _ in q.candidates]
         rels = [q.rel for q in queries for _ in q.candidates]
         tails = [c for q in queries for c in q.candidates]
-        scores = (self.entity_emb[heads] * self.rel_emb[rels] * self.entity_emb[tails]).sum(axis=1)
-        return _split_by_query(scores, queries)
-
-
-def _split_by_query(scores: np.ndarray, queries: list[LPQuery]) -> list[np.ndarray]:
-    """Cut the batch's flat candidate scores into one array per query."""
-    return np.split(scores, np.cumsum([len(q.candidates) for q in queries])[:-1])
+        return _score_rows(self.entities, heads, rels, tails, self.head, queries)
 
 
 def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
@@ -516,8 +509,9 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
 
 
 def train_distmult_baseline(kg: KnowledgeGraph, d: int, steps: int,
-                            seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Plain DistMult embeddings trained on the KG triplets alone (margin 0)."""
+                            seed: int = 0) -> tuple[Tensor, LinkPredHead]:
+    """Plain DistMult entity embeddings and head trained on the KG triplets
+    alone (margin 0)."""
     batch_size, lr, n_negatives = 128, 1e-2, 8
     rng = nm.split_rng(seed, "distmult_baseline")
     init = nm.split_rng(seed, "distmult_baseline_init")
@@ -547,7 +541,7 @@ def train_distmult_baseline(kg: KnowledgeGraph, d: int, steps: int,
         neg[corrupt_tail, 2] = repl[corrupt_tail]
         neg[~corrupt_tail, 0] = repl[~corrupt_tail]
         train_step(opt, step, 1.0, partial(batch_loss, pos, neg))
-    return ent.values.copy(), rel.values.copy()
+    return ent, head
 
 
 # ---------------------------------------------------------------------------

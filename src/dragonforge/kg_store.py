@@ -189,13 +189,17 @@ def _read_tsv_rows(path: str, layout: str):
             yield lineno, parts
 
 
-def kg_from_triplets(triplets) -> tuple[KnowledgeGraph, EntityVocab, Vocab]:
-    """Graph and vocabularies of (head, relation, tail) name triplets.
+def load_kg(triplet_file: str, alias_file: str | None = None
+            ) -> tuple[KnowledgeGraph, EntityVocab, Vocab]:
+    """Load a triplet TSV, then merge an optional alias TSV.
 
-    Entity and relation ids follow first appearance in triplet order, after
+    Entity and relation ids follow first appearance in file order, after
     the reserved interaction-link relations. Triplets are kept directed as
-    given; the GNN reads every edge in both directions itself.
+    written; the GNN reads every edge in both directions itself.
     """
+    triplets = [parts for _, parts in _read_tsv_rows(triplet_file, "head<TAB>relation<TAB>tail")]
+    if not triplets:
+        raise EmptyGraphError("%s: no triplets" % triplet_file)
     entities = EntityVocab()
     relations = Vocab(RESERVED_RELATIONS)
     for h, r, t in triplets:
@@ -205,16 +209,6 @@ def kg_from_triplets(triplets) -> tuple[KnowledgeGraph, EntityVocab, Vocab]:
     g = KnowledgeGraph(len(entities), len(relations))
     for h, r, t in triplets:
         g.add(entities.ids[h], relations.ids[r], entities.ids[t])
-    return g, entities, relations
-
-
-def load_kg(triplet_file: str, alias_file: str | None = None
-            ) -> tuple[KnowledgeGraph, EntityVocab, Vocab]:
-    """Load a triplet TSV (see kg_from_triplets), then merge an optional alias TSV."""
-    triplets = [parts for _, parts in _read_tsv_rows(triplet_file, "head<TAB>relation<TAB>tail")]
-    if not triplets:
-        raise EmptyGraphError("%s: no triplets" % triplet_file)
-    g, entities, relations = kg_from_triplets(triplets)
     if alias_file is not None:
         load_aliases(alias_file, entities)
     return g, entities, relations

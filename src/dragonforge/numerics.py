@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -217,6 +218,16 @@ def _binary(op: str, a: Tensor, b, vals: Callable, grad_a: Callable, grad_b: Cal
     return _make(vals(a.values, b.values), (a, b), bk, op)
 
 
+def _unary(op: str, a: Tensor, vals: np.ndarray, grad: Callable) -> Tensor:
+    """Op of the one input a with forward values vals; grad(g) is a's
+    gradient, which a copies or adds, so it may be a view of g."""
+    def bk(g):
+        if a.requires_grad:
+            a.accumulate_grad(grad(g))
+
+    return _make(vals, (a,), bk, op)
+
+
 def add(a: Tensor, b) -> Tensor:
     """a + b; b may be a Tensor, an array or a Python float."""
     return _binary("add", a, b, np.add, lambda g, _: g, lambda g, _: g)
@@ -231,11 +242,7 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    def bk(g):
-        if a.requires_grad:
-            a.accumulate_grad(-g)
-
-    return _make(-a.values, (a,), bk, "neg")
+    return _unary("neg", a, -a.values, lambda g: -g)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -279,28 +286,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
     old = a.values.shape
+    return _unary("reshape", a, a.values.reshape(tuple(shape)).copy(), lambda g: g.reshape(old))
 
-    def bk(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(old))
 
-    return _make(a.values.reshape(shape).copy(), (a,), bk, "reshape")
+def _blocks(ndim: int, axis: int, sizes: Sequence[int]) -> list[tuple]:
+    """Index tuples of consecutive blocks of the given sizes along axis."""
+    bounds = np.cumsum([0, *sizes])
+    return [tuple(slice(lo, hi) if i == axis else slice(None) for i in range(ndim))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     vals = np.concatenate([t.values for t in tensors], axis=axis)
-    sizes = [t.values.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    blocks = _blocks(vals.ndim, axis, [t.values.shape[axis] for t in tensors])
 
     def bk(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for t, block in zip(tensors, blocks):
             if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(idx)])
+                t.accumulate_grad(g[block])
 
     return _make(vals, tensors, bk, "concat")
 
@@ -308,25 +313,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def split(a: Tensor, sizes: Sequence[int], axis: int = 0) -> list[Tensor]:
     if sum(sizes) != a.values.shape[axis]:
         raise ShapeError("split sizes %s do not cover axis %d of %s" % (sizes, axis, a.shape))
-    outs = []
-    lo = 0
-    for sz in sizes:
-        hi = lo + sz
-        idx = [slice(None)] * a.values.ndim
-        idx[axis] = slice(lo, hi)
-        piece = a.values[tuple(idx)].copy()
 
-        def bk(g, lo=lo, hi=hi):
-            if a.requires_grad:
-                full = np.zeros_like(a.values)
-                idx2 = [slice(None)] * a.values.ndim
-                idx2[axis] = slice(lo, hi)
-                full[tuple(idx2)] = g
-                a.accumulate_grad(full)
+    def grad(block, g):
+        full = np.zeros_like(a.values)
+        full[block] = g
+        return full
 
-        outs.append(_make(piece, (a,), bk, "split"))
-        lo = hi
-    return outs
+    return [_unary("split", a, a.values[block].copy(), partial(grad, block))
+            for block in _blocks(a.values.ndim, axis, sizes)]
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -359,39 +353,23 @@ def scatter_rows(a: Tensor, ids, n_rows: int) -> Tensor:
         raise ShapeError("scatter_rows: index out of range for %d rows" % n_rows)
     vals = np.zeros((n_rows, a.values.shape[1]), dtype=a.values.dtype)
     np.add.at(vals, ids, a.values)
+    return _unary("scatter_rows", a, vals, lambda g: g[ids])
 
-    def bk(g):
-        if a.requires_grad:
-            a.accumulate_grad(g[ids])
 
-    return _make(vals, (a,), bk, "scatter_rows")
+def _spread(g: np.ndarray, a: Tensor, axis: int | None) -> np.ndarray:
+    """g copied over the axis of a (every axis for None) that a reduction removed."""
+    if axis is None:
+        return np.full_like(a.values, g)
+    return np.broadcast_to(np.expand_dims(g, axis), a.values.shape).copy()
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    vals = a.values.sum(axis=axis)
-
-    def bk(g):
-        if a.requires_grad:
-            if axis is None:
-                a.accumulate_grad(np.full_like(a.values, g))
-            else:
-                a.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis), a.values.shape).copy())
-
-    return _make(vals, (a,), bk, "reduce_sum")
+    return _unary("reduce_sum", a, a.values.sum(axis=axis), lambda g: _spread(g, a, axis))
 
 
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     n = a.values.size if axis is None else a.values.shape[axis]
-    vals = a.values.mean(axis=axis)
-
-    def bk(g):
-        if a.requires_grad:
-            if axis is None:
-                a.accumulate_grad(np.full_like(a.values, g / n))
-            else:
-                a.accumulate_grad(np.broadcast_to(np.expand_dims(g / n, axis), a.values.shape).copy())
-
-    return _make(vals, (a,), bk, "reduce_mean")
+    return _unary("reduce_mean", a, a.values.mean(axis=axis), lambda g: _spread(g / n, a, axis))
 
 
 def segment_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
@@ -411,13 +389,12 @@ def segment_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
     np.add.at(total, seg, e)
     vals = e / total[seg]
 
-    def bk(g):
-        if a.requires_grad:
-            dot = np.zeros_like(top)
-            np.add.at(dot, seg, g * vals)
-            a.accumulate_grad(vals * (g - dot[seg]))
+    def grad(g):
+        dot = np.zeros_like(top)
+        np.add.at(dot, seg, g * vals)
+        return vals * (g - dot[seg])
 
-    return _make(vals, (a,), bk, "segment_softmax")
+    return _unary("segment_softmax", a, vals, grad)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, key_pad_mask: np.ndarray, heads: int) -> Tensor:
@@ -557,48 +534,26 @@ def gelu(a: Tensor) -> Tensor:
 def log_sigmoid(a: Tensor) -> Tensor:
     """Numerically stable log(sigmoid(x)) = min(x, 0) - log1p(exp(-|x|))."""
     x = a.values
-    vals = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-
-    def bk(g):
-        if a.requires_grad:
-            # d/dx log sigma(x) = sigma(-x)
-            s = np.where(x >= 0, np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))), 1.0 / (1.0 + np.exp(-np.abs(x))))
-            a.accumulate_grad(g * s)
-
-    return _make(vals, (a,), bk, "log_sigmoid")
+    e = np.exp(-np.abs(x))
+    # d/dx log sigma(x) = sigma(-x) = e / (1 + e) for x >= 0, else 1 / (1 + e)
+    return _unary("log_sigmoid", a, np.minimum(x, 0.0) - np.log1p(e),
+                  lambda g: g * (np.where(x >= 0, e, 1.0) / (1.0 + e)))
 
 
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.values < 0):
         raise ContractError("sqrt of negative value")
     vals = np.sqrt(a.values)
-
-    def bk(g):
-        if a.requires_grad:
-            # subgradient guard at 0; training inputs are never exactly 0
-            a.accumulate_grad(g * 0.5 / np.maximum(vals, 1e-30))
-
-    return _make(vals, (a,), bk, "sqrt")
+    # subgradient guard at 0; training inputs are never exactly 0
+    return _unary("sqrt", a, vals, lambda g: g * 0.5 / np.maximum(vals, 1e-30))
 
 
 def cos(a: Tensor) -> Tensor:
-    vals = np.cos(a.values)
-
-    def bk(g):
-        if a.requires_grad:
-            a.accumulate_grad(-g * np.sin(a.values))
-
-    return _make(vals, (a,), bk, "cos")
+    return _unary("cos", a, np.cos(a.values), lambda g: -g * np.sin(a.values))
 
 
 def sin(a: Tensor) -> Tensor:
-    vals = np.sin(a.values)
-
-    def bk(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * np.cos(a.values))
-
-    return _make(vals, (a,), bk, "sin")
+    return _unary("sin", a, np.sin(a.values), lambda g: g * np.cos(a.values))
 
 
 def dropout(a: Tensor, rate: float, keep: np.ndarray) -> Tensor:
@@ -634,16 +589,14 @@ def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
     m = x.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
     picked = x[np.arange(x.shape[0]), targets]
-    vals = lse - picked
 
-    def bk(g):
-        if logits.requires_grad:
-            p = np.exp(x - m)
-            p /= p.sum(axis=1, keepdims=True)
-            p[np.arange(x.shape[0]), targets] -= 1.0
-            logits.accumulate_grad(p * g[:, None])
+    def grad(g):
+        p = np.exp(x - m)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(x.shape[0]), targets] -= 1.0
+        return p * g[:, None]
 
-    return _make(vals, (logits,), bk, "cross_entropy_with_logits")
+    return _unary("cross_entropy_with_logits", logits, lse - picked, grad)
 
 
 def constant(values) -> Tensor:

@@ -105,8 +105,7 @@ def hold_out_edges(local: LocalKG, rate: float, n: int, rng: np.random.Generator
     dropped = _pick(droppable, rate, rng)
     dropped_set = set(dropped)
     reduced = LocalKG(nodes=list(local.nodes),
-                      edges=[e for i, e in enumerate(local.edges) if i not in dropped_set],
-                      linked=set(local.linked))
+                      edges=[e for i, e in enumerate(local.edges) if i not in dropped_set])
 
     m = local.n_nodes - 1   # candidates: local nodes 1..m, less the replaced endpoint
     h, r, t = np.array([local.edges[i] for i in dropped], dtype=np.int64).T[:, :, None]  # [P, 1]

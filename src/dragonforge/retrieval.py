@@ -32,19 +32,16 @@ DUMMY_NODE = -2
 _TOKEN_RE = re.compile(r"[a-z0-9_']+|[^a-z0-9_'\s]")
 
 
-def tokenize(text: str) -> list[tuple[str, int, int]]:
-    """Lowercase whitespace+punctuation split; yields (token, start, end) spans."""
-    out = []
-    for m in _TOKEN_RE.finditer(text.lower()):
-        out.append((m.group(0), m.start(), m.end()))
-    return out
+def tokenize(text: str) -> list[str]:
+    """Lowercase whitespace+punctuation split."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 def build_vocab_from_texts(texts, min_freq: int = 2) -> Vocab:
     """Corpus-built vocabulary; tokens below min_freq map to [UNK]."""
     counts: Counter[str] = Counter()
     for text in texts:
-        counts.update(_TOKEN_RE.findall(text.lower()))   # tokenize's tokens, without spans
+        counts.update(tokenize(text))
     vocab = Vocab(RESERVED_TOKENS)
     for tok in sorted(counts):
         if counts[tok] >= min_freq:
@@ -76,11 +73,10 @@ class LocalKG:
 
     Edges are (local_head, rel, local_tail) index triples. Interaction-node
     edges use the reserved interaction-link relation and point at linked
-    entities only.
+    entities only, one edge per kept linked entity.
     """
     nodes: list[int]
     edges: list[tuple[int, int, int]]
-    linked: set[int]   # global entity ids, subset of nodes[1:]
     is_dummy: bool = False
 
     @property
@@ -99,7 +95,7 @@ def build_alias_index(entities: EntityVocab) -> dict[str, list[tuple[tuple[str, 
     index: dict[str, list[tuple[tuple[str, ...], int]]] = {}
     for surface in sorted(entities.aliases):
         eid = entities.aliases[surface]
-        toks = tuple(t for t, _, _ in tokenize(surface))
+        toks = tuple(tokenize(surface))
         if not toks:
             continue
         index.setdefault(toks[0], []).append((toks, eid))
@@ -110,7 +106,7 @@ def build_alias_index(entities: EntityVocab) -> dict[str, list[tuple[tuple[str, 
 
 def link_entities(text: str, alias_index: dict, token_vocab: Vocab) -> tuple[TextSegment, set[int]]:
     """Greedy leftmost-longest match of build_alias_index's aliases over lowercased tokens."""
-    words = [t for t, _, _ in tokenize(text)]
+    words = tokenize(text)
     linked: set[int] = set()
     i = 0
     while i < len(words):
@@ -125,7 +121,7 @@ def link_entities(text: str, alias_index: dict, token_vocab: Vocab) -> tuple[Tex
 
 
 def dummy_local_kg() -> LocalKG:
-    return LocalKG(nodes=[V_INT, DUMMY_NODE], edges=[], linked=set(), is_dummy=True)
+    return LocalKG(nodes=[V_INT, DUMMY_NODE], edges=[], is_dummy=True)
 
 
 def retrieve_local_kg(v_el: set[int], g: KnowledgeGraph, max_nodes: int,
@@ -173,10 +169,7 @@ def retrieve_local_kg(v_el: set[int], g: KnowledgeGraph, max_nodes: int,
     nodes = [V_INT] + kept
     index = {e: i + 1 for i, e in enumerate(kept)}
 
-    edges: list[tuple[int, int, int]] = []
-    surviving_linked = [e for e in keep_linked if e in v_el]
-    for e in surviving_linked:
-        edges.append((0, R_EL, index[e]))
+    edges = [(0, R_EL, index[e]) for e in keep_linked]
     seen: set[tuple[int, int, int]] = set()
     for v in kept:
         for rel, nb, direction in g.neighbors(v):
@@ -187,7 +180,7 @@ def retrieve_local_kg(v_el: set[int], g: KnowledgeGraph, max_nodes: int,
             if key not in seen:
                 seen.add(key)
                 edges.append(key)
-    return LocalKG(nodes=nodes, edges=edges, linked=set(surviving_linked))
+    return LocalKG(nodes=nodes, edges=edges)
 
 
 def verbalize_kg(local: LocalKG, entities: EntityVocab, relations: Vocab,
@@ -205,7 +198,7 @@ def verbalize_kg(local: LocalKG, entities: EntityVocab, relations: Vocab,
             continue
         names = (entities.names[local.nodes[h]], relations.names[r], entities.names[local.nodes[t]])
         sent = [token_vocab.ids.get(tok, UNK)
-                for name in names for tok, _, _ in tokenize(default_surface(name))]
+                for name in names for tok in tokenize(default_surface(name))]
         addition = ([SEP] if out else []) + sent
         if budget is not None and len(out) + len(addition) > budget:
             break
@@ -271,13 +264,13 @@ def segment_corpus(corpus_file: str, max_seq_len: int) -> list[str]:
         cur: list[str] = []
         cur_len = 0
         for sent in sentences:
-            low = sent.lower()
-            n = len(_TOKEN_RE.findall(low))
+            n = len(tokenize(sent))
             if n > budget:
                 if cur:
                     segments.append(" ".join(cur))
                     cur, cur_len = [], 0
                 # hard-split an over-long sentence on token boundaries
+                low = sent.lower()
                 spans = [m.span() for m in _TOKEN_RE.finditer(low)]
                 for lo in range(0, len(spans), budget):
                     chunk = spans[lo:lo + budget]

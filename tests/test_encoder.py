@@ -26,8 +26,7 @@ def make_segment(ids):
 def chain_local(n_entities=3):
     # v_int -- e0, e1 linked; edge e0 -> e1 -> e2
     return LocalKG(nodes=[V_INT, 0, 1, 2],
-                   edges=[(0, R_EL, 1), (0, R_EL, 2), (1, 2, 2), (2, 2, 3)],
-                   linked={0, 1})
+                   edges=[(0, R_EL, 1), (0, R_EL, 2), (1, 2, 2), (2, 2, 3)])
 
 
 VOCAB, ENTS, RELS = 12, 5, 3
@@ -84,7 +83,7 @@ def test_oversize_inputs_raise_bounds_errors():
     params = init_params(cfg, 1, VOCAB, ENTS, RELS)
     with pytest.raises(IndexError):
         encode(make_segment(range(5, 5 + 20)), dummy_local_kg(), params, cfg, mode="eval")
-    wide = LocalKG(nodes=[V_INT] + list(range(0, 5)) * 2, edges=[], linked=set())
+    wide = LocalKG(nodes=[V_INT] + list(range(0, 5)) * 2, edges=[])
     with pytest.raises(IndexError):
         encode(make_segment([5]), wide, params, cfg, mode="eval")
 
@@ -176,7 +175,7 @@ def permute_local(local, perm):
     for old_pos in range(1, j + 1):
         remap[old_pos] = 1 + perm[old_pos - 1]
     new_edges = [(remap[h], r, remap[t]) for h, r, t in local.edges]
-    return LocalKG(nodes=new_nodes, edges=new_edges, linked=set(local.linked))
+    return LocalKG(nodes=new_nodes, edges=new_edges)
 
 
 def test_node_permutation_equivariance():
@@ -277,7 +276,7 @@ def test_manual_forward_oracle_single_token_single_node():
     with nm.float64_mode():
         params = init_params(cfg, 11, VOCAB, ENTS, RELS)
         seg = make_segment([5])                      # [INT, w1]
-        local = LocalKG(nodes=[V_INT, 2], edges=[(0, R_EL, 1)], linked={2})
+        local = LocalKG(nodes=[V_INT, 2], edges=[(0, R_EL, 1)])
         out = encode(seg, local, params, cfg, mode="eval")
 
     P = {k: p.values for k, p in params.items()}

@@ -33,20 +33,18 @@ def make_segment(ids):
 
 def chain_local():
     return LocalKG(nodes=[V_INT, 0, 1, 2],
-                   edges=[(0, R_EL, 1), (0, R_EL, 2), (1, 2, 2), (2, 2, 3)],
-                   linked={0, 1})
+                   edges=[(0, R_EL, 1), (0, R_EL, 2), (1, 2, 2), (2, 2, 3)])
 
 
 def full_local():
     # max_nodes entities
     return LocalKG(nodes=[V_INT, 3, 4, 5, 6, 7],
-                   edges=[(0, R_EL, 1), (1, 0, 2), (2, 1, 3), (3, 0, 4), (4, 1, 5), (5, 2, 1)],
-                   linked={3})
+                   edges=[(0, R_EL, 1), (1, 0, 2), (2, 1, 3), (3, 0, 4), (4, 1, 5), (5, 2, 1)])
 
 
 def silent_local():
     # entity 8 (local node 2) has no edge, so it receives no message
-    return LocalKG(nodes=[V_INT, 2, 8], edges=[(0, R_EL, 1)], linked={2})
+    return LocalKG(nodes=[V_INT, 2, 8], edges=[(0, R_EL, 1)])
 
 
 def mixed_batch():
@@ -159,7 +157,7 @@ def test_oversize_example_anywhere_in_batch_raises():
     long_seg = make_segment([5] * 20)
     with pytest.raises(IndexError, match="max_seq_len"):
         encode_batch(mixed_batch() + [(long_seg, dummy_local_kg())], params, cfg, "eval")
-    wide = LocalKG(nodes=[V_INT] + list(range(0, 6)), edges=[], linked=set())
+    wide = LocalKG(nodes=[V_INT] + list(range(0, 6)), edges=[])
     with pytest.raises(IndexError, match="limit 5"):
         encode_batch([mixed_batch()[0], (make_segment([5]), wide)], params, cfg, "eval")
 
@@ -207,7 +205,7 @@ def random_local(n_nodes):
     up to 8 edges, possibly none, among them."""
     pair = st.integers(0, n_nodes)
     return st.lists(st.tuples(pair, st.integers(0, RELS - 1), pair), max_size=8).map(
-        lambda edges: LocalKG(nodes=[V_INT] + list(range(n_nodes)), edges=edges, linked=set()))
+        lambda edges: LocalKG(nodes=[V_INT] + list(range(n_nodes)), edges=edges))
 
 
 EXAMPLES = st.tuples(st.lists(st.integers(5, VOCAB - 1), max_size=15).map(make_segment),

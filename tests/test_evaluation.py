@@ -15,8 +15,8 @@ from dragonforge.cli import DEFAULTS, EXIT_OK, main
 from dragonforge.encoder import EncoderConfig, init_params
 from dragonforge.finetune import add_pooling_head
 from dragonforge.kg_store import load_kg
-from dragonforge.retrieval import (Retriever, build_alias_index, build_vocab,
-                                   build_vocab_from_texts, link_entities, retrieve_local_kg)
+from dragonforge.retrieval import (Retriever, build_alias_index, build_vocab, link_entities,
+                                   retrieve_local_kg, segment_corpus)
 
 # chi-square critical value at alpha=0.01 for 499 degrees of freedom
 CHI2_99_DF499 = 575.419195
@@ -145,17 +145,18 @@ def test_entity_marginals_chi_square():
     assert chi2 < CHI2_99_DF499
 
 
-def test_every_entity_reachable_by_linking():
-    world = ev.generate_synthetic_world(n_entities=80, n_relations=4, n_facts=500,
-                                        leak_rate=0.3, seed=6, structure="flat")
-    _, entities, _ = world.build_kg()
+def test_every_entity_reachable_by_linking(tmp_path):
+    files = ev.generate_synthetic_world(n_entities=80, n_relations=4, n_facts=500,
+                                        leak_rate=0.3, seed=6, structure="flat").write_files(str(tmp_path))
+    _, entities, _ = load_kg(files["kg.tsv"], files["aliases.tsv"])
     assert len(entities) == 80
 
 
-def test_mcqa_gold_is_kg_derivable_and_choices_unique():
+def test_mcqa_gold_is_kg_derivable_and_choices_unique(tmp_path):
     world = ev.generate_synthetic_world(n_entities=60, n_relations=4, n_facts=500,
                                         leak_rate=0.2, seed=7, structure="flat")
-    kg, entities, relations = world.build_kg()
+    files = world.write_files(str(tmp_path))
+    kg, entities, relations = load_kg(files["kg.tsv"], files["aliases.tsv"])
     for mode in ("adversarial", "random"):
         data = world.mcqa_dataset(distractors=mode)
         for ex in data["train"][:20]:
@@ -191,19 +192,22 @@ def retriever(kg, entities, relations, tv, enc_cfg):
     return Retriever(kg, entities, relations, tv, enc_cfg.max_seq_len, enc_cfg.max_nodes)
 
 
-def lp_fixture():
+def lp_fixture(out):
+    """A small world with its KG and vocabularies read from the files it
+    writes under out, and a small encoder configuration."""
     world = ev.generate_synthetic_world(n_entities=50, n_relations=4, n_facts=350,
                                         leak_rate=0.2, seed=8, structure="flat")
-    kg, entities, relations = world.build_kg()
-    tv = build_vocab_from_texts(world.train_docs)
+    files = world.write_files(str(out))
+    kg, entities, relations = load_kg(files["kg.tsv"], files["aliases.tsv"])
+    tv = build_vocab(files["corpus.txt"], min_freq=2)
     enc_cfg = EncoderConfig(n_unimodal=1, n_fusion=1, d_text=16, d_node=8,
                             heads_text=2, heads_gnn=2, d_mint_hidden=16,
                             max_seq_len=48, max_nodes=12)
     return world, kg, entities, relations, tv, enc_cfg
 
 
-def test_gold_boosted_scorer_gets_perfect_metrics():
-    world, kg, entities, relations, tv, enc_cfg = lp_fixture()
+def test_gold_boosted_scorer_gets_perfect_metrics(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg = lp_fixture(tmp_path)
     queries = world.lp_queries()[:30]
     boost = {(entities.ids[q["head"]], relations.ids[q["rel"]],
               entities.ids[q["tail"]]) for q in queries}
@@ -214,8 +218,8 @@ def test_gold_boosted_scorer_gets_perfect_metrics():
     assert report.hits1 == 1.0 and report.mrr == 1.0
 
 
-def test_filtered_ranking_matches_exhaustive_scan_oracle():
-    world, kg, entities, relations, tv, enc_cfg = lp_fixture()
+def test_filtered_ranking_matches_exhaustive_scan_oracle(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg = lp_fixture(tmp_path)
     known = set(world.facts)
     queries = world.lp_queries()[:25]
     scorer = StubScorer()
@@ -288,8 +292,8 @@ def test_chains_world_link_prediction_is_solvable_from_the_retrieved_graph(tmp_p
     assert report.mrr >= 0.9
 
 
-def test_contextual_scorer_runs_and_reports():
-    world, kg, entities, relations, tv, enc_cfg = lp_fixture()
+def test_contextual_scorer_runs_and_reports(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg = lp_fixture(tmp_path)
     scorer = contextual_scorer(enc_cfg, tv, entities, relations)
     report = ev.eval_link_prediction(scorer, world.lp_queries()[:15],
                                      retriever(kg, entities, relations, tv, enc_cfg),
@@ -305,8 +309,8 @@ def contextual_scorer(enc_cfg, tv, entities, relations, seed=0):
     return ev.ContextualScorer(params, enc_cfg, pt.linkpred_head(params, p_cfg))
 
 
-def test_contextual_scorer_batch_matches_each_query_alone():
-    world, kg, entities, relations, tv, enc_cfg = lp_fixture()
+def test_contextual_scorer_batch_matches_each_query_alone(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg = lp_fixture(tmp_path)
     scorer = contextual_scorer(enc_cfg, tv, entities, relations)
     ret = retriever(kg, entities, relations, tv, enc_cfg)
     texts = [q["text"] for q in world.lp_queries()]
@@ -332,8 +336,8 @@ def test_contextual_scorer_batch_matches_each_query_alone():
         assert list(np.argsort(-scores, kind="stable")) == list(np.argsort(-alone, kind="stable"))
 
 
-def test_batched_link_prediction_report_equals_per_query_report():
-    world, kg, entities, relations, tv, enc_cfg = lp_fixture()
+def test_batched_link_prediction_report_equals_per_query_report(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg = lp_fixture(tmp_path)
     scorer = contextual_scorer(enc_cfg, tv, entities, relations, seed=2)
     unknown = {"head": "nobody", "rel": "likes", "tail": "nobody", "text": "nobody"}
     queries = world.lp_queries()[:21]
@@ -353,9 +357,10 @@ def test_batched_link_prediction_report_equals_per_query_report():
     assert sizes == [8] * (per_query.n_queries // 8) + [per_query.n_queries % 8]
 
 
-def test_distmult_baseline_learns_training_edges():
-    world, kg, entities, relations, tv, enc_cfg = lp_fixture()
-    ent, rel = ev.train_distmult_baseline(kg, d=16, steps=300, seed=9)
+def test_distmult_baseline_learns_training_edges(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg = lp_fixture(tmp_path)
+    ent_t, head = ev.train_distmult_baseline(kg, d=16, steps=300, seed=9)
+    ent, rel = ent_t.values, head.relations.values
     rng = np.random.default_rng(10)
     train = np.array(kg.triplets)
     pos_idx = rng.integers(0, len(train), size=200)
@@ -394,11 +399,11 @@ def test_verbalized_cells_report_empty_lp(tmp_path, monkeypatch):
 # attention export
 # ---------------------------------------------------------------------------
 
-def test_dump_attention_parses_and_round_trips():
-    world, kg, entities, relations, tv, enc_cfg = lp_fixture()
+def test_dump_attention_parses_and_round_trips(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg = lp_fixture(tmp_path)
     params = init_params(enc_cfg, 3, len(tv), len(entities), len(relations))
     add_pooling_head(params, enc_cfg, 3)
-    raw = world.raw_segments("train")[0]
+    raw = segment_corpus(str(tmp_path / "corpus.txt"), enc_cfg.max_seq_len)[0]
     seg, v_el = link_entities(raw, build_alias_index(entities), tv)
     local = retrieve_local_kg(v_el, kg, enc_cfg.max_nodes, partial(nm.split_rng, 4, "t"))
     lines = ev.dump_attention(params, enc_cfg, seg, local)
@@ -414,8 +419,8 @@ def test_dump_attention_parses_and_round_trips():
     assert abs(sum(pooling["pooling"]) - 1.0) < 1e-5
 
 
-def test_dump_attention_single_node_pooling():
-    world, kg, entities, relations, tv, enc_cfg = lp_fixture()
+def test_dump_attention_single_node_pooling(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg = lp_fixture(tmp_path)
     params = init_params(enc_cfg, 5, len(tv), len(entities), len(relations))
     add_pooling_head(params, enc_cfg, 5)
     name = world.entity_names[0]

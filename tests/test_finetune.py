@@ -10,9 +10,8 @@ from dragonforge import finetune as ft
 from dragonforge import retrieval
 from dragonforge.encoder import EncoderConfig, EncoderOutput, init_params
 from dragonforge.evaluation import generate_synthetic_world
-from dragonforge.kg_store import R_EL
-from dragonforge.retrieval import (INT, LocalKG, Retriever, TextSegment, V_INT,
-                                  build_vocab_from_texts)
+from dragonforge.kg_store import R_EL, load_kg
+from dragonforge.retrieval import INT, LocalKG, Retriever, TextSegment, V_INT, build_vocab
 
 
 def fake_output(h_int, node_rows):
@@ -192,11 +191,14 @@ def retriever(kg, entities, relations, tv, enc_cfg):
     return Retriever(kg, entities, relations, tv, enc_cfg.max_seq_len, enc_cfg.max_nodes)
 
 
-def qa_setup(seed=6):
+def qa_setup(out, seed=6):
+    """A small world with its KG and vocabularies read from the files it
+    writes under out, and a model with a pooling head."""
     world = generate_synthetic_world(n_entities=50, n_relations=4, n_facts=320,
                                      leak_rate=0.15, seed=seed, structure="flat")
-    kg, entities, relations = world.build_kg()
-    tv = build_vocab_from_texts(world.train_docs)
+    files = world.write_files(str(out))
+    kg, entities, relations = load_kg(files["kg.tsv"], files["aliases.tsv"])
+    tv = build_vocab(files["corpus.txt"], min_freq=2)
     enc_cfg = EncoderConfig(n_unimodal=1, n_fusion=2, d_text=32, d_node=16,
                             heads_text=2, heads_gnn=2, d_mint_hidden=32, dropout=0.1,
                             max_seq_len=32, max_nodes=10)
@@ -205,8 +207,8 @@ def qa_setup(seed=6):
     return world, kg, entities, relations, tv, enc_cfg, params
 
 
-def test_choice_order_invariance_of_argmax():
-    world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
+def test_choice_order_invariance_of_argmax(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
     data = world.mcqa_dataset(distractors="random")["dev"]
     rng = np.random.default_rng(7)
     rt = retriever(kg, entities, relations, tv, enc_cfg)
@@ -221,8 +223,8 @@ def test_choice_order_invariance_of_argmax():
         np.testing.assert_allclose(logits2.values[0], logits.values[0][perm], atol=1e-5)
 
 
-def test_mixed_choice_counts_in_one_batch_score_as_alone():
-    world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
+def test_mixed_choice_counts_in_one_batch_score_as_alone(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
     rt = retriever(kg, entities, relations, tv, enc_cfg)
     questions = [ft.MCQAExample("beva likes", world.entity_names[:2], 0),
                  ft.MCQAExample("beva likes", world.entity_names[2:7], 3),
@@ -243,8 +245,8 @@ def test_mixed_choice_counts_in_one_batch_score_as_alone():
     assert all(np.argmax(row) < len(q) for row, q in zip(table, inputs))
 
 
-def test_untrained_model_scores_near_chance():
-    world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
+def test_untrained_model_scores_near_chance(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
     data = world.mcqa_dataset(distractors="random")
     examples = data["train"] + data["dev"] + data["test"]
     report = ft.evaluate_mcqa(examples, retriever(kg, entities, relations, tv, enc_cfg), params,
@@ -253,8 +255,8 @@ def test_untrained_model_scores_near_chance():
     assert abs(report["accuracy"] - 0.25) < 0.1
 
 
-def test_variable_choice_counts_allowed():
-    world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
+def test_variable_choice_counts_allowed(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
     a = ft.MCQAExample("beva likes", [world.entity_names[0], world.entity_names[1]], 0)
     b = ft.MCQAExample("beva likes", world.entity_names[:5], 2)
     report = ft.evaluate_mcqa([a, b], retriever(kg, entities, relations, tv, enc_cfg), params,
@@ -262,8 +264,8 @@ def test_variable_choice_counts_allowed():
     assert report["per_choice_count"] == {"2": 1, "5": 1}
 
 
-def test_finetune_reduces_loss_and_freezes_lm():
-    world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
+def test_finetune_reduces_loss_and_freezes_lm(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
     data = world.mcqa_dataset(distractors="random")
     lm_before = params["lm.tok_emb"].values.copy()
     node_before = params["node_emb.table"].values.copy()
@@ -279,8 +281,8 @@ def test_finetune_reduces_loss_and_freezes_lm():
     assert not np.array_equal(params["node_emb.table"].values, node_before)
 
 
-def test_finetune_retrieves_each_question_once_over_its_epochs(monkeypatch):
-    world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
+def test_finetune_retrieves_each_question_once_over_its_epochs(tmp_path, monkeypatch):
+    world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
     data = world.mcqa_dataset(distractors="random")
     train, dev = data["train"][:5], data["dev"][:3]
     retrieved = []
@@ -298,8 +300,8 @@ def test_finetune_retrieves_each_question_once_over_its_epochs(monkeypatch):
     assert len(set(retrieved)) == len(retrieved)
 
 
-def test_evaluate_mcqa_memo_reuses_inputs_and_keeps_the_report():
-    world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
+def test_evaluate_mcqa_memo_reuses_inputs_and_keeps_the_report(tmp_path):
+    world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
     dev = world.mcqa_dataset(distractors="random")["dev"][:5]
     rt = retriever(kg, entities, relations, tv, enc_cfg)
     cfg = ft.FinetuneConfig(batch_size=2, seed=4)
@@ -312,8 +314,8 @@ def test_evaluate_mcqa_memo_reuses_inputs_and_keeps_the_report():
     assert all(memo[i] is kept[i] for i in kept)
 
 
-def test_finetune_step_sets_up_one_stream_per_question_and_choice(monkeypatch):
-    world, kg, entities, relations, tv, enc_cfg, params = qa_setup()
+def test_finetune_step_sets_up_one_stream_per_question_and_choice(tmp_path, monkeypatch):
+    world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
     train = world.mcqa_dataset(distractors="random")["train"][:3]
     train[1] = ft.MCQAExample(train[1].question, train[1].choices[:2], 0)
     names = []

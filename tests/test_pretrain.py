@@ -15,9 +15,9 @@ from dragonforge import pretrain as pt
 from dragonforge.cli import main
 from dragonforge.encoder import EncoderConfig
 from dragonforge.evaluation import generate_synthetic_world
-from dragonforge.kg_store import RESERVED_RELATIONS, EntityVocab, R_EL, Vocab
+from dragonforge.kg_store import RESERVED_RELATIONS, EntityVocab, R_EL, Vocab, load_kg
 from dragonforge.retrieval import (INT, MASK, PAD, RESERVED_TOKENS, SEP, LocalKG, Retriever,
-                                  TextSegment, V_INT, build_vocab_from_texts, dummy_local_kg)
+                                  TextSegment, V_INT, build_vocab, dummy_local_kg, segment_corpus)
 
 
 def make_segment(ids):
@@ -80,7 +80,7 @@ def test_masking_records_originals():
 # ---------------------------------------------------------------------------
 
 def one_edge_local():
-    return LocalKG(nodes=[V_INT, 10, 11, 12], edges=[(0, R_EL, 1), (1, 2, 2)], linked={10})
+    return LocalKG(nodes=[V_INT, 10, 11, 12], edges=[(0, R_EL, 1), (1, 2, 2)])
 
 
 def test_holdout_forces_single_edge():
@@ -92,7 +92,7 @@ def test_holdout_forces_single_edge():
 def test_holdout_binomial_statistics():
     n_edges = 100_000
     edges = [(0, R_EL, 1)] + [(1 + (i % 3), 2, 1 + ((i + 1) % 3)) for i in range(n_edges)]
-    local = LocalKG(nodes=[V_INT, 10, 11, 12], edges=edges, linked={10})
+    local = LocalKG(nodes=[V_INT, 10, 11, 12], edges=edges)
     _, holdout = pt.hold_out_edges(local, 0.15, 1, nm.split_rng(1, "h"))
     assert abs(len(holdout) / n_edges - 0.15) < 0.01
 
@@ -100,8 +100,7 @@ def test_holdout_binomial_statistics():
 def test_holdout_never_drops_interaction_edges():
     for trial in range(200):
         local = LocalKG(nodes=[V_INT, 10, 11, 12],
-                        edges=[(0, R_EL, 1), (0, R_EL, 2), (1, 2, 2), (2, 2, 3), (3, 2, 1)],
-                        linked={10, 11})
+                        edges=[(0, R_EL, 1), (0, R_EL, 2), (1, 2, 2), (2, 2, 3), (3, 2, 1)])
         reduced, holdout = pt.hold_out_edges(local, 0.9, 1, nm.split_rng(2, "h", trial))
         assert all(e[1] != R_EL for e in holdout.positives)
         assert sum(1 for e in reduced.edges if e[1] == R_EL) == 2
@@ -109,7 +108,7 @@ def test_holdout_never_drops_interaction_edges():
 
 def test_negatives_differ_in_exactly_one_endpoint():
     local = LocalKG(nodes=[V_INT, 10, 11, 12, 13],
-                    edges=[(0, R_EL, 1), (1, 2, 2), (2, 3, 3), (3, 2, 4)], linked={10})
+                    edges=[(0, R_EL, 1), (1, 2, 2), (2, 3, 3), (3, 2, 4)])
     _, holdout = pt.hold_out_edges(local, 1.0, 8, nm.split_rng(3, "h"))
     for pos, negs in zip(holdout.positives.tolist(), holdout.negatives.tolist()):
         for neg in negs:
@@ -124,7 +123,7 @@ def test_holdout_corruption_distribution():
     # range, and (3, 1, 3) is a self-loop
     n = 6000
     local = LocalKG(nodes=[V_INT, 10, 11, 12, 13, 14, 15],
-                    edges=[(0, R_EL, 1), (1, 2, 2), (3, 3, 3), (6, 4, 1), (4, 2, 6)], linked={10})
+                    edges=[(0, R_EL, 1), (1, 2, 2), (3, 3, 3), (6, 4, 1), (4, 2, 6)])
     _, holdout = pt.hold_out_edges(local, 1.0, n, nm.split_rng(5, "h"))
     assert holdout.positives.tolist() == [[1, 2, 2], [3, 3, 3], [6, 4, 1], [4, 2, 6]]
     for (h, r, t), negs in zip(holdout.positives.tolist(), holdout.negatives.tolist()):
@@ -142,10 +141,10 @@ def test_holdout_corruption_distribution():
 def test_holdout_falls_back_to_the_side_with_candidates():
     # one candidate node: the head (node 1) has no replacement, so every
     # negative replaces the tail (the interaction node is never a candidate)
-    local = LocalKG(nodes=[V_INT, 10], edges=[(1, 2, 0)], linked=set())
+    local = LocalKG(nodes=[V_INT, 10], edges=[(1, 2, 0)])
     _, holdout = pt.hold_out_edges(local, 1.0, 50, nm.split_rng(6, "h"))
     assert holdout.negatives.tolist() == [[[1, 2, 1]] * 50]
-    _, holdout = pt.hold_out_edges(LocalKG(nodes=[V_INT, 10], edges=[(1, 2, 1)], linked=set()),
+    _, holdout = pt.hold_out_edges(LocalKG(nodes=[V_INT, 10], edges=[(1, 2, 1)]),
                                    1.0, 5, nm.split_rng(7, "h"))
     assert holdout.flagged_empty   # single-node self-loop
 
@@ -494,74 +493,77 @@ def small_world():
                                     leak_rate=0.1, seed=2, structure="flat")
 
 
-def small_setup():
-    world = small_world()
-    kg, entities, relations = world.build_kg()
-    tv = build_vocab_from_texts(world.train_docs)
+def small_setup(out):
+    """Training segments, KG and vocabularies of the small world, read from
+    the files it writes under out as the pretrain command reads them."""
+    files = small_world().write_files(str(out))
+    kg, entities, relations = load_kg(files["kg.tsv"], files["aliases.tsv"])
+    tv = build_vocab(files["corpus.txt"], min_freq=2)
     enc_cfg = EncoderConfig(n_unimodal=1, n_fusion=2, d_text=32, d_node=16, heads_text=2,
                             heads_gnn=2, d_mint_hidden=32, dropout=0.1, max_seq_len=48,
                             max_nodes=10)
-    return world, kg, entities, relations, tv, enc_cfg
+    segments = segment_corpus(files["corpus.txt"], enc_cfg.max_seq_len)
+    return segments, kg, entities, relations, tv, enc_cfg
 
 
-def test_train_reduces_mlm_loss():
-    world, kg, entities, relations, tv, enc_cfg = small_setup()
+def test_train_reduces_mlm_loss(tmp_path):
+    segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     cfg = pt.PretrainConfig(steps=200, batch_size=4, n_negatives=4, seed=3)
-    _, metrics = pt.train(world.raw_segments("train"), kg, entities, relations, tv,
+    _, metrics = pt.train(segments, kg, entities, relations, tv,
                           enc_cfg, cfg)
     first = np.mean([m["loss_mlm"] for m in metrics[:10]])
     last = np.mean([m["loss_mlm"] for m in metrics[-10:]])
     assert last < first
 
 
-def test_mlm_only_mode_reports_zero_lp_loss():
-    world, kg, entities, relations, tv, enc_cfg = small_setup()
+def test_mlm_only_mode_reports_zero_lp_loss(tmp_path):
+    segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     cfg = pt.PretrainConfig(steps=5, batch_size=2, objective="mlm_only", seed=4)
-    _, metrics = pt.train(world.raw_segments("train"), kg, entities, relations, tv,
+    _, metrics = pt.train(segments, kg, entities, relations, tv,
                           enc_cfg, cfg)
     assert all(m["loss_lp"] == 0.0 for m in metrics)
 
 
-def test_linkpred_only_mode_reports_zero_mlm_loss():
-    world, kg, entities, relations, tv, enc_cfg = small_setup()
+def test_linkpred_only_mode_reports_zero_mlm_loss(tmp_path):
+    segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     cfg = pt.PretrainConfig(steps=5, batch_size=2, objective="linkpred_only", seed=4)
-    _, metrics = pt.train(world.raw_segments("train"), kg, entities, relations, tv,
+    _, metrics = pt.train(segments, kg, entities, relations, tv,
                           enc_cfg, cfg)
     assert all(m["loss_mlm"] == 0.0 for m in metrics)
 
 
-def test_train_determinism_identical_metrics():
-    world, kg, entities, relations, tv, enc_cfg = small_setup()
+def test_train_determinism_identical_metrics(tmp_path):
+    segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     cfg = pt.PretrainConfig(steps=8, batch_size=2, n_negatives=2, seed=5)
-    _, m1 = pt.train(world.raw_segments("train"), kg, entities, relations, tv, enc_cfg, cfg)
-    _, m2 = pt.train(world.raw_segments("train"), kg, entities, relations, tv, enc_cfg, cfg)
+    _, m1 = pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
+    _, m2 = pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
     assert m1 == m2
 
 
-def test_loss_additivity_every_step():
-    world, kg, entities, relations, tv, enc_cfg = small_setup()
+def test_loss_additivity_every_step(tmp_path):
+    segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     cfg = pt.PretrainConfig(steps=12, batch_size=3, n_negatives=2, seed=6)
-    _, metrics = pt.train(world.raw_segments("train"), kg, entities, relations, tv,
+    _, metrics = pt.train(segments, kg, entities, relations, tv,
                           enc_cfg, cfg)
     for m in metrics:
         assert abs(m["loss"] - (m["loss_mlm"] + m["loss_lp"])) < 1e-5
 
 
 def test_divergence_aborts_and_keeps_last_checkpoint(tmp_path):
-    world, kg, entities, relations, tv, enc_cfg = small_setup()
+    segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     ckpt = str(tmp_path / "ck.drgn")
     cfg = pt.PretrainConfig(steps=30, batch_size=2, seed=7, lr_lm=1e8, lr_other=1e8,
                             checkpoint_every=1, warmup_ratio=0.0)
     with pytest.raises(pt.TrainingDiverged):
         with np.errstate(all="ignore"):
-            pt.train(world.raw_segments("train"), kg, entities, relations, tv, enc_cfg,
+            pt.train(segments, kg, entities, relations, tv, enc_cfg,
                      cfg, checkpoint_path=ckpt)
     params, *_ = pt.load_checkpoint(ckpt)
     assert all(np.isfinite(p.values).all() for p in params.values())
 
 
-def test_pretrain_step_sets_up_one_stream_per_example(monkeypatch):
-    world, kg, entities, relations, tv, enc_cfg = small_setup()
+def test_pretrain_step_sets_up_one_stream_per_example(tmp_path, monkeypatch):
+    segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     names = []
     split_rng = nm.split_rng
 
@@ -571,7 +573,7 @@ def test_pretrain_step_sets_up_one_stream_per_example(monkeypatch):
 
     monkeypatch.setattr(nm, "split_rng", counting_split_rng)
     cfg = pt.PretrainConfig(steps=2, batch_size=3, seed=9)
-    pt.train(world.raw_segments("train"), kg, entities, relations, tv, enc_cfg, cfg)
+    pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
     per_step = [x for x in names if x != "retrieval" and not x.startswith("init/")]
     # before step 0 every step's batch draw; then per step one stream per
     # slot in pretrain and one in the encoder
@@ -580,9 +582,8 @@ def test_pretrain_step_sets_up_one_stream_per_example(monkeypatch):
 
 
 @pytest.mark.parametrize("kg_mode", pt.KG_MODES)
-def test_train_retrieves_each_scheduled_segment_once(monkeypatch, kg_mode):
-    world, kg, entities, relations, tv, enc_cfg = small_setup()
-    segments = world.raw_segments("train")
+def test_train_retrieves_each_scheduled_segment_once(tmp_path, monkeypatch, kg_mode):
+    segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     cfg = pt.PretrainConfig(steps=3, batch_size=4, seed=12, kg_mode=kg_mode)
     retrieved, prepared = [], {}
     inputs, prepare = Retriever.inputs, pt.prepare_examples
@@ -657,10 +658,10 @@ def test_gradient_hand_off_equals_copying_and_shares_no_memory(default_world, tm
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
-    world, kg, entities, relations, tv, enc_cfg = small_setup()
+    segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     cfg = pt.PretrainConfig(steps=2, batch_size=2, seed=8)
     path = str(tmp_path / "model.drgn")
-    params, _ = pt.train(world.raw_segments("train"), kg, entities, relations, tv,
+    params, _ = pt.train(segments, kg, entities, relations, tv,
                          enc_cfg, cfg, checkpoint_path=path, config_text="a.b = 1\n")
     loaded, tv2, ents2, rels2, text = pt.load_checkpoint(path)
     assert text == "a.b = 1\n"

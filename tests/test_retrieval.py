@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dragonforge import numerics as nm
 from dragonforge import retrieval as rt
-from dragonforge.kg_store import RESERVED_RELATIONS, EntityVocab, KnowledgeGraph, R_EL, Vocab
+from dragonforge.kg_store import RESERVED_RELATIONS, EntityVocab, KnowledgeGraph, R_EL, Vocab, load_kg
 
 
 def make_vocab(words):
@@ -59,7 +59,7 @@ def oracle_leftmost_longest(words, aliases):
     overlaps leftmost-longest."""
     occurrences = []
     for surface, eid in aliases.items():
-        toks = tuple(t for t, _, _ in rt.tokenize(surface))
+        toks = tuple(rt.tokenize(surface))
         for start in range(len(words) - len(toks) + 1):
             if tuple(words[start:start + len(toks)]) == toks:
                 occurrences.append((start, -len(toks), eid))
@@ -98,11 +98,16 @@ def star_path_graph():
     return g, ev
 
 
+def interaction_targets(local):
+    """Global ids of the entities the interaction node links to."""
+    return {local.nodes[t] for _, r, t in local.edges if r == R_EL}
+
+
 def test_bridge_on_two_hop_path():
     g, ev = star_path_graph()
     local = rt.retrieve_local_kg({0, 2}, g, max_nodes=8, make_rng=partial(nm.split_rng, 0, "t"))
     assert set(local.entity_ids()) == {0, 1, 2}
-    assert local.linked == {0, 2}
+    assert interaction_targets(local) == {0, 2}
 
 
 def test_dummy_fallback_on_empty_link_set():
@@ -181,7 +186,7 @@ def test_pruning_samples_within_linked_when_oversized():
     local = rt.retrieve_local_kg(v_el, g, max_nodes=4, make_rng=partial(nm.split_rng, 4, "t"))
     assert local.n_nodes == 5
     assert set(local.entity_ids()) <= v_el
-    assert local.linked == set(local.entity_ids())
+    assert interaction_targets(local) == set(local.entity_ids())
 
 
 def test_pruning_determinism():
@@ -189,7 +194,7 @@ def test_pruning_determinism():
     g = random_graph(rng, n_nodes=40, n_edges=300)
     a = rt.retrieve_local_kg({0, 1, 2, 3}, g, max_nodes=6, make_rng=partial(nm.split_rng, 5, "t"))
     b = rt.retrieve_local_kg({0, 1, 2, 3}, g, max_nodes=6, make_rng=partial(nm.split_rng, 5, "t"))
-    assert a.nodes == b.nodes and a.edges == b.edges and a.linked == b.linked
+    assert a.nodes == b.nodes and a.edges == b.edges and interaction_targets(a) == interaction_targets(b)
 
 
 BRIDGED = [(0, 2, 5), (5, 2, 1), (0, 2, 6), (6, 3, 1), (7, 2, 0), (1, 4, 7)]   # 0 and 1 share 5, 6, 7
@@ -222,7 +227,7 @@ def test_retrieval_builds_its_stream_once_and_only_when_it_samples(edges, v_el, 
     # a stream built before the call and the factory callers pass give the
     # same local KG
     assert local == rt.retrieve_local_kg(v_el, g, max_nodes, partial(nm.split_rng, seed, "t"))
-    check_local_kg(local, g, max_nodes)
+    check_local_kg(local, g, max_nodes, v_el)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +249,7 @@ def verbal_fixture():
 
 def test_verbalize_single_edge_template():
     g, ev, rv, tv = verbal_fixture()
-    local = rt.LocalKG(nodes=[rt.V_INT, 0, 1], edges=[(0, R_EL, 1), (1, rv.ids["at_location"], 2)],
-                       linked={0})
+    local = rt.LocalKG(nodes=[rt.V_INT, 0, 1], edges=[(0, R_EL, 1), (1, rv.ids["at_location"], 2)])
     suffix = rt.verbalize_kg(local, ev, rv, tv)
     words = [tv.names[t] for t in suffix]
     assert words == ["round", "brush", "at", "location", "hair"]
@@ -266,7 +270,7 @@ def test_verbalize_three_edges_sep_joined_in_edge_order():
     chunks = []
     for h, r, t in [e for e in local.edges if e[1] != R_EL]:
         words = " ".join([ev.names[local.nodes[h]], rv.names[r], ev.names[local.nodes[t]]])
-        chunks.append([tv.ids.get(w, rt.UNK) for w, _, _ in rt.tokenize(words.replace("_", " "))])
+        chunks.append([tv.ids.get(w, rt.UNK) for w in rt.tokenize(words.replace("_", " "))])
     expected = []
     for i, chunk in enumerate(chunks):
         if i:
@@ -285,7 +289,7 @@ def test_verbalize_suffix_is_pinned_for_a_fixed_local_kg():
     for w in ["round", "brush", "at", "location", "hair", "similar", "to", "comb"]:
         tv.add(w)
     local = rt.LocalKG(nodes=[rt.V_INT, 0, 1, 2],
-                       edges=[(0, R_EL, 1), (1, 2, 2), (1, 3, 3), (3, 2, 2)], linked={0})
+                       edges=[(0, R_EL, 1), (1, 2, 2), (1, 3, 3), (3, 2, 2)])
     assert rt.verbalize_kg(local, ev, rv, tv) == [5, 6, 7, 8, 9, rt.SEP, 5, 6, 10, 11, rt.UNK, 12,
                                                   rt.SEP, rt.UNK, 12, 7, 8, 9]
 
@@ -338,17 +342,22 @@ def test_concatenation_reproduces_document_stream(tmp_path):
     p = tmp_path / "c.txt"
     p.write_text("\n\n".join(docs) + "\n", encoding="utf-8")
     segments = rt.segment_corpus(str(p), max_seq_len=16)
-    seg_tokens = [t for s in segments for t, _, _ in rt.tokenize(s)]
-    doc_tokens = [t for d in docs for t, _, _ in rt.tokenize(d.replace("\n", " "))]
+    seg_tokens = [t for s in segments for t in rt.tokenize(s)]
+    doc_tokens = [t for d in docs for t in rt.tokenize(d.replace("\n", " "))]
     assert seg_tokens == doc_tokens
 
 
+def token_spans(text):
+    """(token, start, end) spans of the lowercased text, one per token."""
+    return [(m.group(0), m.start(), m.end()) for m in rt._TOKEN_RE.finditer(text.lower())]
+
+
 def span_build_vocab(corpus_file, min_freq):
-    # reference: the token counts read from tokenize's (token, start, end) spans
+    # reference: the token counts read from token_spans
     counts = {}
     with open(corpus_file, encoding="utf-8") as fh:
         for text in fh:
-            for tok, _, _ in rt.tokenize(text):
+            for tok, _, _ in token_spans(text):
                 counts[tok] = counts.get(tok, 0) + 1
     vocab = Vocab(rt.RESERVED_TOKENS)
     for tok in sorted(counts):
@@ -358,7 +367,7 @@ def span_build_vocab(corpus_file, min_freq):
 
 
 def span_segment_corpus(corpus_file, max_seq_len):
-    # reference: segment_corpus with every sentence measured by len(tokenize(...)),
+    # reference: segment_corpus with every sentence measured by len(token_spans(...)),
     # hard-split pieces cut from the lowercased text the spans index
     budget = max_seq_len - 1
     segments = []
@@ -367,7 +376,7 @@ def span_segment_corpus(corpus_file, max_seq_len):
     for doc in text.split("\n\n"):
         cur, cur_len = [], 0
         for sent in (s for s in doc.split("\n") if s.strip()):
-            toks = rt.tokenize(sent)
+            toks = token_spans(sent)
             if len(toks) > budget:
                 if cur:
                     segments.append(" ".join(cur))
@@ -414,39 +423,41 @@ def test_hard_split_pieces_hold_at_most_the_budget_and_every_token(tmp_path):
     p.write_text(line + "\n", encoding="utf-8")
     pieces = rt.segment_corpus(str(p), max_seq_len=5)
     assert all(len(rt.tokenize(piece)) <= 4 for piece in pieces)
-    assert [t for piece in pieces for t, _, _ in rt.tokenize(piece)] == [t for t, _, _ in rt.tokenize(line)]
+    assert [t for piece in pieces for t in rt.tokenize(piece)] == rt.tokenize(line)
     assert pieces[-2:] == ["alpha beta gamma delta", "epsilon zeta eta theta"]
 
 
-def check_local_kg(local: rt.LocalKG, g: KnowledgeGraph, max_nodes: int) -> None:
+def check_local_kg(local: rt.LocalKG, g: KnowledgeGraph, max_nodes: int, v_el: set[int]) -> None:
     assert local.nodes[0] == rt.V_INT
     assert len(local.nodes) <= max_nodes + 1
     assert len(set(local.nodes)) == len(local.nodes), "duplicate nodes"
     if local.is_dummy:
         assert local.nodes == [rt.V_INT, rt.DUMMY_NODE] and not local.edges
         return
-    linked_locals = {local.nodes.index(e) for e in local.linked}
+    # one interaction edge per kept linked entity, and none to other nodes
+    assert sorted(local.nodes[t] for _, r, t in local.edges if r == R_EL) == \
+        sorted(set(local.entity_ids()) & v_el)
     for h, r, t in local.edges:
         if r == R_EL:
-            assert h == 0 and t in linked_locals, "interaction edges must target linked nodes"
+            assert h == 0 and local.nodes[t] in v_el, "interaction edges must target linked nodes"
         else:
             assert h != 0 and t != 0
             assert g.contains((local.nodes[h], r, local.nodes[t])), "edge not in global KG"
 
 
-def test_local_kg_invariants_over_random_corpus_segments():
+def test_local_kg_invariants_over_random_corpus_segments(tmp_path):
     from dragonforge.evaluation import generate_synthetic_world
-    world = generate_synthetic_world(n_entities=120, n_relations=6, n_facts=1400,
-                                     leak_rate=0.15, seed=5, structure="flat")
-    g, entities, relations = world.build_kg()
-    tv = rt.build_vocab_from_texts(world.train_docs)
-    segments = world.raw_segments("train")
+    files = generate_synthetic_world(n_entities=120, n_relations=6, n_facts=1400, leak_rate=0.15,
+                                     seed=5, structure="flat").write_files(str(tmp_path))
+    g, entities, relations = load_kg(files["kg.tsv"], files["aliases.tsv"])
+    tv = rt.build_vocab(files["corpus.txt"], min_freq=2)
+    segments = rt.segment_corpus(files["corpus.txt"], max_seq_len=32)
     assert len(segments) >= 200
     checked = 0
     for idx, raw in enumerate(segments):
         seg, v_el = rt.link_entities(raw, rt.build_alias_index(entities), tv)
         local = rt.retrieve_local_kg(v_el, g, max_nodes=12, make_rng=partial(nm.split_rng, 6, "t", idx))
-        check_local_kg(local, g, max_nodes=12)
+        check_local_kg(local, g, 12, v_el)
         assert local.is_dummy == (len(v_el) == 0)
         checked += 1
     assert checked == len(segments)
@@ -456,7 +467,7 @@ def test_vocab_reserved_ids_distinct_and_never_tokenized():
     tv = Vocab(rt.RESERVED_TOKENS)
     assert len({rt.PAD, rt.UNK, rt.INT, rt.MASK, rt.SEP}) == 5
     assert [tv.ids[name] for name in rt.RESERVED_TOKENS] == [rt.PAD, rt.UNK, rt.INT, rt.MASK, rt.SEP]
-    toks = [t for t, _, _ in rt.tokenize("[MASK] [INT] [SEP]")]
+    toks = rt.tokenize("[MASK] [INT] [SEP]")
     assert "[MASK]" not in toks and "[mask]" not in toks
 
 

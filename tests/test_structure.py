@@ -15,9 +15,9 @@ def called_name(call: ast.Call) -> str | None:
     return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
 
 
-def callers(name: str) -> set[str]:
-    """`module:Qualified.function` of every function in src whose body calls
-    `name`, as a plain name or as an attribute."""
+def functions_where(match) -> set[str]:
+    """`module:Qualified.function` of every function in src whose body holds
+    a node that `match` accepts (`module:` for module-level code)."""
     found = set()
 
     def visit(node, module, scope):
@@ -25,13 +25,19 @@ def callers(name: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, module, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and called_name(child) == name:
+            if match(child):
                 found.add("%s:%s" % (module, ".".join(scope)))
             visit(child, module, scope)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
     return found
+
+
+def callers(name: str) -> set[str]:
+    """Every function in src whose body calls `name`, as a plain name or as
+    an attribute."""
+    return functions_where(lambda node: isinstance(node, ast.Call) and called_name(node) == name)
 
 
 @pytest.mark.parametrize("name, caller", [
@@ -97,3 +103,11 @@ def test_retrieval_streams_are_built_lazily():
                             for arg in node.args + [kw.value for kw in node.keywords])):
                 eager.append("%s:%d" % (path.stem, node.lineno))
     assert eager == []
+
+
+def test_token_pattern_is_read_by_tokenize_and_the_hard_split_only():
+    # text becomes tokens through tokenize; segment_corpus also needs the
+    # token spans to hard-split an over-long sentence
+    readers = functions_where(lambda node: isinstance(node, ast.Name) and node.id == "_TOKEN_RE"
+                              and isinstance(node.ctx, ast.Load))
+    assert readers == {"retrieval:tokenize", "retrieval:segment_corpus"}
