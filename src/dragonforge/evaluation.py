@@ -57,7 +57,7 @@ def ranks_to_report(ranks: list[float], n_candidates: list[int], filtered: bool,
     expected reciprocal rank is H_n / n and its Hit@3 is min(3, n) / n.
     """
     if not ranks:
-        return RankingReport(0.0, 0.0, 0.0, 1e-9, 0.0, 0, filtered, skipped, 0.0, 0.0)
+        return RankingReport(0.0, 0.0, 0.0, 0.0, 0.0, 0, filtered, skipped, 0.0, 0.0)
     arr = np.array(ranks, dtype=np.float64)
     n = np.array(n_candidates, dtype=np.int64)
     harmonic = np.cumsum(1.0 / np.arange(1, n.max() + 1))   # harmonic[k - 1] = H_k

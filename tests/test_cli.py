@@ -198,6 +198,19 @@ def test_eval_lp_both_modes(world_dir, pretrained, tmp_path):
         assert 0.0 < rep["chance_mrr"] <= 1.0 and 0.0 < rep["chance_hits3"] <= 1.0
 
 
+def test_eval_lp_with_no_rankable_query_reports_zero_mrr(world_dir, pretrained, tmp_path):
+    lines = open(os.path.join(world_dir, "lp_test.jsonl"), encoding="utf-8").read().splitlines()
+    queries = tmp_path / "unknown_tails.jsonl"
+    queries.write_text("".join(json.dumps({**json.loads(line), "tail": "no_such_entity"}) + "\n"
+                               for line in lines), encoding="utf-8")
+    code = main(["eval-lp", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"), "--test", str(queries),
+                 "--out", str(tmp_path / "lp")])
+    assert code == EXIT_OK
+    rep = json.load(open(tmp_path / "lp" / "ranking.json", encoding="utf-8"))
+    assert (rep["mrr"], rep["n_queries"], rep["skipped"]) == (0.0, 0, len(lines))
+
+
 def test_dump_attention_cli(world_dir, pretrained, tmp_path):
     out = str(tmp_path / "attn")
     first_doc = open(os.path.join(world_dir, "corpus.txt"),
