@@ -22,6 +22,7 @@ import hashlib
 import math
 from contextlib import contextmanager
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -292,9 +293,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def _blocks(ndim: int, axis: int, sizes: Sequence[int]) -> list[tuple]:
     """Index tuples of consecutive blocks of the given sizes along axis."""
-    bounds = np.cumsum([0, *sizes])
-    return [tuple(slice(lo, hi) if i == axis else slice(None) for i in range(ndim))
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    lead = (slice(None),) * (axis % ndim)
+    bounds = list(accumulate(sizes, initial=0))
+    return [lead + (slice(lo, hi),) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

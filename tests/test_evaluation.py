@@ -146,8 +146,9 @@ def test_entity_marginals_chi_square():
 
 
 def test_every_entity_reachable_by_linking(tmp_path):
-    files = ev.generate_synthetic_world(n_entities=80, n_relations=4, n_facts=500,
-                                        leak_rate=0.3, seed=6, structure="flat").write_files(str(tmp_path))
+    world = ev.generate_synthetic_world(n_entities=80, n_relations=4, n_facts=500,
+                                        leak_rate=0.3, seed=6, structure="flat")
+    files = world.write_files(str(tmp_path))
     _, entities, _ = load_kg(files["kg.tsv"], files["aliases.tsv"])
     assert len(entities) == 80
 

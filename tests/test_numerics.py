@@ -237,6 +237,8 @@ OPS = [
     ("reshape", lambda ts: nm.reduce_sum(nm.mul(nm.reshape(ts[0], (2, 6)), nm.reshape(ts[0], (2, 6)))), [(3, 4)]),
     ("concat", lambda ts: nm.reduce_sum(nm.mul(nm.concat(ts, axis=0), nm.concat(ts, axis=0))), [(2, 3), (4, 3)]),
     ("split", lambda ts: nm.reduce_sum(nm.mul(*nm.split(ts[0], [2, 2], axis=1))), [(3, 4)]),
+    ("concat_split_last_axis", lambda ts: nm.reduce_sum(nm.mul(*nm.split(
+        nm.concat([ts[0], ts[1]], axis=-1), [3, 3], axis=-1))), [(3, 2), (3, 4)]),
     ("gather_rows", lambda ts: nm.reduce_sum(nm.mul(nm.gather_rows(ts[0], [0, 2, 2, 1]),
                                                     nm.gather_rows(ts[0], [1, 1, 0, 2]))), [(3, 4)]),
     ("reduce_sum_axis", lambda ts: nm.reduce_sum(nm.mul(nm.reduce_sum(ts[0], axis=1),
