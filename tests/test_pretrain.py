@@ -509,8 +509,7 @@ def small_setup(out):
 def test_train_reduces_mlm_loss(tmp_path):
     segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     cfg = pt.PretrainConfig(steps=200, batch_size=4, n_negatives=4, seed=3)
-    _, metrics = pt.train(segments, kg, entities, relations, tv,
-                          enc_cfg, cfg)
+    _, metrics = pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
     first = np.mean([m["loss_mlm"] for m in metrics[:10]])
     last = np.mean([m["loss_mlm"] for m in metrics[-10:]])
     assert last < first
@@ -519,16 +518,14 @@ def test_train_reduces_mlm_loss(tmp_path):
 def test_mlm_only_mode_reports_zero_lp_loss(tmp_path):
     segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     cfg = pt.PretrainConfig(steps=5, batch_size=2, objective="mlm_only", seed=4)
-    _, metrics = pt.train(segments, kg, entities, relations, tv,
-                          enc_cfg, cfg)
+    _, metrics = pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
     assert all(m["loss_lp"] == 0.0 for m in metrics)
 
 
 def test_linkpred_only_mode_reports_zero_mlm_loss(tmp_path):
     segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     cfg = pt.PretrainConfig(steps=5, batch_size=2, objective="linkpred_only", seed=4)
-    _, metrics = pt.train(segments, kg, entities, relations, tv,
-                          enc_cfg, cfg)
+    _, metrics = pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
     assert all(m["loss_mlm"] == 0.0 for m in metrics)
 
 
@@ -543,8 +540,7 @@ def test_train_determinism_identical_metrics(tmp_path):
 def test_loss_additivity_every_step(tmp_path):
     segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     cfg = pt.PretrainConfig(steps=12, batch_size=3, n_negatives=2, seed=6)
-    _, metrics = pt.train(segments, kg, entities, relations, tv,
-                          enc_cfg, cfg)
+    _, metrics = pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
     for m in metrics:
         assert abs(m["loss"] - (m["loss_mlm"] + m["loss_lp"])) < 1e-5
 
