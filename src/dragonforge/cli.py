@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import inspect
 import io
@@ -28,7 +29,7 @@ import json
 import os
 import sys
 import traceback
-from functools import partial
+from functools import cache, partial
 from itertools import product, zip_longest
 
 from . import evaluation as ev
@@ -485,7 +486,32 @@ _COMMANDS = {
 }
 
 
+# glibc's mallopt parameters (malloc.h) and the values the CLI fixes them at
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_TRIM_THRESHOLD, _HEAP_MMAP_THRESHOLD = 64 << 20, 32 << 20   # the latter glibc's 64-bit maximum
+
+
+@cache
+def _pin_heap() -> None:
+    """Keep freed memory in the process heap, once per process.
+
+    A training step frees and allocates the same arrays, up to a few hundred
+    KB each, every step. By default glibc serves the larger ones with mmap
+    and trims the freed top of the heap, handing pages back to the kernel,
+    and the next step faults them in again. Where the C library has no
+    mallopt, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _pin_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -250,17 +250,17 @@ def _maybe_dropout(x: Tensor, cfg: EncoderConfig, keep: np.ndarray | None, site:
     return nm.dropout(x, cfg.dropout, keep[site])
 
 
+_ATTENTION_WEIGHTS = ("attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo",
+                      "attn.bo", "ln1.g", "ln1.b")
+_FFN_WEIGHTS = ("ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln2.g", "ln2.b")
+
+
 def _transformer_layer(x: Tensor, params, cfg: EncoderConfig, idx: int, batch: Batch) -> Tensor:
-    p = "lm.layer%d." % idx
-    q, k, v = (nm.linear(x, params[p + "attn.w" + c], params[p + "attn.b" + c]) for c in "qkv")
-    heads = nm.attention(q, k, v, batch.key_pad, cfg.heads_text)
-    attn = nm.linear(heads, params[p + "attn.wo"], params[p + "attn.bo"])
-    attn = _maybe_dropout(attn, cfg, batch.token_keep, 1 + 2 * idx)
-    x = nm.layer_norm(nm.add(x, attn), params[p + "ln1.g"], params[p + "ln1.b"])
-    f = nm.gelu(nm.linear(x, params[p + "ffn.w1"], params[p + "ffn.b1"]))
-    f = nm.linear(f, params[p + "ffn.w2"], params[p + "ffn.b2"])
-    f = _maybe_dropout(f, cfg, batch.token_keep, 2 + 2 * idx)
-    return nm.layer_norm(nm.add(x, f), params[p + "ln2.g"], params[p + "ln2.b"])
+    p, keep = "lm.layer%d." % idx, batch.token_keep
+    x = nm.attention_block(x, [params[p + n] for n in _ATTENTION_WEIGHTS], batch.key_pad,
+                           cfg.heads_text, cfg.dropout, None if keep is None else keep[1 + 2 * idx])
+    return nm.ffn_block(x, [params[p + n] for n in _FFN_WEIGHTS], cfg.dropout,
+                        None if keep is None else keep[2 + 2 * idx])
 
 
 def segment_attention(q: Tensor, k: Tensor, v: Tensor, segment_ids, n_segments: int,

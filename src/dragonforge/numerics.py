@@ -14,6 +14,18 @@ tensor whose gradient is still None then adopts the array instead of copying
 it. An array may be handed off once: `g` to at most one input, and never an
 array that the op keeps (its saved forward values) or that anything else can
 still read.
+
+Block ops: attention_block and ffn_block each record a whole post-norm
+transformer sublayer as one taped op. They make the numpy calls of the chain
+of single ops they replace, in its order, so values and gradients are
+bitwise the chain's, and they check each intermediate under the name of the
+op that made it in the chain ('linear', 'attention', 'gelu', 'dropout',
+'add', 'layer_norm'), so a NumericError reads the same. They save only what
+their backward reads: the input, the q/k/v projections and attention
+probabilities, or the hidden layer and its gelu with gelu's tanh; the output
+projection's input; and the final layer_norm's normalized rows and inverse
+deviations. The output projection, its dropped copy and the residual sum are
+never read back: they share one buffer, which then holds those rows.
 """
 
 from __future__ import annotations
@@ -163,13 +175,19 @@ def active_tape() -> ComputationTape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
+def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NumericError("non-finite values produced by op %r" % op)
+    return arr
 
 
-def _make(values: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable, op: str) -> Tensor:
-    _check_finite(values, op)
+def _make(values: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable, op: str,
+          checked: bool = False) -> Tensor:
+    """Tensor of values, recorded with backward_fn when a tape is active and
+    an input needs a gradient; checked says the values already passed the
+    finite check under the name of the op that made them."""
+    if not checked:
+        _check_finite(values, op)
     tape = active_tape()
     needs = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(values, requires_grad=needs)
@@ -262,26 +280,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(vals, (a, b), bk, "matmul")
 
 
+def _linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeError("linear requires 2-D x and w, got %s and %s" % (x.shape, w.shape))
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError("linear: inner dimensions disagree, %s vs %s" % (x.shape, w.shape))
+    if b.shape != (w.shape[1],):
+        raise ShapeError("linear: bias %s does not match weights %s" % (b.shape, w.shape))
+    vals = x @ w
+    vals += b
+    return vals
+
+
+def _linear_bwd(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor, want_x: bool) -> np.ndarray | None:
+    """Add the bias and weight gradients of x @ w + b for the output gradient
+    g (read only) to b and w; return x's gradient, or None unless want_x."""
+    # the order of the matmul-then-add pair that linear replaces
+    if b.requires_grad:
+        b.accumulate_grad(_unbroadcast_rows(g, b.values.shape), owned=True)
+    gx = g @ w.values.T if want_x else None
+    if w.requires_grad:
+        w.accumulate_grad(x.T @ g, owned=True)
+    return gx
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for [n, d_in] rows x, [d_in, d_out] weights w and a [d_out]
     bias b, as one taped op."""
-    if x.values.ndim != 2 or w.values.ndim != 2:
-        raise ShapeError("linear requires 2-D x and w, got %s and %s" % (x.shape, w.shape))
-    if x.values.shape[1] != w.values.shape[0]:
-        raise ShapeError("linear: inner dimensions disagree, %s vs %s" % (x.shape, w.shape))
-    if b.values.shape != (w.values.shape[1],):
-        raise ShapeError("linear: bias %s does not match weights %s" % (b.shape, w.shape))
-    vals = x.values @ w.values
-    vals += b.values
+    vals = _linear_fwd(x.values, w.values, b.values)
 
     def bk(g):
-        # the order of the matmul-then-add pair this op replaces
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast_rows(g, b.values.shape), owned=True)
-        if x.requires_grad:
-            x.accumulate_grad(g @ w.values.T, owned=True)
-        if w.requires_grad:
-            w.accumulate_grad(x.values.T @ g, owned=True)
+        gx = _linear_bwd(g, x.values, w, b, x.requires_grad)
+        if gx is not None:
+            x.accumulate_grad(gx, owned=True)
 
     return _make(vals, (x, w, b), bk, "linear")
 
@@ -398,95 +429,117 @@ def segment_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
     return _unary("segment_softmax", a, vals, grad)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, key_pad_mask: np.ndarray, heads: int) -> Tensor:
+def _split_heads(x: np.ndarray, b: int, heads: int) -> np.ndarray:
+    """[B * L, d] rows -> [B, heads, L, d / heads] (a view)."""
+    n, d = x.shape
+    return x.reshape(b, n // b, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """[B, heads, L, dh] -> [B * L, heads * dh] rows (a copy)."""
+    b, heads, length, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b * length, heads * dh)
+
+
+def _attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, key_pad_mask: np.ndarray,
+                   heads: int) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head scaled dot-product self-attention over a padded batch.
 
     q, k, v are [B * L, d]: sequence b owns rows b * L .. b * L + L - 1 and
     head h owns columns h * d/heads .. (h + 1) * d/heads - 1. key_pad_mask is
     [B, L] and True at padding positions, which no query attends to. Returns
-    [B * L, d]. Only the softmax probabilities are kept for backward.
+    the [B * L, d] output and the [B, heads, L, L] softmax probabilities, the
+    only array besides q, k, v that the backward reads.
     """
-    n, d = q.values.shape
-    if k.values.shape != (n, d) or v.values.shape != (n, d):
+    n, d = q.shape
+    if k.shape != (n, d) or v.shape != (n, d):
         raise ShapeError("attention: q, k, v shapes differ: %s %s %s" % (q.shape, k.shape, v.shape))
     if d % heads:
         raise ShapeError("attention: %d heads do not divide width %d" % (heads, d))
     b, length = key_pad_mask.shape
     if b * length != n:
         raise ShapeError("attention: padding mask %s does not cover %d rows" % ((b, length), n))
-    dh = d // heads
-    inv = 1.0 / math.sqrt(dh)
-
-    def split_heads(x):  # [B * L, d] -> [B, heads, L, dh]
-        return x.reshape(b, length, heads, dh).transpose(0, 2, 1, 3)
-
-    def merge_heads(x):  # [B, heads, L, dh] -> [B * L, d]
-        return x.transpose(0, 2, 1, 3).reshape(n, d)
-
-    qh, kh, vh = split_heads(q.values), split_heads(k.values), split_heads(v.values)
+    qh, kh, vh = (_split_heads(a, b, heads) for a in (q, k, v))
     logits = qh @ kh.transpose(0, 1, 3, 2)
-    logits *= inv
+    logits *= 1.0 / math.sqrt(d // heads)
     if key_pad_mask.any():
         logits += np.where(key_pad_mask, NEG_FILL, 0.0).astype(logits.dtype)[:, None, None, :]
     logits -= logits.max(axis=-1, keepdims=True)
     probs = np.exp(logits, out=logits)
     probs /= probs.sum(axis=-1, keepdims=True)
-    vals = merge_heads(probs @ vh)
+    return _merge_heads(probs @ vh), probs
 
-    def bk(g):
-        gh = split_heads(g)
-        if v.requires_grad:
-            v.accumulate_grad(merge_heads(probs.transpose(0, 1, 3, 2) @ gh), owned=True)
-        if q.requires_grad or k.requires_grad:
-            # with dp = gh @ vh^T: ds = probs * (dp - (dp * probs).sum(axis=-1)) * inv
-            ds = gh @ vh.transpose(0, 1, 3, 2)
-            ds -= (ds * probs).sum(axis=-1, keepdims=True)
-            ds *= probs
-            ds *= inv
-            if q.requires_grad:
-                q.accumulate_grad(merge_heads(ds @ kh), owned=True)
-            if k.requires_grad:
-                k.accumulate_grad(merge_heads(ds.transpose(0, 1, 3, 2) @ qh), owned=True)
 
-    return _make(vals, (q, k, v), bk, "attention")
+def _attention_bwd(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                   probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of q, k and v for the output gradient g (read only)."""
+    b, heads = probs.shape[:2]
+    inv = 1.0 / math.sqrt(q.shape[1] // heads)
+    qh, kh, vh, gh = (_split_heads(a, b, heads) for a in (q, k, v, g))
+    gv = _merge_heads(probs.transpose(0, 1, 3, 2) @ gh)
+    # with dp = gh @ vh^T: ds = probs * (dp - (dp * probs).sum(axis=-1)) * inv
+    ds = gh @ vh.transpose(0, 1, 3, 2)
+    ds -= (ds * probs).sum(axis=-1, keepdims=True)
+    ds *= probs
+    ds *= inv
+    return _merge_heads(ds @ kh), _merge_heads(ds.transpose(0, 1, 3, 2) @ qh), gv
+
+
+def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values of layer_norm plus the normalized rows xhat and the inverse
+    deviations inv that its backward reads; xhat is written into out when
+    given (out may be x)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = np.subtract(x, mu, out=out)
+    vals = np.multiply(xhat, xhat)
+    var = vals.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    np.multiply(xhat, gain, out=vals)
+    vals += bias
+    return vals, xhat, inv
+
+
+def _layer_norm_bwd(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Tensor, bias: Tensor,
+                    want_x: bool) -> np.ndarray | None:
+    """Add the gain and bias gradients for the output gradient g to gain and
+    bias; return the input's gradient, computed in g's buffer, or None unless
+    want_x."""
+    d = xhat.shape[-1]
+    # the parameter gradients read g before it becomes the input's gradient
+    if bias.requires_grad:
+        bias.accumulate_grad(g.reshape(-1, d).sum(axis=0).reshape(bias.values.shape), owned=True)
+    buf = np.multiply(g, xhat)
+    if gain.requires_grad:
+        gain.accumulate_grad(buf.reshape(-1, d).sum(axis=0).reshape(gain.values.shape), owned=True)
+    if not want_x:
+        return None
+    # d/dx of (x - mu) * inv with mu, inv functions of x:
+    # inv * (gx - s1 / d - xhat * s2 / d) with gx = g * gain
+    gx = g
+    gx *= gain.values
+    s1 = gx.sum(axis=-1, keepdims=True)
+    np.multiply(gx, xhat, out=buf)
+    s2 = buf.sum(axis=-1, keepdims=True)
+    gx -= s1 / d
+    np.multiply(xhat, s2, out=buf)
+    buf /= d
+    gx -= buf
+    gx *= inv
+    return gx
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply elementwise affine."""
     if eps <= 0:
         raise ContractError("layer_norm: eps must be positive")
-    x = a.values
-    mu = x.mean(axis=-1, keepdims=True)
-    xhat = x - mu
-    vals = np.multiply(xhat, xhat)
-    var = vals.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    np.multiply(xhat, gain.values, out=vals)
-    vals += bias.values
-    d = x.shape[-1]
+    vals, xhat, inv = _layer_norm_fwd(a.values, gain.values, bias.values, eps)
 
     def bk(g):
-        # the parameter gradients read g before it becomes a's gradient
-        if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0).reshape(bias.values.shape), owned=True)
-        buf = np.multiply(g, xhat)
-        if gain.requires_grad:
-            gain.accumulate_grad(buf.reshape(-1, d).sum(axis=0).reshape(gain.values.shape), owned=True)
-        if a.requires_grad:
-            # d/dx of (x - mu) * inv with mu, inv functions of x:
-            # inv * (gx - s1 / d - xhat * s2 / d) with gx = g * gain
-            gx = g
-            gx *= gain.values
-            s1 = gx.sum(axis=-1, keepdims=True)
-            np.multiply(gx, xhat, out=buf)
-            s2 = buf.sum(axis=-1, keepdims=True)
-            gx -= s1 / d
-            np.multiply(xhat, s2, out=buf)
-            buf /= d
-            gx -= buf
-            gx *= inv
-            a.accumulate_grad(gx, owned=True)
+        ga = _layer_norm_bwd(g, xhat, inv, gain, bias, a.requires_grad)
+        if ga is not None:
+            a.accumulate_grad(ga, owned=True)
 
     return _make(vals, (a, gain, bias), bk, "layer_norm")
 
@@ -497,9 +550,8 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation (BERT/GPT-2 form)."""
-    x = a.values
+def _gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gelu's values and the tanh t its backward reads."""
     # t = tanh(_GELU_C * (x + _GELU_K * x * x * x)); vals = 0.5 * x * (1.0 + t)
     t = np.multiply(x, _GELU_K)
     t *= x
@@ -509,25 +561,37 @@ def gelu(a: Tensor) -> Tensor:
     np.tanh(t, out=t)
     vals = np.multiply(x, 0.5)
     vals *= 1.0 + t
+    return vals, t
+
+
+def _gelu_bwd(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The input's gradient for the output gradient g, computed in g's
+    buffer; overwrites t."""
+    # g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner), where
+    # dinner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
+    da = np.multiply(x, 0.5)
+    buf = np.multiply(t, t)
+    np.subtract(1.0, buf, out=buf)
+    da *= buf
+    np.multiply(x, 3.0 * _GELU_K, out=buf)
+    buf *= x
+    buf += 1.0
+    buf *= _GELU_C
+    da *= buf
+    np.add(t, 1.0, out=t)
+    np.multiply(t, 0.5, out=t)
+    da += t
+    g *= da
+    return g
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Gaussian error linear unit, tanh approximation (BERT/GPT-2 form)."""
+    vals, t = _gelu_fwd(a.values)
 
     def bk(g):
         if a.requires_grad:
-            # g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner), where
-            # dinner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x); t is not needed after
-            da = np.multiply(x, 0.5)
-            buf = np.multiply(t, t)
-            np.subtract(1.0, buf, out=buf)
-            da *= buf
-            np.multiply(x, 3.0 * _GELU_K, out=buf)
-            buf *= x
-            buf += 1.0
-            buf *= _GELU_C
-            da *= buf
-            np.add(t, 1.0, out=t)
-            np.multiply(t, 0.5, out=t)
-            da += t
-            g *= da
-            a.accumulate_grad(g, owned=True)
+            a.accumulate_grad(_gelu_bwd(g, a.values, t), owned=True)
 
     return _make(vals, (a,), bk, "gelu")
 
@@ -557,26 +621,111 @@ def sin(a: Tensor) -> Tensor:
     return _unary("sin", a, np.sin(a.values), lambda g: g * np.cos(a.values))
 
 
+def _dropout_factor(rate: float, keep: np.ndarray, shape: tuple) -> float:
+    if not 0.0 <= rate < 1.0:
+        raise ContractError("dropout rate must be in [0, 1)")
+    if keep.shape != shape:
+        raise ShapeError("dropout: mask shape %s != tensor shape %s" % (keep.shape, shape))
+    return 1.0 / (1.0 - rate)
+
+
+def _dropout(x: np.ndarray, keep: np.ndarray, factor: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x * keep * factor, into out when given: dropout's values, and its
+    gradient for an output gradient x."""
+    out = np.multiply(x, keep, out=out)
+    out *= factor
+    return out
+
+
 def dropout(a: Tensor, rate: float, keep: np.ndarray) -> Tensor:
     """Train-mode inverted dropout with a seeded boolean keep mask of a's
     shape (callers draw it as uniform draws >= rate). Callers skip it in eval."""
-    if not 0.0 <= rate < 1.0:
-        raise ContractError("dropout rate must be in [0, 1)")
     if rate == 0.0:
         return a
-    if keep.shape != a.values.shape:
-        raise ShapeError("dropout: mask shape %s != tensor shape %s" % (keep.shape, a.shape))
-    factor = 1.0 / (1.0 - rate)
-    vals = np.multiply(a.values, keep)
-    vals *= factor
+    factor = _dropout_factor(rate, keep, a.values.shape)
 
     def bk(g):
         if a.requires_grad:
-            g *= keep
-            g *= factor
-            a.accumulate_grad(g, owned=True)
+            a.accumulate_grad(_dropout(g, keep, factor, out=g), owned=True)
 
-    return _make(vals, (a,), bk, "dropout")
+    return _make(_dropout(a.values, keep, factor), (a,), bk, "dropout")
+
+
+def _residual_norm(x: np.ndarray, y: np.ndarray, rate: float, keep: np.ndarray | None,
+                   gain: Tensor, bias: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """layer_norm(x + dropout(y)), the tail of a sublayer with input x and
+    branch output y, with each step written over y and finite-checked under
+    its op's name. Returns the values, layer_norm's saved xhat (y's buffer)
+    and inv, and the dropout factor (1.0 without a keep mask)."""
+    factor = 1.0
+    if keep is not None:
+        factor = _dropout_factor(rate, keep, y.shape)
+        _check_finite(_dropout(y, keep, factor, out=y), "dropout")
+    if y.shape != x.shape:
+        raise ShapeError("add: incompatible shapes %s and %s" % (x.shape, y.shape))
+    _check_finite(np.add(x, y, out=y), "add")
+    vals, xhat, inv = _layer_norm_fwd(y, gain.values, bias.values, out=y)
+    return _check_finite(vals, "layer_norm"), xhat, inv, factor
+
+
+def attention_block(x: Tensor, weights: Sequence[Tensor], key_pad_mask: np.ndarray, heads: int,
+                    rate: float, keep: np.ndarray | None) -> Tensor:
+    """Post-norm self-attention sublayer as one taped op:
+    layer_norm(x + dropout(linear(attention(q, k, v), wo, bo))) with
+    q = linear(x, wq, bq) and likewise k, v, for
+    weights = (wq, bq, wk, bk, wv, bv, wo, bo, ln gain, ln bias).
+
+    x is [B * L, d] rows laid out as key_pad_mask ([B, L], True at padding)
+    says; head h owns the h-th block of d / heads columns. keep is the
+    dropout keep mask of x's shape, or None for no dropout.
+    """
+    wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = weights
+    xv = x.values
+    q, k, v = (_check_finite(_linear_fwd(xv, w.values, b.values), "linear")
+               for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    att, probs = _attention_fwd(q, k, v, key_pad_mask, heads)
+    out = _check_finite(_linear_fwd(_check_finite(att, "attention"), wo.values, bo.values), "linear")
+    vals, xhat, inv, factor = _residual_norm(xv, out, rate, keep, gain, bias)
+
+    def backward(g):
+        gs = _layer_norm_bwd(g, xhat, inv, gain, bias, True)
+        gy = gs if keep is None else _dropout(gs, keep, factor)
+        gq, gk, gv = _attention_bwd(_linear_bwd(gy, att, wo, bo, True), q, k, v, probs)
+        # gy has been read, so x may adopt gs: its gradient takes the residual
+        # part, then the v, k and q parts, as the tape of the single ops did
+        if x.requires_grad:
+            x.accumulate_grad(gs, owned=True)
+        for w, b, gp in ((wv, bv, gv), (wk, bk, gk), (wq, bq, gq)):
+            gx = _linear_bwd(gp, xv, w, b, x.requires_grad)
+            if gx is not None:
+                x.accumulate_grad(gx, owned=True)
+
+    return _make(vals, (x, *weights), backward, "attention_block", checked=True)
+
+
+def ffn_block(x: Tensor, weights: Sequence[Tensor], rate: float, keep: np.ndarray | None) -> Tensor:
+    """Post-norm feed-forward sublayer as one taped op:
+    layer_norm(x + dropout(linear(gelu(linear(x, w1, b1)), w2, b2))) for
+    weights = (w1, b1, w2, b2, ln gain, ln bias); keep is the dropout keep
+    mask of x's shape, or None for no dropout."""
+    w1, b1, w2, b2, gain, bias = weights
+    xv = x.values
+    hidden = _check_finite(_linear_fwd(xv, w1.values, b1.values), "linear")
+    act, t = _gelu_fwd(hidden)
+    out = _check_finite(_linear_fwd(_check_finite(act, "gelu"), w2.values, b2.values), "linear")
+    vals, xhat, inv, factor = _residual_norm(xv, out, rate, keep, gain, bias)
+
+    def backward(g):
+        gs = _layer_norm_bwd(g, xhat, inv, gain, bias, True)
+        gy = gs if keep is None else _dropout(gs, keep, factor)
+        gh = _gelu_bwd(_linear_bwd(gy, act, w2, b2, True), hidden, t)
+        if x.requires_grad:   # after the last read of gy, as above
+            x.accumulate_grad(gs, owned=True)
+        gx = _linear_bwd(gh, xv, w1, b1, x.requires_grad)
+        if gx is not None:
+            x.accumulate_grad(gx, owned=True)
+
+    return _make(vals, (x, *weights), backward, "ffn_block", checked=True)
 
 
 def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:

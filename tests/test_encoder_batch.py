@@ -327,3 +327,38 @@ def test_numeric_error_names_the_layer(stage, weights):
         params[stage + "." + w].values[:] = 1e25
     with pytest.raises(nm.NumericError, match=stage.replace(".", r"\.") + ":"):
         encode_batch(mixed_batch(), params, cfg, "eval")
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("mode,weights,value,op", [
+    ("eval", ("attn.wq", "attn.wk"), 1e30, "attention"),
+    ("eval", ("attn.wv", "attn.wo"), 1e30, "linear"),
+    ("eval", ("ln1.g",), 3e38, "layer_norm"),
+    ("train", ("attn.bo",), 3.2e38, "dropout"),
+    ("train", ("ln1.b", "ffn.b2"), 2e38, "add"),
+    ("eval", ("ffn.w1", "ffn.w2"), 1e30, "linear"),
+    ("train", ("ffn.b2",), 3.2e38, "dropout"),
+    ("train", ("ln2.g",), 3e38, "layer_norm"),
+])
+def test_numeric_error_names_the_op_inside_the_transformer_layer(mode, weights, value, op):
+    # each message reads as it did when every sublayer step was its own taped op
+    cfg = tiny_cfg()
+    params = init_params(cfg, 1, VOCAB, ENTS, RELS)
+    for w in weights:
+        params["lm.layer0." + w].values[:] = value
+    with pytest.raises(nm.NumericError) as err:
+        encode_batch(mixed_batch(), params, cfg, mode, SEEDS)
+    assert str(err.value) == "lm.layer0: non-finite values produced by op '%s'" % op
+
+
+def test_transformer_layer_records_one_tape_op_per_sublayer():
+    cfg = tiny_cfg()
+    params = init_params(cfg, 2, VOCAB, ENTS, RELS)
+    examples = mixed_batch()
+    batch = make_batch(examples, cfg, True, SEEDS)
+    assert batch.token_keep is not None
+    with nm.ComputationTape() as tape:
+        x = embed(examples, batch, params, cfg)
+        before = len(tape.records)
+        _transformer_layer(x, params, cfg, 0, batch)
+    assert len(tape.records) - before == 2

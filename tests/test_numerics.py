@@ -156,7 +156,7 @@ def test_attention_against_per_sequence_per_head_loop():
         q, k, v = (rng(25 + i).normal(size=(b * length, d)) for i in range(3))
         lengths = [4, 1, 2]
         pad = np.arange(length)[None, :] >= np.array(lengths)[:, None]
-        out = nm.attention(nm.Tensor(q), nm.Tensor(k), nm.Tensor(v), pad, heads).values
+        out = nm._attention_fwd(q, k, v, pad, heads)[0]
         dh = d // heads
         for s, n in enumerate(lengths):
             rows = slice(s * length, s * length + n)
@@ -166,9 +166,8 @@ def test_attention_against_per_sequence_per_head_loop():
                 p = np.exp(logits - logits.max(axis=1, keepdims=True))
                 p /= p.sum(axis=1, keepdims=True)
                 np.testing.assert_allclose(out[rows, cols], p @ v[rows, cols], atol=1e-12)
-        single = nm.attention(nm.Tensor(q[:4]), nm.Tensor(k[:4]), nm.Tensor(v[:4]),
-                              np.zeros((1, 4), bool), heads)
-        np.testing.assert_allclose(single.values, out[:4], atol=1e-12)
+        single = nm._attention_fwd(q[:4], k[:4], v[:4], np.zeros((1, 4), bool), heads)[0]
+        np.testing.assert_allclose(single, out[:4], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +257,20 @@ OPS = [
      [(3, 2), (4, 2)]),
     ("segment_softmax", lambda ts: nm.reduce_sum(nm.mul(
         nm.segment_softmax(ts[0], [0, 2, 0, 2, 2], 4), ts[0])), [(5, 2)]),
+    # x, then wq, bq, wk, bk, wv, bv, wo, bo, the layer_norm gain and bias, then the loss weights
     ("attention", lambda ts: nm.reduce_sum(nm.mul(
-        nm.attention(ts[0], ts[1], ts[2], np.zeros((1, 3), bool), 2), ts[3])), [(3, 4), (3, 4), (3, 4), (3, 4)]),
+        nm.attention_block(ts[0], ts[1:11], np.zeros((1, 3), bool), 2, 0.0, None), ts[11])),
+     [(3, 4)] + [(4, 4), (4,)] * 4 + [(4,), (4,), (3, 4)]),
     ("attention_padded", lambda ts: nm.reduce_sum(nm.mul(
-        nm.attention(ts[0], ts[1], ts[2], np.array([[False, False, True], [False, False, False]]), 2),
-        ts[3])), [(6, 4), (6, 4), (6, 4), (6, 4)]),
+        nm.attention_block(ts[0], ts[1:11], np.array([[False, False, True], [False, False, False]]), 2,
+                           0.3, keep_mask((6, 4), 0.3, 5)), ts[11])),
+     [(6, 4)] + [(4, 4), (4,)] * 4 + [(4,), (4,), (6, 4)]),
+    # x, then w1, b1, w2, b2, the layer_norm gain and bias, then the loss weights
+    ("ffn_block", lambda ts: nm.reduce_sum(nm.mul(nm.ffn_block(ts[0], ts[1:7], 0.0, None), ts[7])),
+     [(3, 4), (4, 6), (6,), (6, 4), (4,), (4,), (4,), (3, 4)]),
+    ("ffn_block_dropout", lambda ts: nm.reduce_sum(nm.mul(
+        nm.ffn_block(ts[0], ts[1:7], 0.3, keep_mask((3, 4), 0.3, 6)), ts[7])),
+     [(3, 4), (4, 6), (6,), (6, 4), (4,), (4,), (4,), (3, 4)]),
     ("cross_entropy", lambda ts: nm.reduce_mean(nm.cross_entropy_with_logits(ts[0], [1, 0, 3])), [(3, 5)]),
 ]
 
@@ -300,9 +308,9 @@ def test_every_taped_op_has_a_finite_difference_case(monkeypatch):
     exercised = set()
     make = nm._make
 
-    def recording_make(values, inputs, backward_fn, op):
+    def recording_make(values, inputs, backward_fn, op, **kw):
         exercised.add(op)
-        return make(values, inputs, backward_fn, op)
+        return make(values, inputs, backward_fn, op, **kw)
 
     monkeypatch.setattr(nm, "_make", recording_make)
     with nm.float64_mode():
@@ -345,7 +353,7 @@ def test_every_taped_op_has_a_library_caller():
     # gradient case; op names are the names of the functions that record them
     ops = _taped_op_names()
     called = _numerics_functions_called_by_library()
-    assert {"matmul", "segment_softmax", "attention"} <= called
+    assert {"matmul", "segment_softmax", "attention_block", "ffn_block"} <= called
     assert ops <= called, "taped ops without a library caller: %s" % sorted(ops - called)
 
 
@@ -356,9 +364,9 @@ def test_float32_mode_computes_in_float32(name, fn, shapes, monkeypatch):
     seen = []
     make, accumulate = nm._make, nm.Tensor.accumulate_grad
 
-    def recording_make(values, inputs, backward_fn, op):
+    def recording_make(values, inputs, backward_fn, op, **kw):
         seen.append((op, values.dtype))
-        return make(values, inputs, backward_fn, op)
+        return make(values, inputs, backward_fn, op, **kw)
 
     def recording_accumulate(self, delta, owned=False):
         seen.append(("gradient", np.asarray(delta).dtype))
@@ -417,7 +425,7 @@ def _attention_reference(q, k, v, pad, heads, g):
     n, d = q.shape
     b, length = pad.shape
     dh = d // heads
-    inv = 1.0 / math.sqrt(dh)   # a Python float, as in nm.attention
+    inv = 1.0 / math.sqrt(dh)   # a Python float, as in nm._attention_fwd
     split = lambda x: x.reshape(b, length, heads, dh).transpose(0, 2, 1, 3)
     merge = lambda x: x.transpose(0, 2, 1, 3).reshape(n, d)
     qh, kh, vh, gh = split(q), split(k), split(v), split(g)
@@ -431,6 +439,48 @@ def _attention_reference(q, k, v, pad, heads, g):
     ds *= inv
     return (merge(probs @ vh), merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh),
             merge(probs.transpose(0, 1, 3, 2) @ gh))
+
+
+def _linear_reference(x, w, b, g):
+    """x @ w + b and, for the output gradient g, the gradients of x, w and b."""
+    return x @ w + b, g @ w.T, x.T @ g, g.sum(axis=0)
+
+
+def _dropout_reference(x, keep, rate):
+    return x * keep.astype(x.dtype) * (1.0 / (1.0 - rate)) if keep is not None else x
+
+
+def _residual_norm_reference(x, y, gain, bias, keep, rate, g):
+    """layer_norm(x + dropout(y)): values, the gradient of the residual input
+    x and of the branch output y, and the gain and bias gradients."""
+    out, gs, ggain, gbias = _layer_norm_reference(x + _dropout_reference(y, keep, rate), gain, bias, g)
+    return out, gs, _dropout_reference(gs, keep, rate), ggain, gbias
+
+
+def _attention_block_reference(x, weights, pad, heads, keep, rate, g):
+    """Values and every gradient of attention_block, in its argument order,
+    from the allocating formulas of the single ops it fuses."""
+    wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = weights
+    q, k, v = (x @ w + b for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    att = _attention_reference(q, k, v, pad, heads, np.zeros_like(q))[0]
+    out, gs, gy, ggain, gbias = _residual_norm_reference(x, att @ wo + bo, gain, bias, keep, rate, g)
+    _, gatt, gwo, gbo = _linear_reference(att, wo, bo, gy)
+    _, gq, gk, gv = _attention_reference(q, k, v, pad, heads, gatt)
+    grads = [_linear_reference(x, w, b, gp) for w, b, gp in ((wq, bq, gq), (wk, bk, gk), (wv, bv, gv))]
+    # the residual part first, then the v, k and q parts, as the tape adds them
+    gx = gs + grads[2][1] + grads[1][1] + grads[0][1]
+    return [out, gx] + [a for _, _, gw, gb in grads for a in (gw, gb)] + [gwo, gbo, ggain, gbias]
+
+
+def _ffn_block_reference(x, weights, keep, rate, g):
+    w1, b1, w2, b2, gain, bias = weights
+    hidden = x @ w1 + b1
+    act = _gelu_reference(hidden, hidden)[0]
+    out, gs, gy, ggain, gbias = _residual_norm_reference(x, act @ w2 + b2, gain, bias, keep, rate, g)
+    _, gact, gw2, gb2 = _linear_reference(act, w2, b2, gy)
+    gh = _gelu_reference(hidden, gact)[1]
+    _, gx1, gw1, gb1 = _linear_reference(x, w1, b1, gh)
+    return [out, gs + gx1, gw1, gb1, gw2, gb2, ggain, gbias]
 
 
 def test_linear_is_bitwise_the_matmul_add_pair():
@@ -456,16 +506,26 @@ def test_in_place_kernels_are_bitwise_the_allocating_formulas():
     got = _forward_and_grads(nm.layer_norm, [x, gain, bias], g)
     for a, b in zip(got, _layer_norm_reference(x, gain, bias, g)):
         assert a.tobytes() == b.tobytes()
-    pad = np.array([[False, False, True], [False, False, False]])
-    qkv = [rng(39 + i).normal(size=(6, 8)).astype(np.float32) for i in range(3)]
-    got = _forward_and_grads(lambda q, k, v: nm.attention(q, k, v, pad, 2), qkv, g)
-    for a, b in zip(got, _attention_reference(*qkv, pad, 2, g)):
-        assert a.tobytes() == b.tobytes()
-    factor = 1.0 / (1.0 - 0.3)
     got = _forward_and_grads(lambda a: nm.dropout(a, 0.3, keep), [x], g)
-    mask = keep.astype(np.float32)
-    for a, b in zip(got, (x * mask * factor, g * mask * factor)):
+    for a, b in zip(got, (_dropout_reference(x, keep, 0.3), _dropout_reference(g, keep, 0.3))):
         assert a.tobytes() == b.tobytes()
+
+    pad = np.array([[False, False, True], [False, False, False]])
+    attn = [rng(39 + i).normal(size=s).astype(np.float32) * 0.5
+            for i, s in enumerate([(8, 8), (8,)] * 4 + [(8,), (8,)])]
+    ffn = [rng(49 + i).normal(size=s).astype(np.float32) * 0.5
+           for i, s in enumerate([(8, 12), (12,), (12, 8), (8,), (8,), (8,)])]
+    for mask in (keep, None):
+        got = _forward_and_grads(lambda *ts: nm.attention_block(ts[0], ts[1:], pad, 2, 0.3, mask), [x] + attn, g)
+        want = _attention_block_reference(x, attn, pad, 2, mask, 0.3, g)
+        assert len(got) == len(want) == 12
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.tobytes() == b.tobytes(), ("attention_block", mask is None, i)
+        got = _forward_and_grads(lambda *ts: nm.ffn_block(ts[0], ts[1:], 0.3, mask), [x] + ffn, g)
+        want = _ffn_block_reference(x, ffn, mask, 0.3, g)
+        assert len(got) == len(want) == 8
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.tobytes() == b.tobytes(), ("ffn_block", mask is None, i)
 
 
 # ---------------------------------------------------------------------------
