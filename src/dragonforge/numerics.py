@@ -21,9 +21,9 @@ of single ops they replace, in its order, so values and gradients are
 bitwise the chain's, and they check each intermediate under the name of the
 op that made it in the chain ('linear', 'attention', 'gelu', 'dropout',
 'add', 'layer_norm'), so a NumericError reads the same. They save only what
-their backward reads: the input, the q/k/v projections and attention
-probabilities, or the hidden layer and its gelu with gelu's tanh; the output
-projection's input; and the final layer_norm's normalized rows and inverse
+their backward reads: the input; q, k, v and the attention probabilities and
+output (attention_block) or the hidden layer, its gelu and gelu's tanh
+(ffn_block); and the final layer_norm's normalized rows and inverse
 deviations. The output projection, its dropped copy and the residual sum are
 never read back: they share one buffer, which then holds those rows.
 """

@@ -803,8 +803,8 @@ def _mallopt_resolves() -> bool:
 def test_pinned_heap_keeps_the_training_step_resident(world_dir, tmp_path, monkeypatch):
     # a verbalized step of the CLI-default model frees and allocates the same
     # arrays of up to a few hundred KB each step; unpinned, glibc handed them
-    # back and every step faulted about 900 pages in again (about 200 with the
-    # fused sublayers alone); pinned, the median step faulted 0
+    # back and every step faulted several hundred pages in again (about 200
+    # with the fused sublayers alone); pinned, the median step faulted 0
     import resource
 
     faults, step = [], pt.train_step
@@ -838,7 +838,7 @@ def _unloadable(error):
                                   _unloadable(TypeError("no library name"))],
                          ids=["no_symbol", "os_error", "type_error"])
 def test_heap_pin_is_a_silent_no_op_without_mallopt(monkeypatch, capsys, cdll):
-    # musl and macOS have no mallopt symbol; Windows cannot load CDLL(None)
+    # macOS's C library has no mallopt symbol; Windows cannot load CDLL(None)
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     assert cli._pin_heap.__wrapped__() is None
     assert capsys.readouterr() == ("", "")
