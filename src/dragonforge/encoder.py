@@ -263,21 +263,8 @@ def _transformer_layer(x: Tensor, params, cfg: EncoderConfig, idx: int, batch: B
                         None if keep is None else keep[2 + 2 * idx])
 
 
-def segment_attention(q: Tensor, k: Tensor, v: Tensor, segment_ids, n_segments: int,
-                      heads: int) -> tuple[Tensor, np.ndarray]:
-    """Multi-head attention of query row s of q over the rows i of keys k and
-    values v with segment_ids[i] == s (head h owns the h-th column block).
-
-    Returns the [n_segments, d] weighted value sums (zero for a segment with
-    no rows) and the [m, heads] weights, which sum to 1 per segment and head.
-    """
-    dh = k.shape[1] // heads
-    # head_cols[c, h] = 1 where column c belongs to head h
-    head_cols = np.repeat(np.eye(heads), dh, axis=0)
-    logits = nm.matmul(nm.mul(nm.gather_rows(q, segment_ids), k), nm.constant(head_cols / np.sqrt(dh)))
-    alpha = nm.segment_softmax(logits, segment_ids, n_segments)
-    weighted = nm.mul(nm.matmul(alpha, nm.constant(head_cols.T)), v)
-    return nm.scatter_rows(weighted, segment_ids, n_segments), alpha.values
+_GNN_WEIGHTS = ("w_msg", "b_msg", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln.g", "ln.b")
+_MINT_WEIGHTS = ("w1", "b1", "w2", "b2")
 
 
 def _gnn_layer(v: Tensor, params, cfg: EncoderConfig, layer: int,
@@ -290,36 +277,21 @@ def _gnn_layer(v: Tensor, params, cfg: EncoderConfig, layer: int,
     Dummy graphs' rows stay zero. Returns the new node states and the [M,
     heads] attention of every message.
     """
-    p = "gnn.layer%d." % layer
-    s = nm.gather_rows(v, batch.src)
-    re = nm.gather_rows(params["gnn.rel_emb"], batch.reldir)
-    msg = nm.linear(nm.concat([s, re], axis=1), params[p + "w_msg"], params[p + "b_msg"])
-
-    q = nm.linear(v, params[p + "wq"], params[p + "bq"])
-    k = nm.linear(msg, params[p + "wk"], params[p + "bk"])
-    val = nm.linear(msg, params[p + "wv"], params[p + "bv"])
-
-    summed, alpha = segment_attention(q, k, val, batch.dst, v.shape[0], cfg.heads_gnn)
-    agg = nm.linear(summed, params[p + "wo"], params[p + "bo"])
-    agg = _maybe_dropout(agg, cfg, batch.node_keep, 1 + layer)
-    out = nm.layer_norm(nm.add(v, nm.gelu(agg)), params[p + "ln.g"], params[p + "ln.b"])
-    if not batch.graph.all():
-        counts = np.diff(batch.node_offsets)
-        live = np.repeat(batch.graph, counts).astype(float)[:, None]
-        out = nm.mul(out, nm.constant(np.broadcast_to(live, out.shape)))
-    return out, alpha
+    p, keep = "gnn.layer%d." % layer, batch.node_keep
+    live = None if batch.graph.all() else np.repeat(batch.graph, np.diff(batch.node_offsets))
+    return nm.gnn_block(v, params["gnn.rel_emb"], [params[p + n] for n in _GNN_WEIGHTS], batch.src,
+                        batch.dst, batch.reldir, cfg.heads_gnn, cfg.dropout,
+                        None if keep is None else keep[1 + layer], live)
 
 
 def _mint(x: Tensor, v: Tensor, params, cfg: EncoderConfig, layer: int,
           batch: Batch) -> tuple[Tensor, Tensor]:
     """Two-layer perceptron over each example's [H_int; V_int]; residual
     update of both rows. Dummy graphs' interaction nodes stay zero."""
-    p = "mint.layer%d." % layer
+    p, keep = "mint.layer%d." % layer, batch.mint_keep
     int_rows, v_rows = np.arange(len(batch.graph)) * batch.max_len, batch.node_offsets[:-1]
-    z = nm.concat([nm.gather_rows(x, int_rows), nm.gather_rows(v, v_rows)], axis=1)
-    hid = nm.gelu(nm.linear(z, params[p + "w1"], params[p + "b1"]))
-    hid = _maybe_dropout(hid, cfg, batch.mint_keep, layer)
-    upd = nm.linear(hid, params[p + "w2"], params[p + "b2"])
+    upd = nm.mint_block(x, v, [params[p + n] for n in _MINT_WEIGHTS], int_rows, v_rows, cfg.dropout,
+                        None if keep is None else keep[layer])
     uh, uv = nm.split(upd, [cfg.d_text, cfg.d_node], axis=1)
     x = nm.add(x, nm.scatter_rows(uh, int_rows, x.shape[0]))
     if batch.graph.any():

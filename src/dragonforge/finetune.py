@@ -19,8 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics as nm
-from .encoder import (NORMAL, EncoderConfig, EncoderOutput, check_fields, encode_batch,
-                      init_param, segment_attention)
+from .encoder import NORMAL, EncoderConfig, EncoderOutput, check_fields, encode_batch, init_param
 from .numerics import Tensor
 from .pretrain import Optimizer, train_step
 from .retrieval import LocalKG, Retriever, TextSegment
@@ -115,7 +114,7 @@ def pool(out: EncoderOutput, params: dict[str, Tensor]) -> tuple[Tensor, np.ndar
     v_rest = nm.gather_rows(out.nodes, rest)                     # [J, d_node]
     q = nm.matmul(h_int, params["other.pool.wq"])                # [B, d_node]
     k = nm.matmul(v_rest, params["other.pool.wk"])               # [J, d_node]
-    g, alpha = segment_attention(q, k, v_rest, owner, b, 1)      # [B, d_node], [J, 1]
+    g, alpha = nm.segment_attention(q, k, v_rest, owner, 1)      # [B, d_node], [J, 1]
     z = nm.concat([h_int, v_int, g], axis=1)
     hid = nm.gelu(nm.linear(z, params["other.pool.mlp.w1"], params["other.pool.mlp.b1"]))
     x = nm.linear(hid, params["other.pool.mlp.w2"], params["other.pool.mlp.b2"])

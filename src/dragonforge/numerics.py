@@ -26,6 +26,14 @@ output (attention_block) or the hidden layer, its gelu and gelu's tanh
 (ffn_block); and the final layer_norm's normalized rows and inverse
 deviations. The output projection, its dropped copy and the residual sum are
 never read back: they share one buffer, which then holds those rows.
+gnn_block records a relation-aware GNN layer and mint_block the interaction
+perceptron as one taped op each, on the same terms; each input's gradient
+takes its parts in the order the chain's tape added them. segment_attention
+is the GNN's attention over each node's incoming messages as one taped op;
+it and gnn_block share its private forward and backward kernels. Every row
+scatter (gather_rows' backward, scatter_rows, the segment softmax) goes
+through _rows_at, which is bitwise ufunc.at on 2-D rows but several times
+faster.
 """
 
 from __future__ import annotations
@@ -355,6 +363,30 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = 0) -> list[Tensor]:
             for block in _blocks(a.values.ndim, axis, sizes)]
 
 
+def _rows_at(ufunc: np.ufunc, out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """ufunc.at(out, ids, rows) for [n, d] out, [m] ids and [m, d] rows.
+
+    Row rows[i] meets row ids[i] of out in the order of ids, so every element
+    takes the same operands in the same order as in the 2-D call, and the
+    result is bitwise that call's. The call goes through flat element indices
+    into out's buffer, which numpy's 1-D ufunc.at runs several times faster;
+    an out that is not C-contiguous takes the 2-D call, so writes still land.
+    """
+    if not out.flags.c_contiguous:
+        ufunc.at(out, ids, rows)
+        return
+    d = out.shape[1]
+    ufunc.at(out.reshape(-1), (ids[:, None] * d + np.arange(d)).reshape(-1), rows.reshape(-1))
+
+
+def _add_rows_to_grad(t: Tensor, ids: np.ndarray, rows: np.ndarray) -> None:
+    """gather_rows' backward: add rows[i] to row ids[i] of t's gradient."""
+    if t.requires_grad:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.values)
+        _rows_at(np.add, t.grad, ids, rows)
+
+
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Row gather (embedding lookup); backward scatter-adds into the table."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -364,15 +396,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         raise ShapeError("gather_rows expects a 2-D table, got %s" % (table.shape,))
     if ids.size and (ids.min() < 0 or ids.max() >= table.values.shape[0]):
         raise ShapeError("gather_rows: index out of range for table with %d rows" % table.values.shape[0])
-    vals = table.values[ids]
-
-    def bk(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.values)
-            np.add.at(table.grad, ids, g)
-
-    return _make(vals, (table,), bk, "gather_rows")
+    return _make(table.values[ids], (table,), partial(_add_rows_to_grad, table, ids), "gather_rows")
 
 
 def scatter_rows(a: Tensor, ids, n_rows: int) -> Tensor:
@@ -384,7 +408,7 @@ def scatter_rows(a: Tensor, ids, n_rows: int) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
         raise ShapeError("scatter_rows: index out of range for %d rows" % n_rows)
     vals = np.zeros((n_rows, a.values.shape[1]), dtype=a.values.dtype)
-    np.add.at(vals, ids, a.values)
+    _rows_at(np.add, vals, ids, a.values)
     return _unary("scatter_rows", a, vals, lambda g: g[ids])
 
 
@@ -404,29 +428,87 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     return _unary("reduce_mean", a, a.values.mean(axis=axis), lambda g: _spread(g / n, a, axis))
 
 
-def segment_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """Softmax of [m, h] scores over the rows that share a segment id, per
+def _segment_softmax(x: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndarray:
+    """Softmax of [m, h] scores x over the rows that share a segment id, per
     column (edge softmax: each destination node normalizes its messages)."""
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    if a.values.ndim != 2 or seg.shape != a.values.shape[:1]:
-        raise ShapeError("segment_softmax expects [m, h] scores and [m] segment ids, got %s and %s"
-                         % (a.shape, seg.shape))
-    if seg.size and (seg.min() < 0 or seg.max() >= n_segments):
-        raise ShapeError("segment_softmax: segment id out of range for %d segments" % n_segments)
-    x = a.values
     top = np.full((n_segments, x.shape[1]), -np.inf, dtype=x.dtype)
-    np.maximum.at(top, seg, x)
+    _rows_at(np.maximum, top, seg, x)
     e = np.exp(x - top[seg])
     total = np.zeros_like(top)
-    np.add.at(total, seg, e)
-    vals = e / total[seg]
+    _rows_at(np.add, total, seg, e)
+    return e / total[seg]
 
-    def grad(g):
-        dot = np.zeros_like(top)
-        np.add.at(dot, seg, g * vals)
-        return vals * (g - dot[seg])
 
-    return _unary("segment_softmax", a, vals, grad)
+def _segment_softmax_bwd(g: np.ndarray, vals: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndarray:
+    """The scores' gradient for the output gradient g of _segment_softmax,
+    whose values were vals."""
+    dot = np.zeros((n_segments, vals.shape[1]), dtype=vals.dtype)
+    _rows_at(np.add, dot, seg, g * vals)
+    return vals * (g - dot[seg])
+
+
+def _segment_attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, seg: np.ndarray,
+                           heads: int) -> tuple[np.ndarray, tuple]:
+    """segment_attention on arrays: the numpy calls of the single-op chain
+    gather_rows, mul, matmul, segment softmax, matmul, mul, scatter_rows,
+    each result checked under that op's name. Returns the [n, d] output and
+    the arrays the backward reads, the [m, heads] attention first."""
+    n, d = q.shape
+    if seg.ndim != 1 or k.shape != (len(seg), d) or v.shape != k.shape:
+        raise ShapeError("segment_attention expects [n, d] queries, [m, d] keys and values and [m] "
+                         "segment ids, got %s %s %s %s" % (q.shape, k.shape, v.shape, seg.shape))
+    if d % heads:
+        raise ShapeError("segment_attention: %d heads do not divide width %d" % (heads, d))
+    if seg.size and (seg.min() < 0 or seg.max() >= n):
+        raise ShapeError("segment_attention: segment id out of range for %d query rows" % n)
+    dh = d // heads
+    # cols[c, h] = 1 where column c belongs to head h, as the chain's constants
+    cols = np.repeat(np.eye(heads), dh, axis=0)
+    to_heads = np.asarray(cols / np.sqrt(dh), dtype=_DEFAULT_DTYPE)
+    to_cols = np.asarray(cols.T, dtype=_DEFAULT_DTYPE)
+    qd = _check_finite(q[seg], "gather_rows")
+    logits = _check_finite(_check_finite(qd * k, "mul") @ to_heads, "matmul")
+    alpha = _check_finite(_segment_softmax(logits, seg, n), "segment_softmax")
+    spread = _check_finite(alpha @ to_cols, "matmul")
+    weighted = _check_finite(spread * v, "mul")
+    out = np.zeros((n, d), dtype=weighted.dtype)
+    _rows_at(np.add, out, seg, weighted)
+    return _check_finite(out, "scatter_rows"), (alpha, qd, spread, to_heads, to_cols)
+
+
+def _segment_attention_bwd(g: np.ndarray, k: np.ndarray, v: np.ndarray, seg: np.ndarray,
+                           saved: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the output gradient g (read only), the gradients of v and k and
+    of the gathered query rows q[seg], in the order the chain's tape made
+    them: v, k, then the rows that gather_rows' backward adds into q."""
+    alpha, qd, spread, to_heads, to_cols = saved
+    gw = g[seg]
+    gv = gw * spread
+    galpha = (gw * v) @ to_cols.T
+    gprod = _segment_softmax_bwd(galpha, alpha, seg, g.shape[0]) @ to_heads.T
+    return gv, gprod * qd, gprod * k
+
+
+def segment_attention(q: Tensor, k: Tensor, v: Tensor, segment_ids, heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head attention of query row s of q over the rows i of keys k and
+    values v with segment_ids[i] == s, as one taped op (head h owns the h-th
+    column block).
+
+    Returns the [n, d] weighted value sums (zero for a query row with no
+    keys) and the [m, heads] weights, which sum to 1 per segment and head.
+    """
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    out, saved = _segment_attention_fwd(q.values, k.values, v.values, seg, heads)
+
+    def backward(g):
+        gv, gk, gqd = _segment_attention_bwd(g, k.values, v.values, seg, saved)
+        if v.requires_grad:
+            v.accumulate_grad(gv, owned=True)
+        if k.requires_grad:
+            k.accumulate_grad(gk, owned=True)
+        _add_rows_to_grad(q, seg, gqd)
+
+    return _make(out, (q, k, v), backward, "segment_attention", checked=True), saved[0]
 
 
 def _split_heads(x: np.ndarray, b: int, heads: int) -> np.ndarray:
@@ -565,8 +647,8 @@ def _gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gelu_bwd(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The input's gradient for the output gradient g, computed in g's
-    buffer; overwrites t."""
+    """The input's gradient for the output gradient g (read only), in a new
+    array; overwrites t."""
     # g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner), where
     # dinner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
     da = np.multiply(x, 0.5)
@@ -581,8 +663,8 @@ def _gelu_bwd(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     np.add(t, 1.0, out=t)
     np.multiply(t, 0.5, out=t)
     da += t
-    g *= da
-    return g
+    da *= g
+    return da
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -651,16 +733,23 @@ def dropout(a: Tensor, rate: float, keep: np.ndarray) -> Tensor:
     return _make(_dropout(a.values, keep, factor), (a,), bk, "dropout")
 
 
+def _dropout_over(x: np.ndarray, rate: float, keep: np.ndarray | None) -> float:
+    """Dropout written over x and finite-checked; returns the dropout factor
+    (1.0, and x untouched, without a keep mask)."""
+    if keep is None:
+        return 1.0
+    factor = _dropout_factor(rate, keep, x.shape)
+    _check_finite(_dropout(x, keep, factor, out=x), "dropout")
+    return factor
+
+
 def _residual_norm(x: np.ndarray, y: np.ndarray, rate: float, keep: np.ndarray | None,
                    gain: Tensor, bias: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """layer_norm(x + dropout(y)), the tail of a sublayer with input x and
     branch output y, with each step written over y and finite-checked under
     its op's name. Returns the values, layer_norm's saved xhat (y's buffer)
     and inv, and the dropout factor (1.0 without a keep mask)."""
-    factor = 1.0
-    if keep is not None:
-        factor = _dropout_factor(rate, keep, y.shape)
-        _check_finite(_dropout(y, keep, factor, out=y), "dropout")
+    factor = _dropout_over(y, rate, keep)
     if y.shape != x.shape:
         raise ShapeError("add: incompatible shapes %s and %s" % (x.shape, y.shape))
     _check_finite(np.add(x, y, out=y), "add")
@@ -726,6 +815,97 @@ def ffn_block(x: Tensor, weights: Sequence[Tensor], rate: float, keep: np.ndarra
             x.accumulate_grad(gx, owned=True)
 
     return _make(vals, (x, *weights), backward, "ffn_block", checked=True)
+
+
+def gnn_block(v: Tensor, rel_emb: Tensor, weights: Sequence[Tensor], src: np.ndarray, dst: np.ndarray,
+              reldir: np.ndarray, heads: int, rate: float, keep: np.ndarray | None,
+              live: np.ndarray | None) -> tuple[Tensor, np.ndarray]:
+    """Relation-aware GNN layer as one taped op:
+    layer_norm(v + gelu(dropout(linear(summed, wo, bo)))) times the live
+    mask, where summed is segment attention of the queries linear(v, wq, bq)
+    over the keys and values linear(msg, wk, bk) and linear(msg, wv, bv) of
+    the messages msg = linear(concat(v[src], rel_emb[reldir]), w_msg, b_msg),
+    each message m going to node dst[m], for weights = (w_msg, b_msg, wq, bq,
+    wk, bk, wv, bv, wo, bo, ln gain, ln bias).
+
+    v is [N, d] node rows; head h owns the h-th block of d / heads columns.
+    keep is the dropout keep mask of v's shape, or None for no dropout; live
+    is an [N] bool array, False on the rows that stay zero, or None when all
+    rows are live. Returns the new node rows and the [M, heads] attention of
+    every message.
+    """
+    w_msg, b_msg, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = weights
+    vv, d = v.values, v.values.shape[1]
+    # rows of finite rows: the chain's concat check cannot fail
+    cat = np.concatenate([_check_finite(vv[src], "gather_rows"),
+                          _check_finite(rel_emb.values[reldir], "gather_rows")], axis=1)
+    msg = _check_finite(_linear_fwd(cat, w_msg.values, b_msg.values), "linear")
+    q = _check_finite(_linear_fwd(vv, wq.values, bq.values), "linear")
+    k = _check_finite(_linear_fwd(msg, wk.values, bk.values), "linear")
+    val = _check_finite(_linear_fwd(msg, wv.values, bv.values), "linear")
+    summed, saved = _segment_attention_fwd(q, k, val, dst, heads)
+    agg = _check_finite(_linear_fwd(summed, wo.values, bo.values), "linear")
+    factor = _dropout_over(agg, rate, keep)
+    act, t = _gelu_fwd(agg)
+    vals, xhat, inv, _ = _residual_norm(vv, _check_finite(act, "gelu"), rate, None, gain, bias)
+    mask = None if live is None else np.asarray(live[:, None], dtype=_DEFAULT_DTYPE)
+    if mask is not None:
+        vals *= mask
+        _check_finite(vals, "mul")
+
+    def backward(g):
+        if mask is not None:
+            g *= mask
+        gs = _layer_norm_bwd(g, xhat, inv, gain, bias, True)
+        gagg = _gelu_bwd(gs, agg, t)
+        if keep is not None:
+            _dropout(gagg, keep, factor, out=gagg)
+        gval, gk, gqd = _segment_attention_bwd(_linear_bwd(gagg, summed, wo, bo, True), k, val, dst, saved)
+        gq = np.zeros_like(q)
+        _rows_at(np.add, gq, dst, gqd)
+        gmsg = _linear_bwd(gval, msg, wv, bv, True)
+        gmsg += _linear_bwd(gk, msg, wk, bk, True)
+        # v's gradient takes the residual part, then the q part, then the
+        # message sources' rows, as the tape of the single ops did
+        if v.requires_grad:
+            v.accumulate_grad(gs, owned=True)
+        gx = _linear_bwd(gq, vv, wq, bq, v.requires_grad)
+        if gx is not None:
+            v.accumulate_grad(gx, owned=True)
+        gcat = _linear_bwd(gmsg, cat, w_msg, b_msg, v.requires_grad or rel_emb.requires_grad)
+        if gcat is not None:
+            _add_rows_to_grad(rel_emb, reldir, gcat[:, d:])
+            _add_rows_to_grad(v, src, gcat[:, :d])
+
+    return _make(vals, (v, rel_emb, *weights), backward, "gnn_block", checked=True), saved[0]
+
+
+def mint_block(x: Tensor, v: Tensor, weights: Sequence[Tensor], int_rows: np.ndarray, v_rows: np.ndarray,
+               rate: float, keep: np.ndarray | None) -> Tensor:
+    """Interaction perceptron as one taped op:
+    linear(dropout(gelu(linear(concat(x[int_rows], v[v_rows]), w1, b1))), w2, b2)
+    for weights = (w1, b1, w2, b2); keep is the dropout keep mask of the
+    hidden layer, or None for no dropout."""
+    w1, b1, w2, b2 = weights
+    d = x.values.shape[1]
+    # rows of finite rows: the chain's concat check cannot fail
+    z = np.concatenate([_check_finite(x.values[int_rows], "gather_rows"),
+                        _check_finite(v.values[v_rows], "gather_rows")], axis=1)
+    hidden = _check_finite(_linear_fwd(z, w1.values, b1.values), "linear")
+    act, t = _gelu_fwd(hidden)
+    factor = _dropout_over(_check_finite(act, "gelu"), rate, keep)
+    vals = _check_finite(_linear_fwd(act, w2.values, b2.values), "linear")
+
+    def backward(g):
+        gh = _linear_bwd(g, act, w2, b2, True)
+        if keep is not None:
+            _dropout(gh, keep, factor, out=gh)
+        gz = _linear_bwd(_gelu_bwd(gh, hidden, t), z, w1, b1, x.requires_grad or v.requires_grad)
+        if gz is not None:
+            _add_rows_to_grad(v, v_rows, gz[:, d:])
+            _add_rows_to_grad(x, int_rows, gz[:, :d])
+
+    return _make(vals, (x, v, *weights), backward, "mint_block", checked=True)
 
 
 def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dragonforge import numerics as nm
-from dragonforge.encoder import (BIDIRECTIONAL, CONCAT_AT_END, Batch, EncoderConfig, _maybe_dropout,
-                                 _mint, _transformer_layer, encode, encode_batch, init_params,
-                                 make_batch)
+from dragonforge.encoder import (BIDIRECTIONAL, CONCAT_AT_END, Batch, EncoderConfig, _gnn_layer,
+                                 _maybe_dropout, _mint, _transformer_layer, encode, encode_batch,
+                                 init_params, make_batch)
 from dragonforge.kg_store import R_EL
 from dragonforge.retrieval import INT, LocalKG, TextSegment, V_INT, dummy_local_kg
 
@@ -362,3 +362,50 @@ def test_transformer_layer_records_one_tape_op_per_sublayer():
         before = len(tape.records)
         _transformer_layer(x, params, cfg, 0, batch)
     assert len(tape.records) - before == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("mode,values,stage,op", [
+    ("eval", {"gnn.rel_emb": np.inf}, "gnn.layer0", "gather_rows"),
+    ("eval", {"gnn.layer0.wv": 1e30, "gnn.layer0.wo": 1e30}, "gnn.layer0", "linear"),
+    # q * k overflows, or only the per-head sums of it
+    ("eval", {"gnn.layer0.bq": 1e20, "gnn.layer0.bk": 1e20}, "gnn.layer0", "mul"),
+    ("eval", {"gnn.layer0.bq": 1.5e19, "gnn.layer0.bk": 1.5e19}, "gnn.layer0", "matmul"),
+    ("train", {"gnn.layer0.bo": 3.2e38}, "gnn.layer0", "dropout"),
+    ("eval", {"node_emb.table": 3e38, "gnn.layer0.w_msg": 0.0, "gnn.layer0.wq": 0.0,
+              "gnn.layer0.wo": 0.0, "gnn.layer0.bo": 3e38}, "gnn.layer0", "add"),
+    ("eval", {"gnn.layer0.ln.g": 3e38}, "gnn.layer0", "layer_norm"),
+    ("eval", {"mint.layer0.w1": 3e38, "mint.layer0.b1": 3e38}, "mint.layer0", "linear"),
+    ("eval", {"mint.layer0.w1": 1e30, "mint.layer0.w2": 1e30}, "mint.layer0", "linear"),
+    ("train", {"mint.layer0.b1": 3.2e38}, "mint.layer0", "dropout"),
+])
+def test_numeric_error_names_the_op_inside_the_gnn_layer_and_mint(mode, values, stage, op):
+    # each message reads as it did when every step was its own taped op; the
+    # segment softmax and gelu never raise on finite input, since a softmax
+    # lies in [0, 1] and |gelu(x)| <= |x|
+    cfg = tiny_cfg()
+    params = init_params(cfg, 1, VOCAB, ENTS, RELS)
+    for name, value in values.items():
+        params[name].values[:] = value
+    with pytest.raises(nm.NumericError) as err:
+        encode_batch(mixed_batch(), params, cfg, mode, SEEDS)
+    assert str(err.value) == "%s: non-finite values produced by op '%s'" % (stage, op)
+
+
+def test_gnn_layer_and_mint_record_a_fixed_number_of_tape_ops():
+    cfg = tiny_cfg()
+    params = init_params(cfg, 2, VOCAB, ENTS, RELS)
+    examples = mixed_batch()
+    batch = make_batch(examples, cfg, True, SEEDS)
+    assert batch.node_keep is not None and not batch.graph.all()
+    v = nm.Tensor(np.random.default_rng(0).normal(size=(batch.node_offsets[-1], cfg.d_node)), requires_grad=True)
+    with nm.ComputationTape() as tape:
+        x = embed(examples, batch, params, cfg)
+        before = len(tape.records)
+        v, _ = _gnn_layer(v, params, cfg, 0, batch)
+        assert len(tape.records) - before == 1
+        before = len(tape.records)
+        _mint(x, v, params, cfg, 0, batch)
+    # the perceptron, the split into its two outputs, and for each of x and
+    # v a scatter and a residual add; v's rows first drop the dummy graphs
+    assert len(tape.records) - before == 1 + 2 + 2 + 3

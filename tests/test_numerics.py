@@ -57,29 +57,28 @@ def test_matmul_shape_error_names_both_shapes():
         nm.matmul(nm.constant(np.ones((2, 3))), nm.constant(np.ones((2, 3))))
 
 
-# the library's softmax is segment_softmax: a softmax over the rows that
-# share a segment id, column by column
+# the library's softmax is the segment-softmax kernel of segment attention: a
+# softmax over the rows that share a segment id, column by column
 
 
 def test_softmax_symmetry_and_stability():
     for score in (0.0, 1000.0):
-        out = nm.segment_softmax(nm.constant([[score], [score]]), [0, 0], 1)
-        np.testing.assert_allclose(out.values[:, 0], [0.5, 0.5], atol=1e-7)
+        out = nm._segment_softmax(np.full((2, 1), score, dtype=np.float32), np.array([0, 0]), 1)
+        np.testing.assert_allclose(out[:, 0], [0.5, 0.5], atol=1e-7)
 
 
 def test_softmax_against_direct_formula():
-    with nm.float64_mode():
-        x = rng(4).normal(size=7)
-        out = nm.segment_softmax(nm.Tensor(x[:, None]), np.zeros(7, dtype=int), 1)
-        expected = np.exp(x) / np.exp(x).sum()
-        assert np.abs(out.values[:, 0] - expected).max() < 1e-7
+    x = rng(4).normal(size=7)
+    out = nm._segment_softmax(x[:, None], np.zeros(7, dtype=int), 1)
+    expected = np.exp(x) / np.exp(x).sum()
+    assert np.abs(out[:, 0] - expected).max() < 1e-7
 
 
 def test_softmax_rows_sum_to_one():
     # segment i holds the nine scores of row i of x
-    x = rng(5).normal(size=(6, 9)) * 10
-    out = nm.segment_softmax(nm.constant(x.reshape(-1, 1)), np.repeat(np.arange(6), 9), 6)
-    np.testing.assert_allclose(out.values.reshape(6, 9).sum(axis=-1), 1.0, atol=1e-6)
+    x = (rng(5).normal(size=(6, 9)) * 10).astype(np.float32)
+    out = nm._segment_softmax(x.reshape(-1, 1), np.repeat(np.arange(6), 9), 6)
+    np.testing.assert_allclose(out.reshape(6, 9).sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_layer_norm_constant_row_is_zero():
@@ -142,7 +141,7 @@ def test_segment_softmax_against_dense_masked_softmax():
     with nm.float64_mode():
         x = rng(24).normal(size=(6, 2)) * 5
         seg = np.array([1, 0, 1, 3, 1, 0])
-        out = nm.segment_softmax(nm.Tensor(x), seg, 4).values
+        out = nm._segment_softmax(x, seg, 4)
         for s in range(4):
             rows = seg == s
             if rows.any():
@@ -223,6 +222,42 @@ def keep_mask(shape, rate, seed):
     return np.random.default_rng(seed).random(shape) >= rate
 
 
+def segment_softmax(a, seg, n):
+    """The segment-softmax kernels of segment attention as a taped op."""
+    seg = np.asarray(seg)
+    vals = nm._segment_softmax(a.values, seg, n)
+    return nm._unary("segment_softmax", a, vals, lambda g: nm._segment_softmax_bwd(g, vals, seg, n))
+
+
+# a GNN batch of six node rows: a real graph on rows 0-3, where row 3 gets no
+# message, and a dummy graph on rows 4-5, which stay zero
+GNN = dict(src=np.array([0, 1, 1, 2, 0, 2]), dst=np.array([1, 0, 2, 1, 2, 0]),
+           reldir=np.array([0, 1, 2, 3, 0, 1]), heads=2, live=np.arange(6) < 4)
+# v, rel_emb, then w_msg, b_msg, wq, bq, wk, bk, wv, bv, wo, bo, the layer_norm gain and bias
+GNN_SHAPES = [(6, 4), (4, 4), (8, 4), (4,)] + [(4, 4), (4,)] * 4 + [(4,), (4,)]
+
+
+def gnn_case(rate, keep):
+    return lambda ts: nm.reduce_sum(nm.mul(
+        nm.gnn_block(ts[0], ts[1], ts[2:14], rate=rate, keep=keep, **GNN)[0], ts[14]))
+
+
+# two examples of three token rows and width 3 with graphs of width 2 at node
+# rows 0 and 3; w1, b1, w2, b2
+MINT = dict(int_rows=np.array([0, 3]), v_rows=np.array([0, 3]))
+MINT_WEIGHTS = [(5, 4), (4,), (4, 5), (5,)]
+
+
+def mint_case(rate, keep, nodes=None):
+    """With nodes, v is that constant, as in verbalized mode, and ts holds x,
+    the weights and the loss weights."""
+    if nodes is not None:
+        return lambda ts: nm.reduce_sum(nm.mul(
+            nm.mint_block(ts[0], nm.constant(nodes), ts[1:5], rate=rate, keep=keep, **MINT), ts[5]))
+    return lambda ts: nm.reduce_sum(nm.mul(
+        nm.mint_block(ts[0], ts[1], ts[2:6], rate=rate, keep=keep, **MINT), ts[6]))
+
+
 OPS = [
     ("add", lambda ts: nm.reduce_sum(nm.add(ts[0], ts[1])), [(3, 4), (3, 4)]),
     ("add_row_broadcast", lambda ts: nm.reduce_sum(nm.add(ts[0], ts[1])), [(3, 4), (4,)]),
@@ -256,7 +291,18 @@ OPS = [
     ("scatter_rows", lambda ts: nm.reduce_sum(nm.mul(nm.scatter_rows(ts[0], [2, 0, 2], 4), ts[1])),
      [(3, 2), (4, 2)]),
     ("segment_softmax", lambda ts: nm.reduce_sum(nm.mul(
-        nm.segment_softmax(ts[0], [0, 2, 0, 2, 2], 4), ts[0])), [(5, 2)]),
+        segment_softmax(ts[0], [0, 2, 0, 2, 2], 4), ts[0])), [(5, 2)]),
+    # q, k, v, then the loss weights; query row 1 has no keys
+    ("segment_attention", lambda ts: nm.reduce_sum(nm.mul(
+        nm.segment_attention(ts[0], ts[1], ts[2], [0, 2, 0, 2, 2], 2)[0], ts[3])),
+     [(3, 4), (5, 4), (5, 4), (3, 4)]),
+    ("gnn_block", gnn_case(0.0, None), GNN_SHAPES + [(6, 4)]),
+    ("gnn_block_dropout", gnn_case(0.3, keep_mask((6, 4), 0.3, 7)), GNN_SHAPES + [(6, 4)]),
+    ("mint_block", mint_case(0.0, None), [(6, 3), (5, 2)] + MINT_WEIGHTS + [(2, 5)]),
+    ("mint_block_dropout", mint_case(0.3, keep_mask((2, 4), 0.3, 8)),
+     [(6, 3), (5, 2)] + MINT_WEIGHTS + [(2, 5)]),
+    ("mint_block_constant_nodes", mint_case(0.3, keep_mask((2, 4), 0.3, 8), rng(9).normal(size=(5, 2))),
+     [(6, 3)] + MINT_WEIGHTS + [(2, 5)]),
     # x, then wq, bq, wk, bk, wv, bv, wo, bo, the layer_norm gain and bias, then the loss weights
     ("attention", lambda ts: nm.reduce_sum(nm.mul(
         nm.attention_block(ts[0], ts[1:11], np.zeros((1, 3), bool), 2, 0.0, None), ts[11])),
@@ -353,7 +399,7 @@ def test_every_taped_op_has_a_library_caller():
     # gradient case; op names are the names of the functions that record them
     ops = _taped_op_names()
     called = _numerics_functions_called_by_library()
-    assert {"matmul", "segment_softmax", "attention_block", "ffn_block"} <= called
+    assert {"matmul", "segment_attention", "attention_block", "ffn_block", "gnn_block", "mint_block"} <= called
     assert ops <= called, "taped ops without a library caller: %s" % sorted(ops - called)
 
 
@@ -483,6 +529,36 @@ def _ffn_block_reference(x, weights, keep, rate, g):
     return [out, gs + gx1, gw1, gb1, gw2, gb2, ggain, gbias]
 
 
+def _gnn_chain(v, rel_emb, weights, src, dst, reldir, heads, rate, keep, live):
+    """gnn_block as the chain of single ops it replaces: new node rows and attention."""
+    w_msg, b_msg, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = weights
+    msg = nm.linear(nm.concat([nm.gather_rows(v, src), nm.gather_rows(rel_emb, reldir)], axis=1), w_msg, b_msg)
+    q, k, val = nm.linear(v, wq, bq), nm.linear(msg, wk, bk), nm.linear(msg, wv, bv)
+    # segment attention of q over k and val, each message going to dst
+    n, dh = v.shape[0], k.shape[1] // heads
+    head_cols = np.repeat(np.eye(heads), dh, axis=0)
+    logits = nm.matmul(nm.mul(nm.gather_rows(q, dst), k), nm.constant(head_cols / np.sqrt(dh)))
+    alpha = segment_softmax(logits, dst, n)
+    summed = nm.scatter_rows(nm.mul(nm.matmul(alpha, nm.constant(head_cols.T)), val), dst, n)
+    agg = nm.linear(summed, wo, bo)
+    if keep is not None:
+        agg = nm.dropout(agg, rate, keep)
+    out = nm.layer_norm(nm.add(v, nm.gelu(agg)), gain, bias)
+    if live is not None:
+        out = nm.mul(out, nm.constant(np.broadcast_to(live.astype(float)[:, None], out.shape)))
+    return out, alpha.values
+
+
+def _mint_chain(x, v, weights, int_rows, v_rows, rate, keep):
+    """mint_block as the chain of single ops it replaces."""
+    w1, b1, w2, b2 = weights
+    z = nm.concat([nm.gather_rows(x, int_rows), nm.gather_rows(v, v_rows)], axis=1)
+    hid = nm.gelu(nm.linear(z, w1, b1))
+    if keep is not None:
+        hid = nm.dropout(hid, rate, keep)
+    return nm.linear(hid, w2, b2)
+
+
 def test_linear_is_bitwise_the_matmul_add_pair():
     arrays = [rng(30).normal(size=(5, 4)).astype(np.float32), rng(31).normal(size=(4, 3)).astype(np.float32),
               rng(32).normal(size=3).astype(np.float32)]
@@ -526,6 +602,62 @@ def test_in_place_kernels_are_bitwise_the_allocating_formulas():
         assert len(got) == len(want) == 8
         for i, (a, b) in enumerate(zip(got, want)):
             assert a.tobytes() == b.tobytes(), ("ffn_block", mask is None, i)
+
+    # the graph blocks against the single-op chains they replace: values,
+    # attention, and the gradients of every input and weight
+    gnn = [rng(55 + i).normal(size=s).astype(np.float32) * 0.5 for i, s in enumerate(GNN_SHAPES)]
+    mint = [rng(69 + i).normal(size=s).astype(np.float32) * 0.5
+            for i, s in enumerate([(6, 3), (5, 2)] + MINT_WEIGHTS)]
+    g_nodes, g_mint = rng(73).normal(size=(6, 4)).astype(np.float32), rng(74).normal(size=(3, 5)).astype(np.float32)
+    rows = dict(int_rows=np.array([0, 3, 3]), v_rows=np.array([0, 3, 0]))
+
+    def mint_then_read(block, x, v, weights, mask):
+        # x and v are read again after the block, as by the encoder's residual
+        # adds, so the block adds into gradients they already hold; with rows
+        # repeated, the order of those additions shows in the bits
+        return nm.add(block(x, v, weights, rate=0.3, keep=mask, **rows),
+                      nm.concat([nm.gather_rows(x, rows["int_rows"]), nm.gather_rows(v, rows["v_rows"])], axis=1))
+
+    layout = {k: val for k, val in GNN.items() if k != "live"}
+    for mask, live in ((keep_mask((6, 4), 0.3, 75), GNN["live"]), (None, GNN["live"]), (None, None)):
+        runs = [_forward_and_grads(lambda *ts: block(ts[0], ts[1], ts[2:], rate=0.3, keep=mask, live=live,
+                                                     **layout)[0], gnn, g_nodes)
+                for block in (nm.gnn_block, _gnn_chain)]
+        alphas = [block(*(nm.constant(a) for a in gnn[:2]), [nm.constant(a) for a in gnn[2:]], rate=0.3,
+                        keep=mask, live=live, **layout)[1] for block in (nm.gnn_block, _gnn_chain)]
+        assert len(runs[0]) == len(runs[1]) == 15
+        for i, (a, b) in enumerate(zip(*runs, strict=True)):
+            assert a.tobytes() == b.tobytes(), ("gnn_block", mask is None, live is None, i)
+        assert alphas[0].tobytes() == alphas[1].tobytes()
+    for mask in (keep_mask((3, 4), 0.3, 76), None):
+        runs = [_forward_and_grads(lambda *ts: mint_then_read(block, ts[0], ts[1], ts[2:], mask), mint, g_mint)
+                for block in (nm.mint_block, _mint_chain)]
+        runs += [_forward_and_grads(lambda *ts: mint_then_read(block, ts[0], nm.constant(mint[1]), ts[1:], mask),
+                                    mint[:1] + mint[2:], g_mint) for block in (nm.mint_block, _mint_chain)]
+        assert [len(r) for r in runs] == [7, 7, 6, 6]
+        for name, got, want in (("mint_block", *runs[:2]), ("mint_block_constant_nodes", *runs[2:])):
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert a.tobytes() == b.tobytes(), (name, mask is None, i)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rows_at_is_bitwise_the_two_dimensional_at(dtype):
+    # duplicate and unsorted ids make the order of the additions matter
+    r = rng(80)
+    rows = (r.normal(size=(40, 5)) * 10.0 ** r.integers(-3, 4, size=(40, 1))).astype(dtype)
+    for ids in (r.integers(0, 6, size=40), np.sort(r.integers(0, 6, size=40)), np.zeros(0, dtype=np.int64)):
+        m = len(ids)
+        for ufunc, fill in ((np.add, 0.0), (np.maximum, -np.inf)):
+            want = np.full((6, 5), fill, dtype=dtype)
+            ufunc.at(want, ids, rows[:m])
+            got = np.full((6, 5), fill, dtype=dtype)
+            nm._rows_at(ufunc, got, ids, rows[:m])
+            assert got.tobytes() == want.tobytes(), (ufunc.__name__, m)
+            # a column slice is not C-contiguous: the result must still land in it
+            wide = np.full((6, 8), fill, dtype=dtype)
+            nm._rows_at(ufunc, wide[:, 2:7], ids, rows[:m])
+            assert wide[:, 2:7].tobytes() == want.tobytes(), (ufunc.__name__, m, "strided")
+            assert (wide[:, [0, 1, 7]] == fill).all()
 
 
 # ---------------------------------------------------------------------------

@@ -111,3 +111,9 @@ def test_token_pattern_is_read_by_tokenize_and_the_hard_split_only():
     readers = functions_where(lambda node: isinstance(node, ast.Name) and node.id == "_TOKEN_RE"
                               and isinstance(node.ctx, ast.Load))
     assert readers == {"retrieval:tokenize", "retrieval:segment_corpus"}
+
+
+def test_row_scatters_go_through_rows_at():
+    # ufunc.at on 2-D rows is several times slower than _rows_at's flat form
+    assert functions_where(lambda node: isinstance(node, ast.Call)
+                           and getattr(node.func, "attr", None) == "at") == {"numerics:_rows_at"}
