@@ -10,10 +10,10 @@ The effective configuration is written next to every command's outputs and
 reproduces the run when fed back through --config under the same seed.
 
 `ablation` writes a world and its own effective configuration. Each cell of
-its grid (pretrain.objective x pretrain.scorer x encoder.fusion x
-pretrain.kg_mode) and each seed then runs through main() as the commands a
-user would type, pretrain, finetune --test and (graph cells) eval-lp, with
-outputs in <out>/cells/<cell>-seed<seed>/<command>/. A row is read from
+ABLATION_CELLS (DRAGON's ablation: the full model, then one change at a time)
+and each seed then runs through main() as the commands a user would type,
+pretrain, finetune --test and (cells that train link prediction) eval-lp,
+with outputs in <out>/cells/<cell>-seed<seed>/<command>/. A row is read from
 those outputs; a failing command becomes its status.
 """
 
@@ -48,6 +48,22 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# name -> the four settings of an ablation cell: the full model, or one change
+# to it; a verbalized KG trains no link prediction, so that cell is mlm_only
+ABLATION_CELLS: dict[str, dict[str, str]] = {
+    name: {"pretrain.objective": "joint", "pretrain.scorer": "distmult",
+           "encoder.fusion": BIDIRECTIONAL, "pretrain.kg_mode": "graph", **change}
+    for name, change in {
+        "dragon": {},
+        "mlm_only": {"pretrain.objective": "mlm_only"},
+        "linkpred_only": {"pretrain.objective": "linkpred_only"},
+        "transe": {"pretrain.scorer": "transe"},
+        "rotate": {"pretrain.scorer": "rotate"},
+        "concat_at_end": {"encoder.fusion": CONCAT_AT_END},
+        "verbalized": {"pretrain.objective": "mlm_only", "pretrain.kg_mode": "verbalized"},
+    }.items()}
+
 
 def _signature_defaults(section: str, fn) -> dict[str, object]:
     """`section.name` -> default of every defaulted parameter of fn but seed."""
@@ -207,7 +223,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["kg_plus_text", "kg_only"], default="kg_plus_text")
     common(p)
 
-    p = sub.add_parser("ablation", help="train/evaluate the full ablation grid")
+    p = sub.add_parser("ablation", help="train/evaluate the declared ablation cells")
     p.add_argument("--seeds", default="0", help="comma-separated seed list")
     common(p)
 
@@ -378,6 +394,9 @@ def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
         if pre_cfg.kg_mode != "graph":
             raise ConfigError("pretrain.kg_mode: --mode kg_plus_text scores graph inputs, which "
                               "a %s checkpoint never saw; use --mode kg_only" % pre_cfg.kg_mode)
+        if pre_cfg.objective == "mlm_only":
+            raise ConfigError("pretrain.objective: --mode kg_plus_text ranks with the link-prediction "
+                              "head, which an mlm_only checkpoint never trained; use --mode kg_only")
         if "other.linkpred.relations" not in params:
             raise DataError("%s: checkpoint has no link-prediction head; use --mode kg_only"
                             % args.checkpoint)
@@ -420,24 +439,22 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
         build()
     files = cfg.world().write_files(os.path.join(args.out, "world"))
     _write_effective_config(cfg, args.out)
-    axes = {"pretrain.objective": pt.OBJECTIVES, "pretrain.scorer": pt.SCORERS,
-            "encoder.fusion": (BIDIRECTIONAL, CONCAT_AT_END), "pretrain.kg_mode": pt.KG_MODES}
-    columns = [*axes, "seed", "mcqa_accuracy", "lp_mrr", "status"]
+    columns = ["cell", *ABLATION_CELLS["dragon"], "seed", "mcqa_accuracy", "lp_mrr", "status"]
     rows = []
-    for cell, seed in product(product(*axes.values()), seeds):
-        row = dict(zip(columns, cell + (seed, "", "", "ok")))
+    for (name, settings), seed in product(ABLATION_CELLS.items(), seeds):
+        row = dict(zip(columns, (name, *settings.values(), seed, "", "", "ok")))
         rows.append(row)
-        out = os.path.join(args.out, "cells", "%s-seed%d" % ("-".join(cell), seed))
+        out = os.path.join(args.out, "cells", "%s-seed%d" % (name, seed))
         flags = ["--kg", files["kg.tsv"], "--seed", str(seed),
                  "--config", os.path.join(args.out, "effective_config.txt")]
-        flags += [arg for setting in zip(axes, cell) for arg in ("--set", "%s=%s" % setting)]
+        flags += [arg for setting in settings.items() for arg in ("--set", "%s=%s" % setting)]
         commands = [["pretrain", "--corpus", files["corpus.txt"],
                      "--aliases", files["aliases.tsv"]],
                     ["finetune", "--train", files["mcqa_train.jsonl"],
                      "--dev", files["mcqa_dev.jsonl"], "--test", files["mcqa_test.jsonl"],
                      "--checkpoint", os.path.join(out, "pretrain", "checkpoint.drgn")]]
-        graph = row["pretrain.kg_mode"] == "graph"
-        if graph:   # eval-lp ranks graph inputs only
+        trains_lp = settings["pretrain.kg_mode"] == "graph" and settings["pretrain.objective"] != "mlm_only"
+        if trains_lp:   # eval-lp ranks graph inputs with the link-prediction head
             commands.append(["eval-lp", "--test", files["lp_test.jsonl"],
                              "--checkpoint", os.path.join(out, "finetune", "finetuned.drgn")])
         for command in commands:
@@ -448,11 +465,11 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
         else:   # every command succeeded
             with open(os.path.join(out, "finetune", "accuracy.json"), encoding="utf-8") as fh:
                 row["mcqa_accuracy"] = round(json.load(fh)["reports"]["test"]["accuracy"], 4)
-            if graph:
+            if trains_lp:
                 with open(os.path.join(out, "eval-lp", "ranking.json"), encoding="utf-8") as fh:
-                    lp = json.load(fh)
-                row["lp_mrr"] = round(lp["mrr"], 4) if lp["n_queries"] else ""
-                row["status"] = "ok" if lp["n_queries"] else "no-lp-queries"
+                    ranking = json.load(fh)
+                row["lp_mrr"] = round(ranking["mrr"], 4) if ranking["n_queries"] else ""
+                row["status"] = "ok" if ranking["n_queries"] else "no-lp-queries"
     with open(os.path.join(args.out, "ablation.tsv"), "w", encoding="utf-8") as fh:
         fh.write("".join("\t".join(map(str, values)) + "\n"
                          for values in [columns] + [list(row.values()) for row in rows]))

@@ -1,5 +1,5 @@
 """Metrics, synthetic-data generation, link-prediction ranking and attention
-export. The ablation grid lives in the CLI, which runs each cell as the
+export. The ablation's cells live in the CLI, which runs each one as the
 pretrain, finetune and eval-lp commands.
 
 The synthetic world renders random relational facts to text through

@@ -18,22 +18,24 @@ still read.
 Block ops: attention_block and ffn_block each record a whole post-norm
 transformer sublayer as one taped op. They make the numpy calls of the chain
 of single ops they replace, in its order, so values and gradients are
-bitwise the chain's, and they check each intermediate under the name of the
-op that made it in the chain ('linear', 'attention', 'gelu', 'dropout',
-'add', 'layer_norm'), so a NumericError reads the same. They save only what
-their backward reads: the input; q, k, v and the attention probabilities and
-output (attention_block) or the hidden layer, its gelu and gelu's tanh
-(ffn_block); and the final layer_norm's normalized rows and inverse
-deviations. The output projection, its dropped copy and the residual sum are
-never read back: they share one buffer, which then holds those rows.
+bitwise the chain's. They check each intermediate that finite inputs can
+make non-finite under the name of the op that made it in the chain
+('linear', 'attention', 'dropout', 'add', 'layer_norm'), so a NumericError
+reads the same; gelu's values go unchecked, as |gelu(x)| <= |x|. They save
+only what their backward reads: the input; q, k, v and the attention
+probabilities and output (attention_block) or the hidden layer, its gelu and
+gelu's tanh (ffn_block); and the final layer_norm's normalized rows and
+inverse deviations. The output projection, its dropped copy and the residual
+sum are never read back: they share one buffer, which then holds those rows.
 gnn_block records a relation-aware GNN layer and mint_block the interaction
-perceptron as one taped op each, on the same terms; each input's gradient
-takes its parts in the order the chain's tape added them. segment_attention
-is the GNN's attention over each node's incoming messages as one taped op;
-it and gnn_block share its private forward and backward kernels. Every row
-scatter (gather_rows' backward, scatter_rows, the segment softmax) goes
-through _rows_at, which is bitwise ufunc.at on 2-D rows but several times
-faster.
+perceptron as one taped op each, on the same terms, leaving unchecked the
+segment softmax (in [0, 1]) and its products with finite rows or a 0/1 mask.
+Each input's gradient takes its parts in the order the chain's tape added
+them. segment_attention is the GNN's attention over each node's incoming
+messages as one taped op; it and gnn_block share its private forward and
+backward kernels. Every row scatter (gather_rows' backward, scatter_rows,
+the segment softmax) goes through _rows_at, which is bitwise ufunc.at on 2-D
+rows but several times faster.
 """
 
 from __future__ import annotations
@@ -451,7 +453,8 @@ def _segment_attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, seg: np.
                            heads: int) -> tuple[np.ndarray, tuple]:
     """segment_attention on arrays: the numpy calls of the single-op chain
     gather_rows, mul, matmul, segment softmax, matmul, mul, scatter_rows,
-    each result checked under that op's name. Returns the [n, d] output and
+    each result checked under that op's name but the softmax and the two
+    products it bounds. Returns the [n, d] output and
     the arrays the backward reads, the [m, heads] attention first."""
     n, d = q.shape
     if seg.ndim != 1 or k.shape != (len(seg), d) or v.shape != k.shape:
@@ -468,9 +471,9 @@ def _segment_attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, seg: np.
     to_cols = np.asarray(cols.T, dtype=_DEFAULT_DTYPE)
     qd = _check_finite(q[seg], "gather_rows")
     logits = _check_finite(_check_finite(qd * k, "mul") @ to_heads, "matmul")
-    alpha = _check_finite(_segment_softmax(logits, seg, n), "segment_softmax")
-    spread = _check_finite(alpha @ to_cols, "matmul")
-    weighted = _check_finite(spread * v, "mul")
+    alpha = _segment_softmax(logits, seg, n)
+    spread = alpha @ to_cols
+    weighted = spread * v
     out = np.zeros((n, d), dtype=weighted.dtype)
     _rows_at(np.add, out, seg, weighted)
     return _check_finite(out, "scatter_rows"), (alpha, qd, spread, to_heads, to_cols)
@@ -801,7 +804,7 @@ def ffn_block(x: Tensor, weights: Sequence[Tensor], rate: float, keep: np.ndarra
     xv = x.values
     hidden = _check_finite(_linear_fwd(xv, w1.values, b1.values), "linear")
     act, t = _gelu_fwd(hidden)
-    out = _check_finite(_linear_fwd(_check_finite(act, "gelu"), w2.values, b2.values), "linear")
+    out = _check_finite(_linear_fwd(act, w2.values, b2.values), "linear")
     vals, xhat, inv, factor = _residual_norm(xv, out, rate, keep, gain, bias)
 
     def backward(g):
@@ -847,11 +850,10 @@ def gnn_block(v: Tensor, rel_emb: Tensor, weights: Sequence[Tensor], src: np.nda
     agg = _check_finite(_linear_fwd(summed, wo.values, bo.values), "linear")
     factor = _dropout_over(agg, rate, keep)
     act, t = _gelu_fwd(agg)
-    vals, xhat, inv, _ = _residual_norm(vv, _check_finite(act, "gelu"), rate, None, gain, bias)
+    vals, xhat, inv, _ = _residual_norm(vv, act, rate, None, gain, bias)
     mask = None if live is None else np.asarray(live[:, None], dtype=_DEFAULT_DTYPE)
     if mask is not None:
         vals *= mask
-        _check_finite(vals, "mul")
 
     def backward(g):
         if mask is not None:
@@ -893,7 +895,7 @@ def mint_block(x: Tensor, v: Tensor, weights: Sequence[Tensor], int_rows: np.nda
                         _check_finite(v.values[v_rows], "gather_rows")], axis=1)
     hidden = _check_finite(_linear_fwd(z, w1.values, b1.values), "linear")
     act, t = _gelu_fwd(hidden)
-    factor = _dropout_over(_check_finite(act, "gelu"), rate, keep)
+    factor = _dropout_over(act, rate, keep)
     vals = _check_finite(_linear_fwd(act, w2.values, b2.values), "linear")
 
     def backward(g):

@@ -316,6 +316,29 @@ def test_eval_lp_on_verbalized_checkpoint(world_dir, verbalized, tmp_path, capsy
     assert json.load(open(os.path.join(out, "ranking.json"), encoding="utf-8"))["n_queries"] > 0
 
 
+def test_eval_lp_on_mlm_only_checkpoint(world_dir, tmp_path, capsys):
+    # mlm_only never trains the link-prediction head it saves, so ranking with
+    # it is refused before anything is retrieved or written
+    pre = str(tmp_path / "pre")
+    assert main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"), "--out", pre, "--seed", "11",
+                 "--set", "pretrain.objective=mlm_only", "--set", "pretrain.steps=2",
+                 "--set", "pretrain.batch_size=2"] + MICRO_MODEL) == EXIT_OK
+    args = ["eval-lp", "--checkpoint", os.path.join(pre, "checkpoint.drgn"),
+            "--kg", os.path.join(world_dir, "kg.tsv"),
+            "--test", os.path.join(world_dir, "lp_test.jsonl")]
+    capsys.readouterr()
+    assert main(args + ["--out", str(tmp_path / "ctx")]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: pretrain.objective: --mode kg_plus_text ranks with the link-prediction head, "
+        "which an mlm_only checkpoint never trained; use --mode kg_only"]
+    assert not (tmp_path / "ctx").exists()
+    out = str(tmp_path / "kg_only")
+    assert main(args + ["--mode", "kg_only", "--out", out,
+                        "--set", "eval.lp_baseline_steps=20"]) == EXIT_OK
+    assert json.load(open(os.path.join(out, "ranking.json"), encoding="utf-8"))["n_queries"] > 0
+
+
 def test_numeric_abort_exit_code(world_dir, tmp_path):
     with np.errstate(all="ignore"):
         code = main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
@@ -355,34 +378,31 @@ def ablation(tmp_path_factory):
 
 def test_ablation_default_grid_row_count(ablation):
     lines = open(os.path.join(ablation, "ablation.tsv"), encoding="utf-8").read().splitlines()
-    assert lines[0].split("\t") == ["pretrain.objective", "pretrain.scorer", "encoder.fusion",
-                                     "pretrain.kg_mode", "seed", "mcqa_accuracy", "lp_mrr",
-                                     "status"]
-    assert len(lines) == 1 + 3 * 3 * 2 * 2
+    assert lines[0].split("\t") == ["cell", "pretrain.objective", "pretrain.scorer",
+                                     "encoder.fusion", "pretrain.kg_mode", "seed",
+                                     "mcqa_accuracy", "lp_mrr", "status"]
     rows = json.load(open(os.path.join(ablation, "ablation.json"), encoding="utf-8"))
-    assert [r["pretrain.objective"] for r in rows] == [o for o in pt.OBJECTIVES for _ in range(12)]
-    # link prediction with a verbalized KG has no trainable objective: those
-    # six cells are recorded as failures without stopping the suite
-    degenerate = [r for r in rows if r["pretrain.objective"] == "linkpred_only"
-                  and r["pretrain.kg_mode"] == "verbalized"]
-    assert len(degenerate) == 6
-    assert all(r["status"] == "error: pretrain: error: pretrain.objective: linkpred_only trains "
-               "on graph inputs, which kg_mode verbalized replaces with a dummy graph; nothing "
-               "would train" for r in degenerate)
-    assert all(r["status"] == "ok" for r in rows if r not in degenerate)
-    # eval-lp ranks graph inputs, so it runs for graph cells only
+    assert len(lines) == 1 + len(rows)
+    assert [r["cell"] for r in rows] == ["dragon", "mlm_only", "linkpred_only", "transe",
+                                         "rotate", "concat_at_end", "verbalized"]
     for r in rows:
-        assert (r["lp_mrr"] == "") == (r["pretrain.kg_mode"] == "verbalized"), r
+        assert {k: r[k] for k in cli.ABLATION_CELLS[r["cell"]]} == cli.ABLATION_CELLS[r["cell"]]
+        assert r["seed"] == 0 and r["status"] == "ok", r
+        assert isinstance(r["mcqa_accuracy"], float), r
+        # eval-lp ranks graph inputs with the link-prediction head, which
+        # neither a verbalized KG nor the mlm_only objective trains
+        untrained = r["cell"] in ("mlm_only", "verbalized")
+        assert (r["lp_mrr"] == "") == untrained, r
+        assert os.path.exists(os.path.join(ablation, "cells", r["cell"] + "-seed0", "eval-lp")) \
+            != untrained, r
 
 
 def test_ablation_builds_vocab_with_configured_min_freq(ablation):
     # the ablation's own settings reach every command of every cell
     corpus = os.path.join(ablation, "world", "corpus.txt")
     assert len(build_vocab(corpus, 5)) < len(build_vocab(corpus, 2))
-    # the six linkpred_only/verbalized cells stop at their config, before
-    # pretrain writes anything
     cells = sorted(os.listdir(os.path.join(ablation, "cells")))
-    assert len(cells) == 30
+    assert cells == sorted(name + "-seed0" for name in cli.ABLATION_CELLS)
     n_commands = 0
     for cell in cells:
         for command in os.listdir(os.path.join(ablation, "cells", cell)):
@@ -391,16 +411,14 @@ def test_ablation_builds_vocab_with_configured_min_freq(ablation):
             assert values["vocab.min_freq"] == 5 and values["pretrain.steps"] == 2, path
             n_commands += 1
         ckpt = os.path.join(ablation, "cells", cell, "pretrain", "checkpoint.drgn")
-        if os.path.exists(ckpt):
-            assert pt.load_checkpoint(ckpt)[1].names == build_vocab(corpus, 5).names
-    assert n_commands == 18 * 3 + 12 * 2   # graph cells, verbalized cells
+        assert pt.load_checkpoint(ckpt)[1].names == build_vocab(corpus, 5).names
+    assert n_commands == 5 * 3 + 2 * 2   # cells with eval-lp, mlm_only and verbalized
 
 
 def test_ablation_cell_rerun_by_hand_reproduces_row(ablation, tmp_path):
     rows = json.load(open(os.path.join(ablation, "ablation.json"), encoding="utf-8"))
-    row = next(r for r in rows if r["pretrain.objective"] == "joint"
-               and r["pretrain.scorer"] == "rotate" and r["pretrain.kg_mode"] == "graph")
-    cell = os.path.join(ablation, "cells", "joint-rotate-bidirectional-graph-seed0")
+    row = next(r for r in rows if r["cell"] == "rotate")
+    cell = os.path.join(ablation, "cells", "rotate-seed0")
     world = os.path.join(ablation, "world")
     out = str(tmp_path)
 
@@ -428,22 +446,41 @@ def test_ablation_cell_rerun_by_hand_reproduces_row(ablation, tmp_path):
 
 
 def test_ablation_records_an_unexpected_exception_as_the_cell_status(tmp_path, monkeypatch):
-    def no_training(*args, **kwargs):
+    trained = []
+
+    def no_training(segments, kg, entities, relations, token_vocab, enc_cfg, pre_cfg, **kwargs):
+        trained.append(({"pretrain.objective": pre_cfg.objective, "pretrain.scorer": pre_cfg.scorer,
+                         "encoder.fusion": enc_cfg.fusion, "pretrain.kg_mode": pre_cfg.kg_mode},
+                        pre_cfg.seed))
         raise RuntimeError("not trained")
 
     monkeypatch.setattr(pt, "train", no_training)
     out = str(tmp_path / "abl")
     assert main(["ablation", "--out", out, "--seeds", "0,1"] + MICRO_WORLD) == EXIT_OK
     rows = json.load(open(os.path.join(out, "ablation.json"), encoding="utf-8"))
-    assert [r["seed"] for r in rows] == [0, 1] * 36
-    # linkpred_only/verbalized cells stop at their config, before training
-    rejected = [r["pretrain.objective"] == "linkpred_only" and r["pretrain.kg_mode"] == "verbalized"
-                for r in rows]
-    assert sum(rejected) == 12
-    assert {r["status"] for r, no in zip(rows, rejected) if not no} == {
-        "error: pretrain: RuntimeError: not trained"}
-    assert all(r["status"].startswith("error: pretrain: error: pretrain.objective: ")
-               for r, no in zip(rows, rejected) if no)
+    assert [(r["cell"], r["seed"]) for r in rows] == [
+        (name, seed) for name in cli.ABLATION_CELLS for seed in (0, 1)]
+    assert {r["status"] for r in rows} == {"error: pretrain: RuntimeError: not trained"}
+    # one pretrain per cell per seed, each with its cell's settings
+    assert trained == [(settings, seed) for settings in cli.ABLATION_CELLS.values()
+                       for seed in (0, 1)]
+
+
+def test_ablation_records_a_failing_command_as_the_cell_status(tmp_path, monkeypatch):
+    # an odd node width suits every cell's config but rotate's, whose pretrain
+    # exits 1; its last stderr line becomes the status and the grid goes on
+    def no_training(*args, **kwargs):
+        raise RuntimeError("not trained")
+
+    monkeypatch.setattr(pt, "train", no_training)
+    out = str(tmp_path / "abl")
+    assert main(["ablation", "--out", out, "--set", "encoder.d_node=7",
+                 "--set", "encoder.heads_gnn=1"] + MICRO_WORLD) == EXIT_OK
+    rows = json.load(open(os.path.join(out, "ablation.json"), encoding="utf-8"))
+    assert {r["cell"]: r["status"] for r in rows} == {
+        name: "error: pretrain: error: pretrain.scorer: rotate needs an even encoder.d_node, got 7"
+        if name == "rotate" else "error: pretrain: RuntimeError: not trained"
+        for name in cli.ABLATION_CELLS}
 
 
 def test_ablation_bad_seeds_exit_usage_before_the_world_is_written(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from dragonforge import evaluation as ev
 from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
-from dragonforge.cli import DEFAULTS, EXIT_OK, main
+from dragonforge.cli import DEFAULTS
 from dragonforge.encoder import EncoderConfig, init_params
 from dragonforge.finetune import add_pooling_head
 from dragonforge.kg_store import load_kg
@@ -372,29 +372,6 @@ def test_distmult_baseline_learns_training_edges(tmp_path):
     neg_scores = (ent[neg[:, 0]] * rel[neg[:, 1]] * ent[neg[:, 2]]).sum(axis=1)
     assert pos_scores.mean() > neg_scores.mean() + 1.0
 
-
-
-def test_verbalized_cells_report_empty_lp(tmp_path, monkeypatch):
-    # the ablation runs eval-lp for graph cells only, so a verbalized cell's row
-    # has an MCQA accuracy but no link-prediction score; the grid is narrowed
-    # to the two joint/distmult/verbalized cells (one per fusion)
-    monkeypatch.setattr(pt, "OBJECTIVES", ("joint",))
-    monkeypatch.setattr(pt, "SCORERS", ("distmult",))
-    monkeypatch.setattr(pt, "KG_MODES", ("verbalized",))
-    settings = ["world.n_entities=30", "world.n_relations=3", "world.n_facts=150",
-                "world.structure=flat", "encoder.n_unimodal=0", "encoder.n_fusion=1",
-                "encoder.d_text=16", "encoder.d_node=8", "encoder.heads_text=2",
-                "encoder.d_mint_hidden=16", "encoder.max_seq_len=32", "encoder.max_nodes=8",
-                "pretrain.steps=2", "pretrain.batch_size=2", "pretrain.n_negatives=2",
-                "finetune.epochs=1", "pretrain.kg_mode=verbalized"]
-    argv = ["ablation", "--out", str(tmp_path), "--seed", "0"]
-    assert main(argv + [arg for s in settings for arg in ("--set", s)]) == EXIT_OK
-    rows = json.load(open(tmp_path / "ablation.json", encoding="utf-8"))
-    assert len(rows) == 2
-    for row in rows:
-        assert row["pretrain.kg_mode"] == "verbalized" and row["status"] == "ok", row
-        assert row["lp_mrr"] == "" and isinstance(row["mcqa_accuracy"], float), row
-    assert all(not (cell / "eval-lp").exists() for cell in (tmp_path / "cells").iterdir())
 
 # ---------------------------------------------------------------------------
 # attention export

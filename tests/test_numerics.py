@@ -9,6 +9,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dragonforge import numerics as nm
 
@@ -79,6 +81,29 @@ def test_softmax_rows_sum_to_one():
     x = (rng(5).normal(size=(6, 9)) * 10).astype(np.float32)
     out = nm._segment_softmax(x.reshape(-1, 1), np.repeat(np.arange(6), 9), 6)
     np.testing.assert_allclose(out.reshape(6, 9).sum(axis=-1), 1.0, atol=1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]))
+def test_gelu_and_segment_softmax_are_bounded_on_finite_input(data, dtype):
+    # the graph and sublayer blocks leave gelu, the segment softmax and the
+    # products of finite rows with the softmax unchecked on these bounds
+    finfo = np.finfo(dtype)
+    drawn = data.draw(hnp.arrays(dtype, st.integers(0, 60),
+                                 elements=hnp.from_dtype(np.dtype(dtype), allow_nan=False,
+                                                         allow_infinity=False)))
+    extremes = np.array([finfo.max, -finfo.max, finfo.tiny, -finfo.tiny, finfo.smallest_subnormal,
+                         -finfo.smallest_subnormal, 0.0], dtype=dtype)
+    x = np.concatenate([extremes, drawn])
+    with np.errstate(over="ignore"):
+        vals, _ = nm._gelu_fwd(x)
+        assert vals.dtype == dtype and np.isfinite(vals).all()
+        assert (np.abs(vals) <= np.abs(x)).all()
+        heads = data.draw(st.integers(1, 3))
+        scores = x[:len(x) // heads * heads].reshape(-1, heads)
+        seg = data.draw(hnp.arrays(np.int64, len(scores), elements=st.integers(0, 3)))
+        alpha = nm._segment_softmax(scores, seg, 4)
+    assert ((alpha >= 0) & (alpha <= 1)).all()
 
 
 def test_layer_norm_constant_row_is_zero():
