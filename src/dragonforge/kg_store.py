@@ -1,9 +1,11 @@
 """Global knowledge-graph store: vocabularies, triplet set, adjacency index.
 
-Triplet files are TSV lines `head<TAB>relation<TAB>tail`. Edges are stored
-directed as written; inverse traversal is an index property. The relation
-vocabulary reserves an interaction-link relation (and its inverse name) ahead
-of file-defined relations, so local graphs can wire the interaction node.
+Triplet files are TSV lines `head<TAB>relation<TAB>tail`, split into fields
+in bulk and built into a graph in one pass. Edges are stored directed as
+written; inverse traversal is an index property. The relation vocabulary
+reserves an interaction-link relation and its inverse, which no KG file may
+name, ahead of file-defined relations, so local graphs can wire the
+interaction node.
 
 Tokens, entities and relations are each a `Vocab`; `name_table` and
 `read_name_table` are the one `name<TAB>id` codec of vocab.tsv files and of
@@ -53,13 +55,11 @@ def read_name_table(text: str, source: str, n_ids: int | None = None):
 
 
 class Vocab:
-    """Names under dense ids 0, 1, 2, ...; the first ids hold `reserved`."""
+    """Names under dense ids 0, 1, 2, ...; the first ids hold `names`' distinct values."""
 
-    def __init__(self, reserved: tuple[str, ...] = ()):
-        self.names: list[str] = []
-        self.ids: dict[str, int] = {}
-        for name in reserved:
-            self.add(name)
+    def __init__(self, names: tuple[str, ...] | list[str] = ()):
+        self.names: list[str] = list(dict.fromkeys(names))
+        self.ids: dict[str, int] = dict(zip(self.names, range(len(self.names))))
 
     def add(self, name: str) -> int:
         """The id of `name`, which a new name gets as the next dense id."""
@@ -100,9 +100,11 @@ def default_surface(name: str) -> str:
 class EntityVocab(Vocab):
     """Entity names plus aliases: surface form -> id, defaulting to the name's."""
 
-    def __init__(self, reserved: tuple[str, ...] = ()):
+    def __init__(self, names: tuple[str, ...] | list[str] = ()):
+        super().__init__(names)
         self.aliases: dict[str, int] = {}
-        super().__init__(reserved)
+        for name, i in self.ids.items():
+            self.aliases.setdefault(default_surface(name), i)
 
     def add(self, name: str) -> int:
         if name not in self.ids:
@@ -111,35 +113,25 @@ class EntityVocab(Vocab):
 
 
 class KnowledgeGraph:
-    """Deduplicated triplet set with a bidirectional adjacency index."""
+    """Triplets deduplicated in first-occurrence order, with a bidirectional adjacency index."""
 
-    def __init__(self, n_entities: int, n_relations: int):
+    def __init__(self, n_entities: int, n_relations: int, triplets: list[tuple[int, int, int]]):
         self.n_entities = n_entities
         self.n_relations = n_relations
-        self.triplets: list[tuple[int, int, int]] = []
-        self._members: set[tuple[int, int, int]] = set()
+        self.triplets = list(dict.fromkeys(triplets))
         # entity id -> list of (rel, neighbor, direction)
-        self._adj: dict[int, list[tuple[int, int, int]]] = {}
+        self._adj = adj = {v: [] for v in range(n_entities)}
+        for h, r, t in self.triplets:
+            if not (0 <= h < n_entities and 0 <= t < n_entities and 0 <= r < n_relations):
+                self._check_entity(h)
+                self._check_entity(t)
+                self._check_relation(r)
+            adj[h].append((r, t, DIR_OUT))
+            adj[t].append((r, h, DIR_IN))
         # entity id -> (sorted adjacency, distinct neighbors), built on first
-        # query and dropped when an edge of the entity is added; tuples, which
-        # take a fraction of a set's memory and which no caller can change
+        # query; tuples, which take a fraction of a set's memory and which no
+        # caller can change
         self._index: dict[int, tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]] = {}
-
-    def add(self, head: int, rel: int, tail: int) -> bool:
-        self._check_entity(head)
-        self._check_entity(tail)
-        self._check_relation(rel)
-        t = (head, rel, tail)
-        if t in self._members:
-            return False
-        self._members.add(t)
-        self.triplets.append(t)
-        self._adj.setdefault(head, []).append((rel, tail, DIR_OUT))
-        self._adj.setdefault(tail, []).append((rel, head, DIR_IN))
-        if self._index:
-            self._index.pop(head, None)
-            self._index.pop(tail, None)
-        return True
 
     def _check_entity(self, eid: int) -> None:
         if not 0 <= eid < self.n_entities:
@@ -153,12 +145,12 @@ class KnowledgeGraph:
         self._check_entity(t[0])
         self._check_entity(t[2])
         self._check_relation(t[1])
-        return t in self._members
+        return (t[1], t[2], DIR_OUT) in self._indexed(t[0])[0]
 
     def _indexed(self, v: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
         self._check_entity(v)
         if v not in self._index:
-            adj = self._adj.get(v, [])
+            adj = self._adj[v]
             self._index[v] = (tuple(sorted(adj)), tuple({nb for _, nb, _ in adj}))
         return self._index[v]
 
@@ -195,20 +187,33 @@ def load_kg(triplet_file: str, alias_file: str | None = None
 
     Entity and relation ids follow first appearance in file order, after
     the reserved interaction-link relations. Triplets are kept directed as
-    written; the GNN reads every edge in both directions itself.
+    written; the GNN reads every edge in both directions itself. KGParseError
+    names the first malformed line, else the first reserved relation name.
     """
-    triplets = [parts for _, parts in _read_tsv_rows(triplet_file, "head<TAB>relation<TAB>tail")]
-    if not triplets:
+    layout = "head<TAB>relation<TAB>tail"
+    with open(triplet_file, encoding="utf-8") as fh:
+        lines = list(filter(None, fh.read().split("\n")))
+    if not lines:
         raise EmptyGraphError("%s: no triplets" % triplet_file)
-    entities = EntityVocab()
-    relations = Vocab(RESERVED_RELATIONS)
-    for h, r, t in triplets:
-        entities.add(h)
-        relations.add(r)
-        entities.add(t)
-    g = KnowledgeGraph(len(entities), len(relations))
-    for h, r, t in triplets:
-        g.add(entities.ids[h], relations.ids[r], entities.ids[t])
+    # a line of three fields, a "\n" piece, the next line's three fields, ...
+    fields = "\t\n\t".join(lines).split("\t")
+    if len(fields) == 4 * len(lines) - 1 and fields[3::4] == ["\n"] * (len(lines) - 1) and "" not in fields:
+        del fields[3::4]
+    else:   # the line-by-line reader names the first bad line
+        fields = [f for _, parts in _read_tsv_rows(triplet_file, layout) for f in parts]
+    rels = fields[1::3]
+    if R_EL_NAME in rels or R_EL_INV_NAME in rels:
+        for lineno, (_, rel, _) in _read_tsv_rows(triplet_file, layout):
+            if rel in RESERVED_RELATIONS:
+                raise KGParseError("%s:%d: relation %r is reserved for the interaction link"
+                                   % (triplet_file, lineno, rel))
+    relations = Vocab(RESERVED_RELATIONS + tuple(rels))
+    heads, tails = fields[0::3], fields[2::3]
+    del fields[1::3]   # heads and tails interleaved, in file order
+    entities = EntityVocab(fields)
+    entity_id, relation_id = entities.ids.__getitem__, relations.ids.__getitem__
+    g = KnowledgeGraph(len(entities), len(relations),
+                       list(zip(map(entity_id, heads), map(relation_id, rels), map(entity_id, tails))))
     if alias_file is not None:
         load_aliases(alias_file, entities)
     return g, entities, relations

@@ -828,6 +828,20 @@ def test_kg_that_disagrees_with_checkpoint_vocab_exits_data_error(world_dir, fin
         % (shuffled, i, shuffled_entities.names[i], entities.names[i], finetuned)]
 
 
+def test_kg_with_a_reserved_relation_name_exits_data_error(world_dir, tmp_path, capsys):
+    lines = open(os.path.join(world_dir, "kg.tsv"), encoding="utf-8").read().splitlines()
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("".join(line + "\n" for line in lines[:3] + ["a\t[R_EL]\tb"] + lines[3:]),
+                  encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"), "--kg", str(kg),
+                 "--out", str(out), "--set", "pretrain.steps=1"] + MICRO_MODEL)
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: %s:4: relation '[R_EL]' is reserved for the interaction link" % kg]
+    assert not out.exists()
+
+
 def _mallopt_resolves() -> bool:
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")

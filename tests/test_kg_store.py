@@ -1,7 +1,12 @@
 """Knowledge-graph store: loading, dedup, adjacency, membership, round-trip."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dragonforge import kg_store as ks
 
@@ -45,8 +50,39 @@ def test_malformed_line_reports_lineno(tmp_path):
         ks.load_kg(path)
 
 
+@pytest.mark.parametrize("lines, lineno, got", [
+    (["a\tlikes\tb", "", "b\tc"], 3, "'b\\tc'"),
+    (["a\tlikes\tb", "b\tlikes\tc\td"], 2, "'b\\tlikes\\tc\\td'"),
+    (["a\tlikes\tb", "b\t\tc"], 2, "'b\\t\\tc'"),
+    (["a\tlikes\tb", "b\tlikes\tc\t"], 2, "'b\\tlikes\\tc\\t'"),
+    (["a\tlikes\tb", "b\tc", "", "c\tlikes\td\te"], 2, "'b\\tc'"),
+    (["a\tb", "c\tlikes\td\te"], 1, "'a\\tb'"),
+    (["a\t[R_EL_INV]\tb", "b\tc"], 2, "'b\\tc'"),
+], ids=["two_fields", "four_fields", "empty_middle_field", "trailing_tab", "first_of_two_bad_lines",
+        "two_and_four_fields", "before_a_reserved_relation"])
+def test_malformed_line_message_names_the_first_bad_line(tmp_path, lines, lineno, got):
+    path = write_kg(tmp_path, lines)
+    with pytest.raises(ks.KGParseError) as e:
+        ks.load_kg(path)
+    assert str(e.value) == "%s:%d: expected head<TAB>relation<TAB>tail, got %s" % (path, lineno, got)
+
+
+@pytest.mark.parametrize("name", ks.RESERVED_RELATIONS)
+def test_reserved_relation_name_in_kg_file_raises(tmp_path, name):
+    path = write_kg(tmp_path, ["a\tlikes\tb", "", "b\t%s\tc" % name, "c\t%s\ta" % name])
+    with pytest.raises(ks.KGParseError) as e:
+        ks.load_kg(path)
+    assert str(e.value) == "%s:3: relation %r is reserved for the interaction link" % (path, name)
+
+
 def test_empty_file_raises(tmp_path):
     path = write_kg(tmp_path, [])
+    with pytest.raises(ks.EmptyGraphError):
+        ks.load_kg(path)
+
+
+def test_blank_lines_only_file_raises(tmp_path):
+    path = write_kg(tmp_path, ["", "", ""])
     with pytest.raises(ks.EmptyGraphError):
         ks.load_kg(path)
 
@@ -101,21 +137,81 @@ def test_isolated_node_and_star_graph(tmp_path):
     assert len(g.neighbors(entities.ids["s1"])) == 1
 
 
-def test_neighbor_queries_see_later_edges_and_hand_out_copies():
-    g = ks.KnowledgeGraph(n_entities=4, n_relations=2)
-    g.add(0, 1, 1)
-    assert g.neighbors(0) == [(1, 1, ks.DIR_OUT)]
-    assert g.undirected_neighbor_set(1) == {0}
+def test_neighbor_queries_hand_out_copies():
+    g = ks.KnowledgeGraph(n_entities=4, n_relations=2, triplets=[(0, 1, 1), (2, 0, 0), (1, 0, 3)])
+    assert g.neighbors(0) == [(0, 2, ks.DIR_IN), (1, 1, ks.DIR_OUT)]
+    assert g.undirected_neighbor_set(1) == {0, 3}
     g.neighbors(0).append((9, 9, 9))
     g.undirected_neighbor_set(1).add(9)
-    assert g.neighbors(0) == [(1, 1, ks.DIR_OUT)]
-    assert g.undirected_neighbor_set(1) == {0}
-    g.add(2, 0, 0)
-    g.add(1, 0, 3)
     assert g.neighbors(0) == [(0, 2, ks.DIR_IN), (1, 1, ks.DIR_OUT)]
     assert g.undirected_neighbor_set(1) == {0, 3}
     assert type(g.neighbors(3)) is list and type(g.undirected_neighbor_set(3)) is set
     assert g.neighbors(3) == [(0, 1, ks.DIR_IN)]
+
+
+@pytest.mark.parametrize("triplets, message", [
+    ([(0, 1, 1), (3, 1, 4), (0, 2, 9)], "entity id 3 out of range [0, 3)"),
+    ([(0, 1, 1), (0, 2, 4)], "entity id 4 out of range [0, 3)"),
+    ([(0, 1, 1), (1, 2, 0)], "relation id 2 out of range [0, 2)"),
+    ([(0, -1, 1)], "relation id -1 out of range [0, 2)"),
+], ids=["head_of_the_first_bad_triplet", "tail", "relation", "negative"])
+def test_constructor_names_the_first_id_out_of_range(triplets, message):
+    with pytest.raises(IndexError) as e:
+        ks.KnowledgeGraph(n_entities=3, n_relations=2, triplets=triplets)
+    assert str(e.value) == message
+
+
+def reference_graph(rows):
+    """Vocabularies, aliases, triplets and adjacency of `rows`, built edge by edge."""
+    ent_names, ent_ids, aliases = [], {}, {}
+    rel_names = list(ks.RESERVED_RELATIONS)
+    rel_ids = {name: i for i, name in enumerate(rel_names)}
+    triplets, adj = [], {}
+    for h, r, t in rows:
+        for name in (h, t):
+            if name not in ent_ids:
+                ent_ids[name] = len(ent_names)
+                ent_names.append(name)
+                aliases.setdefault(name.lower().replace("_", " "), ent_ids[name])
+        if r not in rel_ids:
+            rel_ids[r] = len(rel_names)
+            rel_names.append(r)
+        triplet = (ent_ids[h], rel_ids[r], ent_ids[t])
+        if triplet not in triplets:
+            triplets.append(triplet)
+            adj.setdefault(triplet[0], []).append((triplet[1], triplet[2], ks.DIR_OUT))
+            adj.setdefault(triplet[2], []).append((triplet[1], triplet[0], ks.DIR_IN))
+    return ent_names, ent_ids, aliases, rel_names, rel_ids, triplets, adj
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.one_of(
+    st.just(None),
+    st.tuples(st.sampled_from(["a", "b", "Round_Brush", "round brush", "c d"]),
+              st.sampled_from(["likes", "is_a", "r 3"]),
+              st.sampled_from(["a", "b", "Round_Brush", "e"]))), min_size=1, max_size=40))
+def test_load_kg_matches_an_edge_by_edge_reference(lines):
+    rows = [row for row in lines if row is not None]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "kg.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join("" if row is None else "\t".join(row) + "\n" for row in lines))
+        if not rows:
+            with pytest.raises(ks.EmptyGraphError):
+                ks.load_kg(path)
+            return
+        g, entities, relations = ks.load_kg(path)
+    ent_names, ent_ids, aliases, rel_names, rel_ids, triplets, adj = reference_graph(rows)
+    assert (entities.names, entities.ids, entities.aliases) == (ent_names, ent_ids, aliases)
+    assert (relations.names, relations.ids) == (rel_names, rel_ids)
+    assert g.triplets == triplets
+    assert (g.n_entities, g.n_relations) == (len(ent_names), len(rel_names))
+    for v in range(g.n_entities):
+        assert g.neighbors(v) == sorted(adj.get(v, []))
+        assert g.undirected_neighbor_set(v) == {nb for _, nb, _ in adj.get(v, [])}
+        for r in range(g.n_relations):
+            for t in range(g.n_entities):
+                assert g.contains((v, r, t)) == ((v, r, t) in triplets)
 
 
 def test_adjacency_entry_count_is_twice_triplets(tmp_path):

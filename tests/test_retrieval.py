@@ -92,9 +92,8 @@ def test_linking_matches_exhaustive_oracle():
 
 def star_path_graph():
     ev = make_entities(["a", "b", "c"])
-    g = KnowledgeGraph(3, 3)
-    g.add(0, 2, 1)  # a - b
-    g.add(1, 2, 2)  # b - c
+    g = KnowledgeGraph(3, 3, [(0, 2, 1),    # a - b
+                              (1, 2, 2)])   # b - c
     return g, ev
 
 
@@ -128,15 +127,13 @@ def test_interaction_edges_target_linked_nodes_only():
 
 
 def random_graph(rng, n_nodes=50, n_edges=120, n_rels=3):
-    g = KnowledgeGraph(n_nodes, n_rels + 2)
-    added = 0
-    while added < n_edges:
+    edges = {}
+    while len(edges) < n_edges:
         h, t = rng.integers(0, n_nodes, size=2)
         if h == t:
             continue
-        if g.add(int(h), int(rng.integers(2, n_rels + 2)), int(t)):
-            added += 1
-    return g
+        edges[int(h), int(rng.integers(2, n_rels + 2)), int(t)] = None
+    return KnowledgeGraph(n_nodes, n_rels + 2, list(edges))
 
 
 def bfs_bridge_oracle(g, v_el):
@@ -181,7 +178,7 @@ def test_pruning_respects_max_nodes_and_keeps_linked():
 
 
 def test_pruning_samples_within_linked_when_oversized():
-    g = KnowledgeGraph(10, 2)
+    g = KnowledgeGraph(10, 2, [])
     v_el = set(range(10))
     local = rt.retrieve_local_kg(v_el, g, max_nodes=4, make_rng=partial(nm.split_rng, 4, "t"))
     assert local.n_nodes == 5
@@ -209,10 +206,7 @@ BRIDGED = [(0, 2, 5), (5, 2, 1), (0, 2, 6), (6, 3, 1), (7, 2, 0), (1, 4, 7)]   #
 @example(edges=BRIDGED, v_el={0, 1}, max_nodes=2, seed=0)      # no budget: every bridge dropped, no draw
 @example(edges=BRIDGED, v_el={0, 1}, max_nodes=8, seed=0)      # nothing pruned
 def test_retrieval_builds_its_stream_once_and_only_when_it_samples(edges, v_el, max_nodes, seed):
-    g = KnowledgeGraph(12, 5)
-    for h, r, t in edges:
-        if h != t:
-            g.add(h, r, t)
+    g = KnowledgeGraph(12, 5, [(h, r, t) for h, r, t in edges if h != t])
     budget = max_nodes - len(v_el)
     samples = bool(v_el) and (budget < 0 or 0 < budget < len(bfs_bridge_oracle(g, v_el) - v_el))
     eager = nm.split_rng(seed, "t")
@@ -239,10 +233,8 @@ def verbal_fixture():
     rv = Vocab(RESERVED_RELATIONS)
     rv.add("at_location")
     rv.add("similar_to")
-    g = KnowledgeGraph(3, len(rv))
-    g.add(0, rv.ids["at_location"], 1)
-    g.add(0, rv.ids["similar_to"], 2)
-    g.add(2, rv.ids["at_location"], 1)
+    g = KnowledgeGraph(3, len(rv), [(0, rv.ids["at_location"], 1), (0, rv.ids["similar_to"], 2),
+                                    (2, rv.ids["at_location"], 1)])
     tv = make_vocab(["round", "brush", "at", "location", "hair", "similar", "to", "comb"])
     return g, ev, rv, tv
 
