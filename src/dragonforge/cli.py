@@ -402,7 +402,7 @@ def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
                             % args.checkpoint)
         scorer = ev.ContextualScorer(params, cfg.encoder_config(), pt.linkpred_head(params, pre_cfg))
     else:
-        scorer = ev.NonContextualScorer(*ev.train_distmult_baseline(
+        scorer = ev.EntityTableScorer(*ev.train_distmult_baseline(
             kg, d=cfg["eval.lp_baseline_dim"], steps=cfg["eval.lp_baseline_steps"],
             seed=cfg["seed"]))
     report = ev.eval_link_prediction(scorer, queries, retriever, known_true, seed=cfg["seed"],

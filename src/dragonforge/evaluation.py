@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +23,8 @@ from .encoder import EncoderConfig, check_fields, encode, encode_batch
 from .finetune import MCQAExample, pool
 from .kg_store import KnowledgeGraph
 from .numerics import Tensor
-from .pretrain import LinkPredHead, Optimizer, train_step, triplet_scores
+from .pretrain import (LinkPredHead, LPQuery, Optimizer, query_scores, tail_query, train_step,
+                       triplet_scores)
 from .retrieval import LocalKG, Retriever, TextSegment
 
 
@@ -398,49 +398,27 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
 # ---------------------------------------------------------------------------
 
 
-class LPQuery(NamedTuple):
-    """One retrieved link-prediction query: rank `candidates` (global entity
-    ids, all nodes of `local`) as tails of (head, rel)."""
-    seg: TextSegment
-    local: LocalKG
-    head: int
-    rel: int
-    candidates: list[int]
-
-
-def _score_rows(vectors: Tensor, heads: list[int], rels: list[int], tails: list[int],
-                head: LinkPredHead, queries: list[LPQuery]) -> list[np.ndarray]:
-    """Score every candidate of every query with one `triplet_scores` over
-    rows of vectors, then cut the flat scores into one array per query."""
-    scores = triplet_scores(nm.gather_rows(vectors, heads), rels, nm.gather_rows(vectors, tails),
-                            head).values
-    return np.split(scores, np.cumsum([len(q.candidates) for q in queries])[:-1])
-
-
 class ContextualScorer:
     """Scores candidates with contextualized node vectors (KG + text mode).
 
-    `score` encodes a whole batch of queries in one `encode_batch` call (eval
-    mode, no dropout) and scores them with `_score_rows`; query b's local
-    node j is row node_offsets[b] + j of the batch's node vectors."""
+    `score` encodes a whole batch of (segment, local graph, query) items in
+    one `encode_batch` call (eval mode, no dropout); item b's local node j is
+    row node_offsets[b] + j of the batch's node vectors."""
 
     def __init__(self, params: dict[str, Tensor], enc_cfg: EncoderConfig, head: LinkPredHead):
         self.params = params
         self.enc_cfg = enc_cfg
         self.head = head
 
-    def score(self, queries: list[LPQuery]) -> list[np.ndarray]:
-        out = encode_batch([(q.seg, q.local) for q in queries], self.params, self.enc_cfg,
+    def score(self, batch: list[tuple[TextSegment, LocalKG, LPQuery]]) -> np.ndarray:
+        """Flat scores of every candidate of every query, in batch order."""
+        out = encode_batch([(seg, local) for seg, local, _ in batch], self.params, self.enc_cfg,
                            mode="eval")
-        heads, rels, tails = [], [], []
-        for q, offset in zip(queries, out.node_offsets):
-            heads += [offset + q.local.local_index(q.head)] * len(q.candidates)
-            rels += [q.rel] * len(q.candidates)
-            tails += [offset + q.local.local_index(c) for c in q.candidates]
-        return _score_rows(out.nodes, heads, rels, tails, self.head, queries)
+        return query_scores(out.nodes, [(q, np.arange(*out.node_offsets[b:b + 2]))
+                                        for b, (_, _, q) in enumerate(batch)], self.head).values
 
 
-class NonContextualScorer:
+class EntityTableScorer:
     """Scores candidates with a plain entity table, row = global entity id
     (the KG-only baseline of train_distmult_baseline)."""
 
@@ -448,11 +426,10 @@ class NonContextualScorer:
         self.entities = entities
         self.head = head
 
-    def score(self, queries: list[LPQuery]) -> list[np.ndarray]:
-        heads = [q.head for q in queries for _ in q.candidates]
-        rels = [q.rel for q in queries for _ in q.candidates]
-        tails = [c for q in queries for c in q.candidates]
-        return _score_rows(self.entities, heads, rels, tails, self.head, queries)
+    def score(self, batch: list[tuple[TextSegment, LocalKG, LPQuery]]) -> np.ndarray:
+        """Flat scores of every candidate of every query, in batch order."""
+        return query_scores(self.entities, [(q, np.asarray(local.nodes)) for _, local, q in batch],
+                            self.head).values
 
 
 def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
@@ -460,10 +437,11 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
                          filtered: bool = True, batch_size: int = 1) -> RankingReport:
     """Rank the gold tail against local-graph candidates for each query.
 
-    Candidates are the query's local-KG nodes (so the retriever runs in graph
-    mode) minus the interaction node and the query head; filtering drops
-    candidates that form other known-true triplets. Queries whose head or
-    tail fall outside the retrieved graph are skipped and counted.
+    Each query is the tail_query of its triple over the retrieved graph (so
+    the retriever runs in graph mode): candidates are the graph's entity
+    nodes but the head; filtering drops candidates that form other
+    known-true triplets. Queries whose head or tail fall outside the
+    retrieved graph, or that tail_query refuses, are skipped and counted.
 
     Query qi is retrieved with its own stream factory partial(split_rng, seed,
     "lp_retrieval", qi), so skips and candidates do not depend on batching.
@@ -473,12 +451,13 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
     entities, relations = retriever.entities, retriever.relations
     ranks: list[float] = []
     n_candidates: list[int] = []
-    pending: list[tuple[LPQuery, int]] = []   # (query, index of its gold candidate)
+    pending: list[tuple[TextSegment, LocalKG, LPQuery]] = []
     skipped = 0
 
     def flush() -> None:
-        for (_, gold), scores in zip(pending, scorer.score([q for q, _ in pending])):
-            ranks.append(average_rank(np.asarray(scores), gold))
+        sizes = [len(q.candidates) for _, _, q in pending]
+        for (_, _, q), scores in zip(pending, np.split(scorer.score(pending), np.cumsum(sizes)[:-1])):
+            ranks.append(average_rank(scores, q.candidates.index(q.gold)))
             n_candidates.append(len(scores))
         pending.clear()
 
@@ -493,14 +472,13 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
         if local.is_dummy or h not in node_set or t not in node_set:
             skipped += 1
             continue
-        candidates = [c for c in local.entity_ids() if c != h]
-        if filtered:
-            candidates = [c for c in candidates
-                          if c == t or (h_name, r_name, entities.names[c]) not in known_true]
-        if t not in candidates or len(candidates) < 2:
+        drop = {j for j, c in enumerate(local.nodes) if j and c != t
+                and (h_name, r_name, entities.names[c]) in known_true} if filtered else ()
+        query = tail_query(local, local.local_index(h), r, local.local_index(t), drop)
+        if query is None:
             skipped += 1
             continue
-        pending.append((LPQuery(seg, local, h, r, candidates), candidates.index(t)))
+        pending.append((seg, local, query))
         if len(pending) == batch_size:
             flush()
     if pending:
@@ -512,7 +490,7 @@ def train_distmult_baseline(kg: KnowledgeGraph, d: int, steps: int,
                             seed: int = 0) -> tuple[Tensor, LinkPredHead]:
     """Plain DistMult entity embeddings and head trained on the KG triplets
     alone (margin 0)."""
-    batch_size, lr, n_negatives = 128, 1e-2, 8
+    batch_size, lr, n_corrupt = 128, 1e-2, 8   # corrupted copies per positive
     rng = nm.split_rng(seed, "distmult_baseline")
     init = nm.split_rng(seed, "distmult_baseline_init")
     ent = Tensor(init.normal(0, 0.2, size=(kg.n_entities, d)), requires_grad=True, name="other.ent")
@@ -534,7 +512,7 @@ def train_distmult_baseline(kg: KnowledgeGraph, d: int, steps: int,
     for step in range(steps):
         idx = rng.integers(0, len(triplets), size=batch_size)
         pos = triplets[idx]
-        neg_h = pos.repeat(n_negatives, axis=0)
+        neg_h = pos.repeat(n_corrupt, axis=0)
         corrupt_tail = rng.random(len(neg_h)) < 0.5
         repl = rng.integers(0, kg.n_entities, size=len(neg_h))
         neg = neg_h.copy()

@@ -141,12 +141,6 @@ class KnowledgeGraph:
         if not 0 <= rid < self.n_relations:
             raise IndexError("relation id %d out of range [0, %d)" % (rid, self.n_relations))
 
-    def contains(self, t: tuple[int, int, int]) -> bool:
-        self._check_entity(t[0])
-        self._check_entity(t[2])
-        self._check_relation(t[1])
-        return (t[1], t[2], DIR_OUT) in self._indexed(t[0])[0]
-
     def _indexed(self, v: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
         self._check_entity(v)
         if v not in self._index:
@@ -163,6 +157,18 @@ class KnowledgeGraph:
         return set(self._indexed(v)[1])
 
 
+def _read_text(path: str) -> str:
+    """The file as open() reads it in text mode: UTF-8, with universal
+    newlines. Bytes that are not UTF-8 raise KGParseError naming their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise KGParseError("%s:%d: not valid UTF-8" % (path, data.count(b"\n", 0, e.start) + 1)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_tsv_rows(path: str, layout: str):
     """Yield (line number, fields) for every non-blank line of a TSV file.
 
@@ -170,15 +176,13 @@ def _read_tsv_rows(path: str, layout: str):
     exactly that many non-empty fields raises KGParseError naming the line.
     """
     n_fields = layout.count("<TAB>") + 1
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_fields or not all(parts):
-                raise KGParseError("%s:%d: expected %s, got %r" % (path, lineno, layout, line))
-            yield lineno, parts
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != n_fields or not all(parts):
+            raise KGParseError("%s:%d: expected %s, got %r" % (path, lineno, layout, line))
+        yield lineno, parts
 
 
 def load_kg(triplet_file: str, alias_file: str | None = None
@@ -188,11 +192,11 @@ def load_kg(triplet_file: str, alias_file: str | None = None
     Entity and relation ids follow first appearance in file order, after
     the reserved interaction-link relations. Triplets are kept directed as
     written; the GNN reads every edge in both directions itself. KGParseError
-    names the first malformed line, else the first reserved relation name.
+    names the line of a byte that is not UTF-8, else the first malformed
+    line, else the first reserved relation name.
     """
     layout = "head<TAB>relation<TAB>tail"
-    with open(triplet_file, encoding="utf-8") as fh:
-        lines = list(filter(None, fh.read().split("\n")))
+    lines = list(filter(None, _read_text(triplet_file).split("\n")))
     if not lines:
         raise EmptyGraphError("%s: no triplets" % triplet_file)
     # a line of three fields, a "\n" piece, the next line's three fields, ...

@@ -1,10 +1,12 @@
 """Self-supervised corruption, task heads, losses, and the joint training loop.
 
 Masking replaces tokens with [MASK] outright; edge holdout removes non
-interaction-link edges from the encoder's view and pairs each held-out
-positive with corrupted negatives drawn from the local node set. The link
-prediction loss follows the published objective verbatim: positives pushed
-up through -log sigma, negatives pushed down through +log sigma.
+interaction-link edges from the encoder's view and turns each held-out edge
+into a link-prediction query that ranks its tail among every other local
+entity node, the query that link-prediction evaluation ranks too. The link
+prediction loss follows the published objective's printed form: the gold
+tail pushed up through -log sigma, the query's other candidates, as its
+negatives, pushed down through +log sigma.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,57 +72,58 @@ def apply_masking(seg: TextSegment, rate: float, rng: np.random.Generator) -> tu
     return TextSegment(new_ids), MaskingPlan(positions, [seg.token_ids[p] for p in positions])
 
 
+class LPQuery(NamedTuple):
+    """One link-prediction query: rank `candidates` as tails of (head, rel).
+    Head, candidates and gold are local node indices of one example's graph;
+    the gold is the held-out (or test) tail and is one of the candidates."""
+    head: int
+    rel: int
+    candidates: list[int]
+    gold: int
+
+
+def tail_query(local: LocalKG, head: int, rel: int, tail: int, drop=frozenset()) -> LPQuery | None:
+    """The query ranking `tail` among every local entity node except the head
+    and the nodes in `drop`; None when the tail is not one of them or fewer
+    than two candidates remain. The interaction node 0 is never a candidate."""
+    candidates = [j for j in range(1, local.n_nodes) if j != head and j not in drop]
+    if tail not in candidates or len(candidates) < 2:
+        return None
+    return LPQuery(head, rel, candidates, tail)
+
+
 @dataclass
 class EdgeHoldout:
-    """Local-index (head, rel, tail) triplets: positives [P, 3] and, for each,
-    its negatives [P, n, 3], both int64 arrays (lists are converted)."""
-    positives: np.ndarray
-    negatives: np.ndarray
-    flagged_empty: bool = False
+    """The link-prediction queries of one example's held-out edges."""
+    queries: list[LPQuery]
 
-    def __post_init__(self):
-        self.positives = np.asarray(self.positives, dtype=np.int64)
-        self.negatives = np.asarray(self.negatives, dtype=np.int64)
+    @property
+    def flagged_empty(self) -> bool:
+        return not self.queries
 
     def __len__(self) -> int:
-        return len(self.positives)
+        return len(self.queries)
 
 
-def hold_out_edges(local: LocalKG, rate: float, n: int, rng: np.random.Generator
+def hold_out_edges(local: LocalKG, rate: float, rng: np.random.Generator
                    ) -> tuple[LocalKG, EdgeHoldout]:
-    """Hold out non interaction-link edges and attach corrupted negatives.
+    """Hold out non interaction-link edges, each as its tail_query.
 
-    Each negative replaces the head or the tail of its positive (1/2 each,
-    or the side that has candidates) with a node drawn uniformly from the
-    local non-interaction nodes other than that endpoint. After the edges,
-    rng draws all [P, n] sides at once, then all replacements.
+    A held-out edge that makes no query (a self-loop, or a graph with fewer
+    than two candidates) still leaves the reduced graph. rng draws only the
+    held-out edges.
     """
     if not 0.0 < rate <= 1.0:
         raise ValueError("edge drop rate must be in (0, 1]")
-    if n < 1:
-        raise ValueError("need at least one negative per positive")
     droppable = [] if local.is_dummy else [i for i, e in enumerate(local.edges) if e[1] != R_EL]
     if not droppable:
-        return local, EdgeHoldout(np.zeros((0, 3)), np.zeros((0, n, 3)), flagged_empty=True)
+        return local, EdgeHoldout([])
     dropped = _pick(droppable, rate, rng)
     dropped_set = set(dropped)
     reduced = LocalKG(nodes=list(local.nodes),
                       edges=[e for i, e in enumerate(local.edges) if i not in dropped_set])
-
-    m = local.n_nodes - 1   # candidates: local nodes 1..m, less the replaced endpoint
-    h, r, t = np.array([local.edges[i] for i in dropped], dtype=np.int64).T[:, :, None]  # [P, 1]
-    head_size, tail_size = m - (h >= 1), m - (t >= 1)
-    ok = ((head_size > 0) | (tail_size > 0))[:, 0]   # a single-node self-loop has none
-    h, r, t, head_size, tail_size = (a[ok] for a in (h, r, t, head_size, tail_size))
-    corrupt_head = ((rng.random((len(h), n)) < 0.5) & (head_size > 0)) | (tail_size == 0)
-    endpoint = np.where(corrupt_head, h, t)
-    size = np.where(corrupt_head, head_size, tail_size)
-    c = 1 + (rng.random(size.shape) * size).astype(np.int64)   # uniform in 1..size
-    c += (endpoint >= 1) & (c >= endpoint)   # skip the replaced endpoint
-    negatives = np.empty(c.shape + (3,), dtype=np.int64)   # [P, n, 3]
-    negatives[..., 0], negatives[..., 1] = np.where(corrupt_head, c, h), r
-    negatives[..., 2] = np.where(corrupt_head, t, c)
-    return reduced, EdgeHoldout(np.concatenate([h, r, t], axis=1), negatives, flagged_empty=not len(h))
+    queries = (tail_query(local, *local.edges[i]) for i in dropped)
+    return reduced, EdgeHoldout([q for q in queries if q is not None])
 
 
 @dataclass
@@ -165,25 +168,35 @@ def triplet_scores(h: Tensor, rel_ids, t: Tensor, head: LinkPredHead) -> Tensor:
     return nm.neg(nm.sqrt(nm.reduce_sum(nm.add(nm.mul(dr, dr), nm.mul(di, di)), axis=1)))
 
 
-def linkpred_loss(holdouts: list[tuple[EdgeHoldout, int]], node_vecs: Tensor,
-                  head: LinkPredHead) -> Tensor:
-    """Mean over holdouts of: sum over positives of -log sig(phi + margin)
-    + mean_neg log sig(phi' + margin).
+def query_scores(vectors: Tensor, queries: list[tuple[LPQuery, np.ndarray]],
+                 head: LinkPredHead) -> Tensor:
+    """Flat scores of every candidate of every query, in query order, from one
+    triplet_scores call. Each query comes with `rows`: rows[j] is the row of
+    vectors that holds its local node j."""
+    heads = np.concatenate([np.full(len(q.candidates), rows[q.head]) for q, rows in queries])
+    rels = np.concatenate([np.full(len(q.candidates), q.rel) for q, _ in queries])
+    tails = np.concatenate([rows[q.candidates] for q, rows in queries])
+    return triplet_scores(nm.gather_rows(vectors, heads), rels, nm.gather_rows(vectors, tails), head)
 
-    Each holdout comes with the row of node_vecs that holds its local node 0.
+
+def linkpred_loss(holdouts: list[tuple[EdgeHoldout, np.ndarray]], node_vecs: Tensor,
+                  head: LinkPredHead) -> Tensor:
+    """Mean over holdouts of the sum over their queries of
+    -log sig(phi_gold + margin) + mean_c log sig(phi_c + margin),
+    where c runs over the query's other candidates: the tail is ranked
+    against every other local entity node, and the published objective's
+    negative term reads those nodes as the negatives.
+
+    Each holdout comes with the rows of node_vecs of its local nodes (see
+    query_scores).
     """
     if not holdouts or not all(len(h) for h, _ in holdouts):
         raise ValueError("linkpred_loss requires non-empty holdouts")
-    rows, weights = [], []
-    for holdout, offset in holdouts:   # per positive: its row, then its negatives' rows
-        n = holdout.negatives.shape[1]
-        rows.append(np.concatenate([holdout.positives[:, None], holdout.negatives], axis=1)
-                    .reshape(-1, 3) + (offset, 0, offset))
-        weights.append(np.tile(np.r_[-1.0, np.full(n, 1.0 / n)], len(holdout)))
-    h, r, t = np.concatenate(rows).T
-    phi = triplet_scores(nm.gather_rows(node_vecs, h), r, nm.gather_rows(node_vecs, t), head)
-    terms = nm.log_sigmoid(nm.add(phi, head.margin))
-    return nm.reduce_sum(nm.mul(terms, np.concatenate(weights) / len(holdouts)))
+    queries = [(q, rows) for holdout, rows in holdouts for q in holdout.queries]
+    weights = np.concatenate([np.where(np.asarray(q.candidates) == q.gold, -1.0,
+                                       1.0 / (len(q.candidates) - 1)) for q, _ in queries])
+    terms = nm.log_sigmoid(nm.add(query_scores(node_vecs, queries, head), head.margin))
+    return nm.reduce_sum(nm.mul(terms, weights / len(holdouts)))
 
 
 def mlm_loss(plans: list[tuple[MaskingPlan, int]], token_vecs: Tensor,
@@ -207,7 +220,6 @@ def mlm_loss(plans: list[tuple[MaskingPlan, int]], token_vecs: Tensor,
 class PretrainConfig:
     mask_rate: float = 0.15
     edge_drop_rate: float = 0.15
-    n_negatives: int = 16        # full-scale reference default: 128
     margin: float = 0.0
     scorer: str = "distmult"
     objective: str = "joint"
@@ -234,7 +246,7 @@ class PretrainConfig:
         if self.objective == "linkpred_only" and self.kg_mode == "verbalized":
             raise ValueError("objective: linkpred_only trains on graph inputs, which kg_mode "
                              "verbalized replaces with a dummy graph; nothing would train")
-        check_fields(self, lambda v: v >= 1, ">= 1", "batch_size", "steps", "n_negatives")
+        check_fields(self, lambda v: v >= 1, ">= 1", "batch_size", "steps")
         check_fields(self, lambda v: 0.0 < v <= 1.0, "in (0, 1]", "mask_rate", "edge_drop_rate")
         check_fields(self, lambda v: 0.0 <= v <= 1.0, "in [0, 1]", "warmup_ratio")
         check_fields(self, lambda v: v >= 0, ">= 0", "lr_lm", "lr_other", "grad_clip",
@@ -414,15 +426,15 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
                 seg, plan = apply_masking(seg, cfg.mask_rate, rng)
                 plans.append((slot, plan))
             if use_lp:
-                local, holdout = hold_out_edges(local, cfg.edge_drop_rate, cfg.n_negatives, rng)
+                local, holdout = hold_out_edges(local, cfg.edge_drop_rate, rng)
                 holdouts.append((slot, holdout))
             batch.append((seg, local))
             seeds.append(int(rng.integers(2 ** 62)))
         out = encode_batch(batch, params, enc_cfg, mode="train", seeds=seeds)
 
         mlm_terms = [(plan, slot * out.max_len) for slot, plan in plans if not plan.flagged_empty]
-        lp_terms = [(holdout, out.node_offsets[slot]) for slot, holdout in holdouts
-                    if not holdout.flagged_empty]
+        lp_terms = [(holdout, np.arange(*out.node_offsets[slot:slot + 2])) for slot, holdout
+                    in holdouts if not holdout.flagged_empty]
         loss_mlm = mlm_loss(mlm_terms, out.tokens, params) if mlm_terms else None
         loss_lp = linkpred_loss(lp_terms, out.nodes, head) if lp_terms else None
         terms = [term for term in (loss_mlm, loss_lp) if term is not None]

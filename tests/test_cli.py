@@ -364,7 +364,7 @@ def test_env_var_seed(world_dir, tmp_path, monkeypatch):
 
 
 ABLATION_RUN = ["--set", "pretrain.steps=2", "--set", "pretrain.batch_size=2",
-                "--set", "pretrain.n_negatives=2", "--set", "finetune.epochs=1"]
+                "--set", "finetune.epochs=1"]
 
 
 @pytest.fixture(scope="module")
@@ -494,7 +494,7 @@ def test_ablation_bad_seeds_exit_usage_before_the_world_is_written(tmp_path, cap
 @pytest.mark.parametrize("setting", ["encoder.d_text=abc", "encoder.heads_text=5",
                                      "pretrain.scorer=bogus", "pretrain.steps=0",
                                      "pretrain.optimizer=adamw", "pretrain.batch_size=0",
-                                     "pretrain.mask_rate=0", "pretrain.n_negatives=0",
+                                     "pretrain.mask_rate=0",
                                      "encoder.max_nodes=0", "world.structure=foo",
                                      "world.n_relations=20", "world.n_facts=0",
                                      "world.leak_rate=0.9", "world.sentences_per_doc=0",
@@ -840,6 +840,46 @@ def test_kg_with_a_reserved_relation_name_exits_data_error(world_dir, tmp_path, 
     assert capsys.readouterr().err.splitlines() == [
         "data error: %s:4: relation '[R_EL]' is reserved for the interaction link" % kg]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["kg", "aliases"])
+def test_file_that_is_not_utf8_exits_data_error_naming_file_and_line(world_dir, tmp_path, capsys,
+                                                                      which):
+    lines = open(os.path.join(world_dir, which + ".tsv"), encoding="utf-8").read().splitlines()
+    bad = tmp_path / (which + ".tsv")
+    bad.write_bytes("".join(line + "\n" for line in lines[:4]).encode() + b"\xffx\ty\tz\n"
+                    + "".join(line + "\n" for line in lines[4:]).encode())
+    paths = {"kg": os.path.join(world_dir, "kg.tsv"), "aliases": os.path.join(world_dir, "aliases.tsv"),
+             which: str(bad)}
+    out = tmp_path / "o"
+    code = main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"), "--kg", paths["kg"],
+                 "--aliases", paths["aliases"], "--out", str(out), "--set", "pretrain.steps=1"]
+                + MICRO_MODEL)
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == ["data error: %s:5: not valid UTF-8" % bad]
+    assert not out.exists()
+
+
+def test_the_retired_negative_count_key_is_refused(world_dir, pretrained, tmp_path, capsys):
+    # pretraining ranks each held-out tail among all local nodes, so no
+    # setting counts negatives; a checkpoint whose config names one fails
+    code = main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "o"),
+                 "--set", "pretrain.n_negatives=4"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == ["error: unknown config key 'pretrain.n_negatives'"]
+    params, token_vocab, entities, relations, config_text = pt.load_checkpoint(
+        os.path.join(pretrained, "checkpoint.drgn"))
+    lines = sorted(config_text.splitlines() + ["pretrain.n_negatives = 16  # default"])
+    old = str(tmp_path / "old.drgn")
+    pt.save_checkpoint(old, params, token_vocab, entities, relations, "".join(x + "\n" for x in lines))
+    code = main(["dump-attention", "--checkpoint", old, "--text", "zzz",
+                 "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "attn")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: %s: config text: line %d: unknown key 'pretrain.n_negatives'"
+        % (old, lines.index("pretrain.n_negatives = 16  # default") + 1)]
+    assert not (tmp_path / "attn").exists()
 
 
 def _mallopt_resolves() -> bool:

@@ -28,27 +28,27 @@ MICRO_MODEL = ["--set", "encoder.n_unimodal=1", "--set", "encoder.n_fusion=1",
 
 DIGESTS = {
     ("pretrain-graph", "metrics.jsonl"):
-        "f2043699c19a5978ae7f93168d771cbb9cc885dfcd82215d2e02dc430e9521c3",
+        "53ef9e3b7ff4bcb993f8469565d08a9d5be6190a4bb1841780141385a060ecff",
     ("pretrain-graph", "checkpoint.drgn"):
-        "7754c63aa664beec7ff03fdb5696403649abba390bd75a7289fe896caf55a9fd",
+        "441e922910ee89f29a4821b14f0148840d758eb54c565372b66569b026097b3c",
     ("pretrain-verbalized", "metrics.jsonl"):
         "2ab45f52ec1602f6c880b1f1bb4b436ad63ea44778405cf842376ccd90812264",
     ("pretrain-verbalized", "checkpoint.drgn"):
-        "9e3a46d7f9cf9f65b396294db767b1cdbb47c93fe83bfc0fee64a94bebfc88a6",
+        "f2a1a880662ffaf8f01955292278560303f52683f3db3427820eacb57ffe4c19",
     ("finetune", "accuracy.json"):
-        "dbd771933fdce5957a95a1136e327bb6d66e3814eca191340db89f1428ed102c",
+        "76c6d67c2e5ed5cf67f83cdd883559a2ffff2e7e13ab1f1240cf2d70e3699824",
     ("finetune", "finetuned.drgn"):
-        "3969452501af5495b55f2a79f8e8fcae004c58f5e62e2ab9748004cb1f2b1372",
+        "9b4a1ebd72c2255d2a0bc0a49920b39924a835567c1e9d8cd2efc3947449fd72",
     ("pretrain-rotate", "metrics.jsonl"):
-        "cbb96b998d31d05fd4c872fe7a38f6da7fb7e6144c75ba1c7e495ca56a532015",
+        "7e75801c6fabaadf2414591d9ba754e3c84c0fcd766e4ca5fb624c8c568f0aa2",
     ("eval-qa", "accuracy.json"):
         "38b50331a4923b15d51fc0f5f4d4c6abc3a06ea94f218c03b3d20159c8e13dec",
     ("eval-lp-kg_plus_text", "ranking.json"):
-        "28f8b9c87f486ac44dbaef1809d3d5cda9a206df6bbb121bea5bc3595a6c9bb6",
+        "1218b4c818bd2ec8a92599acbba43e017f8f7e0a32dcb950d65f81393303b756",
     ("eval-lp-kg_only", "ranking.json"):
         "11c5aa8c4a6a984fb667df374c21a8e927a4429a03f1aecb669019ea3111d78d",
     ("dump-attention", "attention.jsonl"):
-        "0892c59a911cfd25afa43c9d51d95d6d2ce0a487add4c39ef6a90914094004b4",
+        "346034e6e8a650713ff5becd8f1649ff6e1f759abb299e02ca58dd42b1c1d200",
 }
 
 

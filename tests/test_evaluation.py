@@ -14,7 +14,7 @@ from dragonforge import pretrain as pt
 from dragonforge.cli import DEFAULTS
 from dragonforge.encoder import EncoderConfig, init_params
 from dragonforge.finetune import add_pooling_head
-from dragonforge.kg_store import load_kg
+from dragonforge.kg_store import DIR_OUT, load_kg
 from dragonforge.retrieval import (Retriever, build_alias_index, build_vocab, link_entities,
                                    retrieve_local_kg, segment_corpus)
 
@@ -163,8 +163,8 @@ def test_mcqa_gold_is_kg_derivable_and_choices_unique(tmp_path):
         for ex in data["train"][:20]:
             h_name, r_name = ex.question.split()
             gold_name = ex.choices[ex.gold]
-            assert kg.contains((entities.ids[h_name], relations.ids[r_name],
-                                entities.ids[gold_name]))
+            assert ((relations.ids[r_name], entities.ids[gold_name], DIR_OUT)
+                    in kg.neighbors(entities.ids[h_name]))
             assert len(set(ex.choices)) == len(ex.choices)
             if mode == "random":
                 for i, c in enumerate(ex.choices):
@@ -178,15 +178,20 @@ def test_mcqa_gold_is_kg_derivable_and_choices_unique(tmp_path):
 # ---------------------------------------------------------------------------
 
 class StubScorer:
-    """Deterministic pseudo-random scores keyed by (head, rel, candidate)."""
+    """Deterministic pseudo-random scores keyed by the global (head, rel,
+    candidate) entity ids."""
 
     def __init__(self, gold_boost=None):
         self.gold_boost = gold_boost or set()
 
-    def score(self, queries):
-        return [np.array([1e6 if (q.head, q.rel, c) in self.gold_boost
-                          else float(nm.split_rng(0, "stub", q.head, q.rel, c).random())
-                          for c in q.candidates]) for q in queries]
+    def score(self, batch):
+        scores = []
+        for _, local, q in batch:
+            h = local.nodes[q.head]
+            scores += [1e6 if (h, q.rel, local.nodes[c]) in self.gold_boost
+                       else float(nm.split_rng(0, "stub", h, q.rel, local.nodes[c]).random())
+                       for c in q.candidates]
+        return np.array(scores)
 
 
 def retriever(kg, entities, relations, tv, enc_cfg):
@@ -244,7 +249,9 @@ def test_filtered_ranking_matches_exhaustive_scan_oracle(tmp_path):
                 cands.append(c)
         if t not in cands or len(cands) < 2:
             continue
-        [scores] = scorer.score([ev.LPQuery(seg, local, h, r, cands)])
+        query = pt.LPQuery(local.local_index(h), r, [local.local_index(c) for c in cands],
+                           local.local_index(t))
+        scores = scorer.score([(seg, local, query)])
         ranks.append(ev.average_rank(scores, cands.index(t)))
         counts.append(len(cands))
     oracle = ev.ranks_to_report(ranks, counts, True, filtered.skipped)
@@ -263,16 +270,15 @@ class RuleScorer:
     def __init__(self, relations):
         self.relations = relations
 
-    def score(self, queries):
+    def score(self, batch):
         out = []
-        for q in queries:
+        for _, local, q in batch:
             family = ev.RELATION_POOL.index(self.relations.names[q.rel]) // 3 * 3
             base1, base2 = (self.relations.ids[ev.RELATION_POOL[family + k]] for k in (0, 1))
-            head = q.local.local_index(q.head)
-            mids = {t for h, r, t in q.local.edges if h == head and r == base1}
-            reached = {q.local.nodes[t] for h, r, t in q.local.edges if h in mids and r == base2}
-            out.append(np.array([float(c in reached) for c in q.candidates]))
-        return out
+            mids = {t for h, r, t in local.edges if h == q.head and r == base1}
+            reached = {t for h, r, t in local.edges if h in mids and r == base2}
+            out += [float(c in reached) for c in q.candidates]
+        return np.array(out)
 
 
 def test_chains_world_link_prediction_is_solvable_from_the_retrieved_graph(tmp_path):
@@ -323,16 +329,15 @@ def test_contextual_scorer_batch_matches_each_query_alone(tmp_path):
     batch = []
     for i, group in enumerate(inputs):
         seg, local = ret.inputs(group, partial(nm.split_rng, 1, "mixed", i))
-        ids = local.entity_ids()
-        batch.append(ev.LPQuery(seg, local, ids[0], i % len(relations), ids[1:]))
-    assert len({q.seg.length for q in batch}) > 1
-    assert len({q.local.n_nodes for q in batch}) > 1
-    assert max(len(q.local.entity_ids()) for q in batch) == enc_cfg.max_nodes
-    batched = scorer.score(batch)
-    assert len(batched) == len(batch)
-    for q, scores in zip(batch, batched):
-        [alone] = scorer.score([q])
-        assert scores.shape == (len(q.candidates),)
+        batch.append((seg, local, pt.LPQuery(1, i % len(relations), list(range(2, local.n_nodes)), 2)))
+    assert len({seg.length for seg, _, _ in batch}) > 1
+    assert len({local.n_nodes for _, local, _ in batch}) > 1
+    assert max(len(local.entity_ids()) for _, local, _ in batch) == enc_cfg.max_nodes
+    sizes = [len(q.candidates) for _, _, q in batch]
+    flat = scorer.score(batch)
+    assert flat.shape == (sum(sizes),)
+    for item, scores in zip(batch, np.split(flat, np.cumsum(sizes)[:-1])):
+        alone = scorer.score([item])
         np.testing.assert_allclose(scores, alone, rtol=0, atol=1e-6)
         assert list(np.argsort(-scores, kind="stable")) == list(np.argsort(-alone, kind="stable"))
 

@@ -91,15 +91,13 @@ def test_contains_trivial_cases(tmp_path):
     path = write_kg(tmp_path, ["a\tlikes\tb"])
     g, entities, relations = ks.load_kg(path)
     a, b, rid = entities.ids["a"], entities.ids["b"], relations.ids["likes"]
-    assert g.contains((a, rid, b))
-    assert not g.contains((b, rid, a))
+    assert (rid, b, ks.DIR_OUT) in g.neighbors(a)
+    assert (rid, a, ks.DIR_OUT) not in g.neighbors(b)
 
 
 def test_contains_bounds_error(tmp_path):
     path = write_kg(tmp_path, ["a\tlikes\tb"])
     g, _, _ = ks.load_kg(path)
-    with pytest.raises(IndexError):
-        g.contains((99, 0, 0))
     with pytest.raises(IndexError):
         g.neighbors(99)
 
@@ -118,7 +116,7 @@ def test_membership_and_neighbors_against_linear_scan(tmp_path):
             probe = (int(rng.integers(g.n_entities)), int(rng.integers(g.n_relations)),
                      int(rng.integers(g.n_entities)))
         expected = any(t == probe for t in triplet_list)
-        assert g.contains(probe) == expected
+        assert ((probe[1], probe[2], ks.DIR_OUT) in g.neighbors(probe[0])) == expected
 
     for _ in range(20):
         v = int(rng.integers(g.n_entities))
@@ -209,9 +207,10 @@ def test_load_kg_matches_an_edge_by_edge_reference(lines):
     for v in range(g.n_entities):
         assert g.neighbors(v) == sorted(adj.get(v, []))
         assert g.undirected_neighbor_set(v) == {nb for _, nb, _ in adj.get(v, [])}
+        out_edges = g.neighbors(v)
         for r in range(g.n_relations):
             for t in range(g.n_entities):
-                assert g.contains((v, r, t)) == ((v, r, t) in triplets)
+                assert ((r, t, ks.DIR_OUT) in out_edges) == ((v, r, t) in triplets)
 
 
 def test_adjacency_entry_count_is_twice_triplets(tmp_path):

@@ -8,7 +8,6 @@ from functools import partial
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
 
 from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
@@ -84,8 +83,8 @@ def one_edge_local():
 
 
 def test_holdout_forces_single_edge():
-    reduced, holdout = pt.hold_out_edges(one_edge_local(), 0.15, 2, nm.split_rng(0, "h"))
-    assert holdout.positives.tolist() == [[1, 2, 2]]
+    reduced, holdout = pt.hold_out_edges(one_edge_local(), 0.15, nm.split_rng(0, "h"))
+    assert holdout.queries == [pt.LPQuery(head=1, rel=2, candidates=[2, 3], gold=2)]
     assert all(e[1] == R_EL for e in reduced.edges)
 
 
@@ -93,7 +92,7 @@ def test_holdout_binomial_statistics():
     n_edges = 100_000
     edges = [(0, R_EL, 1)] + [(1 + (i % 3), 2, 1 + ((i + 1) % 3)) for i in range(n_edges)]
     local = LocalKG(nodes=[V_INT, 10, 11, 12], edges=edges)
-    _, holdout = pt.hold_out_edges(local, 0.15, 1, nm.split_rng(1, "h"))
+    _, holdout = pt.hold_out_edges(local, 0.15, nm.split_rng(1, "h"))
     assert abs(len(holdout) / n_edges - 0.15) < 0.01
 
 
@@ -101,56 +100,63 @@ def test_holdout_never_drops_interaction_edges():
     for trial in range(200):
         local = LocalKG(nodes=[V_INT, 10, 11, 12],
                         edges=[(0, R_EL, 1), (0, R_EL, 2), (1, 2, 2), (2, 2, 3), (3, 2, 1)])
-        reduced, holdout = pt.hold_out_edges(local, 0.9, 1, nm.split_rng(2, "h", trial))
-        assert all(e[1] != R_EL for e in holdout.positives)
+        reduced, holdout = pt.hold_out_edges(local, 0.9, nm.split_rng(2, "h", trial))
+        assert all(q.rel != R_EL for q in holdout.queries)
         assert sum(1 for e in reduced.edges if e[1] == R_EL) == 2
 
 
-def test_negatives_differ_in_exactly_one_endpoint():
-    local = LocalKG(nodes=[V_INT, 10, 11, 12, 13],
-                    edges=[(0, R_EL, 1), (1, 2, 2), (2, 3, 3), (3, 2, 4)])
-    _, holdout = pt.hold_out_edges(local, 1.0, 8, nm.split_rng(3, "h"))
-    for pos, negs in zip(holdout.positives.tolist(), holdout.negatives.tolist()):
-        for neg in negs:
-            assert neg != pos
-            assert neg[1] == pos[1]
-            assert (neg[0] == pos[0]) != (neg[2] == pos[2])
-            assert neg[0] != 0 and neg[2] != 0  # interaction node never sampled
+@st.composite
+def local_graphs(draw):
+    """A retrieved-graph shape: n entity nodes after the interaction node,
+    interaction links to some of them, then KG edges that may repeat, loop
+    on one node or (with fewer than three entity nodes) leave fewer than two
+    candidates."""
+    n = draw(st.integers(1, 7), label="entity nodes")
+    node = st.integers(1, n)
+    linked = draw(st.lists(node, min_size=1, max_size=n, unique=True), label="linked")
+    kg_edges = draw(st.lists(st.tuples(node, st.integers(2, 5), node), max_size=12), label="edges")
+    edges = [(0, R_EL, j) for j in linked] + kg_edges
+    return LocalKG(nodes=[V_INT] + list(range(100, 100 + n)),
+                   edges=[edges[int(i)] for i in draw(st.permutations(range(len(edges))))])
 
 
-def test_holdout_corruption_distribution():
-    # six non-interaction nodes; the edges touch both ends of the candidate
-    # range, and (3, 1, 3) is a self-loop
-    n = 6000
-    local = LocalKG(nodes=[V_INT, 10, 11, 12, 13, 14, 15],
-                    edges=[(0, R_EL, 1), (1, 2, 2), (3, 3, 3), (6, 4, 1), (4, 2, 6)])
-    _, holdout = pt.hold_out_edges(local, 1.0, n, nm.split_rng(5, "h"))
-    assert holdout.positives.tolist() == [[1, 2, 2], [3, 3, 3], [6, 4, 1], [4, 2, 6]]
-    for (h, r, t), negs in zip(holdout.positives.tolist(), holdout.negatives.tolist()):
-        heads = [nh for nh, _, nt in negs if nt == t and nh != h]
-        tails = [nt for nh, _, nt in negs if nh == h and nt != t]
-        assert len(heads) + len(tails) == n
-        assert abs(len(heads) / n - 0.5) < 5 * np.sqrt(0.25 / n)
-        for side, endpoint in ((heads, h), (tails, t)):
-            counts = np.bincount(side, minlength=7)
-            assert counts[0] == 0 and counts[endpoint] == 0
-            others = np.delete(counts[1:], endpoint - 1)
-            assert stats.chisquare(others).pvalue > 1e-4
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(local=local_graphs(), rate=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 16))
+def test_holdout_queries_rank_the_tail_among_the_other_entity_nodes(local, rate, seed):
+    reduced, holdout = pt.hold_out_edges(local, rate, nm.split_rng(seed, "h"))
+    droppable = [i for i, e in enumerate(local.edges) if e[1] != R_EL]
+    # the hold-out draws only the edges, so the same stream names them again
+    dropped = set(pt._pick(droppable, rate, nm.split_rng(seed, "h"))) if droppable else set()
+    assert reduced.nodes == local.nodes
+    assert reduced.edges == [e for i, e in enumerate(local.edges) if i not in dropped]
+    made = [local.edges[i] for i in sorted(dropped)
+            if local.edges[i][0] != local.edges[i][2] and local.n_nodes >= 4]
+    assert [(q.head, q.rel, q.gold) for q in holdout.queries] == made
+    assert holdout.flagged_empty == (not made)
+    for q in holdout.queries:
+        assert q.head not in q.candidates
+        assert q.candidates.count(q.gold) == 1
+        assert 0 not in q.candidates
+        assert len(q.candidates) >= 2
+        assert sorted(q.candidates + [q.head]) == list(range(1, local.n_nodes))
 
 
-def test_holdout_falls_back_to_the_side_with_candidates():
-    # one candidate node: the head (node 1) has no replacement, so every
-    # negative replaces the tail (the interaction node is never a candidate)
-    local = LocalKG(nodes=[V_INT, 10], edges=[(1, 2, 0)])
-    _, holdout = pt.hold_out_edges(local, 1.0, 50, nm.split_rng(6, "h"))
-    assert holdout.negatives.tolist() == [[[1, 2, 1]] * 50]
-    _, holdout = pt.hold_out_edges(LocalKG(nodes=[V_INT, 10], edges=[(1, 2, 1)]),
-                                   1.0, 5, nm.split_rng(7, "h"))
-    assert holdout.flagged_empty   # single-node self-loop
+def test_holdout_edges_without_a_query_still_leave_the_graph():
+    # a self-loop ranks no tail, nor does an edge of a graph with one other
+    # entity node; both edges still leave the encoder's view
+    local = LocalKG(nodes=[V_INT, 10, 11, 12], edges=[(0, R_EL, 1), (3, 3, 3), (1, 2, 2)])
+    reduced, holdout = pt.hold_out_edges(local, 1.0, nm.split_rng(5, "h"))
+    assert holdout.queries == [pt.LPQuery(head=1, rel=2, candidates=[2, 3], gold=2)]
+    assert reduced.edges == [(0, R_EL, 1)]
+    for local in (LocalKG(nodes=[V_INT, 10], edges=[(1, 2, 1)]),
+                  LocalKG(nodes=[V_INT, 10, 11], edges=[(0, R_EL, 1), (1, 2, 2)])):
+        reduced, holdout = pt.hold_out_edges(local, 1.0, nm.split_rng(7, "h"))
+        assert holdout.flagged_empty and len(holdout) == 0
+        assert all(e[1] == R_EL for e in reduced.edges)
 
 
 def test_holdout_dummy_graph_flagged():
-    _, holdout = pt.hold_out_edges(dummy_local_kg(), 0.15, 2, nm.split_rng(4, "h"))
+    _, holdout = pt.hold_out_edges(dummy_local_kg(), 0.15, nm.split_rng(4, "h"))
     assert holdout.flagged_empty
 
 
@@ -249,6 +255,30 @@ def test_triplet_scores_dimension_mismatch():
                           nm.constant(np.ones((3, 8))), head)
 
 
+@pytest.mark.parametrize("scorer", pt.SCORERS)
+def test_query_scores_are_bitwise_triplet_scores_of_each_query(scorer):
+    rng = np.random.default_rng(41)
+    head = head_for(scorer, d=8)
+    queries = [pt.LPQuery(1, 0, [2, 3], 2), pt.LPQuery(3, 2, [1, 2], 1),
+               pt.LPQuery(2, 3, [1, 3, 4], 4)]
+    # contextual node vectors: graphs of 4 and 5 nodes stacked, local node j of
+    # the graph at offset o in row o + j; an entity table: local node j in the
+    # row of its global entity id, and the interaction node (V_INT) in none
+    nodes, table = rng.normal(size=(9, 8)), rng.normal(size=(20, 8))
+    cases = [(nodes, [np.arange(4), np.arange(4), np.arange(4, 9)]),
+             (table, [np.array([V_INT, 7, 3, 12]), np.array([V_INT, 7, 3, 12]),
+                      np.array([V_INT, 0, 19, 5, 11])])]
+    for vectors, rows in cases:
+        flat = pt.query_scores(nm.constant(vectors), list(zip(queries, rows)), head).values
+        sizes = [len(q.candidates) for q in queries]
+        assert flat.shape == (sum(sizes),)
+        for q, r, got in zip(queries, rows, np.split(flat, np.cumsum(sizes)[:-1])):
+            n = len(q.candidates)
+            want = pt.triplet_scores(nm.constant(vectors[[r[q.head]] * n]), [q.rel] * n,
+                                     nm.constant(vectors[r[q.candidates]]), head).values
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
@@ -260,15 +290,21 @@ def fixed_phi_loss(phi_pos, phi_neg, n, margin=0.0):
     return -logsig(phi_pos + margin) + sum(logsig(p + margin) for p in phi_neg) / n
 
 
+def holdout_of(*queries, n_nodes, offset=0):
+    """One example's hold-out of the given (head, rel, candidates, gold)
+    queries, with the rows of its n_nodes local nodes from offset on."""
+    return pt.EdgeHoldout([pt.LPQuery(*q) for q in queries]), np.arange(offset, offset + n_nodes)
+
+
 def test_linkpred_loss_hand_case_extreme():
     # distmult with unit relation: phi = <h, 1, t> = h . t
     head = head_for("distmult", d=2)
     head.relations.values[0] = 1.0
     node_vecs = nm.constant(np.array([[0.0, 0.0],
-                                      [4.0, 2.0], [5.0, 0.0],      # pos pair: 20
-                                      [-4.0, 2.0], [5.0, 0.0]]))   # neg pair: -20
-    holdout = pt.EdgeHoldout(positives=[(1, 0, 2)], negatives=[[(3, 0, 4)]])
-    loss = pt.linkpred_loss([(holdout, 0)], node_vecs, head).item()
+                                      [4.0, 2.0],      # the head
+                                      [5.0, 0.0],      # gold tail: 20
+                                      [-5.0, 0.0]]))   # other candidate: -20
+    loss = pt.linkpred_loss([holdout_of((1, 0, [2, 3], 2), n_nodes=4)], node_vecs, head).item()
     assert loss == pytest.approx(-20.0, abs=1e-4)
     assert loss == pytest.approx(fixed_phi_loss(20.0, [-20.0], 1), abs=1e-6)
 
@@ -277,19 +313,18 @@ def test_linkpred_loss_symmetric_cancellation():
     head = head_for("distmult", d=2)
     head.relations.values[0] = 1.0
     node_vecs = nm.constant(np.zeros((4, 2)))
-    holdout = pt.EdgeHoldout(positives=[(1, 0, 2)], negatives=[[(1, 0, 3), (2, 0, 3)]])
-    assert pt.linkpred_loss([(holdout, 0)], node_vecs, head).item() == pytest.approx(0.0, abs=1e-7)
+    holdout = holdout_of((2, 0, [1, 3], 3), n_nodes=4)
+    assert pt.linkpred_loss([holdout], node_vecs, head).item() == pytest.approx(0.0, abs=1e-7)
 
 
 def test_linkpred_loss_gradient_wrt_node_vectors():
     rng = np.random.default_rng(17)
-    holdout = pt.EdgeHoldout(positives=[(1, 0, 2), (3, 1, 1)],
-                             negatives=[[(1, 0, 3), (4, 0, 2)], [(3, 1, 4), (2, 1, 1)]])
+    holdout = holdout_of((1, 0, [2, 3, 4], 2), (3, 1, [1, 2, 4], 1), n_nodes=5)
 
     def fn(ts):
         node_vecs, rel = ts
         head = pt.LinkPredHead(scorer="distmult", margin=0.0, relations=rel)
-        return pt.linkpred_loss([(holdout, 0)], node_vecs, head)
+        return pt.linkpred_loss([holdout], node_vecs, head)
 
     err = nm.check_gradients(fn, [rng.normal(size=(5, 6)), rng.normal(size=(2, 6))])
     assert err < 1e-4, err
@@ -338,11 +373,14 @@ def test_batched_losses_are_means_of_per_example_terms():
 
         head = head_for("distmult", d=6, n_rel=2)
         nodes = rng.normal(size=(9, 6))             # graphs of 4 and 5 nodes
-        holdouts = [pt.EdgeHoldout([(1, 0, 2), (3, 1, 1)], [[(1, 0, 3)], [(2, 1, 1)]]),
-                    pt.EdgeHoldout([(2, 1, 4)], [[(1, 1, 4), (2, 1, 3), (3, 1, 4)]])]
-        singles = [pt.linkpred_loss([(holdouts[0], 0)], nm.Tensor(nodes[:4]), head).item(),
-                   pt.linkpred_loss([(holdouts[1], 0)], nm.Tensor(nodes[4:]), head).item()]
-        batched = pt.linkpred_loss([(holdouts[0], 0), (holdouts[1], 4)], nm.Tensor(nodes), head).item()
+        queries = [[(1, 0, [2, 3], 2), (3, 1, [1, 2], 1)], [(2, 1, [1, 3, 4], 4)]]
+        singles = [pt.linkpred_loss([holdout_of(*queries[0], n_nodes=4)], nm.Tensor(nodes[:4]),
+                                    head).item(),
+                   pt.linkpred_loss([holdout_of(*queries[1], n_nodes=5)], nm.Tensor(nodes[4:]),
+                                    head).item()]
+        batched = pt.linkpred_loss([holdout_of(*queries[0], n_nodes=4),
+                                    holdout_of(*queries[1], n_nodes=5, offset=4)],
+                                   nm.Tensor(nodes), head).item()
         assert batched == pytest.approx(np.mean(singles), abs=1e-12)
 
 
@@ -358,17 +396,17 @@ def test_one_step_raises_positive_phi_lowers_negative_phi(scorer):
                     requires_grad=True, name="other.rel")
     params = {"other.nodes": nodes, "other.rel": rel}
     head = pt.LinkPredHead(scorer=scorer, margin=0.0, relations=rel)
-    holdout = pt.EdgeHoldout(positives=[(1, 0, 2)], negatives=[[(3, 0, 4)]])
+    holdout = holdout_of((1, 0, [2, 3], 2), n_nodes=4)
 
     def phis():
         pos = score(nodes.values[1], 0, nodes.values[2], head)
-        neg = score(nodes.values[3], 0, nodes.values[4], head)
+        neg = score(nodes.values[1], 0, nodes.values[3], head)
         return pos, neg
 
     before_pos, before_neg = phis()
     opt = pt.Optimizer(params, lr_lm=1e-3, lr_other=1e-3, total_steps=1, warmup_ratio=0.0)
     with nm.ComputationTape() as tape:
-        tape.backward(pt.linkpred_loss([(holdout, 0)], nodes, head))
+        tape.backward(pt.linkpred_loss([holdout], nodes, head))
     opt.step(0)
     after_pos, after_neg = phis()
     assert after_pos > before_pos
@@ -381,11 +419,11 @@ def test_rotate_modulus_exactly_one_after_steps():
     rel = nm.Tensor(rng.normal(size=(2, 4)), requires_grad=True, name="other.rel")
     params = {"other.nodes": nodes, "other.rel": rel}
     head = pt.LinkPredHead(scorer="rotate", margin=0.0, relations=rel)
-    holdout = pt.EdgeHoldout(positives=[(1, 0, 2)], negatives=[[(3, 0, 4)]])
+    holdout = holdout_of((1, 0, [2, 3, 4], 2), n_nodes=5)
     opt = pt.Optimizer(params, 1e-2, 1e-2, total_steps=5, warmup_ratio=0.0)
     for step in range(5):
         with nm.ComputationTape() as tape:
-            tape.backward(pt.linkpred_loss([(holdout, 0)], nodes, head))
+            tape.backward(pt.linkpred_loss([holdout], nodes, head))
         opt.step(step)
         opt.zero_grad()
         # parameters are angles: the rotation modulus is 1 by construction,
@@ -508,7 +546,7 @@ def small_setup(out):
 
 def test_train_reduces_mlm_loss(tmp_path):
     segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
-    cfg = pt.PretrainConfig(steps=200, batch_size=4, n_negatives=4, seed=3)
+    cfg = pt.PretrainConfig(steps=200, batch_size=4, seed=3)
     _, metrics = pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
     first = np.mean([m["loss_mlm"] for m in metrics[:10]])
     last = np.mean([m["loss_mlm"] for m in metrics[-10:]])
@@ -531,7 +569,7 @@ def test_linkpred_only_mode_reports_zero_mlm_loss(tmp_path):
 
 def test_train_determinism_identical_metrics(tmp_path):
     segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
-    cfg = pt.PretrainConfig(steps=8, batch_size=2, n_negatives=2, seed=5)
+    cfg = pt.PretrainConfig(steps=8, batch_size=2, seed=5)
     _, m1 = pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
     _, m2 = pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
     assert m1 == m2
@@ -539,7 +577,7 @@ def test_train_determinism_identical_metrics(tmp_path):
 
 def test_loss_additivity_every_step(tmp_path):
     segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
-    cfg = pt.PretrainConfig(steps=12, batch_size=3, n_negatives=2, seed=6)
+    cfg = pt.PretrainConfig(steps=12, batch_size=3, seed=6)
     _, metrics = pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
     for m in metrics:
         assert abs(m["loss"] - (m["loss_mlm"] + m["loss_lp"])) < 1e-5

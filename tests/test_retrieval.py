@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dragonforge import numerics as nm
 from dragonforge import retrieval as rt
-from dragonforge.kg_store import RESERVED_RELATIONS, EntityVocab, KnowledgeGraph, R_EL, Vocab, load_kg
+from dragonforge.kg_store import (DIR_OUT, RESERVED_RELATIONS, EntityVocab, KnowledgeGraph, R_EL,
+                                  Vocab, load_kg)
 
 
 def make_vocab(words):
@@ -434,7 +435,8 @@ def check_local_kg(local: rt.LocalKG, g: KnowledgeGraph, max_nodes: int, v_el: s
             assert h == 0 and local.nodes[t] in v_el, "interaction edges must target linked nodes"
         else:
             assert h != 0 and t != 0
-            assert g.contains((local.nodes[h], r, local.nodes[t])), "edge not in global KG"
+            assert (r, local.nodes[t], DIR_OUT) in g.neighbors(local.nodes[h]), \
+                "edge not in global KG"
 
 
 def test_local_kg_invariants_over_random_corpus_segments(tmp_path):
