@@ -15,9 +15,11 @@ import pytest
 
 from dragonforge.cli import EXIT_OK, main
 
-MICRO_WORLD = ["--set", "world.n_entities=30", "--set", "world.n_relations=3",
-               "--set", "world.n_facts=150", "--set", "world.leak_rate=0.2",
-               "--set", "world.structure=flat"]
+# a chains world of 30 two-hop stories; leak_rate 0.1 withholds half of their
+# derived facts from the KG, so the derived relation stays in the KG and
+# eval-lp ranks every withheld one
+MICRO_WORLD = ["--set", "world.n_entities=30", "--set", "world.n_relations=5",
+               "--set", "world.n_facts=150", "--set", "world.leak_rate=0.1"]
 # one unimodal and one fusion layer, with dropout at its default rate, so every
 # taped op of the encoder and of both pretraining losses runs
 MICRO_MODEL = ["--set", "encoder.n_unimodal=1", "--set", "encoder.n_fusion=1",
@@ -28,27 +30,27 @@ MICRO_MODEL = ["--set", "encoder.n_unimodal=1", "--set", "encoder.n_fusion=1",
 
 DIGESTS = {
     ("pretrain-graph", "metrics.jsonl"):
-        "53ef9e3b7ff4bcb993f8469565d08a9d5be6190a4bb1841780141385a060ecff",
+        "2e619b6906714a66dfa0a3300addbb57fe4310d8b56cc4cc033bf5b68bb8178a",
     ("pretrain-graph", "checkpoint.drgn"):
-        "441e922910ee89f29a4821b14f0148840d758eb54c565372b66569b026097b3c",
+        "cab33add836f240d217bb0320b7bf9e7c21089d932bf8321d397558bec217379",
     ("pretrain-verbalized", "metrics.jsonl"):
-        "2ab45f52ec1602f6c880b1f1bb4b436ad63ea44778405cf842376ccd90812264",
+        "7705ba63b0ddb44252bcb6dff91500da14443d52b1f638bdb355bb1281014167",
     ("pretrain-verbalized", "checkpoint.drgn"):
-        "f2a1a880662ffaf8f01955292278560303f52683f3db3427820eacb57ffe4c19",
+        "83321bd5513e413351787b3c1ce31e8dd01974649b8bfa8c73bc95d59f316470",
     ("finetune", "accuracy.json"):
-        "76c6d67c2e5ed5cf67f83cdd883559a2ffff2e7e13ab1f1240cf2d70e3699824",
+        "e8b500a4215986efda1c0ab8a1b7df11df65083edba3e4c87310b6a1e7d303a2",
     ("finetune", "finetuned.drgn"):
-        "9b4a1ebd72c2255d2a0bc0a49920b39924a835567c1e9d8cd2efc3947449fd72",
+        "1d1deb6f1d7a3e96080a098d248343d25b2e44e03ab10b38a2521d89d92b7d47",
     ("pretrain-rotate", "metrics.jsonl"):
-        "7e75801c6fabaadf2414591d9ba754e3c84c0fcd766e4ca5fb624c8c568f0aa2",
+        "5d0a5d2374600bd29b334931e4ac3281aee77e3501ac5dff95b557ad26055106",
     ("eval-qa", "accuracy.json"):
-        "38b50331a4923b15d51fc0f5f4d4c6abc3a06ea94f218c03b3d20159c8e13dec",
+        "016d34c13465d78e8f0dba152194cb43253e127326db74c4beec9d5d784dc6df",
     ("eval-lp-kg_plus_text", "ranking.json"):
-        "1218b4c818bd2ec8a92599acbba43e017f8f7e0a32dcb950d65f81393303b756",
+        "0fd0f1afade1115f59522579ed602cc7934d218e6a62c685c8c353b38a34e1a6",
     ("eval-lp-kg_only", "ranking.json"):
-        "11c5aa8c4a6a984fb667df374c21a8e927a4429a03f1aecb669019ea3111d78d",
+        "991f403bd4609bcc850d00494a3e97a3996ceee42b66c2af2a795c9b9eb70974",
     ("dump-attention", "attention.jsonl"):
-        "346034e6e8a650713ff5becd8f1649ff6e1f759abb299e02ca58dd42b1c1d200",
+        "ea96e66a98b2bdca99922792c286ba4d48ebcba48234c16fd08e4a5eae27e5e4",
 }
 
 
