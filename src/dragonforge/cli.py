@@ -26,6 +26,7 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import os
 import sys
 import traceback
@@ -99,9 +100,12 @@ def _coerce(key: str, raw: str):
             return False
         raise ConfigError("%s: expected a boolean, got %r" % (key, raw))
     try:
-        return type(default)(raw)
+        value = type(default)(raw)
     except ValueError:
         raise ConfigError("%s: expected %s, got %r" % (key, type(default).__name__, raw)) from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError("%s: expected a finite float, got %r" % (key, raw))
+    return value
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -162,6 +166,14 @@ class RunConfig:
 
     def world(self) -> ev.SyntheticWorld:
         return self._build("world", ev.generate_synthetic_world, seed=self.values["seed"])
+
+    def lp_baseline(self) -> dict[str, int]:
+        """train_distmult_baseline's d and steps, from the eval section."""
+        for key, low in (("eval.lp_baseline_dim", 1), ("eval.lp_baseline_steps", 0)):
+            if self.values[key] < low:
+                raise ConfigError("%s: must be >= %d, got %d" % (key, low, self.values[key]))
+        return {"d": self.values["eval.lp_baseline_dim"],
+                "steps": self.values["eval.lp_baseline_steps"]}
 
 
 def _write_effective_config(cfg: RunConfig, out_dir: str) -> None:
@@ -267,7 +279,8 @@ def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
     try:
         ckpt_values = parse_config_text(config_text)
         ckpt_cfg = RunConfig(("file", ckpt_values))
-        for build in (ckpt_cfg.encoder_config, ckpt_cfg.pretrain_config, ckpt_cfg.finetune_config):
+        for build in (ckpt_cfg.encoder_config, ckpt_cfg.pretrain_config, ckpt_cfg.finetune_config,
+                      ckpt_cfg.lp_baseline):
             build()
     except ConfigError as e:
         raise pt.CheckpointError("%s: config text: %s" % (args.checkpoint, e)) from None
@@ -344,6 +357,8 @@ def _cmd_finetune(args, cfg_flags: RunConfig) -> int:
     params, retriever, cfg = _load_checkpoint_bundle(args, cfg_flags)
     enc_cfg = cfg.encoder_config()
     train_set = load_mcqa(args.train)
+    if not train_set:
+        raise DataError("%s: no questions to train on" % args.train)
     dev_set = load_mcqa(args.dev)
     ft_cfg = cfg.finetune_config()
     if ft_cfg.early_stop and not dev_set:
@@ -384,6 +399,7 @@ def _cmd_eval_qa(args, cfg_flags: RunConfig) -> int:
 def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
     # candidates are local-graph nodes, so queries always get graph inputs
     params, retriever, cfg = _load_checkpoint_bundle(args, cfg_flags, kg_mode="graph")
+    baseline = cfg.lp_baseline()
     queries = read_jsonl(args.test, dict.fromkeys(("head", "rel", "tail", "text"), str), dict)
     entities, relations, kg = retriever.entities, retriever.relations, retriever.kg
     known_true = {(entities.names[h], relations.names[r], entities.names[t])
@@ -402,9 +418,7 @@ def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
                             % args.checkpoint)
         scorer = ev.ContextualScorer(params, cfg.encoder_config(), pt.linkpred_head(params, pre_cfg))
     else:
-        scorer = ev.EntityTableScorer(*ev.train_distmult_baseline(
-            kg, d=cfg["eval.lp_baseline_dim"], steps=cfg["eval.lp_baseline_steps"],
-            seed=cfg["seed"]))
+        scorer = ev.EntityTableScorer(*ev.train_distmult_baseline(kg, **baseline, seed=cfg["seed"]))
     report = ev.eval_link_prediction(scorer, queries, retriever, known_true, seed=cfg["seed"],
                                      batch_size=cfg.finetune_config().batch_size)
     _write_effective_config(cfg, args.out)
@@ -435,7 +449,7 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
     except ValueError:
         raise ConfigError("--seeds: expected comma-separated integers, got %r"
                           % args.seeds) from None
-    for build in (cfg.encoder_config, cfg.pretrain_config, cfg.finetune_config):
+    for build in (cfg.encoder_config, cfg.pretrain_config, cfg.finetune_config, cfg.lp_baseline):
         build()
     files = cfg.world().write_files(os.path.join(args.out, "world"))
     _write_effective_config(cfg, args.out)

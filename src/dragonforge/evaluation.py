@@ -2,10 +2,11 @@
 export. The ablation's cells live in the CLI, which runs each one as the
 pretrain, finetune and eval-lp commands.
 
-The synthetic world renders random relational facts to text through
-per-relation templates, with complementary withholding: a slice of facts
-appears only in the corpus (link-prediction test queries that need text) and
-a slice only in the KG (question-answering gold that needs graph structure).
+The synthetic world renders two-hop chain stories to text, one sentence per
+fact, with complementary withholding: a slice of derived facts appears only
+in the corpus (link-prediction test queries whose rule path is in the KG)
+and a slice of distractor facts only in the KG (question-answering gold that
+needs graph structure).
 """
 
 from __future__ import annotations
@@ -130,17 +131,15 @@ class SyntheticWorld:
                  "tail": self.facts[i][2], "text": self.aligned_text(i)}
                 for i in self.text_only]
 
-    def mcqa_dataset(self, distractors: str = "adversarial") -> dict[str, list[MCQAExample]]:
+    def mcqa_dataset(self) -> dict[str, list[MCQAExample]]:
         """Questions `head rel ?` from KG-withheld-from-text facts.
 
-        adversarial distractors are tails connected to the head through a
-        different relation; random distractors are entities unconnected to
-        the head. Train/dev/test splits are disjoint by fact.
+        Distractors are tails the head reaches through a different relation,
+        topped up with entities unconnected to the head when it has too few.
+        Train/dev/test splits are disjoint by fact.
         """
         n_choices, splits = 4, (0.6, 0.15)   # splits: train and dev shares
-        if distractors not in ("adversarial", "random"):
-            raise ValueError("unknown distractor mode %r" % distractors)
-        rng = nm.split_rng(self.seed, "mcqa/" + distractors)
+        rng = nm.split_rng(self.seed, "mcqa/adversarial")
         fact_set = set(self.facts)
         by_head: dict[str, list[tuple[str, str]]] = {}
         connected: dict[str, set[str]] = {}
@@ -152,29 +151,22 @@ class SyntheticWorld:
         examples = []
         for i in self.kg_only:
             h, r, t = self.facts[i]
+            pool = sorted({t2 for r2, t2 in by_head[h] if r2 != r
+                           and t2 != t and (h, r, t2) not in fact_set})
+            take = min(len(pool), n_choices - 1)
             chosen: list[str] = []
-            if distractors == "adversarial":
-                pool = sorted({t2 for r2, t2 in by_head.get(h, []) if r2 != r
-                               and t2 != t and (h, r, t2) not in fact_set})
-                take = min(len(pool), n_choices - 1)
-                if take:
-                    chosen = [pool[int(j)] for j in rng.choice(len(pool), size=take, replace=False)]
-            tries = 0
-            while len(chosen) < n_choices - 1 and tries < 1000:
-                tries += 1
+            if take:
+                chosen = [pool[int(j)] for j in rng.choice(len(pool), size=take, replace=False)]
+            for _ in range(1000):   # top up with entities unconnected to the head
+                if len(chosen) == n_choices - 1:
+                    break
                 cand = self.entity_names[int(rng.integers(self.n_entities))]
-                if cand == t or cand in chosen or cand == h:
-                    continue
-                if cand in connected.get(h, set()) or (h, r, cand) in fact_set:
-                    continue
-                chosen.append(cand)
+                if cand != h and cand not in chosen and cand not in connected[h]:
+                    chosen.append(cand)
             if len(chosen) < n_choices - 1:
                 continue
-            choices = chosen + [t]
-            order = rng.permutation(n_choices)
-            choices = [choices[int(j)] for j in order]
-            gold = choices.index(t)
-            examples.append(MCQAExample(question="%s %s" % (h, r), choices=choices, gold=gold))
+            choices = [(chosen + [t])[int(j)] for j in rng.permutation(n_choices)]
+            examples.append(MCQAExample("%s %s" % (h, r), choices, choices.index(t)))
 
         n = len(examples)
         n_train = int(round(splits[0] * n))
@@ -193,51 +185,47 @@ class SyntheticWorld:
                 fh.write(content)
             paths[name] = p
 
+        kg_facts = [self.facts[i] for i in self.kg_fact_indices()]
+        in_kg = {name for h, _, t in kg_facts for name in (h, t)}
         put("corpus.txt", "\n\n".join(self.train_docs) + "\n")
         put("corpus_eval.txt", "\n\n".join(self.eval_docs) + "\n")
-        put("kg.tsv", "".join("%s\t%s\t%s\n" % self.facts[i] for i in self.kg_fact_indices()))
-        put("aliases.tsv", "".join("%s\t%s\n" % (n, n) for n in self.entity_names))
+        put("kg.tsv", "".join("%s\t%s\t%s\n" % f for f in kg_facts))
+        put("aliases.tsv", "".join("%s\t%s\n" % (n, n) for n in self.entity_names if n in in_kg))
         put("lp_test.jsonl", "".join(json.dumps(q) + "\n" for q in self.lp_queries()))
-        for mode, stem in (("adversarial", "mcqa"), ("random", "mcqa_easy")):
-            data = self.mcqa_dataset(distractors=mode)
-            for split in ("train", "dev", "test"):
-                put("%s_%s.jsonl" % (stem, split),
-                    "".join(json.dumps({"question": e.question, "choices": e.choices,
-                                        "gold": e.gold}) + "\n" for e in data[split]))
+        data = self.mcqa_dataset()
+        for split in ("train", "dev", "test"):
+            put("mcqa_%s.jsonl" % split,
+                "".join(json.dumps({"question": e.question, "choices": e.choices,
+                                    "gold": e.gold}) + "\n" for e in data[split]))
         return paths
 
 
 def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
                              n_facts: int = 5000, leak_rate: float = 0.1,
                              seed: int = 0, sentences_per_doc: int = 4,
-                             eval_doc_fraction: float = 0.1,
-                             structure: str = "chains") -> SyntheticWorld:
-    """Random relational facts rendered to text through per-relation templates.
+                             eval_doc_fraction: float = 0.1) -> SyntheticWorld:
+    """Two-hop chain stories rendered to text, one sentence per fact.
 
-    structure="chains" builds two-hop composition rules: relations come in
-    (base1, base2, derived) triples where (x base1 m) and (m base2 f) imply
-    the fact (x derived f), plus per-head distractor edges; documents center
-    on one head entity so graphs carry the rule paths. structure="flat"
-    draws independent uniform facts and packs documents randomly. Test
-    triplets (withheld from the KG, present in text) come from derived facts
-    in chains mode, so their base paths stay visible to the encoder.
+    Relations come in (base1, base2, derived) families where (x base1 m) and
+    (m base2 f) imply the fact (x derived f); the relations after the last
+    family are distractor relations. A story is those three facts plus two
+    distractor facts of its head x, and unattached distractor facts top the
+    world up to n_facts. Each story is one document, so a document's graph
+    carries its rule path. The withheld facts are n_leak derived facts (text
+    only: link-prediction test triplets whose base path stays in the KG)
+    and n_leak distractor facts (KG only: question-answering gold).
     """
     settings = SimpleNamespace(**locals())   # ValueErrors name the setting
-    check_fields(settings, lambda v: v in ("chains", "flat"), "chains or flat", "structure")
-    chains = structure == "chains"
     # a chain story draws three distinct entities, a relation family (two base
     # relations and a derived one) and two distractor relations
-    min_entities, min_relations = (3, 5) if chains else (2, 1)
-    check_fields(settings, lambda v: v >= min_entities, ">= %d for %s" % (min_entities, structure),
-                 "n_entities")
-    check_fields(settings, lambda v: min_relations <= v <= len(RELATION_POOL),
-                 "in [%d, %d] for %s" % (min_relations, len(RELATION_POOL), structure),
-                 "n_relations")
+    check_fields(settings, lambda v: v >= 3, ">= 3", "n_entities")
+    check_fields(settings, lambda v: 5 <= v <= len(RELATION_POOL),
+                 "in [5, %d]" % len(RELATION_POOL), "n_relations")
     check_fields(settings, lambda v: v >= 1, ">= 1", "n_facts", "sentences_per_doc")
     check_fields(settings, lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]", "leak_rate")
     check_fields(settings, lambda v: 0.0 <= v < 1.0, "in [0, 1)", "eval_doc_fraction")
     n_leak = int(round(leak_rate * n_facts))
-    if chains and n_leak > n_facts // 5:   # one derived fact per five-fact chain story
+    if n_leak > n_facts // 5:   # one derived fact per five-fact chain story
         raise ValueError("leak_rate: %.3f needs %d derived facts, world has %d"
                          % (leak_rate, n_leak, n_facts // 5))
     rng = nm.split_rng(seed, "world")
@@ -264,8 +252,7 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
     fact_set: set[tuple[str, str, str]] = set()
     derived: list[int] = []
     noise: list[int] = []
-    # groups of fact indices that must share a document (chain stories)
-    stories: list[list[int]] = []
+    stories: list[list[int]] = []   # fact indices that share a document
 
     def add_fact(h: str, r: str, t: str) -> int | None:
         f = (h, r, t)
@@ -275,101 +262,54 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
         facts.append(f)
         return len(facts) - 1
 
-    if chains:
-        n_families = (n_relations - 2) // 3
-        families = [relation_names[3 * i:3 * i + 3] for i in range(n_families)]
-        noise_rels = relation_names[3 * n_families:]
-        # each chain story: 2 base facts, 1 derived fact, 2 head-distractor facts
-        n_chains = n_facts // 5
-        c = 0
-        while c < n_chains:
-            count_draw()
-            base1, base2, comp = families[c % n_families]
-            x, m, f = (names[int(i)] for i in rng.choice(n_entities, size=3, replace=False))
-            g1, g2 = (names[int(i)] for i in rng.choice(n_entities, size=2, replace=False))
-            if g1 == x or g2 == x:
-                continue
-            trial = [(x, base1, m), (m, base2, f), (x, comp, f),
-                     (x, noise_rels[c % len(noise_rels)], g1),
-                     (x, noise_rels[(c + 1) % len(noise_rels)], g2)]
-            if any(t in fact_set for t in trial):
-                continue
-            ids = [add_fact(*t) for t in trial]
-            derived.append(ids[2])
-            noise.extend([ids[3], ids[4]])
-            stories.append(ids)
-            c += 1
-        while len(facts) < n_facts:  # top up with unattached distractor facts
-            count_draw()
-            h = int(rng.integers(n_entities))
-            t = int(rng.integers(n_entities))
-            if h == t:
-                continue
-            idx = add_fact(names[h], noise_rels[int(rng.integers(len(noise_rels)))], names[t])
-            if idx is not None:
-                noise.append(idx)
-    else:
-        while len(facts) < n_facts:
-            count_draw()
-            h = int(rng.integers(n_entities))
-            t = int(rng.integers(n_entities))
-            if h == t:
-                continue
-            r = relation_names[int(rng.integers(n_relations))]
-            add_fact(names[h], r, names[t])
-
-    if chains:
-        derived_perm = [derived[int(i)] for i in rng.permutation(len(derived))]
-        text_only = derived_perm[:n_leak]
-        noise_perm = [noise[int(i)] for i in rng.permutation(len(noise))]
-        kg_only = noise_perm[:n_leak]
-        rest = set(range(n_facts)) - set(text_only) - set(kg_only)
-        overlap = sorted(rest)
-    else:
-        order = rng.permutation(n_facts)
-        text_only = [int(i) for i in order[:n_leak]]
-        kg_only = [int(i) for i in order[n_leak:2 * n_leak]]
-        overlap = [int(i) for i in order[2 * n_leak:]]
-
-    # every entity must appear in the KG so entity linking can resolve it;
-    # pull a text-only fact back into the overlap when one does not
-    def kg_entities() -> set[str]:
-        out = set()
-        for i in overlap + kg_only:
-            out.add(facts[i][0])
-            out.add(facts[i][2])
-        return out
-
-    covered = kg_entities()
-    for name in names:
-        if name in covered:
+    n_families = (n_relations - 2) // 3
+    families = [relation_names[3 * i:3 * i + 3] for i in range(n_families)]
+    noise_rels = relation_names[3 * n_families:]
+    n_chains = n_facts // 5
+    c = 0
+    while c < n_chains:
+        count_draw()
+        base1, base2, comp = families[c % n_families]
+        x, m, f = (names[int(i)] for i in rng.choice(n_entities, size=3, replace=False))
+        g1, g2 = (names[int(i)] for i in rng.choice(n_entities, size=2, replace=False))
+        if g1 == x or g2 == x:
             continue
-        for j, i in enumerate(text_only):
-            if facts[i][0] == name or facts[i][2] == name:
-                overlap.append(text_only.pop(j))
-                covered = kg_entities()
-                break
+        trial = [(x, base1, m), (m, base2, f), (x, comp, f),
+                 (x, noise_rels[c % len(noise_rels)], g1),
+                 (x, noise_rels[(c + 1) % len(noise_rels)], g2)]
+        if any(t in fact_set for t in trial):
+            continue
+        ids = [add_fact(*t) for t in trial]
+        derived.append(ids[2])
+        noise.extend([ids[3], ids[4]])
+        stories.append(ids)
+        c += 1
+    while len(facts) < n_facts:  # top up with unattached distractor facts
+        count_draw()
+        h = int(rng.integers(n_entities))
+        t = int(rng.integers(n_entities))
+        if h == t:
+            continue
+        idx = add_fact(names[h], noise_rels[int(rng.integers(len(noise_rels)))], names[t])
+        if idx is not None:
+            noise.append(idx)
+
+    # base facts stay in both modalities, so every entity of a text-only
+    # (derived) fact is in the KG and entity linking resolves it
+    derived_perm = [derived[int(i)] for i in rng.permutation(len(derived))]
+    text_only = derived_perm[:n_leak]
+    noise_perm = [noise[int(i)] for i in rng.permutation(len(noise))]
+    kg_only = noise_perm[:n_leak]
+    overlap = sorted(set(range(n_facts)) - set(text_only) - set(kg_only))
 
     corpus_set = set(overlap) | set(text_only)
-    docs: list[list[int]] = []
-    if chains:
-        placed: set[int] = set()
-        for story in stories:
-            doc = [i for i in story if i in corpus_set]
-            if doc:
-                docs.append(doc)
-                placed.update(doc)
-        leftovers = sorted(corpus_set - placed)
-        leftovers = [leftovers[int(i)] for i in rng.permutation(len(leftovers))]
-        docs.extend(leftovers[i:i + sentences_per_doc]
-                    for i in range(0, len(leftovers), sentences_per_doc))
-        docs = [docs[int(i)] for i in rng.permutation(len(docs))]
-        docs = [[d[int(i)] for i in rng.permutation(len(d))] for d in docs]
-    else:
-        corpus_facts = sorted(corpus_set)
-        corpus_order = [corpus_facts[int(i)] for i in rng.permutation(len(corpus_facts))]
-        docs = [corpus_order[i:i + sentences_per_doc]
-                for i in range(0, len(corpus_order), sentences_per_doc)]
+    docs = [[i for i in story if i in corpus_set] for story in stories]
+    leftovers = sorted(corpus_set.difference(*stories))
+    leftovers = [leftovers[int(i)] for i in rng.permutation(len(leftovers))]
+    docs.extend(leftovers[i:i + sentences_per_doc]
+                for i in range(0, len(leftovers), sentences_per_doc))
+    docs = [docs[int(i)] for i in rng.permutation(len(docs))]
+    docs = [[d[int(i)] for i in rng.permutation(len(d))] for d in docs]
 
     n_eval = int(round(eval_doc_fraction * len(docs)))
     if n_eval == len(docs):
@@ -389,7 +329,7 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
 
     return SyntheticWorld(
         n_entities=n_entities, seed=seed, entity_names=names, facts=facts,
-        overlap=sorted(overlap), text_only=sorted(text_only), kg_only=sorted(kg_only),
+        overlap=overlap, text_only=sorted(text_only), kg_only=sorted(kg_only),
         train_docs=train_docs, eval_docs=eval_docs, doc_of_fact=doc_of_fact)
 
 

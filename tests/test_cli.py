@@ -23,9 +23,11 @@ from dragonforge.finetune import FinetuneConfig
 from dragonforge.kg_store import R_EL, load_kg
 from dragonforge.retrieval import RESERVED_TOKENS, SEP, Retriever, build_vocab
 
-MICRO_WORLD = ["--set", "world.n_entities=30", "--set", "world.n_relations=3",
-               "--set", "world.n_facts=150", "--set", "world.leak_rate=0.2",
-               "--set", "world.structure=flat"]
+# leak_rate 0.1 withholds half of the 30 derived facts from the KG; at 0.2
+# every one is withheld, the derived relation is not in the KG, and eval-lp
+# has no query to rank
+MICRO_WORLD = ["--set", "world.n_entities=30", "--set", "world.n_relations=5",
+               "--set", "world.n_facts=150", "--set", "world.leak_rate=0.1"]
 MICRO_MODEL = ["--set", "encoder.n_unimodal=0", "--set", "encoder.n_fusion=1",
                "--set", "encoder.d_text=16", "--set", "encoder.d_node=8",
                "--set", "encoder.heads_text=2", "--set", "encoder.d_mint_hidden=16",
@@ -167,9 +169,9 @@ def test_finetune_eval_qa_and_subsampling(world_dir, pretrained, tmp_path):
     out = str(tmp_path / "ft")
     code = main(["finetune", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
                  "--kg", os.path.join(world_dir, "kg.tsv"),
-                 "--train", os.path.join(world_dir, "mcqa_easy_train.jsonl"),
-                 "--dev", os.path.join(world_dir, "mcqa_easy_dev.jsonl"),
-                 "--test", os.path.join(world_dir, "mcqa_easy_test.jsonl"),
+                 "--train", os.path.join(world_dir, "mcqa_train.jsonl"),
+                 "--dev", os.path.join(world_dir, "mcqa_dev.jsonl"),
+                 "--test", os.path.join(world_dir, "mcqa_test.jsonl"),
                  "--out", out, "--set", "finetune.epochs=1"])
     assert code == EXIT_OK
     report = json.load(open(os.path.join(out, "accuracy.json"), encoding="utf-8"))
@@ -179,7 +181,7 @@ def test_finetune_eval_qa_and_subsampling(world_dir, pretrained, tmp_path):
     out2 = str(tmp_path / "qa")
     code = main(["eval-qa", "--checkpoint", os.path.join(out, "finetuned.drgn"),
                  "--kg", os.path.join(world_dir, "kg.tsv"),
-                 "--data", os.path.join(world_dir, "mcqa_easy_test.jsonl"),
+                 "--data", os.path.join(world_dir, "mcqa_test.jsonl"),
                  "--out", out2])
     assert code == EXIT_OK
     rep = json.load(open(os.path.join(out2, "accuracy.json"), encoding="utf-8"))
@@ -494,8 +496,9 @@ def test_ablation_bad_seeds_exit_usage_before_the_world_is_written(tmp_path, cap
 @pytest.mark.parametrize("setting", ["encoder.d_text=abc", "encoder.heads_text=5",
                                      "pretrain.scorer=bogus", "pretrain.steps=0",
                                      "pretrain.optimizer=adamw", "pretrain.batch_size=0",
-                                     "pretrain.mask_rate=0",
-                                     "encoder.max_nodes=0", "world.structure=foo",
+                                     "pretrain.mask_rate=0", "pretrain.margin=nan",
+                                     "pretrain.margin=inf", "pretrain.lr_lm=inf",
+                                     "encoder.max_nodes=0",
                                      "world.n_relations=20", "world.n_facts=0",
                                      "world.leak_rate=0.9", "world.sentences_per_doc=0",
                                      "world.leak_rate=-1", "world.eval_doc_fraction=2"])
@@ -534,8 +537,8 @@ def test_linkpred_only_with_verbalized_kg_exits_usage_before_reading_data(tmp_pa
 def test_bad_finetune_config_value_exits_usage(world_dir, pretrained, tmp_path, capsys):
     code = main(["finetune", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
                  "--kg", os.path.join(world_dir, "kg.tsv"),
-                 "--train", os.path.join(world_dir, "mcqa_easy_train.jsonl"),
-                 "--dev", os.path.join(world_dir, "mcqa_easy_dev.jsonl"),
+                 "--train", os.path.join(world_dir, "mcqa_train.jsonl"),
+                 "--dev", os.path.join(world_dir, "mcqa_dev.jsonl"),
                  "--out", str(tmp_path / "ft"), "--set", "finetune.batch_size=0"])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [
@@ -545,7 +548,7 @@ def test_bad_finetune_config_value_exits_usage(world_dir, pretrained, tmp_path, 
 def test_eval_qa_without_qa_head_exits_data_error(world_dir, pretrained, tmp_path, capsys):
     ckpt = os.path.join(pretrained, "checkpoint.drgn")
     code = main(["eval-qa", "--checkpoint", ckpt, "--kg", os.path.join(world_dir, "kg.tsv"),
-                 "--data", os.path.join(world_dir, "mcqa_easy_test.jsonl"),
+                 "--data", os.path.join(world_dir, "mcqa_test.jsonl"),
                  "--out", str(tmp_path / "qa")])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.splitlines() == [
@@ -766,6 +769,35 @@ def test_head_shape_that_differs_from_its_declaration_exits_data_error(world_dir
         "declares (%d, 4)" % (ckpt, n_relations, n_relations)]
 
 
+def test_finetune_with_empty_train_file_exits_data_error(world_dir, pretrained, tmp_path, capsys):
+    train = tmp_path / "train.jsonl"
+    train.write_text("", encoding="utf-8")
+    code = main(["finetune", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"), "--train", str(train),
+                 "--dev", os.path.join(world_dir, "mcqa_dev.jsonl"), "--out", str(tmp_path / "ft")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: %s: no questions to train on" % train]
+    assert not (tmp_path / "ft").exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("eval.lp_baseline_dim=-1", "eval.lp_baseline_dim: must be >= 1, got -1"),
+    ("eval.lp_baseline_dim=0", "eval.lp_baseline_dim: must be >= 1, got 0"),
+    ("eval.lp_baseline_steps=-5", "eval.lp_baseline_steps: must be >= 0, got -5"),
+], ids=["dim=-1", "dim=0", "steps=-5"])
+def test_bad_lp_baseline_setting_exits_usage(world_dir, pretrained, tmp_path, capsys, setting,
+                                             message):
+    for command in (["eval-lp", "--mode", "kg_only",
+                     "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
+                     "--kg", os.path.join(world_dir, "kg.tsv"),
+                     "--test", os.path.join(world_dir, "lp_test.jsonl")], ["ablation"]):
+        code = main(command + ["--out", str(tmp_path / "o"), "--set", setting])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == ["error: " + message]
+        assert not (tmp_path / "o").exists()
+
+
 def test_finetune_with_empty_dev_file_exits_data_error(world_dir, pretrained, tmp_path, capsys):
     dev = tmp_path / "dev.jsonl"
     dev.write_text("", encoding="utf-8")
@@ -800,8 +832,8 @@ def finetuned(world_dir, pretrained, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("ft"))
     code = main(["finetune", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
                  "--kg", os.path.join(world_dir, "kg.tsv"),
-                 "--train", os.path.join(world_dir, "mcqa_easy_train.jsonl"),
-                 "--dev", os.path.join(world_dir, "mcqa_easy_dev.jsonl"),
+                 "--train", os.path.join(world_dir, "mcqa_train.jsonl"),
+                 "--dev", os.path.join(world_dir, "mcqa_dev.jsonl"),
                  "--out", out, "--set", "finetune.epochs=1"])
     assert code == EXIT_OK
     return os.path.join(out, "finetuned.drgn")
@@ -818,7 +850,7 @@ def test_kg_that_disagrees_with_checkpoint_vocab_exits_data_error(world_dir, fin
     _, _, entities, _, _ = pt.load_checkpoint(finetuned)
     _, shuffled_entities, _ = load_kg(str(shuffled))
     i = next(i for i, (a, b) in enumerate(zip(shuffled_entities.names, entities.names)) if a != b)
-    data = ["--data", os.path.join(world_dir, "mcqa_easy_test.jsonl")] if command == "eval-qa" \
+    data = ["--data", os.path.join(world_dir, "mcqa_test.jsonl")] if command == "eval-qa" \
         else ["--test", os.path.join(world_dir, "lp_test.jsonl")]
     code = main([command, "--checkpoint", finetuned, "--kg", str(shuffled),
                  "--out", str(tmp_path / "o")] + data)
@@ -860,6 +892,15 @@ def test_file_that_is_not_utf8_exits_data_error_naming_file_and_line(world_dir, 
     assert not out.exists()
 
 
+def _with_config_line(checkpoint: str, line: str, out: str) -> int:
+    """Save checkpoint's tensors under out with line added to its sorted
+    config text, as a checkpoint of an older version; return its line number."""
+    params, token_vocab, entities, relations, config_text = pt.load_checkpoint(checkpoint)
+    lines = sorted(config_text.splitlines() + [line])
+    pt.save_checkpoint(out, params, token_vocab, entities, relations, "".join(x + "\n" for x in lines))
+    return lines.index(line) + 1
+
+
 def test_the_retired_negative_count_key_is_refused(world_dir, pretrained, tmp_path, capsys):
     # pretraining ranks each held-out tail among all local nodes, so no
     # setting counts negatives; a checkpoint whose config names one fails
@@ -868,18 +909,52 @@ def test_the_retired_negative_count_key_is_refused(world_dir, pretrained, tmp_pa
                  "--set", "pretrain.n_negatives=4"])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == ["error: unknown config key 'pretrain.n_negatives'"]
-    params, token_vocab, entities, relations, config_text = pt.load_checkpoint(
-        os.path.join(pretrained, "checkpoint.drgn"))
-    lines = sorted(config_text.splitlines() + ["pretrain.n_negatives = 16  # default"])
     old = str(tmp_path / "old.drgn")
-    pt.save_checkpoint(old, params, token_vocab, entities, relations, "".join(x + "\n" for x in lines))
+    lineno = _with_config_line(os.path.join(pretrained, "checkpoint.drgn"),
+                               "pretrain.n_negatives = 16  # default", old)
     code = main(["dump-attention", "--checkpoint", old, "--text", "zzz",
                  "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "attn")])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.splitlines() == [
-        "data error: %s: config text: line %d: unknown key 'pretrain.n_negatives'"
-        % (old, lines.index("pretrain.n_negatives = 16  # default") + 1)]
+        "data error: %s: config text: line %d: unknown key 'pretrain.n_negatives'" % (old, lineno)]
     assert not (tmp_path / "attn").exists()
+
+
+def test_the_retired_world_structure_key_is_refused(world_dir, pretrained, tmp_path, capsys):
+    # chains is the only synthetic world, so no setting picks one; a
+    # checkpoint whose config names the key fails
+    code = main(["gen-synthetic", "--out", str(tmp_path / "w"), "--set", "world.structure=chains"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == ["error: unknown config key 'world.structure'"]
+    assert not (tmp_path / "w").exists()
+    old = str(tmp_path / "old.drgn")
+    lineno = _with_config_line(os.path.join(pretrained, "checkpoint.drgn"),
+                               "world.structure = chains  # default", old)
+    code = main(["eval-lp", "--checkpoint", old, "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--test", os.path.join(world_dir, "lp_test.jsonl"), "--out", str(tmp_path / "lp")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: %s: config text: line %d: unknown key 'world.structure'" % (old, lineno)]
+    assert not (tmp_path / "lp").exists()
+
+
+def test_world_pretrains_with_its_own_aliases_when_some_names_are_in_no_fact(tmp_path):
+    # 20 facts name at most 40 of the 100 generated entities; aliases.tsv
+    # lists only the names kg.tsv uses, so load_kg resolves every one
+    world = str(tmp_path / "world")
+    assert main(["gen-synthetic", "--out", world, "--seed", "3",
+                 "--set", "world.n_entities=100", "--set", "world.n_facts=20",
+                 "--set", "world.n_relations=5", "--set", "world.leak_rate=0"]) == EXIT_OK
+    kg_names = {name for line in open(os.path.join(world, "kg.tsv"), encoding="utf-8")
+                for name in line.rstrip("\n").split("\t")[::2]}
+    alias_names = [line.split("\t")[0]
+                   for line in open(os.path.join(world, "aliases.tsv"), encoding="utf-8")]
+    assert sorted(alias_names) == sorted(kg_names) and len(kg_names) < 100
+    assert main(["pretrain", "--corpus", os.path.join(world, "corpus.txt"),
+                 "--kg", os.path.join(world, "kg.tsv"),
+                 "--aliases", os.path.join(world, "aliases.tsv"),
+                 "--out", str(tmp_path / "pre"), "--set", "pretrain.steps=1"]
+                + MICRO_MODEL) == EXIT_OK
 
 
 def _mallopt_resolves() -> bool:

@@ -194,8 +194,8 @@ def retriever(kg, entities, relations, tv, enc_cfg):
 def qa_setup(out, seed=6):
     """A small world with its KG and vocabularies read from the files it
     writes under out, and a model with a pooling head."""
-    world = generate_synthetic_world(n_entities=50, n_relations=4, n_facts=320,
-                                     leak_rate=0.15, seed=seed, structure="flat")
+    world = generate_synthetic_world(n_entities=50, n_relations=5, n_facts=320,
+                                     leak_rate=0.15, seed=seed)
     files = world.write_files(str(out))
     kg, entities, relations = load_kg(files["kg.tsv"], files["aliases.tsv"])
     tv = build_vocab(files["corpus.txt"], min_freq=2)
@@ -209,7 +209,7 @@ def qa_setup(out, seed=6):
 
 def test_choice_order_invariance_of_argmax(tmp_path):
     world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
-    data = world.mcqa_dataset(distractors="random")["dev"]
+    data = world.mcqa_dataset()["dev"]
     rng = np.random.default_rng(7)
     rt = retriever(kg, entities, relations, tv, enc_cfg)
     for i, ex in enumerate(data[:6]):
@@ -247,7 +247,7 @@ def test_mixed_choice_counts_in_one_batch_score_as_alone(tmp_path):
 
 def test_untrained_model_scores_near_chance(tmp_path):
     world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
-    data = world.mcqa_dataset(distractors="random")
+    data = world.mcqa_dataset()
     examples = data["train"] + data["dev"] + data["test"]
     report = ft.evaluate_mcqa(examples, retriever(kg, entities, relations, tv, enc_cfg), params,
                               enc_cfg, ft.FinetuneConfig())
@@ -266,7 +266,7 @@ def test_variable_choice_counts_allowed(tmp_path):
 
 def test_finetune_reduces_loss_and_freezes_lm(tmp_path):
     world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
-    data = world.mcqa_dataset(distractors="random")
+    data = world.mcqa_dataset()
     lm_before = params["lm.tok_emb"].values.copy()
     node_before = params["node_emb.table"].values.copy()
     cfg = ft.FinetuneConfig(epochs=3, batch_size=4, freeze_lm_epochs=3, seed=8,
@@ -283,7 +283,7 @@ def test_finetune_reduces_loss_and_freezes_lm(tmp_path):
 
 def test_finetune_retrieves_each_question_once_over_its_epochs(tmp_path, monkeypatch):
     world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
-    data = world.mcqa_dataset(distractors="random")
+    data = world.mcqa_dataset()
     train, dev = data["train"][:5], data["dev"][:3]
     retrieved = []
     prepare = ft.prepare_choice_inputs
@@ -302,7 +302,7 @@ def test_finetune_retrieves_each_question_once_over_its_epochs(tmp_path, monkeyp
 
 def test_evaluate_mcqa_memo_reuses_inputs_and_keeps_the_report(tmp_path):
     world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
-    dev = world.mcqa_dataset(distractors="random")["dev"][:5]
+    dev = world.mcqa_dataset()["dev"][:5]
     rt = retriever(kg, entities, relations, tv, enc_cfg)
     cfg = ft.FinetuneConfig(batch_size=2, seed=4)
     memo = {}
@@ -316,7 +316,7 @@ def test_evaluate_mcqa_memo_reuses_inputs_and_keeps_the_report(tmp_path):
 
 def test_finetune_step_sets_up_one_stream_per_question_and_choice(tmp_path, monkeypatch):
     world, kg, entities, relations, tv, enc_cfg, params = qa_setup(tmp_path)
-    train = world.mcqa_dataset(distractors="random")["train"][:3]
+    train = world.mcqa_dataset()["train"][:3]
     train[1] = ft.MCQAExample(train[1].question, train[1].choices[:2], 0)
     names = []
     split_rng = nm.split_rng

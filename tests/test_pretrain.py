@@ -527,8 +527,8 @@ def test_optimizer_steps_match_direct_formula(rectified):
 # ---------------------------------------------------------------------------
 
 def small_world():
-    return generate_synthetic_world(n_entities=40, n_relations=3, n_facts=240,
-                                    leak_rate=0.1, seed=2, structure="flat")
+    return generate_synthetic_world(n_entities=40, n_relations=5, n_facts=240,
+                                    leak_rate=0.1, seed=2)
 
 
 def small_setup(out):

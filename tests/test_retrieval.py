@@ -442,7 +442,7 @@ def check_local_kg(local: rt.LocalKG, g: KnowledgeGraph, max_nodes: int, v_el: s
 def test_local_kg_invariants_over_random_corpus_segments(tmp_path):
     from dragonforge.evaluation import generate_synthetic_world
     files = generate_synthetic_world(n_entities=120, n_relations=6, n_facts=1400, leak_rate=0.15,
-                                     seed=5, structure="flat").write_files(str(tmp_path))
+                                     seed=5).write_files(str(tmp_path))
     g, entities, relations = load_kg(files["kg.tsv"], files["aliases.tsv"])
     tv = rt.build_vocab(files["corpus.txt"], min_freq=2)
     segments = rt.segment_corpus(files["corpus.txt"], max_seq_len=32)
