@@ -29,6 +29,22 @@ MICRO_MODEL = ["--set", "encoder.n_unimodal=1", "--set", "encoder.n_fusion=1",
                "--set", "vocab.min_freq=1"]
 
 DIGESTS = {
+    ("world", "corpus.txt"):
+        "9d92a0947cefa5635c12986becea7d93ec87ae18b86203554376578ae27d7acf",
+    ("world", "corpus_eval.txt"):
+        "1cefbe1ed2226d2258b52cd7fdf50e3d715711ca76d9ee56ad6e962594ad1799",
+    ("world", "kg.tsv"):
+        "83ac8812ebf2ccacea2aef084091dbafa60193da6b3c36e8d8006f20d003ddd7",
+    ("world", "aliases.tsv"):
+        "387962680f853af616fc29005f51a4ca496e4d766b1fea38893719afc52b3d1d",
+    ("world", "lp_test.jsonl"):
+        "5a3691555ab18f24a2bfae2120da76de0050b3ab59947c6a59e6daed76d65675",
+    ("world", "mcqa_train.jsonl"):
+        "7dc2f7781b91769b34cd534c5255a5f6f5077c5e90230e9affbcc267ff1442d7",
+    ("world", "mcqa_dev.jsonl"):
+        "134661fb072c7c810757dde41f4bf6fff50bad8e472beb55e14b602d7fade341",
+    ("world", "mcqa_test.jsonl"):
+        "9506ccf32366c34d836586cb06150e395559e1ed84c31083617ee2651697aed9",
     ("pretrain-graph", "metrics.jsonl"):
         "2e619b6906714a66dfa0a3300addbb57fe4310d8b56cc4cc033bf5b68bb8178a",
     ("pretrain-graph", "checkpoint.drgn"):
@@ -60,7 +76,8 @@ def sha256(path: str) -> str:
 
 
 def run_micro_pipeline(root: str) -> dict[tuple[str, str], str]:
-    """Write the micro world under root, pretrain 5 steps on it in graph and
+    """Write the micro world under root (its files but effective_config.txt
+    are pinned too), pretrain 5 steps on it in graph and
     in verbalized mode and with the rotate scorer, finetune the graph
     checkpoint for one epoch with a test split, evaluate the finetuned
     checkpoint on QA, on link prediction in both modes and with an attention
