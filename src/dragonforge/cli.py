@@ -449,6 +449,8 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
     except ValueError:
         raise ConfigError("--seeds: expected comma-separated integers, got %r"
                           % args.seeds) from None
+    if len(set(seeds)) < len(seeds):   # each run of a cell writes <cell>-seed<seed>/
+        raise ConfigError("--seeds: a seed is repeated in %r" % args.seeds)
     for build in (cfg.encoder_config, cfg.pretrain_config, cfg.finetune_config, cfg.lp_baseline):
         build()
     files = cfg.world().write_files(os.path.join(args.out, "world"))

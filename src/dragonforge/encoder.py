@@ -195,14 +195,15 @@ class Batch:
 
 
 def make_batch(examples: list[tuple[TextSegment, LocalKG]], cfg: EncoderConfig,
-               train: bool, seeds: list[int]) -> Batch:
+               seeds: list[int] | None) -> Batch:
     """Lay out a batch; IndexError names the first example over a size limit.
 
-    Training with dropout, example b's masks come from its one stream
-    split_rng(seeds[b], "dropout"): one draw for all token sites, one for all
-    exchange hidden layers, then, for a real graph only, one for all node sites.
+    Seeds mean training: with dropout, example b's masks come from its one
+    stream split_rng(seeds[b], "dropout"): one draw for all token sites, one
+    for all exchange hidden layers, then, for a real graph only, one for all
+    node sites. Without seeds (evaluation) there are no masks.
     """
-    if not examples or len(seeds) != len(examples):
+    if not examples or (seeds is not None and len(seeds) != len(examples)):
         raise ValueError("need one dropout seed per example and at least one example")
     lengths = [seg.length for seg, _ in examples]
     for seg, local in examples:
@@ -224,7 +225,7 @@ def make_batch(examples: list[tuple[TextSegment, LocalKG]], cfg: EncoderConfig,
     reldir = (2 * edges[:, [1, 1]] + [0, 1]).reshape(-1)
 
     token_keep = mint_keep = node_keep = None
-    if train and (p := cfg.dropout) > 0.0:
+    if seeds is not None and (p := cfg.dropout) > 0.0:
         token_keep = np.ones((1 + 2 * (cfg.n_unimodal + cfg.n_fusion), len(examples) * max_len,
                               cfg.d_text), dtype=bool)
         mint_keep = np.ones((cfg.n_fusion, len(examples), cfg.d_mint_hidden), dtype=bool)
@@ -303,17 +304,14 @@ def _mint(x: Tensor, v: Tensor, params, cfg: EncoderConfig, layer: int,
 
 
 def encode_batch(examples: list[tuple[TextSegment, LocalKG]], params: dict[str, Tensor],
-                 cfg: EncoderConfig, mode: str = "train", seeds: list[int] | None = None
-                 ) -> EncoderOutput:
+                 cfg: EncoderConfig, seeds: list[int] | None = None) -> EncoderOutput:
     """Cross-modal forward pass over a batch of (text, local KG) examples.
 
-    seeds[b] keys example b's dropout masks (train mode); eval mode needs none.
-    Example b's rows match encode() of that example alone up to float rounding.
+    Given seeds, the pass trains: seeds[b] keys example b's dropout masks.
+    Without them it evaluates, with no dropout. Example b's rows match
+    encode() of that example alone up to float rounding.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError("mode must be train or eval")
-    batch = make_batch(examples, cfg, mode == "train",
-                       list(seeds) if seeds is not None else [0] * len(examples))
+    batch = make_batch(examples, cfg, seeds)
 
     def run(stage, fn, *args):
         try:
@@ -362,6 +360,7 @@ def encode_batch(examples: list[tuple[TextSegment, LocalKG]], params: dict[str, 
 
 
 def encode(segment: TextSegment, local: LocalKG, params: dict[str, Tensor],
-           cfg: EncoderConfig, mode: str = "train", seed: int = 0) -> EncoderOutput:
-    """Full cross-modal forward pass for one (text, local KG) example."""
-    return encode_batch([(segment, local)], params, cfg, mode, [seed])
+           cfg: EncoderConfig, seed: int | None = None) -> EncoderOutput:
+    """Full cross-modal forward pass for one (text, local KG) example; a seed
+    means training, as in encode_batch."""
+    return encode_batch([(segment, local)], params, cfg, None if seed is None else [seed])

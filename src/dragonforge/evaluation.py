@@ -89,10 +89,13 @@ RELATION_POOL = ["likes", "fears", "eats", "guards", "teaches", "follows",
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
+_SYLLABLE_COUNTS = range(2, 4)
+# distinct entity names: none of them is a relation name or "."
+N_ENTITY_NAMES = sum((len(_CONSONANTS) * len(_VOWELS)) ** k for k in _SYLLABLE_COUNTS)
 
 
 def _entity_name(rng: np.random.Generator) -> str:
-    syllables = int(rng.integers(2, 4))
+    syllables = int(rng.integers(_SYLLABLE_COUNTS.start, _SYLLABLE_COUNTS.stop))
     return "".join(_CONSONANTS[int(rng.integers(len(_CONSONANTS)))]
                    + _VOWELS[int(rng.integers(len(_VOWELS)))]
                    for _ in range(syllables))
@@ -105,8 +108,7 @@ def render_sentence(head: str, rel: str, tail: str) -> str:
 @dataclass
 class SyntheticWorld:
     """A generated world: named facts, their split between corpus and KG, and
-    the corpus documents; seed and n_entities drive mcqa_dataset's draws."""
-    n_entities: int
+    the corpus documents; seed and the entity names drive mcqa_dataset's draws."""
     seed: int
     entity_names: list[str]
     facts: list[tuple[str, str, str]]          # (head, rel, tail) names
@@ -160,7 +162,7 @@ class SyntheticWorld:
             for _ in range(1000):   # top up with entities unconnected to the head
                 if len(chosen) == n_choices - 1:
                     break
-                cand = self.entity_names[int(rng.integers(self.n_entities))]
+                cand = self.entity_names[int(rng.integers(len(self.entity_names)))]
                 if cand != h and cand not in chosen and cand not in connected[h]:
                     chosen.append(cand)
             if len(chosen) < n_choices - 1:
@@ -202,32 +204,31 @@ class SyntheticWorld:
 
 def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
                              n_facts: int = 5000, leak_rate: float = 0.1,
-                             seed: int = 0, sentences_per_doc: int = 4,
-                             eval_doc_fraction: float = 0.1) -> SyntheticWorld:
+                             seed: int = 0, eval_doc_fraction: float = 0.1) -> SyntheticWorld:
     """Two-hop chain stories rendered to text, one sentence per fact.
 
     Relations come in (base1, base2, derived) families where (x base1 m) and
     (m base2 f) imply the fact (x derived f); the relations after the last
     family are distractor relations. A story is those three facts plus two
-    distractor facts of its head x, and unattached distractor facts top the
-    world up to n_facts. Each story is one document, so a document's graph
-    carries its rule path. The withheld facts are n_leak derived facts (text
-    only: link-prediction test triplets whose base path stays in the KG)
-    and n_leak distractor facts (KG only: question-answering gold).
+    distractor facts of its head x, so n_facts must be a multiple of five.
+    Each story is one document, so a document's graph carries its rule path.
+    The withheld facts are n_leak derived facts (text only: link-prediction
+    test triplets whose base path stays in the KG) and n_leak distractor
+    facts (KG only: question-answering gold). A leak_rate that withholds
+    every derived fact of a relation, which eval-lp could then not rank,
+    raises ValueError; so does more entities than there are names.
     """
     settings = SimpleNamespace(**locals())   # ValueErrors name the setting
     # a chain story draws three distinct entities, a relation family (two base
     # relations and a derived one) and two distractor relations
-    check_fields(settings, lambda v: v >= 3, ">= 3", "n_entities")
+    check_fields(settings, lambda v: 3 <= v <= N_ENTITY_NAMES, "in [3, %d]" % N_ENTITY_NAMES,
+                 "n_entities")
     check_fields(settings, lambda v: 5 <= v <= len(RELATION_POOL),
                  "in [5, %d]" % len(RELATION_POOL), "n_relations")
-    check_fields(settings, lambda v: v >= 1, ">= 1", "n_facts", "sentences_per_doc")
+    check_fields(settings, lambda v: v >= 5 and v % 5 == 0, "a positive multiple of 5", "n_facts")
     check_fields(settings, lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]", "leak_rate")
     check_fields(settings, lambda v: 0.0 <= v < 1.0, "in [0, 1)", "eval_doc_fraction")
     n_leak = int(round(leak_rate * n_facts))
-    if n_leak > n_facts // 5:   # one derived fact per five-fact chain story
-        raise ValueError("leak_rate: %.3f needs %d derived facts, world has %d"
-                         % (leak_rate, n_leak, n_facts // 5))
     rng = nm.split_rng(seed, "world")
     draws = 0
 
@@ -248,26 +249,15 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
             seen.add(cand)
             names.append(cand)
 
+    # story c is facts 5c to 5c + 4: its two base facts, its derived fact,
+    # then two distractor facts of its head
     facts: list[tuple[str, str, str]] = []
     fact_set: set[tuple[str, str, str]] = set()
-    derived: list[int] = []
-    noise: list[int] = []
-    stories: list[list[int]] = []   # fact indices that share a document
-
-    def add_fact(h: str, r: str, t: str) -> int | None:
-        f = (h, r, t)
-        if f in fact_set:
-            return None
-        fact_set.add(f)
-        facts.append(f)
-        return len(facts) - 1
-
     n_families = (n_relations - 2) // 3
     families = [relation_names[3 * i:3 * i + 3] for i in range(n_families)]
     noise_rels = relation_names[3 * n_families:]
-    n_chains = n_facts // 5
-    c = 0
-    while c < n_chains:
+    while len(facts) < n_facts:
+        c = len(facts) // 5
         count_draw()
         base1, base2, comp = families[c % n_families]
         x, m, f = (names[int(i)] for i in rng.choice(n_entities, size=3, replace=False))
@@ -279,35 +269,25 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
                  (x, noise_rels[(c + 1) % len(noise_rels)], g2)]
         if any(t in fact_set for t in trial):
             continue
-        ids = [add_fact(*t) for t in trial]
-        derived.append(ids[2])
-        noise.extend([ids[3], ids[4]])
-        stories.append(ids)
-        c += 1
-    while len(facts) < n_facts:  # top up with unattached distractor facts
-        count_draw()
-        h = int(rng.integers(n_entities))
-        t = int(rng.integers(n_entities))
-        if h == t:
-            continue
-        idx = add_fact(names[h], noise_rels[int(rng.integers(len(noise_rels)))], names[t])
-        if idx is not None:
-            noise.append(idx)
+        fact_set.update(trial)
+        facts.extend(trial)
 
     # base facts stay in both modalities, so every entity of a text-only
     # (derived) fact is in the KG and entity linking resolves it
+    derived = list(range(2, n_facts, 5))
+    noise = [i for i in range(n_facts) if i % 5 > 2]
     derived_perm = [derived[int(i)] for i in rng.permutation(len(derived))]
     text_only = derived_perm[:n_leak]
     noise_perm = [noise[int(i)] for i in rng.permutation(len(noise))]
     kg_only = noise_perm[:n_leak]
     overlap = sorted(set(range(n_facts)) - set(text_only) - set(kg_only))
+    lost = sorted({facts[i][1] for i in text_only} - {facts[i][1] for i in overlap})
+    if lost:
+        raise ValueError("leak_rate: %s withholds every %r fact from the KG"
+                         % (leak_rate, lost[0]))
 
     corpus_set = set(overlap) | set(text_only)
-    docs = [[i for i in story if i in corpus_set] for story in stories]
-    leftovers = sorted(corpus_set.difference(*stories))
-    leftovers = [leftovers[int(i)] for i in rng.permutation(len(leftovers))]
-    docs.extend(leftovers[i:i + sentences_per_doc]
-                for i in range(0, len(leftovers), sentences_per_doc))
+    docs = [[i for i in range(c, c + 5) if i in corpus_set] for c in range(0, n_facts, 5)]
     docs = [docs[int(i)] for i in rng.permutation(len(docs))]
     docs = [[d[int(i)] for i in rng.permutation(len(d))] for d in docs]
 
@@ -328,7 +308,7 @@ def generate_synthetic_world(n_entities: int = 500, n_relations: int = 8,
         target.append(text)
 
     return SyntheticWorld(
-        n_entities=n_entities, seed=seed, entity_names=names, facts=facts,
+        seed=seed, entity_names=names, facts=facts,
         overlap=overlap, text_only=sorted(text_only), kg_only=sorted(kg_only),
         train_docs=train_docs, eval_docs=eval_docs, doc_of_fact=doc_of_fact)
 
@@ -342,7 +322,7 @@ class ContextualScorer:
     """Scores candidates with contextualized node vectors (KG + text mode).
 
     `score` encodes a whole batch of (segment, local graph, query) items in
-    one `encode_batch` call (eval mode, no dropout); item b's local node j is
+    one `encode_batch` call (no seeds, so no dropout); item b's local node j is
     row node_offsets[b] + j of the batch's node vectors."""
 
     def __init__(self, params: dict[str, Tensor], enc_cfg: EncoderConfig, head: LinkPredHead):
@@ -352,8 +332,7 @@ class ContextualScorer:
 
     def score(self, batch: list[tuple[TextSegment, LocalKG, LPQuery]]) -> np.ndarray:
         """Flat scores of every candidate of every query, in batch order."""
-        out = encode_batch([(seg, local) for seg, local, _ in batch], self.params, self.enc_cfg,
-                           mode="eval")
+        out = encode_batch([(seg, local) for seg, local, _ in batch], self.params, self.enc_cfg)
         return query_scores(out.nodes, [(q, np.arange(*out.node_offsets[b:b + 2]))
                                         for b, (_, _, q) in enumerate(batch)], self.head).values
 
@@ -473,7 +452,7 @@ def dump_attention(params: dict[str, Tensor], enc_cfg: EncoderConfig, seg, local
     Each layer lists every edge in both directions, dir 0 (head->tail) then
     dir 1 (tail->head), with the per-head attention its message received.
     """
-    out = encode(seg, local, params, enc_cfg, mode="eval")
+    out = encode(seg, local, params, enc_cfg)
     lines = []
     for layer, alpha in enumerate(out.graph_attention):
         edges = []

@@ -153,12 +153,12 @@ def prepare_choice_inputs(ex: MCQAExample, retriever: Retriever, seed: int, exam
 def choice_logits(questions: list[list[tuple[TextSegment, LocalKG]]], params: dict[str, Tensor],
                   enc_cfg: EncoderConfig, seeds: list[int] | None = None) -> Tensor:
     """Encode and pool every choice of the questions in one batch: the [Q, C_max]
-    logits, question q's in row q, padded with NEG_FILL. Train mode (dropout)
-    with one dropout seed per choice, question after question; eval mode without."""
+    logits, question q's in row q, padded with NEG_FILL. Training (dropout) with
+    one dropout seed per choice, question after question; evaluation without."""
     width = max(len(q) for q in questions)
     cells = [qi * width + c for qi, q in enumerate(questions) for c in range(len(q))]
-    x, _ = pool(encode_batch([choice for q in questions for choice in q], params, enc_cfg,
-                             "eval" if seeds is None else "train", seeds), params)
+    x, _ = pool(encode_batch([choice for q in questions for choice in q], params, enc_cfg, seeds),
+                params)
     fill = np.full((len(questions) * width, 1), nm.NEG_FILL)
     fill[cells] = 0.0
     table = nm.add(nm.scatter_rows(x, cells, len(fill)), fill)

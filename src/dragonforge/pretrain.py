@@ -31,7 +31,6 @@ from .retrieval import MASK, PAD, RESERVED_TOKENS, SEP, LocalKG, Retriever, Text
 SCORERS = ("distmult", "transe", "rotate")
 OBJECTIVES = ("joint", "mlm_only", "linkpred_only")
 KG_MODES = ("graph", "verbalized")
-OPTIMIZERS = ("adam", "radam")
 
 
 class TrainingDiverged(ArithmeticError):
@@ -232,7 +231,6 @@ class PretrainConfig:
     grad_clip: float = 1.0
     seed: int = 0
     checkpoint_every: int = 0    # 0 -> only at the end
-    optimizer: str = "adam"      # adam | radam
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -241,8 +239,6 @@ class PretrainConfig:
             raise ValueError("scorer: unknown value %r" % self.scorer)
         if self.kg_mode not in KG_MODES:
             raise ValueError("kg_mode: unknown value %r" % self.kg_mode)
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError("optimizer: unknown value %r" % self.optimizer)
         if self.objective == "linkpred_only" and self.kg_mode == "verbalized":
             raise ValueError("objective: linkpred_only trains on graph inputs, which kg_mode "
                              "verbalized replaces with a dummy graph; nothing would train")
@@ -257,16 +253,16 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam moment decays and denominator floo
 
 
 class Optimizer:
-    """Adam (optionally rectified) with two lr groups, warmup-then-decay."""
+    """Adam with two lr groups: `lm.` parameters take lr_lm and the others
+    lr_other, each scaled by a linear warmup then a linear decay to zero."""
 
     def __init__(self, params: dict[str, Tensor], lr_lm: float, lr_other: float,
-                 total_steps: int, warmup_ratio: float = 0.1, rectified: bool = False):
+                 total_steps: int, warmup_ratio: float = 0.1):
         self.params = params
         self.lr_lm = lr_lm
         self.lr_other = lr_other
         self.total_steps = total_steps
         self.warmup_steps = max(1, int(round(total_steps * warmup_ratio)))
-        self.rectified = rectified
         self.t = 0
         self._m = {k: np.zeros_like(p.values) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.values) for k, p in params.items()}
@@ -293,14 +289,6 @@ class Optimizer:
         lr_lm, lr_other = self.learning_rates(step)
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
-        rect, adaptive = 1.0, True   # RAdam: momentum-only steps while rho_t <= 4
-        if self.rectified:
-            rho_inf = 2.0 / (1.0 - BETA2) - 1.0
-            rho_t = rho_inf - 2.0 * self.t * (BETA2 ** self.t) / bc2
-            adaptive = rho_t > 4.0
-            if adaptive:   # np.sqrt gives a float64, so the rectified step is float64
-                rect = np.sqrt(((rho_t - 4) * (rho_t - 2) * rho_inf)
-                               / ((rho_inf - 4) * (rho_inf - 2) * rho_t))
         for name, p in self.trainable().items():
             if p.grad is None:
                 continue
@@ -310,8 +298,7 @@ class Optimizer:
             v *= BETA2
             v += (1 - BETA2) * g * g
             lr = lr_lm if name.startswith("lm.") else lr_other
-            denom = np.sqrt(v / bc2) + EPS if adaptive else 1.0
-            p.values -= (lr * rect * (m / bc1) / denom).astype(p.values.dtype, copy=False)
+            p.values -= (lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)).astype(p.values.dtype, copy=False)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -408,8 +395,7 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
     params = init_params(enc_cfg, cfg.seed, len(token_vocab), len(entities), len(relations))
     add_pretrain_heads(params, enc_cfg, cfg, len(token_vocab), len(relations), cfg.seed)
     head = linkpred_head(params, cfg)
-    opt = Optimizer(params, cfg.lr_lm, cfg.lr_other, cfg.steps, cfg.warmup_ratio,
-                    rectified=(cfg.optimizer == "radam"))
+    opt = Optimizer(params, cfg.lr_lm, cfg.lr_other, cfg.steps, cfg.warmup_ratio)
 
     metrics: list[dict] = []
     use_mlm = cfg.objective in ("joint", "mlm_only")
@@ -430,7 +416,7 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
                 holdouts.append((slot, holdout))
             batch.append((seg, local))
             seeds.append(int(rng.integers(2 ** 62)))
-        out = encode_batch(batch, params, enc_cfg, mode="train", seeds=seeds)
+        out = encode_batch(batch, params, enc_cfg, seeds)
 
         mlm_terms = [(plan, slot * out.max_len) for slot, plan in plans if not plan.flagged_empty]
         lp_terms = [(holdout, np.arange(*out.node_offsets[slot:slot + 2])) for slot, holdout

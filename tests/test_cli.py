@@ -157,7 +157,7 @@ def test_checkpoint_round_trip_forward_bitwise(world_dir, pretrained):
         raw = open(os.path.join(world_dir, "corpus.txt"), encoding="utf-8").read().split("\n\n")[0]
         seg, v_el = link_entities(raw.replace("\n", " "), build_alias_index(entities), tv)
         local = retrieve_local_kg(v_el, kg, cfg.max_nodes, partial(nm.split_rng, 0, "t"))
-        out = encode(seg, local, params, cfg, mode="eval")
+        out = encode(seg, local, params, cfg)
         return out.tokens.values.tobytes(), out.nodes.values.tobytes()
 
     t1, n1 = forward()
@@ -485,6 +485,15 @@ def test_ablation_records_a_failing_command_as_the_cell_status(tmp_path, monkeyp
         for name in cli.ABLATION_CELLS}
 
 
+def test_ablation_repeated_seed_exits_usage_before_the_world_is_written(tmp_path, capsys):
+    # both runs of a cell would share one output directory and the table
+    # would list each of its rows twice
+    out = tmp_path / "abl"
+    assert main(["ablation", "--out", str(out), "--seeds", "0,3,0"]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == ["error: --seeds: a seed is repeated in '0,3,0'"]
+    assert not out.exists()
+
+
 def test_ablation_bad_seeds_exit_usage_before_the_world_is_written(tmp_path, capsys):
     out = tmp_path / "abl"
     assert main(["ablation", "--out", str(out), "--seeds", "1,x"]) == EXIT_USAGE
@@ -495,12 +504,13 @@ def test_ablation_bad_seeds_exit_usage_before_the_world_is_written(tmp_path, cap
 
 @pytest.mark.parametrize("setting", ["encoder.d_text=abc", "encoder.heads_text=5",
                                      "pretrain.scorer=bogus", "pretrain.steps=0",
-                                     "pretrain.optimizer=adamw", "pretrain.batch_size=0",
+                                     "pretrain.batch_size=0",
                                      "pretrain.mask_rate=0", "pretrain.margin=nan",
                                      "pretrain.margin=inf", "pretrain.lr_lm=inf",
                                      "encoder.max_nodes=0",
                                      "world.n_relations=20", "world.n_facts=0",
-                                     "world.leak_rate=0.9", "world.sentences_per_doc=0",
+                                     "world.n_facts=7", "world.n_entities=347901",
+                                     "world.leak_rate=0.9", "world.leak_rate=0.2",
                                      "world.leak_rate=-1", "world.eval_doc_fraction=2"])
 def test_bad_config_value_exits_usage(world_dir, tmp_path, capsys, setting):
     pretrain = ["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
@@ -936,6 +946,27 @@ def test_the_retired_world_structure_key_is_refused(world_dir, pretrained, tmp_p
     assert capsys.readouterr().err.splitlines() == [
         "data error: %s: config text: line %d: unknown key 'world.structure'" % (old, lineno)]
     assert not (tmp_path / "lp").exists()
+
+
+@pytest.mark.parametrize("line", ["pretrain.optimizer = adam  # default",
+                                  "world.sentences_per_doc = 4  # default"])
+def test_the_retired_optimizer_and_document_size_keys_are_refused(world_dir, pretrained, tmp_path,
+                                                                   capsys, line):
+    # Adam is the only optimizer and each story is one document, so neither
+    # key sets anything; a checkpoint whose config names one fails
+    key, value = (part.split("#")[0].strip() for part in line.split("="))
+    code = main(["gen-synthetic", "--out", str(tmp_path / "w"), "--set", "%s=%s" % (key, value)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == ["error: unknown config key %r" % key]
+    assert not (tmp_path / "w").exists()
+    old = str(tmp_path / "old.drgn")
+    lineno = _with_config_line(os.path.join(pretrained, "checkpoint.drgn"), line, old)
+    code = main(["dump-attention", "--checkpoint", old, "--text", "zzz",
+                 "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "attn")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: %s: config text: line %d: unknown key %r" % (old, lineno, key)]
+    assert not (tmp_path / "attn").exists()
 
 
 def test_world_pretrains_with_its_own_aliases_when_some_names_are_in_no_fact(tmp_path):

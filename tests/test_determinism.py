@@ -48,15 +48,15 @@ DIGESTS = {
     ("pretrain-graph", "metrics.jsonl"):
         "2e619b6906714a66dfa0a3300addbb57fe4310d8b56cc4cc033bf5b68bb8178a",
     ("pretrain-graph", "checkpoint.drgn"):
-        "f6d3a06e7721d74beb8a3bec5d7f3310f9b5fb17bf59f4aec5e1c8344b6fb6d3",
+        "247afbab900e9ef6af395234f88fe381c77fac98783cdb41182469123db4c9af",
     ("pretrain-verbalized", "metrics.jsonl"):
         "7705ba63b0ddb44252bcb6dff91500da14443d52b1f638bdb355bb1281014167",
     ("pretrain-verbalized", "checkpoint.drgn"):
-        "4d1efeb8b60db6b2959d26edf9c6e66e39f8d490784a0134dafa829779206727",
+        "d2c96a100b80245571a662a17cb0d3cdf1996e633684d3d5cb5dfa88f5991490",
     ("finetune", "accuracy.json"):
         "e8b500a4215986efda1c0ab8a1b7df11df65083edba3e4c87310b6a1e7d303a2",
     ("finetune", "finetuned.drgn"):
-        "2239ab5c8d16cea469e31fb1255c90c55ca417412d5266ff524b8deefc8bae51",
+        "d5c640c63f9afd4cce7ec453490dad4df5506b2489bdc475ce5fcf0a7c919d80",
     ("pretrain-rotate", "metrics.jsonl"):
         "5d0a5d2374600bd29b334931e4ac3281aee77e3501ac5dff95b557ad26055106",
     ("eval-qa", "accuracy.json"):

@@ -64,7 +64,7 @@ def test_output_shapes_and_attention_normalization():
     params = init_params(cfg, 1, VOCAB, ENTS, RELS)
     seg = make_segment([5, 6, 7])
     local = chain_local()
-    out = encode(seg, local, params, cfg, mode="eval")
+    out = encode(seg, local, params, cfg)
     assert out.tokens.shape == (4, cfg.d_text)
     assert out.nodes.shape == (4, cfg.d_node)
     assert len(out.graph_attention) == cfg.n_fusion
@@ -82,10 +82,10 @@ def test_oversize_inputs_raise_bounds_errors():
     cfg = tiny_cfg()
     params = init_params(cfg, 1, VOCAB, ENTS, RELS)
     with pytest.raises(IndexError):
-        encode(make_segment(range(5, 5 + 20)), dummy_local_kg(), params, cfg, mode="eval")
+        encode(make_segment(range(5, 5 + 20)), dummy_local_kg(), params, cfg)
     wide = LocalKG(nodes=[V_INT] + list(range(0, 5)) * 2, edges=[])
     with pytest.raises(IndexError):
-        encode(make_segment([5]), wide, params, cfg, mode="eval")
+        encode(make_segment([5]), wide, params, cfg)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -95,7 +95,7 @@ def test_numeric_error_names_the_layer():
     params["lm.layer0.ffn.w1"].values[:] = 1e25
     params["lm.layer0.ffn.w2"].values[:] = 1e25
     with pytest.raises(nm.NumericError, match="lm.layer0"):
-        encode(make_segment([5, 6]), dummy_local_kg(), params, cfg, mode="eval")
+        encode(make_segment([5, 6]), dummy_local_kg(), params, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def text_only_with_zero_exchange(seg, params, cfg):
     receives a zero node vector."""
     from dragonforge.encoder import _mint, _transformer_layer, make_batch
     L = seg.length
-    batch = make_batch([(seg, dummy_local_kg())], cfg, False, [0])
+    batch = make_batch([(seg, dummy_local_kg())], cfg, None)
     x = nm.add(nm.gather_rows(params["lm.tok_emb"], seg.token_ids),
                nm.gather_rows(params["lm.pos_emb"], list(range(L))))
     x = nm.layer_norm(x, params["lm.emb_ln.g"], params["lm.emb_ln.b"])
@@ -124,7 +124,7 @@ def test_dummy_graph_equals_text_only_with_zero_node_vector():
     cfg = tiny_cfg()
     params = init_params(cfg, 5, VOCAB, ENTS, RELS)
     seg = make_segment([5, 6, 7, 8])
-    out = encode(seg, dummy_local_kg(), params, cfg, mode="eval")
+    out = encode(seg, dummy_local_kg(), params, cfg)
     oracle = text_only_with_zero_exchange(seg, params, cfg)
     np.testing.assert_array_equal(out.tokens.values, oracle.values)
     # the dummy node row stays exactly zero (zero-initialized, frozen)
@@ -134,7 +134,7 @@ def test_dummy_graph_equals_text_only_with_zero_node_vector():
 def text_only_stack(seg, params, cfg, mode, seed):
     from dragonforge.encoder import _maybe_dropout, _transformer_layer, make_batch
     L = seg.length
-    batch = make_batch([(seg, dummy_local_kg())], cfg, mode == "train", [seed])
+    batch = make_batch([(seg, dummy_local_kg())], cfg, [seed] if mode == "train" else None)
     x = nm.add(nm.gather_rows(params["lm.tok_emb"], seg.token_ids),
                nm.gather_rows(params["lm.pos_emb"], list(range(L))))
     x = nm.layer_norm(x, params["lm.emb_ln.g"], params["lm.emb_ln.b"])
@@ -149,7 +149,7 @@ def test_concat_at_end_token_outputs_bit_identical_to_text_only(mode):
     cfg = tiny_cfg(fusion=CONCAT_AT_END)
     params = init_params(cfg, 9, VOCAB, ENTS, RELS)
     seg = make_segment([5, 6, 7])
-    out = encode(seg, chain_local(), params, cfg, mode=mode, seed=123)
+    out = encode(seg, chain_local(), params, cfg, seed=123 if mode == "train" else None)
     oracle = text_only_stack(seg, params, cfg, mode, seed=123)
     assert out.tokens.values.tobytes() == oracle.values.tobytes()
 
@@ -158,7 +158,7 @@ def test_bidirectional_differs_from_text_only():
     cfg = tiny_cfg(fusion=BIDIRECTIONAL)
     params = init_params(cfg, 9, VOCAB, ENTS, RELS)
     seg = make_segment([5, 6, 7])
-    out = encode(seg, chain_local(), params, cfg, mode="eval")
+    out = encode(seg, chain_local(), params, cfg)
     oracle = text_only_stack(seg, params, cfg, "eval", 0)
     assert not np.array_equal(out.tokens.values, oracle.values)
 
@@ -187,8 +187,8 @@ def test_node_permutation_equivariance():
         local = chain_local()
         j = local.n_nodes - 1
         perm = rng.permutation(j).tolist()
-        out1 = encode(seg, local, params, cfg, mode="eval")
-        out2 = encode(seg, permute_local(local, perm), params, cfg, mode="eval")
+        out1 = encode(seg, local, params, cfg)
+        out2 = encode(seg, permute_local(local, perm), params, cfg)
         assert np.abs(out1.tokens.values - out2.tokens.values).max() < 1e-5
         for old_pos in range(1, j + 1):
             np.testing.assert_allclose(out2.nodes.values[1 + perm[old_pos - 1]],
@@ -207,7 +207,7 @@ def test_text_loss_reaches_node_embeddings_and_vice_versa():
     local = chain_local()
 
     with nm.ComputationTape() as tape:
-        out = encode(seg, local, params, cfg, mode="eval")
+        out = encode(seg, local, params, cfg)
         # text-side loss over non-interaction token rows only
         token_loss = nm.reduce_sum(nm.mul(nm.gather_rows(out.tokens, [1, 2, 3]),
                                           nm.gather_rows(out.tokens, [1, 2, 3])))
@@ -218,7 +218,7 @@ def test_text_loss_reaches_node_embeddings_and_vice_versa():
     for p in params.values():
         p.grad = None
     with nm.ComputationTape() as tape:
-        out = encode(seg, local, params, cfg, mode="eval")
+        out = encode(seg, local, params, cfg)
         node_loss = nm.reduce_sum(nm.mul(nm.gather_rows(out.nodes, [1, 2, 3]),
                                          nm.gather_rows(out.nodes, [1, 2, 3])))
         tape.backward(node_loss)
@@ -240,7 +240,7 @@ def test_sampled_finite_difference_full_encoder():
 
     def fn(tensors):
         p = dict(zip(names, tensors))
-        out = encode(seg, local, p, cfg, mode="eval")
+        out = encode(seg, local, p, cfg)
         return nm.add(nm.reduce_sum(nm.mul(out.tokens, nm.constant(mix_t))),
                       nm.reduce_sum(nm.mul(out.nodes, nm.constant(mix_n))))
 
@@ -277,7 +277,7 @@ def test_manual_forward_oracle_single_token_single_node():
         params = init_params(cfg, 11, VOCAB, ENTS, RELS)
         seg = make_segment([5])                      # [INT, w1]
         local = LocalKG(nodes=[V_INT, 2], edges=[(0, R_EL, 1)])
-        out = encode(seg, local, params, cfg, mode="eval")
+        out = encode(seg, local, params, cfg)
 
     P = {k: p.values for k, p in params.items()}
 

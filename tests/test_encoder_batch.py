@@ -19,6 +19,11 @@ VOCAB, ENTS, RELS = 12, 9, 3
 SEEDS = [11, 12, 13, 14, 15]
 
 
+def seeds_of(mode, seeds=SEEDS):
+    """encode_batch's seeds in `mode`: training takes them, evaluation none."""
+    return seeds if mode == "train" else None
+
+
 def tiny_cfg(**kw):
     defaults = dict(n_unimodal=1, n_fusion=2, d_text=8, d_node=8, heads_text=2,
                     heads_gnn=2, d_mint_hidden=12, dropout=0.1, max_seq_len=16,
@@ -73,10 +78,10 @@ def example_rows(out, b, seg, local):
 
 def assert_rows_match_single(examples, params, cfg, mode, atol):
     seeds = SEEDS[:len(examples)]
-    out = encode_batch(examples, params, cfg, mode, seeds)
+    out = encode_batch(examples, params, cfg, seeds_of(mode, seeds))
     msg = 0
     for b, (seg, local) in enumerate(examples):
-        single = encode(seg, local, params, cfg, mode, seeds[b])
+        single = encode(seg, local, params, cfg, seeds_of(mode, seeds[b]))
         tokens, nodes = example_rows(out, b, seg, local)
         np.testing.assert_allclose(tokens, single.tokens.values, rtol=0, atol=atol)
         np.testing.assert_allclose(nodes, single.nodes.values, rtol=0, atol=atol)
@@ -110,16 +115,16 @@ def test_train_mode_dropout_differs_from_eval():
     cfg = tiny_cfg()
     params = init_params(cfg, 3, VOCAB, ENTS, RELS)
     examples = mixed_batch()
-    train = encode_batch(examples, params, cfg, "train", SEEDS)
-    evaluated = encode_batch(examples, params, cfg, "eval")
+    train = encode_batch(examples, params, cfg, SEEDS)
+    evaluated = encode_batch(examples, params, cfg)
     assert not np.array_equal(train.tokens.values, evaluated.tokens.values)
 
 
 def test_token_and_hidden_masks_do_not_depend_on_the_graph():
     cfg = tiny_cfg()
     examples = mixed_batch()
-    with_graphs = make_batch(examples, cfg, True, SEEDS)
-    text_only = make_batch([(seg, dummy_local_kg()) for seg, _ in examples], cfg, True, SEEDS)
+    with_graphs = make_batch(examples, cfg, SEEDS)
+    text_only = make_batch([(seg, dummy_local_kg()) for seg, _ in examples], cfg, SEEDS)
     assert with_graphs.token_keep.tobytes() == text_only.token_keep.tobytes()
     assert with_graphs.mint_keep.tobytes() == text_only.mint_keep.tobytes()
     assert not with_graphs.node_keep.all() and text_only.node_keep.all()
@@ -127,7 +132,7 @@ def test_token_and_hidden_masks_do_not_depend_on_the_graph():
 
 def test_drawn_masks_zero_the_dropout_fraction():
     cfg = tiny_cfg(d_text=64, d_node=32, d_mint_hidden=64, dropout=0.3)
-    batch = make_batch(mixed_batch(), cfg, True, SEEDS)
+    batch = make_batch(mixed_batch(), cfg, SEEDS)
     tokens = batch.token_keep[:, ~batch.key_pad.reshape(-1)]
     real_nodes = np.repeat(batch.graph, np.diff(batch.node_offsets))
     drawn = np.concatenate([tokens.ravel(), batch.mint_keep.ravel(),
@@ -136,14 +141,14 @@ def test_drawn_masks_zero_the_dropout_fraction():
     # padding rows and dummy graphs' rows are never dropped
     assert batch.token_keep[:, batch.key_pad.reshape(-1)].all()
     assert batch.node_keep[:, ~real_nodes].all()
-    assert make_batch(mixed_batch(), cfg, False, SEEDS).token_keep is None
+    assert make_batch(mixed_batch(), cfg, None).token_keep is None
 
 
 def test_single_example_output_layout():
     cfg = tiny_cfg()
     params = init_params(cfg, 3, VOCAB, ENTS, RELS)
     seg, local = mixed_batch()[2]
-    out = encode(seg, local, params, cfg, "eval")
+    out = encode(seg, local, params, cfg)
     assert out.batch_size == 1 and out.max_len == seg.length
     assert out.tokens.shape == (seg.length, cfg.d_text)
     assert out.nodes.shape == (local.n_nodes, cfg.d_node)
@@ -156,10 +161,10 @@ def test_oversize_example_anywhere_in_batch_raises():
     params = init_params(cfg, 1, VOCAB, ENTS, RELS)
     long_seg = make_segment([5] * 20)
     with pytest.raises(IndexError, match="max_seq_len"):
-        encode_batch(mixed_batch() + [(long_seg, dummy_local_kg())], params, cfg, "eval")
+        encode_batch(mixed_batch() + [(long_seg, dummy_local_kg())], params, cfg)
     wide = LocalKG(nodes=[V_INT] + list(range(0, 6)), edges=[])
     with pytest.raises(IndexError, match="limit 5"):
-        encode_batch([mixed_batch()[0], (make_segment([5]), wide)], params, cfg, "eval")
+        encode_batch([mixed_batch()[0], (make_segment([5]), wide)], params, cfg)
 
 
 def per_example_make_batch(examples, cfg, train, seeds):
@@ -224,7 +229,7 @@ EXAMPLES = st.tuples(st.lists(st.integers(5, VOCAB - 1), max_size=15).map(make_s
 def test_make_batch_lays_out_every_array_as_the_per_example_loop(examples, train, seed):
     cfg = tiny_cfg()
     seeds = [seed + b for b in range(len(examples))]
-    got = make_batch(examples, cfg, train, seeds)
+    got = make_batch(examples, cfg, seeds if train else None)
     want = per_example_make_batch(examples, cfg, train, seeds)
     for field in dataclasses.fields(Batch):
         a, b = getattr(got, field.name), getattr(want, field.name)
@@ -241,7 +246,7 @@ def test_check_gradients_on_mixed_batch():
     with nm.float64_mode():
         params = init_params(cfg, 4, VOCAB, ENTS, RELS)
     names = sorted(params)
-    probe = encode_batch(examples, params, cfg, "eval")
+    probe = encode_batch(examples, params, cfg)
     rng = np.random.default_rng(41)
     mix_t = rng.normal(size=probe.tokens.shape)
     mix_n = rng.normal(size=probe.nodes.shape)
@@ -249,7 +254,7 @@ def test_check_gradients_on_mixed_batch():
         mix_t[b * probe.max_len + seg.length:(b + 1) * probe.max_len] = 0.0
 
     def fn(tensors):
-        out = encode_batch(examples, dict(zip(names, tensors)), cfg, "train", SEEDS)
+        out = encode_batch(examples, dict(zip(names, tensors)), cfg, SEEDS)
         return nm.add(nm.reduce_sum(nm.mul(out.tokens, nm.constant(mix_t))),
                       nm.reduce_sum(nm.mul(out.nodes, nm.constant(mix_n))))
 
@@ -277,9 +282,9 @@ def test_dummy_graphs_equal_text_only_with_zero_node_vectors():
     cfg = tiny_cfg()
     params = init_params(cfg, 5, VOCAB, ENTS, RELS)
     examples = [(make_segment(ids), dummy_local_kg()) for ids in ([5, 6, 7, 8], [9], [10, 11])]
-    out = encode_batch(examples, params, cfg, "eval")
+    out = encode_batch(examples, params, cfg)
 
-    batch = make_batch(examples, cfg, False, [0] * len(examples))
+    batch = make_batch(examples, cfg, None)
     x = embed(examples, batch, params, cfg)
     for i in range(cfg.n_unimodal):
         x = _transformer_layer(x, params, cfg, i, batch)
@@ -295,7 +300,7 @@ def test_dummy_graph_rows_stay_zero_in_mixed_batch(fusion):
     cfg = tiny_cfg(fusion=fusion)
     params = init_params(cfg, 6, VOCAB, ENTS, RELS)
     examples = mixed_batch()
-    out = encode_batch(examples, params, cfg, "train", SEEDS)
+    out = encode_batch(examples, params, cfg, SEEDS)
     for b, (seg, local) in enumerate(examples):
         _, nodes = example_rows(out, b, seg, local)
         assert np.all(nodes == 0.0) == local.is_dummy
@@ -306,10 +311,10 @@ def test_concat_at_end_tokens_bit_identical_to_text_only(mode):
     cfg = tiny_cfg(fusion=CONCAT_AT_END)
     params = init_params(cfg, 9, VOCAB, ENTS, RELS)
     examples = mixed_batch()
-    out = encode_batch(examples, params, cfg, mode, SEEDS)
+    out = encode_batch(examples, params, cfg, seeds_of(mode))
 
     text_only = [(seg, dummy_local_kg()) for seg, _ in examples]
-    batch = make_batch(text_only, cfg, mode == "train", SEEDS)
+    batch = make_batch(text_only, cfg, seeds_of(mode))
     x = embed(text_only, batch, params, cfg)
     for i in range(cfg.n_unimodal + cfg.n_fusion):
         x = _transformer_layer(x, params, cfg, i, batch)
@@ -326,7 +331,7 @@ def test_numeric_error_names_the_layer(stage, weights):
     for w in weights:
         params[stage + "." + w].values[:] = 1e25
     with pytest.raises(nm.NumericError, match=stage.replace(".", r"\.") + ":"):
-        encode_batch(mixed_batch(), params, cfg, "eval")
+        encode_batch(mixed_batch(), params, cfg)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -347,7 +352,7 @@ def test_numeric_error_names_the_op_inside_the_transformer_layer(mode, weights, 
     for w in weights:
         params["lm.layer0." + w].values[:] = value
     with pytest.raises(nm.NumericError) as err:
-        encode_batch(mixed_batch(), params, cfg, mode, SEEDS)
+        encode_batch(mixed_batch(), params, cfg, seeds_of(mode))
     assert str(err.value) == "lm.layer0: non-finite values produced by op '%s'" % op
 
 
@@ -355,7 +360,7 @@ def test_transformer_layer_records_one_tape_op_per_sublayer():
     cfg = tiny_cfg()
     params = init_params(cfg, 2, VOCAB, ENTS, RELS)
     examples = mixed_batch()
-    batch = make_batch(examples, cfg, True, SEEDS)
+    batch = make_batch(examples, cfg, SEEDS)
     assert batch.token_keep is not None
     with nm.ComputationTape() as tape:
         x = embed(examples, batch, params, cfg)
@@ -388,7 +393,7 @@ def test_numeric_error_names_the_op_inside_the_gnn_layer_and_mint(mode, values, 
     for name, value in values.items():
         params[name].values[:] = value
     with pytest.raises(nm.NumericError) as err:
-        encode_batch(mixed_batch(), params, cfg, mode, SEEDS)
+        encode_batch(mixed_batch(), params, cfg, seeds_of(mode))
     assert str(err.value) == "%s: non-finite values produced by op '%s'" % (stage, op)
 
 
@@ -396,7 +401,7 @@ def test_gnn_layer_and_mint_record_a_fixed_number_of_tape_ops():
     cfg = tiny_cfg()
     params = init_params(cfg, 2, VOCAB, ENTS, RELS)
     examples = mixed_batch()
-    batch = make_batch(examples, cfg, True, SEEDS)
+    batch = make_batch(examples, cfg, SEEDS)
     assert batch.node_keep is not None and not batch.graph.all()
     v = nm.Tensor(np.random.default_rng(0).normal(size=(batch.node_offsets[-1], cfg.d_node)), requires_grad=True)
     with nm.ComputationTape() as tape:

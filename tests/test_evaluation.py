@@ -91,6 +91,35 @@ def test_world_too_small_for_its_facts_fails_naming_n_facts():
         ev.generate_synthetic_world(n_entities=3, n_relations=5, n_facts=60, leak_rate=0.0)
 
 
+@pytest.mark.parametrize("n_facts", [7, 0, 151])
+def test_facts_that_are_not_whole_stories_fail_naming_n_facts(n_facts):
+    with pytest.raises(ValueError, match="^n_facts: must be a positive multiple of 5, got %d$"
+                                         % n_facts):
+        ev.generate_synthetic_world(n_entities=30, n_relations=5, n_facts=n_facts)
+
+
+@pytest.mark.parametrize("n_relations", [5, 8])
+def test_leak_rate_that_withholds_every_derived_fact_of_a_relation_fails(n_relations):
+    """At leak_rate 0.2 every derived fact is text-only, so the derived
+    relations would be missing from the KG and eval-lp could rank none."""
+    with pytest.raises(ValueError, match="^leak_rate: 0.2 withholds every '[a-z]+' fact from the KG$"):
+        ev.generate_synthetic_world(n_entities=30, n_relations=n_relations, n_facts=150,
+                                    leak_rate=0.2, seed=11)
+
+
+def test_n_entities_is_bounded_by_the_distinct_names():
+    """Every two- and three-syllable name is distinct and none is reserved, so
+    N_ENTITY_NAMES names exist; more made the name draw loop forever."""
+    syllables = [c + v for c in ev._CONSONANTS for v in ev._VOWELS]
+    names = {"".join(p) for k in (2, 3) for p in itertools.product(syllables, repeat=k)}
+    assert len(names) == ev.N_ENTITY_NAMES == 347_900
+    assert not names & (set(ev.RELATION_POOL) | {"."})
+    rng = np.random.default_rng(0)
+    assert {ev._entity_name(rng) for _ in range(2000)} <= names
+    with pytest.raises(ValueError, match=r"^n_entities: must be in \[3, 347900\], got 347901$"):
+        ev.generate_synthetic_world(n_entities=ev.N_ENTITY_NAMES + 1)
+
+
 def test_template_round_trip():
     world = ev.generate_synthetic_world(n_entities=30, n_relations=5, n_facts=100,
                                         leak_rate=0.1, seed=2)
@@ -105,7 +134,7 @@ def test_template_round_trip():
 
 def test_alignment_map_is_total_and_correct():
     world = ev.generate_synthetic_world(n_entities=40, n_relations=5, n_facts=300,
-                                        leak_rate=0.2, seed=3)
+                                        leak_rate=0.1, seed=3)
     for idx in world.overlap + world.text_only:
         text = world.aligned_text(idx)
         assert ev.render_sentence(*world.facts[idx]) in text
@@ -132,11 +161,11 @@ def test_both_entities_of_every_text_only_fact_are_in_the_kg(tmp_path, n_entitie
     """Entity linking resolves each link-prediction test triplet: text-only
     facts are derived facts, and their base facts are never withheld."""
     world = ev.generate_synthetic_world(n_entities=n_entities, n_relations=5, n_facts=n_facts,
-                                        leak_rate=0.2, seed=seed)
+                                        leak_rate=0.1, seed=seed)
     files = world.write_files(str(tmp_path))
     with open(files["kg.tsv"], encoding="utf-8") as fh:
         in_kg = {name for line in fh for name in line.rstrip("\n").split("\t")[::2]}
-    assert len(world.text_only) == n_facts // 5
+    assert len(world.text_only) == n_facts // 10   # half the derived facts
     for i in world.text_only:
         head, _, tail = world.facts[i]
         assert head in in_kg and tail in in_kg
@@ -144,7 +173,7 @@ def test_both_entities_of_every_text_only_fact_are_in_the_kg(tmp_path, n_entitie
 
 def test_every_entity_reachable_by_linking(tmp_path):
     world = ev.generate_synthetic_world(n_entities=80, n_relations=5, n_facts=500,
-                                        leak_rate=0.2, seed=6)
+                                        leak_rate=0.1, seed=6)
     files = world.write_files(str(tmp_path))
     _, entities, _ = load_kg(files["kg.tsv"], files["aliases.tsv"])
     assert len(entities) == 80
@@ -152,7 +181,7 @@ def test_every_entity_reachable_by_linking(tmp_path):
 
 def test_mcqa_gold_is_kg_derivable_and_choices_unique(tmp_path):
     world = ev.generate_synthetic_world(n_entities=60, n_relations=5, n_facts=500,
-                                        leak_rate=0.2, seed=7)
+                                        leak_rate=0.1, seed=7)
     files = world.write_files(str(tmp_path))
     kg, entities, relations = load_kg(files["kg.tsv"], files["aliases.tsv"])
     facts = set(world.facts)
