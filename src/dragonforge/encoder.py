@@ -198,7 +198,7 @@ def make_batch(examples: list[tuple[TextSegment, LocalKG]], cfg: EncoderConfig,
                seeds: list[int] | None) -> Batch:
     """Lay out a batch; IndexError names the first example over a size limit.
 
-    Seeds mean training: with dropout, example b's masks come from its one
+    Given seeds (training) and dropout, example b's masks come from its one
     stream split_rng(seeds[b], "dropout"): one draw for all token sites, one
     for all exchange hidden layers, then, for a real graph only, one for all
     node sites. Without seeds (evaluation) there are no masks.
