@@ -40,8 +40,7 @@ from .encoder import BIDIRECTIONAL, CONCAT_AT_END, EncoderConfig, param_shapes
 from .finetune import (DataError, FinetuneConfig, evaluate_mcqa, finetune_mcqa,
                        load_mcqa, pooling_head_shapes, read_jsonl)
 from .kg_store import EmptyGraphError, KGParseError, Vocab, load_kg
-from .retrieval import (RESERVED_TOKENS, Retriever, build_vocab, build_vocab_from_texts,
-                        segment_corpus)
+from .retrieval import RESERVED_TOKENS, Retriever, build_vocab, segment_corpus
 
 SEED_ENV_VAR = "DRAGONFORGE_SEED"
 
@@ -77,7 +76,7 @@ def _signature_defaults(section: str, fn) -> dict[str, object]:
 # default is declared once, by the signature that consumes it.
 DEFAULTS: dict[str, object] = {
     "seed": 0,
-    **_signature_defaults("vocab", build_vocab_from_texts),
+    **_signature_defaults("vocab", build_vocab),
     **_signature_defaults("encoder", EncoderConfig),
     **_signature_defaults("pretrain", pt.PretrainConfig),
     **_signature_defaults("finetune", FinetuneConfig),

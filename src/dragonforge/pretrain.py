@@ -575,8 +575,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], Vocab, EntityVocab, V
 
         token_vocab = Vocab.from_tsv(*table("tokens"), RESERVED_TOKENS)
         entities = EntityVocab.from_tsv(*table("entities"))
-        entities.aliases = {surface: eid for _, surface, eid
-                            in read_name_table(*table("aliases"), len(entities))}
+        entities.aliases = dict(read_name_table(*table("aliases"), len(entities)))
         relations = Vocab.from_tsv(*table("relations"), RESERVED_RELATIONS)
 
         params: dict[str, Tensor] = {}

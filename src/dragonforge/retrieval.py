@@ -37,21 +37,15 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def build_vocab_from_texts(texts, min_freq: int = 2) -> Vocab:
-    """Corpus-built vocabulary; tokens below min_freq map to [UNK]."""
-    counts: Counter[str] = Counter()
-    for text in texts:
-        counts.update(tokenize(text))
-    vocab = Vocab(RESERVED_TOKENS)
-    for tok in sorted(counts):
-        if counts[tok] >= min_freq:
-            vocab.add(tok)
-    return vocab
+def build_vocab(corpus_file: str, min_freq: int = 2) -> Vocab:
+    """Corpus-built vocabulary; tokens below min_freq map to [UNK].
 
-
-def build_vocab(corpus_file: str, min_freq: int) -> Vocab:
+    The whole file is tokenized in one call. That counts what a line-by-line
+    count would: no token spans a newline, and a newline is neither cased nor
+    case-ignorable, so lowercasing the whole text lowercases each line alike."""
     with open(corpus_file, encoding="utf-8") as fh:
-        return build_vocab_from_texts(fh, min_freq=min_freq)
+        counts = Counter(tokenize(fh.read()))
+    return Vocab(RESERVED_TOKENS + tuple(tok for tok in sorted(counts) if counts[tok] >= min_freq))
 
 
 @dataclass
@@ -184,21 +178,28 @@ def retrieve_local_kg(v_el: set[int], g: KnowledgeGraph, max_nodes: int,
 
 
 def verbalize_kg(local: LocalKG, entities: EntityVocab, relations: Vocab,
-                 token_vocab: Vocab, budget: int | None = None) -> list[int]:
+                 token_vocab: Vocab, budget: int | None = None,
+                 name_ids: dict[str, list[int]] | None = None) -> list[int]:
     """Render each non-interaction edge as `head rel tail` tokens, [SEP]-joined.
 
     Sentences are truncated whole when a budget (max token count for the
     suffix) is given. Returns a token-id suffix without the leading [INT].
+    `name_ids` memoises each entity or relation name's token ids under
+    token_vocab, so that a caller that keeps it tokenizes each name once.
     """
     if local.is_dummy:
         return []
+    if name_ids is None:
+        name_ids = {}
     out: list[int] = []
     for h, r, t in local.edges:
         if r == R_EL:
             continue
-        names = (entities.names[local.nodes[h]], relations.names[r], entities.names[local.nodes[t]])
-        sent = [token_vocab.ids.get(tok, UNK)
-                for name in names for tok in tokenize(default_surface(name))]
+        sent = []
+        for name in (entities.names[local.nodes[h]], relations.names[r], entities.names[local.nodes[t]]):
+            if name not in name_ids:
+                name_ids[name] = [token_vocab.ids.get(tok, UNK) for tok in tokenize(default_surface(name))]
+            sent += name_ids[name]
         addition = ([SEP] if out else []) + sent
         if budget is not None and len(out) + len(addition) > budget:
             break
@@ -215,6 +216,7 @@ class Retriever:
         self.kg, self.entities, self.relations, self.token_vocab = kg, entities, relations, token_vocab
         self.max_seq_len, self.max_nodes, self.kg_mode = max_seq_len, max_nodes, kg_mode
         self.alias_index = build_alias_index(entities)
+        self.name_ids: dict[str, list[int]] = {}   # verbalize_kg's memo of name token ids
 
     def inputs(self, texts: list[str], make_rng: Callable[[], np.random.Generator]
                ) -> tuple[TextSegment, LocalKG]:
@@ -235,7 +237,8 @@ class Retriever:
         local = retrieve_local_kg(v_el, self.kg, self.max_nodes, make_rng)
         if self.kg_mode == "verbalized":
             suffix = verbalize_kg(local, self.entities, self.relations, self.token_vocab,
-                                  budget=max(0, self.max_seq_len - seg.length - 1))
+                                  budget=max(0, self.max_seq_len - seg.length - 1),
+                                  name_ids=self.name_ids)
             if suffix:
                 seg = TextSegment(seg.token_ids + [SEP] + suffix)
             local = dummy_local_kg()
@@ -245,42 +248,35 @@ class Retriever:
 def segment_corpus(corpus_file: str, max_seq_len: int) -> list[str]:
     """Greedy packing of consecutive sentences into raw text segments.
 
-    Documents are blank-line separated; sentences are lines. Segments hold at
-    most max_seq_len - 1 tokens (one slot reserved for [INT]) and never cross
-    document boundaries. Over-long single sentences are hard-split on the
-    token boundaries of their lowercased text, and the pieces are that
-    lowercased text: lowercasing can change a string's length ('İ' becomes
-    two characters), so cutting the original would shift the cuts. Every
-    consumer lowercases anyway.
+    Sentences are lines, and a blank line (empty or whitespace only) ends a
+    document. Segments hold at most max_seq_len - 1 tokens (one slot
+    reserved for [INT]) and never cross document boundaries. Over-long
+    single sentences are hard-split on the token boundaries of their
+    lowercased text, and the pieces are that lowercased text: lowercasing
+    can change a string's length ('İ' becomes two characters), so cutting
+    the original would shift the cuts. Every consumer lowercases anyway.
     """
     budget = max_seq_len - 1
     segments: list[str] = []
     with open(corpus_file, encoding="utf-8") as fh:
-        text = fh.read()
-    for doc in text.split("\n\n"):
-        sentences = [s for s in doc.split("\n") if s.strip()]
-        if not sentences:
-            continue
-        cur: list[str] = []
-        cur_len = 0
-        for sent in sentences:
-            n = len(tokenize(sent))
-            if n > budget:
-                if cur:
-                    segments.append(" ".join(cur))
-                    cur, cur_len = [], 0
-                # hard-split an over-long sentence on token boundaries
-                low = sent.lower()
-                spans = [m.span() for m in _TOKEN_RE.finditer(low)]
-                for lo in range(0, len(spans), budget):
-                    chunk = spans[lo:lo + budget]
-                    segments.append(low[chunk[0][0]:chunk[-1][1]])
-                continue
-            if cur_len + n > budget:
+        lines = fh.read().split("\n")
+    cur: list[str] = []
+    cur_len = 0
+    for sent in lines + [""]:   # the end of the file ends the last document
+        n = len(tokenize(sent)) if sent.strip() else 0
+        # a blank line, an over-long sentence or a full segment ends the segment
+        if not n or n > budget or cur_len + n > budget:
+            if cur:
                 segments.append(" ".join(cur))
-                cur, cur_len = [], 0
+            cur, cur_len = [], 0
+        if n > budget:
+            # hard-split an over-long sentence on token boundaries
+            low = sent.lower()
+            spans = [m.span() for m in _TOKEN_RE.finditer(low)]
+            for lo in range(0, len(spans), budget):
+                chunk = spans[lo:lo + budget]
+                segments.append(low[chunk[0][0]:chunk[-1][1]])
+        elif n:
             cur.append(sent)
             cur_len += n
-        if cur:
-            segments.append(" ".join(cur))
     return segments

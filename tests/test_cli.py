@@ -129,6 +129,27 @@ def test_pretrain_metrics_byte_identical_across_runs(world_dir, tmp_path):
     assert c1 == c2
 
 
+@pytest.mark.parametrize("kg_mode", ["graph", "verbalized"])
+def test_pretrain_vocabulary_is_the_build_vocab_file(world_dir, tmp_path, kg_mode):
+    # pretrain without --vocab builds the vocabulary that build-vocab writes;
+    # min_freq 5 leaves some corpus tokens out of both
+    corpus = os.path.join(world_dir, "corpus.txt")
+    settings = ["--set", "vocab.min_freq=5"]
+    assert main(["build-vocab", "--corpus", corpus, "--out", str(tmp_path / "v")] + settings) == EXIT_OK
+    vocab = os.path.join(str(tmp_path / "v"), "vocab.tsv")
+    assert len(build_vocab(corpus, 5)) < len(build_vocab(corpus, 1))
+    outs = []
+    for name, extra in (("own", []), ("file", ["--vocab", vocab])):
+        out = str(tmp_path / name)
+        assert main(["pretrain", "--corpus", corpus, "--kg", os.path.join(world_dir, "kg.tsv"),
+                     "--aliases", os.path.join(world_dir, "aliases.tsv"), "--out", out, "--seed", "7",
+                     "--set", "pretrain.steps=6", "--set", "pretrain.batch_size=2",
+                     "--set", "pretrain.kg_mode=%s" % kg_mode]
+                    + MICRO_MODEL + settings + extra) == EXIT_OK
+        outs.append([open(os.path.join(out, f), "rb").read() for f in ("metrics.jsonl", "checkpoint.drgn")])
+    assert outs[0] == outs[1]
+
+
 def test_config_echo_reproduces_run(world_dir, pretrained, tmp_path):
     out = str(tmp_path / "echo")
     code = main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),

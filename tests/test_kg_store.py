@@ -1,5 +1,7 @@
-"""Knowledge-graph store: loading, dedup, adjacency, membership, round-trip."""
+"""Knowledge-graph store: loading, dedup, adjacency, membership, round-trip,
+and the name-table codec."""
 
+import gc
 import os
 import tempfile
 
@@ -260,3 +262,101 @@ def test_alias_file_unknown_entity(tmp_path):
     alias_path.write_text("thing\tnot_an_entity\n", encoding="utf-8")
     with pytest.raises(ks.KGParseError, match="not_an_entity"):
         ks.load_kg(kg_path, alias_file=str(alias_path))
+
+
+def line_reader_table(text, source, n_ids=None):
+    # reference: the name table read line by line, (lineno, name, id) per line
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        name, _, nid = line.partition("\t")
+        i = int(nid) if nid.isdecimal() else -1
+        if i < 0 or str(i) != nid or (n_ids is not None and i >= n_ids):
+            raise ValueError("%s:%d: expected name<TAB>id%s, got %r"
+                             % (source, lineno, "" if n_ids is None else " below %d" % n_ids, line))
+        yield lineno, name, i
+
+
+def line_reader_vocab(text, source, reserved):
+    # reference: Vocab.from_tsv checked line by line, raising at the first bad line
+    names = []
+    for lineno, name, nid in line_reader_table(text, source):
+        n = len(names)
+        new = name == reserved[n] if n < len(reserved) else name not in names + list(reserved)
+        if nid != n or not new:
+            raise ValueError("%s:%d: expected %s<TAB>%d, got %r"
+                             % (source, lineno, reserved[n] if n < len(reserved) else "a new name",
+                                n, "%s\t%d" % (name, nid)))
+        names.append(name)
+    if len(names) < len(reserved):
+        raise ValueError("%s:%d: expected %s<TAB>%d, got the end of the table"
+                         % (source, text.count("\n") + 1, reserved[len(names)], len(names)))
+    return names
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as e:
+        return "error", str(e)
+
+
+NAME = st.sampled_from(["[A]", "[B]", "x", "y", "z", "", " ", "x y", "é"])
+ID = st.sampled_from(["0", "1", "2", "3", "4", "5", "05", "-1", "+1", "", " 1", "١", "1_0", "99"])
+TABLE_LINE = st.one_of(st.just(""),
+                       st.tuples(NAME, st.integers(0, 5)).map(lambda p: "%s\t%d" % p),   # maybe dense
+                       st.tuples(NAME, ID).map("\t".join),
+                       st.tuples(NAME, ID, ID).map("\t".join),                           # two tabs
+                       NAME)                                                             # no tab
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(TABLE_LINE, max_size=8), end=st.sampled_from(["", "\n", "\n\n"]),
+       reserved=st.sampled_from([(), ("[A]",), ("[A]", "[B]")]))
+def test_bulk_vocab_table_reads_as_the_line_reader(lines, end, reserved):
+    text = "\n".join(lines) + end
+    expected = outcome(line_reader_vocab, text, "t.tsv", reserved)
+    got = outcome(ks.Vocab.from_tsv, text, "t.tsv", reserved)
+    assert (got[0], got[1].names if got[0] == "ok" else got[1]) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(TABLE_LINE, max_size=8), end=st.sampled_from(["", "\n", "\n\n"]),
+       n_ids=st.sampled_from([None, 0, 3, 6]))
+def test_bulk_name_table_reads_as_the_line_reader(lines, end, n_ids):
+    text = "\n".join(lines) + end
+    expected = outcome(lambda *args: list(line_reader_table(*args)), text, "t.tsv", n_ids)
+    if expected[0] == "ok":
+        expected = ("ok", [(name, i) for _, name, i in expected[1]])
+    assert outcome(ks.read_name_table, text, "t.tsv", n_ids) == expected
+
+
+def test_dense_tables_take_the_bulk_path(monkeypatch):
+    # the line reader runs only for a bad table; a good one never reaches it
+    monkeypatch.setattr(ks, "_table_lines", None)
+    text = ks.Vocab(("[A]", "x", "y")).to_tsv() + "\n"
+    assert ks.Vocab.from_tsv(text, "t.tsv", ("[A]",)).names == ["[A]", "x", "y"]
+    assert ks.read_name_table(text, "t.tsv", 3) == [("[A]", 0), ("x", 1), ("y", 2)]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("lines, error", [
+    (["a\tr\tb"], None),
+    (["a\tr\tb", "a\tr"], ks.KGParseError),
+    ([], ks.EmptyGraphError),
+], ids=["returns", "parse_error", "empty_graph"])
+def test_load_kg_restores_the_collector_state(tmp_path, lines, error, enabled):
+    # the graph is built with the cyclic collector paused, and its state is
+    # given back however load_kg ends
+    path = write_kg(tmp_path, lines)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if error is None:
+            ks.load_kg(path)
+        else:
+            with pytest.raises(error):
+                ks.load_kg(path)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()

@@ -1,6 +1,7 @@
 """Entity linking, local-KG retrieval with bridge expansion, verbalization,
 and corpus segmentation, each checked against an independent oracle."""
 
+import re
 from functools import partial
 
 import numpy as np
@@ -319,9 +320,13 @@ def test_long_document_splits(tmp_path):
 
 def test_segments_never_cross_documents(tmp_path):
     p = tmp_path / "c.txt"
-    p.write_text("doc one line\n\ndoc two line\n", encoding="utf-8")
-    segments = rt.segment_corpus(str(p), max_seq_len=512)
-    assert len(segments) == 2
+    for text, expected in [
+            ("doc one line\n\ndoc two line\n", ["doc one line", "doc two line"]),
+            # a line of whitespace only is blank too
+            ("alpha beta .\n \ngamma delta .\n", ["alpha beta .", "gamma delta ."]),
+            ("alpha\n\t \nbeta\n\ngamma\n", ["alpha", "beta", "gamma"])]:
+        p.write_text(text, encoding="utf-8")
+        assert rt.segment_corpus(str(p), max_seq_len=512) == expected, text
 
 
 def test_concatenation_reproduces_document_stream(tmp_path):
@@ -366,7 +371,8 @@ def span_segment_corpus(corpus_file, max_seq_len):
     segments = []
     with open(corpus_file, encoding="utf-8") as fh:
         text = fh.read()
-    for doc in text.split("\n\n"):
+    # documents are runs of lines between lines of whitespace only
+    for doc in re.split(r"^\s*$", text, flags=re.M):
         cur, cur_len = [], 0
         for sent in (s for s in doc.split("\n") if s.strip()):
             toks = token_spans(sent)
@@ -471,12 +477,25 @@ def test_vocab_tsv_round_trip():
     assert tv2.names == tv.names and tv2.ids == tv.ids
 
 
-@pytest.mark.parametrize("bad_line,lineno", [("alpha\t7", 6), ("alpha 5", 6), ("[PAD]\t5", 6)],
-                         ids=["non_dense_id", "no_tab", "repeated_name"])
-def test_vocab_tsv_rejects_malformed_line(bad_line, lineno):
-    text = Vocab(rt.RESERVED_TOKENS).to_tsv() + bad_line + "\n"
-    with pytest.raises(ValueError, match=r"vocab\.tsv:%d:" % lineno):
+RESERVED_TSV = Vocab(rt.RESERVED_TOKENS).to_tsv()
+
+
+@pytest.mark.parametrize("text,lineno,got", [
+    (RESERVED_TSV + "alpha\t7\n", 6, r"expected a new name<TAB>5, got 'alpha\t7'"),
+    (RESERVED_TSV + "alpha 5\n", 6, "expected name<TAB>id, got 'alpha 5'"),
+    (RESERVED_TSV + "[PAD]\t5\n", 6, r"expected a new name<TAB>5, got '[PAD]\t5'"),
+    (RESERVED_TSV + "alpha\t05\n", 6, r"expected name<TAB>id, got 'alpha\t05'"),
+    (RESERVED_TSV + "beta\t6\nalpha\t5\n", 6, r"expected a new name<TAB>5, got 'beta\t6'"),
+    (RESERVED_TSV.replace("[MASK]\t3\n", ""), 4, r"expected [MASK]<TAB>3, got '[SEP]\t4'"),
+    (RESERVED_TSV.replace("[INT]", ""), 3, r"expected [INT]<TAB>2, got '\t2'"),
+    ("[PAD]\t0\n[UNK]\t1\n\n", 4, "expected [INT]<TAB>2, got the end of the table"),
+], ids=["non_dense_id", "no_tab", "repeated_name", "leading_zero_id", "out_of_order_id",
+        "missing_reserved_name", "empty_name", "trailing_blank_line"])
+def test_vocab_tsv_rejects_malformed_line(text, lineno, got):
+    # the table is checked whole; the line reader names the line
+    with pytest.raises(ValueError) as e:
         Vocab.from_tsv(text, "vocab.tsv", rt.RESERVED_TOKENS)
+    assert str(e.value) == "vocab.tsv:%d: %s" % (lineno, got)
 
 
 def test_min_freq_threshold(tmp_path):
