@@ -81,8 +81,6 @@ DEFAULTS: dict[str, object] = {
     **_signature_defaults("pretrain", pt.PretrainConfig),
     **_signature_defaults("finetune", FinetuneConfig),
     **_signature_defaults("world", ev.generate_synthetic_world),
-    "eval.lp_baseline_steps": 600,
-    "eval.lp_baseline_dim": 32,
 }
 
 
@@ -166,14 +164,6 @@ class RunConfig:
     def world(self) -> ev.SyntheticWorld:
         return self._build("world", ev.generate_synthetic_world, seed=self.values["seed"])
 
-    def lp_baseline(self) -> dict[str, int]:
-        """train_distmult_baseline's d and steps, from the eval section."""
-        for key, low in (("eval.lp_baseline_dim", 1), ("eval.lp_baseline_steps", 0)):
-            if self.values[key] < low:
-                raise ConfigError("%s: must be >= %d, got %d" % (key, low, self.values[key]))
-        return {"d": self.values["eval.lp_baseline_dim"],
-                "steps": self.values["eval.lp_baseline_steps"]}
-
 
 def _write_effective_config(cfg: RunConfig, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
@@ -231,7 +221,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--kg", required=True)
     p.add_argument("--test", required=True, help="JSONL {head, rel, tail, text}")
-    p.add_argument("--mode", choices=["kg_plus_text", "kg_only"], default="kg_plus_text")
+    p.add_argument("--mode", choices=["kg_plus_text"], default="kg_plus_text")
     common(p)
 
     p = sub.add_parser("ablation", help="train/evaluate the declared ablation cells")
@@ -278,8 +268,7 @@ def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
     try:
         ckpt_values = parse_config_text(config_text)
         ckpt_cfg = RunConfig(("file", ckpt_values))
-        for build in (ckpt_cfg.encoder_config, ckpt_cfg.pretrain_config, ckpt_cfg.finetune_config,
-                      ckpt_cfg.lp_baseline):
+        for build in (ckpt_cfg.encoder_config, ckpt_cfg.pretrain_config, ckpt_cfg.finetune_config):
             build()
     except ConfigError as e:
         raise pt.CheckpointError("%s: config text: %s" % (args.checkpoint, e)) from None
@@ -398,26 +387,22 @@ def _cmd_eval_qa(args, cfg_flags: RunConfig) -> int:
 def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
     # candidates are local-graph nodes, so queries always get graph inputs
     params, retriever, cfg = _load_checkpoint_bundle(args, cfg_flags, kg_mode="graph")
-    baseline = cfg.lp_baseline()
     queries = read_jsonl(args.test, dict.fromkeys(("head", "rel", "tail", "text"), str), dict)
     entities, relations, kg = retriever.entities, retriever.relations, retriever.kg
     known_true = {(entities.names[h], relations.names[r], entities.names[t])
                   for h, r, t in kg.triplets}
     known_true |= {(q["head"], q["rel"], q["tail"]) for q in queries}
-    if args.mode == "kg_plus_text":
-        pre_cfg = cfg.pretrain_config()
-        if pre_cfg.kg_mode != "graph":
-            raise ConfigError("pretrain.kg_mode: --mode kg_plus_text scores graph inputs, which "
-                              "a %s checkpoint never saw; use --mode kg_only" % pre_cfg.kg_mode)
-        if pre_cfg.objective == "mlm_only":
-            raise ConfigError("pretrain.objective: --mode kg_plus_text ranks with the link-prediction "
-                              "head, which an mlm_only checkpoint never trained; use --mode kg_only")
-        if "other.linkpred.relations" not in params:
-            raise DataError("%s: checkpoint has no link-prediction head; use --mode kg_only"
-                            % args.checkpoint)
-        scorer = ev.ContextualScorer(params, cfg.encoder_config(), pt.linkpred_head(params, pre_cfg))
-    else:
-        scorer = ev.EntityTableScorer(*ev.train_distmult_baseline(kg, **baseline, seed=cfg["seed"]))
+    pre_cfg = cfg.pretrain_config()
+    hint = "use a checkpoint pretrained with pretrain.kg_mode=graph and a joint or linkpred_only objective"
+    if pre_cfg.kg_mode != "graph":
+        raise ConfigError("pretrain.kg_mode: eval-lp scores graph inputs, which a %s checkpoint "
+                          "never saw; %s" % (pre_cfg.kg_mode, hint))
+    if pre_cfg.objective == "mlm_only":
+        raise ConfigError("pretrain.objective: eval-lp ranks with the link-prediction head, which "
+                          "an mlm_only checkpoint never trained; %s" % hint)
+    if "other.linkpred.relations" not in params:
+        raise DataError("%s: checkpoint has no link-prediction head; %s" % (args.checkpoint, hint))
+    scorer = ev.ContextualScorer(params, cfg.encoder_config(), pt.linkpred_head(params, pre_cfg))
     report = ev.eval_link_prediction(scorer, queries, retriever, known_true, seed=cfg["seed"],
                                      batch_size=cfg.finetune_config().batch_size)
     _write_effective_config(cfg, args.out)
@@ -450,7 +435,7 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
                           % args.seeds) from None
     if len(set(seeds)) < len(seeds):   # each run of a cell writes <cell>-seed<seed>/
         raise ConfigError("--seeds: a seed is repeated in %r" % args.seeds)
-    for build in (cfg.encoder_config, cfg.pretrain_config, cfg.finetune_config, cfg.lp_baseline):
+    for build in (cfg.encoder_config, cfg.pretrain_config, cfg.finetune_config):
         build()
     files = cfg.world().write_files(os.path.join(args.out, "world"))
     _write_effective_config(cfg, args.out)

@@ -22,10 +22,8 @@ import numpy as np
 from . import numerics as nm
 from .encoder import EncoderConfig, check_fields, encode, encode_batch
 from .finetune import MCQAExample, pool
-from .kg_store import KnowledgeGraph
 from .numerics import Tensor
-from .pretrain import (LinkPredHead, LPQuery, Optimizer, query_scores, tail_query, train_step,
-                       triplet_scores)
+from .pretrain import LinkPredHead, LPQuery, query_scores, tail_query
 from .retrieval import LocalKG, Retriever, TextSegment
 
 
@@ -337,23 +335,9 @@ class ContextualScorer:
                                         for b, (_, _, q) in enumerate(batch)], self.head).values
 
 
-class EntityTableScorer:
-    """Scores candidates with a plain entity table, row = global entity id
-    (the KG-only baseline of train_distmult_baseline)."""
-
-    def __init__(self, entities: Tensor, head: LinkPredHead):
-        self.entities = entities
-        self.head = head
-
-    def score(self, batch: list[tuple[TextSegment, LocalKG, LPQuery]]) -> np.ndarray:
-        """Flat scores of every candidate of every query, in batch order."""
-        return query_scores(self.entities, [(q, np.asarray(local.nodes)) for _, local, q in batch],
-                            self.head).values
-
-
 def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
                          known_true: set[tuple[str, str, str]], seed: int = 0,
-                         filtered: bool = True, batch_size: int = 1) -> RankingReport:
+                         batch_size: int = 1) -> RankingReport:
     """Rank the gold tail against local-graph candidates for each query.
 
     Each query is the tail_query of its triple over the retrieved graph (so
@@ -392,7 +376,7 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
             skipped += 1
             continue
         drop = {j for j, c in enumerate(local.nodes) if j and c != t
-                and (h_name, r_name, entities.names[c]) in known_true} if filtered else ()
+                and (h_name, r_name, entities.names[c]) in known_true}
         query = tail_query(local, local.local_index(h), r, local.local_index(t), drop)
         if query is None:
             skipped += 1
@@ -402,43 +386,7 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
             flush()
     if pending:
         flush()
-    return ranks_to_report(ranks, n_candidates, filtered, skipped)
-
-
-def train_distmult_baseline(kg: KnowledgeGraph, d: int, steps: int,
-                            seed: int = 0) -> tuple[Tensor, LinkPredHead]:
-    """Plain DistMult entity embeddings and head trained on the KG triplets
-    alone (margin 0)."""
-    batch_size, lr, n_corrupt = 128, 1e-2, 8   # corrupted copies per positive
-    rng = nm.split_rng(seed, "distmult_baseline")
-    init = nm.split_rng(seed, "distmult_baseline_init")
-    ent = Tensor(init.normal(0, 0.2, size=(kg.n_entities, d)), requires_grad=True, name="other.ent")
-    rel = Tensor(init.normal(0, 0.2, size=(kg.n_relations, d)), requires_grad=True, name="other.rel")
-    params = {"other.ent": ent, "other.rel": rel}
-    opt = Optimizer(params, lr_lm=lr, lr_other=lr, total_steps=steps, warmup_ratio=0.05)
-    triplets = np.array(kg.triplets, dtype=np.int64)
-    head = LinkPredHead(scorer="distmult", margin=0.0, relations=rel)
-
-    def batch_loss(pos: np.ndarray, neg: np.ndarray) -> tuple[Tensor]:
-        pos_s = triplet_scores(nm.gather_rows(ent, pos[:, 0]), pos[:, 1],
-                               nm.gather_rows(ent, pos[:, 2]), head)
-        neg_s = triplet_scores(nm.gather_rows(ent, neg[:, 0]), neg[:, 1],
-                               nm.gather_rows(ent, neg[:, 2]), head)
-        loss = nm.add(nm.neg(nm.reduce_mean(nm.log_sigmoid(pos_s))),
-                      nm.reduce_mean(nm.log_sigmoid(neg_s)))
-        return (loss,)
-
-    for step in range(steps):
-        idx = rng.integers(0, len(triplets), size=batch_size)
-        pos = triplets[idx]
-        neg_h = pos.repeat(n_corrupt, axis=0)
-        corrupt_tail = rng.random(len(neg_h)) < 0.5
-        repl = rng.integers(0, kg.n_entities, size=len(neg_h))
-        neg = neg_h.copy()
-        neg[corrupt_tail, 2] = repl[corrupt_tail]
-        neg[~corrupt_tail, 0] = repl[~corrupt_tail]
-        train_step(opt, step, 1.0, partial(batch_loss, pos, neg))
-    return ent, head
+    return ranks_to_report(ranks, n_candidates, filtered=True, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------

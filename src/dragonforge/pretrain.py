@@ -257,7 +257,7 @@ class Optimizer:
     lr_other, each scaled by a linear warmup then a linear decay to zero."""
 
     def __init__(self, params: dict[str, Tensor], lr_lm: float, lr_other: float,
-                 total_steps: int, warmup_ratio: float = 0.1):
+                 total_steps: int, warmup_ratio: float):
         self.params = params
         self.lr_lm = lr_lm
         self.lr_other = lr_other

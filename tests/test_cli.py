@@ -33,6 +33,9 @@ MICRO_MODEL = ["--set", "encoder.n_unimodal=0", "--set", "encoder.n_fusion=1",
                "--set", "encoder.heads_text=2", "--set", "encoder.d_mint_hidden=16",
                "--set", "encoder.max_seq_len=32", "--set", "encoder.max_nodes=8",
                "--set", "vocab.min_freq=1"]
+# the remedy each of eval-lp's checkpoint refusals names
+LP_CHECKPOINT_HINT = ("use a checkpoint pretrained with pretrain.kg_mode=graph and a joint or "
+                      "linkpred_only objective")
 
 
 @pytest.fixture(scope="module")
@@ -209,20 +212,23 @@ def test_finetune_eval_qa_and_subsampling(world_dir, pretrained, tmp_path):
     assert rep["n"] > 0 and 0.0 <= rep["accuracy"] <= 1.0
 
 
-def test_eval_lp_both_modes(world_dir, pretrained, tmp_path):
-    for mode in ("kg_plus_text", "kg_only"):
-        out = str(tmp_path / mode)
-        code = main(["eval-lp", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
-                     "--kg", os.path.join(world_dir, "kg.tsv"),
-                     "--test", os.path.join(world_dir, "lp_test.jsonl"),
-                     "--mode", mode, "--out", out,
-                     "--set", "eval.lp_baseline_steps=50"])
-        assert code == EXIT_OK
-        rep = json.load(open(os.path.join(out, "ranking.json"), encoding="utf-8"))
-        assert rep["mode"] == mode
-        assert rep["hits1"] <= rep["hits3"] <= rep["hits10"]
-        assert list(rep)[-2:] == ["chance_mrr", "chance_hits3"]
-        assert 0.0 < rep["chance_mrr"] <= 1.0 and 0.0 < rep["chance_hits3"] <= 1.0
+def test_eval_lp_both_modes(world_dir, pretrained, tmp_path, capsys):
+    # kg_plus_text ranks with the checkpoint's own encoder and head; kg_only,
+    # the retired KG-only DistMult baseline, is refused before anything is written
+    args = ["eval-lp", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
+            "--kg", os.path.join(world_dir, "kg.tsv"),
+            "--test", os.path.join(world_dir, "lp_test.jsonl")]
+    out = str(tmp_path / "kg_plus_text")
+    assert main(args + ["--mode", "kg_plus_text", "--out", out]) == EXIT_OK
+    rep = json.load(open(os.path.join(out, "ranking.json"), encoding="utf-8"))
+    assert rep["mode"] == "kg_plus_text"
+    assert rep["hits1"] <= rep["hits3"] <= rep["hits10"]
+    assert list(rep)[-2:] == ["chance_mrr", "chance_hits3"]
+    assert 0.0 < rep["chance_mrr"] <= 1.0 and 0.0 < rep["chance_hits3"] <= 1.0
+    capsys.readouterr()
+    assert main(args + ["--mode", "kg_only", "--out", str(tmp_path / "kg_only")]) == EXIT_USAGE
+    assert "--mode: invalid choice: 'kg_only'" in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "kg_only").exists()
 
 
 def test_eval_lp_with_no_rankable_query_reports_zero_mrr(world_dir, pretrained, tmp_path):
@@ -331,12 +337,10 @@ def test_eval_lp_on_verbalized_checkpoint(world_dir, verbalized, tmp_path, capsy
     args = ["eval-lp", "--checkpoint", verbalized, "--kg", os.path.join(world_dir, "kg.tsv"),
             "--test", os.path.join(world_dir, "lp_test.jsonl")]
     assert main(args + ["--out", str(tmp_path / "ctx")]) == EXIT_USAGE
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: pretrain.kg_mode: ")
-    out = str(tmp_path / "kg_only")
-    assert main(args + ["--mode", "kg_only", "--out", out,
-                        "--set", "eval.lp_baseline_steps=20"]) == EXIT_OK
-    assert json.load(open(os.path.join(out, "ranking.json"), encoding="utf-8"))["n_queries"] > 0
+    assert capsys.readouterr().err.splitlines() == [
+        "error: pretrain.kg_mode: eval-lp scores graph inputs, which a verbalized checkpoint "
+        "never saw; %s" % LP_CHECKPOINT_HINT]
+    assert not (tmp_path / "ctx").exists()
 
 
 def test_eval_lp_on_mlm_only_checkpoint(world_dir, tmp_path, capsys):
@@ -353,13 +357,9 @@ def test_eval_lp_on_mlm_only_checkpoint(world_dir, tmp_path, capsys):
     capsys.readouterr()
     assert main(args + ["--out", str(tmp_path / "ctx")]) == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [
-        "error: pretrain.objective: --mode kg_plus_text ranks with the link-prediction head, "
-        "which an mlm_only checkpoint never trained; use --mode kg_only"]
+        "error: pretrain.objective: eval-lp ranks with the link-prediction head, which an "
+        "mlm_only checkpoint never trained; %s" % LP_CHECKPOINT_HINT]
     assert not (tmp_path / "ctx").exists()
-    out = str(tmp_path / "kg_only")
-    assert main(args + ["--mode", "kg_only", "--out", out,
-                        "--set", "eval.lp_baseline_steps=20"]) == EXIT_OK
-    assert json.load(open(os.path.join(out, "ranking.json"), encoding="utf-8"))["n_queries"] > 0
 
 
 def test_numeric_abort_exit_code(world_dir, tmp_path):
@@ -597,7 +597,7 @@ def test_eval_lp_without_linkpred_head_exits_data_error(world_dir, pretrained, t
                  "--out", str(tmp_path / "lp")])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.splitlines() == [
-        "data error: %s: checkpoint has no link-prediction head; use --mode kg_only" % ckpt]
+        "data error: %s: checkpoint has no link-prediction head; %s" % (ckpt, LP_CHECKPOINT_HINT)]
 
 
 def test_finetune_reports_dev_accuracy_under_run_seed(world_dir, pretrained, tmp_path):
@@ -725,10 +725,10 @@ def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, ca
             fh.write(data)
         expected = "data error: %s: tokens table is not valid UTF-8" % bad
     elif corruption == "config_key_flipped":
-        data[data.index(b"eval.lp_baseline_dim") + len("eval.lp_baseline_")] ^= 0x20   # d -> D
+        data[data.index(b"finetune.batch_size") + len("finetune.batch_")] ^= 0x20   # s -> S
         with open(bad, "wb") as fh:
             fh.write(data)
-        expected = ("data error: %s: config text: line 13: unknown key 'eval.lp_baseline_Dim'"
+        expected = ("data error: %s: config text: line 13: unknown key 'finetune.batch_Size'"
                     % bad)
     elif corruption == "tensor_name_flipped":
         data[data.index(b"lm.layer0.ffn.w1") + len("lm.layer0.ffn.w")] ^= 0x01   # w1 -> w0
@@ -810,23 +810,6 @@ def test_finetune_with_empty_train_file_exits_data_error(world_dir, pretrained, 
     assert capsys.readouterr().err.splitlines() == [
         "data error: %s: no questions to train on" % train]
     assert not (tmp_path / "ft").exists()
-
-
-@pytest.mark.parametrize("setting, message", [
-    ("eval.lp_baseline_dim=-1", "eval.lp_baseline_dim: must be >= 1, got -1"),
-    ("eval.lp_baseline_dim=0", "eval.lp_baseline_dim: must be >= 1, got 0"),
-    ("eval.lp_baseline_steps=-5", "eval.lp_baseline_steps: must be >= 0, got -5"),
-], ids=["dim=-1", "dim=0", "steps=-5"])
-def test_bad_lp_baseline_setting_exits_usage(world_dir, pretrained, tmp_path, capsys, setting,
-                                             message):
-    for command in (["eval-lp", "--mode", "kg_only",
-                     "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
-                     "--kg", os.path.join(world_dir, "kg.tsv"),
-                     "--test", os.path.join(world_dir, "lp_test.jsonl")], ["ablation"]):
-        code = main(command + ["--out", str(tmp_path / "o"), "--set", setting])
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err.splitlines() == ["error: " + message]
-        assert not (tmp_path / "o").exists()
 
 
 def test_finetune_with_empty_dev_file_exits_data_error(world_dir, pretrained, tmp_path, capsys):
@@ -970,11 +953,14 @@ def test_the_retired_world_structure_key_is_refused(world_dir, pretrained, tmp_p
 
 
 @pytest.mark.parametrize("line", ["pretrain.optimizer = adam  # default",
-                                  "world.sentences_per_doc = 4  # default"])
+                                  "world.sentences_per_doc = 4  # default",
+                                  "eval.lp_baseline_dim = 32  # default",
+                                  "eval.lp_baseline_steps = 600  # default"])
 def test_the_retired_optimizer_and_document_size_keys_are_refused(world_dir, pretrained, tmp_path,
                                                                    capsys, line):
-    # Adam is the only optimizer and each story is one document, so neither
-    # key sets anything; a checkpoint whose config names one fails
+    # Adam is the only optimizer, each story is one document and eval-lp
+    # trains no KG-only baseline, so no such key sets anything; a checkpoint
+    # whose config names one fails
     key, value = (part.split("#")[0].strip() for part in line.split("="))
     code = main(["gen-synthetic", "--out", str(tmp_path / "w"), "--set", "%s=%s" % (key, value)])
     assert code == EXIT_USAGE

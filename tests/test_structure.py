@@ -70,13 +70,12 @@ def test_link_prediction_has_one_encode_path(name, caller):
 
 @pytest.mark.parametrize("name, expected", [
     ("tail_query", {"pretrain:hold_out_edges", "evaluation:eval_link_prediction"}),
-    ("query_scores", {"pretrain:linkpred_loss", "evaluation:ContextualScorer.score",
-                      "evaluation:EntityTableScorer.score"}),
-    ("triplet_scores", {"pretrain:query_scores", "evaluation:train_distmult_baseline.batch_loss"}),
+    ("query_scores", {"pretrain:linkpred_loss", "evaluation:ContextualScorer.score"}),
+    ("triplet_scores", {"pretrain:query_scores"}),
 ])
 def test_link_prediction_queries_are_built_and_scored_in_one_place(name, expected):
     # pretraining and eval-lp build the same tail query and score it through
-    # one function; only the KG-only baseline's own sampler scores triplets
+    # one function, which alone scores triplets
     assert callers(name) == expected
 
 
