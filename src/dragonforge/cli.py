@@ -39,7 +39,7 @@ from . import pretrain as pt
 from .encoder import BIDIRECTIONAL, CONCAT_AT_END, EncoderConfig, param_shapes
 from .finetune import (DataError, FinetuneConfig, evaluate_mcqa, finetune_mcqa,
                        load_mcqa, pooling_head_shapes, read_jsonl)
-from .kg_store import EmptyGraphError, KGParseError, Vocab, load_kg
+from .kg_store import EmptyGraphError, KGParseError, Vocab, load_kg, read_text
 from .retrieval import RESERVED_TOKENS, Retriever, build_vocab, segment_corpus
 
 SEED_ENV_VAR = "DRAGONFORGE_SEED"
@@ -248,8 +248,7 @@ def _run_config(args) -> RunConfig:
     env_seed = os.environ.get(SEED_ENV_VAR)
     layers = [("env", {} if env_seed is None else {"seed": _coerce("seed", env_seed)})]
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            layers.append(("file", parse_config_text(fh.read())))
+        layers.append(("file", parse_config_text(read_text(args.config))))
     return RunConfig(*layers, ("flag", overrides),
                      ("flag", {} if args.seed is None else {"seed": args.seed}))
 
@@ -324,8 +323,7 @@ def _cmd_pretrain(args, cfg: RunConfig) -> int:
     enc_cfg, pre_cfg = cfg.encoder_config(), cfg.pretrain_config()
     kg, entities, relations = load_kg(args.kg, alias_file=args.aliases)
     if args.vocab:
-        with open(args.vocab, encoding="utf-8") as fh:
-            token_vocab = Vocab.from_tsv(fh.read(), args.vocab, RESERVED_TOKENS)
+        token_vocab = Vocab.from_tsv(read_text(args.vocab), args.vocab, RESERVED_TOKENS)
     else:
         token_vocab = build_vocab(args.corpus, min_freq=cfg["vocab.min_freq"])
     segments = segment_corpus(args.corpus, enc_cfg.max_seq_len)
@@ -349,7 +347,7 @@ def _cmd_finetune(args, cfg_flags: RunConfig) -> int:
         raise DataError("%s: no questions to train on" % args.train)
     dev_set = load_mcqa(args.dev)
     ft_cfg = cfg.finetune_config()
-    if ft_cfg.early_stop and not dev_set:
+    if not dev_set:
         raise DataError("%s: no questions; early stopping picks an epoch by dev accuracy"
                         % args.dev)
     _write_effective_config(cfg, args.out)
@@ -388,10 +386,6 @@ def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
     # candidates are local-graph nodes, so queries always get graph inputs
     params, retriever, cfg = _load_checkpoint_bundle(args, cfg_flags, kg_mode="graph")
     queries = read_jsonl(args.test, dict.fromkeys(("head", "rel", "tail", "text"), str), dict)
-    entities, relations, kg = retriever.entities, retriever.relations, retriever.kg
-    known_true = {(entities.names[h], relations.names[r], entities.names[t])
-                  for h, r, t in kg.triplets}
-    known_true |= {(q["head"], q["rel"], q["tail"]) for q in queries}
     pre_cfg = cfg.pretrain_config()
     hint = "use a checkpoint pretrained with pretrain.kg_mode=graph and a joint or linkpred_only objective"
     if pre_cfg.kg_mode != "graph":
@@ -403,7 +397,7 @@ def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
     if "other.linkpred.relations" not in params:
         raise DataError("%s: checkpoint has no link-prediction head; %s" % (args.checkpoint, hint))
     scorer = ev.ContextualScorer(params, cfg.encoder_config(), pt.linkpred_head(params, pre_cfg))
-    report = ev.eval_link_prediction(scorer, queries, retriever, known_true, seed=cfg["seed"],
+    report = ev.eval_link_prediction(scorer, queries, retriever, seed=cfg["seed"],
                                      batch_size=cfg.finetune_config().batch_size)
     _write_effective_config(cfg, args.out)
     with open(os.path.join(args.out, "ranking.json"), "w", encoding="utf-8") as fh:
@@ -463,11 +457,10 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
                 row["status"] = status
                 break
         else:   # every command succeeded
-            with open(os.path.join(out, "finetune", "accuracy.json"), encoding="utf-8") as fh:
-                row["mcqa_accuracy"] = round(json.load(fh)["reports"]["test"]["accuracy"], 4)
+            accuracy = json.loads(read_text(os.path.join(out, "finetune", "accuracy.json")))
+            row["mcqa_accuracy"] = round(accuracy["reports"]["test"]["accuracy"], 4)
             if trains_lp:
-                with open(os.path.join(out, "eval-lp", "ranking.json"), encoding="utf-8") as fh:
-                    ranking = json.load(fh)
+                ranking = json.loads(read_text(os.path.join(out, "eval-lp", "ranking.json")))
                 row["lp_mrr"] = round(ranking["mrr"], 4) if ranking["n_queries"] else ""
                 row["status"] = "ok" if ranking["n_queries"] else "no-lp-queries"
     with open(os.path.join(args.out, "ablation.tsv"), "w", encoding="utf-8") as fh:
@@ -540,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError,) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError) as e:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as e:
         print("data error: %s: %s" % (e.filename, e.strerror), file=sys.stderr)
         return EXIT_DATA
     except (KGParseError, EmptyGraphError, DataError, ValueError) as e:

@@ -44,14 +44,13 @@ class EncoderConfig:
     heads_text: int = 4
     heads_gnn: int = 2
     d_mint_hidden: int = 128
-    d_ffn: int = 0               # 0 -> 4 * d_text
     dropout: float = 0.1
     max_seq_len: int = 64
     max_nodes: int = 24
     fusion: str = BIDIRECTIONAL
 
     def __post_init__(self):
-        check_fields(self, lambda v: v >= 0, ">= 0", "n_unimodal", "d_ffn")
+        check_fields(self, lambda v: v >= 0, ">= 0", "n_unimodal")
         check_fields(self, lambda v: v >= 1, ">= 1", "n_fusion", "d_text", "d_node", "heads_text",
                      "heads_gnn", "d_mint_hidden", "max_nodes")
         check_fields(self, lambda v: v >= 2, ">= 2 ([INT] and a token)", "max_seq_len")
@@ -60,8 +59,6 @@ class EncoderConfig:
             raise ValueError("heads_text: %d does not divide d_text %d" % (self.heads_text, self.d_text))
         if self.d_node % self.heads_gnn:
             raise ValueError("heads_gnn: %d does not divide d_node %d" % (self.heads_gnn, self.d_node))
-        if self.d_ffn == 0:
-            self.d_ffn = 4 * self.d_text
         if self.fusion not in (BIDIRECTIONAL, CONCAT_AT_END):
             raise ValueError("fusion: unknown mode %r" % self.fusion)
 
@@ -140,9 +137,9 @@ def param_shapes(cfg: EncoderConfig, vocab_size: int, n_entities: int, n_relatio
             put(p + "attn.b" + w[1], (dt,), 0.0)
         put(p + "ln1.g", (dt,), 1.0)
         put(p + "ln1.b", (dt,), 0.0)
-        put(p + "ffn.w1", (dt, cfg.d_ffn), NORMAL)
-        put(p + "ffn.b1", (cfg.d_ffn,), 0.0)
-        put(p + "ffn.w2", (cfg.d_ffn, dt), NORMAL)
+        put(p + "ffn.w1", (dt, 4 * dt), NORMAL)
+        put(p + "ffn.b1", (4 * dt,), 0.0)
+        put(p + "ffn.w2", (4 * dt, dt), NORMAL)
         put(p + "ffn.b2", (dt,), 0.0)
         put(p + "ln2.g", (dt,), 1.0)
         put(p + "ln2.b", (dt,), 0.0)

@@ -47,16 +47,16 @@ class RankingReport:
             assert 0.0 < self.mrr <= 1.0 + 1e-12
 
 
-def ranks_to_report(ranks: list[float], n_candidates: list[int], filtered: bool,
-                    skipped: int) -> RankingReport:
-    """Metrics of the gold ranks; n_candidates[i] is query i's candidate count.
+def ranks_to_report(ranks: list[float], n_candidates: list[int], skipped: int) -> RankingReport:
+    """Metrics of the filtered gold ranks; n_candidates[i] is query i's
+    candidate count.
 
     The chance floor comes from the counts alone: a uniformly random order of
     n candidates puts the gold at each rank with probability 1/n, so its
     expected reciprocal rank is H_n / n and its Hit@3 is min(3, n) / n.
     """
     if not ranks:
-        return RankingReport(0.0, 0.0, 0.0, 0.0, 0.0, 0, filtered, skipped, 0.0, 0.0)
+        return RankingReport(0.0, 0.0, 0.0, 0.0, 0.0, 0, True, skipped, 0.0, 0.0)
     arr = np.array(ranks, dtype=np.float64)
     n = np.array(n_candidates, dtype=np.int64)
     harmonic = np.cumsum(1.0 / np.arange(1, n.max() + 1))   # harmonic[k - 1] = H_k
@@ -64,7 +64,7 @@ def ranks_to_report(ranks: list[float], n_candidates: list[int], filtered: bool,
         hits1=float((arr <= 1.0).mean()), hits3=float((arr <= 3.0).mean()),
         hits10=float((arr <= 10.0).mean()), mrr=float((1.0 / arr).mean()),
         mean_rank=float(arr.mean()), n_queries=len(ranks),
-        filtered=filtered, skipped=skipped,
+        filtered=True, skipped=skipped,
         chance_mrr=float((harmonic[n - 1] / n).mean()),
         chance_hits3=float((np.minimum(3, n) / n).mean()))
 
@@ -335,16 +335,17 @@ class ContextualScorer:
                                         for b, (_, _, q) in enumerate(batch)], self.head).values
 
 
-def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
-                         known_true: set[tuple[str, str, str]], seed: int = 0,
+def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever, seed: int = 0,
                          batch_size: int = 1) -> RankingReport:
     """Rank the gold tail against local-graph candidates for each query.
 
     Each query is the tail_query of its triple over the retrieved graph (so
     the retriever runs in graph mode): candidates are the graph's entity
-    nodes but the head; filtering drops candidates that form other
-    known-true triplets. Queries whose head or tail fall outside the
-    retrieved graph, or that tail_query refuses, are skipped and counted.
+    nodes but the head; filtering drops candidates that form another
+    known-true triple, one of the KG or of the queries. Queries that name
+    an entity or relation outside the retriever's vocabularies, whose head
+    or tail fall outside the retrieved graph, or that tail_query refuses,
+    are skipped and counted.
 
     Query qi is retrieved with its own stream factory partial(split_rng, seed,
     "lp_retrieval", qi), so skips and candidates do not depend on batching.
@@ -352,6 +353,9 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
     batch's last retrieval, plus a final partial batch.
     """
     entities, relations = retriever.entities, retriever.relations
+    triples = [(entities.ids.get(q["head"]), relations.ids.get(q["rel"]), entities.ids.get(q["tail"]))
+                for q in queries]
+    known_true = set(retriever.kg.triplets) | {ids for ids in triples if None not in ids}
     ranks: list[float] = []
     n_candidates: list[int] = []
     pending: list[tuple[TextSegment, LocalKG, LPQuery]] = []
@@ -364,19 +368,16 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
             n_candidates.append(len(scores))
         pending.clear()
 
-    for qi, q in enumerate(queries):
-        h_name, r_name, t_name = q["head"], q["rel"], q["tail"]
-        if h_name not in entities.ids or t_name not in entities.ids or r_name not in relations.ids:
+    for qi, (q, (h, r, t)) in enumerate(zip(queries, triples)):
+        if None in (h, r, t):
             skipped += 1
             continue
-        h, t, r = entities.ids[h_name], entities.ids[t_name], relations.ids[r_name]
         seg, local = retriever.inputs([q["text"]], partial(nm.split_rng, seed, "lp_retrieval", qi))
         node_set = set(local.entity_ids())
         if local.is_dummy or h not in node_set or t not in node_set:
             skipped += 1
             continue
-        drop = {j for j, c in enumerate(local.nodes) if j and c != t
-                and (h_name, r_name, entities.names[c]) in known_true}
+        drop = {j for j, c in enumerate(local.nodes) if j and c != t and (h, r, c) in known_true}
         query = tail_query(local, local.local_index(h), r, local.local_index(t), drop)
         if query is None:
             skipped += 1
@@ -386,7 +387,7 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever,
             flush()
     if pending:
         flush()
-    return ranks_to_report(ranks, n_candidates, filtered=True, skipped=skipped)
+    return ranks_to_report(ranks, n_candidates, skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import numerics as nm
 from .encoder import NORMAL, EncoderConfig, EncoderOutput, check_fields, encode_batch, init_param
+from .kg_store import read_text
 from .numerics import Tensor
 from .pretrain import Optimizer, train_step
 from .retrieval import LocalKG, Retriever, TextSegment
@@ -56,27 +57,27 @@ def read_jsonl(path: str, fields: dict, make: Callable) -> list:
 
     fields maps each required key to str, int (not bool) or list (of
     strings). A line that is not such an object, or that make() rejects
-    with a DataError, raises DataError("path:line: ...").
+    with a DataError, raises DataError("path:line: ..."); bytes that are not
+    UTF-8 raise KGParseError naming their line (kg_store.read_text).
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise DataError("expected a JSON object, got %s" % type(rec).__name__)
-                for key, kind in fields.items():
-                    check, description = _KINDS[kind]
-                    if key not in rec:
-                        raise DataError("missing field %r" % key)
-                    if not check(rec[key]):
-                        raise DataError("%r must be %s, got %r" % (key, description, rec[key]))
-                out.append(make(**{key: rec[key] for key in fields}))
-            except (json.JSONDecodeError, DataError) as e:
-                raise DataError("%s:%d: %s" % (path, lineno, e)) from None
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise DataError("expected a JSON object, got %s" % type(rec).__name__)
+            for key, kind in fields.items():
+                check, description = _KINDS[kind]
+                if key not in rec:
+                    raise DataError("missing field %r" % key)
+                if not check(rec[key]):
+                    raise DataError("%r must be %s, got %r" % (key, description, rec[key]))
+            out.append(make(**{key: rec[key] for key in fields}))
+        except (json.JSONDecodeError, DataError) as e:
+            raise DataError("%s:%d: %s" % (path, lineno, e)) from None
     return out
 
 
@@ -132,7 +133,6 @@ class FinetuneConfig:
     freeze_lm_epochs: int = 0    # full-scale reference: 4
     train_fraction: float = 1.0  # low-resource subsampling
     seed: int = 0
-    early_stop: bool = True
 
     def __post_init__(self):
         check_fields(self, lambda v: v >= 1, ">= 1", "epochs", "batch_size")
@@ -216,8 +216,8 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
     uses it, and its inputs are kept for the run's later epochs (one memo per
     set, keyed by question index); nothing is retrieved before the first step.
 
-    Returns the best epoch's parameters by dev accuracy (the last epoch's without
-    early stopping), a per-epoch history and the returned parameters' dev report.
+    Returns the best epoch's parameters by dev accuracy (the earliest on a tie),
+    a per-epoch history and the returned parameters' dev report.
     """
     if "other.pool.wq" not in params:
         add_pooling_head(params, enc_cfg, cfg.seed)
@@ -241,7 +241,7 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
         return (nm.reduce_mean(nm.cross_entropy_with_logits(logits, golds)),)
 
     history: list[dict] = []
-    best = None   # (dev report, parameter copy) of the best epoch under early stopping
+    best = None   # (dev report, parameter copy) of the best epoch
     step = 0
     for epoch in range(cfg.epochs):
         opt.frozen_prefixes = ("lm.",) if epoch < cfg.freeze_lm_epochs else ()
@@ -256,9 +256,8 @@ def finetune_mcqa(train_examples: list[MCQAExample], dev_examples: list[MCQAExam
         dev = evaluate_mcqa(dev_examples, retriever, params, enc_cfg, cfg, dev_inputs)
         history.append({"epoch": epoch, "train_loss": epoch_loss / max(1, n_batches),
                         "dev_accuracy": dev["accuracy"]})
-        if cfg.early_stop and (best is None or dev["accuracy"] > best[0]["accuracy"]):
+        if best is None or dev["accuracy"] > best[0]["accuracy"]:
             best = (dev, {k: Tensor(p.values.copy(), requires_grad=True, name=k)
                           for k, p in params.items()})
-    if best is not None:
-        dev, params = best
+    dev, params = best
     return params, history, dev

@@ -15,10 +15,12 @@ a checkpoint's tokens, entities, relations and aliases tables.
 from __future__ import annotations
 
 import gc
+from functools import cached_property
 
 
 class KGParseError(ValueError):
-    """Malformed triplet/alias file; message carries the line number."""
+    """Malformed triplet/alias file, or an input file that is not UTF-8;
+    the message names the file and line."""
 
 
 class EmptyGraphError(ValueError):
@@ -146,18 +148,13 @@ def default_surface(name: str) -> str:
 
 
 class EntityVocab(Vocab):
-    """Entity names plus aliases: surface form -> id, defaulting to the name's."""
+    """Entity names plus their explicit aliases, surface form -> id. Each
+    name's default_surface is an alias too, which retrieval.build_alias_index
+    derives and the explicit aliases override."""
 
-    def __init__(self, names: tuple[str, ...] | list[str] = ()):
-        super().__init__(names)
-        self.aliases: dict[str, int] = {}
-        for name, i in self.ids.items():
-            self.aliases.setdefault(default_surface(name), i)
-
-    def add(self, name: str) -> int:
-        if name not in self.ids:
-            self.aliases.setdefault(default_surface(name), super().add(name))
-        return self.ids[name]
+    @cached_property
+    def aliases(self) -> dict[str, int]:
+        return {}
 
 
 class KnowledgeGraph:
@@ -205,16 +202,15 @@ class KnowledgeGraph:
         return set(self._indexed(v)[1])
 
 
-def _read_text(path: str) -> str:
+def read_text(path: str) -> str:
     """The file as open() reads it in text mode: UTF-8, with universal
-    newlines. Bytes that are not UTF-8 raise KGParseError naming their line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    newlines. Bytes that are not UTF-8 raise KGParseError naming their line.
+    Every file the library reads but a checkpoint is read here."""
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise KGParseError("%s:%d: not valid UTF-8" % (path, data.count(b"\n", 0, e.start) + 1)) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:   # read() decodes the whole file at once: e.object is its bytes
+        raise KGParseError("%s:%d: not valid UTF-8" % (path, e.object.count(b"\n", 0, e.start) + 1)) from None
 
 
 def _read_tsv_rows(path: str, layout: str):
@@ -224,7 +220,7 @@ def _read_tsv_rows(path: str, layout: str):
     exactly that many non-empty fields raises KGParseError naming the line.
     """
     n_fields = layout.count("<TAB>") + 1
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line:
             continue
         parts = line.split("\t")
@@ -262,7 +258,7 @@ def load_kg(triplet_file: str, alias_file: str | None = None
 
 def _load_kg(triplet_file: str, alias_file: str | None) -> tuple[KnowledgeGraph, EntityVocab, Vocab]:
     layout = "head<TAB>relation<TAB>tail"
-    lines = list(filter(None, _read_text(triplet_file).split("\n")))
+    lines = list(filter(None, read_text(triplet_file).split("\n")))
     if not lines:
         raise EmptyGraphError("%s: no triplets" % triplet_file)
     fields = _tab_fields(lines, 3)
@@ -287,7 +283,8 @@ def _load_kg(triplet_file: str, alias_file: str | None) -> tuple[KnowledgeGraph,
 
 
 def load_aliases(alias_file: str, entities: EntityVocab) -> None:
-    """Merge a `surface<TAB>entity_name` TSV into the vocab's alias table."""
+    """Merge a `surface<TAB>entity_name` TSV into the vocab's explicit
+    aliases, a later line overriding an earlier one."""
     for lineno, (surface, name) in _read_tsv_rows(alias_file, "surface<TAB>entity_name"):
         if name not in entities.ids:
             raise KGParseError("%s:%d: unknown entity %r" % (alias_file, lineno, name))

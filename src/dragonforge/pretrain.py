@@ -45,7 +45,10 @@ class CheckpointError(ValueError):
 class MaskingPlan:
     positions: list[int]
     original_ids: list[int]
-    flagged_empty: bool = False
+
+    @property
+    def flagged_empty(self) -> bool:
+        return not self.positions
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -63,7 +66,7 @@ def apply_masking(seg: TextSegment, rate: float, rng: np.random.Generator) -> tu
         raise ValueError("mask rate must be in (0, 1]")
     eligible = [i for i in range(1, seg.length) if seg.token_ids[i] not in (PAD, SEP)]
     if not eligible:
-        return seg, MaskingPlan([], [], flagged_empty=True)
+        return seg, MaskingPlan([], [])
     positions = _pick(eligible, rate, rng)
     new_ids = list(seg.token_ids)
     for p in positions:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kg_store import EntityVocab, KnowledgeGraph, R_EL, Vocab, default_surface
+from .kg_store import EntityVocab, KnowledgeGraph, R_EL, Vocab, default_surface, read_text
 
 # Reserved token ids; bracketed uppercase forms cannot be produced by the
 # lowercasing tokenizer, so corpus tokens never collide with them.
@@ -43,8 +43,7 @@ def build_vocab(corpus_file: str, min_freq: int = 2) -> Vocab:
     The whole file is tokenized in one call. That counts what a line-by-line
     count would: no token spans a newline, and a newline is neither cased nor
     case-ignorable, so lowercasing the whole text lowercases each line alike."""
-    with open(corpus_file, encoding="utf-8") as fh:
-        counts = Counter(tokenize(fh.read()))
+    counts = Counter(tokenize(read_text(corpus_file)))
     return Vocab(RESERVED_TOKENS + tuple(tok for tok in sorted(counts) if counts[tok] >= min_freq))
 
 
@@ -85,10 +84,17 @@ class LocalKG:
 
 
 def build_alias_index(entities: EntityVocab) -> dict[str, list[tuple[tuple[str, ...], int]]]:
-    """first token -> [(token tuple, entity id)], longest aliases first."""
+    """first token -> [(token tuple, entity id)], longest aliases first.
+
+    The aliases are each name's default_surface, set in id order so that the
+    first of several names with one default surface keeps it, overridden by
+    the explicit aliases."""
+    aliases: dict[str, int] = {}
+    for i, name in enumerate(entities.names):
+        aliases.setdefault(default_surface(name), i)
+    aliases.update(entities.aliases)
     index: dict[str, list[tuple[tuple[str, ...], int]]] = {}
-    for surface in sorted(entities.aliases):
-        eid = entities.aliases[surface]
+    for surface, eid in sorted(aliases.items()):
         toks = tuple(tokenize(surface))
         if not toks:
             continue
@@ -178,19 +184,16 @@ def retrieve_local_kg(v_el: set[int], g: KnowledgeGraph, max_nodes: int,
 
 
 def verbalize_kg(local: LocalKG, entities: EntityVocab, relations: Vocab,
-                 token_vocab: Vocab, budget: int | None = None,
-                 name_ids: dict[str, list[int]] | None = None) -> list[int]:
+                 token_vocab: Vocab, budget: int, name_ids: dict[str, list[int]]) -> list[int]:
     """Render each non-interaction edge as `head rel tail` tokens, [SEP]-joined.
 
-    Sentences are truncated whole when a budget (max token count for the
-    suffix) is given. Returns a token-id suffix without the leading [INT].
-    `name_ids` memoises each entity or relation name's token ids under
-    token_vocab, so that a caller that keeps it tokenizes each name once.
+    Whole sentences are kept while the suffix holds at most `budget` tokens.
+    Returns a token-id suffix without the leading [INT]. `name_ids` memoises
+    each entity or relation name's token ids under token_vocab, so that a
+    caller that keeps it tokenizes each name once.
     """
     if local.is_dummy:
         return []
-    if name_ids is None:
-        name_ids = {}
     out: list[int] = []
     for h, r, t in local.edges:
         if r == R_EL:
@@ -201,7 +204,7 @@ def verbalize_kg(local: LocalKG, entities: EntityVocab, relations: Vocab,
                 name_ids[name] = [token_vocab.ids.get(tok, UNK) for tok in tokenize(default_surface(name))]
             sent += name_ids[name]
         addition = ([SEP] if out else []) + sent
-        if budget is not None and len(out) + len(addition) > budget:
+        if len(out) + len(addition) > budget:
             break
         out.extend(addition)
     return out
@@ -258,8 +261,7 @@ def segment_corpus(corpus_file: str, max_seq_len: int) -> list[str]:
     """
     budget = max_seq_len - 1
     segments: list[str] = []
-    with open(corpus_file, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(corpus_file).split("\n")
     cur: list[str] = []
     cur_len = 0
     for sent in lines + [""]:   # the end of the file ends the last document

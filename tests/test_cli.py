@@ -1,11 +1,13 @@
 """CLI contracts: determinism, exit codes, config echo, persistence."""
 
 import ctypes
+import errno
 import inspect
 import json
 import os
 import statistics
 import struct
+import subprocess
 import sys
 from functools import partial
 
@@ -728,7 +730,7 @@ def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, ca
         data[data.index(b"finetune.batch_size") + len("finetune.batch_")] ^= 0x20   # s -> S
         with open(bad, "wb") as fh:
             fh.write(data)
-        expected = ("data error: %s: config text: line 13: unknown key 'finetune.batch_Size'"
+        expected = ("data error: %s: config text: line 12: unknown key 'finetune.batch_Size'"
                     % bad)
     elif corruption == "tensor_name_flipped":
         data[data.index(b"lm.layer0.ffn.w1") + len("lm.layer0.ffn.w")] ^= 0x01   # w1 -> w0
@@ -888,22 +890,62 @@ def test_kg_with_a_reserved_relation_name_exits_data_error(world_dir, tmp_path, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("which", ["kg", "aliases"])
-def test_file_that_is_not_utf8_exits_data_error_naming_file_and_line(world_dir, tmp_path, capsys,
-                                                                      which):
-    lines = open(os.path.join(world_dir, which + ".tsv"), encoding="utf-8").read().splitlines()
-    bad = tmp_path / (which + ".tsv")
-    bad.write_bytes("".join(line + "\n" for line in lines[:4]).encode() + b"\xffx\ty\tz\n"
-                    + "".join(line + "\n" for line in lines[4:]).encode())
-    paths = {"kg": os.path.join(world_dir, "kg.tsv"), "aliases": os.path.join(world_dir, "aliases.tsv"),
-             which: str(bad)}
+# input kind -> (file it is made from, argv before its --out); {bad} is the file
+# with a byte that is not UTF-8 on line 5, {w} the world and {ckpt} a checkpoint
+NON_UTF8_INPUTS = {
+    "kg": ("kg.tsv", ["pretrain", "--corpus", "{w}/corpus.txt", "--kg", "{bad}",
+                      "--aliases", "{w}/aliases.tsv"]),
+    "aliases": ("aliases.tsv", ["pretrain", "--corpus", "{w}/corpus.txt", "--kg", "{w}/kg.tsv",
+                                "--aliases", "{bad}"]),
+    "pretrain-corpus": ("corpus.txt", ["pretrain", "--corpus", "{bad}", "--kg", "{w}/kg.tsv"]),
+    "build-vocab-corpus": ("corpus.txt", ["build-vocab", "--corpus", "{bad}"]),
+    "vocab": ("vocab.tsv", ["pretrain", "--corpus", "{w}/corpus.txt", "--kg", "{w}/kg.tsv",
+                            "--vocab", "{bad}"]),
+    "config": ("config.txt", ["gen-synthetic", "--config", "{bad}"]),
+    "mcqa": ("mcqa_train.jsonl", ["finetune", "--checkpoint", "{ckpt}", "--kg", "{w}/kg.tsv",
+                                  "--train", "{bad}", "--dev", "{w}/mcqa_dev.jsonl"]),
+    "lp": ("lp_test.jsonl", ["eval-lp", "--checkpoint", "{ckpt}", "--kg", "{w}/kg.tsv",
+                             "--test", "{bad}"]),
+}
+
+
+@pytest.mark.parametrize("which", list(NON_UTF8_INPUTS))
+def test_file_that_is_not_utf8_exits_data_error_naming_file_and_line(world_dir, pretrained,
+                                                                      tmp_path, capsys, which):
+    source, argv = NON_UTF8_INPUTS[which]
+    texts = {"vocab.tsv": build_vocab(os.path.join(world_dir, "corpus.txt")).to_tsv(),
+             "config.txt": RunConfig().to_text()}
+    if source in texts:
+        text = texts[source]
+    else:
+        text = open(os.path.join(world_dir, source), encoding="utf-8").read()
+    lines = text.splitlines(keepends=True)
+    bad = tmp_path / source
+    bad.write_bytes("".join(lines[:4]).encode() + b"\xff\n" + "".join(lines[4:]).encode())
+    fill = {"bad": str(bad), "w": world_dir, "ckpt": os.path.join(pretrained, "checkpoint.drgn")}
     out = tmp_path / "o"
-    code = main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"), "--kg", paths["kg"],
-                 "--aliases", paths["aliases"], "--out", str(out), "--set", "pretrain.steps=1"]
-                + MICRO_MODEL)
+    code = main([arg.format(**fill) for arg in argv] + ["--out", str(out)])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.splitlines() == ["data error: %s:5: not valid UTF-8" % bad]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-synthetic", "build-vocab", "eval-lp"])
+@pytest.mark.parametrize("where", ["a_file", "under_a_file"])
+def test_out_path_that_cannot_be_a_directory_exits_data_error_naming_it(world_dir, pretrained,
+                                                                        tmp_path, capsys,
+                                                                        command, where):
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    out, reason = ((tmp_path / "taken", errno.EEXIST) if where == "a_file"
+                   else (tmp_path / "taken" / "o", errno.ENOTDIR))
+    argv = {"gen-synthetic": ["gen-synthetic"] + MICRO_WORLD,
+            "build-vocab": ["build-vocab", "--corpus", os.path.join(world_dir, "corpus.txt")],
+            "eval-lp": ["eval-lp", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
+                        "--kg", os.path.join(world_dir, "kg.tsv"),
+                        "--test", os.path.join(world_dir, "lp_test.jsonl")]}[command]
+    assert main(argv + ["--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: %s: %s" % (out, os.strerror(reason))]
 
 
 def _with_config_line(checkpoint: str, line: str, out: str) -> int:
@@ -955,12 +997,15 @@ def test_the_retired_world_structure_key_is_refused(world_dir, pretrained, tmp_p
 @pytest.mark.parametrize("line", ["pretrain.optimizer = adam  # default",
                                   "world.sentences_per_doc = 4  # default",
                                   "eval.lp_baseline_dim = 32  # default",
-                                  "eval.lp_baseline_steps = 600  # default"])
+                                  "eval.lp_baseline_steps = 600  # default",
+                                  "encoder.d_ffn = 0  # default",
+                                  "finetune.early_stop = True  # default"])
 def test_the_retired_optimizer_and_document_size_keys_are_refused(world_dir, pretrained, tmp_path,
                                                                    capsys, line):
-    # Adam is the only optimizer, each story is one document and eval-lp
-    # trains no KG-only baseline, so no such key sets anything; a checkpoint
-    # whose config names one fails
+    # Adam is the only optimizer, each story is one document, eval-lp trains
+    # no KG-only baseline, the feed-forward width is 4 * d_text and finetune
+    # always keeps its best dev epoch, so no such key sets anything; a
+    # checkpoint whose config names one fails
     key, value = (part.split("#")[0].strip() for part in line.split("="))
     code = main(["gen-synthetic", "--out", str(tmp_path / "w"), "--set", "%s=%s" % (key, value)])
     assert code == EXIT_USAGE
@@ -1046,3 +1091,21 @@ def test_heap_pin_is_a_silent_no_op_without_mallopt(monkeypatch, capsys, cdll):
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     assert cli._pin_heap.__wrapped__() is None
     assert capsys.readouterr() == ("", "")
+
+
+def test_module_entry_point_exits_with_the_documented_codes(world_dir, tmp_path):
+    # `python -m dragonforge.cli` runs main_entry, which turns main's return
+    # value into the process's exit status
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = {EXIT_OK: ["gen-synthetic", "--out", str(tmp_path / "w")] + MICRO_WORLD,
+            EXIT_USAGE: ["gen-synthetic", "--out", str(tmp_path / "u"), "--set", "nonsense.key=1"],
+            EXIT_DATA: ["build-vocab", "--corpus", str(tmp_path / "missing.txt"),
+                        "--out", str(tmp_path / "d")]}
+    for code, argv in runs.items():
+        done = subprocess.run([sys.executable, "-m", "dragonforge.cli"] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+    assert os.path.exists(tmp_path / "w" / "kg.tsv")
+    assert done.stderr.splitlines() == ["data error: %s: No such file or directory"
+                                        % (tmp_path / "missing.txt")]

@@ -48,15 +48,15 @@ DIGESTS = {
     ("pretrain-graph", "metrics.jsonl"):
         "2e619b6906714a66dfa0a3300addbb57fe4310d8b56cc4cc033bf5b68bb8178a",
     ("pretrain-graph", "checkpoint.drgn"):
-        "e4f3fbc804e2900e1a37dee5eecd9ba8d9507697a20d574b0b36afd9483dd9ae",
+        "1d68ccb7c6389b9188d259c706036cb47176dd7e1ea90c83aa777c7b0405107d",
     ("pretrain-verbalized", "metrics.jsonl"):
         "7705ba63b0ddb44252bcb6dff91500da14443d52b1f638bdb355bb1281014167",
     ("pretrain-verbalized", "checkpoint.drgn"):
-        "be204bfdf221183503f1ac7fc14d68d83607eec4e58993d33c4f8df35b625757",
+        "14794f0967a294f6244f933e53b59f20cdc3f2e58ec461871c74c4a84ec59be6",
     ("finetune", "accuracy.json"):
         "e8b500a4215986efda1c0ab8a1b7df11df65083edba3e4c87310b6a1e7d303a2",
     ("finetune", "finetuned.drgn"):
-        "ff893e28ba8ed274f0821b66839b755b6c70f6c93ccb4388a663cb87272b447b",
+        "5dc6ede77628c5ca7e15574c78231bfcedde405fbb0628b22036efb6731f5857",
     ("pretrain-rotate", "metrics.jsonl"):
         "5d0a5d2374600bd29b334931e4ac3281aee77e3501ac5dff95b557ad26055106",
     ("eval-qa", "accuracy.json"):

@@ -271,7 +271,7 @@ def np_softmax(x, axis=-1):
 
 def test_manual_forward_oracle_single_token_single_node():
     cfg = EncoderConfig(n_unimodal=1, n_fusion=1, d_text=4, d_node=4, heads_text=2,
-                        heads_gnn=2, d_mint_hidden=6, d_ffn=8, dropout=0.0,
+                        heads_gnn=2, d_mint_hidden=6, dropout=0.0,
                         max_seq_len=4, max_nodes=2)
     with nm.float64_mode():
         params = init_params(cfg, 11, VOCAB, ENTS, RELS)

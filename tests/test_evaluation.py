@@ -27,7 +27,7 @@ def test_average_rank_tie_breaking():
 
 def test_report_monotonicity_enforced():
     ranks = [1.0, 2.0, 4.0, 11.0, 3.0]
-    report = ev.ranks_to_report(ranks, [12] * 5, filtered=True, skipped=0)
+    report = ev.ranks_to_report(ranks, [12] * 5, skipped=0)
     assert report.hits1 <= report.hits3 <= report.hits10 <= 1.0
     assert report.hits1 == pytest.approx(1 / 5)
     assert report.hits3 == pytest.approx(3 / 5)
@@ -37,7 +37,7 @@ def test_report_monotonicity_enforced():
 
 def test_perfect_scorer_yields_unit_metrics():
     ranks = [1.0] * 20
-    report = ev.ranks_to_report(ranks, [4] * 20, filtered=True, skipped=0)
+    report = ev.ranks_to_report(ranks, [4] * 20, skipped=0)
     assert report.hits1 == 1.0 and report.mrr == 1.0
 
 
@@ -53,10 +53,10 @@ def test_chance_floor_matches_every_permutation_of_small_candidate_sets():
         rr.append(np.mean([1.0 / r for r in ranks]))
         hit3.append(np.mean([r <= 3.0 for r in ranks]))
     # the floor depends on the candidate counts, not on the ranks reached
-    report = ev.ranks_to_report([1.0, 3.0, 2.5, 5.0, 6.0, 1.0, 2.0], counts, True, 0)
+    report = ev.ranks_to_report([1.0, 3.0, 2.5, 5.0, 6.0, 1.0, 2.0], counts, 0)
     assert report.chance_mrr == pytest.approx(np.mean(rr), rel=1e-12)
     assert report.chance_hits3 == pytest.approx(np.mean(hit3), rel=1e-12)
-    empty = ev.ranks_to_report([], [], True, 3)
+    empty = ev.ranks_to_report([], [], 3)
     assert (empty.chance_mrr, empty.chance_hits3) == (0.0, 0.0)
 
 
@@ -242,20 +242,21 @@ def test_gold_boosted_scorer_gets_perfect_metrics(tmp_path):
     boost = {(entities.ids[q["head"]], relations.ids[q["rel"]],
               entities.ids[q["tail"]]) for q in queries}
     report = ev.eval_link_prediction(StubScorer(boost), queries, retriever(kg, entities, relations,
-                                                                           tv, enc_cfg),
-                                     set(world.facts))
+                                                                           tv, enc_cfg))
     assert report.n_queries > 0
     assert report.hits1 == 1.0 and report.mrr == 1.0
 
 
 def test_filtered_ranking_matches_exhaustive_scan_oracle(tmp_path):
     world, kg, entities, relations, tv, enc_cfg = lp_fixture(tmp_path)
-    known = set(world.facts)
     queries = world.lp_queries()[:25]
+    # the known-true triples: the KG file's and the queries', by name
+    with open(str(tmp_path / "kg.tsv"), encoding="utf-8") as fh:
+        known = [tuple(line.rstrip("\n").split("\t")) for line in fh]
+    known += [(q["head"], q["rel"], q["tail"]) for q in queries]
     scorer = StubScorer()
-    filtered = ev.eval_link_prediction(scorer, queries, retriever(kg, entities, relations, tv, enc_cfg),
-                                       known)
-    # independent oracle: replay retrieval, scan the full fact list to filter
+    filtered = ev.eval_link_prediction(scorer, queries, retriever(kg, entities, relations, tv, enc_cfg))
+    # independent oracle: replay retrieval, scan the known-true list to filter
     ranks, counts = [], []
     for qi, q in enumerate(queries):
         h, t = entities.ids[q["head"]], entities.ids[q["tail"]]
@@ -278,7 +279,7 @@ def test_filtered_ranking_matches_exhaustive_scan_oracle(tmp_path):
         scores = scorer.score([(seg, local, query)])
         ranks.append(ev.average_rank(scores, cands.index(t)))
         counts.append(len(cands))
-    oracle = ev.ranks_to_report(ranks, counts, True, filtered.skipped)
+    oracle = ev.ranks_to_report(ranks, counts, filtered.skipped)
     assert filtered.n_queries == oracle.n_queries
     assert filtered.mrr == pytest.approx(oracle.mrr)
     assert filtered.hits3 == pytest.approx(oracle.hits3)
@@ -313,12 +314,9 @@ def test_chains_world_link_prediction_is_solvable_from_the_retrieved_graph(tmp_p
     kg, entities, relations = load_kg(files["kg.tsv"])
     tv = build_vocab(files["corpus.txt"], min_freq=DEFAULTS["vocab.min_freq"])
     queries = [json.loads(line) for line in open(files["lp_test.jsonl"], encoding="utf-8")]
-    known_true = {(entities.names[h], relations.names[r], entities.names[t])
-                  for h, r, t in kg.triplets}
-    known_true |= {(q["head"], q["rel"], q["tail"]) for q in queries}
     report = ev.eval_link_prediction(RuleScorer(relations), queries,
                                      retriever(kg, entities, relations, tv, EncoderConfig()),
-                                     known_true, seed=1, batch_size=8)
+                                     seed=1, batch_size=8)
     assert report.n_queries >= 0.9 * len(queries)
     assert report.mrr >= 0.9
 
@@ -327,8 +325,7 @@ def test_contextual_scorer_runs_and_reports(tmp_path):
     world, kg, entities, relations, tv, enc_cfg = lp_fixture(tmp_path)
     scorer = contextual_scorer(enc_cfg, tv, entities, relations)
     report = ev.eval_link_prediction(scorer, world.lp_queries()[:15],
-                                     retriever(kg, entities, relations, tv, enc_cfg),
-                                     set(world.facts))
+                                     retriever(kg, entities, relations, tv, enc_cfg))
     assert report.n_queries + report.skipped == 15
     assert report.hits1 <= report.hits3 <= report.hits10
 
@@ -380,8 +377,8 @@ def test_batched_link_prediction_report_equals_per_query_report(tmp_path):
             return scorer.score(batch)
 
     ret = retriever(kg, entities, relations, tv, enc_cfg)
-    per_query = ev.eval_link_prediction(scorer, queries, ret, set(world.facts), batch_size=1)
-    batched = ev.eval_link_prediction(Recording(), queries, ret, set(world.facts), batch_size=8)
+    per_query = ev.eval_link_prediction(scorer, queries, ret, batch_size=1)
+    batched = ev.eval_link_prediction(Recording(), queries, ret, batch_size=8)
     assert batched == per_query
     assert per_query.skipped >= 4 and per_query.n_queries % 8   # skips, then a partial batch
     assert sizes == [8] * (per_query.n_queries // 8) + [per_query.n_queries % 8]

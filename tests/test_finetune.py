@@ -270,7 +270,7 @@ def test_finetune_reduces_loss_and_freezes_lm(tmp_path):
     lm_before = params["lm.tok_emb"].values.copy()
     node_before = params["node_emb.table"].values.copy()
     cfg = ft.FinetuneConfig(epochs=3, batch_size=4, freeze_lm_epochs=3, seed=8,
-                            lr_other=3e-3, early_stop=False)
+                            lr_other=3e-3)
     params2, history, _ = ft.finetune_mcqa(data["train"], data["dev"],
                                         retriever(kg, entities, relations, tv, enc_cfg),
                                         params, enc_cfg, cfg)

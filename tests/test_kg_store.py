@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dragonforge import kg_store as ks
+from dragonforge.retrieval import build_alias_index
 
 
 def write_kg(tmp_path, lines, name="kg.tsv"):
@@ -162,8 +163,8 @@ def test_constructor_names_the_first_id_out_of_range(triplets, message):
 
 
 def reference_graph(rows):
-    """Vocabularies, aliases, triplets and adjacency of `rows`, built edge by edge."""
-    ent_names, ent_ids, aliases = [], {}, {}
+    """Vocabularies, triplets and adjacency of `rows`, built edge by edge."""
+    ent_names, ent_ids = [], {}
     rel_names = list(ks.RESERVED_RELATIONS)
     rel_ids = {name: i for i, name in enumerate(rel_names)}
     triplets, adj = [], {}
@@ -172,7 +173,6 @@ def reference_graph(rows):
             if name not in ent_ids:
                 ent_ids[name] = len(ent_names)
                 ent_names.append(name)
-                aliases.setdefault(name.lower().replace("_", " "), ent_ids[name])
         if r not in rel_ids:
             rel_ids[r] = len(rel_names)
             rel_names.append(r)
@@ -181,7 +181,7 @@ def reference_graph(rows):
             triplets.append(triplet)
             adj.setdefault(triplet[0], []).append((triplet[1], triplet[2], ks.DIR_OUT))
             adj.setdefault(triplet[2], []).append((triplet[1], triplet[0], ks.DIR_IN))
-    return ent_names, ent_ids, aliases, rel_names, rel_ids, triplets, adj
+    return ent_names, ent_ids, rel_names, rel_ids, triplets, adj
 
 
 @settings(max_examples=200, deadline=None)
@@ -201,8 +201,10 @@ def test_load_kg_matches_an_edge_by_edge_reference(lines):
                 ks.load_kg(path)
             return
         g, entities, relations = ks.load_kg(path)
-    ent_names, ent_ids, aliases, rel_names, rel_ids, triplets, adj = reference_graph(rows)
-    assert (entities.names, entities.ids, entities.aliases) == (ent_names, ent_ids, aliases)
+    ent_names, ent_ids, rel_names, rel_ids, triplets, adj = reference_graph(rows)
+    # without an alias file there are no explicit aliases; the default ones
+    # are derived where the alias index is built
+    assert (entities.names, entities.ids, entities.aliases) == (ent_names, ent_ids, {})
     assert (relations.names, relations.ids) == (rel_names, rel_ids)
     assert g.triplets == triplets
     assert (g.n_entities, g.n_relations) == (len(ent_names), len(rel_names))
@@ -245,7 +247,10 @@ def test_entity_vocab_roundtrip_and_default_alias():
     ev = ks.EntityVocab()
     eid = ev.add("Round_Brush")
     assert ev.ids[ev.names[eid]] == eid
-    assert ev.aliases["round brush"] == eid
+    # the vocab holds only explicit aliases; the alias index derives the
+    # name's default surface
+    assert ev.aliases == {}
+    assert build_alias_index(ev) == {"round": [(("round", "brush"), eid)]}
 
 
 def test_alias_file_merges(tmp_path):

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dragonforge import numerics as nm
+from dragonforge import pretrain as pt
 from dragonforge import retrieval as rt
 from dragonforge.kg_store import (DIR_OUT, RESERVED_RELATIONS, EntityVocab, KnowledgeGraph, R_EL,
                                   Vocab, load_kg)
+
+ROOM = 100   # a verbalization budget above any fixture's suffix length
 
 
 def make_vocab(words):
@@ -85,7 +88,61 @@ def test_linking_matches_exhaustive_oracle():
         words = [base_words[i] for i in rng.integers(0, len(base_words), size=rng.integers(1, 12))]
         text = " ".join(words)
         _, linked = rt.link_entities(text, rt.build_alias_index(ev), tv)
-        assert linked == oracle_leftmost_longest(words, ev.aliases), text
+        assert linked == oracle_leftmost_longest(words, reference_alias_table(ev.names, [])), text
+
+
+def reference_alias_table(names, alias_rows):
+    """surface -> entity id, built as the entity vocabulary once stored it:
+    each name's lowercased, underscore-free surface set in id order unless
+    an earlier name has it, then each (surface, name) row of the alias file
+    in order, a later row overriding."""
+    table = {}
+    for i, name in enumerate(names):
+        table.setdefault(name.lower().replace("_", " "), i)
+    for surface, name in alias_rows:
+        table[surface.lower()] = names.index(name)
+    return table
+
+
+def reference_alias_index(table):
+    """first token -> [(token tuple, entity id)] of a whole surface table,
+    longest first, as the alias index was built from a stored table."""
+    index = {}
+    for surface in sorted(table):
+        toks = tuple(rt.tokenize(surface))
+        if toks:
+            index.setdefault(toks[0], []).append((toks, table[surface]))
+    for bucket in index.values():
+        bucket.sort(key=lambda p: (-len(p[0]), p[0]))
+    return index
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(names=st.lists(st.sampled_from(["A_b", "a b", "a_B", "ab", "B", "b", "c_d_e", "C d", "x"]),
+                      min_size=1, max_size=7, unique=True),
+       rows=st.lists(st.tuples(st.sampled_from(["a b", "A B", "ab", "x y", "c d e", "B", "zz"]),
+                               st.integers(0, 6)), max_size=6))
+def test_alias_index_matches_the_stored_table_rule(tmp_path, names, rows):
+    # default surfaces collide ("A_b", "a b" and "a_B" share "a b") and alias
+    # rows override defaults and each other
+    rows = [(surface, names[i % len(names)]) for surface, i in rows]
+    kg, aliases = tmp_path / "kg.tsv", tmp_path / "aliases.tsv"
+    kg.write_text("".join("%s\tr\t%s\n" % (name, name) for name in names), encoding="utf-8")
+    aliases.write_text("".join("%s\t%s\n" % row for row in rows), encoding="utf-8")
+    g, entities, relations = load_kg(str(kg), str(aliases))
+    assert entities.names == names
+    expected = reference_alias_index(reference_alias_table(names, rows))
+    assert rt.build_alias_index(entities) == expected
+    # a checkpoint stores the explicit aliases only, and one written when the
+    # default aliases were stored too holds the whole table: both link alike
+    tv = Vocab(rt.RESERVED_TOKENS)
+    for table in (entities.aliases, reference_alias_table(names, rows)):
+        entities.aliases = table
+        path = str(tmp_path / "c.drgn")
+        pt.save_checkpoint(path, {}, tv, entities, relations)
+        _, _, loaded, _, _ = pt.load_checkpoint(path)
+        assert loaded.aliases == table
+        assert rt.build_alias_index(loaded) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +301,20 @@ def verbal_fixture():
 def test_verbalize_single_edge_template():
     g, ev, rv, tv = verbal_fixture()
     local = rt.LocalKG(nodes=[rt.V_INT, 0, 1], edges=[(0, R_EL, 1), (1, rv.ids["at_location"], 2)])
-    suffix = rt.verbalize_kg(local, ev, rv, tv)
+    suffix = rt.verbalize_kg(local, ev, rv, tv, ROOM, {})
     words = [tv.names[t] for t in suffix]
     assert words == ["round", "brush", "at", "location", "hair"]
 
 
 def test_verbalize_dummy_is_empty():
     g, ev, rv, tv = verbal_fixture()
-    assert rt.verbalize_kg(rt.dummy_local_kg(), ev, rv, tv) == []
+    assert rt.verbalize_kg(rt.dummy_local_kg(), ev, rv, tv, ROOM, {}) == []
 
 
 def test_verbalize_three_edges_sep_joined_in_edge_order():
     g, ev, rv, tv = verbal_fixture()
     local = rt.retrieve_local_kg({0, 1, 2}, g, max_nodes=8, make_rng=partial(nm.split_rng, 6, "t"))
-    suffix = rt.verbalize_kg(local, ev, rv, tv)
+    suffix = rt.verbalize_kg(local, ev, rv, tv, ROOM, {})
     seps = [i for i, t in enumerate(suffix) if t == rt.SEP]
     assert len(seps) == 2
     # string-assembly oracle: independently render each edge then join
@@ -284,15 +341,15 @@ def test_verbalize_suffix_is_pinned_for_a_fixed_local_kg():
         tv.add(w)
     local = rt.LocalKG(nodes=[rt.V_INT, 0, 1, 2],
                        edges=[(0, R_EL, 1), (1, 2, 2), (1, 3, 3), (3, 2, 2)])
-    assert rt.verbalize_kg(local, ev, rv, tv) == [5, 6, 7, 8, 9, rt.SEP, 5, 6, 10, 11, rt.UNK, 12,
+    assert rt.verbalize_kg(local, ev, rv, tv, ROOM, {}) == [5, 6, 7, 8, 9, rt.SEP, 5, 6, 10, 11, rt.UNK, 12,
                                                   rt.SEP, rt.UNK, 12, 7, 8, 9]
 
 
 def test_verbalize_budget_truncates_whole_sentences():
     g, ev, rv, tv = verbal_fixture()
     local = rt.retrieve_local_kg({0, 1, 2}, g, max_nodes=8, make_rng=partial(nm.split_rng, 7, "t"))
-    full = rt.verbalize_kg(local, ev, rv, tv)
-    first = rt.verbalize_kg(local, ev, rv, tv, budget=len(full) - 1)
+    full = rt.verbalize_kg(local, ev, rv, tv, ROOM, {})
+    first = rt.verbalize_kg(local, ev, rv, tv, len(full) - 1, {})
     assert rt.SEP not in first or len(first) < len(full)
     assert full[:len(first)] == first
 

@@ -128,3 +128,17 @@ def test_row_scatters_go_through_rows_at():
     # ufunc.at on 2-D rows is several times slower than _rows_at's flat form
     assert functions_where(lambda node: isinstance(node, ast.Call)
                            and getattr(node.func, "attr", None) == "at") == {"numerics:_rows_at"}
+
+
+def test_input_files_are_read_by_the_one_text_reader():
+    # every file the library reads goes through kg_store.read_text, which
+    # names the file and line of a byte that is not UTF-8; only a checkpoint,
+    # a binary file, has its own reader
+    def opens_to_read(node) -> bool:
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+            return False
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+        return not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax"))
+
+    assert functions_where(opens_to_read) == {"kg_store:read_text", "pretrain:load_checkpoint"}
