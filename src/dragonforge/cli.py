@@ -5,7 +5,10 @@ Configuration is a flat `key = value` text format with `#` comments. Its
 sources are layered, each over the ones before: the defaults (declared by
 the library signatures that consume them) < DRAGONFORGE_SEED < --config <
 --set < --seed. A command that loads a checkpoint lays the checkpoint's
-config over the defaults and under every other source.
+config over the defaults and under every other source. One parser,
+parse_config_text, reads each source as lines: a --config file, the --set
+items in order, the line `seed = $DRAGONFORGE_SEED` and a checkpoint's
+config text. Its errors name `<source>:<line>`, and the key where there is one.
 The effective configuration is written next to every command's outputs and
 reproduces the run when fed back through --config under the same seed.
 
@@ -88,35 +91,27 @@ class ConfigError(ValueError):
     pass
 
 
-def _coerce(key: str, raw: str):
-    default = DEFAULTS[key]
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError("%s: expected a boolean, got %r" % (key, raw))
-    try:
-        value = type(default)(raw)
-    except ValueError:
-        raise ConfigError("%s: expected %s, got %r" % (key, type(default).__name__, raw)) from None
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError("%s: expected a finite float, got %r" % (key, raw))
-    return value
-
-
-def parse_config_text(text: str) -> dict[str, object]:
+def parse_config_text(lines: list[str], source: str) -> dict[str, object]:
+    """{key: value} of `key = value` lines, each value of its default's type;
+    `#` starts a comment. A ConfigError names `<source>:<line>`."""
     values: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError("line %d: expected key = value, got %r" % (lineno, line))
-        key, raw = (part.strip() for part in line.split("=", 1))
+        key, eq, raw = (part.strip() for part in line.partition("="))
+        where = "%s:%d" % (source, lineno)
+        if not eq:
+            raise ConfigError("%s: expected key = value, got %r" % (where, line))
         if key not in DEFAULTS:
-            raise ConfigError("line %d: unknown key %r" % (lineno, key))
-        values[key] = _coerce(key, raw)
+            raise ConfigError("%s: unknown key %r" % (where, key))
+        kind = type(DEFAULTS[key])
+        try:
+            values[key] = kind(raw)
+        except ValueError:
+            raise ConfigError("%s: %s: expected %s, got %r" % (where, key, kind.__name__, raw)) from None
+        if kind is float and not math.isfinite(values[key]):
+            raise ConfigError("%s: %s: expected a finite float, got %r" % (where, key, raw))
     return values
 
 
@@ -163,6 +158,10 @@ class RunConfig:
 
     def world(self) -> ev.SyntheticWorld:
         return self._build("world", ev.generate_synthetic_world, seed=self.values["seed"])
+
+    def validate(self) -> None:
+        """Build every model and training section; a bad value raises ConfigError."""
+        self.encoder_config(), self.pretrain_config(), self.finetune_config()
 
 
 def _write_effective_config(cfg: RunConfig, out_dir: str) -> None:
@@ -237,19 +236,12 @@ def _build_parser() -> _Parser:
 
 
 def _run_config(args) -> RunConfig:
-    overrides = {}
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigError("--set expects KEY=VALUE, got %r" % item)
-        key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in DEFAULTS:
-            raise ConfigError("unknown config key %r" % key)
-        overrides[key] = _coerce(key, raw)
     env_seed = os.environ.get(SEED_ENV_VAR)
-    layers = [("env", {} if env_seed is None else {"seed": _coerce("seed", env_seed)})]
+    layers = [("env", parse_config_text([] if env_seed is None else ["seed = " + env_seed],
+                                        SEED_ENV_VAR))]
     if args.config is not None:
-        layers.append(("file", parse_config_text(read_text(args.config))))
-    return RunConfig(*layers, ("flag", overrides),
+        layers.append(("file", parse_config_text(read_text(args.config).splitlines(), args.config)))
+    return RunConfig(*layers, ("flag", parse_config_text(args.set, "--set")),
                      ("flag", {} if args.seed is None else {"seed": args.seed}))
 
 
@@ -264,13 +256,15 @@ def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
     none, each with its declared shape; otherwise CheckpointError names the
     file."""
     params, token_vocab, entities, relations, config_text = pt.load_checkpoint(args.checkpoint)
+    source = "%s (config text)" % args.checkpoint
     try:
-        ckpt_values = parse_config_text(config_text)
-        ckpt_cfg = RunConfig(("file", ckpt_values))
-        for build in (ckpt_cfg.encoder_config, ckpt_cfg.pretrain_config, ckpt_cfg.finetune_config):
-            build()
+        ckpt_values = parse_config_text(config_text.splitlines(), source)
     except ConfigError as e:
-        raise pt.CheckpointError("%s: config text: %s" % (args.checkpoint, e)) from None
+        raise pt.CheckpointError(str(e)) from None
+    try:
+        RunConfig(("file", ckpt_values)).validate()
+    except ConfigError as e:
+        raise pt.CheckpointError("%s: %s" % (source, e)) from None
     cfg = RunConfig(("file", ckpt_values),
                     *((prov, {k: flags[k]}) for k, prov in flags.provenance.items()
                       if prov != "default"))
@@ -388,12 +382,12 @@ def _cmd_eval_lp(args, cfg_flags: RunConfig) -> int:
     queries = read_jsonl(args.test, dict.fromkeys(("head", "rel", "tail", "text"), str), dict)
     pre_cfg = cfg.pretrain_config()
     hint = "use a checkpoint pretrained with pretrain.kg_mode=graph and a joint or linkpred_only objective"
-    if pre_cfg.kg_mode != "graph":
-        raise ConfigError("pretrain.kg_mode: eval-lp scores graph inputs, which a %s checkpoint "
-                          "never saw; %s" % (pre_cfg.kg_mode, hint))
-    if pre_cfg.objective == "mlm_only":
-        raise ConfigError("pretrain.objective: eval-lp ranks with the link-prediction head, which "
-                          "an mlm_only checkpoint never trained; %s" % hint)
+    if not pre_cfg.trains_lp:
+        why = ("pretrain.kg_mode: eval-lp scores graph inputs, which a %s checkpoint never saw"
+               % pre_cfg.kg_mode if pre_cfg.kg_mode != "graph" else
+               "pretrain.objective: eval-lp ranks with the link-prediction head, which an %s "
+               "checkpoint never trained" % pre_cfg.objective)
+        raise ConfigError("%s; %s" % (why, hint))
     if "other.linkpred.relations" not in params:
         raise DataError("%s: checkpoint has no link-prediction head; %s" % (args.checkpoint, hint))
     scorer = ev.ContextualScorer(params, cfg.encoder_config(), pt.linkpred_head(params, pre_cfg))
@@ -429,8 +423,7 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
                           % args.seeds) from None
     if len(set(seeds)) < len(seeds):   # each run of a cell writes <cell>-seed<seed>/
         raise ConfigError("--seeds: a seed is repeated in %r" % args.seeds)
-    for build in (cfg.encoder_config, cfg.pretrain_config, cfg.finetune_config):
-        build()
+    cfg.validate()
     files = cfg.world().write_files(os.path.join(args.out, "world"))
     _write_effective_config(cfg, args.out)
     columns = ["cell", *ABLATION_CELLS["dragon"], "seed", "mcqa_accuracy", "lp_mrr", "status"]
@@ -447,7 +440,8 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
                     ["finetune", "--train", files["mcqa_train.jsonl"],
                      "--dev", files["mcqa_dev.jsonl"], "--test", files["mcqa_test.jsonl"],
                      "--checkpoint", os.path.join(out, "pretrain", "checkpoint.drgn")]]
-        trains_lp = settings["pretrain.kg_mode"] == "graph" and settings["pretrain.objective"] != "mlm_only"
+        trains_lp = pt.PretrainConfig(objective=settings["pretrain.objective"],
+                                      kg_mode=settings["pretrain.kg_mode"]).trains_lp
         if trains_lp:   # eval-lp ranks graph inputs with the link-prediction head
             commands.append(["eval-lp", "--test", files["lp_test.jsonl"],
                              "--checkpoint", os.path.join(out, "finetune", "finetuned.drgn")])

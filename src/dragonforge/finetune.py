@@ -199,8 +199,6 @@ def subsample(examples: list[MCQAExample], fraction: float, seed: int) -> list[M
     """Seeded selection of ceil(fraction * N) examples (low-resource setting)."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("train fraction must be in (0, 1]")
-    if fraction == 1.0:
-        return list(examples)
     k = int(np.ceil(fraction * len(examples)))
     rng = nm.split_rng(seed, "ft_subsample")
     idx = sorted(rng.choice(len(examples), size=k, replace=False).tolist())

@@ -207,34 +207,22 @@ def _make(values: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable, o
 
 
 def _unbroadcast_rows(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    # Supports the one broadcast this engine allows: a 1-D [d] (or [1, d])
-    # operand combined with a 2-D [n, d] operand.
+    # Undoes the one broadcast this engine allows: a [d] row beside [n, d].
     if grad.shape == shape:
         return grad
-    summed = grad.sum(axis=0)
-    return summed.reshape(shape)
-
-
-def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    sa, sb = a.values.shape, b.values.shape
-    if sa == sb:
-        return
-    # row-broadcast: [n, d] with [d] or [1, d]
-    if len(sa) == 2 and sb in ((sa[1],), (1, sa[1])):
-        return
-    if len(sb) == 2 and sa in ((sb[1],), (1, sb[1])):
-        return
-    if a.values.size == 1 or b.values.size == 1:
-        return
-    raise ShapeError("%s: incompatible shapes %s and %s" % (op, sa, sb))
+    return grad.sum(axis=0)
 
 
 def _binary(op: str, a: Tensor, b, vals: Callable, grad_a: Callable, grad_b: Callable) -> Tensor:
-    """Elementwise op with row broadcasting; grad_x(g, other) is x's gradient
-    before the broadcast rows are summed back to x's shape (g itself, or a
-    new array)."""
+    """Elementwise op of a and b: a Tensor or array of a's shape, a [d] row
+    beside [n, d] (either way round; _unbroadcast_rows undoes it), or a
+    scalar constant. grad_x(g, other) is x's gradient before the broadcast
+    rows are summed back to x's shape (g itself, or a new array)."""
+    scalar = not isinstance(b, Tensor) and np.ndim(b) == 0
     b = b if isinstance(b, Tensor) else Tensor(b)
-    _binary_shapes(a, b, op)
+    sa, sb = a.values.shape, b.values.shape
+    if not (sa == sb or scalar or len(sa) == 2 and sb == sa[1:] or len(sb) == 2 and sa == sb[1:]):
+        raise ShapeError("%s: incompatible shapes %s and %s" % (op, sa, sb))
 
     def bk(g):
         if a.requires_grad:

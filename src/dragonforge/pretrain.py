@@ -251,6 +251,15 @@ class PretrainConfig:
         check_fields(self, lambda v: v >= 0, ">= 0", "lr_lm", "lr_other", "grad_clip",
                      "checkpoint_every")
 
+    @property
+    def trains_mlm(self) -> bool:
+        return self.objective != "linkpred_only"
+
+    @property
+    def trains_lp(self) -> bool:
+        """A verbalized KG reaches the encoder as a dummy graph, with no edge to hold out."""
+        return self.objective != "mlm_only" and self.kg_mode == "graph"
+
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam moment decays and denominator floor
 
@@ -266,7 +275,6 @@ class Optimizer:
         self.lr_other = lr_other
         self.total_steps = total_steps
         self.warmup_steps = max(1, int(round(total_steps * warmup_ratio)))
-        self.t = 0
         self._m = {k: np.zeros_like(p.values) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.values) for k, p in params.items()}
         self.frozen_prefixes: tuple[str, ...] = ()
@@ -276,22 +284,21 @@ class Optimizer:
         return {name: p for name, p in self.params.items() if not name.startswith(self.frozen_prefixes)}
 
     def schedule(self, step: int) -> float:
+        """The lr scale of step (0 <= step < total_steps)."""
         if step < self.warmup_steps:
             return (step + 1) / self.warmup_steps
-        remaining = self.total_steps - self.warmup_steps
-        if remaining <= 0:
-            return 1.0
-        return max(0.0, (self.total_steps - step) / remaining)
+        return (self.total_steps - step) / (self.total_steps - self.warmup_steps)
 
     def learning_rates(self, step: int) -> tuple[float, float]:
         s = self.schedule(step)
         return self.lr_lm * s, self.lr_other * s
 
     def step(self, step: int) -> None:
-        self.t += 1
+        """Apply step's gradients. Steps run from 0, one update each, so Adam's
+        bias correction counts step + 1 updates."""
         lr_lm, lr_other = self.learning_rates(step)
-        bc1 = 1.0 - BETA1 ** self.t
-        bc2 = 1.0 - BETA2 ** self.t
+        bc1 = 1.0 - BETA1 ** (step + 1)
+        bc2 = 1.0 - BETA2 ** (step + 1)
         for name, p in self.trainable().items():
             if p.grad is None:
                 continue
@@ -401,8 +408,6 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
     opt = Optimizer(params, cfg.lr_lm, cfg.lr_other, cfg.steps, cfg.warmup_ratio)
 
     metrics: list[dict] = []
-    use_mlm = cfg.objective in ("joint", "mlm_only")
-    use_lp = cfg.objective in ("joint", "linkpred_only") and cfg.kg_mode == "graph"
 
     def batch_loss(step: int) -> tuple[Tensor, Tensor | None, Tensor | None]:
         """Slot k's masking, hold-out and dropout seed are drawn, in that
@@ -411,10 +416,10 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
         for slot, ex_i in enumerate(schedule[step].tolist()):
             seg, local = examples[ex_i]
             rng = nm.split_rng(cfg.seed, "example", step, slot)
-            if use_mlm:
+            if cfg.trains_mlm:
                 seg, plan = apply_masking(seg, cfg.mask_rate, rng)
                 plans.append((slot, plan))
-            if use_lp:
+            if cfg.trains_lp:
                 local, holdout = hold_out_edges(local, cfg.edge_drop_rate, rng)
                 holdouts.append((slot, holdout))
             batch.append((seg, local))
@@ -552,7 +557,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], Vocab, EntityVocab, V
 
     A file cut short, foreign or with trailing bytes, a length, count or
     shape that does not fit in the bytes left, text that is not UTF-8, an
-    unknown version or dtype, or a missing table raises CheckpointError
+    unknown version or dtype, a missing table, or a table or tensor name
+    stored twice raises CheckpointError
     naming the path; a bad vocabulary or alias table raises ValueError
     naming `<path> (<name> table):<line>`; a non-finite tensor raises
     NumericError naming the path.
@@ -569,6 +575,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], Vocab, EntityVocab, V
         tables: dict[str, str] = {}
         for _ in range(rd.count(8, "tables")):   # two length prefixes each
             name = rd.text("table name")
+            if name in tables:
+                raise CheckpointError("%s: table %r is stored twice" % (path, name))
             tables[name] = rd.text(name + " table")
 
         def table(name: str) -> tuple[str, str]:
@@ -584,6 +592,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], Vocab, EntityVocab, V
         params: dict[str, Tensor] = {}
         for _ in range(rd.count(6, "tensors")):   # name length, dtype tag and rank each
             name = rd.text("tensor name")
+            if name in params:
+                raise CheckpointError("%s: tensor %r is stored twice" % (path, name))
             dtype_tag, rank = rd.unpack("<BB", "tensor %r header" % name)
             if dtype_tag != 0:
                 raise CheckpointError("%s: unknown dtype tag %d for tensor %r" % (path, dtype_tag, name))

@@ -5,6 +5,7 @@ import errno
 import inspect
 import json
 import os
+import re
 import statistics
 import struct
 import subprocess
@@ -62,9 +63,15 @@ def pretrained(world_dir, tmp_path_factory):
 
 def test_config_text_round_trip():
     cfg = RunConfig(("flag", {"pretrain.steps": 7}))
-    parsed = parse_config_text(cfg.to_text())
+    parsed = parse_config_text(cfg.to_text().splitlines(), "effective_config.txt")
     assert parsed["pretrain.steps"] == 7
     assert parsed["encoder.d_text"] == DEFAULTS["encoder.d_text"]
+
+
+def test_every_setting_parses_as_its_default_type():
+    # the parser reads a value as type(default)(text), which would read any
+    # nonempty text, "false" too, as a true bool
+    assert {type(v) for v in DEFAULTS.values()} == {int, float, str}
 
 
 def test_library_defaults_are_the_cli_defaults():
@@ -179,7 +186,7 @@ def test_checkpoint_round_trip_forward_bitwise(world_dir, pretrained):
 
     def forward():
         params, tv, entities, relations, text = pt.load_checkpoint(ckpt)
-        cfg = RunConfig(("file", parse_config_text(text))).encoder_config()
+        cfg = RunConfig(("file", parse_config_text(text.splitlines(), ckpt))).encoder_config()
         raw = open(os.path.join(world_dir, "corpus.txt"), encoding="utf-8").read().split("\n\n")[0]
         seg, v_el = link_entities(raw.replace("\n", " "), build_alias_index(entities), tv)
         local = retrieve_local_kg(v_el, kg, cfg.max_nodes, partial(nm.split_rng, 0, "t"))
@@ -314,7 +321,7 @@ def test_verbalized_checkpoint_finetunes_and_evaluates_on_verbalized_inputs(
     # eval-qa's inputs are the graph-mode ones plus [SEP] and the retrieved
     # KG's sentences, whenever that KG has an edge besides interaction links
     _, tv, entities, relations, text = pt.load_checkpoint(verbalized)
-    enc_cfg = RunConfig(("file", parse_config_text(text))).encoder_config()
+    enc_cfg = RunConfig(("file", parse_config_text(text.splitlines(), verbalized))).encoder_config()
     graph = Retriever(load_kg(kg)[0], entities, relations, tv, enc_cfg.max_seq_len,
                       enc_cfg.max_nodes)
     examples = ft.load_mcqa(data)
@@ -432,7 +439,7 @@ def test_ablation_builds_vocab_with_configured_min_freq(ablation):
     for cell in cells:
         for command in os.listdir(os.path.join(ablation, "cells", cell)):
             path = os.path.join(ablation, "cells", cell, command, "effective_config.txt")
-            values = parse_config_text(open(path, encoding="utf-8").read())
+            values = parse_config_text(open(path, encoding="utf-8").read().splitlines(), path)
             assert values["vocab.min_freq"] == 5 and values["pretrain.steps"] == 2, path
             n_commands += 1
         ckpt = os.path.join(ablation, "cells", cell, "pretrain", "checkpoint.drgn")
@@ -542,7 +549,10 @@ def test_bad_config_value_exits_usage(world_dir, tmp_path, capsys, setting):
         code = main(command + ["--out", str(tmp_path / "o"), "--set", setting])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: " + setting.split("=")[0] + ": ")
+        # a value of the wrong type fails in the parser, which names the
+        # --set item; one out of range fails where its section is built
+        assert len(err) == 1 and re.match(r"error: (--set:\d+: )?%s: " % re.escape(setting.split("=")[0]),
+                                          err[0]), err
 
 
 def test_rotate_with_odd_node_width_exits_usage_before_reading_data(tmp_path, capsys):
@@ -679,17 +689,19 @@ def test_pretrain_rejects_malformed_vocab(world_dir, tmp_path, capsys, bad_line)
     assert len(err) == 1 and "%s:%d:" % (vocab, bad_lineno) in err[0]
 
 
+def blob_end(data: bytes, pos: int) -> int:
+    """Offset just past the length-prefixed blob at pos."""
+    return pos + 4 + struct.unpack_from("<I", data, pos)[0]
+
+
 def first_tensor_header(data: bytes) -> int:
     """Offset of the first tensor's dtype tag; its rank byte and dimensions follow."""
-    def skip_blob(pos):
-        return pos + 4 + struct.unpack_from("<I", data, pos)[0]
-
-    pos = skip_blob(8)                          # magic, version, config text
+    pos = blob_end(data, 8)                # magic, version, config text
     (n_tables,) = struct.unpack_from("<I", data, pos)
     pos += 4
-    for _ in range(2 * n_tables):               # each table's name and text
-        pos = skip_blob(pos)
-    return skip_blob(pos + 4)                   # the tensor count, the first tensor's name
+    for _ in range(2 * n_tables):          # each table's name and text
+        pos = blob_end(data, pos)
+    return blob_end(data, pos + 4)         # the tensor count, the first tensor's name
 
 
 def tensor_data(data: bytes, name: str) -> int:
@@ -701,7 +713,8 @@ def tensor_data(data: bytes, name: str) -> int:
 @pytest.mark.parametrize("corruption", ["truncated", "alias_out_of_range", "tokens_byte_flipped",
                                         "last_float_inf", "rank_200", "first_dim_max",
                                         "config_key_flipped", "tensor_name_flipped",
-                                        "config_d_text_17", "config_d_text_18", "huge_gain"])
+                                        "config_d_text_17", "config_d_text_18", "huge_gain",
+                                        "table_repeated", "tensor_repeated"])
 def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, capsys, corruption):
     """A corrupt checkpoint exits 2 (data), or 3 (numeric) for a non-finite
     tensor or one that overflows the forward pass, with one line naming the file."""
@@ -730,7 +743,7 @@ def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, ca
         data[data.index(b"finetune.batch_size") + len("finetune.batch_")] ^= 0x20   # s -> S
         with open(bad, "wb") as fh:
             fh.write(data)
-        expected = ("data error: %s: config text: line 12: unknown key 'finetune.batch_Size'"
+        expected = ("data error: %s (config text):12: unknown key 'finetune.batch_Size'"
                     % bad)
     elif corruption == "tensor_name_flipped":
         data[data.index(b"lm.layer0.ffn.w1") + len("lm.layer0.ffn.w")] ^= 0x01   # w1 -> w0
@@ -744,8 +757,24 @@ def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, ca
         data[pos:pos + 2] = d_text.encode()
         with open(bad, "wb") as fh:
             fh.write(data)
-        expected = ("data error: %s: config text: encoder.heads_text: 2 does not divide d_text 17"
+        expected = ("data error: %s (config text): encoder.heads_text: 2 does not divide d_text 17"
                     % bad if d_text == "17" else "data error: %s: tensor 'lm.tok_emb' has shape" % bad)
+    elif corruption == "table_repeated":   # the tokens table stored again after itself
+        count = blob_end(data, 8)
+        tokens = data[count + 4:blob_end(data, blob_end(data, count + 4))]
+        data[count:count + 4] = struct.pack("<I", struct.unpack_from("<I", data, count)[0] + 1)
+        data[count + 4:count + 4] = tokens
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        expected = "data error: %s: table 'tokens' is stored twice" % bad
+    elif corruption == "tensor_repeated":   # the last tensor stored again after itself
+        names = sorted(pt.load_checkpoint(good)[0])
+        count = first_tensor_header(data) - len(names[0]) - 8
+        data[count:count + 4] = struct.pack("<I", len(names) + 1)
+        data += data[data.rindex(struct.pack("<I", len(names[-1])) + names[-1].encode()):]
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        expected = "data error: %s: tensor %r is stored twice" % (bad, names[-1])
     elif corruption == "last_float_inf":
         data[-4:] = struct.pack("<f", np.inf)
         with open(bad, "wb") as fh:
@@ -957,6 +986,45 @@ def _with_config_line(checkpoint: str, line: str, out: str) -> int:
     return lines.index(line) + 1
 
 
+# the same bad text through each config source: the line, and what the parser says of it
+BAD_CONFIG_LINES = {"malformed": ("foo", "expected key = value, got 'foo'"),
+                    "unknown_key": ("pretrain.bogus = 1", "unknown key 'pretrain.bogus'"),
+                    "bad_value": ("pretrain.steps = many", "pretrain.steps: expected int, got 'many'")}
+
+
+@pytest.mark.parametrize("kind", BAD_CONFIG_LINES)
+@pytest.mark.parametrize("source", ["config", "set", "env", "checkpoint"])
+def test_bad_config_line_names_its_source_and_line(world_dir, pretrained, tmp_path, capsys,
+                                                   monkeypatch, source, kind):
+    """One line naming <source>:<line>, exit 1; a checkpoint's config text
+    exits 2. The environment variable holds a seed value alone, so each bad
+    text there is a bad seed and cannot set another key."""
+    line, said = BAD_CONFIG_LINES[kind]
+    out = tmp_path / "o"
+    argv = ["gen-synthetic", "--out", str(out)] + MICRO_WORLD
+    if source == "config":
+        path = tmp_path / "bad.cfg"
+        path.write_text("# a comment\n%s\n" % line, encoding="utf-8")
+        argv += ["--config", str(path)]
+        expected = "error: %s:2: %s" % (path, said)
+    elif source == "set":
+        argv += ["--set", line]   # after MICRO_WORLD's items
+        expected = "error: --set:%d: %s" % (argv.count("--set"), said)
+    elif source == "env":
+        value = "many" if kind == "bad_value" else line
+        monkeypatch.setenv("DRAGONFORGE_SEED", value)
+        expected = "error: DRAGONFORGE_SEED:1: seed: expected int, got %r" % value
+    else:
+        old = str(tmp_path / "old.drgn")
+        lineno = _with_config_line(os.path.join(pretrained, "checkpoint.drgn"), line, old)
+        argv = ["dump-attention", "--checkpoint", old, "--text", "zzz",
+                "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(out)]
+        expected = "data error: %s (config text):%d: %s" % (old, lineno, said)
+    assert main(argv) == (EXIT_DATA if source == "checkpoint" else EXIT_USAGE)
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert not out.exists()
+
+
 def test_the_retired_negative_count_key_is_refused(world_dir, pretrained, tmp_path, capsys):
     # pretraining ranks each held-out tail among all local nodes, so no
     # setting counts negatives; a checkpoint whose config names one fails
@@ -964,7 +1032,7 @@ def test_the_retired_negative_count_key_is_refused(world_dir, pretrained, tmp_pa
                  "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "o"),
                  "--set", "pretrain.n_negatives=4"])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err.splitlines() == ["error: unknown config key 'pretrain.n_negatives'"]
+    assert capsys.readouterr().err.splitlines() == ["error: --set:1: unknown key 'pretrain.n_negatives'"]
     old = str(tmp_path / "old.drgn")
     lineno = _with_config_line(os.path.join(pretrained, "checkpoint.drgn"),
                                "pretrain.n_negatives = 16  # default", old)
@@ -972,7 +1040,7 @@ def test_the_retired_negative_count_key_is_refused(world_dir, pretrained, tmp_pa
                  "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "attn")])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.splitlines() == [
-        "data error: %s: config text: line %d: unknown key 'pretrain.n_negatives'" % (old, lineno)]
+        "data error: %s (config text):%d: unknown key 'pretrain.n_negatives'" % (old, lineno)]
     assert not (tmp_path / "attn").exists()
 
 
@@ -981,7 +1049,7 @@ def test_the_retired_world_structure_key_is_refused(world_dir, pretrained, tmp_p
     # checkpoint whose config names the key fails
     code = main(["gen-synthetic", "--out", str(tmp_path / "w"), "--set", "world.structure=chains"])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err.splitlines() == ["error: unknown config key 'world.structure'"]
+    assert capsys.readouterr().err.splitlines() == ["error: --set:1: unknown key 'world.structure'"]
     assert not (tmp_path / "w").exists()
     old = str(tmp_path / "old.drgn")
     lineno = _with_config_line(os.path.join(pretrained, "checkpoint.drgn"),
@@ -990,7 +1058,7 @@ def test_the_retired_world_structure_key_is_refused(world_dir, pretrained, tmp_p
                  "--test", os.path.join(world_dir, "lp_test.jsonl"), "--out", str(tmp_path / "lp")])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.splitlines() == [
-        "data error: %s: config text: line %d: unknown key 'world.structure'" % (old, lineno)]
+        "data error: %s (config text):%d: unknown key 'world.structure'" % (old, lineno)]
     assert not (tmp_path / "lp").exists()
 
 
@@ -1009,7 +1077,7 @@ def test_the_retired_optimizer_and_document_size_keys_are_refused(world_dir, pre
     key, value = (part.split("#")[0].strip() for part in line.split("="))
     code = main(["gen-synthetic", "--out", str(tmp_path / "w"), "--set", "%s=%s" % (key, value)])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err.splitlines() == ["error: unknown config key %r" % key]
+    assert capsys.readouterr().err.splitlines() == ["error: --set:1: unknown key %r" % key]
     assert not (tmp_path / "w").exists()
     old = str(tmp_path / "old.drgn")
     lineno = _with_config_line(os.path.join(pretrained, "checkpoint.drgn"), line, old)
@@ -1017,7 +1085,7 @@ def test_the_retired_optimizer_and_document_size_keys_are_refused(world_dir, pre
                  "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "attn")])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.splitlines() == [
-        "data error: %s: config text: line %d: unknown key %r" % (old, lineno, key)]
+        "data error: %s (config text):%d: unknown key %r" % (old, lineno, key)]
     assert not (tmp_path / "attn").exists()
 
 

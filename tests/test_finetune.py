@@ -349,9 +349,9 @@ def test_finetune_step_sets_up_one_stream_per_question_and_choice(tmp_path, monk
     n_sampling = sum(factory_calls)
     assert len(factory_calls) == n_choices and max(factory_calls) == 1
     assert 0 < n_sampling < n_choices
-    # one step: the epoch's order, per question one seed stream for all its
-    # choices and one retrieval stream per choice whose retrieval samples,
-    # then one dropout stream per choice
-    assert sorted(names) == sorted(["ft_order"] + ["ft_retrieval"] * n_sampling
+    # the training subset's draw; then one step: the epoch's order, per
+    # question one seed stream for all its choices and one retrieval stream
+    # per choice whose retrieval samples, then one dropout stream per choice
+    assert sorted(names) == sorted(["ft_subsample", "ft_order"] + ["ft_retrieval"] * n_sampling
                                    + ["ft_step"] * len(train) + ["dropout"] * n_choices)
 

@@ -59,6 +59,24 @@ def test_matmul_shape_error_names_both_shapes():
         nm.matmul(nm.constant(np.ones((2, 3))), nm.constant(np.ones((2, 3))))
 
 
+def test_a_broadcast_that_backward_cannot_undo_is_refused():
+    # backward sums a broadcast [d] row's gradient over the rows; a size-1
+    # tensor or a [1, d] row beside [n, d] would need other axes summed
+    x = nm.constant(np.ones((3, 4)))
+    with pytest.raises(nm.ShapeError, match=r"mul: incompatible shapes \(3, 4\) and \(\)$"):
+        nm.mul(x, nm.Tensor(2.0, requires_grad=True))
+    with pytest.raises(nm.ShapeError, match=r"mul: incompatible shapes \(3, 4\) and \(1, 4\)$"):
+        nm.mul(x, nm.Tensor(np.ones((1, 4)), requires_grad=True))
+    with pytest.raises(nm.ShapeError, match=r"add: incompatible shapes \(4,\) and \(3, 1\)"):
+        nm.add(nm.constant(np.ones(4)), np.ones((3, 1)))
+    # a scalar constant, and a [d] row (here before [n, d]), still broadcast
+    out, (m, row) = run_tape(lambda ts: nm.reduce_sum(nm.mul(nm.add(ts[1], ts[0]), 2.0)),
+                             [np.ones((3, 4)), np.ones(4)])
+    assert out.item() == 48.0
+    np.testing.assert_array_equal(m.grad, np.full((3, 4), 2.0))
+    np.testing.assert_array_equal(row.grad, np.full(4, 6.0))
+
+
 # the library's softmax is the segment-softmax kernel of segment attention: a
 # softmax over the rows that share a segment id, column by column
 

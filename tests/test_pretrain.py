@@ -434,6 +434,21 @@ def test_rotate_modulus_exactly_one_after_steps():
         assert rel.values.shape == (2, 4)  # d/2 phases, not d components
 
 
+@pytest.mark.parametrize("objective, kg_mode, mlm, lp", [
+    ("joint", "graph", True, True), ("joint", "verbalized", True, False),
+    ("mlm_only", "graph", True, False), ("mlm_only", "verbalized", True, False),
+    ("linkpred_only", "graph", False, True), ("linkpred_only", "verbalized", None, None)])
+def test_which_objectives_train_which_loss(objective, kg_mode, mlm, lp):
+    # a verbalized KG leaves no graph edge to hold out, so it trains no link
+    # prediction, and linkpred_only over it would train nothing
+    if mlm is None:
+        with pytest.raises(ValueError, match="^objective: linkpred_only "):
+            pt.PretrainConfig(objective=objective, kg_mode=kg_mode)
+        return
+    cfg = pt.PretrainConfig(objective=objective, kg_mode=kg_mode)
+    assert (cfg.trains_mlm, cfg.trains_lp) == (mlm, lp)
+
+
 def test_schedule_warmup_then_decay():
     params = {"other.x": nm.Tensor(np.zeros(1), requires_grad=True)}
     opt = pt.Optimizer(params, 1.0, 1.0, total_steps=100, warmup_ratio=0.1)

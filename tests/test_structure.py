@@ -142,3 +142,16 @@ def test_input_files_are_read_by_the_one_text_reader():
         return not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax"))
 
     assert functions_where(opens_to_read) == {"kg_store:read_text", "pretrain:load_checkpoint"}
+
+
+def test_objective_names_are_compared_in_pretrain_config_only():
+    # which objective trains which loss is stated once, by PretrainConfig's
+    # trains_mlm and trains_lp; pretraining, eval-lp and the ablation read them
+    def compares_an_objective(node) -> bool:
+        return isinstance(node, ast.Compare) and any(
+            isinstance(n, ast.Constant) and n.value in ("joint", "mlm_only", "linkpred_only")
+            for operand in [node.left, *node.comparators] for n in ast.walk(operand))
+
+    assert functions_where(compares_an_objective) == {"pretrain:PretrainConfig.__post_init__",
+                                                      "pretrain:PretrainConfig.trains_mlm",
+                                                      "pretrain:PretrainConfig.trains_lp"}
