@@ -5,19 +5,20 @@ Configuration is a flat `key = value` text format with `#` comments. Its
 sources are layered, each over the ones before: the defaults (declared by
 the library signatures that consume them) < DRAGONFORGE_SEED < --config <
 --set < --seed. A command that loads a checkpoint lays the checkpoint's
-config over the defaults and under every other source. One parser,
-parse_config_text, reads each source as lines: a --config file, the --set
-items in order, the line `seed = $DRAGONFORGE_SEED` and a checkpoint's
-config text. Its errors name `<source>:<line>`, and the key where there is one.
+config, with the provenance `checkpoint`, over the defaults and under every
+other source. One parser, parse_config_text, reads each source as lines: a
+--config file, the --set items in order, the line `seed = $DRAGONFORGE_SEED`
+and a checkpoint's config text. Its errors name `<source>:<line>`, and the
+key where there is one.
 The effective configuration is written next to every command's outputs and
 reproduces the run when fed back through --config under the same seed.
 
 `ablation` writes a world and its own effective configuration. Each cell of
 ABLATION_CELLS (DRAGON's ablation: the full model, then one change at a time)
 and each seed then runs through main() as the commands a user would type,
-pretrain, finetune --test and (cells that train link prediction) eval-lp,
-with outputs in <out>/cells/<cell>-seed<seed>/<command>/. A row is read from
-those outputs; a failing command becomes its status.
+pretrain, finetune, eval-qa on the test questions and (cells that train link
+prediction) eval-lp, with outputs in <out>/cells/<cell>-seed<seed>/<command>/.
+A row is read from those outputs; a failing command becomes its status.
 """
 
 from __future__ import annotations
@@ -117,9 +118,11 @@ def parse_config_text(lines: list[str], source: str) -> dict[str, object]:
 
 class RunConfig:
     """DEFAULTS overlaid by (provenance, {key: value}) layers in order; each key
-    keeps its last layer's provenance. Keys are checked where they are parsed."""
+    keeps its last layer's provenance. Keys are checked where they are parsed.
+    The layers are kept, so that a checkpoint's config can be laid under them."""
 
     def __init__(self, *layers: tuple[str, dict[str, object]]):
+        self.layers = layers
         self.values = dict(DEFAULTS)
         self.provenance = dict.fromkeys(DEFAULTS, "default")
         for provenance, values in layers:
@@ -207,7 +210,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--kg", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
-    p.add_argument("--test")
     common(p)
 
     p = sub.add_parser("eval-qa", help="evaluate a checkpoint on a QA dataset")
@@ -262,12 +264,10 @@ def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
     except ConfigError as e:
         raise pt.CheckpointError(str(e)) from None
     try:
-        RunConfig(("file", ckpt_values)).validate()
+        RunConfig(("checkpoint", ckpt_values)).validate()
     except ConfigError as e:
         raise pt.CheckpointError("%s: %s" % (source, e)) from None
-    cfg = RunConfig(("file", ckpt_values),
-                    *((prov, {k: flags[k]}) for k, prov in flags.provenance.items()
-                      if prov != "default"))
+    cfg = RunConfig(("checkpoint", ckpt_values), *flags.layers)
     enc_cfg = cfg.encoder_config()
     declared = param_shapes(enc_cfg, len(token_vocab), len(entities), len(relations))
     for shapes in [*pt.pretrain_head_shapes(enc_cfg, cfg.pretrain_config().scorer,
@@ -335,30 +335,16 @@ def _cmd_pretrain(args, cfg: RunConfig) -> int:
 
 def _cmd_finetune(args, cfg_flags: RunConfig) -> int:
     params, retriever, cfg = _load_checkpoint_bundle(args, cfg_flags)
-    enc_cfg = cfg.encoder_config()
-    train_set = load_mcqa(args.train)
-    if not train_set:
-        raise DataError("%s: no questions to train on" % args.train)
-    dev_set = load_mcqa(args.dev)
-    ft_cfg = cfg.finetune_config()
-    if not dev_set:
-        raise DataError("%s: no questions; early stopping picks an epoch by dev accuracy"
-                        % args.dev)
+    train_set, dev_set = load_mcqa(args.train), load_mcqa(args.dev)
+    enc_cfg, ft_cfg = cfg.encoder_config(), cfg.finetune_config()
     _write_effective_config(cfg, args.out)
     params, history, dev = finetune_mcqa(train_set, dev_set, retriever, params, enc_cfg, ft_cfg)
     ckpt = os.path.join(args.out, "finetuned.drgn")
     pt.save_checkpoint(ckpt, params, retriever.token_vocab, retriever.entities,
                        retriever.relations, cfg.to_text())
-    reports = {"dev": {"split": "dev", **dev}}
-    if args.test:
-        test_set = load_mcqa(args.test)
-        reports["test"] = {"split": "test", **evaluate_mcqa(test_set, retriever, params, enc_cfg,
-                                                            ft_cfg)}
     with open(os.path.join(args.out, "accuracy.json"), "w", encoding="utf-8") as fh:
-        json.dump({"history": history, "reports": reports}, fh, indent=2)
-    print("finetuned; dev accuracy %.4f%s"
-          % (reports["dev"]["accuracy"],
-             "; test accuracy %.4f" % reports["test"]["accuracy"] if args.test else ""))
+        json.dump({"history": history, "reports": {"dev": {"split": "dev", **dev}}}, fh, indent=2)
+    print("finetuned; dev accuracy %.4f" % dev["accuracy"])
     return EXIT_OK
 
 
@@ -435,24 +421,25 @@ def _cmd_ablation(args, cfg: RunConfig) -> int:
         flags = ["--kg", files["kg.tsv"], "--seed", str(seed),
                  "--config", os.path.join(args.out, "effective_config.txt")]
         flags += [arg for setting in settings.items() for arg in ("--set", "%s=%s" % setting)]
+        finetuned = os.path.join(out, "finetune", "finetuned.drgn")
         commands = [["pretrain", "--corpus", files["corpus.txt"],
                      "--aliases", files["aliases.tsv"]],
                     ["finetune", "--train", files["mcqa_train.jsonl"],
-                     "--dev", files["mcqa_dev.jsonl"], "--test", files["mcqa_test.jsonl"],
-                     "--checkpoint", os.path.join(out, "pretrain", "checkpoint.drgn")]]
+                     "--dev", files["mcqa_dev.jsonl"],
+                     "--checkpoint", os.path.join(out, "pretrain", "checkpoint.drgn")],
+                    ["eval-qa", "--data", files["mcqa_test.jsonl"], "--checkpoint", finetuned]]
         trains_lp = pt.PretrainConfig(objective=settings["pretrain.objective"],
                                       kg_mode=settings["pretrain.kg_mode"]).trains_lp
         if trains_lp:   # eval-lp ranks graph inputs with the link-prediction head
-            commands.append(["eval-lp", "--test", files["lp_test.jsonl"],
-                             "--checkpoint", os.path.join(out, "finetune", "finetuned.drgn")])
+            commands.append(["eval-lp", "--test", files["lp_test.jsonl"], "--checkpoint", finetuned])
         for command in commands:
             status = _run_command(command + flags + ["--out", os.path.join(out, command[0])])
             if status:
                 row["status"] = status
                 break
         else:   # every command succeeded
-            accuracy = json.loads(read_text(os.path.join(out, "finetune", "accuracy.json")))
-            row["mcqa_accuracy"] = round(accuracy["reports"]["test"]["accuracy"], 4)
+            accuracy = json.loads(read_text(os.path.join(out, "eval-qa", "accuracy.json")))
+            row["mcqa_accuracy"] = round(accuracy["accuracy"], 4)
             if trains_lp:
                 ranking = json.loads(read_text(os.path.join(out, "eval-lp", "ranking.json")))
                 row["lp_mrr"] = round(ranking["mrr"], 4) if ranking["n_queries"] else ""

@@ -212,11 +212,11 @@ def make_batch(examples: list[tuple[TextSegment, LocalKG]], cfg: EncoderConfig,
     pad = np.arange(max_len)[None, :] >= np.array(lengths)[:, None]
     node_offsets = np.cumsum([0] + [local.n_nodes for _, local in examples])
     graph = np.array([not local.is_dummy for _, local in examples])
-    # every real graph's edges in one [E, 3] array; message 2e reads edge e
-    # head->tail and 2e + 1 tail->head, with node ids shifted to batch rows
-    real = [[] if local.is_dummy else local.edges for _, local in examples]
-    edges = np.fromiter(chain.from_iterable(chain.from_iterable(real)), dtype=np.int64).reshape(-1, 3)
-    shift = np.repeat(node_offsets[:-1], [len(es) for es in real])[:, None]
+    # every graph's edges (a dummy graph has none) in one [E, 3] array; message
+    # 2e reads edge e head->tail and 2e + 1 tail->head, node ids shifted to batch rows
+    edge_lists = [local.edges for _, local in examples]
+    edges = np.fromiter(chain.from_iterable(chain.from_iterable(edge_lists)), dtype=np.int64).reshape(-1, 3)
+    shift = np.repeat(node_offsets[:-1], [len(es) for es in edge_lists])[:, None]
     src = (edges[:, [0, 2]] + shift).reshape(-1)
     dst = (edges[:, [2, 0]] + shift).reshape(-1)
     reldir = (2 * edges[:, [1, 1]] + [0, 1]).reshape(-1)

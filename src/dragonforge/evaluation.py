@@ -374,7 +374,7 @@ def eval_link_prediction(scorer, queries: list[dict], retriever: Retriever, seed
             continue
         seg, local = retriever.inputs([q["text"]], partial(nm.split_rng, seed, "lp_retrieval", qi))
         node_set = set(local.entity_ids())
-        if local.is_dummy or h not in node_set or t not in node_set:
+        if h not in node_set or t not in node_set:
             skipped += 1
             continue
         drop = {j for j, c in enumerate(local.nodes) if j and c != t and (h, r, c) in known_true}

@@ -57,8 +57,9 @@ def read_jsonl(path: str, fields: dict, make: Callable) -> list:
 
     fields maps each required key to str, int (not bool) or list (of
     strings). A line that is not such an object, or that make() rejects
-    with a DataError, raises DataError("path:line: ..."); bytes that are not
-    UTF-8 raise KGParseError naming their line (kg_store.read_text).
+    with a DataError, raises DataError("path:line: ..."), and a file with no
+    record raises DataError naming it; bytes that are not UTF-8 raise
+    KGParseError naming their line (kg_store.read_text).
     """
     out = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
@@ -78,6 +79,8 @@ def read_jsonl(path: str, fields: dict, make: Callable) -> list:
             out.append(make(**{key: rec[key] for key in fields}))
         except (json.JSONDecodeError, DataError) as e:
             raise DataError("%s:%d: %s" % (path, lineno, e)) from None
+    if not out:
+        raise DataError("%s: no records" % path)
     return out
 
 

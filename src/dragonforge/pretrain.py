@@ -117,7 +117,7 @@ def hold_out_edges(local: LocalKG, rate: float, rng: np.random.Generator
     """
     if not 0.0 < rate <= 1.0:
         raise ValueError("edge drop rate must be in (0, 1]")
-    droppable = [] if local.is_dummy else [i for i, e in enumerate(local.edges) if e[1] != R_EL]
+    droppable = [i for i, e in enumerate(local.edges) if e[1] != R_EL]
     if not droppable:
         return local, EdgeHoldout([])
     dropped = _pick(droppable, rate, rng)

@@ -192,8 +192,6 @@ def verbalize_kg(local: LocalKG, entities: EntityVocab, relations: Vocab,
     each entity or relation name's token ids under token_vocab, so that a
     caller that keeps it tokenizes each name once.
     """
-    if local.is_dummy:
-        return []
     out: list[int] = []
     for h, r, t in local.edges:
         if r == R_EL:

@@ -204,11 +204,10 @@ def test_finetune_eval_qa_and_subsampling(world_dir, pretrained, tmp_path):
                  "--kg", os.path.join(world_dir, "kg.tsv"),
                  "--train", os.path.join(world_dir, "mcqa_train.jsonl"),
                  "--dev", os.path.join(world_dir, "mcqa_dev.jsonl"),
-                 "--test", os.path.join(world_dir, "mcqa_test.jsonl"),
                  "--out", out, "--set", "finetune.epochs=1"])
     assert code == EXIT_OK
     report = json.load(open(os.path.join(out, "accuracy.json"), encoding="utf-8"))
-    assert "test" in report["reports"]
+    assert list(report["reports"]) == ["dev"]
     assert os.path.exists(os.path.join(out, "finetuned.drgn"))
 
     out2 = str(tmp_path / "qa")
@@ -444,7 +443,7 @@ def test_ablation_builds_vocab_with_configured_min_freq(ablation):
             n_commands += 1
         ckpt = os.path.join(ablation, "cells", cell, "pretrain", "checkpoint.drgn")
         assert pt.load_checkpoint(ckpt)[1].names == build_vocab(corpus, 5).names
-    assert n_commands == 5 * 3 + 2 * 2   # cells with eval-lp, mlm_only and verbalized
+    assert n_commands == 5 * 4 + 2 * 3   # cells with eval-lp, mlm_only and verbalized
 
 
 def test_ablation_cell_rerun_by_hand_reproduces_row(ablation, tmp_path):
@@ -463,17 +462,18 @@ def test_ablation_cell_rerun_by_hand_reproduces_row(ablation, tmp_path):
         "--aliases", os.path.join(world, "aliases.tsv"))
     run("finetune", "--checkpoint", os.path.join(out, "pretrain", "checkpoint.drgn"),
         "--train", os.path.join(world, "mcqa_train.jsonl"),
-        "--dev", os.path.join(world, "mcqa_dev.jsonl"),
-        "--test", os.path.join(world, "mcqa_test.jsonl"))
+        "--dev", os.path.join(world, "mcqa_dev.jsonl"))
+    run("eval-qa", "--checkpoint", os.path.join(out, "finetune", "finetuned.drgn"),
+        "--data", os.path.join(world, "mcqa_test.jsonl"))
     run("eval-lp", "--checkpoint", os.path.join(out, "finetune", "finetuned.drgn"),
         "--test", os.path.join(world, "lp_test.jsonl"))
     for command, name in (("pretrain", "metrics.jsonl"), ("finetune", "accuracy.json"),
-                          ("eval-lp", "ranking.json")):
+                          ("eval-qa", "accuracy.json"), ("eval-lp", "ranking.json")):
         assert open(os.path.join(out, command, name), "rb").read() == \
-            open(os.path.join(cell, command, name), "rb").read(), name
-    accuracy = json.load(open(os.path.join(out, "finetune", "accuracy.json"), encoding="utf-8"))
+            open(os.path.join(cell, command, name), "rb").read(), (command, name)
+    accuracy = json.load(open(os.path.join(out, "eval-qa", "accuracy.json"), encoding="utf-8"))
     ranking = json.load(open(os.path.join(out, "eval-lp", "ranking.json"), encoding="utf-8"))
-    assert row["mcqa_accuracy"] == round(accuracy["reports"]["test"]["accuracy"], 4)
+    assert row["mcqa_accuracy"] == round(accuracy["accuracy"], 4)
     assert row["lp_mrr"] == round(ranking["mrr"], 4)
 
 
@@ -627,8 +627,8 @@ def test_finetune_reports_dev_accuracy_under_run_seed(world_dir, pretrained, tmp
     assert report["reports"]["dev"]["accuracy"] == best
 
 
-def test_finetune_test_report_equals_eval_qa_under_run_seed(world_dir, pretrained, tmp_path,
-                                                           monkeypatch):
+def test_finetune_dev_report_equals_eval_qa_under_run_seed(world_dir, pretrained, tmp_path,
+                                                          monkeypatch):
     # max_nodes=1 makes retrieval sample; eval-qa reads the run seed and
     # max_nodes from the finetuned checkpoint's config
     from dragonforge import finetune as ft
@@ -642,26 +642,24 @@ def test_finetune_test_report_equals_eval_qa_under_run_seed(world_dir, pretraine
         return logits
 
     monkeypatch.setattr(ft, "choice_logits", recording_choice_logits)
-    test = os.path.join(world_dir, "mcqa_test.jsonl")
+    dev = os.path.join(world_dir, "mcqa_dev.jsonl")
     ft_out, qa_out = str(tmp_path / "ft"), str(tmp_path / "qa")
     assert main(["finetune", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
                  "--kg", os.path.join(world_dir, "kg.tsv"),
-                 "--train", os.path.join(world_dir, "mcqa_train.jsonl"),
-                 "--dev", os.path.join(world_dir, "mcqa_dev.jsonl"), "--test", test,
+                 "--train", os.path.join(world_dir, "mcqa_train.jsonl"), "--dev", dev,
                  "--out", ft_out, "--seed", "7", "--set", "encoder.max_nodes=1",
                  "--set", "finetune.epochs=1"]) == EXIT_OK
     n_finetune = len(tables)
     assert main(["eval-qa", "--checkpoint", os.path.join(ft_out, "finetuned.drgn"),
-                 "--kg", os.path.join(world_dir, "kg.tsv"), "--data", test,
+                 "--kg", os.path.join(world_dir, "kg.tsv"), "--data", dev,
                  "--out", qa_out]) == EXIT_OK
     finetune_report = json.load(open(os.path.join(ft_out, "accuracy.json"),
-                                     encoding="utf-8"))["reports"]["test"]
+                                     encoding="utf-8"))["reports"]["dev"]
     qa_report = json.load(open(os.path.join(qa_out, "accuracy.json"), encoding="utf-8"))
     assert {**finetune_report, "split": None} == {**qa_report, "split": None}
-    evaluated = tables[n_finetune:]
-    assert evaluated
-    # finetune's last eval-mode batches are its --test evaluation
-    for ours, theirs in zip(tables[n_finetune - len(evaluated):n_finetune], evaluated):
+    # one epoch: finetune's eval-mode batches are its one dev evaluation
+    assert n_finetune and len(tables) == 2 * n_finetune
+    for ours, theirs in zip(tables[:n_finetune], tables[n_finetune:]):
         np.testing.assert_array_equal(ours, theirs)
 
 
@@ -831,30 +829,6 @@ def test_head_shape_that_differs_from_its_declaration_exits_data_error(world_dir
         "declares (%d, 4)" % (ckpt, n_relations, n_relations)]
 
 
-def test_finetune_with_empty_train_file_exits_data_error(world_dir, pretrained, tmp_path, capsys):
-    train = tmp_path / "train.jsonl"
-    train.write_text("", encoding="utf-8")
-    code = main(["finetune", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
-                 "--kg", os.path.join(world_dir, "kg.tsv"), "--train", str(train),
-                 "--dev", os.path.join(world_dir, "mcqa_dev.jsonl"), "--out", str(tmp_path / "ft")])
-    assert code == EXIT_DATA
-    assert capsys.readouterr().err.splitlines() == [
-        "data error: %s: no questions to train on" % train]
-    assert not (tmp_path / "ft").exists()
-
-
-def test_finetune_with_empty_dev_file_exits_data_error(world_dir, pretrained, tmp_path, capsys):
-    dev = tmp_path / "dev.jsonl"
-    dev.write_text("", encoding="utf-8")
-    code = main(["finetune", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
-                 "--kg", os.path.join(world_dir, "kg.tsv"),
-                 "--train", os.path.join(world_dir, "mcqa_train.jsonl"), "--dev", str(dev),
-                 "--out", str(tmp_path / "ft"), "--set", "finetune.epochs=2"])
-    assert code == EXIT_DATA
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("data error: %s: " % dev)
-
-
 @pytest.mark.parametrize("bad_line", [
     "[1, 2]",
     '{"head": "a", "rel": "b", "tail": "c", "text": 5}',
@@ -882,6 +856,39 @@ def finetuned(world_dir, pretrained, tmp_path_factory):
                  "--out", out, "--set", "finetune.epochs=1"])
     assert code == EXIT_OK
     return os.path.join(out, "finetuned.drgn")
+
+
+def test_settings_from_a_checkpoint_are_labelled_checkpoint(finetuned):
+    # finetune ran without --config: the pretrained checkpoint supplies every
+    # setting that its one --set leaves alone
+    text = open(os.path.join(os.path.dirname(finetuned), "effective_config.txt"),
+                encoding="utf-8").read()
+    provenance = dict(line.split("  # ") for line in text.splitlines())
+    assert provenance.pop("finetune.epochs = 1") == "flag"
+    assert set(provenance.values()) == {"checkpoint"}
+    assert "pretrain.steps = 4" in provenance
+    assert pt.load_checkpoint(finetuned)[4] == text
+
+
+@pytest.mark.parametrize("command, flag", [("finetune", "--train"), ("finetune", "--dev"),
+                                           ("eval-qa", "--data"), ("eval-lp", "--test")],
+                         ids=["finetune_train", "finetune_dev", "eval_qa_data", "eval_lp_test"])
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank_lines"])
+def test_record_file_with_no_records_exits_data_error_naming_it(world_dir, pretrained, finetuned,
+                                                               tmp_path, capsys, command, flag,
+                                                               text):
+    empty = tmp_path / "records.jsonl"
+    empty.write_text(text, encoding="utf-8")
+    records = {"finetune": {"--train": "mcqa_train.jsonl", "--dev": "mcqa_dev.jsonl"},
+               "eval-qa": {"--data": "mcqa_test.jsonl"}, "eval-lp": {"--test": "lp_test.jsonl"}}
+    args = [arg for f, name in records[command].items()
+            for arg in (f, str(empty) if f == flag else os.path.join(world_dir, name))]
+    ckpt = finetuned if command == "eval-qa" else os.path.join(pretrained, "checkpoint.drgn")
+    code = main([command, *args, "--checkpoint", ckpt, "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == ["data error: %s: no records" % empty]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["eval-qa", "eval-lp"])

@@ -89,6 +89,12 @@ def test_each_pipeline_stage_runs_from_its_command_only(name, caller):
     assert callers(name) == {caller}
 
 
+def test_question_files_are_scored_by_finetune_dev_and_eval_qa_only():
+    # finetune's dev loop and eval-qa share one scorer; the ablation scores
+    # its test questions with eval-qa
+    assert callers("evaluate_mcqa") == {"finetune:finetune_mcqa", "cli:_cmd_eval_qa"}
+
+
 def test_affine_layers_use_the_linear_op():
     # x @ w + b is one taped op, nm.linear; a matmul-then-add pair records two
     # ops and copies the product's gradient
