@@ -1,15 +1,16 @@
-"""Command-line pipeline: vocabulary building, synthetic data generation,
-pretraining, finetuning, evaluation, ablations, and attention dumps.
+"""Command-line pipeline: synthetic data generation, pretraining, finetuning,
+evaluation, ablations, and attention dumps. pretrain builds its token
+vocabulary from its --corpus; every later command reads it from the
+checkpoint.
 
 Configuration is a flat `key = value` text format with `#` comments. Its
 sources are layered, each over the ones before: the defaults (declared by
-the library signatures that consume them) < DRAGONFORGE_SEED < --config <
---set < --seed. A command that loads a checkpoint lays the checkpoint's
-config, with the provenance `checkpoint`, over the defaults and under every
-other source. One parser, parse_config_text, reads each source as lines: a
---config file, the --set items in order, the line `seed = $DRAGONFORGE_SEED`
-and a checkpoint's config text. Its errors name `<source>:<line>`, and the
-key where there is one.
+the library signatures that consume them) < --config < --set < --seed. A
+command that loads a checkpoint lays the checkpoint's config, with the
+provenance `checkpoint`, over the defaults and under every other source. One
+parser, parse_config_text, reads each source as lines: a --config file, the
+--set items in order and a checkpoint's config text. Its errors name
+`<source>:<line>`, and the key where there is one.
 The effective configuration is written next to every command's outputs and
 reproduces the run when fed back through --config under the same seed.
 
@@ -43,10 +44,8 @@ from . import pretrain as pt
 from .encoder import BIDIRECTIONAL, CONCAT_AT_END, EncoderConfig, param_shapes
 from .finetune import (DataError, FinetuneConfig, evaluate_mcqa, finetune_mcqa,
                        load_mcqa, pooling_head_shapes, read_jsonl)
-from .kg_store import EmptyGraphError, KGParseError, Vocab, load_kg, read_text
-from .retrieval import RESERVED_TOKENS, Retriever, build_vocab, segment_corpus
-
-SEED_ENV_VAR = "DRAGONFORGE_SEED"
+from .kg_store import load_kg, read_text
+from .retrieval import Retriever, build_vocab, segment_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,9 +150,10 @@ class RunConfig:
 
     def pretrain_config(self) -> pt.PretrainConfig:
         cfg = self._build("pretrain", pt.PretrainConfig, seed=self.values["seed"])
-        if cfg.scorer == "rotate" and self.values["encoder.d_node"] % 2:
-            raise ConfigError("pretrain.scorer: rotate needs an even encoder.d_node, got %d"
-                              % self.values["encoder.d_node"])
+        try:
+            pt.relation_table_width(cfg.scorer, self.values["encoder.d_node"])
+        except ValueError as e:
+            raise ConfigError("pretrain.scorer: %s" % e) from None
         return cfg
 
     def finetune_config(self) -> FinetuneConfig:
@@ -187,13 +187,9 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="config file (flat key = value)")
-        p.add_argument("--seed", type=int, help="root seed (overrides %s)" % SEED_ENV_VAR)
+        p.add_argument("--seed", type=int, help="root seed (overrides --config and --set)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key (repeatable)")
-
-    p = sub.add_parser("build-vocab", help="build a token vocabulary from a corpus")
-    p.add_argument("--corpus", required=True)
-    common(p)
 
     p = sub.add_parser("gen-synthetic", help="generate an aligned corpus + KG world")
     common(p)
@@ -202,7 +198,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--kg", required=True)
     p.add_argument("--aliases")
-    p.add_argument("--vocab", help="token vocab TSV; built from the corpus when omitted")
     common(p)
 
     p = sub.add_parser("finetune", help="finetune a checkpoint on multiple-choice QA")
@@ -238,12 +233,9 @@ def _build_parser() -> _Parser:
 
 
 def _run_config(args) -> RunConfig:
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    layers = [("env", parse_config_text([] if env_seed is None else ["seed = " + env_seed],
-                                        SEED_ENV_VAR))]
-    if args.config is not None:
-        layers.append(("file", parse_config_text(read_text(args.config).splitlines(), args.config)))
-    return RunConfig(*layers, ("flag", parse_config_text(args.set, "--set")),
+    config = ({} if args.config is None else
+              parse_config_text(read_text(args.config).splitlines(), args.config))
+    return RunConfig(("file", config), ("flag", parse_config_text(args.set, "--set")),
                      ("flag", {} if args.seed is None else {"seed": args.seed}))
 
 
@@ -295,15 +287,6 @@ def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
                              enc_cfg.max_nodes, kg_mode or cfg.pretrain_config().kg_mode), cfg
 
 
-def _cmd_build_vocab(args, cfg: RunConfig) -> int:
-    vocab = build_vocab(args.corpus, min_freq=cfg["vocab.min_freq"])
-    _write_effective_config(cfg, args.out)   # makes the directory
-    with open(os.path.join(args.out, "vocab.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(vocab.to_tsv())
-    print("wrote %d tokens to %s" % (len(vocab), os.path.join(args.out, "vocab.tsv")))
-    return EXIT_OK
-
-
 def _cmd_gen_synthetic(args, cfg: RunConfig) -> int:
     world = cfg.world()
     paths = world.write_files(args.out)
@@ -316,10 +299,7 @@ def _cmd_gen_synthetic(args, cfg: RunConfig) -> int:
 def _cmd_pretrain(args, cfg: RunConfig) -> int:
     enc_cfg, pre_cfg = cfg.encoder_config(), cfg.pretrain_config()
     kg, entities, relations = load_kg(args.kg, alias_file=args.aliases)
-    if args.vocab:
-        token_vocab = Vocab.from_tsv(read_text(args.vocab), args.vocab, RESERVED_TOKENS)
-    else:
-        token_vocab = build_vocab(args.corpus, min_freq=cfg["vocab.min_freq"])
+    token_vocab = build_vocab(args.corpus, min_freq=cfg["vocab.min_freq"])
     segments = segment_corpus(args.corpus, enc_cfg.max_seq_len)
     if not segments:
         raise DataError("%s: no training segments" % args.corpus)
@@ -466,7 +446,6 @@ def _cmd_dump_attention(args, cfg_flags: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "build-vocab": _cmd_build_vocab,
     "gen-synthetic": _cmd_gen_synthetic,
     "pretrain": _cmd_pretrain,
     "finetune": _cmd_finetune,
@@ -511,13 +490,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _run_config(args)
         return _COMMANDS[args.command](args, cfg)
-    except (ConfigError,) as e:
+    except ConfigError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as e:
-        print("data error: %s: %s" % (e.filename, e.strerror), file=sys.stderr)
+    except OSError as e:
+        where = "" if e.filename is None else "%s: " % e.filename
+        print("data error: %s%s" % (where, e.strerror or e), file=sys.stderr)
         return EXIT_DATA
-    except (KGParseError, EmptyGraphError, DataError, ValueError) as e:
+    except ValueError as e:
         print("data error: %s" % e, file=sys.stderr)
         return EXIT_DATA
     except (nm.NumericError, pt.TrainingDiverged) as e:

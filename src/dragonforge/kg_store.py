@@ -8,8 +8,8 @@ name, ahead of file-defined relations, so local graphs can wire the
 interaction node.
 
 Tokens, entities and relations are each a `Vocab`; `name_table` and
-`read_name_table` are the one `name<TAB>id` codec of vocab.tsv files and of
-a checkpoint's tokens, entities, relations and aliases tables.
+`read_name_table` are the one `name<TAB>id` codec of a checkpoint's tokens,
+entities, relations and aliases tables.
 """
 
 from __future__ import annotations

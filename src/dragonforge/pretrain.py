@@ -142,7 +142,7 @@ class LinkPredHead:
 def relation_table_width(scorer: str, d_node: int) -> int:
     if scorer == "rotate":
         if d_node % 2:
-            raise ValueError("rotate scoring needs an even node dimension")
+            raise ValueError("rotate needs an even encoder.d_node, got %d" % d_node)
         return d_node // 2
     return d_node
 

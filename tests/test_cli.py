@@ -21,10 +21,10 @@ from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
 from dragonforge.cli import (DEFAULTS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                              RunConfig, main, parse_config_text)
-from dragonforge.encoder import EncoderConfig
+from dragonforge.encoder import EncoderConfig, init_params
 from dragonforge.finetune import FinetuneConfig
 from dragonforge.kg_store import R_EL, load_kg
-from dragonforge.retrieval import RESERVED_TOKENS, SEP, Retriever, build_vocab
+from dragonforge.retrieval import SEP, Retriever, build_vocab
 
 # leak_rate 0.1 withholds half of the 30 derived facts from the KG; at 0.2
 # every one is withheld, the derived relation is not in the KG, and eval-lp
@@ -112,13 +112,15 @@ def test_corpus_without_segments_exits_data_error_naming_it(world_dir, tmp_path,
     assert capsys.readouterr().err.splitlines() == ["data error: %s: no training segments" % corpus]
 
 
-def test_build_vocab_emits_tsv(world_dir, tmp_path):
-    out = str(tmp_path / "v")
-    assert main(["build-vocab", "--corpus", os.path.join(world_dir, "corpus.txt"),
-                 "--out", out]) == EXIT_OK
-    lines = open(os.path.join(out, "vocab.tsv"), encoding="utf-8").read().splitlines()
-    assert lines[0] == "[PAD]\t0"
-    assert all(len(line.split("\t")) == 2 for line in lines)
+@pytest.mark.parametrize("argv", [["build-vocab", "--corpus", "c.txt"],
+                                  ["pretrain", "--corpus", "c.txt", "--kg", "kg.tsv",
+                                   "--vocab", "vocab.tsv"]], ids=["build-vocab", "pretrain-vocab"])
+def test_the_retired_vocabulary_paths_exit_usage(tmp_path, capsys, argv):
+    # pretrain builds its vocabulary from its --corpus, so no command writes
+    # one and no flag reads one
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "dragonforge: error: " in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "o").exists()
 
 
 def test_pretrain_metrics_byte_identical_across_runs(world_dir, tmp_path):
@@ -142,24 +144,47 @@ def test_pretrain_metrics_byte_identical_across_runs(world_dir, tmp_path):
 
 
 @pytest.mark.parametrize("kg_mode", ["graph", "verbalized"])
-def test_pretrain_vocabulary_is_the_build_vocab_file(world_dir, tmp_path, kg_mode):
-    # pretrain without --vocab builds the vocabulary that build-vocab writes;
-    # min_freq 5 leaves some corpus tokens out of both
+def test_pretrain_vocabulary_is_build_vocab_of_its_corpus(world_dir, tmp_path, kg_mode):
+    # min_freq 5 leaves some corpus tokens out of the checkpoint's table
     corpus = os.path.join(world_dir, "corpus.txt")
-    settings = ["--set", "vocab.min_freq=5"]
-    assert main(["build-vocab", "--corpus", corpus, "--out", str(tmp_path / "v")] + settings) == EXIT_OK
-    vocab = os.path.join(str(tmp_path / "v"), "vocab.tsv")
     assert len(build_vocab(corpus, 5)) < len(build_vocab(corpus, 1))
-    outs = []
-    for name, extra in (("own", []), ("file", ["--vocab", vocab])):
-        out = str(tmp_path / name)
-        assert main(["pretrain", "--corpus", corpus, "--kg", os.path.join(world_dir, "kg.tsv"),
-                     "--aliases", os.path.join(world_dir, "aliases.tsv"), "--out", out, "--seed", "7",
-                     "--set", "pretrain.steps=6", "--set", "pretrain.batch_size=2",
-                     "--set", "pretrain.kg_mode=%s" % kg_mode]
-                    + MICRO_MODEL + settings + extra) == EXIT_OK
-        outs.append([open(os.path.join(out, f), "rb").read() for f in ("metrics.jsonl", "checkpoint.drgn")])
-    assert outs[0] == outs[1]
+    out = str(tmp_path / "pre")
+    assert main(["pretrain", "--corpus", corpus, "--kg", os.path.join(world_dir, "kg.tsv"),
+                 "--aliases", os.path.join(world_dir, "aliases.tsv"), "--out", out, "--seed", "7",
+                 "--set", "pretrain.steps=2", "--set", "pretrain.batch_size=2",
+                 "--set", "pretrain.kg_mode=%s" % kg_mode]
+                + MICRO_MODEL + ["--set", "vocab.min_freq=5"]) == EXIT_OK
+    token_vocab = pt.load_checkpoint(os.path.join(out, "checkpoint.drgn"))[1]
+    assert token_vocab.to_tsv() == build_vocab(corpus, 5).to_tsv()
+
+
+def test_fusion_cells_differ_at_two_fusion_layers(world_dir, tmp_path):
+    # with one fusion layer the only MInt output feeds no loss, so dragon and
+    # concat_at_end pretrain to equal tensors; with two, MInt layer 0 reaches
+    # the tokens of fusion layer 1 under dragon and is never run under
+    # concat_at_end
+    outputs = {}
+    for cell in ("dragon", "concat_at_end"):
+        out = str(tmp_path / cell)
+        settings = [arg for setting in cli.ABLATION_CELLS[cell].items()
+                    for arg in ("--set", "%s=%s" % setting)]
+        assert main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
+                     "--kg", os.path.join(world_dir, "kg.tsv"),
+                     "--aliases", os.path.join(world_dir, "aliases.tsv"), "--out", out,
+                     "--seed", "7", "--set", "pretrain.steps=3", "--set", "pretrain.batch_size=2"]
+                    + MICRO_MODEL + ["--set", "encoder.n_fusion=2"] + settings) == EXIT_OK
+        ckpt = os.path.join(out, "checkpoint.drgn")
+        outputs[cell] = [open(path, "rb").read() for path in (os.path.join(out, "metrics.jsonl"), ckpt)]
+        params, tv, entities, relations, text = pt.load_checkpoint(ckpt)
+        enc_cfg = RunConfig(("file", parse_config_text(text.splitlines(), ckpt))).encoder_config()
+        initial = init_params(enc_cfg, 7, len(tv), len(entities), len(relations))
+        mint = [name for name in initial if name.startswith("mint.layer0.")]
+        assert len(mint) == 4
+        moved = [name for name in mint
+                 if not np.array_equal(params[name].values, initial[name].values)]
+        assert moved == (mint if cell == "dragon" else []), cell
+    metrics, checkpoints = zip(outputs["dragon"], outputs["concat_at_end"])
+    assert metrics[0] != metrics[1] and checkpoints[0] != checkpoints[1]
 
 
 def test_config_echo_reproduces_run(world_dir, pretrained, tmp_path):
@@ -381,17 +406,16 @@ def test_numeric_abort_exit_code(world_dir, tmp_path):
     assert code == EXIT_NUMERIC
 
 
-def test_env_var_seed(world_dir, tmp_path, monkeypatch):
+def test_seed_in_the_environment_is_not_read(tmp_path, monkeypatch):
+    # the seed comes from --seed, --set seed=N or a --config line alone
+    def effective_config(out):
+        assert main(["gen-synthetic", "--out", str(out)] + MICRO_WORLD) == EXIT_OK
+        return (out / "effective_config.txt").read_bytes()
+
+    without = effective_config(tmp_path / "without")
     monkeypatch.setenv("DRAGONFORGE_SEED", "123")
-    out = str(tmp_path / "env")
-    assert main(["gen-synthetic", "--out", out] + MICRO_WORLD) == EXIT_OK
-    text = open(os.path.join(out, "effective_config.txt"), encoding="utf-8").read()
-    assert "seed = 123  # env" in text
-    monkeypatch.setenv("DRAGONFORGE_SEED", "123")
-    out2 = str(tmp_path / "env2")
-    assert main(["gen-synthetic", "--out", out2, "--seed", "55"] + MICRO_WORLD) == EXIT_OK
-    text2 = open(os.path.join(out2, "effective_config.txt"), encoding="utf-8").read()
-    assert "seed = 55  # flag" in text2
+    assert effective_config(tmp_path / "with") == without
+    assert b"seed = 0  # default\n" in without
 
 
 ABLATION_RUN = ["--set", "pretrain.steps=2", "--set", "pretrain.batch_size=2",
@@ -568,8 +592,8 @@ def test_rotate_with_odd_node_width_exits_usage_before_reading_data(tmp_path, ca
 def test_linkpred_only_with_verbalized_kg_exits_usage_before_reading_data(tmp_path, capsys):
     # verbalized inputs carry a dummy graph, so link prediction has nothing to train
     code = main(["pretrain", "--corpus", str(tmp_path / "missing.txt"),
-                 "--kg", str(tmp_path / "missing.tsv"), "--vocab", str(tmp_path / "missing.tsv"),
-                 "--out", str(tmp_path / "o"), "--set", "pretrain.objective=linkpred_only",
+                 "--kg", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "o"),
+                 "--set", "pretrain.objective=linkpred_only",
                  "--set", "pretrain.kg_mode=verbalized"])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
@@ -663,30 +687,6 @@ def test_finetune_dev_report_equals_eval_qa_under_run_seed(world_dir, pretrained
         np.testing.assert_array_equal(ours, theirs)
 
 
-@pytest.mark.parametrize("bad_line", ["zzz\t999", "zzz", None],
-                         ids=["non_dense_id", "no_tab", "missing_reserved"])
-def test_pretrain_rejects_malformed_vocab(world_dir, tmp_path, capsys, bad_line):
-    vocab_dir = str(tmp_path / "v")
-    assert main(["build-vocab", "--corpus", os.path.join(world_dir, "corpus.txt"),
-                 "--out", vocab_dir]) == EXIT_OK
-    vocab = os.path.join(vocab_dir, "vocab.tsv")
-    lines = open(vocab, encoding="utf-8").read().splitlines()
-    if bad_line is None:   # the corpus words alone, numbered from 0
-        lines = ["%s\t%d" % (line.split("\t")[0], i)
-                 for i, line in enumerate(lines[len(RESERVED_TOKENS):])]
-        bad_lineno = 1
-    else:
-        lines, bad_lineno = lines + [bad_line], len(lines) + 1
-    with open(vocab, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    code = main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
-                 "--kg", os.path.join(world_dir, "kg.tsv"), "--vocab", vocab,
-                 "--out", str(tmp_path / "o")])
-    assert code == EXIT_DATA
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "%s:%d:" % (vocab, bad_lineno) in err[0]
-
-
 def blob_end(data: bytes, pos: int) -> int:
     """Offset just past the length-prefixed blob at pos."""
     return pos + 4 + struct.unpack_from("<I", data, pos)[0]
@@ -709,6 +709,7 @@ def tensor_data(data: bytes, name: str) -> int:
 
 
 @pytest.mark.parametrize("corruption", ["truncated", "alias_out_of_range", "tokens_byte_flipped",
+                                        "token_id_not_dense",
                                         "last_float_inf", "rank_200", "first_dim_max",
                                         "config_key_flipped", "tensor_name_flipped",
                                         "config_d_text_17", "config_d_text_18", "huge_gain",
@@ -737,6 +738,11 @@ def test_corrupt_checkpoint_exits_data_error(world_dir, pretrained, tmp_path, ca
         with open(bad, "wb") as fh:
             fh.write(data)
         expected = "data error: %s: tokens table is not valid UTF-8" % bad
+    elif corruption == "token_id_not_dense":   # the tokens table's second line
+        data[data.index(b"[UNK]\t1\n") + len("[UNK]\t")] = ord("9")
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        expected = "data error: %s (tokens table):2: " % bad
     elif corruption == "config_key_flipped":
         data[data.index(b"finetune.batch_size") + len("finetune.batch_")] ^= 0x20   # s -> S
         with open(bad, "wb") as fh:
@@ -934,9 +940,6 @@ NON_UTF8_INPUTS = {
     "aliases": ("aliases.tsv", ["pretrain", "--corpus", "{w}/corpus.txt", "--kg", "{w}/kg.tsv",
                                 "--aliases", "{bad}"]),
     "pretrain-corpus": ("corpus.txt", ["pretrain", "--corpus", "{bad}", "--kg", "{w}/kg.tsv"]),
-    "build-vocab-corpus": ("corpus.txt", ["build-vocab", "--corpus", "{bad}"]),
-    "vocab": ("vocab.tsv", ["pretrain", "--corpus", "{w}/corpus.txt", "--kg", "{w}/kg.tsv",
-                            "--vocab", "{bad}"]),
     "config": ("config.txt", ["gen-synthetic", "--config", "{bad}"]),
     "mcqa": ("mcqa_train.jsonl", ["finetune", "--checkpoint", "{ckpt}", "--kg", "{w}/kg.tsv",
                                   "--train", "{bad}", "--dev", "{w}/mcqa_dev.jsonl"]),
@@ -949,10 +952,8 @@ NON_UTF8_INPUTS = {
 def test_file_that_is_not_utf8_exits_data_error_naming_file_and_line(world_dir, pretrained,
                                                                       tmp_path, capsys, which):
     source, argv = NON_UTF8_INPUTS[which]
-    texts = {"vocab.tsv": build_vocab(os.path.join(world_dir, "corpus.txt")).to_tsv(),
-             "config.txt": RunConfig().to_text()}
-    if source in texts:
-        text = texts[source]
+    if source == "config.txt":
+        text = RunConfig().to_text()
     else:
         text = open(os.path.join(world_dir, source), encoding="utf-8").read()
     lines = text.splitlines(keepends=True)
@@ -966,22 +967,45 @@ def test_file_that_is_not_utf8_exits_data_error_naming_file_and_line(world_dir, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gen-synthetic", "build-vocab", "eval-lp"])
-@pytest.mark.parametrize("where", ["a_file", "under_a_file"])
+@pytest.mark.parametrize("command", ["gen-synthetic", "pretrain", "eval-lp"])
+@pytest.mark.parametrize("where", ["a_file", "under_a_file", "name_too_long"])
 def test_out_path_that_cannot_be_a_directory_exits_data_error_naming_it(world_dir, pretrained,
                                                                         tmp_path, capsys,
                                                                         command, where):
     (tmp_path / "taken").write_text("", encoding="utf-8")
-    out, reason = ((tmp_path / "taken", errno.EEXIST) if where == "a_file"
-                   else (tmp_path / "taken" / "o", errno.ENOTDIR))
+    out, reason = {"a_file": (tmp_path / "taken", errno.EEXIST),
+                   "under_a_file": (tmp_path / "taken" / "o", errno.ENOTDIR),
+                   "name_too_long": (tmp_path / ("a" * 300), errno.ENAMETOOLONG)}[where]
     argv = {"gen-synthetic": ["gen-synthetic"] + MICRO_WORLD,
-            "build-vocab": ["build-vocab", "--corpus", os.path.join(world_dir, "corpus.txt")],
+            "pretrain": ["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
+                         "--kg", os.path.join(world_dir, "kg.tsv")] + MICRO_MODEL,
             "eval-lp": ["eval-lp", "--checkpoint", os.path.join(pretrained, "checkpoint.drgn"),
                         "--kg", os.path.join(world_dir, "kg.tsv"),
                         "--test", os.path.join(world_dir, "lp_test.jsonl")]}[command]
     assert main(argv + ["--out", str(out)]) == EXIT_DATA
     assert capsys.readouterr().err.splitlines() == [
         "data error: %s: %s" % (out, os.strerror(reason))]
+
+
+def test_input_path_in_a_symlink_loop_exits_data_error_naming_it(tmp_path, capsys):
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    assert main(["pretrain", "--corpus", str(loop), "--kg", str(loop),
+                 "--out", str(tmp_path / "o")]) == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: %s: %s" % (loop, os.strerror(errno.ELOOP))]
+    assert not (tmp_path / "o").exists()
+
+
+def test_os_error_that_names_no_file_exits_data_error(world_dir, tmp_path, capsys, monkeypatch):
+    # a failed write, such as a full disk, names no file
+    def disk_full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(pt, "train", disk_full)
+    assert main(["pretrain", "--corpus", os.path.join(world_dir, "corpus.txt"),
+                 "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "o")]) == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == ["data error: %s" % os.strerror(errno.ENOSPC)]
 
 
 def _with_config_line(checkpoint: str, line: str, out: str) -> int:
@@ -1000,12 +1024,11 @@ BAD_CONFIG_LINES = {"malformed": ("foo", "expected key = value, got 'foo'"),
 
 
 @pytest.mark.parametrize("kind", BAD_CONFIG_LINES)
-@pytest.mark.parametrize("source", ["config", "set", "env", "checkpoint"])
+@pytest.mark.parametrize("source", ["config", "set", "checkpoint"])
 def test_bad_config_line_names_its_source_and_line(world_dir, pretrained, tmp_path, capsys,
-                                                   monkeypatch, source, kind):
+                                                   source, kind):
     """One line naming <source>:<line>, exit 1; a checkpoint's config text
-    exits 2. The environment variable holds a seed value alone, so each bad
-    text there is a bad seed and cannot set another key."""
+    exits 2."""
     line, said = BAD_CONFIG_LINES[kind]
     out = tmp_path / "o"
     argv = ["gen-synthetic", "--out", str(out)] + MICRO_WORLD
@@ -1017,10 +1040,6 @@ def test_bad_config_line_names_its_source_and_line(world_dir, pretrained, tmp_pa
     elif source == "set":
         argv += ["--set", line]   # after MICRO_WORLD's items
         expected = "error: --set:%d: %s" % (argv.count("--set"), said)
-    elif source == "env":
-        value = "many" if kind == "bad_value" else line
-        monkeypatch.setenv("DRAGONFORGE_SEED", value)
-        expected = "error: DRAGONFORGE_SEED:1: seed: expected int, got %r" % value
     else:
         old = str(tmp_path / "old.drgn")
         lineno = _with_config_line(os.path.join(pretrained, "checkpoint.drgn"), line, old)
@@ -1175,8 +1194,8 @@ def test_module_entry_point_exits_with_the_documented_codes(world_dir, tmp_path)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     runs = {EXIT_OK: ["gen-synthetic", "--out", str(tmp_path / "w")] + MICRO_WORLD,
             EXIT_USAGE: ["gen-synthetic", "--out", str(tmp_path / "u"), "--set", "nonsense.key=1"],
-            EXIT_DATA: ["build-vocab", "--corpus", str(tmp_path / "missing.txt"),
-                        "--out", str(tmp_path / "d")]}
+            EXIT_DATA: ["pretrain", "--corpus", str(tmp_path / "missing.txt"),
+                        "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "d")]}
     for code, argv in runs.items():
         done = subprocess.run([sys.executable, "-m", "dragonforge.cli"] + argv, env=env,
                               capture_output=True, text=True, timeout=120)
