@@ -1,15 +1,23 @@
 """Global knowledge-graph store: vocabularies, triplet set, adjacency index.
 
-Triplet files are TSV lines `head<TAB>relation<TAB>tail`, split into fields
-in bulk and built into a graph in one pass. Edges are stored directed as
-written; inverse traversal is an index property. The relation vocabulary
-reserves an interaction-link relation and its inverse, which no KG file may
-name, ahead of file-defined relations, so local graphs can wire the
-interaction node.
+Every tab-separated input is read by `read_tsv`: a KG file of
+`head<TAB>relation<TAB>tail` lines, an alias file of
+`surface<TAB>entity_name` lines, and a checkpoint's tokens, entities,
+relations and aliases tables of `name<TAB>id` lines. It splits every
+non-blank line into fields in one bulk pass and refuses a line without
+exactly its layout's non-empty fields. The checks on what the fields hold
+run on the split columns afterwards, so a format error is named before a
+content error; `line_number` finds the line of either, and runs only for
+input that fails.
 
-Tokens, entities and relations are each a `Vocab`; `name_table` and
-`read_name_table` are the one `name<TAB>id` codec of a checkpoint's tokens,
-entities, relations and aliases tables.
+Edges are stored directed as written; inverse traversal is an index
+property. The relation vocabulary reserves an interaction-link relation and
+its inverse, which no KG file may name, ahead of file-defined relations, so
+local graphs can wire the interaction node.
+
+Tokens, entities and relations are each a `Vocab`. `name_table` writes a
+`name<TAB>id` table; `Vocab.from_tsv` reads a tokens, entities or relations
+table back and `read_name_table` the aliases table.
 """
 
 from __future__ import annotations
@@ -19,8 +27,9 @@ from functools import cached_property
 
 
 class KGParseError(ValueError):
-    """Malformed triplet/alias file, or an input file that is not UTF-8;
-    the message names the file and line."""
+    """A malformed line of a TSV input (a KG or alias file, or a checkpoint
+    table), or an input file that is not UTF-8; the message names the
+    source and line."""
 
 
 class EmptyGraphError(ValueError):
@@ -44,55 +53,52 @@ def name_table(pairs) -> str:
     return "".join("%s\t%d\n" % pair for pair in pairs)
 
 
-def _tab_fields(lines: list[str], n_fields: int) -> list[str] | None:
-    """The tab-separated fields of `lines` in order, split in bulk; None for
-    no lines, or unless every line has exactly n_fields of them."""
+def line_number(text: str, k: int) -> int:
+    """The line number of text's k-th non-blank line, counting from 0, or
+    that of its last line when it has no k-th."""
+    lines = text.split("\n")
+    nonblank = [lineno for lineno, line in enumerate(lines, start=1) if line]
+    return nonblank[k] if k < len(nonblank) else len(lines)
+
+
+def read_tsv(text: str, source: str, layout: str) -> list[str]:
+    """The fields of text's non-blank lines in order, as many per line as
+    `layout` names (e.g. "surface<TAB>entity_name"), split in bulk. Only if
+    some line lacks exactly that many non-empty fields is that line looked
+    for; the first raises KGParseError naming it."""
+    n = layout.count("<TAB>") + 1
+    lines = list(filter(None, text.split("\n")))
+    if not lines:
+        return []
     # a line's fields, a "\n" piece, the next line's fields, ...
     fields = "\t\n\t".join(lines).split("\t")
-    step = n_fields + 1
-    if len(fields) != step * len(lines) - 1 or fields[n_fields::step] != ["\n"] * (len(lines) - 1):
-        return None
-    del fields[n_fields::step]
-    return fields
+    if len(fields) == (n + 1) * len(lines) - 1 and fields[n::n + 1] == ["\n"] * (len(lines) - 1):
+        del fields[n::n + 1]
+        if "" not in fields:
+            return fields
+    k = next(k for k, line in enumerate(lines) if len(parts := line.split("\t")) != n or "" in parts)
+    raise KGParseError("%s:%d: expected %s, got %r" % (source, line_number(text, k), layout, lines[k]))
 
 
-def _table_lines(text: str, source: str, n_ids: int | None):
-    """Yield (line number, name, id) per non-blank line; a line without a tab or
-    a plain decimal id below n_ids (if given) raises ValueError naming it."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line:
-            continue
-        name, _, nid = line.partition("\t")
-        i = int(nid) if nid.isdecimal() else -1
-        if i < 0 or str(i) != nid or (n_ids is not None and i >= n_ids):
-            raise ValueError("%s:%d: expected name<TAB>id%s, got %r"
-                             % (source, lineno, "" if n_ids is None else " below %d" % n_ids, line))
-        yield lineno, name, i
-
-
-def _table_fields(text: str) -> tuple[list[str], list[str]] | None:
-    """(names, id strings) of a name table's non-blank lines, split in bulk,
-    or None unless every non-blank line has exactly one tab."""
-    fields = _tab_fields(list(filter(None, text.split("\n"))), 2)
-    return None if fields is None else (fields[0::2], fields[1::2])
+def _is_id(nid: str, n_ids: int | None) -> bool:
+    """Whether nid is a plain decimal, with no sign or leading zero, below n_ids (if given)."""
+    return nid.isdecimal() and str(int(nid)) == nid and (n_ids is None or int(nid) < n_ids)
 
 
 def read_name_table(text: str, source: str, n_ids: int | None = None) -> list[tuple[str, int]]:
-    """(name, id) per non-blank line; a line without a tab or a plain decimal
-    id below n_ids (if given) raises ValueError naming it. The table is
-    checked whole; only a table that fails is read line by line, which names
-    the bad line."""
-    table = _table_fields(text)
-    if table is not None:
-        names, nids = table
-        try:
-            ids = list(map(int, nids))
-        except ValueError:   # e.g. an empty id
-            ids = []
-        if (ids and list(map(str, ids)) == nids and min(ids) >= 0
-                and (n_ids is None or max(ids) < n_ids)):
+    """(name, id) per non-blank line of a name table, read by read_tsv; an
+    id that is not a plain decimal below n_ids (if given) raises
+    KGParseError naming its line."""
+    layout = "name<TAB>id" if n_ids is None else "name<TAB>id below %d" % n_ids
+    fields = read_tsv(text, source, layout)
+    names, nids = fields[0::2], fields[1::2]
+    if all(map(str.isdecimal, nids)):
+        ids = list(map(int, nids))
+        if list(map(str, ids)) == nids and (n_ids is None or max(ids, default=-1) < n_ids):
             return list(zip(names, ids))
-    return [(name, i) for _, name, i in _table_lines(text, source, n_ids)]
+    k = next(k for k, nid in enumerate(nids) if not _is_id(nid, n_ids))
+    raise KGParseError("%s:%d: expected %s, got %r"
+                       % (source, line_number(text, k), layout, "%s\t%s" % (names[k], nids[k])))
 
 
 class Vocab:
@@ -117,30 +123,27 @@ class Vocab:
 
     @classmethod
     def from_tsv(cls, text: str, source: str, reserved: tuple[str, ...] = ()) -> "Vocab":
-        """Read a to_tsv table back; ids out of line order, a repeated name or
-        reserved names not first in order raise ValueError naming the line.
-        The table is checked whole; only a table that fails is read line by
-        line, which names the bad line."""
-        table = _table_fields(text)
-        if table is not None:
-            names, nids = table
-            if nids == list(map(str, range(len(nids)))) and names[:len(reserved)] == list(reserved):
-                vocab = cls(names)
-                if len(vocab) == len(names):   # no name repeated
-                    return vocab
+        """Read a to_tsv table back with read_tsv. The table is checked whole;
+        only if its ids are not 0, 1, 2, ... in line order, a name repeats or
+        the reserved names are not first in order is the first such line
+        looked for, and KGParseError names it."""
+        fields = read_tsv(text, source, "name<TAB>id")
+        names, nids = fields[0::2], fields[1::2]
+        vocab = cls(names)
+        if (nids == list(map(str, range(len(nids)))) and names[:len(reserved)] == list(reserved)
+                and len(vocab) == len(names)):   # no name repeated
+            return vocab
         vocab = cls(reserved)
-        n = 0
-        for lineno, name, nid in _table_lines(text, source, None):
+        for k, (name, nid) in enumerate(zip(names, nids)):
             # add() returns a reserved or repeated name's earlier id
-            if nid != n or vocab.add(name) != n:
-                raise ValueError("%s:%d: expected %s<TAB>%d, got %r"
-                                 % (source, lineno, reserved[n] if n < len(reserved) else "a new name",
-                                    n, "%s\t%d" % (name, nid)))
-            n += 1
-        if n < len(reserved):
-            raise ValueError("%s:%d: expected %s<TAB>%d, got the end of the table"
-                             % (source, text.count("\n") + 1, reserved[n], n))
-        return vocab
+            if nid != str(k) or vocab.add(name) != k:
+                expected = ("%s<TAB>%d" % (reserved[k] if k < len(reserved) else "a new name", k)
+                            if _is_id(nid, None) else "name<TAB>id")
+                raise KGParseError("%s:%d: expected %s, got %r"
+                                   % (source, line_number(text, k), expected, "%s\t%s" % (name, nid)))
+        # every line is in place, so the table ends before its reserved names do
+        raise KGParseError("%s:%d: expected %s<TAB>%d, got the end of the table"
+                           % (source, line_number(text, len(names)), reserved[len(names)], len(names)))
 
 
 def default_surface(name: str) -> str:
@@ -203,41 +206,31 @@ class KnowledgeGraph:
 
 
 def read_text(path: str) -> str:
-    """The file as open() reads it in text mode: UTF-8, with universal
-    newlines. Bytes that are not UTF-8 raise KGParseError naming their line.
-    Every file the library reads but a checkpoint is read here."""
+    """The file as open() reads it in text mode: UTF-8 less a leading
+    byte-order mark, with universal newlines. Bytes that are not UTF-8 raise
+    KGParseError naming their line, counting "\r\n", "\r" and "\n" each as
+    one line end. Every file the library reads but a checkpoint is read here."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as e:   # read() decodes the whole file at once: e.object is its bytes
-        raise KGParseError("%s:%d: not valid UTF-8" % (path, e.object.count(b"\n", 0, e.start) + 1)) from None
-
-
-def _read_tsv_rows(path: str, layout: str):
-    """Yield (line number, fields) for every non-blank line of a TSV file.
-
-    `layout` names the fields, e.g. "surface<TAB>entity_name"; a line without
-    exactly that many non-empty fields raises KGParseError naming the line.
-    """
-    n_fields = layout.count("<TAB>") + 1
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != n_fields or not all(parts):
-            raise KGParseError("%s:%d: expected %s, got %r" % (path, lineno, layout, line))
-        yield lineno, parts
+        data, end = e.object, e.start
+        line_ends = data.count(b"\n", 0, end) + data.count(b"\r", 0, end) - data.count(b"\r\n", 0, end)
+        raise KGParseError("%s:%d: not valid UTF-8" % (path, line_ends + 1)) from None
 
 
 def load_kg(triplet_file: str, alias_file: str | None = None
             ) -> tuple[KnowledgeGraph, EntityVocab, Vocab]:
-    """Load a triplet TSV, then merge an optional alias TSV.
+    """Load a triplet TSV, then merge an optional `surface<TAB>entity_name`
+    alias TSV into the vocab's explicit aliases, each surface lowercased and
+    a later line overriding an earlier one.
 
     Entity and relation ids follow first appearance in file order, after
     the reserved interaction-link relations. Triplets are kept directed as
-    written; the GNN reads every edge in both directions itself. KGParseError
-    names the line of a byte that is not UTF-8, else the first malformed
-    line, else the first reserved relation name.
+    written; the GNN reads every edge in both directions itself. Each file
+    is read by read_tsv. KGParseError names the line of a byte that is not
+    UTF-8, else the first malformed line, else the first reserved relation
+    name in the KG file or unknown entity name in the alias file.
 
     The cyclic garbage collector is paused while the graph is built, and
     its earlier state restored. The build makes three tuples per triplet,
@@ -257,19 +250,15 @@ def load_kg(triplet_file: str, alias_file: str | None = None
 
 
 def _load_kg(triplet_file: str, alias_file: str | None) -> tuple[KnowledgeGraph, EntityVocab, Vocab]:
-    layout = "head<TAB>relation<TAB>tail"
-    lines = list(filter(None, read_text(triplet_file).split("\n")))
-    if not lines:
+    text = read_text(triplet_file)
+    fields = read_tsv(text, triplet_file, "head<TAB>relation<TAB>tail")
+    if not fields:
         raise EmptyGraphError("%s: no triplets" % triplet_file)
-    fields = _tab_fields(lines, 3)
-    if fields is None or "" in fields:   # the line-by-line reader names the first bad line
-        fields = [f for _, parts in _read_tsv_rows(triplet_file, layout) for f in parts]
     rels = fields[1::3]
     if R_EL_NAME in rels or R_EL_INV_NAME in rels:
-        for lineno, (_, rel, _) in _read_tsv_rows(triplet_file, layout):
-            if rel in RESERVED_RELATIONS:
-                raise KGParseError("%s:%d: relation %r is reserved for the interaction link"
-                                   % (triplet_file, lineno, rel))
+        k = next(k for k, rel in enumerate(rels) if rel in RESERVED_RELATIONS)
+        raise KGParseError("%s:%d: relation %r is reserved for the interaction link"
+                           % (triplet_file, line_number(text, k), rels[k]))
     relations = Vocab(RESERVED_RELATIONS + tuple(rels))
     heads, tails = fields[0::3], fields[2::3]
     del fields[1::3]   # heads and tails interleaved, in file order
@@ -278,14 +267,14 @@ def _load_kg(triplet_file: str, alias_file: str | None) -> tuple[KnowledgeGraph,
     g = KnowledgeGraph(len(entities), len(relations),
                        list(zip(map(entity_id, heads), map(relation_id, rels), map(entity_id, tails))))
     if alias_file is not None:
-        load_aliases(alias_file, entities)
+        text = read_text(alias_file)
+        fields = read_tsv(text, alias_file, "surface<TAB>entity_name")
+        names = fields[1::2]
+        try:
+            ids = list(map(entity_id, names))
+        except KeyError:
+            k = next(k for k, name in enumerate(names) if name not in entities.ids)
+            raise KGParseError("%s:%d: unknown entity %r"
+                               % (alias_file, line_number(text, k), names[k])) from None
+        entities.aliases.update(zip(map(str.lower, fields[0::2]), ids))
     return g, entities, relations
-
-
-def load_aliases(alias_file: str, entities: EntityVocab) -> None:
-    """Merge a `surface<TAB>entity_name` TSV into the vocab's explicit
-    aliases, a later line overriding an earlier one."""
-    for lineno, (surface, name) in _read_tsv_rows(alias_file, "surface<TAB>entity_name"):
-        if name not in entities.ids:
-            raise KGParseError("%s:%d: unknown entity %r" % (alias_file, lineno, name))
-        entities.aliases[surface.lower()] = entities.ids[name]

@@ -34,7 +34,8 @@ KG_MODES = ("graph", "verbalized")
 
 
 class TrainingDiverged(ArithmeticError):
-    """Loss went non-finite; the last periodic checkpoint remains on disk."""
+    """Loss went non-finite. The last periodic checkpoint remains on disk
+    when checkpoint_every > 0; with 0 the run has written none."""
 
 
 class CheckpointError(ValueError):
@@ -456,14 +457,13 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
             metrics.append(rec)
             if fh:
                 fh.write(json.dumps(rec) + "\n")
-            if checkpoint_path and cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0:
+            # every checkpoint_every steps, and once after the last step
+            if checkpoint_path and (step + 1 == cfg.steps or cfg.checkpoint_every
+                                    and (step + 1) % cfg.checkpoint_every == 0):
                 save_checkpoint(checkpoint_path, params, token_vocab, entities, relations, config_text)
     finally:
         if fh:
             fh.close()
-
-    if checkpoint_path:
-        save_checkpoint(checkpoint_path, params, token_vocab, entities, relations, config_text)
     return params, metrics
 
 
@@ -559,9 +559,11 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], Vocab, EntityVocab, V
     shape that does not fit in the bytes left, text that is not UTF-8, an
     unknown version or dtype, a missing table, or a table or tensor name
     stored twice raises CheckpointError
-    naming the path; a bad vocabulary or alias table raises ValueError
-    naming `<path> (<name> table):<line>`; a non-finite tensor raises
-    NumericError naming the path.
+    naming the path; a tokens, entities, relations or aliases table that
+    kg_store.read_tsv refuses, or whose names or ids are out of place, raises
+    KGParseError naming `<path> (<name> table):<line>`, a malformed line
+    before a misplaced one; a non-finite tensor raises NumericError naming
+    the path.
     """
     with open(path, "rb") as fh:
         rd = _Reader(fh)

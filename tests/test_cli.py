@@ -1051,6 +1051,18 @@ def test_bad_config_line_names_its_source_and_line(world_dir, pretrained, tmp_pa
     assert not out.exists()
 
 
+def test_config_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # the mark is not part of the first key
+    outs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        cfg = tmp_path / ("bom%d.cfg" % len(bom))
+        cfg.write_bytes(bom + b"world.n_entities = 30\nworld.n_relations = 5\nworld.n_facts = 150\n")
+        out = tmp_path / ("o%d" % len(bom))
+        assert main(["gen-synthetic", "--config", str(cfg), "--out", str(out)]) == 0
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outs[1] == outs[0]
+
+
 def test_the_retired_negative_count_key_is_refused(world_dir, pretrained, tmp_path, capsys):
     # pretraining ranks each held-out tail among all local nodes, so no
     # setting counts negatives; a checkpoint whose config names one fails

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dragonforge import kg_store as ks
-from dragonforge.retrieval import build_alias_index
+from dragonforge import pretrain as pt
+from dragonforge.retrieval import RESERVED_TOKENS, build_alias_index
 
 
 def write_kg(tmp_path, lines, name="kg.tsv"):
@@ -270,7 +271,14 @@ def test_alias_file_unknown_entity(tmp_path):
 
 
 def line_reader_table(text, source, n_ids=None):
-    # reference: the name table read line by line, (lineno, name, id) per line
+    # reference: the name table read line by line, (lineno, name, id) per line.
+    # Every line's format is checked first: a line without exactly two
+    # non-empty fields is named before any line's id or name
+    layout = "name<TAB>id" + ("" if n_ids is None else " below %d" % n_ids)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        parts = line.split("\t")
+        if line and (len(parts) != 2 or "" in parts):
+            raise ValueError("%s:%d: expected %s, got %r" % (source, lineno, layout, line))
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
@@ -336,12 +344,97 @@ def test_bulk_name_table_reads_as_the_line_reader(lines, end, n_ids):
     assert outcome(ks.read_name_table, text, "t.tsv", n_ids) == expected
 
 
-def test_dense_tables_take_the_bulk_path(monkeypatch):
-    # the line reader runs only for a bad table; a good one never reaches it
-    monkeypatch.setattr(ks, "_table_lines", None)
+def test_dense_tables_take_the_bulk_path(tmp_path, monkeypatch):
+    # the line locator runs only for input that fails: valid KG and alias
+    # files and all four checkpoint tables never reach it
+    monkeypatch.setattr(ks, "line_number", None)
+    kg = write_kg(tmp_path, ["a\tr\tb", "", "b\tr\tc"])
+    aliases = write_kg(tmp_path, ["Bee\tb", "", "sea\tc"], name="aliases.tsv")
+    g, entities, relations = ks.load_kg(kg, aliases)
+    assert entities.aliases == {"bee": 1, "sea": 2}
+    tokens = ks.Vocab(RESERVED_TOKENS + ("x", "y"))
+    path = str(tmp_path / "c.drgn")
+    pt.save_checkpoint(path, {}, tokens, entities, relations)
+    _, tokens2, entities2, relations2, _ = pt.load_checkpoint(path)
+    assert [v.names for v in (tokens2, entities2, relations2)] == [
+        tokens.names, entities.names, relations.names]
+    assert entities2.aliases == entities.aliases
     text = ks.Vocab(("[A]", "x", "y")).to_tsv() + "\n"
     assert ks.Vocab.from_tsv(text, "t.tsv", ("[A]",)).names == ["[A]", "x", "y"]
     assert ks.read_name_table(text, "t.tsv", 3) == [("[A]", 0), ("x", 1), ("y", 2)]
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["a\tnot_an_entity", "broken"], "2: expected surface<TAB>entity_name, got 'broken'"),
+    (["a\tnot_an_entity", "b\t\ta"], "2: expected surface<TAB>entity_name, got 'b\\t\\ta'"),
+    (["", "x\ta", "y\tnope", "z\tnever"], "3: unknown entity 'nope'"),
+    (["x\ta", "\tb"], "2: expected surface<TAB>entity_name, got '\\tb'"),
+], ids=["malformed_after_unknown_entity", "empty_field_after_unknown_entity", "first_unknown_entity",
+        "empty_surface"])
+def test_alias_file_names_a_format_error_before_a_content_error(tmp_path, lines, message):
+    kg = write_kg(tmp_path, ["a\tr\tb"])
+    aliases = write_kg(tmp_path, lines, name="aliases.tsv")
+    with pytest.raises(ks.KGParseError) as e:
+        ks.load_kg(kg, aliases)
+    assert str(e.value) == "%s:%s" % (aliases, message)
+
+
+def test_alias_file_later_line_overrides_an_earlier_one(tmp_path):
+    # surfaces are lowercased, so "Brush" and "brush" are one alias
+    kg = write_kg(tmp_path, ["a\tr\tb"])
+    aliases = write_kg(tmp_path, ["Brush\ta", "This\tb", "brush\tb", "this\ta"], name="aliases.tsv")
+    _, entities, _ = ks.load_kg(kg, aliases)
+    assert entities.aliases == {"brush": entities.ids["b"], "this": entities.ids["a"]}
+
+
+@pytest.mark.parametrize("text, reserved, n_ids, message", [
+    ("[A]\t0\n\t1\n", ("[A]",), None, "2: expected name<TAB>id, got '\\t1'"),
+    ("\t0\n", ("[A]",), None, "1: expected name<TAB>id, got '\\t0'"),
+    ("x\t0\n\t1\n", None, 2, "2: expected name<TAB>id below 2, got '\\t1'"),
+    ("x\t7\ny\n", ("[A]",), None, "2: expected name<TAB>id, got 'y'"),
+    ("x\t7\ny\n", None, 2, "2: expected name<TAB>id below 2, got 'y'"),
+    ("x\t05\ny\t1\t2\n", None, None, "2: expected name<TAB>id, got 'y\\t1\\t2'"),
+], ids=["empty_name", "empty_reserved_name", "empty_alias_name", "tab_count_after_bad_id",
+        "tab_count_after_out_of_range_id", "tab_count_after_leading_zero"])
+def test_name_table_names_a_format_error_before_a_content_error(text, reserved, n_ids, message):
+    # the program never writes an empty name, so a table holding one is refused
+    with pytest.raises(ks.KGParseError) as e:
+        if reserved is None:
+            ks.read_name_table(text, "t.tsv", n_ids)
+        else:
+            ks.Vocab.from_tsv(text, "t.tsv", reserved)
+    assert str(e.value) == "t.tsv:" + message
+
+
+@pytest.mark.parametrize("data, lineno", [
+    (b"a\tr\tb\nb\tr\tc\n\xff\tr\td\n", 3),
+    (b"a\tr\tb\r\nb\tr\tc\r\n\xff\tr\td\r\n", 3),
+    (b"a\tr\tb\rb\tr\tc\r\xff\tr\td\r", 3),
+    (b"a\tr\tb\r\rb\tr\tc\n\r\n\xff", 5),
+    (b"a\tr\tb\rb\tr\xffc\r", 2),
+    (b"\xef\xbb\xbfa\tr\tb\nb\tr\tc\n\xff\tr\td\n", 3),
+    (b"\xef\xbb\xbfa\tr\tb\rb\tr\tc\r\xff\tr\td\r", 3),
+    (b"\xef\xbb\xbf\xff\tr\td\n", 1),
+], ids=["lf", "crlf", "cr", "mixed", "mid_line", "bom_lf", "bom_cr", "bom_then_bad_byte"])
+def test_bad_byte_is_named_on_its_universal_newline_line(tmp_path, data, lineno):
+    # "\r\n", "\r" and "\n" each end a line, as open() reads them
+    path = tmp_path / "kg.tsv"
+    path.write_bytes(data)
+    with pytest.raises(ks.KGParseError) as e:
+        ks.load_kg(str(path))
+    assert str(e.value) == "%s:%d: not valid UTF-8" % (path, lineno)
+
+
+def test_kg_and_alias_files_with_a_byte_order_mark_read_as_without(tmp_path):
+    # a leading byte-order mark is not part of the first entity or surface
+    loaded = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        (tmp_path / "kg.tsv").write_bytes(bom + b"a\tr\tb\r\nb\tr\tc\n")
+        (tmp_path / "aliases.tsv").write_bytes(bom + b"Ay\ta\n")
+        g, entities, relations = ks.load_kg(str(tmp_path / "kg.tsv"), str(tmp_path / "aliases.tsv"))
+        loaded.append((g.triplets, entities.names, entities.aliases, relations.names))
+    assert loaded[1] == loaded[0]
+    assert loaded[0][1:3] == (["a", "b", "c"], {"ay": 0})
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

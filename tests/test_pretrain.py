@@ -597,6 +597,26 @@ def test_divergence_aborts_and_keeps_last_checkpoint(tmp_path):
     assert all(np.isfinite(p.values).all() for p in params.values())
 
 
+@pytest.mark.parametrize("steps, every, saved_after", [
+    (4, 0, [4]), (4, 2, [2, 4]), (5, 2, [2, 4, 5]), (3, 5, [3]), (2, 1, [1, 2]),
+], ids=["end_only", "every_divides_steps", "every_leaves_a_tail", "every_past_steps", "every_step"])
+def test_train_writes_each_checkpoint_once(tmp_path, monkeypatch, steps, every, saved_after):
+    # a periodic save at the last step is the final checkpoint; it is not written again
+    segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
+    done, saved = [], []   # steps taken; steps taken at each save
+    train_step = pt.train_step
+
+    def counted_step(*args):
+        done.append(len(done))
+        return train_step(*args)
+
+    monkeypatch.setattr(pt, "train_step", counted_step)
+    monkeypatch.setattr(pt, "save_checkpoint", lambda *args: saved.append(len(done)))
+    cfg = pt.PretrainConfig(steps=steps, batch_size=2, seed=8, checkpoint_every=every)
+    pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg, checkpoint_path=str(tmp_path / "ck"))
+    assert saved == saved_after
+
+
 def test_pretrain_step_sets_up_one_stream_per_example(tmp_path, monkeypatch):
     segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
     names = []

@@ -366,6 +366,17 @@ def test_single_short_document(tmp_path):
     assert len(rt.tokenize(segments[0])) + 1 == 11
 
 
+def test_corpus_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # the mark would otherwise be a one-character token opening the first segment
+    read = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        p = tmp_path / "c.txt"
+        p.write_bytes(bom + b"alpha beta .\nbeta gamma .\n\nalpha delta .\n")
+        read.append((rt.build_vocab(str(p), min_freq=1).names, rt.segment_corpus(str(p), max_seq_len=512)))
+    assert read[1] == read[0]
+    assert read[0][1][0].startswith("alpha")
+
+
 def test_long_document_splits(tmp_path):
     words = " ".join("w%d" % i for i in range(600))
     p = tmp_path / "c.txt"
@@ -544,12 +555,13 @@ RESERVED_TSV = Vocab(rt.RESERVED_TOKENS).to_tsv()
     (RESERVED_TSV + "alpha\t05\n", 6, r"expected name<TAB>id, got 'alpha\t05'"),
     (RESERVED_TSV + "beta\t6\nalpha\t5\n", 6, r"expected a new name<TAB>5, got 'beta\t6'"),
     (RESERVED_TSV.replace("[MASK]\t3\n", ""), 4, r"expected [MASK]<TAB>3, got '[SEP]\t4'"),
-    (RESERVED_TSV.replace("[INT]", ""), 3, r"expected [INT]<TAB>2, got '\t2'"),
+    (RESERVED_TSV.replace("[INT]", ""), 3, r"expected name<TAB>id, got '\t2'"),
     ("[PAD]\t0\n[UNK]\t1\n\n", 4, "expected [INT]<TAB>2, got the end of the table"),
 ], ids=["non_dense_id", "no_tab", "repeated_name", "leading_zero_id", "out_of_order_id",
         "missing_reserved_name", "empty_name", "trailing_blank_line"])
 def test_vocab_tsv_rejects_malformed_line(text, lineno, got):
-    # the table is checked whole; the line reader names the line
+    # the table is checked whole, its format before its ids and names; the
+    # line locator names the line
     with pytest.raises(ValueError) as e:
         Vocab.from_tsv(text, "vocab.tsv", rt.RESERVED_TOKENS)
     assert str(e.value) == "vocab.tsv:%d: %s" % (lineno, got)

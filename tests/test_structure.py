@@ -1,6 +1,7 @@
 """Source-structure contracts: raw text reaches the encoder through one path,
 multiple-choice questions and link-prediction queries are each scored through
-one function, and each pipeline stage runs from its CLI command alone."""
+one function, each pipeline stage runs from its CLI command alone, and every
+tab-separated input is split by one reader."""
 
 import ast
 import pathlib
@@ -148,6 +149,17 @@ def test_input_files_are_read_by_the_one_text_reader():
         return not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax"))
 
     assert functions_where(opens_to_read) == {"kg_store:read_text", "pretrain:load_checkpoint"}
+
+
+def test_tab_separated_text_is_split_by_read_tsv_only():
+    # the KG and alias files and a checkpoint's name tables are all read by
+    # kg_store.read_tsv, which splits in bulk and alone names a bad line
+    def splits_on_a_tab(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("split", "rsplit", "partition", "rpartition")
+                and any(isinstance(arg, ast.Constant) and arg.value == "\t" for arg in node.args))
+
+    assert functions_where(splits_on_a_tab) == {"kg_store:read_tsv"}
 
 
 def test_objective_names_are_compared_in_pretrain_config_only():
