@@ -9,8 +9,9 @@ the library signatures that consume them) < --config < --set < --seed. A
 command that loads a checkpoint lays the checkpoint's config, with the
 provenance `checkpoint`, over the defaults and under every other source. One
 parser, parse_config_text, reads each source as lines: a --config file, the
---set items in order and a checkpoint's config text. Its errors name
-`<source>:<line>`, and the key where there is one.
+--set items in order and a checkpoint's config text. Text lines end at "\n"
+alone, as in every input file. Its errors name `<source>:<line>`, and the
+key where there is one.
 The effective configuration is written next to every command's outputs and
 reproduces the run when fed back through --config under the same seed.
 
@@ -234,7 +235,7 @@ def _build_parser() -> _Parser:
 
 def _run_config(args) -> RunConfig:
     config = ({} if args.config is None else
-              parse_config_text(read_text(args.config).splitlines(), args.config))
+              parse_config_text(read_text(args.config).split("\n"), args.config))
     return RunConfig(("file", config), ("flag", parse_config_text(args.set, "--set")),
                      ("flag", {} if args.seed is None else {"seed": args.seed}))
 
@@ -252,7 +253,7 @@ def _load_checkpoint_bundle(args, flags: RunConfig, kg_mode: str | None = None):
     params, token_vocab, entities, relations, config_text = pt.load_checkpoint(args.checkpoint)
     source = "%s (config text)" % args.checkpoint
     try:
-        ckpt_values = parse_config_text(config_text.splitlines(), source)
+        ckpt_values = parse_config_text(config_text.split("\n"), source)
     except ConfigError as e:
         raise pt.CheckpointError(str(e)) from None
     try:
@@ -299,10 +300,10 @@ def _cmd_gen_synthetic(args, cfg: RunConfig) -> int:
 def _cmd_pretrain(args, cfg: RunConfig) -> int:
     enc_cfg, pre_cfg = cfg.encoder_config(), cfg.pretrain_config()
     kg, entities, relations = load_kg(args.kg, alias_file=args.aliases)
-    token_vocab = build_vocab(args.corpus, min_freq=cfg["vocab.min_freq"])
     segments = segment_corpus(args.corpus, enc_cfg.max_seq_len)
     if not segments:
         raise DataError("%s: no training segments" % args.corpus)
+    token_vocab = build_vocab(segments, min_freq=cfg["vocab.min_freq"])
     _write_effective_config(cfg, args.out)
     ckpt = os.path.join(args.out, "checkpoint.drgn")
     metrics = os.path.join(args.out, "metrics.jsonl")

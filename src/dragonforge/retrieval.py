@@ -1,17 +1,20 @@
 """Text-side input preparation: tokenization, entity linking, local-KG retrieval.
 
-`Retriever.inputs` is the one path from raw text to encoder inputs, for
-pretraining, finetuning, evaluation and attention dumps alike. Texts become
-(TextSegment, LocalKG): dictionary longest-match linking produces the linked
-entity set, 2-hop bridge expansion plus pruning produces the node set, and
-the interaction node is wired to surviving linked entities. Segments with no
-linked entities fall back to a dummy single-node graph. In verbalized mode
-the local KG is rendered into the token sequence behind a dummy graph.
+`segment_corpus` tokenizes a pretraining corpus once, into segments of token
+text that `build_vocab` counts. `Retriever.inputs` is the one path from raw
+text to encoder inputs, for pretraining, finetuning, evaluation and attention
+dumps alike. Texts become (TextSegment, LocalKG): dictionary longest-match
+linking produces the linked entity set, 2-hop bridge expansion plus pruning
+produces the node set, and the interaction node is wired to surviving linked
+entities. Segments with no linked entities fall back to a dummy single-node
+graph. In verbalized mode the local KG is rendered into the token sequence
+behind a dummy graph.
 """
 
 from __future__ import annotations
 
 import re
+import unicodedata
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -33,17 +36,20 @@ _TOKEN_RE = re.compile(r"[a-z0-9_']+|[^a-z0-9_'\s]")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase whitespace+punctuation split."""
+    """Lowercase whitespace+punctuation split, after dropping format characters
+    (category Cf: a zero-width space, a soft hyphen), which would split a word."""
+    if not (text.isascii() or text.isprintable()):   # a format character is neither ASCII nor printable
+        text = "".join(ch for ch in text if unicodedata.category(ch) != "Cf")
     return _TOKEN_RE.findall(text.lower())
 
 
-def build_vocab(corpus_file: str, min_freq: int = 2) -> Vocab:
-    """Corpus-built vocabulary; tokens below min_freq map to [UNK].
+def build_vocab(segments: list[str], min_freq: int = 2) -> Vocab:
+    """Vocabulary of segment_corpus's segments; tokens below min_freq map to [UNK].
 
-    The whole file is tokenized in one call. That counts what a line-by-line
-    count would: no token spans a newline, and a newline is neither cased nor
-    case-ignorable, so lowercasing the whole text lowercases each line alike."""
-    counts = Counter(tokenize(read_text(corpus_file)))
+    A segment is its tokens joined by single spaces and every corpus token
+    lies in exactly one segment, so splitting the segments on spaces counts
+    the corpus's tokens."""
+    counts = Counter(tok for segment in segments for tok in segment.split(" "))
     return Vocab(RESERVED_TOKENS + tuple(tok for tok in sorted(counts) if counts[tok] >= min_freq))
 
 
@@ -247,36 +253,27 @@ class Retriever:
 
 
 def segment_corpus(corpus_file: str, max_seq_len: int) -> list[str]:
-    """Greedy packing of consecutive sentences into raw text segments.
+    """Greedy packing of consecutive sentences into segments of token text.
 
-    Sentences are lines, and a blank line (empty or whitespace only) ends a
-    document. Segments hold at most max_seq_len - 1 tokens (one slot
-    reserved for [INT]) and never cross document boundaries. Over-long
-    single sentences are hard-split on the token boundaries of their
-    lowercased text, and the pieces are that lowercased text: lowercasing
-    can change a string's length ('İ' becomes two characters), so cutting
-    the original would shift the cuts. Every consumer lowercases anyway.
+    Sentences are lines, each tokenized once, and a line with no tokens ends
+    a document. A segment is its tokens joined by single spaces, so
+    tokenize(segment) == segment.split(" "). Segments hold at most
+    max_seq_len - 1 tokens (one slot reserved for [INT]) and never cross
+    document boundaries; an over-long sentence is cut into pieces of that
+    many tokens.
     """
     budget = max_seq_len - 1
     segments: list[str] = []
-    lines = read_text(corpus_file).split("\n")
     cur: list[str] = []
-    cur_len = 0
-    for sent in lines + [""]:   # the end of the file ends the last document
-        n = len(tokenize(sent)) if sent.strip() else 0
+    for line in read_text(corpus_file).split("\n") + [""]:   # the end of the file ends the last document
+        toks = tokenize(line)
         # a blank line, an over-long sentence or a full segment ends the segment
-        if not n or n > budget or cur_len + n > budget:
+        if not toks or len(cur) + len(toks) > budget:
             if cur:
                 segments.append(" ".join(cur))
-            cur, cur_len = [], 0
-        if n > budget:
-            # hard-split an over-long sentence on token boundaries
-            low = sent.lower()
-            spans = [m.span() for m in _TOKEN_RE.finditer(low)]
-            for lo in range(0, len(spans), budget):
-                chunk = spans[lo:lo + budget]
-                segments.append(low[chunk[0][0]:chunk[-1][1]])
-        elif n:
-            cur.append(sent)
-            cur_len += n
+            cur = []
+        if len(toks) > budget:
+            segments += (" ".join(toks[lo:lo + budget]) for lo in range(0, len(toks), budget))
+        else:
+            cur += toks
     return segments

@@ -17,14 +17,16 @@ import pytest
 
 from dragonforge import cli
 from dragonforge import evaluation as ev
+from dragonforge import kg_store
 from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
+from dragonforge import retrieval as rt
 from dragonforge.cli import (DEFAULTS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                              RunConfig, main, parse_config_text)
 from dragonforge.encoder import EncoderConfig, init_params
 from dragonforge.finetune import FinetuneConfig
 from dragonforge.kg_store import R_EL, load_kg
-from dragonforge.retrieval import SEP, Retriever, build_vocab
+from dragonforge.retrieval import SEP, Retriever
 
 # leak_rate 0.1 withholds half of the 30 derived facts from the KG; at 0.2
 # every one is withheld, the derived relation is not in the KG, and eval-lp
@@ -123,6 +125,48 @@ def test_the_retired_vocabulary_paths_exit_usage(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+def corpus_vocab(corpus: str, min_freq: int):
+    """The token vocabulary pretrain builds from corpus; a segment length
+    changes no token count, since each token lies in one segment."""
+    return rt.build_vocab(rt.segment_corpus(corpus, 32), min_freq)
+
+
+def test_pretrain_setup_reads_and_tokenizes_its_corpus_once(world_dir, tmp_path, monkeypatch):
+    # segment_corpus reads the corpus through read_text and tokenizes each
+    # line once; build_vocab counts the segments without tokenizing them
+    corpus = os.path.join(world_dir, "corpus.txt")
+    reads, tokenized, in_build_vocab = [], [], []
+    read_text, tokenize, build_vocab = rt.read_text, rt.tokenize, rt.build_vocab
+    for module in (cli, kg_store, rt):
+        monkeypatch.setattr(module, "read_text", lambda path: reads.append(path) or read_text(path))
+    monkeypatch.setattr(rt, "tokenize", lambda text: tokenized.append(text) or tokenize(text))
+
+    def counting_build_vocab(segments, min_freq):
+        before = len(tokenized)
+        vocab = build_vocab(segments, min_freq)
+        in_build_vocab.append(len(tokenized) - before)
+        return vocab
+
+    class Stopped(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Stopped
+
+    monkeypatch.setattr(cli, "build_vocab", counting_build_vocab)
+    monkeypatch.setattr(pt, "train", stop)
+    kg, aliases = os.path.join(world_dir, "kg.tsv"), os.path.join(world_dir, "aliases.tsv")
+    with pytest.raises(Stopped):
+        main(["pretrain", "--corpus", corpus, "--kg", kg, "--aliases", aliases,
+              "--out", str(tmp_path / "o")])
+    assert sorted(reads) == sorted([kg, aliases, corpus])
+    assert in_build_vocab == [0]
+    text = read_text(corpus)
+    assert text.count("\n") > 100
+    # each line once, in order, and nothing else but the end of the file
+    assert "\n".join(tokenized).rstrip("\n") == text.rstrip("\n")
+
+
 def test_pretrain_metrics_byte_identical_across_runs(world_dir, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -147,7 +191,7 @@ def test_pretrain_metrics_byte_identical_across_runs(world_dir, tmp_path):
 def test_pretrain_vocabulary_is_build_vocab_of_its_corpus(world_dir, tmp_path, kg_mode):
     # min_freq 5 leaves some corpus tokens out of the checkpoint's table
     corpus = os.path.join(world_dir, "corpus.txt")
-    assert len(build_vocab(corpus, 5)) < len(build_vocab(corpus, 1))
+    assert len(corpus_vocab(corpus, 5)) < len(corpus_vocab(corpus, 1))
     out = str(tmp_path / "pre")
     assert main(["pretrain", "--corpus", corpus, "--kg", os.path.join(world_dir, "kg.tsv"),
                  "--aliases", os.path.join(world_dir, "aliases.tsv"), "--out", out, "--seed", "7",
@@ -155,7 +199,7 @@ def test_pretrain_vocabulary_is_build_vocab_of_its_corpus(world_dir, tmp_path, k
                  "--set", "pretrain.kg_mode=%s" % kg_mode]
                 + MICRO_MODEL + ["--set", "vocab.min_freq=5"]) == EXIT_OK
     token_vocab = pt.load_checkpoint(os.path.join(out, "checkpoint.drgn"))[1]
-    assert token_vocab.to_tsv() == build_vocab(corpus, 5).to_tsv()
+    assert token_vocab.to_tsv() == corpus_vocab(corpus, 5).to_tsv()
 
 
 def test_fusion_cells_differ_at_two_fusion_layers(world_dir, tmp_path):
@@ -455,7 +499,7 @@ def test_ablation_default_grid_row_count(ablation):
 def test_ablation_builds_vocab_with_configured_min_freq(ablation):
     # the ablation's own settings reach every command of every cell
     corpus = os.path.join(ablation, "world", "corpus.txt")
-    assert len(build_vocab(corpus, 5)) < len(build_vocab(corpus, 2))
+    assert len(corpus_vocab(corpus, 5)) < len(corpus_vocab(corpus, 2))
     cells = sorted(os.listdir(os.path.join(ablation, "cells")))
     assert cells == sorted(name + "-seed0" for name in cli.ABLATION_CELLS)
     n_commands = 0
@@ -466,7 +510,7 @@ def test_ablation_builds_vocab_with_configured_min_freq(ablation):
             assert values["vocab.min_freq"] == 5 and values["pretrain.steps"] == 2, path
             n_commands += 1
         ckpt = os.path.join(ablation, "cells", cell, "pretrain", "checkpoint.drgn")
-        assert pt.load_checkpoint(ckpt)[1].names == build_vocab(corpus, 5).names
+        assert pt.load_checkpoint(ckpt)[1].names == corpus_vocab(corpus, 5).names
     assert n_commands == 5 * 4 + 2 * 3   # cells with eval-lp, mlm_only and verbalized
 
 
@@ -1061,6 +1105,32 @@ def test_config_file_with_a_byte_order_mark_reads_as_without(tmp_path):
         assert main(["gen-synthetic", "--config", str(cfg), "--out", str(out)]) == 0
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outs[1] == outs[0]
+
+
+@pytest.mark.parametrize("text, said", [
+    ("pretrain.steps = 2\x0cpretrain.batch_size = 4\n",
+     ":1: pretrain.steps: expected int, got '2\\x0cpretrain.batch_size = 4'"),
+    ("pretrain.steps = 2\x0cpretrain.batch_size = 4\nbogus.key = 1\n",
+     ":1: pretrain.steps: expected int, got '2\\x0cpretrain.batch_size = 4'"),
+    ("# a note\x0cpretrain.batch_size = 4\nbogus.key = 1\n", ":2: unknown key 'bogus.key'"),
+    ("# a\x0bb\x1cc\x1dd\x1ee\x85f\u2028g\u2029h\nbogus.key = 1\n", ":2: unknown key 'bogus.key'"),
+], ids=["form_feed_in_a_value", "form_feed_then_unknown_key", "form_feed_in_a_comment",
+        "every_other_line_break_in_a_comment"])
+def test_config_file_lines_end_at_a_newline_only(tmp_path, capsys, text, said):
+    # as in every other input file; str.splitlines would also end a line at
+    # each of these characters, reading a setting out of a comment or a value
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["gen-synthetic", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == ["error: %s%s" % (cfg, said)]
+
+
+def test_checkpoint_config_lines_end_at_a_newline_only(world_dir, pretrained, tmp_path):
+    # the form feed leaves the whole line a comment
+    old = str(tmp_path / "old.drgn")
+    _with_config_line(os.path.join(pretrained, "checkpoint.drgn"), "# a note\x0cpretrain.bogus = 1", old)
+    assert main(["dump-attention", "--checkpoint", old, "--text", "zzz",
+                 "--kg", os.path.join(world_dir, "kg.tsv"), "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 def test_the_retired_negative_count_key_is_refused(world_dir, pretrained, tmp_path, capsys):

@@ -229,10 +229,10 @@ def lp_fixture(out):
                                         leak_rate=0.1, seed=8)
     files = world.write_files(str(out))
     kg, entities, relations = load_kg(files["kg.tsv"], files["aliases.tsv"])
-    tv = build_vocab(files["corpus.txt"], min_freq=2)
     enc_cfg = EncoderConfig(n_unimodal=1, n_fusion=1, d_text=16, d_node=8,
                             heads_text=2, heads_gnn=2, d_mint_hidden=16,
                             max_seq_len=48, max_nodes=12)
+    tv = build_vocab(segment_corpus(files["corpus.txt"], enc_cfg.max_seq_len), min_freq=2)
     return world, kg, entities, relations, tv, enc_cfg
 
 
@@ -312,7 +312,8 @@ def test_chains_world_link_prediction_is_solvable_from_the_retrieved_graph(tmp_p
     # change that breaks the paths fails here instead of flattening LP numbers
     files = ev.generate_synthetic_world(seed=1).write_files(str(tmp_path))
     kg, entities, relations = load_kg(files["kg.tsv"])
-    tv = build_vocab(files["corpus.txt"], min_freq=DEFAULTS["vocab.min_freq"])
+    tv = build_vocab(segment_corpus(files["corpus.txt"], EncoderConfig().max_seq_len),
+                     min_freq=DEFAULTS["vocab.min_freq"])
     queries = [json.loads(line) for line in open(files["lp_test.jsonl"], encoding="utf-8")]
     report = ev.eval_link_prediction(RuleScorer(relations), queries,
                                      retriever(kg, entities, relations, tv, EncoderConfig()),

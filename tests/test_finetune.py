@@ -11,7 +11,8 @@ from dragonforge import retrieval
 from dragonforge.encoder import EncoderConfig, EncoderOutput, init_params
 from dragonforge.evaluation import generate_synthetic_world
 from dragonforge.kg_store import R_EL, load_kg
-from dragonforge.retrieval import INT, LocalKG, Retriever, TextSegment, V_INT, build_vocab
+from dragonforge.retrieval import (INT, LocalKG, Retriever, TextSegment, V_INT, build_vocab,
+                                   segment_corpus)
 
 
 def fake_output(h_int, node_rows):
@@ -198,10 +199,10 @@ def qa_setup(out, seed=6):
                                      leak_rate=0.15, seed=seed)
     files = world.write_files(str(out))
     kg, entities, relations = load_kg(files["kg.tsv"], files["aliases.tsv"])
-    tv = build_vocab(files["corpus.txt"], min_freq=2)
     enc_cfg = EncoderConfig(n_unimodal=1, n_fusion=2, d_text=32, d_node=16,
                             heads_text=2, heads_gnn=2, d_mint_hidden=32, dropout=0.1,
                             max_seq_len=32, max_nodes=10)
+    tv = build_vocab(segment_corpus(files["corpus.txt"], enc_cfg.max_seq_len), min_freq=2)
     params = init_params(enc_cfg, seed, len(tv), len(entities), len(relations))
     ft.add_pooling_head(params, enc_cfg, seed)
     return world, kg, entities, relations, tv, enc_cfg, params

@@ -537,11 +537,11 @@ def small_setup(out):
     the files it writes under out as the pretrain command reads them."""
     files = small_world().write_files(str(out))
     kg, entities, relations = load_kg(files["kg.tsv"], files["aliases.tsv"])
-    tv = build_vocab(files["corpus.txt"], min_freq=2)
     enc_cfg = EncoderConfig(n_unimodal=1, n_fusion=2, d_text=32, d_node=16, heads_text=2,
                             heads_gnn=2, d_mint_hidden=32, dropout=0.1, max_seq_len=48,
                             max_nodes=10)
     segments = segment_corpus(files["corpus.txt"], enc_cfg.max_seq_len)
+    tv = build_vocab(segments, min_freq=2)
     return segments, kg, entities, relations, tv, enc_cfg
 
 

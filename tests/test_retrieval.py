@@ -1,7 +1,9 @@
 """Entity linking, local-KG retrieval with bridge expansion, verbalization,
 and corpus segmentation, each checked against an independent oracle."""
 
-import re
+import sys
+import unicodedata
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -12,7 +14,7 @@ from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
 from dragonforge import retrieval as rt
 from dragonforge.kg_store import (DIR_OUT, RESERVED_RELATIONS, EntityVocab, KnowledgeGraph, R_EL,
-                                  Vocab, load_kg)
+                                  Vocab, load_kg, read_text)
 
 ROOM = 100   # a verbalization budget above any fixture's suffix length
 
@@ -57,6 +59,30 @@ def test_no_dictionary_hits():
     tv = make_vocab(["hello", "world"])
     _, linked = rt.link_entities("hello world", rt.build_alias_index(ev), tv)
     assert linked == set()
+
+
+@pytest.mark.parametrize("mark", ["\u200b", "\u00ad"], ids=["zero_width_space", "soft_hyphen"])
+def test_a_format_character_inside_a_word_is_dropped(mark):
+    assert rt.tokenize("Alpha%sbeta gamma" % mark) == ["alphabeta", "gamma"]
+    assert rt.tokenize(mark * 3) == [] and rt.tokenize(" %s\t" % mark) == []
+
+
+def test_every_format_character_is_unprintable():
+    # tokenize skips its format-character pass for printable text
+    assert not [c for c in map(chr, range(sys.maxunicode + 1))
+                if unicodedata.category(c) == "Cf" and c.isprintable()]
+
+
+@pytest.mark.parametrize("mark", ["\u200b", "\u00ad"], ids=["zero_width_space", "soft_hyphen"])
+def test_a_surface_or_text_with_a_format_character_still_links(mark):
+    ev = make_entities(["san_francisco", "oakland"])
+    ev.aliases["fris%sco" % mark] = ev.ids["san_francisco"]
+    tv = make_vocab(["san", "francisco", "frisco", "or", "oakland"])
+    index = rt.build_alias_index(ev)
+    for text in ("frisco", "Fris%sco" % mark, "San Fran%scisco" % mark):
+        seg, linked = rt.link_entities(text + " or oak%sland" % mark, index, tv)
+        assert linked == {ev.ids["san_francisco"], ev.ids["oakland"]}, text
+        assert rt.UNK not in seg.token_ids, text
 
 
 def oracle_leftmost_longest(words, aliases):
@@ -372,7 +398,8 @@ def test_corpus_with_a_byte_order_mark_reads_as_without(tmp_path):
     for bom in (b"", b"\xef\xbb\xbf"):
         p = tmp_path / "c.txt"
         p.write_bytes(bom + b"alpha beta .\nbeta gamma .\n\nalpha delta .\n")
-        read.append((rt.build_vocab(str(p), min_freq=1).names, rt.segment_corpus(str(p), max_seq_len=512)))
+        segments = rt.segment_corpus(str(p), max_seq_len=512)
+        read.append((rt.build_vocab(segments, min_freq=1).names, segments))
     assert read[1] == read[0]
     assert read[0][1][0].startswith("alpha")
 
@@ -392,7 +419,9 @@ def test_segments_never_cross_documents(tmp_path):
             ("doc one line\n\ndoc two line\n", ["doc one line", "doc two line"]),
             # a line of whitespace only is blank too
             ("alpha beta .\n \ngamma delta .\n", ["alpha beta .", "gamma delta ."]),
-            ("alpha\n\t \nbeta\n\ngamma\n", ["alpha", "beta", "gamma"])]:
+            ("alpha\n\t \nbeta\n\ngamma\n", ["alpha", "beta", "gamma"]),
+            # and so is a line of format characters only
+            ("alpha\n\u200b\u00ad\nbeta\n", ["alpha", "beta"])]:
         p.write_text(text, encoding="utf-8")
         assert rt.segment_corpus(str(p), max_seq_len=512) == expected, text
 
@@ -413,74 +442,53 @@ def test_concatenation_reproduces_document_stream(tmp_path):
     assert seg_tokens == doc_tokens
 
 
-def token_spans(text):
-    """(token, start, end) spans of the lowercased text, one per token."""
-    return [(m.group(0), m.start(), m.end()) for m in rt._TOKEN_RE.finditer(text.lower())]
-
-
-def span_build_vocab(corpus_file, min_freq):
-    # reference: the token counts read from token_spans
-    counts = {}
-    with open(corpus_file, encoding="utf-8") as fh:
-        for text in fh:
-            for tok, _, _ in token_spans(text):
-                counts[tok] = counts.get(tok, 0) + 1
-    vocab = Vocab(rt.RESERVED_TOKENS)
-    for tok in sorted(counts):
-        if counts[tok] >= min_freq:
-            vocab.add(tok)
-    return vocab
-
-
-def span_segment_corpus(corpus_file, max_seq_len):
-    # reference: segment_corpus with every sentence measured by len(token_spans(...)),
-    # hard-split pieces cut from the lowercased text the spans index
-    budget = max_seq_len - 1
-    segments = []
-    with open(corpus_file, encoding="utf-8") as fh:
-        text = fh.read()
-    # documents are runs of lines between lines of whitespace only
-    for doc in re.split(r"^\s*$", text, flags=re.M):
-        cur, cur_len = [], 0
-        for sent in (s for s in doc.split("\n") if s.strip()):
-            toks = token_spans(sent)
-            if len(toks) > budget:
-                if cur:
-                    segments.append(" ".join(cur))
-                    cur, cur_len = [], 0
-                for lo in range(0, len(toks), budget):
-                    chunk = toks[lo:lo + budget]
-                    segments.append(sent.lower()[chunk[0][1]:chunk[-1][2]])
-                continue
-            if cur_len + len(toks) > budget:
-                segments.append(" ".join(cur))
-                cur, cur_len = [], 0
-            cur.append(sent)
-            cur_len += len(toks)
-        if cur:
-            segments.append(" ".join(cur))
-    return segments
+def test_segments_are_token_text(tmp_path):
+    # each segment is its tokens joined by single spaces: lowercased, with
+    # punctuation split off and runs of whitespace collapsed
+    p = tmp_path / "c.txt"
+    p.write_text("The  CAT sat.\n\tOn the mat!\n", encoding="utf-8")
+    assert rt.segment_corpus(str(p), max_seq_len=512) == ["the cat sat . on the mat !"]
+    assert rt.segment_corpus(str(p), max_seq_len=5) == ["the cat sat .", "on the mat !"]
 
 
 WORDS = ["the", "Cat", "SAT", "on", "mat", "don't", "a_b", "42", "x9", "Über", "straße", "İstanbul",
-         "ﬁne", "naïve", "東京", "e\u0301", ",", ".", "!?", "(", ")", "-", "'"]
+         "ﬁne", "naïve", "東京", "e\u0301", "ΟΔΟΣ", "ΑΣ.", "Σ", ",", ".", "!?", "(", ")", "-", "'",
+         "zero\u200bwidth", "soft\u00adhyphen", "\u200d", "\ufeff"]
 LINE = st.one_of(
     st.just(""),                                                         # blank: ends a document
-    st.sampled_from([" ", "\t", "  \t "]),                               # whitespace only
+    st.sampled_from([" ", "\t", "  \t ", "\u200b", " \u00ad\u200d "]),     # whitespace or format only
     st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join),
     st.lists(st.sampled_from(WORDS), min_size=12, max_size=30).map(" ".join),   # over-long
     st.text(min_size=1, max_size=20))
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(lines=st.lists(LINE, max_size=25), max_seq_len=st.integers(2, 12), min_freq=st.integers(1, 3))
-@example(lines=["The CAT SAT on the mat.", "", "", " \t ", "Über naïve STRASSE", "",
-                "İstanbul and 東京, e\u0301 ﬁne " * 4, "the Cat"], max_seq_len=5, min_freq=2)
-def test_token_counts_without_spans_equal_span_counts(tmp_path, lines, max_seq_len, min_freq):
+@given(lines=st.lists(LINE, max_size=25), min_freq=st.integers(1, 3))
+@example(lines=["The CAT SAT on the mat.", "", "", " \t ", "Über naïve STRASSE", "\u200b",
+                "İstanbul and 東京, e\u0301 ﬁne ΟΔΟΣ " * 4, "the Cat"], min_freq=2)
+def test_segments_split_the_corpus_tokens_at_documents_and_budget(tmp_path, lines, min_freq):
     p = tmp_path / "c.txt"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert rt.build_vocab(str(p), min_freq).to_tsv() == span_build_vocab(str(p), min_freq).to_tsv()
-    assert rt.segment_corpus(str(p), max_seq_len) == span_segment_corpus(str(p), max_seq_len)
+    text = read_text(str(p))
+    corpus_tokens = rt.tokenize(text)
+    doc_of = []   # the document of each corpus token, counting lines with no tokens
+    doc = 0
+    for line in text.split("\n"):
+        toks = rt.tokenize(line)
+        doc += not toks
+        doc_of += [doc] * len(toks)
+    counts = Counter(corpus_tokens)
+    vocab = [*rt.RESERVED_TOKENS, *sorted(t for t in counts if counts[t] >= min_freq)]
+    for max_seq_len in (2, 3, 7, 64):
+        segments = rt.segment_corpus(str(p), max_seq_len)
+        pieces = [s.split(" ") for s in segments]
+        assert [t for piece in pieces for t in piece] == corpus_tokens
+        pos = 0
+        for s, piece in zip(segments, pieces):
+            assert rt.tokenize(s) == piece and 1 <= len(piece) <= max_seq_len - 1, s
+            assert len(set(doc_of[pos:pos + len(piece)])) == 1, s   # no segment crosses a blank line
+            pos += len(piece)
+        assert rt.build_vocab(segments, min_freq).names == vocab
 
 
 def test_hard_split_pieces_hold_at_most_the_budget_and_every_token(tmp_path):
@@ -518,8 +526,8 @@ def test_local_kg_invariants_over_random_corpus_segments(tmp_path):
     files = generate_synthetic_world(n_entities=120, n_relations=6, n_facts=1400, leak_rate=0.15,
                                      seed=5).write_files(str(tmp_path))
     g, entities, relations = load_kg(files["kg.tsv"], files["aliases.tsv"])
-    tv = rt.build_vocab(files["corpus.txt"], min_freq=2)
     segments = rt.segment_corpus(files["corpus.txt"], max_seq_len=32)
+    tv = rt.build_vocab(segments, min_freq=2)
     assert len(segments) >= 200
     checked = 0
     for idx, raw in enumerate(segments):
@@ -570,7 +578,7 @@ def test_vocab_tsv_rejects_malformed_line(text, lineno, got):
 def test_min_freq_threshold(tmp_path):
     p = tmp_path / "c.txt"
     p.write_text("common common rare\n", encoding="utf-8")
-    tv = rt.build_vocab(str(p), min_freq=2)
+    tv = rt.build_vocab(rt.segment_corpus(str(p), max_seq_len=8), min_freq=2)
     assert "common" in tv.ids
     assert "rare" not in tv.ids
     seg, _ = rt.link_entities("common rare", rt.build_alias_index(EntityVocab()), tv)

@@ -1,7 +1,8 @@
 """Source-structure contracts: raw text reaches the encoder through one path,
 multiple-choice questions and link-prediction queries are each scored through
-one function, each pipeline stage runs from its CLI command alone, and every
-tab-separated input is split by one reader."""
+one function, each pipeline stage runs from its CLI command alone, every
+tab-separated input is split by one reader, and text becomes tokens through
+tokenize alone, the pretraining corpus once."""
 
 import ast
 import pathlib
@@ -123,12 +124,19 @@ def test_retrieval_streams_are_built_lazily():
     assert eager == []
 
 
-def test_token_pattern_is_read_by_tokenize_and_the_hard_split_only():
-    # text becomes tokens through tokenize; segment_corpus also needs the
-    # token spans to hard-split an over-long sentence
+def test_token_pattern_is_read_by_tokenize_only():
+    # text becomes tokens through tokenize alone; segment_corpus cuts an
+    # over-long sentence from its token list
     readers = functions_where(lambda node: isinstance(node, ast.Name) and node.id == "_TOKEN_RE"
                               and isinstance(node.ctx, ast.Load))
-    assert readers == {"retrieval:tokenize", "retrieval:segment_corpus"}
+    assert readers == {"retrieval:tokenize"}
+
+
+def test_the_vocabulary_is_counted_from_segments_without_tokenizing():
+    # segment_corpus tokenizes the corpus once, and its segments are token
+    # text that build_vocab splits on spaces
+    assert "retrieval:build_vocab" not in callers("tokenize")
+    assert callers("segment_corpus") == {"cli:_cmd_pretrain"}
 
 
 def test_row_scatters_go_through_rows_at():
