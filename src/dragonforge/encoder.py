@@ -10,12 +10,21 @@ Token outputs never depend on the graph when fusion is disabled
 (concat_at_end), and dummy graphs keep zero node states with no message
 passing, so the model backs off to text plus the exchange perceptron's bias
 path.
+
+Each head reads a small part of the last fusion layer's outputs, and a
+caller says which (Reads): masked-token prediction the masked tokens, link
+prediction the entity nodes, QA pooling the interaction token and node and
+every node. That layer's transformer layer then runs queries, residual and
+FFN on the read token rows only (keys and values on every row), its GNN
+layer only when node states are read, and its exchange only when the
+interaction is. Reading everything is the full pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -63,25 +72,49 @@ class EncoderConfig:
             raise ValueError("fusion: unknown mode %r" % self.fusion)
 
 
+@dataclass(frozen=True)
+class Reads:
+    """The final states an encode_batch caller reads; its last fusion layer
+    computes only those (see encode_batch).
+
+    positions: per example, the token positions it reads besides its
+        interaction token, each in 1 .. its length - 1, in the order of its
+        token rows; None reads every position, padding included, and the
+        interaction.
+    nodes: the node states but the interaction nodes'.
+    interaction: the interaction token and node after the final exchange,
+        and with them every node state. Unread, the interaction nodes' rows
+        hold their states before the final exchange.
+    """
+    positions: Sequence[Sequence[int]] | None = None
+    nodes: bool = True
+    interaction: bool = True
+
+
 @dataclass
 class EncoderOutput:
-    """Encoder states of a batch of B examples.
+    """Encoder states of a batch of B examples, as far as the Reads say.
 
-    tokens: [B * max_len, d_text]; token i of example b is row b * max_len + i
-        (i = 0 its interaction token); rows past the example's length are
-        padding.
-    nodes: [N, d_node], the disjoint union of the local graphs; node j of
-        example b is row node_offsets[b] + j (j = 0 its interaction node).
-        A dummy graph keeps two zero rows.
-    graph_attention: one [M, heads_gnn] array per fusion layer, the attention
-        weight per head of every message. Messages run example by example;
-        within an example, message 2e is edge e of local.edges read
-        head->tail and 2e+1 its reverse. Dummy graphs send no messages.
+    tokens: [B * width, d_text], or None when no token is read. Example b
+        owns rows b * width .. b * width + width - 1. Reading every position,
+        width is the batch's padded length and row b * width + i holds token
+        i (i = 0 the interaction token; rows past the example's length are
+        padding). Otherwise the example's rows hold its interaction token
+        when that is read, then its read positions in order; rows past those
+        pad the example to width, with no meaning.
+    nodes: [N, d_node], the disjoint union of the local graphs, or None when
+        unread; node j of example b is row node_offsets[b] + j (j = 0 its
+        interaction node). A dummy graph keeps two zero rows.
+    graph_attention: one [M, heads_gnn] array per fusion layer, the last one
+        only when node states are read: the attention weight per head of
+        every message. Messages run example by example; within an example,
+        message 2e is edge e of local.edges read head->tail and 2e+1 its
+        reverse. Dummy graphs send no messages.
     """
-    tokens: Tensor
-    nodes: Tensor
+    tokens: Tensor | None
+    nodes: Tensor | None
     graph_attention: list
-    max_len: int
+    width: int
     node_offsets: np.ndarray       # [B + 1]
 
     @property
@@ -90,8 +123,9 @@ class EncoderOutput:
 
     @property
     def h_int(self) -> Tensor:
-        """[B, d_text] interaction-token states."""
-        return nm.gather_rows(self.tokens, np.arange(self.batch_size) * self.max_len)
+        """[B, d_text] interaction-token states, each example's first token
+        row (read through Reads.interaction)."""
+        return nm.gather_rows(self.tokens, np.arange(self.batch_size) * self.width)
 
     @property
     def v_int(self) -> Tensor:
@@ -253,12 +287,25 @@ _ATTENTION_WEIGHTS = ("attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "at
 _FFN_WEIGHTS = ("ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln2.g", "ln2.b")
 
 
-def _transformer_layer(x: Tensor, params, cfg: EncoderConfig, idx: int, batch: Batch) -> Tensor:
+def _site_keep(keep: np.ndarray | None, site: int, rows: np.ndarray | None = None) -> np.ndarray | None:
+    """The keep mask keep[site] of one of the batch's mask groups (see
+    Batch), at its rows `rows` when given; None without masks."""
+    if keep is None:
+        return None
+    return keep[site] if rows is None else keep[site][rows]
+
+
+def _transformer_layer(x: Tensor, params, cfg: EncoderConfig, idx: int, batch: Batch,
+                       rows: np.ndarray | None = None) -> Tensor:
+    """Transformer layer idx over x's [B * max_len] token rows. Given rows
+    ([B * W] indices into x, W per example), queries, the residual and the
+    FFN run on those rows only and the output has them, keys and values
+    still every row; the dropout masks are those rows of the batch's."""
     p, keep = "lm.layer%d." % idx, batch.token_keep
     x = nm.attention_block(x, [params[p + n] for n in _ATTENTION_WEIGHTS], batch.key_pad,
-                           cfg.heads_text, cfg.dropout, None if keep is None else keep[1 + 2 * idx])
+                           cfg.heads_text, cfg.dropout, _site_keep(keep, 1 + 2 * idx, rows), rows)
     return nm.ffn_block(x, [params[p + n] for n in _FFN_WEIGHTS], cfg.dropout,
-                        None if keep is None else keep[2 + 2 * idx])
+                        _site_keep(keep, 2 + 2 * idx, rows))
 
 
 _GNN_WEIGHTS = ("w_msg", "b_msg", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln.g", "ln.b")
@@ -275,21 +322,23 @@ def _gnn_layer(v: Tensor, params, cfg: EncoderConfig, layer: int,
     Dummy graphs' rows stay zero. Returns the new node states and the [M,
     heads] attention of every message.
     """
-    p, keep = "gnn.layer%d." % layer, batch.node_keep
+    p = "gnn.layer%d." % layer
     live = None if batch.graph.all() else np.repeat(batch.graph, np.diff(batch.node_offsets))
     return nm.gnn_block(v, params["gnn.rel_emb"], [params[p + n] for n in _GNN_WEIGHTS], batch.src,
                         batch.dst, batch.reldir, cfg.heads_gnn, cfg.dropout,
-                        None if keep is None else keep[1 + layer], live)
+                        _site_keep(batch.node_keep, 1 + layer), live)
 
 
 def _mint(x: Tensor, v: Tensor, params, cfg: EncoderConfig, layer: int,
           batch: Batch) -> tuple[Tensor, Tensor]:
     """Two-layer perceptron over each example's [H_int; V_int]; residual
-    update of both rows. Dummy graphs' interaction nodes stay zero."""
-    p, keep = "mint.layer%d." % layer, batch.mint_keep
-    int_rows, v_rows = np.arange(len(batch.graph)) * batch.max_len, batch.node_offsets[:-1]
+    update of both rows. x holds the same number of token rows per example,
+    the first of them its interaction token. Dummy graphs' interaction nodes
+    stay zero."""
+    p, n_ex = "mint.layer%d." % layer, len(batch.graph)
+    int_rows, v_rows = np.arange(n_ex) * (x.shape[0] // n_ex), batch.node_offsets[:-1]
     upd = nm.mint_block(x, v, [params[p + n] for n in _MINT_WEIGHTS], int_rows, v_rows, cfg.dropout,
-                        None if keep is None else keep[layer])
+                        _site_keep(batch.mint_keep, layer))
     uh, uv = nm.split(upd, [cfg.d_text, cfg.d_node], axis=1)
     x = nm.add(x, nm.scatter_rows(uh, int_rows, x.shape[0]))
     if batch.graph.any():
@@ -300,15 +349,45 @@ def _mint(x: Tensor, v: Tensor, params, cfg: EncoderConfig, layer: int,
     return x, v
 
 
+def _query_rows(reads: Reads, examples: list[tuple[TextSegment, LocalKG]], max_len: int
+                ) -> np.ndarray | None:
+    """The [B * W] rows of the padded token matrix that the last transformer
+    layer runs its queries on, W per example (slots past an example's reads
+    repeat its interaction token); None for every row."""
+    if reads.positions is None:
+        if not reads.interaction:
+            raise ValueError("reads: every position includes the interaction token")
+        return None
+    if len(reads.positions) != len(examples) or any(
+            not all(0 < p < seg.length for p in ps) for ps, (seg, _) in zip(reads.positions, examples)):
+        raise ValueError("reads: need, per example, token positions in 1 .. its length - 1")
+    slots = [[0] * reads.interaction + list(ps) for ps in reads.positions]
+    width = max(len(s) for s in slots)
+    table = np.zeros((len(examples), width), dtype=np.int64)
+    for b, s in enumerate(slots):
+        table[b, :len(s)] = s
+    return (table + max_len * np.arange(len(examples))[:, None]).reshape(-1)
+
+
 def encode_batch(examples: list[tuple[TextSegment, LocalKG]], params: dict[str, Tensor],
-                 cfg: EncoderConfig, seeds: list[int] | None = None) -> EncoderOutput:
+                 cfg: EncoderConfig, seeds: list[int] | None = None,
+                 reads: Reads = Reads()) -> EncoderOutput:
     """Cross-modal forward pass over a batch of (text, local KG) examples.
 
     Given seeds, the pass trains: seeds[b] keys example b's dropout masks.
     Without them it evaluates, with no dropout. Example b's rows match
     encode() of that example alone up to float rounding.
+
+    The last fusion layer computes only what `reads` asks for: its
+    transformer layer on the read token rows (the interaction token's among
+    them when the interaction is read), not at all when no token is read;
+    its GNN layer when node states are read; its exchange when the
+    interaction is. Read states equal a full pass's up to float rounding,
+    and the dropout masks are drawn in full, so no stream changes.
     """
     batch = make_batch(examples, cfg, seeds)
+    rows = _query_rows(reads, examples, batch.max_len)
+    read_nodes = reads.nodes or reads.interaction
 
     def run(stage, fn, *args):
         try:
@@ -334,26 +413,32 @@ def encode_batch(examples: list[tuple[TextSegment, LocalKG]], params: dict[str, 
         table = nm.concat([params["node_emb.v_int"], params["node_emb.table"],
                            nm.constant(np.zeros((1, cfg.d_node)))], axis=0)
         zero_row = table.shape[0] - 1
-        rows = []
+        node_rows = []
         for _, local in examples:
-            rows += [zero_row] * 2 if local.is_dummy else [0] + [1 + e for e in local.entity_ids()]
-        v = _maybe_dropout(nm.gather_rows(table, rows), cfg, batch.node_keep, 0)
+            node_rows += [zero_row] * 2 if local.is_dummy else [0] + [1 + e for e in local.entity_ids()]
+        v = _maybe_dropout(nm.gather_rows(table, node_rows), cfg, batch.node_keep, 0)
     else:
         v = nm.constant(np.zeros((batch.node_offsets[-1], cfg.d_node)))
 
     graph_attention: list[np.ndarray] = []
     for l in range(cfg.n_fusion):
-        x = run("lm.layer%d" % (cfg.n_unimodal + l), _transformer_layer,
-                x, params, cfg, cfg.n_unimodal + l, batch)
-        attn = np.zeros((0, cfg.heads_gnn))
-        if batch.graph.any():
-            v, attn = run("gnn.layer%d" % l, _gnn_layer, v, params, cfg, l, batch)
-        graph_attention.append(attn)
-        if cfg.fusion == BIDIRECTIONAL:
+        final, idx = l == cfg.n_fusion - 1, cfg.n_unimodal + l
+        if not final or rows is None or rows.size:
+            x = run("lm.layer%d" % idx, _transformer_layer, x, params, cfg, idx, batch,
+                    rows if final else None)
+        else:
+            x = None
+        if not final or read_nodes:
+            attn = np.zeros((0, cfg.heads_gnn))
+            if batch.graph.any():
+                v, attn = run("gnn.layer%d" % l, _gnn_layer, v, params, cfg, l, batch)
+            graph_attention.append(attn)
+        if cfg.fusion == BIDIRECTIONAL and (not final or reads.interaction):
             x, v = run("mint.layer%d" % l, _mint, x, v, params, cfg, l, batch)
 
-    return EncoderOutput(tokens=x, nodes=v, graph_attention=graph_attention,
-                         max_len=batch.max_len, node_offsets=batch.node_offsets)
+    width = batch.max_len if rows is None else len(rows) // len(examples)
+    return EncoderOutput(tokens=x, nodes=v if read_nodes else None, graph_attention=graph_attention,
+                         width=width, node_offsets=batch.node_offsets)
 
 
 def encode(segment: TextSegment, local: LocalKG, params: dict[str, Tensor],

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import numerics as nm
-from .encoder import EncoderConfig, check_fields, encode, encode_batch
+from .encoder import EncoderConfig, Reads, check_fields, encode, encode_batch
 from .finetune import MCQAExample, pool
 from .numerics import Tensor
 from .pretrain import LinkPredHead, LPQuery, query_scores, tail_query
@@ -321,7 +321,9 @@ class ContextualScorer:
 
     `score` encodes a whole batch of (segment, local graph, query) items in
     one `encode_batch` call (no seeds, so no dropout); item b's local node j is
-    row node_offsets[b] + j of the batch's node vectors."""
+    row node_offsets[b] + j of the batch's node vectors. A query's head and
+    candidates are entity nodes, so it reads those node states alone, and
+    the encode runs no final transformer layer and no final exchange."""
 
     def __init__(self, params: dict[str, Tensor], enc_cfg: EncoderConfig, head: LinkPredHead):
         self.params = params
@@ -330,7 +332,8 @@ class ContextualScorer:
 
     def score(self, batch: list[tuple[TextSegment, LocalKG, LPQuery]]) -> np.ndarray:
         """Flat scores of every candidate of every query, in batch order."""
-        out = encode_batch([(seg, local) for seg, local, _ in batch], self.params, self.enc_cfg)
+        out = encode_batch([(seg, local) for seg, local, _ in batch], self.params, self.enc_cfg,
+                           reads=Reads([()] * len(batch), interaction=False))
         return query_scores(out.nodes, [(q, np.arange(*out.node_offsets[b:b + 2]))
                                         for b, (_, _, q) in enumerate(batch)], self.head).values
 

@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from . import numerics as nm
-from .encoder import NORMAL, EncoderConfig, EncoderOutput, check_fields, encode_batch, init_param
+from .encoder import (NORMAL, EncoderConfig, EncoderOutput, Reads, check_fields, encode_batch,
+                      init_param)
 from .kg_store import read_text
 from .numerics import Tensor
 from .pretrain import Optimizer, train_step
@@ -106,6 +107,9 @@ def pool(out: EncoderOutput, params: dict[str, Tensor]) -> tuple[Tensor, np.ndar
     """Attention-pool each example's node vectors with its interaction token
     as query (a softmax over the example's non-interaction nodes).
 
+    It reads the interaction token and node and every node state, so `out`
+    needs no more than Reads([()] * B) of encode_batch.
+
     Returns the [B, 1] pooled scores (perceptron over [H_int; V_int; G]) and
     the attention weights over non-interaction nodes, example after example,
     for inspection.
@@ -160,8 +164,8 @@ def choice_logits(questions: list[list[tuple[TextSegment, LocalKG]]], params: di
     one dropout seed per choice, question after question; evaluation without."""
     width = max(len(q) for q in questions)
     cells = [qi * width + c for qi, q in enumerate(questions) for c in range(len(q))]
-    x, _ = pool(encode_batch([choice for q in questions for choice in q], params, enc_cfg, seeds),
-                params)
+    choices = [choice for q in questions for choice in q]
+    x, _ = pool(encode_batch(choices, params, enc_cfg, seeds, Reads([()] * len(choices))), params)
     fill = np.full((len(questions) * width, 1), nm.NEG_FILL)
     fill[cells] = 0.0
     table = nm.add(nm.scatter_rows(x, cells, len(fill)), fill)

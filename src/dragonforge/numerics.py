@@ -22,10 +22,12 @@ bitwise the chain's. They check each intermediate that finite inputs can
 make non-finite under the name of the op that made it in the chain
 ('linear', 'attention', 'dropout', 'add', 'layer_norm'), so a NumericError
 reads the same; gelu's values go unchecked, as |gelu(x)| <= |x|. They save
-only what their backward reads: the input; q, k, v and the attention
-probabilities and output (attention_block) or the hidden layer, its gelu and
-gelu's tanh (ffn_block); and the final layer_norm's normalized rows and
-inverse deviations. The output projection, its dropped copy and the residual
+only what their backward reads: the input; its query rows, q, k, v and the
+attention probabilities and output (attention_block) or the hidden layer, its
+gelu and gelu's tanh (ffn_block); and the final layer_norm's normalized rows
+and inverse deviations. attention_block may take queries on a subset of the
+rows, keys and values on all of them; its output then has the query rows
+only. The output projection, its dropped copy and the residual
 sum are never read back: they share one buffer, which then holds those rows.
 gnn_block records a relation-aware GNN layer and mint_block the interaction
 perceptron as one taped op each, on the same terms, leaving unchecked the
@@ -516,22 +518,25 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 def _attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, key_pad_mask: np.ndarray,
                    heads: int) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-head scaled dot-product self-attention over a padded batch.
+    """Multi-head scaled dot-product attention over a padded batch.
 
-    q, k, v are [B * L, d]: sequence b owns rows b * L .. b * L + L - 1 and
-    head h owns columns h * d/heads .. (h + 1) * d/heads - 1. key_pad_mask is
-    [B, L] and True at padding positions, which no query attends to. Returns
-    the [B * L, d] output and the [B, heads, L, L] softmax probabilities, the
-    only array besides q, k, v that the backward reads.
+    k, v are [B * L, d]: sequence b owns rows b * L .. b * L + L - 1 and head
+    h owns columns h * d/heads .. (h + 1) * d/heads - 1. q is [B * W, d], W
+    query rows per sequence laid out the same way (W = L for
+    self-attention). key_pad_mask is [B, L] and True at padding positions,
+    which no query attends to. Returns the [B * W, d] output and the [B,
+    heads, W, L] softmax probabilities, the only array besides q, k, v that
+    the backward reads.
     """
-    n, d = q.shape
-    if k.shape != (n, d) or v.shape != (n, d):
+    d = k.shape[1]
+    if v.shape != k.shape or q.ndim != 2 or q.shape[1] != d:
         raise ShapeError("attention: q, k, v shapes differ: %s %s %s" % (q.shape, k.shape, v.shape))
     if d % heads:
         raise ShapeError("attention: %d heads do not divide width %d" % (heads, d))
     b, length = key_pad_mask.shape
-    if b * length != n:
-        raise ShapeError("attention: padding mask %s does not cover %d rows" % ((b, length), n))
+    if b * length != len(k) or len(q) % b:
+        raise ShapeError("attention: padding mask %s does not cover %d key and %d query rows"
+                         % ((b, length), len(k), len(q)))
     qh, kh, vh = (_split_heads(a, b, heads) for a in (q, k, v))
     logits = qh @ kh.transpose(0, 1, 3, 2)
     logits *= 1.0 / math.sqrt(d // heads)
@@ -545,7 +550,8 @@ def _attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, key_pad_mask: np
 
 def _attention_bwd(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                    probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of q, k and v for the output gradient g (read only)."""
+    """Gradients of q, k and v of _attention_fwd for the output gradient g
+    (read only)."""
     b, heads = probs.shape[:2]
     inv = 1.0 / math.sqrt(q.shape[1] // heads)
     qh, kh, vh, gh = (_split_heads(a, b, heads) for a in (q, k, v, g))
@@ -748,24 +754,36 @@ def _residual_norm(x: np.ndarray, y: np.ndarray, rate: float, keep: np.ndarray |
     return _check_finite(vals, "layer_norm"), xhat, inv, factor
 
 
+def _add_at_rows(t: Tensor, rows: np.ndarray | None, delta: np.ndarray) -> None:
+    """Add delta, owned (see the module docstring), to t's gradient, or to
+    its rows `rows` when given."""
+    if rows is None:
+        t.accumulate_grad(delta, owned=True)
+    else:
+        _add_rows_to_grad(t, rows, delta)
+
+
 def attention_block(x: Tensor, weights: Sequence[Tensor], key_pad_mask: np.ndarray, heads: int,
-                    rate: float, keep: np.ndarray | None) -> Tensor:
+                    rate: float, keep: np.ndarray | None, rows: np.ndarray | None = None) -> Tensor:
     """Post-norm self-attention sublayer as one taped op:
-    layer_norm(x + dropout(linear(attention(q, k, v), wo, bo))) with
-    q = linear(x, wq, bq) and likewise k, v, for
-    weights = (wq, bq, wk, bk, wv, bv, wo, bo, ln gain, ln bias).
+    layer_norm(xq + dropout(linear(attention(q, k, v), wo, bo))) with
+    q = linear(xq, wq, bq), k = linear(x, wk, bk) and v = linear(x, wv, bv),
+    for weights = (wq, bq, wk, bk, wv, bv, wo, bo, ln gain, ln bias).
 
     x is [B * L, d] rows laid out as key_pad_mask ([B, L], True at padding)
-    says; head h owns the h-th block of d / heads columns. keep is the
-    dropout keep mask of x's shape, or None for no dropout.
+    says; head h owns the h-th block of d / heads columns. xq is x, or its
+    rows `rows` when given: [B * W] indices, W query rows per sequence, each
+    of its own sequence's rows. The output has xq's rows. keep is the
+    dropout keep mask of the output's shape, or None for no dropout.
     """
     wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = weights
     xv = x.values
-    q, k, v = (_check_finite(_linear_fwd(xv, w.values, b.values), "linear")
-               for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    xq = xv if rows is None else xv[rows]
+    q, k, v = (_check_finite(_linear_fwd(a, w.values, b.values), "linear")
+               for a, w, b in ((xq, wq, bq), (xv, wk, bk), (xv, wv, bv)))
     att, probs = _attention_fwd(q, k, v, key_pad_mask, heads)
     out = _check_finite(_linear_fwd(_check_finite(att, "attention"), wo.values, bo.values), "linear")
-    vals, xhat, inv, factor = _residual_norm(xv, out, rate, keep, gain, bias)
+    vals, xhat, inv, factor = _residual_norm(xq, out, rate, keep, gain, bias)
 
     def backward(g):
         gs = _layer_norm_bwd(g, xhat, inv, gain, bias, True)
@@ -774,11 +792,11 @@ def attention_block(x: Tensor, weights: Sequence[Tensor], key_pad_mask: np.ndarr
         # gy has been read, so x may adopt gs: its gradient takes the residual
         # part, then the v, k and q parts, as the tape of the single ops did
         if x.requires_grad:
-            x.accumulate_grad(gs, owned=True)
-        for w, b, gp in ((wv, bv, gv), (wk, bk, gk), (wq, bq, gq)):
-            gx = _linear_bwd(gp, xv, w, b, x.requires_grad)
+            _add_at_rows(x, rows, gs)
+        for a, w, b, gp, at in ((xv, wv, bv, gv, None), (xv, wk, bk, gk, None), (xq, wq, bq, gq, rows)):
+            gx = _linear_bwd(gp, a, w, b, x.requires_grad)
             if gx is not None:
-                x.accumulate_grad(gx, owned=True)
+                _add_at_rows(x, at, gx)
 
     return _make(vals, (x, *weights), backward, "attention_block", checked=True)
 

@@ -7,6 +7,11 @@ entity node, the query that link-prediction evaluation ranks too. The link
 prediction loss follows the published objective's printed form: the gold
 tail pushed up through -log sigma, the query's other candidates, as its
 negatives, pushed down through +log sigma.
+
+The losses read the encoder's masked-token rows and, when a batch holds a
+hold-out, its entity-node states; nothing reads the interaction token or
+node. So each step's encode runs no final exchange, no final GNN layer
+without link prediction, and no final transformer layer without masking.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import numerics as nm
-from .encoder import NORMAL, EncoderConfig, check_fields, encode_batch, init_param, init_params
+from .encoder import (NORMAL, EncoderConfig, Reads, check_fields, encode_batch, init_param,
+                      init_params)
 from .kg_store import (RESERVED_RELATIONS, EntityVocab, KnowledgeGraph, R_EL, Vocab, name_table,
                        read_name_table)
 from .numerics import Tensor
@@ -202,16 +208,17 @@ def linkpred_loss(holdouts: list[tuple[EdgeHoldout, np.ndarray]], node_vecs: Ten
     return nm.reduce_sum(nm.mul(terms, weights / len(holdouts)))
 
 
-def mlm_loss(plans: list[tuple[MaskingPlan, int]], token_vecs: Tensor,
+def mlm_loss(plans: list[tuple[MaskingPlan, np.ndarray]], token_vecs: Tensor,
              params: dict[str, Tensor]) -> Tensor:
     """Mean over plans of each plan's mean cross-entropy of the linear
     vocabulary head over its masked positions.
 
-    Each plan comes with the row of token_vecs that holds its position 0.
+    Each plan comes with the rows of token_vecs that hold its masked
+    positions, in the plan's order.
     """
     if not plans or not all(plan.positions for plan, _ in plans):
         raise ValueError("mlm_loss requires non-empty masking plans")
-    rows = np.concatenate([np.asarray(plan.positions) + offset for plan, offset in plans])
+    rows = np.concatenate([rows for _, rows in plans])
     targets = [t for plan, _ in plans for t in plan.original_ids]
     weights = np.concatenate([np.full(len(plan), 1.0 / (len(plan) * len(plans))) for plan, _ in plans])
     hm = nm.gather_rows(token_vecs, rows)
@@ -425,9 +432,13 @@ def train(raw_segments: list[str], kg: KnowledgeGraph, entities: EntityVocab,
                 holdouts.append((slot, holdout))
             batch.append((seg, local))
             seeds.append(int(rng.integers(2 ** 62)))
-        out = encode_batch(batch, params, enc_cfg, seeds)
+        # the losses read the masked tokens and, with a hold-out, the nodes
+        out = encode_batch(batch, params, enc_cfg, seeds, Reads(
+            [plan.positions for _, plan in plans] or [()] * len(batch),
+            nodes=any(len(holdout) for _, holdout in holdouts), interaction=False))
 
-        mlm_terms = [(plan, slot * out.max_len) for slot, plan in plans if not plan.flagged_empty]
+        mlm_terms = [(plan, slot * out.width + np.arange(len(plan))) for slot, plan in plans
+                     if not plan.flagged_empty]
         lp_terms = [(holdout, np.arange(*out.node_offsets[slot:slot + 2])) for slot, holdout
                     in holdouts if not holdout.flagged_empty]
         loss_mlm = mlm_loss(mlm_terms, out.tokens, params) if mlm_terms else None

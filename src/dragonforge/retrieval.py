@@ -48,7 +48,10 @@ def build_vocab(segments: list[str], min_freq: int = 2) -> Vocab:
 
     A segment is its tokens joined by single spaces and every corpus token
     lies in exactly one segment, so splitting the segments on spaces counts
-    the corpus's tokens."""
+    the corpus's tokens. A str (a corpus path) is refused with a TypeError:
+    it would count as its characters."""
+    if isinstance(segments, str):
+        raise TypeError("build_vocab takes segment_corpus's segments, not a path: %r" % segments)
     counts = Counter(tok for segment in segments for tok in segment.split(" "))
     return Vocab(RESERVED_TOKENS + tuple(tok for tok in sorted(counts) if counts[tok] >= min_freq))
 

@@ -20,9 +20,10 @@ from dragonforge.cli import EXIT_OK, main
 # eval-lp ranks every withheld one
 MICRO_WORLD = ["--set", "world.n_entities=30", "--set", "world.n_relations=5",
                "--set", "world.n_facts=150", "--set", "world.leak_rate=0.1"]
-# one unimodal and one fusion layer, with dropout at its default rate, so every
-# taped op of the encoder and of both pretraining losses runs
-MICRO_MODEL = ["--set", "encoder.n_unimodal=1", "--set", "encoder.n_fusion=1",
+# one unimodal and two fusion layers, with dropout at its default rate, so every
+# taped op of the encoder and of both pretraining losses runs: pretraining
+# runs no final exchange, so only a non-final fusion layer exercises mint_block
+MICRO_MODEL = ["--set", "encoder.n_unimodal=1", "--set", "encoder.n_fusion=2",
                "--set", "encoder.d_text=16", "--set", "encoder.d_node=8",
                "--set", "encoder.heads_text=2", "--set", "encoder.d_mint_hidden=16",
                "--set", "encoder.max_seq_len=32", "--set", "encoder.max_nodes=8",
@@ -46,25 +47,25 @@ DIGESTS = {
     ("world", "mcqa_test.jsonl"):
         "9506ccf32366c34d836586cb06150e395559e1ed84c31083617ee2651697aed9",
     ("pretrain-graph", "metrics.jsonl"):
-        "2e619b6906714a66dfa0a3300addbb57fe4310d8b56cc4cc033bf5b68bb8178a",
+        "903f953c557135af887d69b86aa206ac566a68bebd01084dab9aa52c455a132e",
     ("pretrain-graph", "checkpoint.drgn"):
-        "1d68ccb7c6389b9188d259c706036cb47176dd7e1ea90c83aa777c7b0405107d",
+        "a5ebcad0bf0d011b6c02bec8389e774a0ca15689f46e569142745ed763242634",
     ("pretrain-verbalized", "metrics.jsonl"):
-        "7705ba63b0ddb44252bcb6dff91500da14443d52b1f638bdb355bb1281014167",
+        "2a6c737ce20c9ecd5a31907ed7d3f4148acb180b5424ca2847a8d7dbe509dbc9",
     ("pretrain-verbalized", "checkpoint.drgn"):
-        "14794f0967a294f6244f933e53b59f20cdc3f2e58ec461871c74c4a84ec59be6",
+        "a9747054f03fff4df0b7324921703d00cac24be06dcb875978d545c118991750",
     ("finetune", "accuracy.json"):
-        "36614e0db953135549cb8dc9bd8d82de23723cc0f3697048cbb7956710c7d6cb",
+        "20c481c1d578555dabff7f5d868c94eeac2576a463aa78fc832c9ce6ec419270",
     ("finetune", "finetuned.drgn"):
-        "7af67ed82f47f8b1a9efee3ca0c0c86293d06c38d6f1137d78c1ce34f202c1f6",
+        "d823932dd5960089fb22c267d98e1210817b972832b391bf5bb325bedca5a8d1",
     ("pretrain-rotate", "metrics.jsonl"):
-        "5d0a5d2374600bd29b334931e4ac3281aee77e3501ac5dff95b557ad26055106",
+        "fc387e59d36452b1afc503bfd0c76a48dbf5f74bb0feb129fe89e2cc8a970068",
     ("eval-qa", "accuracy.json"):
         "016d34c13465d78e8f0dba152194cb43253e127326db74c4beec9d5d784dc6df",
     ("eval-lp-kg_plus_text", "ranking.json"):
-        "0fd0f1afade1115f59522579ed602cc7934d218e6a62c685c8c353b38a34e1a6",
+        "d593b71bd04667d91f6c470f77ea843d77ed776f8862e3e1ddca7864179ed23a",
     ("dump-attention", "attention.jsonl"):
-        "ea96e66a98b2bdca99922792c286ba4d48ebcba48234c16fd08e4a5eae27e5e4",
+        "966e8c5699b7d9c2632d88959fcf97a358289a268bc2c243ba225ea90aad6a5a",
 }
 
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dragonforge import numerics as nm
-from dragonforge.encoder import (BIDIRECTIONAL, CONCAT_AT_END, Batch, EncoderConfig, _gnn_layer,
-                                 _maybe_dropout, _mint, _transformer_layer, encode, encode_batch,
-                                 init_params, make_batch)
+from dragonforge.encoder import (BIDIRECTIONAL, CONCAT_AT_END, Batch, EncoderConfig, Reads,
+                                 _gnn_layer, _maybe_dropout, _mint, _transformer_layer, encode,
+                                 encode_batch, init_params, make_batch)
 from dragonforge.kg_store import R_EL
 from dragonforge.retrieval import INT, LocalKG, TextSegment, V_INT, dummy_local_kg
 
@@ -72,7 +72,7 @@ BATCHES = {"mixed": mixed_batch, "equal_length": equal_length_batch}
 
 
 def example_rows(out, b, seg, local):
-    r, o = b * out.max_len, out.node_offsets[b]
+    r, o = b * out.width, out.node_offsets[b]
     return out.tokens.values[r:r + seg.length], out.nodes.values[o:o + local.n_nodes]
 
 
@@ -149,7 +149,7 @@ def test_single_example_output_layout():
     params = init_params(cfg, 3, VOCAB, ENTS, RELS)
     seg, local = mixed_batch()[2]
     out = encode(seg, local, params, cfg)
-    assert out.batch_size == 1 and out.max_len == seg.length
+    assert out.batch_size == 1 and out.width == seg.length
     assert out.tokens.shape == (seg.length, cfg.d_text)
     assert out.nodes.shape == (local.n_nodes, cfg.d_node)
     np.testing.assert_array_equal(out.h_int.values, out.tokens.values[:1])
@@ -251,7 +251,7 @@ def test_check_gradients_on_mixed_batch():
     mix_t = rng.normal(size=probe.tokens.shape)
     mix_n = rng.normal(size=probe.nodes.shape)
     for b, (seg, _) in enumerate(examples):   # padding rows carry no loss
-        mix_t[b * probe.max_len + seg.length:(b + 1) * probe.max_len] = 0.0
+        mix_t[b * probe.width + seg.length:(b + 1) * probe.width] = 0.0
 
     def fn(tensors):
         out = encode_batch(examples, dict(zip(names, tensors)), cfg, SEEDS)
@@ -414,3 +414,98 @@ def test_gnn_layer_and_mint_record_a_fixed_number_of_tape_ops():
     # the perceptron, the split into its two outputs, and for each of x and
     # v a scatter and a residual add; v's rows first drop the dummy graphs
     assert len(tape.records) - before == 1 + 2 + 2 + 3
+
+
+# ---------------------------------------------------------------------------
+# reads: the last fusion layer computes only what its caller reads
+# ---------------------------------------------------------------------------
+
+# mixed_batch's lengths are 4, 2, 8, 3 and 4; the last example reads no token
+MASKED = [[3, 1], [1], [2, 5, 7], [2], []]
+READERS = {
+    "pretrain_masked": Reads(MASKED, nodes=False, interaction=False),
+    "pretrain_masked_and_nodes": Reads(MASKED, interaction=False),
+    "pool": Reads([()] * 5),
+    "eval_lp_nodes": Reads([()] * 5, interaction=False),
+}
+
+
+def read_rows(reads, examples, max_len):
+    """Per example, the full pass's token rows that `reads` reads, in the
+    order of its token rows, and the node rows it reads as final."""
+    tokens, nodes, offset = [], [], 0
+    first = 0 if reads.interaction else 1
+    for b, (ps, (_, local)) in enumerate(zip(reads.positions, examples)):
+        tokens.append([b * max_len + p for p in [0] * reads.interaction + list(ps)])
+        if reads.nodes or reads.interaction:
+            nodes += range(offset + first, offset + local.n_nodes)
+        offset += local.n_nodes
+    return tokens, np.array(nodes, dtype=np.int64)
+
+
+def encode_and_backward(examples, params, cfg, seeds, reads, token_rows, node_rows, weights):
+    """encode_batch's read states and every parameter's gradient (None when
+    it gets none) of a fixed random mix of those states."""
+    for p in params.values():
+        p.grad = None
+    with nm.ComputationTape() as tape:
+        out = encode_batch(examples, params, cfg, seeds, reads)
+        terms = []
+        if len(token_rows):
+            terms.append(nm.reduce_sum(nm.mul(nm.gather_rows(out.tokens, token_rows),
+                                              nm.constant(weights[0]))))
+        if len(node_rows):
+            terms.append(nm.reduce_sum(nm.mul(nm.gather_rows(out.nodes, node_rows),
+                                              nm.constant(weights[1]))))
+        tape.backward(nm.add(*terms) if len(terms) == 2 else terms[0])
+    tokens = out.tokens.values[token_rows] if len(token_rows) else None
+    nodes = out.nodes.values[node_rows] if len(node_rows) else None
+    return out, tokens, nodes, {n: p.grad for n, p in params.items()}
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_a_pruned_encode_matches_the_full_encode_on_what_it_reads(reader, mode):
+    cfg = tiny_cfg()
+    params = init_params(cfg, 7, VOCAB, ENTS, RELS)
+    examples, reads = mixed_batch(), READERS[reader]
+    full_rows, node_rows = read_rows(reads, examples, max(seg.length for seg, _ in examples))
+    width = max(len(rows) for rows in full_rows)
+    pruned_rows = np.array([b * width + j for b, rows in enumerate(full_rows) for j in range(len(rows))],
+                           dtype=np.int64)
+    rng = np.random.default_rng(17)
+    weights = rng.normal(size=(len(pruned_rows), cfg.d_text)), rng.normal(size=(len(node_rows), cfg.d_node))
+
+    out, tokens, nodes, grads = encode_and_backward(examples, params, cfg, seeds_of(mode), reads,
+                                                    pruned_rows, node_rows, weights)
+    _, want_tokens, want_nodes, want_grads = encode_and_backward(
+        examples, params, cfg, seeds_of(mode), Reads(), np.concatenate(full_rows).astype(np.int64),
+        node_rows, weights)
+
+    assert out.width == width and (out.tokens is None) == (width == 0)
+    assert (out.nodes is None) == (not reads.nodes and not reads.interaction)
+    if tokens is not None:
+        np.testing.assert_allclose(tokens, want_tokens, rtol=1e-5, atol=1e-6)
+    if reads.interaction:
+        np.testing.assert_allclose(nodes, want_nodes, rtol=1e-5, atol=1e-6)
+    elif nodes is not None:   # the entity nodes' states take no part of the pruned layers
+        assert nodes.tobytes() == want_nodes.tobytes()
+    for name, grad in grads.items():
+        want = want_grads[name]
+        if grad is None:   # a tensor that no read state depends on: exact zeros in full
+            assert want is None or not want.any(), name
+        else:
+            np.testing.assert_allclose(grad, want, rtol=1e-4, atol=1e-7, err_msg=name)
+
+
+@pytest.mark.parametrize("reads", [
+    Reads(interaction=False),                        # every position, the interaction token among them
+    Reads([[1]] * 4),                                # one example short
+    Reads([[0], [1], [1], [1], [1]], interaction=False),   # position 0 is the interaction token
+    Reads([[3], [2], [1], [1], [1]]),                # past the second example's length
+])
+def test_reads_that_name_no_final_state_are_refused(reads):
+    cfg = tiny_cfg()
+    params = init_params(cfg, 1, VOCAB, ENTS, RELS)
+    with pytest.raises(ValueError, match="reads: "):
+        encode_batch(mixed_batch(), params, cfg, reads=reads)

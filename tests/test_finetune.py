@@ -18,7 +18,7 @@ from dragonforge.retrieval import (INT, LocalKG, Retriever, TextSegment, V_INT, 
 def fake_output(h_int, node_rows):
     tokens = nm.constant(np.vstack([h_int, np.zeros_like(h_int)]))
     nodes = nm.constant(np.vstack(node_rows))
-    return EncoderOutput(tokens=tokens, nodes=nodes, graph_attention=[], max_len=2,
+    return EncoderOutput(tokens=tokens, nodes=nodes, graph_attention=[], width=2,
                          node_offsets=np.array([0, len(node_rows)]))
 
 
@@ -126,7 +126,7 @@ def test_pool_of_a_batch_matches_pool_of_each_example():
             tokens[b * max_len] = h[0]
         nodes = np.vstack([np.vstack(rows) for _, rows in examples])
         out = EncoderOutput(tokens=nm.Tensor(tokens), nodes=nm.Tensor(nodes), graph_attention=[],
-                            max_len=max_len, node_offsets=np.array([0, 2, 7, 10]))
+                            width=max_len, node_offsets=np.array([0, 2, 7, 10]))
         x, alpha = ft.pool(out, params)
         np.testing.assert_allclose(x.values[:, 0], [s[0].values[0, 0] for s in singles], atol=1e-12)
         np.testing.assert_allclose(alpha, np.concatenate([s[1] for s in singles]), atol=1e-12)

@@ -301,6 +301,9 @@ def mint_case(rate, keep, nodes=None):
         nm.mint_block(ts[0], ts[1], ts[2:6], rate=rate, keep=keep, **MINT), ts[6]))
 
 
+QUERY_PAD = np.array([[False, False, False, True], [False, False, False, False]])
+QUERY_ROWS = np.array([2, 0, 0, 7, 5, 4])
+
 OPS = [
     ("add", lambda ts: nm.reduce_sum(nm.add(ts[0], ts[1])), [(3, 4), (3, 4)]),
     ("add_row_broadcast", lambda ts: nm.reduce_sum(nm.add(ts[0], ts[1])), [(3, 4), (4,)]),
@@ -354,6 +357,13 @@ OPS = [
         nm.attention_block(ts[0], ts[1:11], np.array([[False, False, True], [False, False, False]]), 2,
                            0.3, keep_mask((6, 4), 0.3, 5)), ts[11])),
      [(6, 4)] + [(4, 4), (4,)] * 4 + [(4,), (4,), (6, 4)]),
+    # queries on a row subset of two sequences of 4 rows: position 2 of the
+    # first, then two padded query slots that repeat its row 0; positions 3,
+    # 1 and 0 of the second
+    ("attention_query_rows", lambda ts: nm.reduce_sum(nm.mul(
+        nm.attention_block(ts[0], ts[1:11], QUERY_PAD, 2, 0.3, keep_mask((6, 4), 0.3, 9), QUERY_ROWS),
+        ts[11])),
+     [(8, 4)] + [(4, 4), (4,)] * 4 + [(4,), (4,), (6, 4)]),
     # x, then w1, b1, w2, b2, the layer_norm gain and bias, then the loss weights
     ("ffn_block", lambda ts: nm.reduce_sum(nm.mul(nm.ffn_block(ts[0], ts[1:7], 0.0, None), ts[7])),
      [(3, 4), (4, 6), (6,), (6, 4), (4,), (4,), (4,), (3, 4)]),
@@ -681,6 +691,26 @@ def test_in_place_kernels_are_bitwise_the_allocating_formulas():
         for name, got, want in (("mint_block", *runs[:2]), ("mint_block_constant_nodes", *runs[2:])):
             for i, (a, b) in enumerate(zip(got, want)):
                 assert a.tobytes() == b.tobytes(), (name, mask is None, i)
+
+
+@pytest.mark.parametrize("dropout", [False, True])
+def test_attention_on_query_rows_matches_those_rows_of_the_full_sublayer(dropout):
+    # keys and values on every row, so the query rows' values and every
+    # gradient agree with the full sublayer's up to float32 rounding
+    x = rng(90).normal(size=(8, 8)).astype(np.float32)
+    weights = [rng(91 + i).normal(size=s).astype(np.float32) * 0.5
+               for i, s in enumerate([(8, 8), (8,)] * 4 + [(8,), (8,)])]
+    keep = keep_mask((8, 8), 0.3, 99) if dropout else None
+    g = rng(100).normal(size=(6, 8)).astype(np.float32)
+    got = _forward_and_grads(lambda *ts: nm.attention_block(
+        ts[0], ts[1:], QUERY_PAD, 2, 0.3, None if keep is None else keep[QUERY_ROWS], QUERY_ROWS),
+        [x] + weights, g)
+    want = _forward_and_grads(lambda *ts: nm.gather_rows(
+        nm.attention_block(ts[0], ts[1:], QUERY_PAD, 2, 0.3, keep), QUERY_ROWS), [x] + weights, g)
+    assert len(got) == len(want) == 12
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == np.float32 and a.shape == b.shape, i
+        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5, err_msg=str(i))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dragonforge import numerics as nm
 from dragonforge import pretrain as pt
 from dragonforge.cli import main
-from dragonforge.encoder import EncoderConfig
+from dragonforge.encoder import EncoderConfig, init_params
 from dragonforge.evaluation import generate_synthetic_world
 from dragonforge.kg_store import RESERVED_RELATIONS, EntityVocab, R_EL, Vocab, load_kg
 from dragonforge.retrieval import (INT, MASK, PAD, RESERVED_TOKENS, SEP, LocalKG, Retriever,
@@ -330,15 +330,21 @@ def test_linkpred_loss_gradient_wrt_node_vectors():
     assert err < 1e-4, err
 
 
+def at_offset(plan, offset):
+    """plan with the rows of its positions among token rows whose position 0
+    is row offset."""
+    return plan, np.asarray(plan.positions) + offset
+
+
 def test_mlm_loss_uniform_and_onehot():
     params = {"lm.mlm_head.w": nm.Tensor(np.zeros((4, 100)), requires_grad=True),
               "lm.mlm_head.b": nm.Tensor(np.zeros(100), requires_grad=True)}
     tokens = nm.constant(np.random.default_rng(19).normal(size=(6, 4)))
     plan = pt.MaskingPlan(positions=[1, 3], original_ids=[7, 42])
-    assert pt.mlm_loss([(plan, 0)], tokens, params).item() == pytest.approx(np.log(100), abs=1e-4)
+    assert pt.mlm_loss([at_offset(plan, 0)], tokens, params).item() == pytest.approx(np.log(100), abs=1e-4)
     params["lm.mlm_head.b"].values[7] = 1e4  # force the head toward token 7
     plan7 = pt.MaskingPlan(positions=[2], original_ids=[7])
-    assert pt.mlm_loss([(plan7, 0)], tokens, params).item() == pytest.approx(0.0, abs=1e-6)
+    assert pt.mlm_loss([at_offset(plan7, 0)], tokens, params).item() == pytest.approx(0.0, abs=1e-6)
 
 
 def test_mlm_loss_against_direct_oracle():
@@ -349,7 +355,7 @@ def test_mlm_loss_against_direct_oracle():
         hvecs = rng.normal(size=(7, 4))
         params = {"lm.mlm_head.w": nm.Tensor(w), "lm.mlm_head.b": nm.Tensor(b)}
         plan = pt.MaskingPlan(positions=[0, 4, 6], original_ids=[3, 12, 25])
-        got = pt.mlm_loss([(plan, 0)], nm.Tensor(hvecs), params).item()
+        got = pt.mlm_loss([at_offset(plan, 0)], nm.Tensor(hvecs), params).item()
         losses = []
         for pos, tok in zip(plan.positions, plan.original_ids):
             logits = hvecs[pos] @ w + b
@@ -366,9 +372,9 @@ def test_batched_losses_are_means_of_per_example_terms():
                   "lm.mlm_head.b": nm.Tensor(rng.normal(size=30))}
         tokens = rng.normal(size=(10, 4))           # two examples: rows 0-4 and 5-9
         plans = [pt.MaskingPlan([1, 3], [4, 9]), pt.MaskingPlan([2], [17])]
-        singles = [pt.mlm_loss([(plan, 0)], nm.Tensor(tokens[5 * i:5 * i + 5]), params).item()
+        singles = [pt.mlm_loss([at_offset(plan, 0)], nm.Tensor(tokens[5 * i:5 * i + 5]), params).item()
                    for i, plan in enumerate(plans)]
-        batched = pt.mlm_loss([(plans[0], 0), (plans[1], 5)], nm.Tensor(tokens), params).item()
+        batched = pt.mlm_loss([at_offset(plans[0], 0), at_offset(plans[1], 5)], nm.Tensor(tokens), params).item()
         assert batched == pytest.approx(np.mean(singles), abs=1e-12)
 
         head = head_for("distmult", d=6, n_rel=2)
@@ -566,6 +572,41 @@ def test_linkpred_only_mode_reports_zero_mlm_loss(tmp_path):
     cfg = pt.PretrainConfig(steps=5, batch_size=2, objective="linkpred_only", seed=4)
     _, metrics = pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
     assert all(m["loss_mlm"] == 0.0 for m in metrics)
+
+
+@pytest.mark.parametrize("objective, untouched", [
+    ("joint", ("mint.layer1.",)),
+    ("mlm_only", ("mint.layer1.", "gnn.layer1.")),
+    ("linkpred_only", ("mint.layer1.", "lm.layer2.")),
+])
+def test_pretraining_leaves_the_tensors_no_loss_reads_at_their_initial_values(
+        tmp_path, monkeypatch, objective, untouched):
+    # DRAGON's heads read masked tokens and entity nodes. The final exchange
+    # feeds only the interaction token and node, the final GNN layer only the
+    # nodes and that exchange, the final transformer layer only the tokens
+    # and that exchange; so these tensors get no gradient and Adam no moment
+    segments, kg, entities, relations, tv, enc_cfg = small_setup(tmp_path)
+    assert enc_cfg.n_unimodal + enc_cfg.n_fusion == 3 and enc_cfg.n_fusion == 2
+    optimizers = []
+
+    class RecordingOptimizer(pt.Optimizer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(pt, "Optimizer", RecordingOptimizer)
+    cfg = pt.PretrainConfig(steps=6, batch_size=3, objective=objective, seed=8)
+    params, _ = pt.train(segments, kg, entities, relations, tv, enc_cfg, cfg)
+    init = init_params(enc_cfg, cfg.seed, len(tv), len(entities), len(relations))
+    (opt,) = optimizers
+    names = [n for n in init if n.startswith(untouched)]
+    assert len(names) == sum(len([n for n in init if n.startswith(p)]) for p in untouched) > 0
+    for name in names:
+        assert params[name].values.tobytes() == init[name].values.tobytes(), name
+        assert not opt._m[name].any() and not opt._v[name].any(), name
+    # the same tensors of the layer before do train
+    for name in ("mint.layer0.w1", "gnn.layer0.wv", "lm.layer1.attn.wv"):
+        assert params[name].values.tobytes() != init[name].values.tobytes(), name
 
 
 def test_train_determinism_identical_metrics(tmp_path):

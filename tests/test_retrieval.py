@@ -583,3 +583,12 @@ def test_min_freq_threshold(tmp_path):
     assert "rare" not in tv.ids
     seg, _ = rt.link_entities("common rare", rt.build_alias_index(EntityVocab()), tv)
     assert seg.token_ids == [rt.INT, tv.ids["common"], rt.UNK]
+
+
+def test_build_vocab_refuses_a_path(tmp_path):
+    # a str is an iterable of one-character "segments": counted, a corpus
+    # path would give a vocabulary of its characters
+    p = tmp_path / "c.txt"
+    p.write_text("common common rare\n", encoding="utf-8")
+    with pytest.raises(TypeError, match="segment_corpus's segments, not a path"):
+        rt.build_vocab(str(p), min_freq=1)
